@@ -3,10 +3,10 @@
 
 use sjc_bench::microbench::{black_box, Bench};
 use sjc_data::rng::StdRng;
-use sjc_geom::algorithms::{linestrings_intersect, point_in_polygon};
+use sjc_geom::algorithms::{linestrings_intersect, linestrings_intersect_hinted, point_in_polygon};
 use sjc_geom::predicates::segments_intersect;
 use sjc_geom::wkt::{parse_wkt, to_wkt};
-use sjc_geom::{Geometry, LineString, Point, Polygon};
+use sjc_geom::{Geometry, LineString, Mbr, Point, Polygon};
 
 fn ring(n: usize, radius: f64) -> Polygon {
     let pts = (0..n)
@@ -19,8 +19,11 @@ fn ring(n: usize, radius: f64) -> Polygon {
 }
 
 fn walk(rng: &mut StdRng, n: usize) -> LineString {
-    let mut x = rng.gen::<f64>() * 100.0;
-    let mut y = rng.gen::<f64>() * 100.0;
+    let start = (rng.gen::<f64>() * 100.0, rng.gen::<f64>() * 100.0);
+    walk_from(rng, n, start)
+}
+
+fn walk_from(rng: &mut StdRng, n: usize, (mut x, mut y): (f64, f64)) -> LineString {
     let pts = (0..n)
         .map(|_| {
             x += rng.gen::<f64>() * 2.0 - 1.0;
@@ -87,6 +90,52 @@ fn bench_polyline_intersect(b: &mut Bench) {
     });
 }
 
+/// One exact test as the join's refinement sees it: a candidate pair whose
+/// envelopes overlap, by outcome and size, with the envelopes handed over
+/// (`hinted`, what `local_join` does) or recomputed (`unhinted`).
+fn bench_polyline_refine(b: &mut Bench) {
+    const PAIRS: usize = 32;
+    type Rec = (LineString, Mbr);
+    type Pair = (Rec, Rec);
+    for &n in &[10usize, 64, 512] {
+        let mut rng = StdRng::seed_from_u64(4 + n as u64);
+        // A walk of n unit-ish steps wanders ~sqrt(n); start the partner
+        // within that reach so both outcomes turn up.
+        let reach = (n as f64).sqrt() * 2.0;
+        let (mut hits, mut misses): (Vec<Pair>, Vec<Pair>) = (Vec::new(), Vec::new());
+        while hits.len() < PAIRS || misses.len() < PAIRS {
+            let l = walk_from(&mut rng, n, (0.0, 0.0));
+            let offset = (rng.gen::<f64>() * reach, rng.gen::<f64>() * reach);
+            let r = walk_from(&mut rng, n, offset);
+            let (lm, rm) = (l.mbr(), r.mbr());
+            if !lm.intersects(&rm) {
+                continue; // the filter would have dropped it
+            }
+            let side = if linestrings_intersect(&l, &r) { &mut hits } else { &mut misses };
+            if side.len() < PAIRS {
+                side.push(((l, lm), (r, rm)));
+            }
+        }
+        for (outcome, pairs) in [("hit", &hits), ("miss", &misses)] {
+            let group = format!("polyline_refine_{outcome}");
+            b.bench_in(&group, &format!("{n}/hinted"), || {
+                pairs
+                    .iter()
+                    .filter(|((l, lm), (r, rm))| {
+                        linestrings_intersect_hinted(black_box(l), lm, black_box(r), rm)
+                    })
+                    .count()
+            });
+            b.bench_in(&group, &format!("{n}/unhinted"), || {
+                pairs
+                    .iter()
+                    .filter(|((l, _), (r, _))| linestrings_intersect(black_box(l), black_box(r)))
+                    .count()
+            });
+        }
+    }
+}
+
 fn bench_wkt_round_trip(b: &mut Bench) {
     let mut rng = StdRng::seed_from_u64(3);
     let geoms: Vec<Geometry> = (0..100)
@@ -108,5 +157,6 @@ fn main() {
     bench_point_in_polygon(&mut b);
     bench_segment_intersection(&mut b);
     bench_polyline_intersect(&mut b);
+    bench_polyline_refine(&mut b);
     bench_wkt_round_trip(&mut b);
 }

@@ -88,7 +88,7 @@ pub fn local_join(
     let refine_one = |&(li, ri): &(u64, u64)| -> Refined {
         let l = left[li as usize]; // sjc-lint: allow(no-panic-in-lib) — filter emits indices into these exact slices
         let r = right[ri as usize]; // sjc-lint: allow(no-panic-in-lib) — filter emits indices into these exact slices
-        let (hit, ns) = predicate.evaluate(engine, &l.geom, &r.geom);
+        let (hit, ns) = predicate.evaluate_records(engine, l, r);
         if hit {
             let kept = keep(&l.mbr, &r.mbr).then_some((l.id, r.id));
             (ns, 1, kept)

@@ -34,6 +34,23 @@ impl JoinPredicate {
         }
     }
 
+    /// [`evaluate`](JoinPredicate::evaluate) on two join records, handing the
+    /// exact test the envelopes the filter has just compared. Same verdict
+    /// and same charged cost as `evaluate` on the records' geometries.
+    pub fn evaluate_records(
+        &self,
+        engine: &GeometryEngine,
+        left: &GeoRecord,
+        right: &GeoRecord,
+    ) -> (bool, u64) {
+        match self {
+            JoinPredicate::Intersects => {
+                engine.intersects_hinted(&left.geom, &left.mbr, &right.geom, &right.mbr)
+            }
+            _ => self.evaluate(engine, &left.geom, &right.geom),
+        }
+    }
+
     /// Widens an MBR for the filter step (only within-distance joins need
     /// a buffer).
     pub fn filter_mbr(&self, mbr: &Mbr) -> Mbr {
@@ -45,7 +62,8 @@ impl JoinPredicate {
 }
 
 /// One spatial record flowing through a system: a dataset-local id, the
-/// geometry, and its precomputed MBR.
+/// geometry, and its precomputed MBR. `mbr` must contain the geometry's tight
+/// envelope — the filter and the hinted exact test both rely on it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeoRecord {
     pub id: u64,
@@ -193,6 +211,41 @@ mod tests {
         ]));
         assert!(JoinPredicate::WithinDistance(3.1).evaluate(&jts, &p_out, &road).0);
         assert!(!JoinPredicate::WithinDistance(0.5).evaluate(&jts, &p_in, &road).0);
+    }
+
+    #[test]
+    fn evaluate_records_matches_evaluate_in_verdict_and_cost() {
+        let line = |pts: &[(f64, f64)]| {
+            Geometry::LineString(LineString::new(
+                pts.iter().map(|&(x, y)| Point::new(x, y)).collect(),
+            ))
+        };
+        let recs = [
+            GeoRecord::new(0, line(&[(0.0, 0.0), (1.0, 0.0), (2.0, 2.0)])),
+            GeoRecord::new(1, line(&[(0.0, 2.0), (2.0, 0.0)])),
+            GeoRecord::new(2, line(&[(0.0, 1.9), (0.1, 2.0)])),
+            GeoRecord::new(3, Geometry::Point(Point::new(1.0, 1.0))),
+            GeoRecord::new(4, poly()),
+        ];
+        for engine in [GeometryEngine::jts(), GeometryEngine::geos()] {
+            for p in [
+                JoinPredicate::Intersects,
+                JoinPredicate::Within,
+                JoinPredicate::WithinDistance(0.5),
+            ] {
+                for l in &recs {
+                    for r in &recs {
+                        assert_eq!(
+                            p.evaluate_records(&engine, l, r),
+                            p.evaluate(&engine, &l.geom, &r.geom),
+                            "{p:?} on records {} x {}",
+                            l.id,
+                            r.id
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

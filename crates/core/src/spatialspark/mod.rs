@@ -246,7 +246,7 @@ impl SpatialSpark {
             for rid in hits {
                 // sjc-lint: allow(no-panic-in-lib) — R-tree hits carry the enumerate record ids they were built from
                 let rrec = &right.records[rid as usize];
-                let (hit, ns) = predicate.evaluate(&jts, &lrec.geom, &rrec.geom);
+                let (hit, ns) = predicate.evaluate_records(&jts, lrec, rrec);
                 *extra += ns;
                 if hit {
                     out.push((lrec.id, rrec.id));

@@ -3,36 +3,94 @@
 //! These implement the refinement step of intersection-predicate joins.
 //! The polyline–polyline test is the hot path of the paper's
 //! `edges × linearwater` experiment: each candidate pair that survives the
-//! MBR filter runs a segment-level sweep here.
+//! MBR filter is decided here, and nine in ten of them are misses.
+//!
+//! # The window rule
+//!
+//! Two segments can only meet inside `a_mbr ∩ b_mbr` — the *window*. A
+//! segment pair reaches `segments_intersect` only when the two segments'
+//! closed bounding boxes overlap; each box lies inside its polyline's
+//! envelope, so a shared point of the boxes lies in the window and both
+//! boxes touch it. A segment whose box misses the window therefore takes
+//! part in no tested pair and is dropped before the pair loop, with the
+//! verdict unchanged. The rule is comparisons only (no arithmetic on
+//! coordinates), so it holds exactly in `f64`.
+//!
+//! # The hint contract
+//!
+//! [`linestrings_intersect_hinted`] takes both envelopes from its caller —
+//! the join's filter has just compared them — instead of rescanning the
+//! vertices. Each hint must *contain* the polyline's tight envelope; it may
+//! be looser (a buffered filter MBR is fine), which only widens the window.
+//! A hint that cuts into its polyline is a caller bug, checked by a
+//! `debug_assert!` under the `sanitize` feature.
 
 use crate::algorithms::point_in_polygon::point_in_polygon;
 use crate::linestring::LineString;
+use crate::mbr::Mbr;
 use crate::point::Point;
 use crate::polygon::Polygon;
 use crate::predicates::segments_intersect;
 
-/// Exact polyline–polyline intersection.
-///
-/// Uses a short-circuiting double loop over segments with per-segment MBR
-/// rejection — effectively the "indexed nested loop at the segment level"
-/// that JTS performs for small geometries. For the synthetic TIGER-like
-/// data, polylines have tens of vertices, so an O(n·m) scan with MBR
-/// pre-checks is the right tool (building a per-geometry index would cost
-/// more than it saves, which is also why JTS only switches strategies for
-/// very large geometries).
+/// Exact polyline–polyline intersection: computes each envelope once and
+/// delegates to [`linestrings_intersect_hinted`].
 pub fn linestrings_intersect(a: &LineString, b: &LineString) -> bool {
-    if !a.mbr().intersects(&b.mbr()) {
+    linestrings_intersect_hinted(a, &a.mbr(), b, &b.mbr())
+}
+
+/// Exact polyline–polyline intersection, given an envelope of each side
+/// (see the module docs for the hint contract).
+///
+/// Clips both polylines to the window `a_mbr ∩ b_mbr`: `b` is cut to the
+/// run from its first to its last segment touching the window, `a`'s
+/// segments are skipped when they miss it, and what is left goes through a
+/// short-circuiting double loop with per-pair bounding-box rejection —
+/// effectively the "indexed nested loop at the segment level" that JTS
+/// performs for small geometries. For the synthetic TIGER-like data,
+/// polylines have tens of vertices and the window keeps a handful of
+/// segments per side, so a scan beats building a per-geometry index (which
+/// is also why JTS only switches strategies for very large geometries).
+pub fn linestrings_intersect_hinted(
+    a: &LineString,
+    a_mbr: &Mbr,
+    b: &LineString,
+    b_mbr: &Mbr,
+) -> bool {
+    #[cfg(feature = "sanitize")]
+    debug_assert!(
+        a_mbr.contains(&a.mbr()) && b_mbr.contains(&b.mbr()),
+        "sanitize: envelope hint does not contain its polyline: {a_mbr:?} / {b_mbr:?}"
+    );
+    let window = a_mbr.intersection(b_mbr);
+    if window.is_empty() {
         return false;
     }
+    let misses_window = |p: &Point, q: &Point| {
+        p.x.max(q.x) < window.min_x
+            || p.x.min(q.x) > window.max_x
+            || p.y.max(q.y) < window.min_y
+            || p.y.min(q.y) > window.max_y
+    };
+
+    // b's run: segments first..=last span vertices first..=last + 1.
+    let mut run: Option<(usize, usize)> = None;
+    for (i, (q1, q2)) in b.segments().enumerate() {
+        if !misses_window(q1, q2) {
+            run = Some((run.map_or(i, |(first, _)| first), i));
+        }
+    }
+    let Some(b_run) = run.and_then(|(first, last)| b.points().get(first..=last + 1)) else {
+        return false;
+    };
+
     for (p1, p2) in a.segments() {
-        // Per-segment bounding box against b's envelope first.
-        let (sx0, sx1) = (p1.x.min(p2.x), p1.x.max(p2.x));
-        let (sy0, sy1) = (p1.y.min(p2.y), p1.y.max(p2.y));
-        let bm = b.mbr();
-        if sx1 < bm.min_x || sx0 > bm.max_x || sy1 < bm.min_y || sy0 > bm.max_y {
+        if misses_window(p1, p2) {
             continue;
         }
-        for (q1, q2) in b.segments() {
+        let (sx0, sx1) = (p1.x.min(p2.x), p1.x.max(p2.x));
+        let (sy0, sy1) = (p1.y.min(p2.y), p1.y.max(p2.y));
+        for w in b_run.windows(2) {
+            let [q1, q2] = w else { continue };
             if sx1 < q1.x.min(q2.x)
                 || sx0 > q1.x.max(q2.x)
                 || sy1 < q1.y.min(q2.y)

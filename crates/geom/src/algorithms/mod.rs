@@ -17,6 +17,9 @@ pub mod simplify;
 pub use clip::{clip_linestring, clip_polygon, clip_segment};
 pub use convex_hull::{convex_hull, convex_hull_ring};
 pub use distance::{point_segment_distance, point_to_linestring_distance};
-pub use intersects::{linestrings_intersect, polygon_intersects_linestring, polygons_intersect};
+pub use intersects::{
+    linestrings_intersect, linestrings_intersect_hinted, polygon_intersects_linestring,
+    polygons_intersect,
+};
 pub use point_in_polygon::point_in_polygon;
 pub use simplify::simplify;

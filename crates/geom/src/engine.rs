@@ -11,6 +11,7 @@
 //! benchmark harness show the engine's contribution to end-to-end runtime.
 
 use crate::geometry::Geometry;
+use crate::mbr::Mbr;
 
 /// Which library profile a system links against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,6 +89,20 @@ impl GeometryEngine {
     pub fn intersects(&self, a: &Geometry, b: &Geometry) -> (bool, u64) {
         let cost = self.refine_cost_ns(a.num_vertices() + b.num_vertices());
         (a.intersects(b), cost)
+    }
+
+    /// [`intersects`](GeometryEngine::intersects) with an envelope hint per
+    /// side (see [`Geometry::intersects_hinted`]). The charged cost is a
+    /// function of the vertex counts alone, so it equals the unhinted one.
+    pub fn intersects_hinted(
+        &self,
+        a: &Geometry,
+        a_mbr: &Mbr,
+        b: &Geometry,
+        b_mbr: &Mbr,
+    ) -> (bool, u64) {
+        let cost = self.refine_cost_ns(a.num_vertices() + b.num_vertices());
+        (a.intersects_hinted(a_mbr, b, b_mbr), cost)
     }
 
     /// Exact `contains` refinement plus its simulated cost.

@@ -7,8 +7,8 @@
 use crate::algorithms::{
     distance::{point_to_linestring_distance, point_within_distance},
     intersects::{
-        linestrings_intersect, point_on_linestring, polygon_intersects_linestring,
-        polygons_intersect,
+        linestrings_intersect, linestrings_intersect_hinted, point_on_linestring,
+        polygon_intersects_linestring, polygons_intersect,
     },
     point_in_polygon::point_in_polygon,
 };
@@ -35,22 +35,17 @@ pub enum Geometry {
 }
 
 impl Geometry {
-    /// Whether this is a multi-part geometry.
-    pub fn is_multi(&self) -> bool {
-        matches!(
-            self,
-            Geometry::MultiPoint(_) | Geometry::MultiLineString(_) | Geometry::MultiPolygon(_)
-        )
-    }
-
     /// Visits each simple part of a multi-geometry (or the geometry itself
-    /// when simple), stopping early when the visitor returns `true`.
-    fn any_part(&self, mut f: impl FnMut(&Geometry) -> bool) -> bool {
+    /// when simple) by reference, stopping early when the visitor returns
+    /// `true`.
+    fn any_part<'a>(&'a self, mut f: impl FnMut(Part<'a>) -> bool) -> bool {
         match self {
-            Geometry::MultiPoint(ps) => ps.iter().any(|p| f(&Geometry::Point(*p))),
-            Geometry::MultiLineString(ls) => ls.iter().any(|l| f(&Geometry::LineString(l.clone()))),
-            Geometry::MultiPolygon(ps) => ps.iter().any(|p| f(&Geometry::Polygon(p.clone()))),
-            simple => f(simple),
+            Geometry::Point(p) => f(Part::Point(p)),
+            Geometry::LineString(l) => f(Part::LineString(l)),
+            Geometry::Polygon(p) => f(Part::Polygon(p)),
+            Geometry::MultiPoint(ps) => ps.iter().any(|p| f(Part::Point(p))),
+            Geometry::MultiLineString(ls) => ls.iter().any(|l| f(Part::LineString(l))),
+            Geometry::MultiPolygon(ps) => ps.iter().any(|p| f(Part::Polygon(p))),
         }
     }
 
@@ -82,24 +77,20 @@ impl Geometry {
     /// every kind pairing and is symmetric by construction; multi-geometries
     /// intersect when any part does.
     pub fn intersects(&self, other: &Geometry) -> bool {
-        use Geometry::*;
-        if self.is_multi() {
-            return self.any_part(|part| part.intersects(other));
-        }
-        if other.is_multi() {
-            return other.any_part(|part| part.intersects(self));
-        }
+        self.any_part(|a| other.any_part(|b| a.intersects(b)))
+    }
+
+    /// [`intersects`](Geometry::intersects) for a caller that already holds
+    /// an envelope of each side (a join record's filter MBR): the
+    /// polyline–polyline test reuses them instead of rescanning vertices.
+    /// Each hint must contain its geometry's tight MBR; every other pairing
+    /// ignores the hints. The verdict is that of `intersects`.
+    pub fn intersects_hinted(&self, self_mbr: &Mbr, other: &Geometry, other_mbr: &Mbr) -> bool {
         match (self, other) {
-            (Point(a), Point(b)) => a == b,
-            (Point(p), LineString(l)) | (LineString(l), Point(p)) => point_on_linestring(l, p),
-            (Point(p), Polygon(pg)) | (Polygon(pg), Point(p)) => point_in_polygon(pg, p),
-            (LineString(a), LineString(b)) => linestrings_intersect(a, b),
-            (LineString(l), Polygon(pg)) | (Polygon(pg), LineString(l)) => {
-                polygon_intersects_linestring(pg, l)
+            (Geometry::LineString(a), Geometry::LineString(b)) => {
+                linestrings_intersect_hinted(a, self_mbr, b, other_mbr)
             }
-            (Polygon(a), Polygon(b)) => polygons_intersect(a, b),
-            // sjc-lint: allow(no-panic-in-lib) — multi kinds are dispatched by the is_multi guards above; this arm cannot be reached
-            _ => unreachable!("multi kinds handled above"),
+            _ => self.intersects(other),
         }
     }
 
@@ -126,22 +117,7 @@ impl Geometry {
     /// motivating taxi-to-road-segment example; other pairings approximate
     /// via `intersects` of buffered MBRs plus exact distance on points.
     pub fn within_distance(&self, other: &Geometry, d: f64) -> bool {
-        use Geometry::*;
-        if self.is_multi() {
-            return self.any_part(|part| part.within_distance(other, d));
-        }
-        if other.is_multi() {
-            return other.any_part(|part| part.within_distance(self, d));
-        }
-        match (self, other) {
-            (Point(a), Point(b)) => a.distance(b) <= d,
-            (Point(p), LineString(l)) | (LineString(l), Point(p)) => point_within_distance(p, l, d),
-            _ => {
-                // Generic fallback: exact intersection, else conservative MBR
-                // distance (exact for points/rectangles, lower bound otherwise).
-                self.intersects(other) || self.mbr().min_distance(&other.mbr()) <= d
-            }
-        }
+        self.any_part(|a| other.any_part(|b| a.within_distance(b, d)))
     }
 
     /// Distance from a point geometry to this geometry (used for
@@ -283,6 +259,52 @@ impl From<LineString> for Geometry {
 impl From<Polygon> for Geometry {
     fn from(p: Polygon) -> Self {
         Geometry::Polygon(p)
+    }
+}
+
+/// One simple part of a geometry, borrowed: what the pairwise predicates
+/// dispatch on, so multi-geometries decompose without copying vertices.
+#[derive(Clone, Copy)]
+enum Part<'a> {
+    Point(&'a Point),
+    LineString(&'a LineString),
+    Polygon(&'a Polygon),
+}
+
+impl Part<'_> {
+    fn mbr(self) -> Mbr {
+        match self {
+            Part::Point(p) => p.mbr(),
+            Part::LineString(l) => l.mbr(),
+            Part::Polygon(p) => p.mbr(),
+        }
+    }
+
+    fn intersects(self, other: Part<'_>) -> bool {
+        use Part::*;
+        match (self, other) {
+            (Point(a), Point(b)) => a == b,
+            (Point(p), LineString(l)) | (LineString(l), Point(p)) => point_on_linestring(l, p),
+            (Point(p), Polygon(pg)) | (Polygon(pg), Point(p)) => point_in_polygon(pg, p),
+            (LineString(a), LineString(b)) => linestrings_intersect(a, b),
+            (LineString(l), Polygon(pg)) | (Polygon(pg), LineString(l)) => {
+                polygon_intersects_linestring(pg, l)
+            }
+            (Polygon(a), Polygon(b)) => polygons_intersect(a, b),
+        }
+    }
+
+    fn within_distance(self, other: Part<'_>, d: f64) -> bool {
+        use Part::*;
+        match (self, other) {
+            (Point(a), Point(b)) => a.distance(b) <= d,
+            (Point(p), LineString(l)) | (LineString(l), Point(p)) => point_within_distance(p, l, d),
+            _ => {
+                // Generic fallback: exact intersection, else conservative MBR
+                // distance (exact for points/rectangles, lower bound otherwise).
+                self.intersects(other) || self.mbr().min_distance(&other.mbr()) <= d
+            }
+        }
     }
 }
 

@@ -55,6 +55,46 @@ fn intersects_is_symmetric_with_simple_kinds() {
     }
 }
 
+/// Parts are visited by reference; the verdict is still the OR over parts of
+/// the simple-kind verdict, in both argument orders and through the hinted
+/// entry (which ignores its hints for multi kinds).
+#[test]
+fn multi_verdicts_equal_the_or_over_borrowed_parts() {
+    let lines = vec![
+        LineString::new(pts(&[(0.0, 0.0), (2.0, 2.0)])),
+        LineString::new(pts(&[(10.0, 0.0), (12.0, 2.0)])),
+    ];
+    let line_probes = [
+        (LineString::new(pts(&[(0.0, 2.0), (2.0, 0.0)])), true), // crosses the first part
+        (LineString::new(pts(&[(10.0, 2.0), (12.0, 0.0)])), true), // crosses the last part
+        (LineString::new(pts(&[(4.0, 0.0), (8.0, 2.0)])), false), // between the parts
+    ];
+    let ml = Geometry::MultiLineString(lines.clone());
+    for (probe, expected) in line_probes {
+        let g = Geometry::LineString(probe.clone());
+        let by_parts = lines.iter().any(|l| Geometry::LineString(l.clone()).intersects(&g));
+        assert_eq!(by_parts, expected);
+        assert_eq!(ml.intersects(&g), expected);
+        assert_eq!(g.intersects(&ml), expected);
+        assert_eq!(ml.intersects_hinted(&ml.mbr(), &g, &g.mbr()), expected);
+    }
+
+    let squares = vec![square(0.0, 0.0, 2.0), square(10.0, 10.0, 2.0)];
+    let mp = Geometry::MultiPolygon(squares.clone());
+    for (p, expected) in [
+        (Point::new(1.0, 1.0), true),
+        (Point::new(12.0, 12.0), true), // a corner of the last part
+        (Point::new(5.0, 5.0), false),
+    ] {
+        let g = Geometry::Point(p);
+        let by_parts = squares.iter().any(|s| Geometry::Polygon(s.clone()).intersects(&g));
+        assert_eq!(by_parts, expected);
+        assert_eq!(mp.intersects(&g), expected);
+        assert_eq!(g.intersects(&mp), expected);
+        assert_eq!(g.intersects_hinted(&g.mbr(), &mp, &mp.mbr()), expected);
+    }
+}
+
 #[test]
 fn multi_vs_multi() {
     let mp = multi_polygon();

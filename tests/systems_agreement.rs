@@ -5,11 +5,13 @@
 use sjc_cluster::{Cluster, ClusterConfig};
 use sjc_core::common::direct_join;
 use sjc_core::experiment::Workload;
+use sjc_core::framework::GeoRecord;
 use sjc_core::framework::{DistributedSpatialJoin, JoinInput, JoinPredicate};
 use sjc_core::hadoopgis::HadoopGis;
 use sjc_core::spatialhadoop::SpatialHadoop;
 use sjc_core::spatialspark::SpatialSpark;
-use sjc_geom::GeometryEngine;
+use sjc_geom::predicates::segments_intersect;
+use sjc_geom::{Geometry, GeometryEngine, Point};
 
 /// Prepares a workload slice small enough for exhaustive comparison, with
 /// multiplier pinned to 1 so no failure mechanism triggers.
@@ -29,6 +31,51 @@ fn systems() -> Vec<Box<dyn DistributedSpatialJoin>> {
         Box::new(SpatialSpark { broadcast_join: true, ..SpatialSpark::default() }),
         Box::new(sjc_core::lde::LdeEngine::default()),
     ]
+}
+
+/// Polyline join oracle that shares no code with the join under test: every
+/// record pair, a closed MBR test, then every segment pair through
+/// `segments_intersect` behind the same closed segment-box test the exact
+/// test uses. It goes nowhere near `linestrings_intersect*`, `local_join` or
+/// the filter kernels, so a fault in any of them cannot hide in it.
+fn segment_level_oracle(left: &[GeoRecord], right: &[GeoRecord]) -> Vec<(u64, u64)> {
+    /// `[min_x, min_y, max_x, max_y]`
+    type Bounds = [f64; 4];
+    fn segments(rec: &GeoRecord) -> Vec<(Point, Point, Bounds)> {
+        match &rec.geom {
+            Geometry::LineString(l) => l
+                .points()
+                .windows(2)
+                .map(|w| {
+                    let (p, q) = (w[0], w[1]);
+                    (p, q, [p.x.min(q.x), p.y.min(q.y), p.x.max(q.x), p.y.max(q.y)])
+                })
+                .collect(),
+            other => panic!("polyline oracle given a {}", other.kind()),
+        }
+    }
+    fn meet(a: &Bounds, b: &Bounds) -> bool {
+        a[0] <= b[2] && b[0] <= a[2] && a[1] <= b[3] && b[1] <= a[3]
+    }
+    let bounds = |rec: &GeoRecord| [rec.mbr.min_x, rec.mbr.min_y, rec.mbr.max_x, rec.mbr.max_y];
+    let right_segments: Vec<_> = right.iter().map(segments).collect();
+    let mut pairs = Vec::new();
+    for l in left {
+        let l_segments = segments(l);
+        for (r, r_segments) in right.iter().zip(&right_segments) {
+            let hit = meet(&bounds(l), &bounds(r))
+                && l_segments.iter().any(|(p1, p2, s)| {
+                    r_segments
+                        .iter()
+                        .any(|(q1, q2, t)| meet(s, t) && segments_intersect(p1, p2, q1, q2))
+                });
+            if hit {
+                pairs.push((l.id, r.id));
+            }
+        }
+    }
+    pairs.sort_unstable();
+    pairs
 }
 
 fn assert_all_agree(w: Workload, predicate: JoinPredicate, scale: f64, seed: u64) {
@@ -62,7 +109,15 @@ fn point_in_polygon_workload() {
 
 #[test]
 fn polyline_intersection_workload() {
-    assert_all_agree(Workload::edge01_linearwater01(), JoinPredicate::Intersects, 3e-4, 11);
+    let (w, scale, seed) = (Workload::edge01_linearwater01(), 3e-4, 11);
+    assert_all_agree(w, JoinPredicate::Intersects, scale, seed);
+    // `assert_all_agree` holds the systems to `direct_join`, which runs the
+    // same exact test they do; hold that to an oracle that does not.
+    let (l, r) = prepare(w, scale, seed);
+    let mut direct =
+        direct_join(&GeometryEngine::jts(), JoinPredicate::Intersects, &l.records, &r.records);
+    direct.sort_unstable();
+    assert_eq!(direct, segment_level_oracle(&l.records, &r.records));
 }
 
 #[test]
