@@ -89,10 +89,28 @@ fn bench_partitioners(b: &mut Bench) {
         BspPartitioner::from_sample(extent, sample.clone(), 128).cells().len()
     });
 
-    let partitioner = StrTilePartitioner::from_sample(extent, sample, 128);
+    let partitioner = StrTilePartitioner::from_sample(extent, sample.clone(), 128);
+    let bsp = BspPartitioner::from_sample(extent, sample, 128);
     let probes = entries(10_000, 17);
     b.bench("partition_assign_10k", || {
         probes.iter().map(|e| partitioner.assign(black_box(&e.mbr)).len()).sum::<usize>()
+    });
+    let mut cells = Vec::new();
+    b.bench("partition_assign_into_10k", || {
+        let mut total = 0usize;
+        for e in &probes {
+            partitioner.assign_into(black_box(&e.mbr), &mut cells);
+            total += cells.len();
+        }
+        total
+    });
+    // `owner` runs once or twice per refined hit (reference-point de-dup).
+    let corners: Vec<Point> = probes.iter().map(|e| Point::new(e.mbr.min_x, e.mbr.min_y)).collect();
+    b.bench_in("partition_owner_10k", "str_tiles", || {
+        corners.iter().map(|p| partitioner.owner(black_box(p)) as usize).sum::<usize>()
+    });
+    b.bench_in("partition_owner_10k", "bsp", || {
+        corners.iter().map(|p| bsp.owner(black_box(p)) as usize).sum::<usize>()
     });
 }
 

@@ -7,7 +7,7 @@ use sjc_bench::microbench::{black_box, Bench};
 use sjc_data::rng::StdRng;
 use sjc_geom::Mbr;
 use sjc_index::entry::IndexEntry;
-use sjc_index::join::{indexed_nested_loop, plane_sweep, stripe_sweep, sync_rtree};
+use sjc_index::join::{indexed_nested_loop, plane_sweep, stripe_sweep, sync_rtree, CandidatePairs};
 
 fn entries(n: usize, seed: u64, extent: f64, side: f64) -> Vec<IndexEntry> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -43,6 +43,25 @@ fn bench_algorithms(b: &mut Bench) {
     }
 }
 
+fn bench_tiny_cells(b: &mut Bench) {
+    // Per-call cost beside the per-record cost above: at small scales a
+    // system issues thousands of kernel calls on a handful of entries each,
+    // so whatever a call costs before it touches a record is the whole bill.
+    let left = entries(8, 41, 10.0, 3.0);
+    let right = entries(8, 42, 10.0, 3.0);
+    let mut tiny = |name: &str, kernel: fn(&[IndexEntry], &[IndexEntry]) -> CandidatePairs| {
+        b.bench_in("local_join_tiny_cell_x1000", name, || {
+            (0..1000)
+                .map(|_| kernel(black_box(&left), black_box(&right)).pairs.len())
+                .sum::<usize>()
+        });
+    };
+    tiny("indexed_nested_loop/8x8", indexed_nested_loop);
+    tiny("plane_sweep/8x8", plane_sweep);
+    tiny("sync_rtree/8x8", sync_rtree);
+    tiny("stripe_sweep/8x8", stripe_sweep);
+}
+
 fn bench_old_vs_new_kernel(b: &mut Bench) {
     // The EXPERIMENTS.md §local-join-kernel table: classic AoS plane sweep
     // vs the striped SoA kernel on the exact perfsnap local_join workload,
@@ -75,6 +94,7 @@ fn bench_selectivity_extremes(b: &mut Bench) {
 fn main() {
     let mut b = Bench::from_args();
     bench_algorithms(&mut b);
+    bench_tiny_cells(&mut b);
     bench_old_vs_new_kernel(&mut b);
     bench_selectivity_extremes(&mut b);
 }

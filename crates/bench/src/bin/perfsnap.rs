@@ -77,13 +77,10 @@ struct Snap {
 /// host-only suites) plus its named phase wall times.
 type SuiteRun = (u64, Vec<(&'static str, f64)>);
 
-/// Times one named phase of a suite run. Phase timing lives here in
-/// `crates/bench` because the bench-isolation lint keeps `Instant::now`
-/// out of every library crate.
+/// Times one named phase of a suite run.
 fn timed<T>(phases: &mut Vec<(&'static str, f64)>, name: &'static str, f: impl FnOnce() -> T) -> T {
-    let start = Instant::now();
-    let out = f();
-    phases.push((name, start.elapsed().as_secs_f64() * 1e3));
+    let (out, wall) = sjc_bench::microbench::time(f);
+    phases.push((name, wall.as_secs_f64() * 1e3));
     out
 }
 

@@ -91,6 +91,16 @@ impl Bench {
     }
 }
 
+/// Runs `f` once and returns its result with the wall time it took. The
+/// bench-isolation lint keeps `Instant::now` inside this crate, so this is
+/// how anything outside it (`perfsnap` phases, a root test bounding a host
+/// cost) reads the clock.
+pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
+}
+
 fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.2}s", ns as f64 / 1e9)

@@ -78,7 +78,8 @@ pub fn local_join(
         + stats.index_nodes_visited * engine.filter_cost_ns();
 
     // Refinement with exact geometry; de-dup decides which partition
-    // reports the pair. Above a threshold the candidate list is refined in
+    // reports the pair. Below a threshold each candidate is refined, counted
+    // and collected in one pass; above it the candidate list is refined in
     // parallel — per-pair work is pure, `par::par_map` preserves input
     // order, and the summed costs are exact integer adds, so results and
     // simulated time stay bit-identical to the serial path.
@@ -96,18 +97,16 @@ pub fn local_join(
             (ns, 0, None)
         }
     };
-    let refined: Vec<Refined> = if pairs.len() >= PAR_THRESHOLD {
-        crate::par::par_map(&pairs, refine_one)
-    } else {
-        pairs.iter().map(refine_one).collect()
-    };
     let mut out = Vec::new();
-    for (ns, hits, kept) in refined {
+    let tally = |(ns, hits, kept): Refined| {
         cost.refine_ns += ns;
         cost.results += hits;
-        if let Some(pair) = kept {
-            out.push(pair);
-        }
+        out.extend(kept);
+    };
+    if pairs.len() >= PAR_THRESHOLD {
+        crate::par::par_map(&pairs, refine_one).into_iter().for_each(tally);
+    } else {
+        pairs.iter().map(refine_one).for_each(tally);
     }
     (out, cost)
 }

@@ -31,7 +31,7 @@ use sjc_cluster::{
     Cluster, RecoveryEvent, RunTrace, SimError, SimHdfs, SimNs, StageKind, StageTrace,
 };
 use sjc_geom::wkt::to_wkt;
-use sjc_geom::{EngineKind, GeometryEngine, Point};
+use sjc_geom::{EngineKind, GeometryEngine, Mbr, Point};
 use sjc_index::partition::{BspPartitioner, SpatialPartitioner};
 use sjc_mapreduce::job::ScaleMode;
 use sjc_mapreduce::{block_splits, JobConfig, MapReduceJob, StreamingJob};
@@ -77,6 +77,15 @@ fn fs_copy(cluster: &Cluster, name: String, phase: Phase, bytes: u64) -> StageTr
     st.sim_ns = cluster.cost.io_ns(bytes, cluster.cost.local_copy_bw);
     st.hdfs_bytes_read = bytes;
     st
+}
+
+/// The streaming mapper's output for one record: its `line` keyed by every
+/// partition `mbr` is assigned to.
+fn keyed_by_cell(partitioner: &BspPartitioner, mbr: &Mbr, line: &str) -> Vec<(String, String)> {
+    sjc_par::scratch::with_vec(|cells| {
+        partitioner.assign_into(mbr, cells);
+        cells.iter().map(|c| (format!("{c:06}"), line.to_string())).collect()
+    })
 }
 
 /// Default HDFS block size (the streaming jobs split inputs by it).
@@ -220,12 +229,9 @@ impl HadoopGis {
             block_splits(&tsv, bpr, block),
             |l| {
                 let id: u64 = l.split('\t').next().unwrap_or("0").parse().unwrap_or(0);
-                partitioner
-                    // sjc-lint: allow(no-panic-in-lib) — ids in the TSV are enumerate indices into input.records
-                    .assign(&records[id as usize].mbr)
-                    .into_iter()
-                    .map(|c| (format!("{c:06}"), l.to_string()))
-                    .collect()
+                // sjc-lint: allow(no-panic-in-lib) — ids in the TSV are enumerate indices into input.records
+                let mbr = &records[id as usize].mbr;
+                keyed_by_cell(&partitioner, mbr, l)
             },
             |_pid, lines| {
                 // cat | sort | unique — sorting is charged by the engine;
@@ -341,11 +347,7 @@ impl DistributedSpatialJoin for HadoopGis {
                     &right.records[id as usize]
                 };
                 let mbr = if tag == "A" { predicate.filter_mbr(&rec.mbr) } else { rec.mbr };
-                partitioner
-                    .assign(&mbr)
-                    .into_iter()
-                    .map(|c| (format!("{c:06}"), l.to_string()))
-                    .collect()
+                keyed_by_cell(&partitioner, &mbr, l)
             },
             |pid, lines| {
                 // sjc-lint: allow(no-panic-in-lib) — partition keys are minted as "{c:06}" by the map side of this very job

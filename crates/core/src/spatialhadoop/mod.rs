@@ -29,7 +29,7 @@ use sjc_cluster::{
 use sjc_geom::{EngineKind, GeometryEngine, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::join::plane_sweep;
-use sjc_index::partition::SpatialPartitioner;
+use sjc_index::partition::{CellLocator, SpatialPartitioner};
 use sjc_index::RTree;
 use sjc_mapreduce::job::ScaleMode;
 use sjc_mapreduce::{block_splits, JobConfig, MapReduceJob, MapTask};
@@ -79,18 +79,6 @@ impl Default for SpatialHadoop {
     }
 }
 
-/// A fixed cell list adopted from another dataset's index (compatible-grid
-/// mode): the generic trait machinery provides assignment and ownership.
-struct SharedCells {
-    cells: Vec<sjc_geom::Mbr>,
-}
-
-impl SpatialPartitioner for SharedCells {
-    fn cells(&self) -> &[sjc_geom::Mbr] {
-        &self.cells
-    }
-}
-
 /// A dataset after preprocessing: its partitioner, per-cell record indices
 /// and per-cell serialized bytes.
 struct Indexed {
@@ -123,7 +111,7 @@ impl SpatialHadoop {
         let partitioner: Box<dyn SpatialPartitioner + Send + Sync> = match shared_cells {
             // Compatible-grid mode: adopt the other dataset's cells and skip
             // the sample job entirely.
-            Some(cells) => Box::new(SharedCells { cells }),
+            Some(cells) => Box::new(CellLocator::new(cells)),
             None => {
                 // --- MR job 1: sample + derive partitions on the master ---
                 let stride = (1.0 / self.sample_rate).round().max(1.0) as u64;

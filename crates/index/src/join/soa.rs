@@ -44,16 +44,7 @@ impl SoaBatch {
         // two batches per cell, so its capacity is reused cell after cell.
         let mut order: Vec<(f64, usize)> = sjc_par::scratch::take_vec();
         order.extend(entries.iter().enumerate().map(|(i, e)| (e.mbr.min_x, i)));
-        // Total order → stable and unstable sorts agree, so the serial path
-        // can take the allocation-free unstable sort without changing the
-        // result at any thread budget. Gate on the *effective* budget: an
-        // ambient 8 on a single-core host still runs serially, and paying
-        // the merge sort's staging buffers there shows up on every cell.
-        if sjc_par::Budget::resolve().effective_threads() == 1 {
-            order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        } else {
-            sjc_par::par_sort_by(&mut order, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        }
+        sjc_par::par_sort_by(&mut order, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut batch = SoaBatch::with_capacity(entries.len());
         for &(_, i) in &order {
             if let Some(e) = entries.get(i) {

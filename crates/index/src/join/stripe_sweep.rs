@@ -30,6 +30,11 @@
 //! chunk-ordered merge makes pair order — and therefore the whole
 //! [`CandidatePairs`] — bit-identical at every thread budget.
 //!
+//! A small call pays for none of this: under 2 × `STRIPE_TARGET` rectangles
+//! there is one stripe, so no sample is drawn, nothing is replicated or
+//! dispatched, and the two x-sorted batches are swept as they are. Its cost
+//! is the SoA staging and the canonical count, both linear in its input.
+//!
 //! # Cost accounting
 //!
 //! The reported [`JoinStats::filter_tests`] is **not** the number of
@@ -92,9 +97,9 @@ pub fn stripe_sweep(left: &[IndexEntry], right: &[IndexEntry]) -> CandidatePairs
 }
 
 /// One stripe pair plus its y-extent, ready to sweep independently.
-struct StripeTask {
-    l: SoaBatch,
-    r: SoaBatch,
+struct StripeTask<'a> {
+    l: &'a SoaBatch,
+    r: &'a SoaBatch,
     /// The stripe owns reference points with `lo <= ref_y < hi`; the last
     /// stripe also owns `ref_y == +inf` (see `sweep_stripe`).
     lo: f64,
@@ -110,22 +115,25 @@ struct StripeTask {
 #[allow(clippy::redundant_closure)]
 pub(crate) fn striped_pairs(l: &SoaBatch, r: &SoaBatch, stripes: usize) -> Vec<(u64, u64)> {
     let cuts = stripe_cuts(l, r, stripes);
+    if cuts.is_empty() {
+        // One stripe (every small input): nothing to replicate, so the
+        // batches are swept where they are.
+        let (lo, hi) = (f64::NEG_INFINITY, f64::INFINITY);
+        let mut out = Vec::new();
+        sweep_stripe(&StripeTask { l, r, lo, hi, last: true }, &mut out);
+        return out;
+    }
     let count = cuts.len() + 1;
     let lows = std::iter::once(f64::NEG_INFINITY).chain(cuts.iter().copied());
     let highs = cuts.iter().copied().chain(std::iter::once(f64::INFINITY));
-    let tasks: Vec<StripeTask> = build_stripes(l, &cuts)
-        .into_iter()
-        .zip(build_stripes(r, &cuts))
+    let (lsegs, rsegs) = (build_stripes(l, &cuts), build_stripes(r, &cuts));
+    let tasks: Vec<StripeTask> = lsegs
+        .iter()
+        .zip(&rsegs)
         .zip(lows)
         .zip(highs)
         .enumerate()
-        .map(|(idx, (((lseg, rseg), lo), hi))| StripeTask {
-            l: lseg,
-            r: rseg,
-            lo,
-            hi,
-            last: idx + 1 == count,
-        })
+        .map(|(idx, (((l, r), lo), hi))| StripeTask { l, r, lo, hi, last: idx + 1 == count })
         .collect();
     // Skew-aware dispatch: equi-depth cuts balance stripe *populations*, but
     // tall replicated rectangles can still concentrate work in a few stripes.
@@ -273,7 +281,7 @@ fn build_stripes(b: &SoaBatch, cuts: &[f64]) -> Vec<SoaBatch> {
 /// every intersecting pair whose reference y (`max(ylo_a, ylo_b)`) lies in
 /// this stripe — the de-duplication rule that makes replication exact.
 fn sweep_stripe(t: &StripeTask, out: &mut Vec<(u64, u64)>) {
-    let (l, r) = (&t.l, &t.r);
+    let (l, r) = (t.l, t.r);
     let (mut i, mut j) = (0usize, 0usize);
     while let (Some(&alo), Some(&blo)) = (l.xlo.get(i), r.xlo.get(j)) {
         if alo <= blo {

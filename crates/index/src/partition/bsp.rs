@@ -7,12 +7,12 @@
 
 use sjc_geom::{Mbr, Point};
 
-use super::SpatialPartitioner;
+use super::{CellId, CellLocator, SpatialPartitioner};
 
 /// Sample-driven recursive median splits.
 #[derive(Debug, Clone)]
 pub struct BspPartitioner {
-    cells: Vec<Mbr>,
+    cells: CellLocator,
 }
 
 impl BspPartitioner {
@@ -23,7 +23,7 @@ impl BspPartitioner {
         let capacity = (sample.len() / target_cells.max(1)).max(1);
         let mut cells = Vec::new();
         split(extent, &mut sample, capacity, 32, &mut cells);
-        BspPartitioner { cells }
+        BspPartitioner { cells: CellLocator::new(cells) }
     }
 }
 
@@ -92,7 +92,15 @@ fn split(
 
 impl SpatialPartitioner for BspPartitioner {
     fn cells(&self) -> &[Mbr] {
-        &self.cells
+        self.cells.cells()
+    }
+
+    fn assign_into(&self, mbr: &Mbr, out: &mut Vec<CellId>) {
+        self.cells.assign_into(mbr, out)
+    }
+
+    fn owner(&self, p: &Point) -> CellId {
+        self.cells.owner(p)
     }
 }
 

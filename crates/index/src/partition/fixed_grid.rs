@@ -65,16 +65,13 @@ impl SpatialPartitioner for FixedGridPartitioner {
     }
 
     /// O(cells touched) arithmetic assignment instead of the generic scan.
-    fn assign(&self, mbr: &Mbr) -> Vec<CellId> {
+    fn assign_into(&self, mbr: &Mbr, out: &mut Vec<CellId>) {
         let (c0, c1) = (self.clamp_col(mbr.min_x), self.clamp_col(mbr.max_x));
         let (r0, r1) = (self.clamp_row(mbr.min_y), self.clamp_row(mbr.max_y));
-        let mut out = Vec::with_capacity((c1 - c0 + 1) * (r1 - r0 + 1));
+        out.clear();
         for r in r0..=r1 {
-            for c in c0..=c1 {
-                out.push((r * self.nx + c) as CellId);
-            }
+            out.extend((c0..=c1).map(|c| (r * self.nx + c) as CellId));
         }
-        out
     }
 
     /// O(1) owner: the cell whose half-open `[min, max)` range holds the

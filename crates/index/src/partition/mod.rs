@@ -11,13 +11,19 @@
 //!   SpatialSpark's sampling-based partitioning produces);
 //! * [`BspPartitioner`] — recursive median splits over a sample (the
 //!   SATO-flavoured balanced partitioning HadoopGIS derives from samples).
+//!
+//! The sample-driven families answer `assign`/`owner` through a
+//! [`CellLocator`] built once over their cells; the trait's linear-scan
+//! defaults are the reference it is tested against.
 
 mod bsp;
 mod fixed_grid;
+mod locator;
 mod str_tiles;
 
 pub use bsp::BspPartitioner;
 pub use fixed_grid::FixedGridPartitioner;
+pub use locator::CellLocator;
 pub use str_tiles::StrTilePartitioner;
 
 use sjc_geom::{Mbr, Point};
@@ -34,17 +40,25 @@ pub trait SpatialPartitioner {
     /// Never empty: geometries outside every cell fall back to the nearest
     /// cell, so no record is ever dropped in preprocessing.
     fn assign(&self, mbr: &Mbr) -> Vec<CellId> {
-        let mut out: Vec<CellId> = self
-            .cells()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.intersects(mbr))
-            .map(|(i, _)| i as CellId)
-            .collect();
+        let mut out = Vec::new();
+        self.assign_into(mbr, &mut out);
+        out
+    }
+
+    /// [`assign`](Self::assign) into a caller-owned buffer: `out` is
+    /// cleared, then holds the assigned cells in ascending id order.
+    fn assign_into(&self, mbr: &Mbr, out: &mut Vec<CellId>) {
+        out.clear();
+        out.extend(
+            self.cells()
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.intersects(mbr))
+                .map(|(i, _)| i as CellId),
+        );
         if out.is_empty() {
             out.push(self.nearest_cell(&mbr.center()));
         }
-        out
     }
 
     /// The canonical owner cell of a point: the lowest-id cell containing

@@ -10,12 +10,12 @@
 
 use sjc_geom::{Mbr, Point};
 
-use super::SpatialPartitioner;
+use super::{CellId, CellLocator, SpatialPartitioner};
 
 /// Sample-based STR tiles.
 #[derive(Debug, Clone)]
 pub struct StrTilePartitioner {
-    cells: Vec<Mbr>,
+    cells: CellLocator,
 }
 
 impl StrTilePartitioner {
@@ -27,7 +27,7 @@ impl StrTilePartitioner {
         assert!(!extent.is_empty(), "extent must be non-empty");
         let target = target_cells.max(1);
         if sample.is_empty() || target == 1 {
-            return StrTilePartitioner { cells: vec![extent] };
+            return StrTilePartitioner { cells: CellLocator::new(vec![extent]) };
         }
 
         let num_strips = (target as f64).sqrt().ceil() as usize;
@@ -94,7 +94,7 @@ impl StrTilePartitioner {
             }
             cells = fine;
         }
-        StrTilePartitioner { cells }
+        StrTilePartitioner { cells: CellLocator::new(cells) }
     }
 }
 
@@ -122,7 +122,15 @@ fn subdivide(cell: Mbr, k: usize, out: &mut Vec<Mbr>) {
 
 impl SpatialPartitioner for StrTilePartitioner {
     fn cells(&self) -> &[Mbr] {
-        &self.cells
+        self.cells.cells()
+    }
+
+    fn assign_into(&self, mbr: &Mbr, out: &mut Vec<CellId>) {
+        self.cells.assign_into(mbr, out)
+    }
+
+    fn owner(&self, p: &Point) -> CellId {
+        self.cells.owner(p)
     }
 }
 

@@ -44,7 +44,10 @@
 //!
 //! Thread budget resolution (first match wins): explicit
 //! [`set_global_threads`] override → `SJC_PAR_THREADS` env var →
-//! `std::thread::available_parallelism()`. A budget of 1 short-circuits to
+//! `std::thread::available_parallelism()`. The env var and the hardware
+//! parallelism are read once per process (the pool is sized once too), so
+//! resolving a budget is one atomic load plus two cached reads; only the
+//! override changes mid-process. A budget of 1 short-circuits to
 //! plain serial execution, which tests use to force determinism comparisons.
 //! Ambient budgets above the core count are capped by the planner
 //! ([`Budget::effective_threads`]); [`Budget::explicit`] is honored verbatim
@@ -52,6 +55,7 @@
 
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 mod pool;
 
@@ -100,14 +104,7 @@ impl Budget {
         if over > 0 {
             return Budget { threads: over, capped: true };
         }
-        if let Some(n) = std::env::var("SJC_PAR_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            return Budget { threads: n, capped: true };
-        }
-        Budget { threads: hardware_threads(), capped: true }
+        Budget { threads: env_threads().unwrap_or_else(hardware_threads), capped: true }
     }
 
     /// An explicit budget of exactly `n` threads (`n` is clamped to ≥ 1).
@@ -135,9 +132,28 @@ impl Budget {
     }
 }
 
-/// Hardware parallelism with a serial fallback.
+/// The `SJC_PAR_THREADS` budget, if set to a positive integer. Read once:
+/// every `par_*` call resolves the budget, and `std::env::var` takes the
+/// environment lock and allocates a `String` each time.
+// sjc-lint: allow(cache-purity) — memoizes a process-constant env var; the value cannot change between a cold and a warm cache hit, and the thread budget never alters results anyway
+fn env_threads() -> Option<usize> {
+    static THREADS: OnceLock<Option<usize>> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("SJC_PAR_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+    })
+}
+
+/// Hardware parallelism with a serial fallback. Read once: on Linux
+/// `available_parallelism()` re-reads the cgroup quota files on every call
+/// (≈ 12 µs), and the pool is sized from this value once per process
+/// anyway, so a process-constant is the honest model.
+// sjc-lint: allow(cache-purity) — memoizes the host's core count, which the once-built pool already treats as fixed for the process; the thread budget never alters results
 pub fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Work-claim cursor padded to a cache line so the hot atomic never false-

@@ -1,0 +1,228 @@
+//! `CellLocator` — the point/rectangle location structure behind
+//! `StrTilePartitioner`, `BspPartitioner` and SpatialHadoop's adopted cell
+//! lists — must answer `owner`, `assign` and `assign_into` exactly as the
+//! linear scans it replaced, ties and fallbacks included.
+//!
+//! The linear scans are kept here verbatim (as they stood in
+//! `SpatialPartitioner`'s defaults before the locator existed), so this
+//! file stays a fixed reference even if the trait defaults change.
+
+use sjc_geom::{Mbr, Point};
+use sjc_index::partition::{
+    BspPartitioner, CellId, CellLocator, SpatialPartitioner, StrTilePartitioner,
+};
+use sjc_testkit::{cases, TestRng};
+
+fn ref_assign(cells: &[Mbr], mbr: &Mbr) -> Vec<CellId> {
+    let mut out: Vec<CellId> = cells
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.intersects(mbr))
+        .map(|(i, _)| i as CellId)
+        .collect();
+    if out.is_empty() {
+        out.push(ref_nearest_cell(cells, &mbr.center()));
+    }
+    out
+}
+
+fn ref_owner(cells: &[Mbr], p: &Point) -> CellId {
+    cells
+        .iter()
+        .position(|c| c.contains_point(p))
+        .map(|i| i as CellId)
+        .unwrap_or_else(|| ref_nearest_cell(cells, p))
+}
+
+fn ref_nearest_cell(cells: &[Mbr], p: &Point) -> CellId {
+    let pm = p.mbr();
+    let mut best = (f64::INFINITY, 0u32);
+    for (i, c) in cells.iter().enumerate() {
+        let d = c.min_distance(&pm);
+        if d < best.0 {
+            best = (d, i as CellId);
+        }
+    }
+    best.1
+}
+
+/// A partitioner that overrides nothing: the trait defaults themselves.
+struct Defaults(Vec<Mbr>);
+
+impl SpatialPartitioner for Defaults {
+    fn cells(&self) -> &[Mbr] {
+        &self.0
+    }
+}
+
+const EXTENT: Mbr = Mbr { min_x: -20.0, min_y: 5.0, max_x: 80.0, max_y: 65.0 };
+
+fn point_in(rng: &mut TestRng, m: &Mbr) -> Point {
+    Point::new(rng.f64_in(m.min_x..m.max_x), rng.f64_in(m.min_y..m.max_y))
+}
+
+/// Skewed, duplicate-heavy or tiny — the shapes that make STR emit
+/// zero-height tiles and fall back to `subdivide`, and BSP stop early.
+fn sample(rng: &mut TestRng) -> Vec<Point> {
+    match rng.usize_in(0..4) {
+        0 => (0..rng.usize_in(0..6)).map(|_| point_in(rng, &EXTENT)).collect(),
+        1 => {
+            // Nine in ten points inside one percent of the extent.
+            let dense = Mbr::new(0.0, 10.0, 10.0, 16.0);
+            (0..rng.usize_in(200..1500))
+                .map(|_| {
+                    let within = if rng.bool_with(0.9) { &dense } else { &EXTENT };
+                    point_in(rng, within)
+                })
+                .collect()
+        }
+        2 => {
+            // A handful of distinct integer coordinates, each many times.
+            (0..rng.usize_in(50..800))
+                .map(|_| Point::new(rng.u64_in(0..5) as f64 * 10.0, rng.u64_in(1..4) as f64 * 10.0))
+                .collect()
+        }
+        _ => (0..rng.usize_in(100..2000)).map(|_| point_in(rng, &EXTENT)).collect(),
+    }
+}
+
+/// An adopted list with none of a tiling's guarantees: overlaps, gaps,
+/// zero-area members, one empty member, ids in no spatial order.
+fn arbitrary_cells(rng: &mut TestRng) -> Vec<Mbr> {
+    let mut cells: Vec<Mbr> = (0..rng.usize_in(1..40))
+        .map(|_| {
+            let p = point_in(rng, &EXTENT);
+            // Snapped sizes, so edges coincide across cells now and then.
+            let (w, h) = (rng.u64_in(0..4) as f64 * 7.5, rng.u64_in(0..4) as f64 * 5.0);
+            Mbr::new(p.x.round(), p.y.round(), p.x.round() + w, p.y.round() + h)
+        })
+        .collect();
+    cells.insert(rng.usize_in(0..cells.len() + 1), Mbr::empty());
+    cells
+}
+
+#[derive(Default)]
+struct Seen {
+    ties_of_two: usize,
+    ties_of_four: usize,
+    owner_fallbacks: usize,
+    assign_fallbacks: usize,
+    multi_cell_assigns: usize,
+    zero_extent_cells: usize,
+    subdivided: usize,
+}
+
+fn check_point(p: &dyn SpatialPartitioner, pt: Point, seen: &mut Seen) {
+    let cells = p.cells();
+    assert_eq!(p.owner(&pt), ref_owner(cells, &pt), "owner of {pt:?} over {} cells", cells.len());
+    match cells.iter().filter(|c| c.contains_point(&pt)).count() {
+        0 => seen.owner_fallbacks += 1,
+        1 => {}
+        2 | 3 => seen.ties_of_two += 1,
+        _ => seen.ties_of_four += 1,
+    }
+    check_rect(p, pt.mbr(), seen);
+}
+
+fn check_rect(p: &dyn SpatialPartitioner, m: Mbr, seen: &mut Seen) {
+    let cells = p.cells();
+    let expected = ref_assign(cells, &m);
+    assert_eq!(p.assign(&m), expected, "assign of {m:?} over {} cells", cells.len());
+    // The buffer arrives dirty and must leave holding only the answer.
+    let mut buf = vec![CellId::MAX; 3];
+    p.assign_into(&m, &mut buf);
+    assert_eq!(buf, expected, "assign_into of {m:?} over {} cells", cells.len());
+    if !cells.iter().any(|c| c.intersects(&m)) {
+        seen.assign_fallbacks += 1;
+    } else if expected.len() > 1 {
+        seen.multi_cell_assigns += 1;
+    }
+}
+
+fn check_partitioner(p: &dyn SpatialPartitioner, rng: &mut TestRng, seen: &mut Seen) {
+    let cells = p.cells().to_vec();
+    seen.zero_extent_cells +=
+        cells.iter().filter(|c| !c.is_empty() && (c.width() == 0.0 || c.height() == 0.0)).count();
+
+    // Every corner and edge midpoint of every cell: the shared boundaries
+    // of two cells and the shared corners of four.
+    for c in cells.iter().filter(|c| !c.is_empty()) {
+        let mid = c.center();
+        for x in [c.min_x, mid.x, c.max_x] {
+            for y in [c.min_y, mid.y, c.max_y] {
+                check_point(p, Point::new(x, y), seen);
+            }
+        }
+        // The cell itself, and the cell grown and shrunk a little.
+        check_rect(p, *c, seen);
+        check_rect(p, c.buffered(0.25), seen);
+        check_rect(p, Mbr::new(mid.x, mid.y, c.max_x, c.max_y), seen);
+    }
+
+    let around = EXTENT.buffered(15.0);
+    for _ in 0..60 {
+        check_point(p, point_in(rng, &around), seen);
+        // Small, medium and extent-sized rectangles, some poking outside.
+        let a = point_in(rng, &around);
+        let reach = [0.5, 8.0, 120.0][rng.usize_in(0..3)];
+        check_rect(p, Mbr::new(a.x, a.y, a.x + rng.f64_in(0.0..reach), a.y + reach / 2.0), seen);
+    }
+    // Wholly outside, on each side and past each corner.
+    for (dx, dy) in [(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (-1.0, -1.0), (1.0, 1.0)] {
+        let far = Point::new(30.0 + dx * 500.0, 35.0 + dy * 500.0);
+        check_point(p, far, seen);
+        check_rect(p, Mbr::new(far.x, far.y, far.x + 3.0, far.y + 3.0), seen);
+    }
+    // Inverted bounds are the empty MBR: it meets no cell, so assignment
+    // falls back to the cell nearest its (finite) center.
+    check_rect(p, Mbr { min_x: 40.0, min_y: 20.0, max_x: 10.0, max_y: 30.0 }, seen);
+    check_rect(p, Mbr { min_x: 10.0, min_y: 50.0, max_x: 40.0, max_y: 30.0 }, seen);
+}
+
+#[test]
+fn located_partitioners_match_the_linear_scans() {
+    let mut seen = Seen::default();
+    cases(0x10CA_7012, 16, |rng| {
+        for target in [1usize, 2, 64, 128, 512] {
+            let pts = sample(rng);
+            let resolvable = pts.len();
+            let str_tiles = StrTilePartitioner::from_sample(EXTENT, pts.clone(), target);
+            if str_tiles.cells().len() > resolvable.max(1) {
+                seen.subdivided += 1;
+            }
+            check_partitioner(&str_tiles, rng, &mut seen);
+            check_partitioner(&BspPartitioner::from_sample(EXTENT, pts, target), rng, &mut seen);
+            // Compatible-grid mode adopts another dataset's cells as they are.
+            let adopted = CellLocator::new(str_tiles.cells().to_vec());
+            check_partitioner(&adopted, rng, &mut seen);
+        }
+        check_partitioner(&CellLocator::new(arbitrary_cells(rng)), rng, &mut seen);
+        // The trait defaults are still the linear scans.
+        check_partitioner(&Defaults(arbitrary_cells(rng)), rng, &mut seen);
+    });
+    // The interesting cases all occurred.
+    assert!(seen.ties_of_two > 1000, "two-cell boundary ties: {}", seen.ties_of_two);
+    assert!(seen.ties_of_four > 1000, "four-cell corner ties: {}", seen.ties_of_four);
+    assert!(seen.owner_fallbacks > 1000, "nearest-cell owners: {}", seen.owner_fallbacks);
+    assert!(seen.assign_fallbacks > 1000, "nearest-cell assignments: {}", seen.assign_fallbacks);
+    assert!(seen.multi_cell_assigns > 1000, "multi-cell assignments: {}", seen.multi_cell_assigns);
+    assert!(seen.zero_extent_cells > 0, "no zero-width or zero-height cell was generated");
+    assert!(seen.subdivided > 0, "STR never had to subdivide");
+}
+
+/// Degenerate lists the constructors cannot produce but an adopted list may.
+#[test]
+fn degenerate_cell_lists_are_total() {
+    let mut seen = Seen::default();
+    let mut rng = TestRng::new(7);
+    let dot = Mbr::new(3.0, 4.0, 3.0, 4.0);
+    for cells in [
+        vec![dot],
+        vec![dot, dot],
+        vec![Mbr::empty()],
+        vec![Mbr::empty(), dot, Mbr::new(3.0, 0.0, 3.0, 9.0)],
+        vec![Mbr::new(0.0, 4.0, 9.0, 4.0), Mbr::new(3.0, 0.0, 3.0, 9.0)],
+    ] {
+        check_partitioner(&CellLocator::new(cells), &mut rng, &mut seen);
+    }
+}

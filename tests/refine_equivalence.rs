@@ -248,6 +248,11 @@ fn pair_hash(pairs: &[(u64, u64)]) -> u64 {
 /// `local_join` on an `edges × linearwater` slice: pair vector and all four
 /// `LocalJoinCost` fields per algorithm, pinned to the numbers the double
 /// loop produced (measured at the parent commit with this same test body).
+///
+/// Two sizes, because `local_join` refines either side of its 4096-candidate
+/// threshold differently (one refine-count-collect pass below it, `par_map`
+/// then a fold above it), and two `keep` rules, because a suppressed pair
+/// still counts as a result.
 #[test]
 fn local_join_on_a_polyline_slice_is_pinned() {
     let (l, r) = Workload::edge_linearwater().prepare(2e-4, 23);
@@ -258,26 +263,50 @@ fn local_join_on_a_polyline_slice_is_pinned() {
     assert_eq!((left.len(), right.len()), (14_546, 1_171));
     // The filter's output and the refinement ledger do not depend on the
     // filter algorithm; its own cost and its emission order do.
-    let (refine_ns, candidates, results) = (55_316_586u64, 84_511u64, 7_196u64);
-    // (algo, pairs, pair hash, filter_ns)
+    // (left, right, refine_ns, candidates, results, [(algo, pair hash, filter_ns)])
     let pinned = [
-        (LocalJoinAlgo::IndexedNestedLoop, 7196usize, 0x08d8_61d7_e25c_a336u64, 6_148_928u64),
-        (LocalJoinAlgo::PlaneSweep, 7196, 0x95cc_400f_e1dc_bc96, 10_379_536),
-        (LocalJoinAlgo::SyncRTree, 7196, 0x2e74_d2ea_b70e_0512, 6_609_632),
-        (LocalJoinAlgo::StripeSweep, 7196, 0x4f77_c61e_ab0d_dc12, 10_379_536),
+        (
+            &left[..],
+            &right[..],
+            55_316_586u64,
+            84_511u64,
+            7_196u64,
+            [
+                (LocalJoinAlgo::IndexedNestedLoop, 0x08d8_61d7_e25c_a336u64, 6_148_928u64),
+                (LocalJoinAlgo::PlaneSweep, 0x95cc_400f_e1dc_bc96, 10_379_536),
+                (LocalJoinAlgo::SyncRTree, 0x2e74_d2ea_b70e_0512, 6_609_632),
+                (LocalJoinAlgo::StripeSweep, 0x4f77_c61e_ab0d_dc12, 10_379_536),
+            ],
+        ),
+        (
+            &left[..2_000],
+            &right[..350],
+            2_254_818,
+            3_455,
+            294,
+            [
+                (LocalJoinAlgo::IndexedNestedLoop, 0x5ed6_53bf_10fd_03df, 616_384),
+                (LocalJoinAlgo::PlaneSweep, 0x8cee_0e37_1a77_cfa3, 421_536),
+                (LocalJoinAlgo::SyncRTree, 0xa6b8_b28e_cc9b_087b, 661_408),
+                (LocalJoinAlgo::StripeSweep, 0xbf31_a7c2_3c6d_e72b, 421_536),
+            ],
+        ),
     ];
-    for (algo, n_pairs, hash, filter_ns) in pinned {
-        let (pairs, cost) =
-            local_join(&engine, JoinPredicate::Intersects, algo, &left, &right, |_, _| true);
-        let got = (
-            algo,
-            pairs.len(),
-            pair_hash(&pairs),
-            cost.filter_ns,
-            cost.refine_ns,
-            cost.candidates,
-            cost.results,
-        );
-        assert_eq!(got, (algo, n_pairs, hash, filter_ns, refine_ns, candidates, results));
+    let [(.., above, _, _), (.., below, _, _)] = pinned;
+    assert!(below < 4096 && 4096 <= above, "one slice on either side of the threshold");
+    for (left, right, refine_ns, candidates, results, per_algo) in pinned {
+        for (algo, hash, filter_ns) in per_algo {
+            let (pairs, cost) =
+                local_join(&engine, JoinPredicate::Intersects, algo, left, right, |_, _| true);
+            let ledger = (cost.filter_ns, cost.refine_ns, cost.candidates, cost.results);
+            assert_eq!(
+                (algo, pairs.len() as u64, pair_hash(&pairs), ledger),
+                (algo, results, hash, (filter_ns, refine_ns, candidates, results))
+            );
+            let (kept, cost) =
+                local_join(&engine, JoinPredicate::Intersects, algo, left, right, |_, _| false);
+            let suppressed = (cost.filter_ns, cost.refine_ns, cost.candidates, cost.results);
+            assert_eq!((algo, kept.len(), suppressed), (algo, 0, ledger));
+        }
     }
 }
