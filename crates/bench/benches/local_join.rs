@@ -64,8 +64,7 @@ fn bench_tiny_cells(b: &mut Bench) {
 
 fn bench_old_vs_new_kernel(b: &mut Bench) {
     // The EXPERIMENTS.md §local-join-kernel table: classic AoS plane sweep
-    // vs the striped SoA kernel on the exact perfsnap local_join workload,
-    // so the microbench and the snapshot tell the same story.
+    // vs the striped SoA kernel at partition scale (60k × 30k rectangles).
     let left = entries(60_000, 21, 1000.0, 3.0);
     let right = entries(30_000, 22, 1000.0, 3.0);
     b.bench_in("local_join_kernel", "plane_sweep/60k_x_30k", || {

@@ -3,16 +3,10 @@
 //! `sjc_core::json::Json` is emit-only; this is its reading counterpart, a
 //! std-only recursive-descent JSON parser with one deliberate deviation
 //! from RFC 8259's "names SHOULD be unique": **duplicate object keys are a
-//! hard error**, at every nesting level. The perfsnap emitter once wrote
-//! `local_join@1` twice (the serial and "hardware-parallel" runs collide on
-//! a single-core host) and every text-scanning consumer silently read
-//! whichever copy it found first — exactly the failure mode
+//! hard error**, at every nesting level. A snapshot emitter once wrote the
+//! same key twice and every text-scanning consumer silently read whichever
+//! copy it found first — exactly the failure mode
 //! `sjc_lint::json::Counts::parse` already rejects for the lint baseline.
-//!
-//! [`Baseline`] layers the `{"<suite>@<threads>": {wall_ms, sim_ns,
-//! threads, phase_ms}}` schema of `BENCH_baseline.json` on top of the
-//! generic [`parse`]; `BENCH_faults.json` has a looser per-system schema and
-//! is checked with [`parse`] alone (see `perfsnap --check`).
 
 use std::fmt;
 
@@ -285,159 +279,18 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// One `<suite>@<threads>` row of `BENCH_baseline.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineRow {
-    pub suite: String,
-    pub threads: u64,
-    pub wall_ms: f64,
-    pub sim_ns: u64,
-    /// Named per-phase wall times in file order. Empty when the row predates
-    /// the phase breakdown; `perfsnap --check` requires them on the
-    /// checked-in snapshot.
-    pub phase_ms: Vec<(String, f64)>,
-}
-
-/// The typed view of `BENCH_baseline.json`.
-#[derive(Debug, Clone, Default)]
-pub struct Baseline {
-    pub rows: Vec<BaselineRow>,
-}
-
-impl Baseline {
-    /// Parses and schema-checks a snapshot: a single object whose keys are
-    /// `<suite>@<threads>` (unique — [`parse`] enforces that) and whose
-    /// values carry a numeric `wall_ms`, an integer `sim_ns`, and a
-    /// `threads` field that must agree with the key suffix. A `phase_ms`
-    /// field, when present, must be an object of finite non-negative
-    /// wall-time numbers (phase names are unique — [`parse`] rejects
-    /// duplicates at every level).
-    pub fn parse(text: &str) -> Result<Baseline, String> {
-        let doc = parse(text).map_err(|e| e.to_string())?;
-        let Value::Obj(fields) = doc else {
-            return Err("snapshot root must be an object".to_string());
-        };
-        let mut rows = Vec::with_capacity(fields.len());
-        for (key, row) in &fields {
-            let (suite, threads_text) = key
-                .rsplit_once('@')
-                .ok_or_else(|| format!("key `{key}` is not of the form <suite>@<threads>"))?;
-            let threads: u64 = threads_text
-                .parse()
-                .map_err(|_| format!("key `{key}` has a non-numeric thread count"))?;
-            let wall_ms = row
-                .get("wall_ms")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("row `{key}` lacks a numeric wall_ms"))?;
-            let sim_ns = row
-                .get("sim_ns")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("row `{key}` lacks an integer sim_ns"))?;
-            let row_threads = row
-                .get("threads")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("row `{key}` lacks an integer threads"))?;
-            if row_threads != threads {
-                return Err(format!(
-                    "row `{key}` disagrees with its own threads field ({row_threads})"
-                ));
-            }
-            let mut phase_ms = Vec::new();
-            if let Some(phases) = row.get("phase_ms") {
-                let Value::Obj(entries) = phases else {
-                    return Err(format!("row `{key}` has a non-object phase_ms"));
-                };
-                for (phase, ms) in entries {
-                    let ms =
-                        ms.as_f64().filter(|m| m.is_finite() && *m >= 0.0).ok_or_else(|| {
-                            format!("row `{key}` phase `{phase}` is not a non-negative wall time")
-                        })?;
-                    phase_ms.push((phase.clone(), ms));
-                }
-            }
-            rows.push(BaselineRow { suite: suite.to_string(), threads, wall_ms, sim_ns, phase_ms });
-        }
-        Ok(Baseline { rows })
-    }
-
-    /// The row for a given `(suite, threads)` cell.
-    pub fn row(&self, suite: &str, threads: u64) -> Option<&BaselineRow> {
-        self.rows.iter().find(|r| r.suite == suite && r.threads == threads)
-    }
-
-    /// All rows of one suite, in file order.
-    pub fn suite(&self, suite: &str) -> Vec<&BaselineRow> {
-        self.rows.iter().filter(|r| r.suite == suite).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parses_the_snapshot_shape() {
-        let text = r#"{
-  "local_join@1": {"wall_ms": 98.55, "sim_ns": 0, "threads": 1,
-                   "phase_ms": {"input_gen": 12.5, "sweep": 86.0}},
-  "local_join@4": {"wall_ms": 30.01, "sim_ns": 0, "threads": 4},
-  "systems_e2e@1": {"wall_ms": 1044.0, "sim_ns": 34905411317743, "threads": 1}
-}"#;
-        let b = Baseline::parse(text).expect("valid snapshot");
-        assert_eq!(b.rows.len(), 3);
-        assert_eq!(b.row("local_join", 4).map(|r| r.wall_ms), Some(30.01));
-        assert_eq!(b.row("systems_e2e", 1).map(|r| r.sim_ns), Some(34905411317743));
-        assert_eq!(b.suite("local_join").len(), 2);
-        let phases = &b.row("local_join", 1).expect("row").phase_ms;
-        assert_eq!(
-            phases.as_slice(),
-            &[("input_gen".to_string(), 12.5), ("sweep".to_string(), 86.0)]
-        );
-        assert!(b.row("local_join", 4).expect("row").phase_ms.is_empty(), "phase_ms is optional");
-    }
-
-    #[test]
-    fn rejects_malformed_phase_breakdowns() {
-        let non_object = r#"{"a@1": {"wall_ms": 1, "sim_ns": 0, "threads": 1, "phase_ms": [1]}}"#;
-        let err = Baseline::parse(non_object).expect_err("array phase_ms");
-        assert!(err.contains("non-object phase_ms"), "{err}");
-        let negative =
-            r#"{"a@1": {"wall_ms": 1, "sim_ns": 0, "threads": 1, "phase_ms": {"gen": -3.0}}}"#;
-        let err = Baseline::parse(negative).expect_err("negative phase wall time");
-        assert!(err.contains("phase `gen`"), "{err}");
-        let dup = r#"{"a@1": {"wall_ms": 1, "sim_ns": 0, "threads": 1,
-                              "phase_ms": {"gen": 1.0, "gen": 2.0}}}"#;
-        let err = Baseline::parse(dup).expect_err("duplicate phase name");
-        assert!(err.contains("duplicate object key `gen`"), "{err}");
-    }
-
-    #[test]
     fn rejects_duplicate_keys_at_any_level() {
-        let top = r#"{"a@1": {"wall_ms": 1, "sim_ns": 0, "threads": 1},
-                      "a@1": {"wall_ms": 2, "sim_ns": 0, "threads": 1}}"#;
-        let err = Baseline::parse(top).expect_err("duplicate top-level key");
-        assert!(err.contains("duplicate object key `a@1`"), "{err}");
-        let nested = r#"{"a@1": {"wall_ms": 1, "wall_ms": 2, "sim_ns": 0, "threads": 1}}"#;
-        let err = Baseline::parse(nested).expect_err("duplicate nested key");
-        assert!(err.contains("duplicate object key `wall_ms`"), "{err}");
-    }
-
-    #[test]
-    fn rejects_schema_violations() {
-        assert!(Baseline::parse(r#"{"nokey": {"wall_ms": 1}}"#).is_err(), "key without @");
-        assert!(
-            Baseline::parse(r#"{"a@x": {"wall_ms": 1, "sim_ns": 0, "threads": 1}}"#).is_err(),
-            "non-numeric thread suffix"
-        );
-        assert!(
-            Baseline::parse(r#"{"a@2": {"wall_ms": 1, "sim_ns": 0, "threads": 1}}"#).is_err(),
-            "threads field disagrees with the key"
-        );
-        assert!(
-            Baseline::parse(r#"{"a@1": {"sim_ns": 0, "threads": 1}}"#).is_err(),
-            "missing wall_ms"
-        );
-        assert!(Baseline::parse("[1, 2]").is_err(), "root must be an object");
+        let top = r#"{"a": {"sim_ns": 1}, "a": {"sim_ns": 2}}"#;
+        let err = parse(top).expect_err("duplicate top-level key");
+        assert!(err.message.contains("duplicate object key `a`"), "{err}");
+        let nested = r#"{"a": {"sim_ns": 1, "sim_ns": 2}}"#;
+        let err = parse(nested).expect_err("duplicate nested key");
+        assert!(err.message.contains("duplicate object key `sim_ns`"), "{err}");
     }
 
     #[test]
@@ -466,15 +319,12 @@ mod tests {
     fn round_trips_the_emitter() {
         use sjc_core::json::Json;
         let emitted = Json::obj(vec![
-            ("x@1", Json::obj(vec![("wall_ms", Json::Float(1.25)), ("sim_ns", Json::Int(7))])),
+            ("x", Json::obj(vec![("scale", Json::Float(1.25)), ("sim_ns", Json::Int(7))])),
             ("y", Json::Arr(vec![Json::Str("a\"b".to_string()), Json::Null])),
         ])
         .to_string_pretty();
         let parsed = parse(&emitted).expect("emitter output parses");
-        assert_eq!(
-            parsed.get("x@1").and_then(|r| r.get("sim_ns")).and_then(Value::as_u64),
-            Some(7)
-        );
+        assert_eq!(parsed.get("x").and_then(|r| r.get("sim_ns")).and_then(Value::as_u64), Some(7));
         assert_eq!(
             parsed.get("y"),
             Some(&Value::Arr(vec![Value::Str("a\"b".to_string()), Value::Null]))

@@ -6,10 +6,13 @@
 //!   experiments plus the ablations DESIGN.md lists (access model, geometry
 //!   engine, local join algorithm, broadcast vs partition join, sample
 //!   rate, partitioner);
-//! * [`baseline`] parses the checked-in `BENCH_*.json` snapshots back
-//!   (duplicate-key rejecting), for `perfsnap --check` and the perf tests.
+//! * [`fingerprint`] derives the two simulated-time pins (`perfsnap` writes
+//!   them to `BENCH_*.json`; `tests/perf_baseline.rs` re-derives and
+//!   compares), and [`baseline`] parses those files back (duplicate-key
+//!   rejecting). Host time is measured by `benchmark/`, not here.
 
 pub mod baseline;
+pub mod fingerprint;
 pub mod microbench;
 
 use sjc_cluster::ClusterConfig;

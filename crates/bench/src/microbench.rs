@@ -93,8 +93,8 @@ impl Bench {
 
 /// Runs `f` once and returns its result with the wall time it took. The
 /// bench-isolation lint keeps `Instant::now` inside this crate, so this is
-/// how anything outside it (`perfsnap` phases, a root test bounding a host
-/// cost) reads the clock.
+/// how anything outside it (a root test bounding a host cost) reads the
+/// clock.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
     let out = f();

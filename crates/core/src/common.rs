@@ -80,7 +80,7 @@ pub fn local_join(
     // Refinement with exact geometry; de-dup decides which partition
     // reports the pair. Below a threshold each candidate is refined, counted
     // and collected in one pass; above it the candidate list is refined in
-    // parallel — per-pair work is pure, `par::par_map` preserves input
+    // parallel — per-pair work is pure, `sjc_par::par_map` preserves input
     // order, and the summed costs are exact integer adds, so results and
     // simulated time stay bit-identical to the serial path.
     const PAR_THRESHOLD: usize = 4096;
@@ -104,7 +104,7 @@ pub fn local_join(
         out.extend(kept);
     };
     if pairs.len() >= PAR_THRESHOLD {
-        crate::par::par_map(&pairs, refine_one).into_iter().for_each(tally);
+        sjc_par::par_map(&pairs, refine_one).into_iter().for_each(tally);
     } else {
         pairs.iter().map(refine_one).for_each(tally);
     }

@@ -235,7 +235,7 @@ impl ExperimentGrid {
             let (left, right) = w.prepare(self.scale, self.seed);
             // Cells are pure functions of (system, config, workload, plan):
             // run them in parallel, collect in deterministic grid order.
-            out.extend(crate::par::par_map(&cells, |(sys, cfg)| {
+            out.extend(sjc_par::par_map(&cells, |(sys, cfg)| {
                 self.run_cell_faulted(*sys, cfg, w, &left, &right, &plan_for(cfg))
             }));
         }

@@ -32,7 +32,7 @@ use sjc_cluster::{
 };
 use sjc_geom::wkt::to_wkt;
 use sjc_geom::{EngineKind, GeometryEngine, Mbr, Point};
-use sjc_index::partition::{BspPartitioner, SpatialPartitioner};
+use sjc_index::partition::{dedup_owner_cell, BspPartitioner, SpatialPartitioner};
 use sjc_mapreduce::job::ScaleMode;
 use sjc_mapreduce::{block_splits, JobConfig, MapReduceJob, StreamingJob};
 
@@ -368,10 +368,7 @@ impl DistributedSpatialJoin for HadoopGis {
                 }
                 let (pairs, _cost) =
                     local_join(&geos, predicate, local_algo, &lrecs, &rrecs, |am, bm| {
-                        match predicate.filter_mbr(am).reference_point(bm) {
-                            Some(rp) => partitioner.owner(&rp) == cell,
-                            None => false,
-                        }
+                        dedup_owner_cell(&partitioner, cell, &predicate.filter_mbr(am), bm)
                     });
                 pairs.into_iter().map(|(a, b)| format!("{a}\t{b}")).collect()
             },

@@ -27,7 +27,7 @@ use sjc_cluster::scheduler::lpt_makespan;
 use sjc_cluster::{Cluster, RunTrace, SimError, StageKind, StageTrace};
 use sjc_geom::{EngineKind, GeometryEngine, Point};
 use sjc_index::entry::IndexEntry;
-use sjc_index::partition::{SpatialPartitioner, StrTilePartitioner};
+use sjc_index::partition::{dedup_owner_cell, SpatialPartitioner, StrTilePartitioner};
 use sjc_index::RTree;
 
 use crate::common::{local_join, LocalJoinAlgo};
@@ -178,10 +178,7 @@ impl DistributedSpatialJoin for LdeEngine {
             }
             let (cell_pairs, jc) =
                 local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, |am, bm| {
-                    match predicate.filter_mbr(am).reference_point(bm) {
-                        Some(rp) => partitioner.owner(&rp) == cell as u32,
-                        None => false,
-                    }
+                    dedup_owner_cell(&partitioner, cell as u32, &predicate.filter_mbr(am), bm)
                 });
             pairs.extend(cell_pairs);
 

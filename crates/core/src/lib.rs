@@ -33,7 +33,6 @@ pub mod framework;
 pub mod hadoopgis;
 pub mod json;
 pub mod lde;
-pub mod par;
 pub mod report;
 pub mod spatialhadoop;
 pub mod spatialspark;

@@ -29,7 +29,7 @@ use sjc_cluster::{
 use sjc_geom::{EngineKind, GeometryEngine, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::join::plane_sweep;
-use sjc_index::partition::{CellLocator, SpatialPartitioner};
+use sjc_index::partition::{dedup_owner_cell, CellLocator, SpatialPartitioner};
 use sjc_index::RTree;
 use sjc_mapreduce::job::ScaleMode;
 use sjc_mapreduce::{block_splits, JobConfig, MapReduceJob, MapTask};
@@ -326,13 +326,9 @@ impl DistributedSpatialJoin for SpatialHadoop {
                 .collect();
             let (pairs, cost) =
                 local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, |am, bm| {
-                    match predicate.filter_mbr(am).reference_point(bm) {
-                        Some(rp) => {
-                            ia.partitioner.owner(&rp) == ca as u32
-                                && ib.partitioner.owner(&rp) == cb as u32
-                        }
-                        None => false,
-                    }
+                    let am = predicate.filter_mbr(am);
+                    dedup_owner_cell(&*ia.partitioner, ca as u32, &am, bm)
+                        && dedup_owner_cell(&*ib.partitioner, cb as u32, &am, bm)
                 });
             // Deserializing the two block files' records into JVM objects is
             // the task's real per-record cost; the geometry work rides on top.

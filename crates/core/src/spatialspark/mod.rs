@@ -32,7 +32,7 @@ use sjc_cluster::metrics::Phase;
 use sjc_cluster::{Cluster, CostModel, SimError};
 use sjc_geom::{EngineKind, GeometryEngine, Point};
 use sjc_index::entry::IndexEntry;
-use sjc_index::partition::{SpatialPartitioner, StrTilePartitioner};
+use sjc_index::partition::{dedup_owner_cell, SpatialPartitioner, StrTilePartitioner};
 use sjc_index::RTree;
 use sjc_rdd::{memory, SparkContext, SparkRecord};
 
@@ -192,10 +192,7 @@ impl SpatialSpark {
                 rrefs.iter().map(|r| &right.records[r.idx as usize]).collect();
             let (pairs, cost) =
                 local_join(&jts, predicate, local_algo, &lrecs, &rrecs, |am, bm| {
-                    match predicate.filter_mbr(am).reference_point(bm) {
-                        Some(rp) => partitioner.owner(&rp) == *cell,
-                        None => false,
-                    }
+                    dedup_owner_cell(&partitioner, *cell, &predicate.filter_mbr(am), bm)
                 });
             *extra += cost.filter_ns + cost.refine_ns;
             pairs

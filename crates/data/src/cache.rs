@@ -72,8 +72,7 @@ pub fn generate_cached(id: DatasetId, scale: f64, seed: u64) -> Arc<ScaledDatase
     entry
 }
 
-/// `(hits, misses)` since process start — for tests and `perfsnap`
-/// reporting.
+/// `(hits, misses)` since process start — for tests.
 pub fn cache_stats() -> (u64, u64) {
     (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
 }

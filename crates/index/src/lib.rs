@@ -6,8 +6,8 @@
 //!   in its HDFS block files and SpatialSpark broadcasts) plus a dynamic
 //!   insertion mode with quadratic split (what HadoopGIS gets from
 //!   libspatialindex);
-//! * [`grid`] / [`quadtree`] — simpler index structures used for partitioning
-//!   and as local-join alternatives;
+//! * [`grid`] — a uniform bucket grid, the simpler index structure used for
+//!   partitioning and as a local-join alternative;
 //! * [`partition`] — spatial partitioners (fixed grid, STR tiles from a
 //!   sample, BSP/k-d splits from a sample — the SATO family) with the
 //!   multi-assignment + reference-point de-duplication machinery that
@@ -21,7 +21,6 @@ pub mod entry;
 pub mod grid;
 pub mod join;
 pub mod partition;
-pub mod quadtree;
 pub mod rtree;
 
 pub use entry::IndexEntry;

@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn wall_clock_next_to_sim_ns_without_flow_is_clean() {
         // Reading the clock into wall_ms while sim_ns comes from the model
-        // is exactly what perfsnap does — must not fire.
+        // is what a timing harness does — must not fire.
         let vs = analyze(&[(
             "crates/bench/src/snap.rs",
             "pub fn snap(r: &mut Row, model_ns: u64) {\n    let t0 = Instant::now();\n    r.wall_ms = elapsed(t0);\n    r.sim_ns = model_ns;\n}\n",

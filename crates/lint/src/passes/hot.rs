@@ -12,8 +12,8 @@
 //! 2. **`crates/bench` functions** — everything the bench harness calls is
 //!    by definition inside a measured region (bench bodies themselves are
 //!    never *flagged*; they only seed traversal into the library crates).
-//!    The crate's `src/bin/` CLI drivers are excluded: `reproduce` and
-//!    `perfsnap` print tables and write JSON *after* the simulated runs —
+//!    The crate's `src/bin/` CLI drivers are excluded: `reproduce` prints
+//!    tables and `perfsnap` writes JSON *after* the simulated runs —
 //!    nothing they call sits inside a timed region.
 //! 3. **Scratch-arena callers** — a function that checks buffers out of
 //!    `sjc_par::scratch` (`take_vec`/`put_vec`/`with_vec`) is reusing

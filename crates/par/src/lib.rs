@@ -74,9 +74,9 @@ const REDUCE_CHUNK: usize = 1024;
 /// Below this length a parallel sort is slower than `slice::sort_by`.
 const SORT_MIN: usize = 4096;
 
-/// Process-global thread override (0 = unset). Set by tests and by `perfsnap`
-/// to flip between serial and parallel execution in-process without touching
-/// the environment.
+/// Process-global thread override (0 = unset). Set by tests and by
+/// `benchmark/` to flip between serial and parallel execution in-process
+/// without touching the environment.
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-global thread budget; `0` clears the override so the

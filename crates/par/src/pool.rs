@@ -1,14 +1,12 @@
 //! The lazily-initialized persistent worker pool.
 //!
-//! Every parallel primitive in this crate used to spawn (and join) a fresh
-//! set of `std::thread::scope` threads per call. Thread creation costs tens
-//! of microseconds, so the many fine-grained parallel calls of the
-//! three-stage join pipeline paid spawn overhead that dwarfed the work —
-//! `BENCH_baseline.json` showed every workload scaling *negatively* with
-//! threads. This module replaces per-call spawning with a process-lifetime
-//! pool: workers are spawned once (lazily, on the first parallel call that
-//! wants help), park on a condvar between jobs, and claim work from an
-//! injector queue of submitted jobs.
+//! Thread creation costs tens of microseconds, so spawning (and joining) a
+//! fresh set of `std::thread::scope` threads per call would dwarf the work
+//! of the many fine-grained parallel calls the three-stage join pipeline
+//! makes. Every parallel primitive in this crate therefore shares one
+//! process-lifetime pool: workers are spawned once (lazily, on the first
+//! parallel call that wants help), park on a condvar between jobs, and
+//! claim work from an injector queue of submitted jobs.
 //!
 //! ## Determinism
 //!

@@ -261,8 +261,8 @@ fn bounded_retry_fires_on_seeded_bad_code() {
 }
 
 /// Compile-only bench gate: `cargo bench --no-run` must keep building so
-/// the perf suites (and `perfsnap`'s inputs) cannot rot silently. Building,
-/// not running: bench wall-clock belongs in `perfsnap`, not the test gate.
+/// the microbench suites cannot rot silently. Building, not running: host
+/// time belongs in `benchmark/`, not the test gate.
 #[test]
 fn bench_targets_compile() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
