@@ -11,6 +11,7 @@ use sjc_core::framework::{DistributedSpatialJoin, JoinPredicate};
 use sjc_core::hadoopgis::HadoopGis;
 use sjc_core::spatialhadoop::SpatialHadoop;
 use sjc_core::spatialspark::SpatialSpark;
+use sjc_data::tsv::to_tsv_text;
 
 const SCALE: f64 = 1e-4;
 const SEED: u64 = 20150701;
@@ -65,9 +66,36 @@ fn bench_fig1_dataflow(b: &mut Bench) {
     });
 }
 
+fn bench_text_path(b: &mut Bench) {
+    // HadoopGIS's text path at the benchmark's own sizes (`pip_1t`,
+    // `sampled_ws_1t`): the five-second check for an edit of `tsv`, `wkt`,
+    // `streaming` or `hadoopgis`. Single-threaded like those workloads.
+    sjc_par::set_global_threads(1);
+    let cluster = Cluster::new(ClusterConfig::workstation());
+    let sys = HadoopGis::default();
+    for (w, scale) in [
+        (Workload::taxi_nycb(), 4e-4),
+        (Workload::taxi1m_nycb(), 2e-3),
+        (Workload::edge01_linearwater01(), 6e-4),
+    ] {
+        let (l, r) = w.prepare(scale, SEED);
+        b.bench_in("hadoopgis_cell", &format!("{}@{scale:e}", w.name), || {
+            sys.run(black_box(&cluster), &l, &r, JoinPredicate::Intersects)
+                .map(|o| o.pairs.len())
+                .unwrap_or(0)
+        });
+    }
+    let (taxi, _) = Workload::taxi_nycb().prepare(4e-4, SEED);
+    b.bench("tsv_text_68k_points", || {
+        to_tsv_text(taxi.records.iter().map(|rec| (rec.id, &rec.geom))).len()
+    });
+    sjc_par::set_global_threads(0);
+}
+
 fn main() {
     let mut b = Bench::from_args();
     bench_table2_cells(&mut b);
     bench_table3_cells(&mut b);
     bench_fig1_dataflow(&mut b);
+    bench_text_path(&mut b);
 }

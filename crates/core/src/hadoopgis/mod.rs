@@ -25,16 +25,22 @@
 //! Failure mode: any streaming reducer whose stdin+stdout payload exceeds
 //! the node's pipe capacity dies with a broken pipe — which is how every
 //! full-dataset run in Table 2 ends for HadoopGIS.
+//!
+//! The text is real and written once: `run` holds each dataset's TSV in one
+//! buffer (the file HDFS would hold) and one more for the join job's tagged
+//! lines; every streaming line is a `&str` slice of those, passed from
+//! mapper to shuffle to reducer, so each charged length is the `len()` of
+//! bytes that exist while the host copies none of them.
 
 use sjc_cluster::metrics::Phase;
 use sjc_cluster::{
     Cluster, RecoveryEvent, RunTrace, SimError, SimHdfs, SimNs, StageKind, StageTrace,
 };
-use sjc_geom::wkt::to_wkt;
+use sjc_data::tsv::to_tsv_text;
 use sjc_geom::{EngineKind, GeometryEngine, Mbr, Point};
 use sjc_index::partition::{dedup_owner_cell, BspPartitioner, SpatialPartitioner};
 use sjc_mapreduce::job::ScaleMode;
-use sjc_mapreduce::{block_splits, JobConfig, MapReduceJob, StreamingJob};
+use sjc_mapreduce::{block_splits, JobConfig, MapReduceJob, StreamingJob, TextLen};
 
 use crate::common::{default_partition_count, local_join, LocalJoinAlgo};
 use crate::framework::{DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate};
@@ -64,11 +70,40 @@ impl Default for HadoopGis {
     }
 }
 
-/// Serialized TSV lines of a dataset. The WKT text sizes of the synthetic
-/// geometry track the paper's Table-1 bytes/record closely, so pipe and
-/// parse charges computed from real line lengths are faithful.
-fn tsv_lines(input: &JoinInput) -> Vec<String> {
-    input.records.iter().map(|r| format!("{}\t{}", r.id, to_wkt(&r.geom))).collect()
+/// A dataset's TSV text, one `\n`-terminated line per record. The WKT text
+/// sizes of the synthetic geometry track the paper's Table-1 bytes/record
+/// closely, so pipe and parse charges computed from real line lengths are
+/// faithful.
+fn dataset_text(input: &JoinInput) -> String {
+    to_tsv_text(input.records.iter().map(|r| (r.id, &r.geom)))
+}
+
+/// A partition id as a streaming key: the text `format!("{cell:06}")`,
+/// without the `String`. Its [`TextLen`] is that text's length and its `Ord`
+/// that text's byte order — for every `u32`, the seven-to-ten-digit ids
+/// that sort *before* `"999999"` included — because shuffle group order
+/// decides which group's payload a `BrokenPipe` reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct CellKey {
+    /// The digits left-aligned in ten places: compares like the text, up to
+    /// one text being the other followed by zeros.
+    aligned: u64,
+    /// Then the shorter text (the prefix) sorts first.
+    digits: u32,
+    cell: u32,
+}
+
+impl CellKey {
+    fn new(cell: u32) -> Self {
+        let digits = cell.checked_ilog10().map_or(1, |l| l + 1).max(6);
+        CellKey { aligned: u64::from(cell) * 10u64.pow(10 - digits), digits, cell }
+    }
+}
+
+impl TextLen for CellKey {
+    fn text_len(&self) -> usize {
+        self.digits as usize
+    }
 }
 
 /// An `FsCopy` stage: HDFS <-> local filesystem transfer of `bytes`.
@@ -81,10 +116,17 @@ fn fs_copy(cluster: &Cluster, name: String, phase: Phase, bytes: u64) -> StageTr
 
 /// The streaming mapper's output for one record: its `line` keyed by every
 /// partition `mbr` is assigned to.
-fn keyed_by_cell(partitioner: &BspPartitioner, mbr: &Mbr, line: &str) -> Vec<(String, String)> {
+fn keyed_by_cell<'t>(
+    partitioner: &BspPartitioner,
+    mbr: &Mbr,
+    line: &'t str,
+    out: &mut dyn FnMut(CellKey, &'t str),
+) {
     sjc_par::scratch::with_vec(|cells| {
         partitioner.assign_into(mbr, cells);
-        cells.iter().map(|c| (format!("{c:06}"), line.to_string())).collect()
+        for &c in cells.iter() {
+            out(CellKey::new(c), line);
+        }
     })
 }
 
@@ -94,17 +136,18 @@ fn hdfs_block() -> u64 {
 }
 
 impl HadoopGis {
-    /// Steps 1–6 for one dataset. Returns the sample MBR centers (reused by
-    /// the global join) and the converted TSV lines.
+    /// Steps 1–6 for one dataset, whose TSV is `text`. Returns the sample MBR
+    /// centers (reused by the global join) and the converted TSV lines.
     #[allow(clippy::type_complexity)]
-    fn preprocess(
+    fn preprocess<'t>(
         &self,
         cluster: &Cluster,
         hdfs: &mut SimHdfs,
         input: &JoinInput,
+        text: &'t str,
         phase: Phase,
         start_ns: SimNs,
-    ) -> Result<(Vec<Point>, Vec<String>, Vec<StageTrace>, Vec<RecoveryEvent>), SimError> {
+    ) -> Result<(Vec<Point>, Vec<&'t str>, Vec<StageTrace>, Vec<RecoveryEvent>), SimError> {
         let mut traces: Vec<StageTrace> = Vec::new();
         let mut recovery: Vec<RecoveryEvent> = Vec::new();
         // Each job starts where the previous stage (job, copy, or serial
@@ -113,7 +156,7 @@ impl HadoopGis {
             |traces: &[StageTrace]| start_ns + traces.iter().map(|t| t.sim_ns).sum::<SimNs>();
         let bpr = input.bytes_per_record();
         let block = hdfs_block();
-        let raw = tsv_lines(input);
+        let raw: Vec<&str> = text.split_terminator('\n').collect();
 
         let mut engine = MapReduceJob::new(cluster, hdfs);
         let mut streaming = StreamingJob::new(&mut engine);
@@ -124,7 +167,7 @@ impl HadoopGis {
             JobConfig::new(format!("{}: 1 convert to TSV", input.name), phase, input.multiplier)
                 .starting_at(elapsed(&traces));
         let converted =
-            streaming.map_only(&cfg1, block_splits(&raw, bpr, block), |l| vec![l.to_string()])?;
+            streaming.map_only_lines(&cfg1, block_splits(&raw, bpr, block), |&l, out| out(l))?;
         recovery.extend(converted.recovery.iter().cloned());
         traces.push(converted.trace);
         let tsv = converted.lines;
@@ -137,22 +180,20 @@ impl HadoopGis {
         // membership test so the host can run map tasks in parallel. Lines
         // are unique (they start with the record id), so the set selects
         // exactly the lines the old 1-in-k invocation counter did.
-        let keep: std::collections::BTreeSet<&str> =
-            tsv.iter().step_by(stride).map(|s| s.as_str()).collect();
+        let keep: std::collections::BTreeSet<&str> = tsv.iter().step_by(stride).copied().collect();
         let cfg2 =
             JobConfig::new(format!("{}: 2 sample MBRs", input.name), phase, input.multiplier)
                 .starting_at(elapsed(&traces));
-        let sampled = streaming.map_only(&cfg2, block_splits(&tsv, bpr, block), |l| {
-            if keep.contains(l) {
-                vec![l.split('\t').next().unwrap_or("0").to_string()]
-            } else {
-                Vec::new()
-            }
-        })?;
+        let sampled =
+            streaming.map_only_lines(&cfg2, block_splits(&tsv, bpr, block), |l, out| {
+                if keep.contains(l) {
+                    out(l.split('\t').next().unwrap_or("0"));
+                }
+            })?;
         recovery.extend(sampled.recovery.iter().cloned());
         traces.push(sampled.trace);
-        let sample_ids: Vec<u64> = sampled
-            .lines
+        let sample_lines = sampled.lines;
+        let sample_ids: Vec<u64> = sample_lines
             .iter()
             // sjc-lint: allow(no-panic-in-lib) — step 2's mapper emitted these lines from the TSV's numeric id column
             .map(|l| l.parse::<u64>().expect("sample lines carry record ids"))
@@ -160,16 +201,15 @@ impl HadoopGis {
         let sample_bytes = sample_ids.len() as u64 * 72;
 
         // Step 3: compute the extent of the samples (MR job, single reducer).
-        let sample_lines: Vec<String> = sample_ids.iter().map(|i| i.to_string()).collect();
         let cfg3 =
             JobConfig::new(format!("{}: 3 compute extent", input.name), phase, input.multiplier)
                 .write_output(false)
                 .starting_at(elapsed(&traces));
-        let extent_out = streaming.map_reduce(
+        let extent_out = streaming.map_reduce_lines(
             &cfg3,
             block_splits(&sample_lines, 72.0, block),
-            |l| vec![("extent".to_string(), l.to_string())],
-            |_, vs| vec![format!("count={}", vs.len())],
+            |&l, out| out("extent", l),
+            |_, vs, out| out(format!("count={}", vs.len())),
         )?;
         recovery.extend(extent_out.recovery.iter().cloned());
         traces.push(extent_out.trace);
@@ -178,10 +218,11 @@ impl HadoopGis {
         let cfg4 =
             JobConfig::new(format!("{}: 4 normalize samples", input.name), phase, input.multiplier)
                 .starting_at(elapsed(&traces));
-        let normalized =
-            streaming.map_only(&cfg4, block_splits(&sample_lines, 72.0, block), |l| {
-                vec![l.to_string()]
-            })?;
+        let normalized = streaming.map_only_lines(
+            &cfg4,
+            block_splits(&sample_lines, 72.0, block),
+            |&l, out| out(l),
+        )?;
         recovery.extend(normalized.recovery.iter().cloned());
         traces.push(normalized.trace);
 
@@ -224,22 +265,22 @@ impl HadoopGis {
             JobConfig::new(format!("{}: 6 assign partitions", input.name), phase, input.multiplier)
                 .starting_at(elapsed(&traces));
         let records = &input.records;
-        let assigned = streaming.map_reduce(
+        let assigned = streaming.map_reduce_lines(
             &cfg6,
             block_splits(&tsv, bpr, block),
-            |l| {
+            |l, out| {
                 let id: u64 = l.split('\t').next().unwrap_or("0").parse().unwrap_or(0);
                 // sjc-lint: allow(no-panic-in-lib) — ids in the TSV are enumerate indices into input.records
                 let mbr = &records[id as usize].mbr;
-                keyed_by_cell(&partitioner, mbr, l)
+                keyed_by_cell(&partitioner, mbr, l, out)
             },
-            |_pid, lines| {
+            |_pid, lines, out| {
                 // cat | sort | unique — sorting is charged by the engine;
                 // the dedup emits the unique lines.
-                let mut sorted: Vec<&String> = lines.iter().collect();
+                let mut sorted: Vec<&str> = lines.to_vec();
                 sorted.sort_unstable();
                 sorted.dedup();
-                sorted.iter().map(|l| l.to_string()).collect()
+                sorted.into_iter().for_each(out)
             },
         )?;
         recovery.extend(assigned.recovery.iter().cloned());
@@ -270,12 +311,14 @@ impl DistributedSpatialJoin for HadoopGis {
         let geos = GeometryEngine::new(self.engine());
 
         // Preprocessing: the six steps, per dataset.
+        let text_a = dataset_text(left);
         let (centers_a, tsv_a, t, r) =
-            self.preprocess(cluster, &mut hdfs, left, Phase::IndexA, trace.total_ns())?;
+            self.preprocess(cluster, &mut hdfs, left, &text_a, Phase::IndexA, trace.total_ns())?;
         trace.stages.extend(t);
         trace.push_recovery(r);
+        let text_b = dataset_text(right);
         let (centers_b, tsv_b, t, r) =
-            self.preprocess(cluster, &mut hdfs, right, Phase::IndexB, trace.total_ns())?;
+            self.preprocess(cluster, &mut hdfs, right, &text_b, Phase::IndexB, trace.total_ns())?;
         trace.stages.extend(t);
         trace.push_recovery(r);
 
@@ -310,9 +353,16 @@ impl DistributedSpatialJoin for HadoopGis {
 
         // The distributed join MR job: both datasets are re-read, re-parsed,
         // re-assigned and shuffled; reducers run the local join with GEOS.
-        let mut tagged: Vec<String> = Vec::with_capacity(tsv_a.len() + tsv_b.len());
-        tagged.extend(tsv_a.iter().map(|l| format!("A\t{l}")));
-        tagged.extend(tsv_b.iter().map(|l| format!("B\t{l}")));
+        let mut tagged_text =
+            String::with_capacity(text_a.len() + text_b.len() + 2 * (tsv_a.len() + tsv_b.len()));
+        for (tag, tsv) in [("A\t", &tsv_a), ("B\t", &tsv_b)] {
+            for l in tsv {
+                tagged_text.push_str(tag);
+                tagged_text.push_str(l);
+                tagged_text.push('\n');
+            }
+        }
+        let tagged: Vec<&str> = tagged_text.split_terminator('\n').collect();
         let bpr = (left.bytes_per_record() * tsv_a.len() as f64
             + right.bytes_per_record() * tsv_b.len() as f64)
             / tagged.len().max(1) as f64;
@@ -332,10 +382,10 @@ impl DistributedSpatialJoin for HadoopGis {
             .script_cost_factor(script_factor)
             .starting_at(trace.total_ns());
         let local_algo = self.local_algo;
-        let outcome = streaming.map_reduce(
+        let outcome = streaming.map_reduce_lines(
             &cfg,
             block_splits(&tagged, bpr, hdfs_block()),
-            |l| {
+            |l, out| {
                 let mut it = l.splitn(3, '\t');
                 let tag = it.next().unwrap_or("A");
                 let id: u64 = it.next().unwrap_or("0").parse().unwrap_or(0);
@@ -347,11 +397,10 @@ impl DistributedSpatialJoin for HadoopGis {
                     &right.records[id as usize]
                 };
                 let mbr = if tag == "A" { predicate.filter_mbr(&rec.mbr) } else { rec.mbr };
-                keyed_by_cell(&partitioner, &mbr, l)
+                keyed_by_cell(&partitioner, &mbr, l, out)
             },
-            |pid, lines| {
-                // sjc-lint: allow(no-panic-in-lib) — partition keys are minted as "{c:06}" by the map side of this very job
-                let cell: u32 = pid.parse().expect("partition keys are numeric");
+            |key, lines, out| {
+                let cell = key.cell;
                 let mut lrecs: Vec<&GeoRecord> = Vec::new();
                 let mut rrecs: Vec<&GeoRecord> = Vec::new();
                 for l in lines {
@@ -370,7 +419,7 @@ impl DistributedSpatialJoin for HadoopGis {
                     local_join(&geos, predicate, local_algo, &lrecs, &rrecs, |am, bm| {
                         dedup_owner_cell(&partitioner, cell, &predicate.filter_mbr(am), bm)
                     });
-                pairs.into_iter().map(|(a, b)| format!("{a}\t{b}")).collect()
+                pairs.into_iter().for_each(|(a, b)| out(format!("{a}\t{b}")))
             },
         )?;
         trace.push_recovery(outcome.recovery.iter().cloned());
@@ -407,6 +456,27 @@ mod tests {
         l.multiplier = 1.0;
         r.multiplier = 1.0;
         (l, r)
+    }
+
+    #[test]
+    fn cell_key_is_the_zero_padded_text_without_the_string() {
+        // Both sides of 1 000 000: below it the padding makes numeric order
+        // the text's order; above it "1000000" sorts before "999999".
+        let mut cells = vec![0, 1, 63, 99_999, 100_000, 999_999, 1_000_000, 1_000_001, u32::MAX];
+        cells.extend((6..10).flat_map(|e| [10u32.pow(e) - 1, 10u32.pow(e), 2 * 10u32.pow(e)]));
+        sjc_testkit::cases(0x4601, 256, |rng| {
+            cells.push(rng.next_u64() as u32);
+            cells.push(rng.u32_in(0..2_000_000));
+        });
+        for &a in &cells {
+            let text_a = format!("{a:06}");
+            assert_eq!(CellKey::new(a).text_len(), text_a.len(), "{a}");
+            assert_eq!(CellKey::new(a).cell, a);
+            for &b in &cells {
+                let text_b = format!("{b:06}");
+                assert_eq!(CellKey::new(a).cmp(&CellKey::new(b)), text_a.cmp(&text_b), "{a} {b}");
+            }
+        }
     }
 
     #[test]

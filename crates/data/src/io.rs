@@ -7,12 +7,12 @@
 //! tools do.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
 use sjc_geom::Geometry;
 
-use crate::tsv::{parse_tsv_line, to_tsv_lines, TsvError};
+use crate::tsv::{parse_tsv_line, to_tsv_text, TsvError};
 
 /// Errors from dataset file operations.
 #[derive(Debug)]
@@ -44,15 +44,9 @@ impl From<std::io::Error> for IoError {
 
 /// Writes geometries as `id \t WKT` lines. Returns the byte count written.
 pub fn write_tsv(path: &Path, geoms: &[Geometry]) -> Result<u64, IoError> {
-    let mut out = BufWriter::new(File::create(path)?);
-    let mut bytes = 0u64;
-    for line in to_tsv_lines(geoms.iter().enumerate().map(|(i, g)| (i as u64, g))) {
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
-        bytes += line.len() as u64 + 1;
-    }
-    out.flush()?;
-    Ok(bytes)
+    let text = to_tsv_text(geoms.iter().enumerate().map(|(i, g)| (i as u64, g)));
+    File::create(path)?.write_all(text.as_bytes())?;
+    Ok(text.len() as u64)
 }
 
 /// Reads a TSV+WKT file back into `(id, geometry)` records.

@@ -2,18 +2,33 @@
 //!
 //! All three systems ingest tab-separated text whose last field is WKT.
 //! HadoopGIS additionally *re-serializes* records between every streaming
-//! stage — `to_tsv_lines`/`parse_tsv_line` are exactly the operations its
+//! stage — `to_tsv_text`/`parse_tsv_line` are exactly the operations its
 //! pipes pay for, and what the cost model's parse/serialize constants meter.
+//!
+//! A dataset's text is one buffer, written once: the file HDFS would hold.
+//! A line is a `split_terminator('\n')` slice of it — `write_tsv` writes the
+//! buffer as it is, and HadoopGIS's streaming jobs pass the slices around —
+//! so the volume a stage pipes is the buffer's `len()`.
 
-use sjc_geom::wkt::{parse_wkt, to_wkt, WktError};
+use std::fmt::Write as _;
+
+use sjc_geom::wkt::{parse_wkt, write_wkt, WktError};
 use sjc_geom::Geometry;
 
-/// Serializes `(id, geometry)` records into `id \t WKT` lines.
-pub fn to_tsv_lines<'a, I>(records: I) -> Vec<String>
+/// Serializes `(id, geometry)` records into one buffer of `id \t WKT \n`
+/// lines.
+pub fn to_tsv_text<'a, I>(records: I) -> String
 where
     I: IntoIterator<Item = (u64, &'a Geometry)>,
 {
-    records.into_iter().map(|(id, g)| format!("{id}\t{}", to_wkt(g))).collect()
+    let mut text = String::new();
+    for (id, g) in records {
+        // Writing into a `String` cannot fail.
+        let _ = write!(text, "{id}\t");
+        write_wkt(&mut text, g);
+        text.push('\n');
+    }
+    text
 }
 
 /// Parse error for a TSV record line.
@@ -46,12 +61,6 @@ pub fn parse_tsv_line(line: &str) -> Result<(u64, Geometry), TsvError> {
     Ok((id, geom))
 }
 
-/// Total byte size of a batch of lines (newline included) — the exact
-/// volume a streaming stage pipes.
-pub fn lines_bytes(lines: &[String]) -> u64 {
-    lines.iter().map(|l| l.len() as u64 + 1).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,9 +72,9 @@ mod tests {
             Geometry::Point(Point::new(1.0, 2.0)),
             Geometry::LineString(LineString::new(vec![Point::new(0.0, 0.0), Point::new(1.0, 1.0)])),
         ];
-        let lines = to_tsv_lines(geoms.iter().enumerate().map(|(i, g)| (i as u64, g)));
-        assert_eq!(lines.len(), 2);
-        for (i, line) in lines.iter().enumerate() {
+        let text = to_tsv_text(geoms.iter().enumerate().map(|(i, g)| (i as u64, g)));
+        assert_eq!(text.split_terminator('\n').count(), 2);
+        for (i, line) in text.split_terminator('\n').enumerate() {
             let (id, g) = parse_tsv_line(line).unwrap();
             assert_eq!(id, i as u64);
             assert_eq!(&g, &geoms[i]);
@@ -82,7 +91,10 @@ mod tests {
 
     #[test]
     fn byte_accounting_includes_newlines() {
-        let lines = vec!["ab".to_string(), "c".to_string()];
-        assert_eq!(lines_bytes(&lines), 2 + 1 + 1 + 1);
+        let geoms = [Geometry::Point(Point::new(1.0, 2.0)), Geometry::Point(Point::new(3.5, 4.0))];
+        let text = to_tsv_text(geoms.iter().enumerate().map(|(i, g)| (i as u64, g)));
+        assert_eq!(text, "0\tPOINT (1 2)\n1\tPOINT (3.5 4)\n");
+        let piped: usize = text.split_terminator('\n').map(|l| l.len() + 1).sum();
+        assert_eq!(piped, text.len(), "every line's newline is in the buffer");
     }
 }

@@ -11,7 +11,7 @@ mod parser;
 mod writer;
 
 pub use parser::{parse_wkt, WktError};
-pub use writer::to_wkt;
+pub use writer::{to_wkt, write_wkt};
 
 #[cfg(test)]
 mod tests {

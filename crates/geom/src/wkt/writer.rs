@@ -9,19 +9,27 @@ use crate::Geometry;
 /// round-trippable `f64` formatting, so `parse_wkt(to_wkt(g)) == g` exactly.
 pub fn to_wkt(g: &Geometry) -> String {
     let mut out = String::with_capacity(g.wkt_size_estimate() as usize);
+    write_wkt(&mut out, g);
+    out
+}
+
+/// Appends the WKT of `g` to `out` — the same bytes [`to_wkt`] returns,
+/// without a `String` per geometry. The text never contains a line break,
+/// so a buffer of `\n`-terminated records splits back on `'\n'`.
+pub fn write_wkt(out: &mut String, g: &Geometry) {
     match g {
         Geometry::Point(p) => {
             out.push_str("POINT (");
-            write_coord(&mut out, p);
+            write_coord(out, p);
             out.push(')');
         }
         Geometry::LineString(l) => {
             out.push_str("LINESTRING ");
-            write_coord_list(&mut out, l.points(), false);
+            write_coord_list(out, l.points(), false);
         }
         Geometry::Polygon(poly) => {
             out.push_str("POLYGON ");
-            write_polygon_body(&mut out, poly);
+            write_polygon_body(out, poly);
         }
         Geometry::MultiPoint(ps) => {
             out.push_str("MULTIPOINT (");
@@ -30,7 +38,7 @@ pub fn to_wkt(g: &Geometry) -> String {
                     out.push_str(", ");
                 }
                 out.push('(');
-                write_coord(&mut out, p);
+                write_coord(out, p);
                 out.push(')');
             }
             out.push(')');
@@ -41,7 +49,7 @@ pub fn to_wkt(g: &Geometry) -> String {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                write_coord_list(&mut out, l.points(), false);
+                write_coord_list(out, l.points(), false);
             }
             out.push(')');
         }
@@ -51,12 +59,11 @@ pub fn to_wkt(g: &Geometry) -> String {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                write_polygon_body(&mut out, poly);
+                write_polygon_body(out, poly);
             }
             out.push(')');
         }
     }
-    out
 }
 
 /// Writes `((shell), (hole), ...)` — the parenthesized ring list shared by

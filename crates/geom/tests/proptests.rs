@@ -2,7 +2,7 @@
 
 use sjc_geom::algorithms::{point_in_polygon, point_segment_distance};
 use sjc_geom::predicates::{segment_intersection_point, segments_intersect};
-use sjc_geom::wkt::{parse_wkt, to_wkt};
+use sjc_geom::wkt::{parse_wkt, to_wkt, write_wkt};
 use sjc_geom::{Geometry, LineString, Mbr, Point, Polygon};
 use sjc_testkit::{cases, TestRng};
 
@@ -68,6 +68,23 @@ fn wkt_round_trip() {
         let parsed = parse_wkt(&text).expect("writer output must parse");
         assert_eq!(parsed, g);
     });
+}
+
+#[test]
+fn write_wkt_appends_exactly_to_wkt_and_never_a_line_break() {
+    // `geometry` draws all six kinds; a `\n`-terminated buffer of records is
+    // split back with `split_terminator('\n')`, so no record may hold one.
+    let mut kinds = std::collections::BTreeSet::new();
+    cases(0x6E11, N, |rng| {
+        let g = geometry(rng);
+        let mut buf = String::from("17\t");
+        write_wkt(&mut buf, &g);
+        let text = to_wkt(&g);
+        assert_eq!(buf, format!("17\t{text}"));
+        assert!(!text.contains(['\n', '\r']), "line break in {text:?}");
+        kinds.insert(g.kind());
+    });
+    assert_eq!(kinds.len(), 6, "drew {kinds:?}");
 }
 
 #[test]

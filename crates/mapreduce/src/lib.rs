@@ -29,4 +29,4 @@ pub mod streaming;
 pub use counters::Counters;
 pub use input_format::{block_splits, MapTask};
 pub use job::{JobConfig, JobStats, MapEmitter, MapReduceJob, ReduceEmitter};
-pub use streaming::{StreamingJob, StreamingOutcome};
+pub use streaming::{StreamingJob, StreamingOutcome, TextLen};

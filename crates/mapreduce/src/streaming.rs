@@ -7,17 +7,45 @@
 //! representation between stages), and a hard failure when one task's pipe
 //! payload exceeds what the node can buffer — the paper's "broken pipeline
 //! ... when the data that pipes through multiple processors is too big".
+//!
+//! **Lines are borrowed, lengths are real.** Every charge above is a
+//! function of byte lengths only, so the job is generic over what carries
+//! the text: anything with a [`TextLen`]. HadoopGIS writes each dataset's
+//! TSV once into one buffer and passes `&str` slices of it from mapper to
+//! shuffle to reducer; each charged length is still the `len()` of bytes
+//! that exist. Mappers and reducers write into an `out(..)` sink instead of
+//! returning a `Vec` per line. [`StreamingJob::map_only`] and
+//! [`StreamingJob::map_reduce`] are `String`-and-`Vec` adapters over the
+//! same core, kept for `benchmark/` only.
 
-use sjc_cluster::{RecoveryEvent, SimError, StageTrace};
+use sjc_cluster::{CostModel, RecoveryEvent, SimError, SimNs, StageTrace};
 
 use crate::input_format::MapTask;
 use crate::job::{JobConfig, JobStats, MapReduceJob};
 
+/// Byte length of a value written as one field of a streaming line — the
+/// only thing the simulator reads of a line, key or output.
+pub trait TextLen {
+    fn text_len(&self) -> usize;
+}
+
+impl TextLen for String {
+    fn text_len(&self) -> usize {
+        self.len()
+    }
+}
+
+impl TextLen for &str {
+    fn text_len(&self) -> usize {
+        self.len()
+    }
+}
+
 /// Result of a successful streaming job.
 #[derive(Debug)]
-pub struct StreamingOutcome {
+pub struct StreamingOutcome<O = String> {
     /// Output lines (reduce output, or map output for map-only jobs).
-    pub lines: Vec<String>,
+    pub lines: Vec<O>,
     pub stats: JobStats,
     pub trace: StageTrace,
     /// Recovery actions the underlying engine took (empty without faults).
@@ -29,31 +57,40 @@ pub struct StreamingJob<'a, 'b> {
     pub engine: &'b mut MapReduceJob<'a>,
 }
 
+/// What one external process costs for `in_bytes` of stdin and `out_bytes`
+/// of stdout: the pipe traffic in both directions, plus its own text parse
+/// of what it read.
+fn process_ns(cost: &CostModel, in_bytes: u64, out_bytes: u64) -> SimNs {
+    cost.pipe_ns(in_bytes + out_bytes) + cost.parse_ns(in_bytes)
+}
+
 impl<'a, 'b> StreamingJob<'a, 'b> {
     pub fn new(engine: &'b mut MapReduceJob<'a>) -> Self {
         StreamingJob { engine }
     }
 
-    /// Runs a streaming map-only job: `mapper` maps one input line to output
-    /// lines.
-    pub fn map_only(
+    /// Runs a streaming map-only job: `mapper` writes the output lines of
+    /// one input line into its sink.
+    pub fn map_only_lines<L, O>(
         &mut self,
         cfg: &JobConfig,
-        tasks: Vec<MapTask<String>>,
-        mapper: impl Fn(&str) -> Vec<String> + Sync,
-    ) -> Result<StreamingOutcome, SimError> {
+        tasks: Vec<MapTask<L>>,
+        mapper: impl Fn(&L, &mut dyn FnMut(O)) + Sync,
+    ) -> Result<StreamingOutcome<O>, SimError>
+    where
+        L: TextLen + Sync,
+        O: TextLen + Send,
+    {
         let cost = self.engine.cluster.cost.clone();
-        let outcome = self.engine.map_only(cfg, tasks, |line: &String, em| {
-            let in_bytes = line.len() as u64 + 1;
+        let outcome = self.engine.map_only(cfg, tasks, |line: &L, em| {
+            let in_bytes = line.text_len() as u64 + 1;
             let mut pipe_out = 0u64;
-            for out in mapper(line) {
-                pipe_out += out.len() as u64 + 1;
-                let b = out.len() as u64 + 1;
+            mapper(line, &mut |out: O| {
+                let b = out.text_len() as u64 + 1;
+                pipe_out += b;
                 em.emit(out, b);
-            }
-            // stdin + stdout traffic of the external process, plus its own
-            // text parse of the line.
-            em.charge(cost.pipe_ns(in_bytes + pipe_out) + cost.parse_ns(in_bytes));
+            });
+            em.charge(process_ns(&cost, in_bytes, pipe_out));
         })?;
         let mut trace = outcome.trace;
         trace.pipe_bytes = ((outcome.stats.input_bytes + outcome.stats.output_bytes) as f64
@@ -66,42 +103,50 @@ impl<'a, 'b> StreamingJob<'a, 'b> {
         })
     }
 
-    /// Runs a streaming map-reduce job. `mapper` emits `(key, value)` line
-    /// pairs; `reducer` consumes one key's sorted values.
+    /// Runs a streaming map-reduce job. `mapper` writes `(key, value)` line
+    /// pairs into its sink; `reducer` consumes one key's values (in map-task
+    /// order) and writes output lines into its sink.
     ///
     /// Fails with [`SimError::BrokenPipe`] when any single reduce task's
     /// full-scale pipe payload exceeds the node's streaming limit.
-    pub fn map_reduce(
+    pub fn map_reduce_lines<L, K, V, O>(
         &mut self,
         cfg: &JobConfig,
-        tasks: Vec<MapTask<String>>,
-        mapper: impl Fn(&str) -> Vec<(String, String)> + Sync,
-        reducer: impl Fn(&str, &[String]) -> Vec<String> + Sync,
-    ) -> Result<StreamingOutcome, SimError> {
+        tasks: Vec<MapTask<L>>,
+        mapper: impl Fn(&L, &mut dyn FnMut(K, V)) + Sync,
+        reducer: impl Fn(&K, &[V], &mut dyn FnMut(O)) + Sync,
+    ) -> Result<StreamingOutcome<O>, SimError>
+    where
+        L: TextLen + Sync,
+        K: TextLen + Ord + Clone + Send + Sync,
+        V: TextLen + Send + Sync,
+        O: TextLen + Send,
+    {
         let cost = self.engine.cluster.cost.clone();
         let node_memory = self.engine.cluster.config.node.memory_bytes;
         let outcome = self.engine.map_reduce(
             cfg,
             tasks,
-            |line: &String, em| {
-                let in_bytes = line.len() as u64 + 1;
+            |line: &L, em| {
+                let in_bytes = line.text_len() as u64 + 1;
                 let mut pipe_out = 0u64;
-                for (k, v) in mapper(line) {
-                    let b = (k.len() + v.len() + 2) as u64;
+                mapper(line, &mut |k: K, v: V| {
+                    let b = (k.text_len() + v.text_len() + 2) as u64;
                     pipe_out += b;
                     em.emit(k, v, b);
-                }
-                em.charge(cost.pipe_ns(in_bytes + pipe_out) + cost.parse_ns(in_bytes));
+                });
+                em.charge(process_ns(&cost, in_bytes, pipe_out));
             },
-            |key: &String, values: &[String], em| {
-                let in_bytes: u64 = values.iter().map(|v| (key.len() + v.len() + 2) as u64).sum();
+            |key: &K, values: &[V], em| {
+                let in_bytes: u64 =
+                    values.iter().map(|v| (key.text_len() + v.text_len() + 2) as u64).sum();
                 let mut out_bytes = 0u64;
-                for out in reducer(key, values) {
-                    let b = out.len() as u64 + 1;
+                reducer(key, values, &mut |out: O| {
+                    let b = out.text_len() as u64 + 1;
                     out_bytes += b;
                     em.emit(out, b);
-                }
-                em.charge(cost.pipe_ns(in_bytes + out_bytes) + cost.parse_ns(in_bytes));
+                });
+                em.charge(process_ns(&cost, in_bytes, out_bytes));
                 if cfg.script_reducer {
                     em.charge(
                         (values.len() as f64
@@ -142,6 +187,34 @@ impl<'a, 'b> StreamingJob<'a, 'b> {
             trace,
             recovery: outcome.recovery,
         })
+    }
+
+    /// [`Self::map_only_lines`] over owned lines, the mapper returning a
+    /// `Vec` per line. For `benchmark/src/layers.rs` only.
+    pub fn map_only(
+        &mut self,
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<String>>,
+        mapper: impl Fn(&str) -> Vec<String> + Sync,
+    ) -> Result<StreamingOutcome, SimError> {
+        self.map_only_lines(cfg, tasks, |l: &String, out| mapper(l).into_iter().for_each(out))
+    }
+
+    /// [`Self::map_reduce_lines`] over owned lines, mapper and reducer
+    /// returning a `Vec` per call. For `benchmark/src/layers.rs` only.
+    pub fn map_reduce(
+        &mut self,
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<String>>,
+        mapper: impl Fn(&str) -> Vec<(String, String)> + Sync,
+        reducer: impl Fn(&str, &[String]) -> Vec<String> + Sync,
+    ) -> Result<StreamingOutcome, SimError> {
+        self.map_reduce_lines(
+            cfg,
+            tasks,
+            |l: &String, out| mapper(l).into_iter().for_each(|(k, v)| out(k, v)),
+            |k: &String, vs: &[String], out| reducer(k, vs).into_iter().for_each(out),
+        )
     }
 }
 
@@ -244,6 +317,115 @@ mod tests {
                 assert!(payload_bytes > limit_bytes);
             }
             other => panic!("expected BrokenPipe, got {other:?}"),
+        }
+    }
+
+    /// The `hot` job of `oversized_group_breaks_the_pipe` and the 64-key job
+    /// of `same_job_survives_on_bigger_nodes`, through the `String` adapters
+    /// and through the borrowed core.
+    fn keyed_both_ways(
+        cluster_cfg: ClusterConfig,
+        mult: f64,
+        keys: u64,
+    ) -> [Result<StreamingOutcome, SimError>; 2] {
+        let cluster = Cluster::new(cluster_cfg);
+        let input = lines(1000);
+        let cfg = JobConfig::new("keyed", Phase::DistributedJoin, mult);
+        let id = |l: &str| l.split('\t').next().unwrap().parse::<u64>().unwrap();
+
+        let mut hdfs = SimHdfs::new(cluster.config.nodes);
+        let mut engine = MapReduceJob::new(&cluster, &mut hdfs);
+        let owned = StreamingJob::new(&mut engine).map_reduce(
+            &cfg,
+            block_splits(&input, 20.0, 4 << 10),
+            |l| vec![((id(l) % keys).to_string(), l.to_string())],
+            |_, vs| vec![vs.len().to_string()],
+        );
+
+        let key_text: Vec<String> = (0..keys).map(|k| k.to_string()).collect();
+        let borrowed_input: Vec<&str> = input.iter().map(String::as_str).collect();
+        let mut hdfs = SimHdfs::new(cluster.config.nodes);
+        let mut engine = MapReduceJob::new(&cluster, &mut hdfs);
+        let borrowed = StreamingJob::new(&mut engine).map_reduce_lines(
+            &cfg,
+            block_splits(&borrowed_input, 20.0, 4 << 10),
+            |&l: &&str, out| out(key_text[(id(l) % keys) as usize].as_str(), l),
+            |_, vs: &[&str], out| out(vs.len().to_string()),
+        );
+        [owned, borrowed]
+    }
+
+    fn assert_same_outcome<A, B>(owned: &StreamingOutcome<A>, borrowed: &StreamingOutcome<B>)
+    where
+        A: PartialEq<B> + std::fmt::Debug,
+        B: std::fmt::Debug,
+    {
+        assert_eq!(owned.lines, borrowed.lines);
+        assert_eq!(owned.stats, borrowed.stats);
+        assert!(owned.trace.pipe_bytes > 0);
+        assert_eq!(format!("{:?}", owned.trace), format!("{:?}", borrowed.trace));
+    }
+
+    #[test]
+    fn string_adapters_and_borrowed_core_charge_the_same() {
+        // Word count: key and value are sub-slices of the line.
+        let cluster = Cluster::new(ClusterConfig::workstation());
+        let input: Vec<String> = vec!["a b a".into(), "b a c".into()];
+        let cfg = JobConfig::new("wc", Phase::DistributedJoin, 1.0);
+        let mut hdfs = SimHdfs::new(1);
+        let mut engine = MapReduceJob::new(&cluster, &mut hdfs);
+        let owned = StreamingJob::new(&mut engine)
+            .map_reduce(
+                &cfg,
+                block_splits(&input, 6.0, 1 << 20),
+                |line| line.split(' ').map(|w| (w.to_string(), "1".to_string())).collect(),
+                |k, vs| vec![format!("{k}\t{}", vs.len())],
+            )
+            .unwrap();
+        let borrowed_input: Vec<&str> = input.iter().map(String::as_str).collect();
+        let mut hdfs = SimHdfs::new(1);
+        let mut engine = MapReduceJob::new(&cluster, &mut hdfs);
+        let borrowed = StreamingJob::new(&mut engine)
+            .map_reduce_lines(
+                &cfg,
+                block_splits(&borrowed_input, 6.0, 1 << 20),
+                |line: &&str, out| line.split(' ').for_each(|w| out(w, "1")),
+                |k: &&str, vs: &[&str], out| out(format!("{k}\t{}", vs.len())),
+            )
+            .unwrap();
+        assert_same_outcome(&owned, &borrowed);
+
+        // A map-only job emitting a sub-slice of each line.
+        let lines_in = lines(100);
+        let cfg = JobConfig::new("ids", Phase::IndexA, 3.0);
+        let mut hdfs = SimHdfs::new(1);
+        let mut engine = MapReduceJob::new(&cluster, &mut hdfs);
+        let owned = StreamingJob::new(&mut engine)
+            .map_only(&cfg, block_splits(&lines_in, 16.0, 256), |l| {
+                vec![l.split('\t').next().unwrap().to_string()]
+            })
+            .unwrap();
+        let borrowed_input: Vec<&str> = lines_in.iter().map(String::as_str).collect();
+        let mut hdfs = SimHdfs::new(1);
+        let mut engine = MapReduceJob::new(&cluster, &mut hdfs);
+        let borrowed = StreamingJob::new(&mut engine)
+            .map_only_lines(&cfg, block_splits(&borrowed_input, 16.0, 256), |l: &&str, out| {
+                out(l.split('\t').next().unwrap())
+            })
+            .unwrap();
+        assert_same_outcome(&owned, &borrowed);
+
+        // The 1 000-line keyed job, surviving ...
+        let [owned, borrowed] = keyed_both_ways(ClusterConfig::workstation(), 3e5, 64);
+        assert_same_outcome(&owned.unwrap(), &borrowed.unwrap());
+        // ... and breaking: same stage, same group's payload, same limit.
+        for (cluster_cfg, mult, keys) in
+            [(ClusterConfig::ec2(2), 2e7, 1), (ClusterConfig::ec2(10), 3e5, 64)]
+        {
+            let [owned, borrowed] = keyed_both_ways(cluster_cfg, mult, keys);
+            let (owned, borrowed) = (owned.unwrap_err(), borrowed.unwrap_err());
+            assert!(matches!(owned, SimError::BrokenPipe { .. }), "{owned:?}");
+            assert_eq!(format!("{owned:?}"), format!("{borrowed:?}"));
         }
     }
 
