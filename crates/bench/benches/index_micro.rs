@@ -6,7 +6,6 @@ use sjc_bench::microbench::{black_box, Bench};
 use sjc_data::rng::StdRng;
 use sjc_geom::{Mbr, Point};
 use sjc_index::entry::IndexEntry;
-use sjc_index::grid::GridIndex;
 use sjc_index::partition::{
     BspPartitioner, FixedGridPartitioner, SpatialPartitioner, StrTilePartitioner,
 };
@@ -37,9 +36,6 @@ fn bench_rtree_build(b: &mut Bench) {
         b.bench_in("rtree_build", &format!("str_bulk/{n}"), || {
             RTree::bulk_load_str(black_box(es.clone())).num_nodes()
         });
-        b.bench_in("rtree_build", &format!("hilbert_bulk/{n}"), || {
-            RTree::bulk_load_hilbert(black_box(es.clone())).num_nodes()
-        });
         if n <= 10_000 {
             b.bench_in("rtree_build", &format!("dynamic_insert/{n}"), || {
                 let mut t = RTree::new_dynamic();
@@ -62,15 +58,6 @@ fn bench_rtree_query(b: &mut Bench) {
         for w in &windows {
             tree.query_into(black_box(w), &mut buf);
             total += buf.len();
-        }
-        total
-    });
-
-    let grid = GridIndex::build(Mbr::new(0.0, 0.0, 1005.0, 1005.0), &entries(100_000, 9), 16);
-    b.bench("grid_query_100k_x100", || {
-        let mut total = 0usize;
-        for w in &windows {
-            total += grid.query(black_box(w)).len();
         }
         total
     });

@@ -23,8 +23,6 @@
 pub mod cache;
 pub mod catalog;
 pub mod census;
-pub mod io;
-pub mod profile;
 pub mod rng;
 pub mod taxi;
 pub mod tiger;
@@ -32,4 +30,3 @@ pub mod tsv;
 
 pub use cache::generate_cached;
 pub use catalog::{DatasetId, DatasetSpec, ScaledDataset};
-pub use profile::DatasetProfile;

@@ -6,9 +6,9 @@
 //! pipes pay for, and what the cost model's parse/serialize constants meter.
 //!
 //! A dataset's text is one buffer, written once: the file HDFS would hold.
-//! A line is a `split_terminator('\n')` slice of it — `write_tsv` writes the
-//! buffer as it is, and HadoopGIS's streaming jobs pass the slices around —
-//! so the volume a stage pipes is the buffer's `len()`.
+//! A line is a `split_terminator('\n')` slice of it, and HadoopGIS's
+//! streaming jobs pass the slices around, so the volume a stage pipes is the
+//! buffer's `len()`.
 
 use std::fmt::Write as _;
 

@@ -7,19 +7,13 @@
 //! polyline-polyline intersection for `edges × linearwater`), plus distance
 //! computation used by within-distance joins.
 
-pub mod clip;
-pub mod convex_hull;
 pub mod distance;
 pub mod intersects;
 pub mod point_in_polygon;
-pub mod simplify;
 
-pub use clip::{clip_linestring, clip_polygon, clip_segment};
-pub use convex_hull::{convex_hull, convex_hull_ring};
 pub use distance::{point_segment_distance, point_to_linestring_distance};
 pub use intersects::{
     linestrings_intersect, linestrings_intersect_hinted, polygon_intersects_linestring,
     polygons_intersect,
 };
 pub use point_in_polygon::point_in_polygon;
-pub use simplify::simplify;

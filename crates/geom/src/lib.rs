@@ -42,7 +42,6 @@ mod multi_tests;
 pub mod point;
 pub mod polygon;
 pub mod predicates;
-pub mod wkb;
 pub mod wkt;
 
 pub use engine::{EngineKind, GeometryEngine};

@@ -59,11 +59,6 @@ impl Polygon {
         Mbr::from_points(self.shell.iter())
     }
 
-    /// Signed area of the shell (positive = counter-clockwise winding).
-    pub fn signed_area(&self) -> f64 {
-        ring_signed_area(&self.shell)
-    }
-
     /// Area of the polygon: |shell| minus |holes|.
     pub fn area(&self) -> f64 {
         let shell = ring_signed_area(&self.shell).abs();
@@ -178,8 +173,8 @@ mod tests {
     fn winding_direction_signs_area() {
         let ccw = Polygon::new(pts(&[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]));
         let cw = Polygon::new(pts(&[(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]));
-        assert!(ccw.signed_area() > 0.0);
-        assert!(cw.signed_area() < 0.0);
+        assert!(ring_signed_area(ccw.shell()) > 0.0);
+        assert!(ring_signed_area(cw.shell()) < 0.0);
         assert_eq!(ccw.area(), cw.area());
     }
 

@@ -88,17 +88,6 @@ fn write_wkt_appends_exactly_to_wkt_and_never_a_line_break() {
 }
 
 #[test]
-fn wkb_round_trip() {
-    use sjc_geom::wkb::{parse_wkb, to_wkb};
-    cases(0x6E02, N, |rng| {
-        let g = geometry(rng);
-        let bytes = to_wkb(&g);
-        let parsed = parse_wkb(&bytes).expect("writer output must parse");
-        assert_eq!(parsed, g);
-    });
-}
-
-#[test]
 fn wkt_parser_never_panics_on_garbage() {
     const ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789 (),.-";
     cases(0x6E03, N, |rng| {
@@ -110,21 +99,6 @@ fn wkt_parser_never_panics_on_garbage() {
         if let Ok(g) = parse_wkt(&input) {
             let re = to_wkt(&g);
             assert_eq!(parse_wkt(&re).expect("writer output parses"), g);
-        }
-    });
-}
-
-#[test]
-fn wkb_rejects_arbitrary_bytes_or_parses_cleanly() {
-    // Fuzzing the decoder: it must never panic; any Ok result must
-    // re-encode to a decodable value.
-    use sjc_geom::wkb::{parse_wkb, to_wkb};
-    cases(0x6E04, N, |rng| {
-        let len = rng.usize_in(0..200);
-        let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-        if let Ok(g) = parse_wkb(&bytes) {
-            let re = to_wkb(&g);
-            assert_eq!(parse_wkb(&re).expect("re-encode parses"), g);
         }
     });
 }

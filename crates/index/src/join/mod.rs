@@ -23,14 +23,12 @@
 //! simulator can charge index traversal and comparison costs.
 
 mod indexed_nested_loop;
-mod knn_join;
 mod plane_sweep;
 mod soa;
 mod stripe_sweep;
 mod sync_rtree;
 
 pub use indexed_nested_loop::indexed_nested_loop;
-pub use knn_join::knn_join;
 pub use plane_sweep::plane_sweep;
 pub use soa::SoaBatch;
 pub use stripe_sweep::stripe_sweep;

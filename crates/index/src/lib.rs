@@ -6,8 +6,6 @@
 //!   in its HDFS block files and SpatialSpark broadcasts) plus a dynamic
 //!   insertion mode with quadratic split (what HadoopGIS gets from
 //!   libspatialindex);
-//! * [`grid`] — a uniform bucket grid, the simpler index structure used for
-//!   partitioning and as a local-join alternative;
 //! * [`partition`] — spatial partitioners (fixed grid, STR tiles from a
 //!   sample, BSP/k-d splits from a sample — the SATO family) with the
 //!   multi-assignment + reference-point de-duplication machinery that
@@ -18,7 +16,6 @@
 //!   which the test suite cross-validates.
 
 pub mod entry;
-pub mod grid;
 pub mod join;
 pub mod partition;
 pub mod rtree;

@@ -9,7 +9,9 @@
 //! without it, a bench-crate helper named `run` would taint every `run` in
 //! the simulation crates and the entropy pass would drown in false
 //! positives. With it, taint can only flow along edges the build graph
-//! actually has.
+//! actually has. For the same reason a call from library code never
+//! resolves to a test-only function, which the library build does not
+//! contain.
 
 use std::collections::BTreeMap;
 
@@ -159,8 +161,9 @@ pub fn build(models: &[FileModel]) -> CallGraph {
     }
 
     let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); fns.len()];
-    for (id, &(fi, _)) in fns.iter().enumerate() {
+    for (id, &(fi, gi)) in fns.iter().enumerate() {
         let caller_file = &models[fi];
+        let caller_in_test = caller_file.fns[gi].in_test;
         for call in &calls[id] {
             let Some(cands) = by_name.get(call.name.as_str()) else { continue };
             let segs = &call.path[..call.path.len() - 1];
@@ -178,8 +181,13 @@ pub fn build(models: &[FileModel]) -> CallGraph {
                 .find(|s| !is_scope_segment(s))
                 .filter(|s| s.chars().next().is_some_and(|c| c.is_lowercase()));
             for &cand in cands {
-                let (cfi, _) = fns[cand];
+                let (cfi, cgi) = fns[cand];
                 let callee_file = &models[cfi];
+                // Test-only code is not compiled into the library, so a
+                // library call can never reach it.
+                if !caller_in_test && callee_file.fns[cgi].in_test {
+                    continue;
+                }
                 let callee_crate = &callee_file.krate;
                 let crate_ok = match segs.first().map(String::as_str) {
                     // Crate-relative paths stay inside the caller's crate.
@@ -323,6 +331,27 @@ mod tests {
         let callees: Vec<FnId> = g.edges[0].iter().map(|e| e.callee).collect();
         assert_eq!(callees, [1], "edges: {:?}", g.edges[0]);
         assert_eq!(g.edges[0][0].via, "probe_count");
+    }
+
+    #[test]
+    fn library_calls_never_resolve_to_test_only_functions() {
+        // A library helper `lines` in core once inherited the `panic!` of a
+        // same-named test helper in `sjc_data`'s tiger.rs, because core
+        // imports sjc_data.
+        let a = FileModel::build(
+            "crates/core/src/hadoopgis/mod.rs",
+            "use sjc_data::tsv;\npub fn run(t: &str) -> usize { lines(t) }\nfn lines(t: &str) -> usize { t.len() }\n",
+        );
+        let b = FileModel::build(
+            "crates/data/src/tiger.rs",
+            "pub fn edges() {}\n#[cfg(test)]\nmod tests {\n    fn lines(n: usize) -> usize { if n == 0 { panic!(\"none\") } n }\n    #[test]\n    fn t() { lines(3); }\n}\n",
+        );
+        let g = build(&[a, b]);
+        // fns: run(0), core::lines(1), edges(2), tests::lines(3), tests::t(4)
+        let callees = |id: FnId| -> Vec<FnId> { g.edges[id].iter().map(|e| e.callee).collect() };
+        assert_eq!(callees(0), [1], "edges: {:?}", g.edges[0]);
+        // Test → test edges still resolve.
+        assert_eq!(callees(4), [3], "edges: {:?}", g.edges[4]);
     }
 
     #[test]

@@ -104,7 +104,6 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/rdd/src/rdd.rs",
     "crates/rdd/src/shuffle.rs",
     "crates/index/src/rtree/str_bulk.rs",
-    "crates/index/src/rtree/hilbert.rs",
     "crates/index/src/join/plane_sweep.rs",
 ];
 
@@ -1227,6 +1226,15 @@ mod tests {
         assert!(check_file("crates/mapreduce/src/lib.rs", src).is_empty());
         let suppressed = "pub fn f(tasks: &[u8]) {\n    // sjc-lint: allow(serial-hot-loop) — merge must preserve task order\n    for t in tasks { g(t); }\n}\n";
         assert!(check_file("crates/mapreduce/src/job.rs", suppressed).is_empty());
+    }
+
+    #[test]
+    fn hot_path_files_exist() {
+        // A deleted or renamed file would otherwise leave a silently dead entry.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for rel in HOT_PATH_FILES {
+            assert!(root.join(rel).is_file(), "HOT_PATH_FILES names a missing file: {rel}");
+        }
     }
 
     #[test]

@@ -419,44 +419,6 @@ impl<'a> MapReduceJob<'a> {
         }
     }
 
-    /// Runs a full map → shuffle → reduce job with a map-side **combiner**:
-    /// per map task, same-key values are pre-aggregated before the shuffle,
-    /// cutting shuffle volume — the classic Hadoop optimization for
-    /// aggregation-shaped jobs. `combine` folds one task's values for one
-    /// key into fewer `(value, serialized_bytes)` pairs.
-    pub fn map_combine_reduce<T: Sync, K, V, O>(
-        &mut self,
-        cfg: &JobConfig,
-        tasks: Vec<MapTask<T>>,
-        map: impl Fn(&T, &mut MapEmitter<K, V>) + Sync,
-        combine: impl Fn(&K, Vec<V>) -> Vec<(V, u64)> + Sync,
-        reduce: impl Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync,
-    ) -> Result<JobOutcome<O>, SimError>
-    where
-        K: Ord + Clone + Send + Sync,
-        V: Send + Sync,
-        O: Send,
-    {
-        let cost = self.cluster.cost.clone();
-        let combiner = |em: MapEmitter<K, V>| -> MapEmitter<K, V> {
-            let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
-            let n = em.pairs.len() as u64;
-            for (k, v) in em.pairs {
-                grouped.entry(k).or_default().push(v);
-            }
-            let mut out = MapEmitter::new();
-            // The combine pass sorts the task's output; charge it.
-            out.extra_cpu_ns = em.extra_cpu_ns + cost.sort_ns(n);
-            for (k, vs) in grouped {
-                for (v, bytes) in combine(&k, vs) {
-                    out.emit(k.clone(), v, bytes);
-                }
-            }
-            out
-        };
-        self.map_reduce_inner(cfg, tasks, &map, Some(&combiner), &reduce)
-    }
-
     /// Runs a full map → shuffle → reduce job. Keys are grouped with a
     /// deterministic sort order.
     pub fn map_reduce<T: Sync, K, V, O>(
@@ -471,7 +433,7 @@ impl<'a> MapReduceJob<'a> {
         V: Send + Sync,
         O: Send,
     {
-        self.map_reduce_inner(cfg, tasks, &map, None, &reduce)
+        self.map_reduce_inner(cfg, tasks, &map, &reduce)
     }
 
     /// Host-parallel core: map tasks and reduce groups each run through
@@ -484,7 +446,6 @@ impl<'a> MapReduceJob<'a> {
         cfg: &JobConfig,
         tasks: Vec<MapTask<T>>,
         map: &(dyn Fn(&T, &mut MapEmitter<K, V>) + Sync),
-        combiner: Option<&(dyn Fn(MapEmitter<K, V>) -> MapEmitter<K, V> + Sync)>,
         reduce: &(dyn Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync),
     ) -> Result<JobOutcome<O>, SimError>
     where
@@ -513,10 +474,7 @@ impl<'a> MapReduceJob<'a> {
                 for rec in &task.records {
                     map(rec, &mut em);
                 }
-                match combiner {
-                    Some(comb) => comb(em),
-                    None => em,
-                }
+                em
             },
         );
         // sjc-lint: allow(serial-hot-loop) — shuffle grouping must append values in task order; map closures already ran in parallel above
@@ -823,49 +781,6 @@ mod tests {
         let max = *outcome.group_bytes.iter().max().unwrap();
         let min = *outcome.group_bytes.iter().min().unwrap();
         assert!(max > 50 * min, "skew visible in group bytes");
-    }
-
-    #[test]
-    fn combiner_reduces_shuffle_volume_not_results() {
-        let cluster = cluster();
-        let words: Vec<u64> = (0..10_000).map(|i| i % 7).collect();
-        let tasks = || block_splits(&words, 8.0, 8 << 10); // ~1024 words/task
-
-        let mut hdfs = SimHdfs::new(1);
-        let mut engine = MapReduceJob::new(&cluster, &mut hdfs);
-        let cfg = JobConfig::new("wc", Phase::DistributedJoin, 1.0).write_output(false);
-        let plain = engine
-            .map_reduce(
-                &cfg,
-                tasks(),
-                |w, em| em.emit(*w, 1u64, 16),
-                |k, vs, em| em.emit((*k, vs.iter().sum::<u64>()), 16),
-            )
-            .unwrap();
-
-        let mut hdfs2 = SimHdfs::new(1);
-        let mut engine2 = MapReduceJob::new(&cluster, &mut hdfs2);
-        let combined = engine2
-            .map_combine_reduce(
-                &cfg,
-                tasks(),
-                |w, em| em.emit(*w, 1u64, 16),
-                |_k, vs| vec![(vs.iter().sum::<u64>(), 16)],
-                |k, vs, em| em.emit((*k, vs.iter().sum::<u64>()), 16),
-            )
-            .unwrap();
-
-        let mut a = plain.output.clone();
-        let mut b = combined.output.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "combining never changes the result");
-        assert!(
-            combined.stats.shuffle_bytes * 10 < plain.stats.shuffle_bytes,
-            "combiner collapses {} shuffle bytes to {}",
-            plain.stats.shuffle_bytes,
-            combined.stats.shuffle_bytes
-        );
     }
 
     #[test]

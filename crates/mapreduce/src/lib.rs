@@ -21,12 +21,10 @@
 //! failure checks use the extrapolated volumes, so Table 2's full-dataset
 //! failures emerge from the same mechanism at any generation scale.
 
-pub mod counters;
 pub mod input_format;
 pub mod job;
 pub mod streaming;
 
-pub use counters::Counters;
 pub use input_format::{block_splits, MapTask};
 pub use job::{JobConfig, JobStats, MapEmitter, MapReduceJob, ReduceEmitter};
 pub use streaming::{StreamingJob, StreamingOutcome, TextLen};

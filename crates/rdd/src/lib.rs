@@ -3,10 +3,10 @@
 //! The platform substrate under our SpatialSpark reproduction. Mirrors the
 //! Spark 1.x execution model the paper evaluated:
 //!
-//! * typed, partitioned datasets ([`Rdd`]) with narrow transformations
-//!   (`map`, `flat_map`, `filter`, `sample`) that *pipeline* — their CPU
-//!   cost accumulates per partition and is only turned into a stage
-//!   makespan at the next shuffle or action;
+//! * typed, partitioned datasets ([`Rdd`]) whose narrow transformation
+//!   (`flat_map`) *pipelines* — its CPU cost accumulates per partition and
+//!   is only turned into a stage makespan at the next shuffle or action
+//!   (`collect`, or the cache-warming `sample_collect`);
 //! * wide operations (`group_by_key`, `join`) that shuffle **in memory**
 //!   ([`shuffle`]) — no HDFS writes between stages, the paper's core
 //!   explanation for SpatialSpark's efficiency;

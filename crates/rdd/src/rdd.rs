@@ -1,4 +1,4 @@
-//! The [`Rdd`] type and its narrow transformations.
+//! The [`Rdd`] type, its narrow transformation and its actions.
 
 use sjc_cluster::metrics::Phase;
 use sjc_cluster::{SimError, SimNs};
@@ -8,11 +8,11 @@ use crate::record::SparkRecord;
 
 /// A partitioned, in-memory dataset.
 ///
-/// Narrow transformations (`map`, `flat_map`, `filter`, `sample`) run
-/// eagerly on the host but *pipeline* in the simulation: their cost
-/// accumulates in `pending_ns` per partition and only becomes a stage
-/// makespan when a wide operation or action closes the stage — exactly how
-/// Spark fuses narrow ops into one stage.
+/// The narrow transformation (`flat_map`) runs eagerly on the host but
+/// *pipelines* in the simulation: its cost accumulates in `pending_ns` per
+/// partition and only becomes a stage makespan when a wide operation or
+/// action closes the stage — exactly how Spark fuses narrow ops into one
+/// stage.
 pub struct Rdd<T> {
     pub(crate) parts: Vec<Vec<T>>,
     /// Full-scale pending CPU per partition since the last stage boundary.
@@ -29,11 +29,6 @@ pub struct Rdd<T> {
 }
 
 impl<T: SparkRecord + Clone> Rdd<T> {
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Total records (generation scale).
     pub fn count(&self) -> usize {
         self.parts.iter().map(Vec::len).sum()
@@ -44,132 +39,36 @@ impl<T: SparkRecord + Clone> Rdd<T> {
         self.mem_full.iter().sum()
     }
 
-    /// Per-partition full-scale footprints (for memory checks).
-    pub fn mem_full(&self) -> &[u64] {
-        &self.mem_full
-    }
-
-    pub fn multiplier(&self) -> f64 {
-        self.multiplier
-    }
-
-    /// Length of the narrow-op chain a lost partition would replay.
-    pub fn lineage_depth(&self) -> u32 {
-        self.lineage_depth
-    }
-
-    /// Narrow map. `f` receives each record and a per-record extra-cost
+    /// Narrow flat-map. `f` receives each record and a per-record extra-cost
     /// accumulator (generation-scale ns) for spatial work such as index
-    /// probes.
-    pub fn map<U: SparkRecord>(
-        self,
-        ctx: &SparkContext<'_>,
-        f: impl Fn(&T, &mut SimNs) -> U + Sync,
-    ) -> Rdd<U> {
-        self.transform(ctx, |rec, extra, out| out.push(f(rec, extra)))
-    }
-
-    /// Narrow flat-map.
+    /// probes; each partition is charged the Spark per-record overhead plus
+    /// its accumulated extra cost, and its memory is recomputed.
+    ///
+    /// Partitions are independent, so `f` runs on them concurrently
+    /// (`sjc-par`, order-preserving) and the per-partition pending-cost and
+    /// memory vectors are reassembled in partition order, bit-identical at
+    /// every thread count.
     pub fn flat_map<U: SparkRecord>(
         self,
         ctx: &SparkContext<'_>,
         f: impl Fn(&T, &mut SimNs) -> Vec<U> + Sync,
     ) -> Rdd<U> {
-        self.transform(ctx, |rec, extra, out| out.extend(f(rec, extra)))
-    }
-
-    /// Narrow filter.
-    pub fn filter(self, ctx: &SparkContext<'_>, pred: impl Fn(&T) -> bool + Sync) -> Rdd<T> {
-        self.transform(ctx, |rec, _extra, out| {
-            if pred(rec) {
-                out.push(rec.clone());
-            }
-        })
-    }
-
-    /// Narrow per-partition map (Spark's `mapPartitions`): `f` sees a whole
-    /// partition at once — the idiom for amortizing per-partition setup
-    /// (index builds, connection pools). `extra` charges generation-scale
-    /// ns of setup/compute for the partition.
-    pub fn map_partitions<U: SparkRecord>(
-        self,
-        ctx: &SparkContext<'_>,
-        f: impl Fn(&[T], &mut SimNs) -> Vec<U> + Sync,
-    ) -> Rdd<U> {
-        self.transform_parts(ctx, |_, src, extra| f(src, extra))
-    }
-
-    /// Deterministic Bernoulli sample (Spark's `RDD.sample`): record `i` of
-    /// a partition survives when a seeded hash of its index falls below
-    /// `fraction`.
-    ///
-    /// The serial implementation threaded one LCG counter through every
-    /// record in partition order; to evaluate partitions in parallel with a
-    /// bit-identical keep set, each partition jumps the counter ahead by the
-    /// number of records in all earlier partitions ([`lcg_jump`] is exact).
-    pub fn sample(self, ctx: &SparkContext<'_>, fraction: f64, seed: u64) -> Rdd<T> {
-        assert!((0.0..=1.0).contains(&fraction), "fraction in [0,1]");
-        let threshold = (fraction * u64::MAX as f64) as u64;
-        let offsets = record_offsets(&self.parts);
-        self.transform_parts(ctx, move |i, src, _extra| {
-            let mut counter = lcg_jump(seed, offsets.get(i).copied().unwrap_or(0));
-            let mut out = Vec::new();
-            for rec in src {
-                counter = lcg_step(counter);
-                if (counter >> 1) < (threshold >> 1) {
-                    out.push(rec.clone());
-                }
-            }
-            out
-        })
-    }
-
-    /// Shared narrow-op machinery: runs `op` per record, charges the Spark
-    /// per-record overhead plus accumulated extra cost, recomputes memory.
-    fn transform<U: SparkRecord>(
-        self,
-        ctx: &SparkContext<'_>,
-        op: impl Fn(&T, &mut SimNs, &mut Vec<U>) + Sync,
-    ) -> Rdd<U> {
-        self.transform_parts(ctx, |_, src, extra| {
-            let mut out: Vec<U> = Vec::with_capacity(src.len());
-            for rec in src {
-                op(rec, extra, &mut out);
-            }
-            out
-        })
-    }
-
-    /// Partition-parallel core of every narrow op: partitions are
-    /// independent, so `op` runs on them concurrently (`sjc-par`,
-    /// order-preserving) and the per-partition pending-cost/memory vectors
-    /// are reassembled in partition order — bit-identical to the old serial
-    /// loop at every thread count. `op` receives the partition index so
-    /// sequence-dependent ops (`sample`) can jump their state exactly.
-    fn transform_parts<U: SparkRecord>(
-        self,
-        ctx: &SparkContext<'_>,
-        op: impl Fn(usize, &[T], &mut SimNs) -> Vec<U> + Sync,
-    ) -> Rdd<U> {
         let cost = &ctx.cluster.cost;
         let cpu_scale = ctx.cluster.config.node.cpu_scale;
         let mult = self.multiplier;
         let depth = self.lineage_depth.saturating_add(1);
-        let indexed: Vec<(usize, Vec<T>, SimNs)> = self
-            .parts
-            .into_iter()
-            .zip(self.pending_ns)
-            .enumerate()
-            .map(|(i, (src, old))| (i, src, old))
-            .collect();
+        let inputs: Vec<(Vec<T>, SimNs)> = self.parts.into_iter().zip(self.pending_ns).collect();
         // LPT dispatch: fat partitions first, so skewed spatial partitioning
         // cannot serialize the tail; partition-order results are unchanged.
         let results: Vec<(Vec<U>, SimNs, u64)> = sjc_par::par_map_weighted(
-            &indexed,
-            |(_, src, _)| src.len() as u64,
-            |(i, src, old)| {
+            &inputs,
+            |(src, _)| src.len() as u64,
+            |(src, old)| {
                 let mut extra: SimNs = 0;
-                let out = op(*i, src, &mut extra);
+                let mut out: Vec<U> = Vec::with_capacity(src.len());
+                for rec in src {
+                    out.extend(f(rec, &mut extra));
+                }
                 let ns = cost.spark_records_ns(src.len() as u64) + extra;
                 let ns = (ns as f64 * cpu_scale) as u64;
                 let pending = old + (ns as f64 * mult) as SimNs;
@@ -241,42 +140,6 @@ impl<T: SparkRecord + Clone> Rdd<T> {
         Ok(sampled.into_iter().flatten().collect())
     }
 
-    /// Action: count records, closing the stage (cheaper than `collect` —
-    /// only per-partition counts travel to the driver).
-    pub fn count_action(
-        self,
-        ctx: &mut SparkContext<'_>,
-        name: &str,
-        phase: Phase,
-    ) -> Result<usize, SimError> {
-        let n = self.count();
-        ctx.close_stage(
-            name,
-            phase,
-            &self.pending_ns,
-            self.pending_hdfs_read,
-            0,
-            self.lineage_depth,
-            self.mem_full_total(),
-        )?;
-        Ok(n)
-    }
-
-    /// Lazily concatenates two RDDs (Spark's `union`): partitions of both
-    /// parents side by side, no shuffle, no stage boundary.
-    pub fn union(mut self, other: Rdd<T>) -> Rdd<T> {
-        assert!(
-            (self.multiplier - other.multiplier).abs() / self.multiplier.max(1e-12) < 0.5,
-            "uniting RDDs with wildly different workload multipliers loses meaning"
-        );
-        self.parts.extend(other.parts);
-        self.pending_ns.extend(other.pending_ns);
-        self.mem_full.extend(other.mem_full);
-        self.pending_hdfs_read += other.pending_hdfs_read;
-        self.lineage_depth = self.lineage_depth.max(other.lineage_depth);
-        self
-    }
-
     /// Action: collect all records to the driver, closing the stage.
     pub fn collect(
         self,
@@ -299,39 +162,6 @@ impl<T: SparkRecord + Clone> Rdd<T> {
     }
 }
 
-impl<T: SparkRecord + Clone> Rdd<T> {
-    /// Repartitions into `n` round-robin partitions (used by tests and the
-    /// broadcast-join variant to control parallelism).
-    pub fn repartition(self, ctx: &SparkContext<'_>, n: usize) -> Rdd<T> {
-        let n = n.max(1);
-        let cost = &ctx.cluster.cost;
-        let mult = self.multiplier;
-        let mut parts: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-        // sjc-lint: allow(serial-hot-loop) — round-robin scatter is a cheap move-only pass whose output order defines the partitioning
-        for (i, rec) in self.parts.into_iter().flatten().enumerate() {
-            // sjc-lint: allow(no-panic-in-lib) — i % n < n = parts.len()
-            parts[i % n].push(rec);
-        }
-        let carried: SimNs = self.pending_ns.iter().sum::<SimNs>() / n.max(1) as u64;
-        let pending = vec![carried; n];
-        let mem_full = parts
-            .iter()
-            .map(|p| {
-                let m: u64 = p.iter().map(|r| r.mem_bytes(cost)).sum();
-                (m as f64 * mult) as u64
-            })
-            .collect();
-        Rdd {
-            parts,
-            pending_ns: pending,
-            pending_hdfs_read: self.pending_hdfs_read,
-            mem_full,
-            multiplier: mult,
-            lineage_depth: self.lineage_depth,
-        }
-    }
-}
-
 /// One step of the sampling LCG (Knuth's MMIX multiplier/increment).
 #[inline]
 fn lcg_step(state: u64) -> u64 {
@@ -344,7 +174,7 @@ const LCG_ADD: u64 = 1442695040888963407;
 /// Advances the sampling LCG by `n` steps in O(log n) — the affine map
 /// `s → m·s + a` composed with itself squares to `s → m²·s + (m·a + a)`, so
 /// binary decomposition of `n` yields the exact same state the serial
-/// per-record loop would reach. This is what lets `sample` evaluate
+/// per-record loop would reach. This is what lets `sample_collect` evaluate
 /// partitions concurrently with a bit-identical keep set.
 fn lcg_jump(state: u64, n: u64) -> u64 {
     let (mut mul, mut add) = (LCG_MUL, LCG_ADD);
@@ -398,14 +228,13 @@ mod tests {
     }
 
     #[test]
-    fn map_filter_flat_map_semantics() {
+    fn flat_map_semantics_fuse_into_one_stage() {
         let cluster = ctx_cluster();
         let mut ctx = SparkContext::new(&cluster);
         let rdd = ctx.read_text((0u64..100).collect(), 4000, 1.0);
         let out = rdd
-            .map(&ctx, |x, _| x * 2)
-            .filter(&ctx, |x| x % 4 == 0)
-            .flat_map(&ctx, |x, _| vec![*x, *x + 1])
+            .flat_map(&ctx, |x, _| vec![x * 2])
+            .flat_map(&ctx, |x, _| if x % 4 == 0 { vec![*x, *x + 1] } else { Vec::new() })
             .collect(&mut ctx, "t", Phase::DistributedJoin)
             .unwrap();
         // 0..100 doubled → 0,2,..198; keep multiples of 4 → 50 values; ×2.
@@ -415,21 +244,19 @@ mod tests {
     }
 
     #[test]
-    fn sample_is_deterministic_and_proportional() {
+    fn sample_collect_is_deterministic_and_proportional() {
         let cluster = ctx_cluster();
-        let mut ctx = SparkContext::new(&cluster);
-        let a = ctx
-            .read_text((0u64..10_000).collect(), 40_000, 1.0)
-            .sample(&ctx, 0.1, 42)
-            .collect(&mut ctx, "s", Phase::IndexA)
-            .unwrap();
-        let mut ctx2 = SparkContext::new(&cluster);
-        let b = ctx2
-            .read_text((0u64..10_000).collect(), 40_000, 1.0)
-            .sample(&ctx2, 0.1, 42)
-            .collect(&mut ctx2, "s", Phase::IndexA)
-            .unwrap();
-        assert_eq!(a, b, "same seed, same sample");
+        let draw = |seed: u64| {
+            let mut ctx = SparkContext::new(&cluster);
+            let mut rdd = ctx.read_text((0u64..10_000).collect(), 40_000, 1.0);
+            let sample = rdd.sample_collect(&mut ctx, "s", Phase::IndexA, 0.1, seed).unwrap();
+            assert_eq!(ctx.trace.stages.len(), 1, "the sampling action closes the load stage");
+            assert!(rdd.pending_ns.iter().all(|&p| p == 0), "the cache is warm afterwards");
+            sample
+        };
+        let a = draw(42);
+        assert_eq!(a, draw(42), "same seed, same sample");
+        assert_ne!(a, draw(44), "another seed, another sample");
         assert!((800..1200).contains(&a.len()), "~10% kept, got {}", a.len());
     }
 
@@ -439,9 +266,9 @@ mod tests {
         let mut ctx = SparkContext::new(&cluster);
         let rdd = ctx.read_text((0u64..1000).collect(), 40_000, 1.0);
         let after_load: SimNs = rdd.pending_ns.iter().sum();
-        let mapped = rdd.map(&ctx, |x, extra| {
+        let mapped = rdd.flat_map(&ctx, |x, extra| {
             *extra += 100;
-            x + 1
+            vec![x + 1]
         });
         let after_map: SimNs = mapped.pending_ns.iter().sum();
         assert!(after_map > after_load);
@@ -456,62 +283,5 @@ mod tests {
         let big = ctx2.read_text((0u64..1000).collect(), 40_000, 1000.0);
         assert_eq!(small.count(), big.count());
         assert!(big.mem_full_total() > 500 * small.mem_full_total());
-    }
-
-    #[test]
-    fn map_partitions_sees_whole_partitions() {
-        let cluster = ctx_cluster();
-        let mut ctx = SparkContext::new(&cluster);
-        let rdd = ctx.read_text((0u64..100).collect(), 4000, 1.0);
-        let n_parts = rdd.num_partitions();
-        // Emit one record per partition: its size.
-        let sizes = rdd
-            .map_partitions(&ctx, |part, extra| {
-                *extra += 1000;
-                vec![part.len() as u64]
-            })
-            .collect(&mut ctx, "sizes", Phase::IndexA)
-            .unwrap();
-        assert_eq!(sizes.len(), n_parts);
-        assert_eq!(sizes.iter().sum::<u64>(), 100);
-    }
-
-    #[test]
-    fn count_action_counts_without_collecting() {
-        let cluster = ctx_cluster();
-        let mut ctx = SparkContext::new(&cluster);
-        let n = ctx
-            .read_text((0u64..1234).collect(), 4000, 1.0)
-            .filter(&ctx, |x| x % 2 == 0)
-            .count_action(&mut ctx, "count", Phase::IndexA)
-            .unwrap();
-        assert_eq!(n, 617);
-        assert_eq!(ctx.trace.stages.len(), 1);
-    }
-
-    #[test]
-    fn union_concatenates_without_a_stage() {
-        let cluster = ctx_cluster();
-        let mut ctx = SparkContext::new(&cluster);
-        let a = ctx.read_text((0u64..10).collect(), 400, 1.0);
-        let b = ctx.read_text((100u64..110).collect(), 400, 1.0);
-        let stages_before = ctx.trace.stages.len();
-        let u = a.union(b);
-        assert_eq!(ctx.trace.stages.len(), stages_before, "union is lazy");
-        let mut all = u.collect(&mut ctx, "c", Phase::IndexA).unwrap();
-        all.sort_unstable();
-        let expected: Vec<u64> = (0..10).chain(100..110).collect();
-        assert_eq!(all, expected);
-    }
-
-    #[test]
-    fn repartition_preserves_records() {
-        let cluster = ctx_cluster();
-        let mut ctx = SparkContext::new(&cluster);
-        let rdd = ctx.read_text((0u64..100).collect(), 4000, 1.0).repartition(&ctx, 7);
-        assert_eq!(rdd.num_partitions(), 7);
-        let mut out = rdd.collect(&mut ctx, "r", Phase::IndexA).unwrap();
-        out.sort_unstable();
-        assert_eq!(out, (0u64..100).collect::<Vec<_>>());
     }
 }

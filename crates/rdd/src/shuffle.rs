@@ -166,125 +166,6 @@ where
     }
 }
 
-impl<K, V> Rdd<(K, V)>
-where
-    K: SparkRecord + SparkKey + Ord + Hash + Clone,
-    V: SparkRecord + Clone,
-{
-    /// `reduceByKey`: folds same-key values with `f`, combining **map-side
-    /// first** so only one value per (task, key) is shuffled — the reason
-    /// Spark lore says "use reduceByKey, not groupByKey". The spatial join
-    /// cannot use it (the local join needs the full record lists), which is
-    /// precisely why SpatialSpark's groupByKey OOMs where an aggregation
-    /// would not; the `rdd_extra_ops` tests demonstrate the difference.
-    pub fn reduce_by_key(
-        self,
-        ctx: &mut SparkContext<'_>,
-        name: &str,
-        phase: Phase,
-        num_partitions: usize,
-        f: impl Fn(&V, &V) -> V + Sync,
-    ) -> Result<Rdd<(K, V)>, SimError> {
-        let p = num_partitions.max(1);
-        let cost = ctx.cluster.cost.clone();
-        let node = ctx.cluster.config.node;
-        let nodes = ctx.cluster.config.nodes;
-        let mult = self.multiplier;
-        let remote_fraction = if nodes > 1 { (nodes - 1) as f64 / nodes as f64 } else { 0.0 };
-
-        // Map-side combine: each task's partition is independent, so the
-        // combines run in parallel and the results land back in task order.
-        let combined: Vec<(u64, BTreeMap<K, V>)> = sjc_par::par_map(&self.parts, |part| {
-            let mut local: BTreeMap<K, V> = BTreeMap::new();
-            for (k, v) in part {
-                match local.get_mut(k) {
-                    Some(acc) => *acc = f(acc, v),
-                    None => {
-                        // sjc-lint: allow(hot-alloc) — first sight of a key: the combiner map must own it; every later record folds in place
-                        local.insert(k.clone(), v.clone());
-                    }
-                }
-            }
-            // Combine cost: one pass over the partition's records.
-            let combine_cpu =
-                (cost.spark_records_ns(part.len() as u64) as f64 * node.cpu_scale * mult) as u64;
-            // Shuffle write: only the combined values leave the task.
-            let combined_mem: u64 = local
-                .iter()
-                .map(|r| {
-                    let pair_ref: (&K, &V) = r;
-                    24 + pair_ref.0.mem_bytes(&cost) + pair_ref.1.mem_bytes(&cost)
-                })
-                .sum();
-            let combined_full =
-                (combined_mem as f64 * mult / part.len().max(1) as f64 * local.len() as f64) as u64; // conservative: scale by density
-            let ser = (combined_full as f64 * cost.spark_shuffle_ser_fraction) as u64;
-            let ns = combine_cpu
-                + (cost.serialize_ns(ser) as f64 * node.cpu_scale) as u64
-                + cost.io_ns(ser, node.slot_disk_write_bw())
-                + cost.io_ns((ser as f64 * remote_fraction) as u64, node.slot_net_bw());
-            (ns, local)
-        });
-        let mut write_pending = self.pending_ns.clone();
-        let mut combined_parts: Vec<BTreeMap<K, V>> = Vec::with_capacity(self.parts.len());
-        for (wp, (ns, local)) in write_pending.iter_mut().zip(combined) {
-            *wp += ns;
-            combined_parts.push(local);
-        }
-
-        // Merge combined values across tasks.
-        let mut merged: BTreeMap<K, V> = BTreeMap::new();
-        for local in combined_parts {
-            for (k, v) in local {
-                match merged.get_mut(&k) {
-                    Some(acc) => *acc = f(acc, &v),
-                    None => {
-                        merged.insert(k, v);
-                    }
-                }
-            }
-        }
-        let mut parts: Vec<Vec<(K, V)>> = (0..p).map(|_| Vec::new()).collect();
-        for (k, v) in merged {
-            let idx = (hash_of(&k) % p as u64) as usize;
-            // sjc-lint: allow(no-panic-in-lib) — idx = hash % p < p = parts.len()
-            parts[idx].push((k, v));
-        }
-
-        let mut mem_full = Vec::with_capacity(p);
-        let mut read_pending = Vec::with_capacity(p);
-        // Combined results are one value per key: modeled at generation
-        // scale directly (keys don't multiply with the workload).
-        for (mem, ns) in sjc_par::par_map(&parts, |part| {
-            let mem: u64 = part.iter().map(|r| r.mem_bytes(&cost)).sum();
-            (mem, cost.spark_records_ns(part.len() as u64))
-        }) {
-            mem_full.push(mem);
-            read_pending.push(ns);
-        }
-        check_fits(ctx.cluster, name, &[&self.mem_full, &mem_full])?;
-        let shuffle_bytes: u64 = mem_full.iter().sum();
-        ctx.close_stage(
-            name,
-            phase,
-            &write_pending,
-            self.pending_hdfs_read,
-            shuffle_bytes,
-            self.lineage_depth,
-            shuffle_bytes,
-        )?;
-
-        Ok(Rdd {
-            parts,
-            pending_ns: read_pending,
-            pending_hdfs_read: 0,
-            mem_full,
-            multiplier: mult,
-            lineage_depth: 1,
-        })
-    }
-}
-
 impl<K, A> Rdd<(K, A)>
 where
     K: SparkRecord + SparkKey + Ord + Hash + Clone,
@@ -479,54 +360,6 @@ mod tests {
         };
         assert!(run(ClusterConfig::ec2(2)).is_err(), "small cluster OOMs");
         assert!(run(ClusterConfig::workstation()).is_ok(), "128 GB WS survives");
-    }
-
-    #[test]
-    fn reduce_by_key_matches_group_then_fold() {
-        let cluster = Cluster::new(ClusterConfig::workstation());
-        let pairs: Vec<(u64, u64)> = (0..1000).map(|i| (i % 13, i)).collect();
-        let mut ctx = SparkContext::new(&cluster);
-        let reduced = ctx
-            .read_text(pairs.clone(), 8000, 1.0)
-            .reduce_by_key(&mut ctx, "rbk", Phase::DistributedJoin, 8, |a, b| a + b)
-            .unwrap();
-        let mut got = reduced.collect(&mut ctx, "c", Phase::DistributedJoin).unwrap();
-        got.sort();
-        let mut expected: std::collections::BTreeMap<u64, u64> = Default::default();
-        for (k, v) in pairs {
-            *expected.entry(k).or_default() += v;
-        }
-        assert_eq!(got, expected.into_iter().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn reduce_by_key_survives_where_group_by_key_oom() {
-        // The famous Spark pattern: an aggregation expressed as groupByKey
-        // materializes every value and dies; as reduceByKey it combines
-        // map-side and sails through. The spatial join *must* group, which
-        // is why SpatialSpark inherits the fragile variant.
-        let pairs: Vec<(u64, u64)> = (0..10_000).map(|i| (i % 100, i)).collect();
-        let mult = 3e4;
-        let cluster = Cluster::new(ClusterConfig::ec2(2));
-
-        let mut ctx = SparkContext::new(&cluster);
-        let grouped = ctx.read_text(pairs.clone(), 400_000, mult).group_by_key(
-            &mut ctx,
-            "g",
-            Phase::DistributedJoin,
-            64,
-        );
-        assert!(grouped.is_err(), "groupByKey at this scale OOMs");
-
-        let mut ctx2 = SparkContext::new(&cluster);
-        let reduced = ctx2.read_text(pairs, 400_000, mult).reduce_by_key(
-            &mut ctx2,
-            "r",
-            Phase::DistributedJoin,
-            64,
-            |a, b| a.wrapping_add(*b),
-        );
-        assert!(reduced.is_ok(), "reduceByKey combines map-side and fits");
     }
 
     #[test]
