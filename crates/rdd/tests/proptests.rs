@@ -43,52 +43,60 @@ fn flat_map_matches_iterators() {
     });
 }
 
+/// Both wide operators place key `k` in shuffle partition `k % p` (the
+/// identity hash on integer keys) and hold each partition's keys in
+/// ascending order; `collect` concatenates the partitions. A stable sort on
+/// `(k % p, k)` turns a key-grouped model into that output order.
+fn shuffle_order<T>(records: &mut [(u64, T)], p: usize) {
+    records.sort_by_key(|r| (r.0 % p as u64, r.0));
+}
+
 #[test]
 fn group_by_key_matches_btreemap() {
     cases(0x4D02, N, |rng| {
         let pairs = pairs(rng, 0..30, 0..1000, 0..400);
+        let p = rng.usize_in(1..9);
         let cluster = cluster();
         let mut ctx = SparkContext::new(&cluster);
         let grouped = ctx
             .read_text(pairs.clone(), pairs.len() as u64 * 16, 1.0)
-            .group_by_key(&mut ctx, "g", Phase::DistributedJoin, 8)
+            .group_by_key(&mut ctx, "g", Phase::DistributedJoin, p)
             .unwrap()
             .collect(&mut ctx, "c", Phase::DistributedJoin)
             .unwrap();
-        let mut expected: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        // Values stay in input order within a key.
+        let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for (k, v) in pairs {
-            expected.entry(k).or_default().push(v);
+            model.entry(k).or_default().push(v);
         }
-        let mut got: BTreeMap<u64, Vec<u64>> = grouped.into_iter().collect();
-        for vs in got.values_mut() {
-            vs.sort_unstable();
-        }
-        let expected: BTreeMap<u64, Vec<u64>> = expected
-            .into_iter()
-            .map(|(k, mut vs)| {
-                vs.sort_unstable();
-                (k, vs)
-            })
-            .collect();
-        assert_eq!(got, expected);
+        let mut expected: Vec<(u64, Vec<u64>)> = model.into_iter().collect();
+        shuffle_order(&mut expected, p);
+        assert_eq!(grouped, expected);
     });
 }
 
 #[test]
 fn join_matches_nested_loops() {
     cases(0x4D04, N, |rng| {
-        let left = pairs(rng, 0..12, 0..50, 0..60);
-        let right = pairs(rng, 0..12, 100..150, 0..60);
+        // Up to 60 pairs over 12 keys repeat keys on both sides; the key
+        // ranges overlap by half, so some keys exist on one side only; one
+        // case in five leaves a side empty.
+        let shape = rng.usize_in(0..10);
+        let left_len = if shape == 0 { 0..1 } else { 0..60 };
+        let right_len = if shape == 1 { 0..1 } else { 0..60 };
+        let left = pairs(rng, 0..12, 0..50, left_len);
+        let right = pairs(rng, 6..18, 100..150, right_len);
+        let p = rng.usize_in(1..6);
         let cluster = cluster();
         let mut ctx = SparkContext::new(&cluster);
         let l = ctx.read_text(left.clone(), left.len() as u64 * 16, 1.0);
         let r = ctx.read_text(right.clone(), right.len() as u64 * 16, 1.0);
-        let mut got = l
-            .join(r, &mut ctx, "j", Phase::DistributedJoin, 4)
+        let got = l
+            .join(r, &mut ctx, "j", Phase::DistributedJoin, p)
             .unwrap()
             .collect(&mut ctx, "c", Phase::DistributedJoin)
             .unwrap();
-        got.sort_unstable();
+        // Left values in input order, then right values in input order.
         let mut expected: Vec<(u64, (u64, u64))> = Vec::new();
         for (k, a) in &left {
             for (k2, b) in &right {
@@ -97,7 +105,7 @@ fn join_matches_nested_loops() {
                 }
             }
         }
-        expected.sort_unstable();
+        shuffle_order(&mut expected, p);
         assert_eq!(got, expected);
     });
 }
