@@ -1,7 +1,5 @@
 //! The native (typed) MapReduce engine.
 
-use std::collections::BTreeMap;
-
 use sjc_cluster::metrics::Phase;
 use sjc_cluster::scheduler::{faulty_makespan, lpt_makespan, replicated_makespan, TaskSchedule};
 use sjc_cluster::{
@@ -98,7 +96,8 @@ impl JobConfig {
 /// Collector passed to map functions.
 #[derive(Debug)]
 pub struct MapEmitter<K, V> {
-    pairs: Vec<(K, V)>,
+    /// `(key, (value, share))`, the task's byte share set when it ends.
+    pairs: Vec<(K, (V, u64))>,
     bytes: u64,
     extra_cpu_ns: SimNs,
 }
@@ -111,7 +110,7 @@ impl<K, V> MapEmitter<K, V> {
     /// Emits an intermediate pair; `bytes` is its serialized size (drives
     /// shuffle volume).
     pub fn emit(&mut self, key: K, value: V, bytes: u64) {
-        self.pairs.push((key, value));
+        self.pairs.push((key, (value, 0)));
         self.bytes += bytes;
     }
 
@@ -163,7 +162,7 @@ pub struct JobStats {
 /// sizes (for failure checks and diagnostics), stats and the stage trace.
 pub struct JobOutcome<O> {
     pub output: Vec<O>,
-    /// (group count, shuffled bytes) per reduce group, generation scale.
+    /// Shuffled bytes per reduce group, in key order, generation scale.
     pub group_bytes: Vec<u64>,
     /// Bytes emitted by each reduce group, in the same (key-sorted) order as
     /// `group_bytes`. Streaming-mode pipe checks read this instead of
@@ -437,9 +436,10 @@ impl<'a> MapReduceJob<'a> {
     }
 
     /// Host-parallel core: map tasks and reduce groups each run through
-    /// `sjc_par::par_map` (order-preserving), then the simulated durations,
-    /// stats, shuffle grouping and output are merged serially in task / key
-    /// order — so every simulated number is independent of the thread count.
+    /// `sjc_par` (order-preserving), the shuffle is one stable sort
+    /// (`sjc_par::par_group`), and stats and output merge serially in task /
+    /// key order — so every simulated number is independent of the thread
+    /// count.
     #[allow(clippy::type_complexity)]
     fn map_reduce_inner<T: Sync, K, V, O>(
         &mut self,
@@ -460,13 +460,11 @@ impl<'a> MapReduceJob<'a> {
 
         // ---- map phase (real execution + per-task cost) ----
         let mut stats = JobStats { map_tasks: tasks.len() as u64, ..JobStats::default() };
-        let mut map_durations = Vec::with_capacity(tasks.len());
-        // Group by key with byte accounting: BTreeMap gives deterministic
-        // group order (Hadoop's shuffle sorts keys).
-        let mut groups: BTreeMap<K, (Vec<V>, u64)> = BTreeMap::new();
+        stats.records_in = tasks.iter().map(|t| t.records.len() as u64).sum();
+        stats.input_bytes = tasks.iter().map(|t| t.input_bytes).sum();
         // LPT dispatch by record count: see `map_only` — processing order
         // changes, the task-order results do not.
-        let ems: Vec<MapEmitter<K, V>> = sjc_par::par_map_weighted(
+        let mapped: Vec<(MapEmitter<K, V>, SimNs)> = sjc_par::par_map_weighted(
             &tasks,
             |task| task.records.len() as u64,
             |task| {
@@ -474,24 +472,30 @@ impl<'a> MapReduceJob<'a> {
                 for rec in &task.records {
                     map(rec, &mut em);
                 }
-                em
+                // A task meters its spill, not its pairs: each pair carries an
+                // equal integer share of the task's bytes.
+                let share = em.bytes / em.pairs.len().max(1) as u64;
+                for (_, (_, s)) in &mut em.pairs {
+                    *s = share;
+                }
+                let dur = self.map_task_duration(cfg, task, em.bytes, em.extra_cpu_ns);
+                (em, dur + c.hadoop_task_overhead_ns)
             },
         );
-        // sjc-lint: allow(serial-hot-loop) — shuffle grouping must append values in task order; map closures already ran in parallel above
-        for (task, em) in tasks.iter().zip(ems) {
-            stats.records_in += task.records.len() as u64;
-            stats.input_bytes += task.input_bytes;
-            stats.shuffle_bytes += em.bytes;
-            let dur = self.map_task_duration(cfg, task, em.bytes, em.extra_cpu_ns);
-            map_durations.push(dur + c.hadoop_task_overhead_ns);
-            let n_pairs = em.pairs.len().max(1) as u64;
-            let bytes_per_pair = em.bytes / n_pairs;
-            for (k, v) in em.pairs {
-                let e = groups.entry(k).or_insert_with(|| (Vec::new(), 0));
-                e.0.push(v);
-                e.1 += bytes_per_pair;
-            }
-        }
+        stats.shuffle_bytes = mapped.iter().map(|(em, _)| em.bytes).sum();
+        let map_durations: Vec<SimNs> = mapped.iter().map(|&(_, dur)| dur).collect();
+        // The first task's buffer becomes the shuffle's, so a one-task job
+        // hands its pairs over without a copy.
+        let mut pairs = mapped.into_iter().map(|(em, _)| em.pairs);
+        let mut shuffle = pairs.next().unwrap_or_default();
+        pairs.for_each(|mut more| shuffle.append(&mut more));
+        // Hadoop's shuffle sorts keys: keys ascending, each key's values in
+        // task order, its payload the sum of its pairs' shares.
+        let groups = sjc_par::par_group(shuffle);
+        let group_bytes: Vec<u64> =
+            groups.iter().map(|(_, run)| run.iter().map(|(_, share)| share).sum()).collect();
+        let groups = groups.map_values(|(v, _)| v);
+        let group_list: Vec<(&K, &[V])> = groups.iter().collect();
         let plan = self.cluster.faults.clone();
         let start = cfg.start_ns + c.hadoop_job_startup_ns;
         // Map wave. Under faults the full-scale task list runs through the
@@ -589,30 +593,27 @@ impl<'a> MapReduceJob<'a> {
         // ---- shuffle + reduce phase ----
         // Each group is one spatial partition: fixed count, data grows with
         // the multiplier.
-        let mut reduce_durations = Vec::with_capacity(groups.len());
-        let mut group_bytes = Vec::with_capacity(groups.len());
-        let mut group_out_bytes = Vec::with_capacity(groups.len());
+        let mut reduce_durations = Vec::with_capacity(group_list.len());
+        let mut group_out_bytes = Vec::with_capacity(group_list.len());
         let mut output = Vec::new();
         let remote_fraction = if nodes > 1 { (nodes - 1) as f64 / nodes as f64 } else { 0.0 };
-        let group_list: Vec<(&K, &(Vec<V>, u64))> = groups.iter().collect();
         // Reduce groups are the spatial cells — the skew hazard the LPT
         // schedule exists for: one fat NYC-census cell dispatched last would
         // serialize the whole tail. Weight by group size; output order
         // (sorted key order) is unchanged by contract.
         let reduce_ems: Vec<ReduceEmitter<O>> = sjc_par::par_map_weighted(
             &group_list,
-            |(_, (vs, _))| vs.len() as u64,
-            |&(k, (vs, _))| {
+            |(_, vs)| vs.len() as u64,
+            |&(k, vs)| {
                 let mut em = ReduceEmitter::new();
                 reduce(k, vs, &mut em);
                 em
             },
         );
         // sjc-lint: allow(serial-hot-loop) — output and durations merge in sorted key order; reduce closures already ran in parallel above
-        for ((_, (vs, bytes)), em) in group_list.into_iter().zip(reduce_ems) {
+        for (((_, vs), bytes), em) in group_list.iter().zip(&group_bytes).zip(reduce_ems) {
             stats.records_out += em.out.len() as u64;
             stats.output_bytes += em.bytes;
-            group_bytes.push(*bytes);
             group_out_bytes.push(em.bytes);
 
             let full_bytes = (*bytes as f64 * cfg.multiplier) as u64;
@@ -634,7 +635,7 @@ impl<'a> MapReduceJob<'a> {
             reduce_durations.push(c.hadoop_task_overhead_ns + ns);
             output.extend(em.out);
         }
-        stats.reduce_tasks = groups.len() as u64;
+        stats.reduce_tasks = group_list.len() as u64;
         // Reduce wave: group durations are already full-scale; under faults
         // it starts on the global clock where the map wave ended.
         let mut reduce_sched: Option<TaskSchedule> = None;

@@ -23,6 +23,8 @@
 //!   original relative order, merges prefer the left run). A stable sort has a
 //!   unique answer, so the result is identical to `slice::sort_by` for every
 //!   thread count.
+//! * [`par_group`] is the shuffle: a stable [`par_sort_by`] on the key, cut
+//!   into runs — keys ascending, each key's values in input order.
 //! * [`par_reduce`] folds over **fixed-shape** chunks (`REDUCE_CHUNK`
 //!   elements, independent of the thread count) and combines the partials
 //!   serially left-to-right, so float/accumulator results are
@@ -525,6 +527,89 @@ pub fn par_sort_by_budget<T: Sync>(
     scratch::put_vec(buf);
 }
 
+/// Pairs grouped by key, as [`par_group`] returns them: keys ascending, each
+/// with the run of its values in input order, all runs in one buffer.
+pub struct Groups<K, V> {
+    /// Distinct keys with run lengths summing to `values.len()`: `iter` stays in bounds.
+    keys: Vec<(K, usize)>,
+    values: Vec<V>,
+}
+
+impl<K, V> Groups<K, V> {
+    /// Each key with its run, in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &[V])> {
+        self.keys.iter().scan(self.values.as_slice(), |rest, (k, len)| {
+            let (run, tail) = rest.split_at(*len);
+            *rest = tail;
+            Some((k, run))
+        })
+    }
+
+    /// Replaces every value by `f(value)`; keys and runs stay.
+    pub fn map_values<W>(self, f: impl FnMut(V) -> W) -> Groups<K, W> {
+        Groups { keys: self.keys, values: self.values.into_iter().map(f).collect() }
+    }
+
+    /// Each key with its run as an owned `Vec`, in key order.
+    pub fn into_runs(self) -> impl Iterator<Item = (K, Vec<V>)> {
+        let mut rest = self.values.into_iter();
+        self.keys.into_iter().map(move |(k, len)| (k, rest.by_ref().take(len).collect()))
+    }
+}
+
+/// Groups owned `(key, value)` pairs by key, the shuffle of both substrates
+/// (Hadoop's sort, Spark's `groupByKey`/`join`): a stable [`par_sort_by`] on
+/// the key alone, cut into runs. Keys come out ascending, each key's values
+/// in input order; that answer is unique, so every thread count gives it.
+pub fn par_group<K: Ord + Sync, V: Sync>(pairs: Vec<(K, V)>) -> Groups<K, V> {
+    par_group_budget(Budget::resolve(), pairs)
+}
+
+/// [`par_group`] with an explicit thread budget.
+pub fn par_group_budget<K: Ord + Sync, V: Sync>(
+    budget: Budget,
+    mut pairs: Vec<(K, V)>,
+) -> Groups<K, V> {
+    let by_key = |a: &(K, V), b: &(K, V)| a.0.cmp(&b.0);
+    match u32::try_from(pairs.len()) {
+        // Sort a permutation, not the pairs: its scratch is 4 bytes a pair,
+        // not a copy of every pair. Then follow the permutation's cycles to
+        // move each pair to its slot; `order[j] = j` marks slot `j` placed.
+        Ok(n) => {
+            let mut order: Vec<u32> = (0..n).collect();
+            par_sort_by_budget(budget, &mut order, |&a, &b| {
+                // sjc-lint: allow(panic-path) — `order` holds the indices 0..n of `pairs`
+                by_key(&pairs[a as usize], &pairs[b as usize])
+            });
+            for i in 0..order.len() {
+                let mut j = i;
+                while let Some(slot) = order.get_mut(j) {
+                    let k = std::mem::replace(slot, j as u32) as usize;
+                    if k == i {
+                        break;
+                    }
+                    pairs.swap(j, k);
+                    j = k;
+                }
+            }
+        }
+        Err(_) => par_sort_by_budget(budget, &mut pairs, by_key), // past `u32` indices
+    }
+    // Cut into runs; std's in-place `collect` keeps the pairs' buffer.
+    let mut keys: Vec<(K, usize)> = Vec::new();
+    let values = pairs
+        .into_iter()
+        .map(|(k, v)| {
+            match keys.last_mut() {
+                Some((last, len)) if *last == k => *len += 1,
+                _ => keys.push((k, 1)),
+            }
+            v
+        })
+        .collect();
+    Groups { keys, values }
+}
+
 /// One parallel round of pairwise run merges from `src` into `dst`.
 fn merge_round<T: Sync>(
     v: &[T],
@@ -822,6 +907,43 @@ mod tests {
                 let mut par = items.clone();
                 par_sort_by_budget(b, &mut par, |a, bb| a.0.cmp(&bb.0));
                 assert_eq!(par, serial, "budget {b:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn par_group_matches_a_btreemap_of_runs() {
+        use std::collections::BTreeMap;
+        cases(0x5eed9, 32, |rng| {
+            // 0: empty; 1: one key; 2: all-distinct keys, descending;
+            // 3: a few keys, interleaved. Lengths fall on both sides of
+            // SORT_MIN, so the 4-thread runs take the parallel merge path.
+            let shape = rng.usize_in(0..4);
+            let n = match (shape, rng.bool_with(0.5)) {
+                (0, _) => 0,
+                (_, true) => rng.usize_in(SORT_MIN..3 * SORT_MIN),
+                (_, false) => rng.usize_in(1..SORT_MIN),
+            };
+            // The value is the input position, so any reordering shows.
+            let pairs: Vec<(u64, u64)> = (0..n as u64)
+                .map(|i| match shape {
+                    1 => (7, i),
+                    2 => (n as u64 - i, i),
+                    _ => (rng.u64_in(0..20), i),
+                })
+                .collect();
+            let mut reference: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+            for &(k, v) in &pairs {
+                reference.entry(k).or_default().push(v);
+            }
+            let expected: Vec<(u64, Vec<u64>)> = reference.into_iter().collect();
+            for threads in [1, 4] {
+                let groups = par_group_budget(Budget::explicit(threads), pairs.clone());
+                let borrowed: Vec<(u64, Vec<u64>)> =
+                    groups.iter().map(|(&k, run)| (k, run.to_vec())).collect();
+                assert_eq!(borrowed, expected, "threads {threads}, shape {shape}, n {n}");
+                let owned: Vec<(u64, Vec<u64>)> = groups.into_runs().collect();
+                assert_eq!(owned, expected, "threads {threads}, shape {shape}, n {n}");
             }
         });
     }

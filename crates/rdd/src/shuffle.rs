@@ -4,53 +4,67 @@
 //! move bytes through memory/network rather than HDFS, and are where the
 //! engine enforces executor memory: Spark 1.1's `groupByKey` materializes
 //! every group on its target executor with no spill path.
+//!
+//! Both group with `sjc_par::par_group` (a stable sort on the key over the
+//! records in partition order), place each key in hash partition
+//! `partition_hash(k) % p` in ascending key order, and charge one shuffle
+//! write and one shuffle read.
 
-use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::SimError;
+use sjc_cluster::{SimError, SimNs};
 
 use crate::context::SparkContext;
 use crate::memory::check_fits;
 use crate::rdd::Rdd;
 use crate::record::{SparkKey, SparkRecord};
 
-fn hash_of<K: SparkKey>(k: &K) -> u64 {
-    k.partition_hash()
+/// Moves every record out of `rdd`, in partition order: the shuffle's input.
+fn drain_records<T>(rdd: &mut Rdd<T>) -> Vec<T> {
+    let mut records = Vec::with_capacity(rdd.parts.iter().map(Vec::len).sum());
+    records.extend(rdd.parts.drain(..).flatten());
+    records
 }
 
-/// Groups one join side's `(key, value)` partitions into a single map:
-/// partition-local maps build in parallel and merge in partition order, so
-/// each key's value order is identical to a serial flattened scan.
-fn build_side<P, K, V>(parts: &[Vec<P>], kv: impl Fn(&P) -> (&K, &V) + Sync) -> BTreeMap<K, Vec<V>>
-where
-    P: Send + Sync,
-    K: Ord + Clone + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    // LPT by partition size: skewed build sides schedule their fat
-    // partitions first; partition-order merging below is unchanged.
-    let locals: Vec<BTreeMap<K, Vec<V>>> = sjc_par::par_map_weighted(
-        parts,
-        |part| part.len() as u64,
-        |part| {
-            let mut local: BTreeMap<K, Vec<V>> = BTreeMap::new();
-            for rec in part {
-                let (k, v) = kv(rec);
-                // sjc-lint: allow(hot-alloc) — the shuffle map owns its keys/values: the clone materializes the build side itself
-                local.entry(k.clone()).or_default().push(v.clone());
-            }
-            local
-        },
-    );
-    let mut merged: BTreeMap<K, Vec<V>> = BTreeMap::new();
-    for local in locals {
-        for (k, vs) in local {
-            merged.entry(k).or_default().extend(vs);
-        }
-    }
-    merged
+/// Each partition's pending cost plus its shuffle write: serialize and spill
+/// to the *local disk* (Spark 1.x materializes shuffle blocks on disk even
+/// for in-memory jobs), plus the cross-node network share.
+fn shuffle_write<T>(rdd: &Rdd<T>, ctx: &SparkContext<'_>) -> Vec<SimNs> {
+    let (cost, node, nodes) =
+        (&ctx.cluster.cost, ctx.cluster.config.node, ctx.cluster.config.nodes);
+    let remote_fraction = if nodes > 1 { (nodes - 1) as f64 / nodes as f64 } else { 0.0 };
+    let spill = sjc_par::par_map(&rdd.mem_full, |&m| {
+        let ser = (m as f64 * cost.spark_shuffle_ser_fraction) as u64;
+        (cost.serialize_ns(ser) as f64 * node.cpu_scale) as u64
+            + cost.io_ns(ser, node.slot_disk_write_bw())
+            + cost.io_ns((ser as f64 * remote_fraction) as u64, node.slot_net_bw())
+    });
+    rdd.pending_ns.iter().zip(spill).map(|(pending, ns)| pending + ns).collect()
+}
+
+/// The shuffle's output: `parts` with their shuffle read — fetch the
+/// serialized blocks from disk and deserialize them back into JVM objects,
+/// `records(part)` of them. A shuffle materializes its output, so the
+/// recompute scope restarts here.
+fn shuffled<R: SparkRecord>(
+    parts: Vec<Vec<R>>,
+    ctx: &SparkContext<'_>,
+    multiplier: f64,
+    records: impl Fn(&[R]) -> u64 + Sync,
+) -> Rdd<R> {
+    let (cost, node) = (&ctx.cluster.cost, ctx.cluster.config.node);
+    let (mem_full, pending_ns) = sjc_par::par_map(&parts, |part| {
+        let mem: u64 = part.iter().map(|r| r.mem_bytes(cost)).sum();
+        let mem_f = (mem as f64 * multiplier) as u64;
+        let ser = (mem_f as f64 * cost.spark_shuffle_ser_fraction) as u64;
+        let n = (records(part) as f64 * multiplier) as u64;
+        let cpu = cost.serialize_ns(ser) + cost.spark_records_ns(n);
+        (mem_f, cost.io_ns(ser, node.slot_disk_read_bw()) + (cpu as f64 * node.cpu_scale) as u64)
+    })
+    .into_iter()
+    .unzip();
+    Rdd { parts, pending_ns, pending_hdfs_read: 0, mem_full, multiplier, lineage_depth: 1 }
 }
 
 /// Result of [`Rdd::join`]: per key, one output record per matching
@@ -65,82 +79,32 @@ where
     /// Groups values by key into `num_partitions` hash partitions, closing
     /// the current stage.
     pub fn group_by_key(
-        self,
+        mut self,
         ctx: &mut SparkContext<'_>,
         name: &str,
         phase: Phase,
         num_partitions: usize,
     ) -> Result<Rdd<(K, Vec<V>)>, SimError> {
         let p = num_partitions.max(1);
-        let cost = ctx.cluster.cost.clone();
-        let node = ctx.cluster.config.node;
-        let nodes = ctx.cluster.config.nodes;
-        let mult = self.multiplier;
+        let write_pending = shuffle_write(&self, ctx);
 
-        // Real shuffle: group deterministically. Each map task groups its
-        // own partition in parallel; the locals merge in partition order, so
-        // every key's value order (partition-major, then record order) is
-        // identical to the old single-threaded scan.
-        let remote_fraction = if nodes > 1 { (nodes - 1) as f64 / nodes as f64 } else { 0.0 };
-        let inputs: Vec<(&Vec<(K, V)>, u64)> =
-            self.parts.iter().zip(self.mem_full.iter().copied()).collect();
-        let locals: Vec<(u64, BTreeMap<K, Vec<V>>)> =
-            sjc_par::par_map(&inputs, |&(part, part_mem)| {
-                // Shuffle-write side: serialize and spill to the *local disk*
-                // (Spark 1.x materializes shuffle blocks on disk even for
-                // in-memory jobs), plus the cross-node network share.
-                let ser = (part_mem as f64 * cost.spark_shuffle_ser_fraction) as u64;
-                let cpu = (cost.serialize_ns(ser) as f64 * node.cpu_scale) as u64;
-                let mut ns = cpu + cost.io_ns(ser, node.slot_disk_write_bw());
-                ns += cost.io_ns((ser as f64 * remote_fraction) as u64, node.slot_net_bw());
-                let mut local: BTreeMap<K, Vec<V>> = BTreeMap::new();
-                for (k, v) in part {
-                    // sjc-lint: allow(hot-alloc) — the grouped output owns its keys/values: the clone materializes the result
-                    local.entry(k.clone()).or_default().push(v.clone());
-                }
-                (ns, local)
-            });
-        let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
-        let mut write_pending = self.pending_ns.clone();
-        for (wp, (ns, local)) in write_pending.iter_mut().zip(locals) {
-            *wp += ns;
-            for (k, vs) in local {
-                groups.entry(k).or_default().extend(vs);
-            }
-        }
-
-        // Build output partitions.
+        // Real shuffle: the records group in partition order, so every key's
+        // values keep partition-major, then record order.
+        let groups = sjc_par::par_group(drain_records(&mut self));
         let mut parts: Vec<Vec<(K, Vec<V>)>> = (0..p).map(|_| Vec::new()).collect();
         // sjc-lint: allow(serial-hot-loop) — hash-partition scatter must run in key order; the grouping work already ran in parallel above
-        for (k, vs) in groups {
-            let idx = (hash_of(&k) % p as u64) as usize;
+        for (k, vs) in groups.into_runs() {
+            let idx = (k.partition_hash() % p as u64) as usize;
             // sjc-lint: allow(no-panic-in-lib) — idx = hash % p < p = parts.len()
             parts[idx].push((k, vs));
         }
-
-        let costs: Vec<(u64, u64)> = sjc_par::par_map(&parts, |part| {
-            let mem: u64 = part.iter().map(|r| r.mem_bytes(&cost)).sum();
-            let mem_f = (mem as f64 * mult) as u64;
-            let records: u64 = part.iter().map(|(_, vs)| vs.len() as u64).sum();
-            // Shuffle-read side: fetch the serialized blocks from disk and
-            // deserialize them back into JVM objects.
-            let ser = (mem_f as f64 * cost.spark_shuffle_ser_fraction) as u64;
-            let mut ns = cost.io_ns(ser, node.slot_disk_read_bw());
-            let cpu =
-                cost.serialize_ns(ser) + cost.spark_records_ns((records as f64 * mult) as u64);
-            ns += (cpu as f64 * node.cpu_scale) as u64;
-            (mem_f, ns)
+        let grouped = shuffled(parts, ctx, self.multiplier, |part| {
+            part.iter().map(|(_, vs)| vs.len() as u64).sum()
         });
-        let mut mem_full = Vec::with_capacity(p);
-        let mut read_pending = Vec::with_capacity(p);
-        for (mem_f, ns) in costs {
-            mem_full.push(mem_f);
-            read_pending.push(ns);
-        }
 
         // Memory check: shuffle input and materialized groups are live
         // simultaneously.
-        check_fits(ctx.cluster, name, &[&self.mem_full, &mem_full])?;
+        check_fits(ctx.cluster, name, &[&self.mem_full, &grouped.mem_full])?;
 
         // Close the map-side stage (pending narrow work + shuffle write).
         let shuffle_bytes: u64 = self.mem_full.iter().sum();
@@ -151,18 +115,9 @@ where
             self.pending_hdfs_read,
             shuffle_bytes,
             self.lineage_depth,
-            mem_full.iter().sum(),
+            grouped.mem_full.iter().sum(),
         )?;
-
-        // A shuffle materializes its output; recompute scope restarts here.
-        Ok(Rdd {
-            parts,
-            pending_ns: read_pending,
-            pending_hdfs_read: 0,
-            mem_full,
-            multiplier: mult,
-            lineage_depth: 1,
-        })
+        Ok(grouped)
     }
 }
 
@@ -174,8 +129,8 @@ where
     /// Inner hash join on the key, closing both sides' stages. Matches
     /// Spark's `join`: one output record per pair of matching values.
     pub fn join<B>(
-        self,
-        other: Rdd<(K, B)>,
+        mut self,
+        mut other: Rdd<(K, B)>,
         ctx: &mut SparkContext<'_>,
         name: &str,
         phase: Phase,
@@ -185,93 +140,56 @@ where
         B: SparkRecord + Clone,
     {
         let p = num_partitions.max(1);
-        let cost = ctx.cluster.cost.clone();
-        let node = ctx.cluster.config.node;
-        let nodes = ctx.cluster.config.nodes;
-        let mult = self.multiplier;
-        let remote_fraction = if nodes > 1 { (nodes - 1) as f64 / nodes as f64 } else { 0.0 };
-
         // Close both input stages with their shuffle-write costs.
-        let spill = |m: u64| {
-            let ser = (m as f64 * cost.spark_shuffle_ser_fraction) as u64;
-            (cost.serialize_ns(ser) as f64 * node.cpu_scale) as u64
-                + cost.io_ns(ser, node.slot_disk_write_bw())
-                + cost.io_ns((ser as f64 * remote_fraction) as u64, node.slot_net_bw())
-        };
-        let mut left_pending = self.pending_ns.clone();
-        for (i, &m) in self.mem_full.iter().enumerate() {
-            // sjc-lint: allow(no-panic-in-lib) — pending_ns and mem_full are kept parallel to parts
-            left_pending[i] += spill(m);
-        }
-        let mut right_pending = other.pending_ns.clone();
-        for (i, &m) in other.mem_full.iter().enumerate() {
-            // sjc-lint: allow(no-panic-in-lib) — pending_ns and mem_full are kept parallel to parts
-            right_pending[i] += spill(m);
-        }
+        let mut all_pending = shuffle_write(&self, ctx);
+        all_pending.extend(shuffle_write(&other, ctx));
 
-        // Hash-table builds: both sides group per partition in parallel and
-        // merge in partition order (value order matches the serial flatten).
-        let (left, right) = sjc_par::join(
-            || build_side(&self.parts, |(k, a)| (k, a)),
-            || build_side(&other.parts, |(k, b)| (k, b)),
-        );
+        // Both sides group by key in partition order; one merge over the two
+        // ascending key lists then pairs up the keys present on both.
+        let (l, r) = (drain_records(&mut self), drain_records(&mut other));
+        let (left, right) = sjc_par::join(|| sjc_par::par_group(l), || sjc_par::par_group(r));
+        let mut rights = right.iter().peekable();
+        let mut matched: Vec<(&K, &[A], &[B])> = Vec::new();
+        for (k, avs) in left.iter() {
+            while rights.next_if(|&(rk, _)| rk < k).is_some() {}
+            if let Some((_, bvs)) = rights.next_if(|&(rk, _)| rk == k) {
+                matched.push((k, avs, bvs));
+            }
+        }
 
         // Cartesian products per matching key run in parallel; the scatter
         // into hash partitions replays them in key order, so output record
         // order is identical to the serial nested loop.
-        type KeyBatch<K, A, B> = Option<(usize, Vec<(K, (A, B))>)>;
-        let left_list: Vec<(&K, &Vec<A>)> = left.iter().collect();
         // Cross products are quadratic in the per-key value counts — the
         // canonical skew hazard. LPT by the output cardinality keeps one hot
         // key off the tail; key-order scatter below is unchanged.
-        let produced: Vec<KeyBatch<K, A, B>> = sjc_par::par_map_weighted(
-            &left_list,
-            |(k, avs)| {
-                (avs.len() as u64).saturating_mul(right.get(k).map_or(0, |bvs| bvs.len() as u64))
-            },
-            |&(k, avs)| {
-                right.get(k).map(|bvs| {
-                    let idx = (hash_of(k) % p as u64) as usize;
-                    let mut out = Vec::with_capacity(avs.len() * bvs.len());
-                    for a in avs {
-                        for b in bvs {
-                            // sjc-lint: allow(hot-alloc) — join output pairs own their records: the clones materialize the cross product itself
-                            out.push((k.clone(), (a.clone(), b.clone())));
-                        }
+        let produced = sjc_par::par_map_weighted(
+            &matched,
+            |(_, avs, bvs)| (avs.len() as u64).saturating_mul(bvs.len() as u64),
+            |&(k, avs, bvs)| {
+                let idx = (k.partition_hash() % p as u64) as usize;
+                let mut out = Vec::with_capacity(avs.len() * bvs.len());
+                for a in avs {
+                    for b in bvs {
+                        // sjc-lint: allow(hot-alloc) — join output pairs own their records: the clones materialize the cross product itself
+                        out.push((k.clone(), (a.clone(), b.clone())));
                     }
-                    (idx, out)
-                })
+                }
+                (idx, out)
             },
         );
         let mut parts: Vec<Vec<(K, (A, B))>> = (0..p).map(|_| Vec::new()).collect();
-        for (idx, recs) in produced.into_iter().flatten() {
+        for (idx, recs) in produced {
             // sjc-lint: allow(no-panic-in-lib) — idx = hash % p < p = parts.len()
             parts[idx].extend(recs);
         }
+        let joined = shuffled(parts, ctx, self.multiplier, |part| part.len() as u64);
 
-        let mut mem_full = Vec::with_capacity(p);
-        let mut read_pending = Vec::with_capacity(p);
-        for (mem_f, ns) in sjc_par::par_map(&parts, |part| {
-            let mem: u64 = part.iter().map(|r| r.mem_bytes(&cost)).sum();
-            let mem_f = (mem as f64 * mult) as u64;
-            let ser = (mem_f as f64 * cost.spark_shuffle_ser_fraction) as u64;
-            let cpu =
-                cost.serialize_ns(ser) + cost.spark_records_ns((part.len() as f64 * mult) as u64);
-            let ns =
-                cost.io_ns(ser, node.slot_disk_read_bw()) + (cpu as f64 * node.cpu_scale) as u64;
-            (mem_f, ns)
-        }) {
-            mem_full.push(mem_f);
-            read_pending.push(ns);
-        }
-
-        check_fits(ctx.cluster, name, &[&self.mem_full, &other.mem_full, &mem_full])?;
+        check_fits(ctx.cluster, name, &[&self.mem_full, &other.mem_full, &joined.mem_full])?;
 
         let shuffle_bytes: u64 =
             self.mem_full.iter().sum::<u64>() + other.mem_full.iter().sum::<u64>();
         let hdfs = self.pending_hdfs_read + other.pending_hdfs_read;
-        let mut all_pending = left_pending;
-        all_pending.extend(right_pending);
         ctx.close_stage(
             name,
             phase,
@@ -279,17 +197,9 @@ where
             hdfs,
             shuffle_bytes,
             self.lineage_depth.max(other.lineage_depth),
-            mem_full.iter().sum(),
+            joined.mem_full.iter().sum(),
         )?;
-
-        Ok(Rdd {
-            parts,
-            pending_ns: read_pending,
-            pending_hdfs_read: 0,
-            mem_full,
-            multiplier: mult,
-            lineage_depth: 1,
-        })
+        Ok(joined)
     }
 }
 
