@@ -5,8 +5,7 @@
 //! from RFC 8259's "names SHOULD be unique": **duplicate object keys are a
 //! hard error**, at every nesting level. A snapshot emitter once wrote the
 //! same key twice and every text-scanning consumer silently read whichever
-//! copy it found first — exactly the failure mode
-//! `sjc_lint::json::Counts::parse` already rejects for the lint baseline.
+//! copy it found first.
 
 use std::fmt;
 

@@ -115,8 +115,6 @@ pub struct Edge {
 pub struct CallGraph {
     /// Flat list of every function: indexes into `models[file].fns[idx]`.
     pub fns: Vec<(usize, usize)>,
-    /// Call sites per function, parallel to `fns`.
-    pub calls: Vec<Vec<Call>>,
     /// Resolved callee edges per function, parallel to `fns`.
     pub edges: Vec<Vec<Edge>>,
 }
@@ -222,7 +220,7 @@ pub fn build(models: &[FileModel]) -> CallGraph {
         }
     }
 
-    CallGraph { fns, calls, edges }
+    CallGraph { fns, edges }
 }
 
 #[cfg(test)]

@@ -1,156 +1,53 @@
-//! Per-function control-flow skeleton over the token stream.
+//! Loop and closure extents over the token stream.
 //!
-//! The cross-file passes that care about *where* code runs — not just that
-//! it runs — need three region kinds inside a function body: **loop**
-//! bodies (`for`/`while`/`loop`, with nesting depth), **branch** bodies
-//! (`if`/`match`/`else`), and **closure** bodies. Like the item model this
-//! is deliberately not a parser: every region is a token range found by a
-//! forward scan with paren/bracket/brace counters, and anything the scan
-//! does not model degrades to "no region", never to a wrong extent — a
-//! checker built on it can miss a loop, but it cannot invent one.
-//!
-//! The hot-path passes ([`crate::passes::hot_alloc`],
-//! [`crate::passes::loop_invariant`]) are the consumers: "allocation inside
-//! a loop" and "call hoistable out of a loop" are both questions about
-//! [`FnCfg::innermost_loop`].
+//! The hot-path passes care about *where* code runs, not just that it
+//! runs: "allocation inside a loop" and "call hoistable out of a loop" both
+//! need the **loop** bodies (`for`/`while`/`loop`) of a function, and the
+//! hot set needs the **closure** bodies handed to `sjc_par`. Like the item
+//! model this is deliberately not a parser: every extent is a token range
+//! found by a forward scan with paren/bracket/brace counters, and anything
+//! the scan does not model degrades to "no region", never to a wrong
+//! extent — a checker built on it can miss a loop, but it cannot invent one.
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::Tok;
 
-/// What kind of control-flow region a token range is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionKind {
-    /// A `for`/`while`/`loop` body.
-    Loop,
-    /// An `if`/`else`/`match` body.
-    Branch,
-    /// A closure body (braced or expression form).
-    Closure,
-}
-
-/// One control-flow region: the header token (the keyword or the opening
-/// `|` of a closure) and the token range of the body. For braced bodies the
-/// range covers `{ … }` inclusive; for expression-bodied closures it covers
-/// the expression tokens.
+/// One loop: the header keyword and the token range of its braced body.
 #[derive(Debug, Clone)]
-pub struct Region {
-    pub kind: RegionKind,
-    /// Token index of the `for`/`while`/`loop`/`if`/`match` keyword or the
-    /// closure's opening `|`.
+pub struct Loop {
+    /// Token index of the `for`/`while`/`loop` keyword.
     pub header: usize,
-    /// First token of the body (the `{` for braced bodies).
+    /// The body's `{`.
     pub open: usize,
-    /// Last token of the body (the matching `}` for braced bodies).
+    /// The matching `}`.
     pub close: usize,
     /// 1-based source line of the header token.
     pub line: usize,
-    /// Loop nesting depth at the header: 0 for a region outside any loop,
-    /// 1 inside one loop, … Loops themselves report the depth of their
-    /// *body* (a top-level loop has depth 1).
-    pub depth: usize,
 }
 
-/// The control-flow skeleton of one function body.
-#[derive(Debug, Default)]
-pub struct FnCfg {
-    /// All regions, ordered by header token index.
-    pub regions: Vec<Region>,
-}
-
-impl FnCfg {
-    /// Builds the skeleton for the body `toks[start..=end]` (the braces of
-    /// a `FnItem::body` extent).
-    pub fn build(toks: &[Tok], start: usize, end: usize) -> FnCfg {
-        let end = end.min(toks.len().saturating_sub(1));
-        let mut regions: Vec<Region> = Vec::new();
-        let mut i = start;
-        while i <= end {
-            let t = &toks[i];
-            if t.kind == TokKind::Ident {
-                match t.text.as_str() {
-                    "for" => {
-                        // Guard against non-loop `for` (trait bounds like
-                        // `for<'a>`): a loop header carries an `in` before
-                        // its body brace.
-                        if let Some((open, close)) = braced_body(toks, i + 1, end) {
-                            let has_in = (i + 1..open).any(|k| toks[k].is_ident("in"));
-                            if has_in {
-                                regions.push(region(RegionKind::Loop, toks, i, open, close));
-                            }
-                        }
-                    }
-                    "while" | "loop" => {
-                        if let Some((open, close)) = braced_body(toks, i + 1, end) {
-                            regions.push(region(RegionKind::Loop, toks, i, open, close));
-                        }
-                    }
-                    "if" | "match" => {
-                        if let Some((open, close)) = braced_body(toks, i + 1, end) {
-                            regions.push(region(RegionKind::Branch, toks, i, open, close));
-                        }
-                    }
-                    "else" => {
-                        // `else {` only — `else if` is owned by the `if`.
-                        let body = toks
-                            .get(i + 1)
-                            .filter(|n| n.is_op("{"))
-                            .and_then(|_| matching(toks, i + 1, "{", "}"));
-                        if let Some(close) = body {
-                            regions.push(region(RegionKind::Branch, toks, i, i + 1, close));
-                        }
-                    }
-                    _ => {}
-                }
-                i += 1;
-                continue;
-            }
-            if starts_closure(toks, i) {
-                let (open, close, header) = closure_body(toks, i, end);
-                if open <= close {
-                    regions.push(region(RegionKind::Closure, toks, header, open, close));
-                }
-                i = header.max(i) + 1;
-                continue;
-            }
-            i += 1;
+/// The loops of the body `toks[start..=end]` (the braces of a
+/// `FnItem::body` extent, or a closure body), in source order.
+pub fn loops(toks: &[Tok], start: usize, end: usize) -> Vec<Loop> {
+    let end = end.min(toks.len().saturating_sub(1));
+    let mut out = Vec::new();
+    for i in start..=end {
+        let t = &toks[i];
+        if !(t.is_ident("for") || t.is_ident("while") || t.is_ident("loop")) {
+            continue;
         }
-
-        // Loop nesting depth: number of loop bodies containing the header.
-        let loop_spans: Vec<(usize, usize)> = regions
-            .iter()
-            .filter(|r| r.kind == RegionKind::Loop)
-            .map(|r| (r.open, r.close))
-            .collect();
-        for r in &mut regions {
-            let probe = if r.kind == RegionKind::Loop { r.open } else { r.header };
-            r.depth = loop_spans.iter().filter(|&&(s, e)| s <= probe && probe <= e).count();
+        let Some((open, close)) = braced_body(toks, i + 1, end) else { continue };
+        // Guard against non-loop `for` (trait bounds like `for<'a>`): a loop
+        // header carries an `in` before its body brace.
+        if t.is_ident("for") && !(i + 1..open).any(|k| toks[k].is_ident("in")) {
+            continue;
         }
-        regions.sort_by_key(|r| r.header);
-        FnCfg { regions }
+        out.push(Loop { header: i, open, close, line: t.line });
     }
-
-    /// The loop regions, outermost-first in source order.
-    pub fn loops(&self) -> impl Iterator<Item = &Region> {
-        self.regions.iter().filter(|r| r.kind == RegionKind::Loop)
-    }
-
-    /// The innermost loop body containing token index `i`, if any.
-    pub fn innermost_loop(&self, i: usize) -> Option<&Region> {
-        self.loops().filter(|r| r.open <= i && i <= r.close).max_by_key(|r| r.open)
-    }
-
-    /// Loop nesting depth of token index `i` (0 = not inside any loop).
-    pub fn loop_depth_at(&self, i: usize) -> usize {
-        self.loops().filter(|r| r.open <= i && i <= r.close).count()
-    }
-
-    /// The closure regions, in source order.
-    pub fn closures(&self) -> impl Iterator<Item = &Region> {
-        self.regions.iter().filter(|r| r.kind == RegionKind::Closure)
-    }
+    out
 }
 
-fn region(kind: RegionKind, toks: &[Tok], header: usize, open: usize, close: usize) -> Region {
-    Region { kind, header, open, close, line: toks[header].line, depth: 0 }
+/// The innermost of `loops` whose body strictly contains token `k`.
+pub(crate) fn innermost(loops: &[Loop], k: usize) -> Option<&Loop> {
+    loops.iter().filter(|l| l.open < k && k < l.close).max_by_key(|l| l.open)
 }
 
 /// From `from`, finds the body `{ … }` of a header: the first `{` at
@@ -159,9 +56,7 @@ fn region(kind: RegionKind, toks: &[Tok], header: usize, open: usize, close: usi
 fn braced_body(toks: &[Tok], from: usize, end: usize) -> Option<(usize, usize)> {
     let mut paren = 0i64;
     let mut bracket = 0i64;
-    let mut j = from;
-    while j <= end {
-        let t = &toks[j];
+    for (j, t) in toks.iter().enumerate().take(end + 1).skip(from) {
         if t.is_op("(") {
             paren += 1;
         } else if t.is_op(")") {
@@ -175,11 +70,9 @@ fn braced_body(toks: &[Tok], from: usize, end: usize) -> Option<(usize, usize)> 
                 return None; // statement ended before any body opened
             }
             if t.is_op("{") {
-                let close = matching(toks, j, "{", "}")?;
-                return Some((j, close));
+                return Some((j, matching(toks, j, "{", "}")?));
             }
         }
-        j += 1;
     }
     None
 }
@@ -200,27 +93,10 @@ pub(crate) fn matching(toks: &[Tok], open: usize, op: &str, cl: &str) -> Option<
     None
 }
 
-/// True when the `|`/`||` at `i` opens a closure rather than acting as an
-/// or-operator: closures appear where an *expression* is expected, i.e.
-/// after `(`, `,`, `=`, `=>`, `{`, `;`, `[`, `:`, `return`, `move`, or at
-/// the very start of the range. `Some(a) | None` patterns and `x | y`
-/// bit-ors all have a value-ending token on the left.
-fn starts_closure(toks: &[Tok], i: usize) -> bool {
-    if !(toks[i].is_op("|") || toks[i].is_op("||")) {
-        return false;
-    }
-    let Some(prev) = i.checked_sub(1).map(|k| &toks[k]) else { return true };
-    if prev.kind == TokKind::Op {
-        return matches!(prev.text.as_str(), "(" | "," | "=" | "=>" | "{" | ";" | "[" | ":" | "&&");
-    }
-    prev.is_ident("return") || prev.is_ident("move") || prev.is_ident("else")
-}
-
-/// From the `|`/`||` at `j`, returns `(body_start, body_end, params_close)`
-/// where `params_close` is the last header token (the closing `|`, or the
-/// `||` itself). A braced body runs to its matching `}`; an expression body
-/// runs to the next `,`/`;`/`)`/`}` at nesting depth 0 within `[j, end]`.
-fn closure_body(toks: &[Tok], j: usize, end: usize) -> (usize, usize, usize) {
+/// From the `|`/`||` at `j`, returns `(body_start, body_end)`. A braced
+/// body runs to its matching `}`; an expression body runs to the next
+/// `,`/`;`/`)`/`}` at nesting depth 0 within `[j, end]`.
+pub(crate) fn closure_body(toks: &[Tok], j: usize, end: usize) -> (usize, usize) {
     let mut k = j + 1;
     if toks[j].is_op("|") {
         while k <= end && !toks[k].is_op("|") {
@@ -228,7 +104,6 @@ fn closure_body(toks: &[Tok], j: usize, end: usize) -> (usize, usize, usize) {
         }
         k += 1; // past the closing `|`
     }
-    let header_end = k.saturating_sub(1);
     // `|x| -> T { … }` return annotations: skip to the body brace.
     if toks.get(k).is_some_and(|t| t.is_op("->")) {
         while k <= end && !toks[k].is_op("{") && !toks[k].is_op(",") {
@@ -237,7 +112,7 @@ fn closure_body(toks: &[Tok], j: usize, end: usize) -> (usize, usize, usize) {
     }
     if toks.get(k).is_some_and(|t| t.is_op("{")) {
         let close = matching(toks, k, "{", "}").unwrap_or(end);
-        return (k, close.min(end), header_end);
+        return (k, close.min(end));
     }
     // Expression body: scan to a `,`/`;` at depth 0 or an unmatched closer.
     let start = k;
@@ -256,24 +131,7 @@ fn closure_body(toks: &[Tok], j: usize, end: usize) -> (usize, usize, usize) {
         }
         k += 1;
     }
-    (start, k.saturating_sub(1).max(start), header_end)
-}
-
-/// The closure parameter identifiers of the closure whose header `|` sits
-/// at `j` (empty for `||` closures). Pattern and type-annotation idents both
-/// land in the set — over-binding is the quiet direction for the passes.
-pub fn closure_params(toks: &[Tok], j: usize) -> Vec<String> {
-    let mut params = Vec::new();
-    if toks[j].is_op("|") {
-        let mut k = j + 1;
-        while k < toks.len() && !toks[k].is_op("|") {
-            if toks[k].kind == TokKind::Ident {
-                params.push(toks[k].text.clone());
-            }
-            k += 1;
-        }
-    }
-    params
+    (start, k.saturating_sub(1).max(start))
 }
 
 #[cfg(test)]
@@ -281,67 +139,53 @@ mod tests {
     use super::*;
     use crate::items::FileModel;
 
-    fn cfg_of(src: &str) -> (FileModel, FnCfg) {
+    fn loops_of(src: &str) -> (FileModel, Vec<Loop>) {
         let m = FileModel::build("crates/cluster/src/x.rs", src);
         let (s, e) = m.fns[0].body.expect("fixture fn has a body");
-        let cfg = FnCfg::build(&m.toks, s, e);
-        (m, cfg)
+        let loops = loops(&m.toks, s, e);
+        (m, loops)
     }
 
     #[test]
-    fn loops_and_depths_are_found() {
+    fn nested_and_sibling_loops_are_found() {
         let src = "fn f(n: usize) {\n    for i in 0..n {\n        while i > 0 {\n            step();\n        }\n    }\n    loop {\n        break;\n    }\n}\n";
-        let (_, cfg) = cfg_of(src);
-        let depths: Vec<usize> = cfg.loops().map(|r| r.depth).collect();
-        assert_eq!(depths, [1, 2, 1], "{:?}", cfg.regions);
-    }
-
-    #[test]
-    fn innermost_loop_wins() {
-        let src = "fn f(n: usize) {\n    for i in 0..n {\n        for j in 0..i {\n            mark();\n        }\n    }\n}\n";
-        let (m, cfg) = cfg_of(src);
-        let mark = m.toks.iter().position(|t| t.is_ident("mark")).unwrap();
-        let inner = cfg.innermost_loop(mark).unwrap();
-        assert_eq!(inner.depth, 2);
-        assert_eq!(cfg.loop_depth_at(mark), 2);
-    }
-
-    #[test]
-    fn branches_and_closures_are_regions() {
-        let src = "fn f(v: &[u64]) -> u64 {\n    if v.is_empty() {\n        return 0;\n    }\n    let s: u64 = v.iter().map(|x| x + 1).sum();\n    match s {\n        0 => 1,\n        _ => s,\n    }\n}\n";
-        let (_, cfg) = cfg_of(src);
-        assert!(cfg.regions.iter().any(|r| r.kind == RegionKind::Branch));
-        assert_eq!(cfg.closures().count(), 1);
-        assert!(cfg.loops().next().is_none());
-    }
-
-    #[test]
-    fn or_patterns_and_bit_or_are_not_closures() {
-        let src = "fn f(x: u64, o: Option<u64>) -> u64 {\n    let y = x | 3;\n    match o {\n        Some(0) | None => y,\n        Some(n) => n,\n    }\n}\n";
-        let (_, cfg) = cfg_of(src);
-        assert_eq!(cfg.closures().count(), 0, "{:?}", cfg.regions);
+        let (m, loops) = loops_of(src);
+        let lines: Vec<usize> = loops.iter().map(|l| l.line).collect();
+        assert_eq!(lines, [2, 3, 7], "{loops:?}");
+        // The inner loop nests inside the outer one.
+        assert!(loops[0].open < loops[1].open && loops[1].close < loops[0].close);
+        let step = m.toks.iter().position(|t| t.is_ident("step")).unwrap();
+        assert_eq!(innermost(&loops, step).map(|l| l.line), Some(3));
+        let brk = m.toks.iter().position(|t| t.is_ident("break")).unwrap();
+        assert_eq!(innermost(&loops, brk).map(|l| l.line), Some(7));
     }
 
     #[test]
     fn trait_bound_for_is_not_a_loop() {
         let src = "fn f(n: usize) {\n    let g: Box<dyn for<'a> Fn(&'a u64) -> u64> = make();\n    if n > 0 {\n        g(&0);\n    }\n}\n";
-        let (_, cfg) = cfg_of(src);
-        assert_eq!(cfg.loops().count(), 0, "{:?}", cfg.regions);
+        let (_, loops) = loops_of(src);
+        assert!(loops.is_empty(), "{loops:?}");
     }
 
     #[test]
     fn struct_literal_in_parenthesized_condition_is_not_a_body() {
         let src = "fn f(p: P) {\n    while check(P { a: 1 }, &p) {\n        step();\n    }\n}\n";
-        let (m, cfg) = cfg_of(src);
-        let lp = cfg.loops().next().unwrap();
+        let (m, loops) = loops_of(src);
         let step = m.toks.iter().position(|t| t.is_ident("step")).unwrap();
-        assert!(lp.open <= step && step <= lp.close, "{:?}", cfg.regions);
+        assert!(loops[0].open <= step && step <= loops[0].close, "{loops:?}");
     }
 
     #[test]
-    fn expression_closures_have_extents() {
-        let src = "fn f(v: &mut Vec<u64>) {\n    v.sort_by_key(|x| x.wrapping_mul(3));\n    v.retain(|x| *x > 0);\n}\n";
-        let (_, cfg) = cfg_of(src);
-        assert_eq!(cfg.closures().count(), 2, "{:?}", cfg.regions);
+    fn expression_and_braced_closures_have_extents() {
+        let src = "fn f(v: &mut Vec<u64>) {\n    v.sort_by_key(|x| x.wrapping_mul(3));\n    v.retain(|x| { *x > 0 });\n}\n";
+        let m = FileModel::build("crates/cluster/src/x.rs", src);
+        let (_, end) = m.fns[0].body.unwrap();
+        let bars: Vec<usize> = (0..m.toks.len()).filter(|&i| m.toks[i].is_op("|")).collect();
+        // Expression body: `x.wrapping_mul(3)`, stopping before the `)`.
+        let (s, e) = closure_body(&m.toks, bars[0], end);
+        assert!(m.toks[s].is_ident("x") && m.toks[e].is_op(")") && m.toks[e + 1].is_op(")"));
+        // Braced body: `{ … }` inclusive.
+        let (s, e) = closure_body(&m.toks, bars[2], end);
+        assert!(m.toks[s].is_op("{") && m.toks[e].is_op("}"));
     }
 }

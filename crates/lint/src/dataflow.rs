@@ -36,13 +36,9 @@ pub struct LetBinding {
     /// when they are really enum paths (`let Some(x) = …` "binds" `Some`) —
     /// over-binding only widens fact propagation, the safe direction.
     pub names: Vec<String>,
-    /// Token index of the `let` keyword.
-    pub let_tok: usize,
     /// Inclusive token range of the initializer, from after `=` to before
     /// the terminating `;` (crossing lines when the statement does).
     pub rhs: (usize, usize),
-    /// 1-based source line of the `let` keyword.
-    pub line: usize,
 }
 
 /// Extracts every `let` binding with an initializer in `toks[start..=end]`,
@@ -63,7 +59,6 @@ pub fn let_bindings(toks: &[Tok], start: usize, end: usize) -> Vec<LetBinding> {
             i += 1;
             continue;
         }
-        let let_tok = i;
         // Pattern + optional type annotation, up to `=` at nesting depth 0.
         let mut names = Vec::new();
         let mut depth = 0i64;
@@ -114,7 +109,7 @@ pub fn let_bindings(toks: &[Tok], start: usize, end: usize) -> Vec<LetBinding> {
         }
         let rhs_end = k.saturating_sub(1).max(eq + 1).min(end);
         if eq < rhs_end {
-            out.push(LetBinding { names, let_tok, rhs: (eq + 1, rhs_end), line: toks[i].line });
+            out.push(LetBinding { names, rhs: (eq + 1, rhs_end) });
         }
         i = k + 1;
     }
@@ -150,10 +145,6 @@ impl<F> Flow<F> {
                 self.facts.remove(name);
             }
         }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
     }
 }
 
@@ -207,6 +198,6 @@ mod tests {
         flow.bind("a", Some(1));
         assert_eq!(flow.get("a"), Some(&1));
         flow.bind("a", None);
-        assert!(flow.get("a").is_none() && flow.is_empty());
+        assert!(flow.get("a").is_none());
     }
 }

@@ -11,13 +11,12 @@
 //!   built on a real token stream ([`lexer`]), an item model with function
 //!   extents and test regions ([`items`]), and a crate-topology-gated call
 //!   graph ([`callgraph`]). It closes the gaps a line scanner cannot see:
-//!   transitive reachability, captured-state mutation inside closures, and
-//!   construction/handling coverage of the failure vocabulary.
+//!   transitive reachability, units across calls, and construction/handling
+//!   coverage of the failure vocabulary.
 //!
 //! [`check_workspace`] runs the line rules, [`analyze_workspace`] the
-//! passes, and [`check_all`] both. `--format json` plus the checked-in
-//! `LINT_BASELINE.json` ratchet (see [`json`]) make the combined count a
-//! one-way contract: it may only go down.
+//! passes, and [`check_all`] both. There is one gate: any unsuppressed
+//! finding fails it, in the CLI and in the workspace's tier-1 test alike.
 //!
 //! ## Rules
 //!
@@ -30,16 +29,14 @@
 //! | `serial-hot-loop` | non-test src of the designated hot-path files (see `HOT_PATH_FILES`) | `for … in tasks`-shaped loops over a hot collection (`tasks`, `groups`, `parts`, …) — host-side hot loops go through `sjc_par`; an intentionally serial merge states its reason in a suppression |
 //! | `bounded-retry` | non-test src of the recovery engine crates (`cluster`, `mapreduce`, `rdd`) | a loop that drives a retry/attempt/resubmit counter (`attempt += 1`, `for attempt in …`) without referencing a `MAX_*` constant inside the loop — retry budgets must be named bounds (`MAX_TASK_ATTEMPTS`, `MAX_STAGE_RESUBMITS`), not implicit or infinite |
 //! | `entropy-taint` | whole workspace (`sjc-analyze`) | simulation-crate functions that *transitively* reach a wall-clock/entropy API through the call graph, and clock-derived values flowing into `sim_ns`/trace output in any crate (bench may observe the clock, but simulated numbers must never be derived from it) |
-//! | `par-closure-race` | closures passed to the `sjc_par` entry points | capturing `&mut` bindings, `Cell`/`RefCell`, relaxed atomics, `unsafe` blocks, or mutating captured collections — the static counterpart of the 1-vs-8-thread bit-identity tests |
 //! | `error-flow` | library crates (`sjc-analyze`) | `SimError` variants never constructed or never handled, and `Result`s silently discarded via `let _ =` / trailing `.ok();` (the infallible `write!` into a `String` is exempt) |
 //! | `hot-alloc` | hot-path functions (`sjc-analyze`) | per-iteration allocation (`clone()`, `to_string()`, `collect()`, `format!`, `vec!`, `Box::new`, …) inside a loop of any function reachable — through the crate-topology-gated call graph — from an `sjc_par` entry-point closure or a `crates/bench` kernel; pre-size with `with_capacity` outside the loop or reuse a buffer (`clear()` + refill) |
-//! | `loop-invariant-call` | hot-path functions (`sjc-analyze`, **warning**) | a call inside a hot loop whose arguments are all loop-invariant — every iteration recomputes the same value; hoist the call above the loop |
-//! | `unit-flow` | whole workspace (`sjc-analyze`) | `+`/`-` arithmetic mixing differently-united bindings (`*_ns` vs `*_bytes` vs `*_count`), tracked through `let` chains, and non-nanosecond values assigned into `*_ns` sinks — `*`/`/` are exempt as unit conversions |
+//! | `loop-invariant-call` | hot-path functions (`sjc-analyze`) | a call inside a hot loop whose arguments are all loop-invariant — every iteration recomputes the same value; hoist the call above the loop |
+//! | `unit-flow` | whole workspace (`sjc-analyze`) | `+`/`-` arithmetic mixing differently-united operands (`*_ns` vs `*_bytes` vs `*_count`; bindings tracked through `let` chains, calls by their name or summarized return), non-nanosecond values assigned into `*_ns` sinks, and arguments whose unit differs from the parameter's — `*`/`/` are exempt as unit conversions |
 //! | `panic-path` | `pub` fns of the simulation crates (`sjc-analyze`) | a public API function that *transitively* reaches a panic site (`.unwrap()`, `panic!`, slice indexing, literal-zero divisor) through the call graph — the diagnostic carries the full call chain; audited `allow(no-panic-in-lib)`/`allow(panic-path)` sites are trusted |
-//! | `interproc-unit-flow` | whole workspace (`sjc-analyze`) | a call whose summarized return unit mixes with a differently-united operand, flows into a `*_ns` sink, or lands in a parameter declared with a different unit — the cross-function gap the intra-procedural `unit-flow` cannot see |
 //! | `cache-purity` | fns reachable from memoized seams (`sjc-analyze`) | a function reachable from `generate_cached`/other memoized entry points whose body reads the clock/entropy or mutates a static — the cache key must fully determine the cached value; the seam's own bookkeeping file is exempt |
-//! | `scoped-spawn-in-hot-path` | everything except `crates/par` (`sjc-analyze`) | direct `std::thread::scope`/`std::thread::spawn` calls — per-call thread spawning is exactly the negative-scaling overhead the persistent pool removed; dispatch through the `sjc_par` entry points instead |
-//! | `stale-suppression` | whole workspace (**warning**) | an audited `allow(<rule>)` comment whose rule no longer fires on the covered span (audits consumed by the panic-path summaries stay live) — suppressions are part of the audit trail and must not rot |
+//! | `scoped-spawn-in-hot-path` | non-test code everywhere except `crates/par` | direct `thread::scope(`/`thread::spawn(` calls — per-call thread spawning is exactly the negative-scaling overhead the persistent pool removed; dispatch through the `sjc_par` entry points instead |
+//! | `stale-suppression` | whole workspace (`sjc-analyze`) | an audited `allow(<rule>)` comment whose rule no longer fires on the covered span (audits consumed by the panic-path summaries stay live) — suppressions are part of the audit trail and must not rot |
 //!
 //! ## Suppression
 //!
@@ -63,10 +60,8 @@ pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
 pub mod items;
-pub mod json;
 pub mod lexer;
 pub mod passes;
-pub mod sarif;
 pub mod summaries;
 
 pub use passes::analyze_workspace;
@@ -94,6 +89,11 @@ const BOUNDED_RETRY_MSG: &str = "retry loop without a named bound — reference 
 
 /// Wall-clock / entropy tokens: allowed only in `crates/bench`.
 const CLOCK_TOKENS: &[&str] = &["Instant::now", "SystemTime::now", "thread_rng", "from_entropy"];
+
+/// Thread-spawning calls: allowed only in `crates/par`, whose persistent
+/// pool exists because a fresh set of scoped threads per parallel call made
+/// every workload scale negatively (DESIGN.md §16).
+const SPAWN_TOKENS: &[&str] = &["thread::scope(", "thread::spawn("];
 
 /// Files whose per-task / per-partition loops dominate host wall-clock.
 /// Non-test `for` loops over a hot collection here must either go through
@@ -125,13 +125,11 @@ pub enum Rule {
     SerialHotLoop,
     BoundedRetry,
     EntropyTaint,
-    ParClosureRace,
     ErrorFlow,
     HotAlloc,
     LoopInvariantCall,
     UnitFlow,
     PanicPath,
-    InterprocUnitFlow,
     CachePurity,
     ScopedSpawnInHotPath,
     StaleSuppression,
@@ -139,7 +137,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    pub const ALL: [Rule; 17] = [
+    pub const ALL: [Rule; 15] = [
         Rule::NoNondeterminism,
         Rule::NoPanicInLib,
         Rule::FloatHygiene,
@@ -147,13 +145,11 @@ impl Rule {
         Rule::SerialHotLoop,
         Rule::BoundedRetry,
         Rule::EntropyTaint,
-        Rule::ParClosureRace,
         Rule::ErrorFlow,
         Rule::HotAlloc,
         Rule::LoopInvariantCall,
         Rule::UnitFlow,
         Rule::PanicPath,
-        Rule::InterprocUnitFlow,
         Rule::CachePurity,
         Rule::ScopedSpawnInHotPath,
         Rule::StaleSuppression,
@@ -168,13 +164,11 @@ impl Rule {
             Rule::SerialHotLoop => "serial-hot-loop",
             Rule::BoundedRetry => "bounded-retry",
             Rule::EntropyTaint => "entropy-taint",
-            Rule::ParClosureRace => "par-closure-race",
             Rule::ErrorFlow => "error-flow",
             Rule::HotAlloc => "hot-alloc",
             Rule::LoopInvariantCall => "loop-invariant-call",
             Rule::UnitFlow => "unit-flow",
             Rule::PanicPath => "panic-path",
-            Rule::InterprocUnitFlow => "interproc-unit-flow",
             Rule::CachePurity => "cache-purity",
             Rule::ScopedSpawnInHotPath => "scoped-spawn-in-hot-path",
             Rule::StaleSuppression => "stale-suppression",
@@ -185,67 +179,9 @@ impl Rule {
     pub fn from_name(name: &str) -> Option<Rule> {
         Rule::ALL.into_iter().find(|r| r.name() == name)
     }
-
-    /// One-line summary for report emitters (SARIF `shortDescription`).
-    pub fn summary(self) -> &'static str {
-        match self {
-            Rule::NoNondeterminism => {
-                "No wall-clock, entropy, or hash-order APIs in simulation code"
-            }
-            Rule::NoPanicInLib => "Library code must not panic or index unchecked",
-            Rule::FloatHygiene => "Float comparisons go through epsilon helpers",
-            Rule::BenchIsolation => "Only crates/bench may observe the host clock or entropy",
-            Rule::SerialHotLoop => "Hot-path task loops go through sjc_par",
-            Rule::BoundedRetry => "Retry loops name a MAX_* bound",
-            Rule::EntropyTaint => "No transitive entropy reach or clock-derived simulated output",
-            Rule::ParClosureRace => "Parallel closures must not mutate captured state",
-            Rule::ErrorFlow => "Every error variant is constructed and handled; no silent discards",
-            Rule::HotAlloc => "No per-iteration allocation in hot-path loops",
-            Rule::LoopInvariantCall => "Hoist loop-invariant calls out of hot loops",
-            Rule::UnitFlow => "No unit-mixing arithmetic reaching sim_ns/metrics sinks",
-            Rule::PanicPath => "Public simulation API never transitively reaches a panic site",
-            Rule::InterprocUnitFlow => "Call return and argument units match across functions",
-            Rule::CachePurity => "Everything reachable from a memoized seam is pure",
-            Rule::ScopedSpawnInHotPath => "Thread spawning goes through the sjc_par pool",
-            Rule::StaleSuppression => "Suppressions whose rule no longer fires are removed",
-            Rule::BadSuppression => "Suppressions name a known rule and carry a reason",
-        }
-    }
-
-    /// The severity a finding of this rule carries by default.
-    pub fn default_severity(self) -> Severity {
-        match self {
-            Rule::LoopInvariantCall | Rule::StaleSuppression => Severity::Warning,
-            _ => Severity::Error,
-        }
-    }
 }
 
 impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// How bad a finding is. The gate fails on any unsuppressed **error**;
-/// warnings ride along in the report and count against the baseline ratchet
-/// but do not fail the build on their own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    Warning,
-    Error,
-}
-
-impl Severity {
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
-impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
@@ -260,12 +196,11 @@ pub struct Related {
     pub note: String,
 }
 
-/// One finding: rule, severity, location (workspace-relative path, 1-based
-/// line) and a human-readable message.
+/// One finding: rule, location (workspace-relative path, 1-based line) and
+/// a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     pub rule: Rule,
-    pub severity: Severity,
     pub path: String,
     pub line: usize,
     pub message: String,
@@ -275,26 +210,13 @@ pub struct Violation {
 }
 
 impl Violation {
-    /// A new finding at the rule's [`Rule::default_severity`].
     pub fn new(
         rule: Rule,
         path: impl Into<String>,
         line: usize,
         message: impl Into<String>,
     ) -> Violation {
-        Violation {
-            rule,
-            severity: rule.default_severity(),
-            path: path.into(),
-            line,
-            message: message.into(),
-            related: Vec::new(),
-        }
-    }
-
-    pub fn with_severity(mut self, severity: Severity) -> Violation {
-        self.severity = severity;
-        self
+        Violation { rule, path: path.into(), line, message: message.into(), related: Vec::new() }
     }
 
     pub fn with_related(mut self, related: Vec<Related>) -> Violation {
@@ -303,9 +225,14 @@ impl Violation {
     }
 }
 
+/// The finding on one line, then each [`Related`] hop indented below it.
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: [{}] {}", self.path, self.line, self.rule, self.message)
+        write!(f, "{}:{}: [{}] {}", self.path, self.line, self.rule, self.message)?;
+        for r in &self.related {
+            write!(f, "\n    {}:{}: {}", r.path, r.line, r.note)?;
+        }
+        Ok(())
     }
 }
 
@@ -655,17 +582,11 @@ fn loop_header_start(line: &str) -> bool {
         || t.starts_with("loop{")
 }
 
-/// True when the line mentions a retry-shaped identifier (`retry`,
-/// `attempt`, `resubmit` — any case, as a substring of an identifier, so
+/// True when `text` mentions a retry-shaped identifier (`retry`, `attempt`,
+/// `resubmit` — any case, as a substring of an identifier, so
 /// `out.attempts` and `StageResubmit` both count).
-fn has_retry_token(line: &str) -> bool {
-    let lower = line.to_ascii_lowercase();
-    ["retry", "attempt", "resubmit"].iter().any(|t| lower.contains(t))
-}
-
-/// True when `name` is a retry-shaped identifier.
-fn is_retry_ident(name: &str) -> bool {
-    let lower = name.to_ascii_lowercase();
+fn is_retry_ident(text: &str) -> bool {
+    let lower = text.to_ascii_lowercase();
     ["retry", "attempt", "resubmit"].iter().any(|t| lower.contains(t))
 }
 
@@ -838,6 +759,7 @@ pub(crate) fn check_file_raw(rel_path: &str, source: &str) -> Vec<Violation> {
     let panic_free = PANIC_FREE_CRATES.contains(&class.krate);
     let float = FLOAT_CRATES.contains(&class.krate);
     let bench = class.krate == "bench";
+    let pool = class.krate == "par";
     let hot_path = HOT_PATH_FILES.contains(&rel_path);
     let retry_scope = RETRY_CRATES.contains(&class.krate);
 
@@ -906,7 +828,7 @@ pub(crate) fn check_file_raw(rel_path: &str, source: &str) -> Vec<Violation> {
                     ));
                 }
             }
-            let retryish = drives || has_retry_token(code);
+            let retryish = drives || is_retry_ident(code);
             if let Some((hdr, was_retry, was_bound)) = pending_loop {
                 // Continuation of a wrapped header: accumulate flags until
                 // the body's `{` arrives.
@@ -987,6 +909,17 @@ pub(crate) fn check_file_raw(rel_path: &str, source: &str) -> Vec<Violation> {
             }
         }
 
+        if !pool && !in_test {
+            for tok in SPAWN_TOKENS {
+                if code.contains(tok) {
+                    emit(
+                        Rule::ScopedSpawnInHotPath,
+                        format!("direct `{}(…)` outside crates/par — per-call thread spawning is the spawn-per-dispatch overhead the persistent pool removed; route the work through an sjc_par entry point (par_map/par_sort_by/join) so it reuses the pool's parked workers", tok.trim_end_matches('(')),
+                    );
+                }
+            }
+        }
+
         if panic_free && !in_test {
             for tok in [".unwrap()", ".expect("] {
                 if code.contains(tok) {
@@ -1038,7 +971,7 @@ pub(crate) fn check_file_raw(rel_path: &str, source: &str) -> Vec<Violation> {
 /// analyzer's own tests, not workspace code. Directories named `target` are
 /// skipped too: cargo build artifacts (expanded sources, vendored build
 /// scripts) are not workspace code, and walking a warm multi-gigabyte
-/// `target/` would alone blow the gate's 20 s wall budget.
+/// `target/` would alone blow the gate's wall budget.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     if !dir.is_dir() {
         return Ok(());

@@ -1,62 +1,43 @@
 //! `sjc-lint` binary: runs both checker layers (the line rules and the
 //! `sjc-analyze` passes) over the workspace rooted at the given directory
-//! (default: the current directory) and exits non-zero on violations.
+//! (default: the current directory) and fails on any finding.
 //!
 //! ```text
-//! cargo run -p sjc-lint                               # check the workspace
-//! cargo run -p sjc-lint -- --format json              # machine-readable report
-//! cargo run -p sjc-lint -- --baseline LINT_BASELINE.json   # enforce the ratchet
-//! cargo run -p sjc-lint -- --write-baseline LINT_BASELINE.json
-//! cargo run -p sjc-lint -- --rules                    # list the rules
+//! cargo run -p sjc-lint -- .             # check the workspace
+//! cargo run -p sjc-lint -- . --timings   # plus per-stage wall times
+//! cargo run -p sjc-lint -- --rules       # list the rules
 //! ```
 //!
-//! Exit codes: `0` clean (and, with `--baseline`, within the ratchet), `1`
-//! error-severity violations (or a ratchet breach), `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` any unsuppressed finding, `2` usage or I/O
+//! error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sjc_lint::{json, sarif, Rule, Severity};
-
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+use sjc_lint::Rule;
 
 fn usage() {
     println!(
         "sjc-lint — workspace invariant checker (line rules + sjc-analyze)\n\n\
          USAGE: sjc-lint [ROOT] [OPTIONS]\n\n\
          OPTIONS:\n\
-         \x20 --format text|json|sarif  report style (default: text); `sarif` emits a\n\
-         \x20                           SARIF 2.1.0 document for code-scanning upload\n\
-         \x20 --baseline <path>         enforce the count ratchet against a checked-in\n\
-         \x20                           baseline: per-rule per-file counts may only decrease\n\
-         \x20 --write-baseline <path>   write the current counts as the new baseline\n\
-         \x20 --timings                 print per-pass wall times to stderr\n\
-         \x20 --rules                   list the rule names and exit\n\n\
-         Scans ROOT (default `.`) with the line rules (no-nondeterminism,\n\
-         no-panic-in-lib, float-hygiene, bench-isolation, serial-hot-loop,\n\
-         bounded-retry), the cross-file analyzer passes (entropy-taint,\n\
-         par-closure-race, error-flow, hot-alloc, loop-invariant-call,\n\
-         unit-flow), and the interprocedural passes (panic-path,\n\
-         interproc-unit-flow, cache-purity, stale-suppression). Without\n\
-         --baseline the exit code fails on errors only; warnings ride the\n\
-         report and the ratchet. Suppress a finding inline with\n\
-         `// sjc-lint: allow(<rule>) — <reason>`."
+         \x20 --timings  print per-stage wall times to stderr\n\
+         \x20 --rules    list the rule names and exit\n\n\
+         Scans ROOT (default `.`) with every rule:"
+    );
+    for rule in Rule::ALL {
+        println!("  {}", rule.name());
+    }
+    println!(
+        "Any unsuppressed finding fails the run (exit 1). Suppress a finding\n\
+         inline with `// sjc-lint: allow(<rule>) — <reason>`."
     );
 }
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut format = Format::Text;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut timings = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--rules" => {
                 for rule in Rule::ALL {
@@ -68,30 +49,7 @@ fn main() -> ExitCode {
                 usage();
                 return ExitCode::SUCCESS;
             }
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                other => {
-                    eprintln!("sjc-lint: --format takes `text`, `json`, or `sarif`, got {other:?}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--baseline" => match args.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("sjc-lint: --baseline needs a path");
-                    return ExitCode::from(2);
-                }
-            },
             "--timings" => timings = true,
-            "--write-baseline" => match args.next() {
-                Some(p) => write_baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("sjc-lint: --write-baseline needs a path");
-                    return ExitCode::from(2);
-                }
-            },
             other if !other.starts_with('-') => root = PathBuf::from(other),
             other => {
                 eprintln!("sjc-lint: unknown flag `{other}`");
@@ -114,74 +72,14 @@ fn main() -> ExitCode {
         let total: f64 = pass_timings.iter().map(|t| t.wall.as_secs_f64()).sum();
         eprintln!("sjc-lint: timing {:>20}  {:>9.3} ms", "total", total * 1e3);
     }
-    let counts = json::Counts::from_violations(&violations);
-
-    if let Some(path) = write_baseline {
-        if let Err(e) = std::fs::write(&path, counts.to_baseline_json()) {
-            eprintln!("sjc-lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("sjc-lint: wrote baseline ({} violation(s)) to {}", counts.total, path.display());
-        return ExitCode::SUCCESS;
+    for v in &violations {
+        println!("{v}");
     }
-
-    match format {
-        Format::Json => print!("{}", json::report(&violations)),
-        Format::Sarif => {
-            // Self-validate before emitting: CI uploads this document to
-            // code scanning, and a malformed report fails there silently.
-            let report = sarif::report(&violations);
-            if let Err(e) = sarif::validate(&report) {
-                eprintln!("sjc-lint: generated SARIF failed self-validation: {e}");
-                return ExitCode::from(2);
-            }
-            print!("{report}");
-        }
-        Format::Text => {
-            for v in &violations {
-                println!("{}: {v}", v.severity);
-            }
-            if violations.is_empty() {
-                println!("sjc-lint: workspace clean");
-            } else {
-                let errors = violations.iter().filter(|v| v.severity == Severity::Error).count();
-                println!(
-                    "sjc-lint: {} violation(s) ({} error(s), {} warning(s))",
-                    violations.len(),
-                    errors,
-                    violations.len() - errors
-                );
-            }
-        }
-    }
-
-    if let Some(path) = baseline {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("sjc-lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let base = match json::Counts::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("sjc-lint: bad baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        if let Err(e) = counts.ratchet_against(&base) {
-            eprintln!("sjc-lint: baseline ratchet failed:\n{e}");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // Without a baseline, only unsuppressed errors fail the run — warnings
-    // (e.g. loop-invariant-call) ride the report and the ratchet.
-    if violations.iter().any(|v| v.severity == Severity::Error) {
-        ExitCode::FAILURE
-    } else {
+    if violations.is_empty() {
+        println!("sjc-lint: workspace clean");
         ExitCode::SUCCESS
+    } else {
+        println!("sjc-lint: {} violation(s)", violations.len());
+        ExitCode::FAILURE
     }
 }

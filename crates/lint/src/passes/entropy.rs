@@ -141,7 +141,9 @@ fn flow_violations(m: &FileModel, start: usize, end: usize) -> Vec<Violation> {
     let mut out = Vec::new();
     for (&line, idxs) in &lines {
         let line_toks: Vec<&Tok> = idxs.iter().map(|&i| &toks[i]).collect();
-        let has_source = direct_source_flat(&line_toks);
+        // A line's tokens are contiguous in the stream.
+        let (Some(&first), Some(&last)) = (idxs.first(), idxs.last()) else { continue };
+        let has_source = direct_source(toks, first, last).is_some();
         let rhs_tainted =
             line_toks.iter().any(|t| t.kind == TokKind::Ident && tainted.contains(&t.text));
         // `let [mut] name … = …` with an entropic RHS taints the binding.
@@ -215,24 +217,6 @@ fn flow_violations(m: &FileModel, start: usize, end: usize) -> Vec<Violation> {
         }
     }
     out
-}
-
-/// [`direct_source`] over an already-selected token slice.
-fn direct_source_flat(toks: &[&Tok]) -> bool {
-    for i in 0..toks.len() {
-        for &(q, n) in QUALIFIED_SOURCES {
-            if toks[i].is_ident(q)
-                && toks.get(i + 1).is_some_and(|t| t.is_op("::"))
-                && toks.get(i + 2).is_some_and(|t| t.is_ident(n))
-            {
-                return true;
-            }
-        }
-        if toks[i].kind == TokKind::Ident && BARE_SOURCES.contains(&toks[i].text.as_str()) {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]

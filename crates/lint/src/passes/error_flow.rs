@@ -17,7 +17,7 @@
 
 use crate::items::FileModel;
 use crate::lexer::TokKind;
-use crate::{Rule, Severity, Violation, PANIC_FREE_CRATES};
+use crate::{cfg, Rule, Violation, PANIC_FREE_CRATES};
 
 /// The audited vocabulary enums: (declaring file relative to the scanned
 /// root, enum name). Every variant of each must be constructed by non-test
@@ -95,22 +95,8 @@ fn parse_variants(m: &FileModel, enum_name: &str) -> Vec<Variant> {
 /// Skips a balanced `{…}`/`(…)` starting at `open`; returns the index past
 /// the close.
 fn skip_balanced(m: &FileModel, open: usize) -> usize {
-    let toks = &m.toks;
-    let (o, c) = if toks[open].is_op("{") { ("{", "}") } else { ("(", ")") };
-    let mut depth = 0i64;
-    let mut k = open;
-    while k < toks.len() {
-        if toks[k].is_op(o) {
-            depth += 1;
-        } else if toks[k].is_op(c) {
-            depth -= 1;
-            if depth == 0 {
-                return k + 1;
-            }
-        }
-        k += 1;
-    }
-    toks.len()
+    let (o, c) = if m.toks[open].is_op("{") { ("{", "}") } else { ("(", ")") };
+    cfg::matching(&m.toks, open, o, c).map_or(m.toks.len(), |close| close + 1)
 }
 
 fn variant_liveness(models: &[FileModel], enum_file: &str, enum_name: &str) -> Vec<Violation> {
@@ -178,25 +164,18 @@ fn variant_liveness(models: &[FileModel], enum_file: &str, enum_name: &str) -> V
             ));
         }
         if !v.constructed {
-            let (sev, extra) = if v.constructed_in_test {
-                (Severity::Warning, " (only test code constructs it)")
-            } else {
-                (Severity::Error, "")
-            };
-            out.push(
-                Violation::new(
-                    Rule::ErrorFlow,
-                    enum_file,
-                    v.line,
-                    format!(
-                        "dead variant: no library code constructs \
-                         `{enum_name}::{}`{extra} — a failure mode that cannot occur \
-                         misstates the failure model; construct it or delete it",
-                        v.name
-                    ),
-                )
-                .with_severity(sev),
-            );
+            let extra = if v.constructed_in_test { " (only test code constructs it)" } else { "" };
+            out.push(Violation::new(
+                Rule::ErrorFlow,
+                enum_file,
+                v.line,
+                format!(
+                    "dead variant: no library code constructs \
+                     `{enum_name}::{}`{extra} — a failure mode that cannot occur \
+                     misstates the failure model; construct it or delete it",
+                    v.name
+                ),
+            ));
         }
     }
     out
@@ -297,11 +276,11 @@ mod tests {
         assert_eq!(dead.len(), 1, "{vs:?}");
         assert!(dead[0].message.contains("Dead"));
         assert_eq!(dead[0].path, "crates/cluster/src/error.rs");
-        assert_eq!(dead[0].severity, Severity::Error);
+        assert!(!dead[0].message.contains("only test code"), "{vs:?}");
     }
 
     #[test]
-    fn test_only_construction_is_a_warning() {
+    fn test_only_construction_is_still_dead_and_says_so() {
         let vs = analyze(&[
             ("crates/cluster/src/error.rs", ENUM_SRC),
             (
@@ -311,7 +290,7 @@ mod tests {
         ]);
         let dead: Vec<_> = vs.iter().filter(|v| v.message.contains("dead variant")).collect();
         assert_eq!(dead.len(), 1, "{vs:?}");
-        assert_eq!(dead[0].severity, Severity::Warning);
+        assert!(dead[0].message.contains("only test code constructs it"), "{vs:?}");
     }
 
     #[test]

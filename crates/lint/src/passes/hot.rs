@@ -1,14 +1,14 @@
-//! Hot-path reachability: which functions run inside the measured region.
+//! Hot-path reachability, and the hot loops both hot-path passes check.
 //!
-//! The hot set is seeded from the two places host wall-clock is actually
-//! spent (see DESIGN.md §12):
+//! The hot set is seeded from the places host wall-clock is actually spent
+//! (see DESIGN.md §12):
 //!
 //! 1. **`sjc_par` entry-point closures** — the callees a worker-thread
-//!    closure dispatches to. The closure argument of every
-//!    `par_map`/`join`/… call is scanned for call sites, and the matching
-//!    call-graph edges of the enclosing function become roots. Rooting the
-//!    *callees named inside the closure* rather than the whole enclosing
-//!    function keeps driver-side setup code out of the hot set.
+//!    closure dispatches to. The closure argument of every `par_*`/`join`
+//!    call is scanned for call sites, and the matching call-graph edges of
+//!    the enclosing function become roots. Rooting the *callees named
+//!    inside the closure* rather than the whole enclosing function keeps
+//!    driver-side setup code out of the hot set.
 //! 2. **`crates/bench` functions** — everything the bench harness calls is
 //!    by definition inside a measured region (bench bodies themselves are
 //!    never *flagged*; they only seed traversal into the library crates).
@@ -20,34 +20,75 @@
 //!    allocations precisely because it sits on a hot path, so it seeds the
 //!    set like a par-closure callee. The same exclusions as root 2 apply —
 //!    bench CLI drivers, plus anything under a `target/` directory (build
-//!    artifacts are not workspace code, and walking them would blow the
-//!    lint gate's 20 s budget) — and `crates/par` itself is exempt: the
-//!    arena's internals are not users of it.
+//!    artifacts are not workspace code) — and `crates/par` itself is
+//!    exempt: the arena's internals are not users of it.
 //!
 //! From those roots the set closes forward over the crate-topology-gated
-//! call graph, the same edges the entropy pass trusts. The closure bodies
-//! handed to `sjc_par` are additionally reported as hot token *ranges* per
-//! file, so loops written inline in a worker closure are covered without
-//! any call-graph hop.
+//! call graph, the same edges the entropy pass trusts. [`hot_loops`] then
+//! collects, once per scan, the loops of every hot function plus the loops
+//! written inline in the closure bodies handed to `sjc_par` — the spans
+//! `hot-alloc` and `loop-invariant-call` both check.
 
 use std::collections::BTreeMap;
 
 use crate::callgraph::{calls_in, CallGraph, FnId};
-use crate::cfg;
+use crate::cfg::{self, Loop};
 use crate::items::FileModel;
-use crate::passes::par_closure;
+use crate::lexer::TokKind;
+use crate::SIM_CRATES;
 
-/// The hot-path reachability result for one workspace scan.
-pub(crate) struct HotSet {
-    /// Parallel to `graph.fns`: true when the function is reachable from a
-    /// hot root.
-    pub hot: Vec<bool>,
-    /// Per model index: token ranges of closure bodies handed directly to
-    /// `sjc_par` entry points (hot even when their enclosing fn is not).
-    pub closure_ranges: Vec<Vec<(usize, usize)>>,
+/// Per model index: the hot loops of the file's non-test code, by opening
+/// brace, each once. Only simulation-crate library files have any — the
+/// code that produces the paper's numbers.
+pub(crate) fn hot_loops(models: &[FileModel], graph: &CallGraph) -> Vec<Vec<Loop>> {
+    let (hot, closure_ranges) = reachable(models, graph);
+    let checked = |m: &FileModel| !m.harness && SIM_CRATES.contains(&m.krate.as_str());
+    let mut out: Vec<Vec<Loop>> = vec![Vec::new(); models.len()];
+    for (id, &(fi, gi)) in graph.fns.iter().enumerate() {
+        let f = &models[fi].fns[gi];
+        let Some((s, e)) = f.body else { continue };
+        if hot[id] && !f.in_test && checked(&models[fi]) {
+            out[fi].extend(cfg::loops(&models[fi].toks, s, e));
+        }
+    }
+    for (mi, m) in models.iter().enumerate().filter(|&(_, m)| checked(m)) {
+        for &(cs, ce) in &closure_ranges[mi] {
+            if !m.in_test_at(cs) {
+                out[mi].extend(cfg::loops(&m.toks, cs, ce));
+            }
+        }
+        out[mi].sort_by_key(|l| l.open);
+        out[mi].dedup_by_key(|l| l.open);
+    }
+    out
 }
 
-pub(crate) fn compute(models: &[FileModel], graph: &CallGraph) -> HotSet {
+/// True when token `i` heads a call to a `sjc_par` entry point: a `par_*`
+/// function, or `join`/`join_budget` qualified by `sjc_par::` or imported
+/// from it, so `path.join(…)` and the spatial-join functions never match.
+fn is_par_call(m: &FileModel, i: usize) -> bool {
+    let toks = &m.toks;
+    let t = &toks[i];
+    let join = t.text == "join" || t.text == "join_budget";
+    if t.kind != TokKind::Ident
+        || !(t.text.starts_with("par_") || join)
+        || !toks.get(i + 1).is_some_and(|n| n.is_op("("))
+    {
+        return false;
+    }
+    if i > 0 && (toks[i - 1].is_op(".") || toks[i - 1].is_ident("fn")) {
+        return false; // method call or definition, not a runtime dispatch
+    }
+    if i > 0 && toks[i - 1].is_op("::") {
+        return i >= 2 && (toks[i - 2].is_ident("sjc_par") || toks[i - 2].is_ident("par"));
+    }
+    !join || (m.use_crates.contains("sjc_par") && m.use_names.contains(&t.text))
+}
+
+/// The hot flag per function (parallel to `graph.fns`), and per model
+/// index the token ranges of closure bodies handed directly to `sjc_par`
+/// entry points (hot even when their enclosing fn is not).
+fn reachable(models: &[FileModel], graph: &CallGraph) -> (Vec<bool>, Vec<Vec<(usize, usize)>>) {
     let mut hot = vec![false; graph.fns.len()];
     let mut work: Vec<FnId> = Vec::new();
     let mut closure_ranges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); models.len()];
@@ -73,7 +114,7 @@ pub(crate) fn compute(models: &[FileModel], graph: &CallGraph) -> HotSet {
         let toks = &m.toks;
         let mut i = 0usize;
         while i < toks.len() {
-            if !par_closure::is_par_call(m, i) || m.in_test_at(i) {
+            if !is_par_call(m, i) || m.in_test_at(i) {
                 i += 1;
                 continue;
             }
@@ -82,7 +123,7 @@ pub(crate) fn compute(models: &[FileModel], graph: &CallGraph) -> HotSet {
             let mut j = open + 1;
             while j < close {
                 if toks[j].is_op("|") || toks[j].is_op("||") {
-                    let (bs, be, _) = par_closure::closure_extent(toks, j, close);
+                    let (bs, be) = cfg::closure_body(toks, j, close);
                     closure_ranges[mi].push((bs, be));
                     // Every call-graph edge of the enclosing fn whose
                     // call-site name appears in the closure body is a root.
@@ -126,7 +167,7 @@ pub(crate) fn compute(models: &[FileModel], graph: &CallGraph) -> HotSet {
         let toks = &m.toks;
         let uses_scratch = (bs..=be.min(toks.len().saturating_sub(1))).any(|k| {
             k >= 2
-                && toks[k].kind == crate::lexer::TokKind::Ident
+                && toks[k].kind == TokKind::Ident
                 && matches!(toks[k].text.as_str(), "take_vec" | "put_vec" | "with_vec")
                 && toks[k - 1].is_op("::")
                 && toks[k - 2].is_ident("scratch")
@@ -148,7 +189,7 @@ pub(crate) fn compute(models: &[FileModel], graph: &CallGraph) -> HotSet {
         }
     }
 
-    HotSet { hot, closure_ranges }
+    (hot, closure_ranges)
 }
 
 #[cfg(test)]
@@ -159,12 +200,12 @@ mod tests {
     fn hot_names(files: &[(&str, &str)]) -> Vec<String> {
         let models: Vec<FileModel> = files.iter().map(|(p, s)| FileModel::build(p, s)).collect();
         let graph = callgraph::build(&models);
-        let set = compute(&models, &graph);
+        let (hot, _) = reachable(&models, &graph);
         graph
             .fns
             .iter()
             .enumerate()
-            .filter(|&(id, _)| set.hot[id])
+            .filter(|&(id, _)| hot[id])
             .map(|(_, &(fi, gi))| models[fi].fns[gi].name.clone())
             .collect()
     }
@@ -180,6 +221,13 @@ mod tests {
         assert!(!names.contains(&"cold".to_string()), "{names:?}");
         // The driver itself is not hot — only what the closure dispatches.
         assert!(!names.contains(&"drive".to_string()), "{names:?}");
+    }
+
+    #[test]
+    fn every_par_entry_point_and_only_sjc_par_joins_root_the_set() {
+        let src = "use sjc_par::join;\npub fn drive(parts: &[Vec<u64>], w: &[u64]) {\n    sjc_par::par_map_weighted(parts, w, |p| a(p));\n    join(|| b(), || 0);\n    path.join(|| c());\n    other::join(|| d());\n}\nfn a(p: &[u64]) -> u64 { 1 }\nfn b() -> u64 { 2 }\nfn c() -> u64 { 3 }\nfn d() -> u64 { 4 }\n";
+        let names = hot_names(&[("crates/core/src/x.rs", src)]);
+        assert_eq!(names, ["a", "b"], "{names:?}");
     }
 
     #[test]
@@ -215,5 +263,19 @@ mod tests {
         assert!(names.contains(&"run_join".to_string()), "{names:?}");
         assert!(names.contains(&"inner".to_string()), "{names:?}");
         assert!(!names.contains(&"unused".to_string()), "{names:?}");
+    }
+
+    #[test]
+    fn a_closure_loop_inside_a_hot_fn_is_collected_once() {
+        // `inner` is hot (a par closure calls it), and so is the closure it
+        // hands to `par_map`: the loop belongs to both, and counts once.
+        let src = "pub fn top(v: &[Vec<Vec<u64>>]) {\n    sjc_par::par_map(v, |parts| inner(parts));\n}\nfn inner(parts: &[Vec<u64>]) -> Vec<u64> {\n    sjc_par::par_map(parts, |p| {\n        let mut n = 0;\n        for x in p.iter() {\n            n += x;\n        }\n        n\n    })\n}\n";
+        let models = [FileModel::build("crates/core/src/x.rs", src)];
+        let graph = callgraph::build(&models);
+        assert_eq!(hot_loops(&models, &graph)[0].len(), 1);
+        // Outside the simulation crates nothing is collected.
+        let models = [FileModel::build("crates/testkit/src/x.rs", src)];
+        let graph = callgraph::build(&models);
+        assert!(hot_loops(&models, &graph)[0].is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //! per-tuple overhead inside partition-join inner loops dominate in-memory
 //! spatial join cost. This pass makes that a checked invariant: inside any
 //! **loop** of a hot function (see [`super::hot`] for how the hot set is
-//! seeded and closed), the allocating calls below are errors.
+//! seeded and closed), the allocating calls below are findings.
 //!
 //! What fires: `.clone()`, `.to_string()`, `.to_owned()`, `.to_vec()`,
 //! `.collect(…)`, `.repeat(…)`, `format!`, `vec!`, `Box::new`,
@@ -22,17 +22,13 @@
 //!   fine; the same allocation inside its per-record loop is not.
 //!
 //! Scope: non-test code of the simulation crates (`SIM_CRATES`) — the code
-//! that produces the paper's numbers. Findings are errors; a deliberate
-//! per-iteration allocation states its reason in a suppression.
+//! that produces the paper's numbers. A deliberate per-iteration
+//! allocation states its reason in a suppression.
 
-use std::collections::BTreeSet;
-
-use crate::callgraph::CallGraph;
-use crate::cfg::FnCfg;
+use crate::cfg::{self, Loop};
 use crate::items::FileModel;
 use crate::lexer::TokKind;
-use crate::passes::hot::HotSet;
-use crate::{Rule, Violation, SIM_CRATES};
+use crate::{Rule, Violation};
 
 /// Methods that allocate on every call.
 const ALLOC_METHODS: &[&str] = &["clone", "to_string", "to_owned", "to_vec", "collect", "repeat"];
@@ -43,67 +39,26 @@ const ALLOC_MACROS: &[&str] = &["format", "vec"];
 /// `Type::fn` pairs that allocate.
 const ALLOC_QUALIFIED: &[(&str, &str)] = &[("Box", "new"), ("String", "from"), ("Vec", "from")];
 
-pub(crate) fn run(models: &[FileModel], graph: &CallGraph, hot: &HotSet) -> Vec<Violation> {
+/// `hot_loops` is [`super::hot::hot_loops`], parallel to `models`.
+pub(crate) fn run(models: &[FileModel], hot_loops: &[Vec<Loop>]) -> Vec<Violation> {
     let mut out = Vec::new();
-    for (mi, m) in models.iter().enumerate() {
-        if m.harness || !SIM_CRATES.contains(&m.krate.as_str()) {
+    for (m, loops) in models.iter().zip(hot_loops) {
+        if loops.is_empty() {
             continue;
         }
-        // Hot loop spans of this file: loops of hot functions plus loops
-        // written inline in par-closure bodies. Deduped by opening brace —
-        // a closure inside a hot fn contributes its loops only once.
-        let mut spans: Vec<(usize, usize, usize)> = Vec::new(); // (open, close, line)
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        for (id, &(fi, gi)) in graph.fns.iter().enumerate() {
-            if fi != mi || !hot.hot[id] {
-                continue;
-            }
-            let f = &m.fns[gi];
-            if f.in_test {
-                continue;
-            }
-            let Some((s, e)) = f.body else { continue };
-            for r in FnCfg::build(&m.toks, s, e).loops() {
-                if seen.insert(r.open) {
-                    spans.push((r.open, r.close, r.line));
-                }
-            }
-        }
-        for &(cs, ce) in &hot.closure_ranges[mi] {
-            if m.in_test_at(cs) {
-                continue;
-            }
-            for r in FnCfg::build(&m.toks, cs, ce).loops() {
-                if seen.insert(r.open) {
-                    spans.push((r.open, r.close, r.line));
-                }
-            }
-        }
-        if spans.is_empty() {
-            continue;
-        }
-
         for k in 0..m.toks.len() {
-            let Some(&(_, _, loop_line)) =
-                spans.iter().filter(|&&(s, e, _)| s < k && k < e).max_by_key(|&&(s, _, _)| s)
-            else {
-                continue;
-            };
+            let Some(lp) = cfg::innermost(loops, k) else { continue };
             let Some(what) = alloc_site(m, k) else { continue };
-            let fn_name = m
-                .fns
-                .iter()
-                .rfind(|f| f.body.is_some_and(|(s, e)| s <= k && k <= e))
-                .map(|f| f.name.clone())
-                .unwrap_or_default();
+            let fn_name = m.enclosing_fn(k).map_or("", |f| f.name.as_str());
             out.push(Violation::new(
                 Rule::HotAlloc,
                 &m.rel_path,
                 m.toks[k].line,
                 format!(
-                    "`{what}` allocates on every iteration of the hot loop at line {loop_line} \
+                    "`{what}` allocates on every iteration of the hot loop at line {} \
                      (fn `{fn_name}` runs inside the measured region) — hoist it above the loop, \
-                     pre-size with with_capacity, or reuse a cleared buffer"
+                     pre-size with with_capacity, or reuse a cleared buffer",
+                    lp.line
                 ),
             ));
         }
@@ -153,8 +108,7 @@ mod tests {
     fn analyze(files: &[(&str, &str)]) -> Vec<Violation> {
         let models: Vec<FileModel> = files.iter().map(|(p, s)| FileModel::build(p, s)).collect();
         let graph = callgraph::build(&models);
-        let set = hot::compute(&models, &graph);
-        run(&models, &graph, &set)
+        run(&models, &hot::hot_loops(&models, &graph))
     }
 
     const DRIVER: &str =

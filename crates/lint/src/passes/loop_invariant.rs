@@ -1,13 +1,12 @@
-//! Loop-invariant-call pass (warning severity).
+//! Loop-invariant-call pass.
 //!
-//! Inside a hot loop (same scope as [`super::hot_alloc`]: loops of hot
-//! functions and of inline `sjc_par` closures, in simulation crates), a
+//! Inside a hot loop (the loops [`super::hot::hot_loops`] collects: loops of
+//! hot functions and of inline `sjc_par` closures, in simulation crates), a
 //! call whose arguments are all loop-invariant recomputes the same value on
 //! every iteration — `stage_tag(stage)` inside a per-task wave loop costs a
 //! hash per task for a value that never changes. The fix is mechanical
-//! (hoist the call above the loop), but whether the call is *pure* is not
-//! statically provable here, so findings are warnings: they ride the
-//! report and count against the per-file ratchet without failing the gate.
+//! (hoist the call above the loop); a call that is impure by design states
+//! so in a suppression.
 //!
 //! A call is flagged only when the evidence is unambiguous:
 //!
@@ -23,12 +22,10 @@
 
 use std::collections::BTreeSet;
 
-use crate::callgraph::CallGraph;
-use crate::cfg::{self, FnCfg, Region};
+use crate::cfg::{self, Loop};
 use crate::items::FileModel;
 use crate::lexer::{Tok, TokKind};
-use crate::passes::hot::HotSet;
-use crate::{Rule, Violation, SIM_CRATES};
+use crate::{Rule, Violation};
 
 /// Methods that mutate their receiver: the receiver chain's base becomes
 /// loop-variant.
@@ -53,48 +50,24 @@ const MUTATING_METHODS: &[&str] = &[
 
 const ASSIGN_OPS: &[&str] = &["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="];
 
-pub(crate) fn run(models: &[FileModel], graph: &CallGraph, hot: &HotSet) -> Vec<Violation> {
+/// `hot_loops` is [`super::hot::hot_loops`], parallel to `models`.
+pub(crate) fn run(models: &[FileModel], hot_loops: &[Vec<Loop>]) -> Vec<Violation> {
     let mut out = Vec::new();
-    for (mi, m) in models.iter().enumerate() {
-        if m.harness || !SIM_CRATES.contains(&m.krate.as_str()) {
-            continue;
-        }
-        let mut cfgs: Vec<FnCfg> = Vec::new();
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        for (id, &(fi, gi)) in graph.fns.iter().enumerate() {
-            if fi != mi || !hot.hot[id] {
-                continue;
-            }
-            let f = &m.fns[gi];
-            let Some((s, e)) = f.body else { continue };
-            if f.in_test || !seen.insert(s) {
-                continue;
-            }
-            cfgs.push(FnCfg::build(&m.toks, s, e));
-        }
-        for &(cs, ce) in &hot.closure_ranges[mi] {
-            if !m.in_test_at(cs) && seen.insert(cs) {
-                cfgs.push(FnCfg::build(&m.toks, cs, ce));
-            }
-        }
-        for fc in &cfgs {
-            for lp in fc.loops() {
-                // Only innermost-loop reports: a call in a nested loop is
-                // judged against (and reported for) the loop closest to it.
-                check_loop(m, fc, lp, &mut out);
-            }
+    for (m, loops) in models.iter().zip(hot_loops) {
+        for lp in loops {
+            check_loop(m, loops, lp, &mut out);
         }
     }
     out
 }
 
-fn check_loop(m: &FileModel, fc: &FnCfg, lp: &Region, out: &mut Vec<Violation>) {
+fn check_loop(m: &FileModel, loops: &[Loop], lp: &Loop, out: &mut Vec<Violation>) {
     let toks = &m.toks;
     let variant = variant_idents(toks, lp);
     let mut k = lp.open + 1;
     while k < lp.close {
         // Judge each call against its innermost loop only.
-        if fc.innermost_loop(k).is_some_and(|inner| inner.open != lp.open) {
+        if cfg::innermost(loops, k).is_some_and(|inner| inner.open != lp.open) {
             k += 1;
             continue;
         }
@@ -110,20 +83,17 @@ fn check_loop(m: &FileModel, fc: &FnCfg, lp: &Region, out: &mut Vec<Violation>) 
             k += 1;
             continue;
         }
-        out.push(
-            Violation::new(
-                Rule::LoopInvariantCall,
-                &m.rel_path,
-                toks[k].line,
-                format!(
-                    "`{name}(…)` has only loop-invariant arguments — every iteration of the \
-                     loop at line {} recomputes the same value; hoist the call above the loop \
-                     (or suppress if the call is impure by design)",
-                    lp.line
-                ),
-            )
-            .with_severity(Rule::LoopInvariantCall.default_severity()),
-        );
+        out.push(Violation::new(
+            Rule::LoopInvariantCall,
+            &m.rel_path,
+            toks[k].line,
+            format!(
+                "`{name}(…)` has only loop-invariant arguments — every iteration of the \
+                 loop at line {} recomputes the same value; hoist the call above the loop \
+                 (or suppress if the call is impure by design)",
+                lp.line
+            ),
+        ));
         k = args_close + 1;
     }
 }
@@ -192,7 +162,7 @@ fn args_are_invariant(
 
 /// Identifiers that vary across iterations of loop `lp`: its header
 /// pattern, plus everything bound, assigned, or mutated in its body.
-fn variant_idents(toks: &[Tok], lp: &Region) -> BTreeSet<String> {
+fn variant_idents(toks: &[Tok], lp: &Loop) -> BTreeSet<String> {
     let mut variant: BTreeSet<String> = BTreeSet::new();
     variant.insert("self".to_string());
     // `for <pat> in …` header binders.
@@ -298,23 +268,20 @@ mod tests {
     fn analyze(files: &[(&str, &str)]) -> Vec<Violation> {
         let models: Vec<FileModel> = files.iter().map(|(p, s)| FileModel::build(p, s)).collect();
         let graph = callgraph::build(&models);
-        let set = hot::compute(&models, &graph);
-        run(&models, &graph, &set)
+        run(&models, &hot::hot_loops(&models, &graph))
     }
 
     const DRIVER: &str =
         "pub fn drive(parts: &[Vec<u64>]) -> Vec<u64> {\n    sjc_par::par_map(parts, |p| kernel(p, 3))\n}\n";
 
     #[test]
-    fn invariant_call_in_hot_loop_warns() {
+    fn invariant_call_in_hot_loop_fires() {
         let src = format!(
             "{DRIVER}fn kernel(p: &[u64], k: u64) -> u64 {{\n    let mut acc = 0u64;\n    for x in p.iter() {{\n        let w = weight(k);\n        acc += w + x;\n    }}\n    acc\n}}\nfn weight(k: u64) -> u64 {{ k * 2 }}\n"
         );
         let vs = analyze(&[("crates/index/src/x.rs", &src)]);
         assert!(
-            vs.iter().any(|v| v.rule == Rule::LoopInvariantCall
-                && v.severity == crate::Severity::Warning
-                && v.message.contains("weight")),
+            vs.iter().any(|v| v.rule == Rule::LoopInvariantCall && v.message.contains("weight")),
             "{vs:?}"
         );
     }

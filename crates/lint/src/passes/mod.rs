@@ -3,46 +3,32 @@
 //! The line rules in `lib.rs` are single-line token scans; the passes here
 //! see the whole workspace at once: a token stream per file (`lexer`), an
 //! item model with function extents, visibility and test regions (`items`),
-//! and a name-resolved call graph gated by the crate topology (`callgraph`).
-//! Three passes run on top:
+//! a name-resolved call graph gated by the crate topology (`callgraph`),
+//! and one bottom-up SCC fixpoint computing may-panic, purity and unit
+//! facts per function ([`crate::summaries`]). Eight passes run on top:
 //!
 //! * [`entropy`] — no simulation-crate function may *transitively* reach a
 //!   wall-clock or entropy source, and nothing derived from one may flow
 //!   into `sim_ns`/trace output (in any crate, bench included);
-//! * [`par_closure`] — closures handed to the `sjc_par` runtime must not
-//!   mutate captured state (the static counterpart of the 1-vs-8-thread
-//!   bit-identity tests);
 //! * [`error_flow`] — every `SimError` variant is both constructed and
 //!   handled somewhere, and library code never silently discards a
-//!   `Result`.
-//!
-//! The control-flow layer ([`crate::cfg`], [`crate::dataflow`], and the
-//! hot-path reachability in [`hot`]) adds three more:
-//!
-//! * [`hot_alloc`] — no per-iteration allocation inside a loop of any
-//!   function reachable from an `sjc_par` entry-point closure or a
-//!   `crates/bench` kernel;
-//! * [`loop_invariant`] — calls with all-loop-invariant arguments inside
-//!   hot loops (warning: hoist them out);
-//! * [`unit_flow`] — no `+`/`-` arithmetic mixing `*_ns`/`*_bytes`/count
-//!   bindings, and no non-nanosecond value reaching a `*_ns` sink.
-//!
-//! The interprocedural layer ([`crate::summaries`]: one bottom-up SCC
-//! fixpoint computing may-panic, purity and unit facts per function) adds
-//! four more:
-//!
+//!   `Result`;
+//! * [`hot_alloc`] — no per-iteration allocation inside a hot loop: a loop
+//!   of any function reachable from an `sjc_par` entry-point closure or a
+//!   `crates/bench` kernel, or a loop inside such a closure ([`hot`]
+//!   collects them once for this pass and the next);
+//! * [`loop_invariant`] — no call with all-loop-invariant arguments inside
+//!   a hot loop (hoist it out);
+//! * [`unit_flow`] — no `+`/`-` mixing `*_ns`/`*_bytes`/count operands, no
+//!   non-nanosecond value reaching a `*_ns` sink, and no argument in a unit
+//!   other than its parameter's; a call's unit comes from its name or its
+//!   summarized return;
 //! * [`panic_path`] — `pub` simulation API must not *transitively* reach a
 //!   panic site; the diagnostic carries the full call chain;
-//! * [`interproc_unit_flow`] — a call's returned unit (`_ns`/`_bytes`/
-//!   count, inferred through the callee's body) must not mix with a
-//!   different unit or flow into a differently-united sink or parameter;
 //! * [`cache_purity`] — everything reachable from a memoized seam
 //!   (`generate_cached` and friends) must be a pure function of its inputs;
-//! * [`scoped_spawn`] — no direct `std::thread::scope`/`spawn` outside
-//!   `crates/par`: thread dispatch goes through the persistent pool's
-//!   entry points, not per-call scoped spawns;
 //! * [`stale_suppression`] — audited allow comments must still cover a
-//!   finding (warning: delete or re-justify dead waivers).
+//!   finding (delete or re-justify dead waivers).
 //!
 //! Suppression works exactly as for the line rules: an inline allow
 //! comment naming the rule, with a reason, on (or directly above) the
@@ -53,11 +39,8 @@ pub mod entropy;
 pub mod error_flow;
 pub(crate) mod hot;
 pub mod hot_alloc;
-pub mod interproc_unit_flow;
 pub mod loop_invariant;
 pub mod panic_path;
-pub mod par_closure;
-pub mod scoped_spawn;
 pub mod stale_suppression;
 pub mod unit_flow;
 
@@ -123,6 +106,10 @@ pub(crate) fn analyze_files(files: &[(String, String)]) -> (Vec<Violation>, Vec<
     let sums = Summaries::compute_with_audit(&models, &graph, &audited);
     timings.push(PassTiming { name: "summaries", wall: t.elapsed() });
 
+    let t = stamp();
+    let loops = hot::hot_loops(&models, &graph);
+    timings.push(PassTiming { name: "hot-loops", wall: t.elapsed() });
+
     let mut out = Vec::new();
     let mut timed = |name: &'static str, vs: Vec<Violation>, t0: std::time::Instant| {
         timings.push(PassTiming { name, wall: t0.elapsed() });
@@ -132,24 +119,17 @@ pub(crate) fn analyze_files(files: &[(String, String)]) -> (Vec<Violation>, Vec<
     let t = stamp();
     out.extend(timed("entropy", entropy::run(&models, &graph), t));
     let t = stamp();
-    out.extend(timed("par-closure", par_closure::run(&models), t));
-    let t = stamp();
     out.extend(timed("error-flow", error_flow::run(&models), t));
     let t = stamp();
-    let hot_set = hot::compute(&models, &graph);
-    out.extend(timed("hot-alloc", hot_alloc::run(&models, &graph, &hot_set), t));
+    out.extend(timed("hot-alloc", hot_alloc::run(&models, &loops), t));
     let t = stamp();
-    out.extend(timed("loop-invariant", loop_invariant::run(&models, &graph, &hot_set), t));
+    out.extend(timed("loop-invariant", loop_invariant::run(&models, &loops), t));
     let t = stamp();
-    out.extend(timed("unit-flow", unit_flow::run(&models), t));
+    out.extend(timed("unit-flow", unit_flow::run(&models, &graph, &sums), t));
     let t = stamp();
     out.extend(timed("panic-path", panic_path::run(&models, &graph, &sums), t));
     let t = stamp();
-    out.extend(timed("interproc-unit-flow", interproc_unit_flow::run(&models, &graph, &sums), t));
-    let t = stamp();
     out.extend(timed("cache-purity", cache_purity::run(&models, &graph, &sums), t));
-    let t = stamp();
-    out.extend(timed("scoped-spawn", scoped_spawn::run(&models), t));
 
     // Stale-suppression compares every allow against the *pre-suppression*
     // findings of both layers, so it runs after every other pass and before

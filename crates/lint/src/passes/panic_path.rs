@@ -10,9 +10,9 @@
 //! by the summary layer and never start a chain.
 //!
 //! The diagnostic reports the full chain: the message names every hop, and
-//! each hop becomes a related location (`json`/`sarif` emit them as
-//! `relatedLocations`), so the reader can audit the path without re-running
-//! the analysis.
+//! each hop becomes a related location (printed indented under the
+//! finding), so the reader can audit the path without re-running the
+//! analysis.
 
 use crate::callgraph::CallGraph;
 use crate::items::{FileModel, Vis};

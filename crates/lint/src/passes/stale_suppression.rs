@@ -4,8 +4,8 @@
 //! the code it audited is rewritten, the waiver silently covers *future*
 //! regressions on that line instead. This pass compares every well-formed
 //! allow against the **pre-suppression** findings (line rules via
-//! `check_file_raw` plus every `sjc-analyze` pass) and warns when the allow
-//! covers none of them.
+//! `check_file_raw` plus every `sjc-analyze` pass) and reports each allow
+//! that covers none of them.
 //!
 //! Coverage mirrors [`crate::is_suppressed`] exactly: an inline allow covers
 //! its own line; a comment-only allow also covers every line whose statement
@@ -18,7 +18,7 @@
 //! * `allow(stale-suppression)` is exempt from its own check (it is the
 //!   escape hatch for allows kept intentionally, e.g. documentation).
 //!
-//! Malformed allows are `bad-suppression` errors and are skipped here.
+//! Malformed allows are `bad-suppression` findings and are skipped here.
 
 use std::collections::BTreeSet;
 

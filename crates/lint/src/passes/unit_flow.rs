@@ -4,25 +4,33 @@
 //! nanoseconds (`sim_ns`, `*_ns`), byte volumes (`*_bytes`), and counts
 //! (`*_count`, `*_attempts`). The type system cannot tell them apart, so a
 //! `total_ns + shuffle_bytes` typo compiles and quietly corrupts a
-//! simulated result. This pass derives a unit for every binding — from its
-//! name suffix, or through `let` chains via the [`crate::dataflow`]
-//! machinery — and flags
+//! simulated result. This pass gives every operand a unit — a binding from
+//! its name suffix or through `let` chains via the [`crate::dataflow`]
+//! machinery, a call from its name or its summarized return
+//! ([`crate::summaries`]) — and flags, in one walk per body,
 //!
 //! * `+`/`-`/`+=`/`-=` between two operands of *different known* units
 //!   (multiplication and division are exempt: `bytes * ns_per_byte` is how
-//!   conversions are spelled), and
+//!   conversions are spelled);
 //! * a non-nanosecond value reaching a `*_ns`/`sim_ns` sink through a plain
-//!   `=`/`: ` assignment whose right-hand side has no converting `*`/`/`.
+//!   `=`/`: ` assignment whose right-hand side has no converting `*`/`/`;
+//! * an argument whose unit differs from the parameter's declared unit.
 //!
 //! Name-derived units win over flow-derived ones (a binding named
 //! `total_ns` *is* nanoseconds, whatever fed it — the mixing is flagged at
 //! the arithmetic, not at the rename), and identifiers containing `per`
-//! carry no unit: `ns_per_byte` is a rate, not a byte count.
+//! carry no unit: `ns_per_byte` is a rate, not a byte count. Ambiguous
+//! calls (several resolved callees with disagreeing summaries) carry no
+//! fact: the under-approximation direction the whole crate follows.
 
+use std::collections::BTreeMap;
+
+use crate::callgraph::CallGraph;
 use crate::dataflow::{self, Flow, LetBinding};
 use crate::items::FileModel;
 use crate::lexer::{Tok, TokKind};
-use crate::{Rule, Violation};
+use crate::summaries::Summaries;
+use crate::{cfg, Related, Rule, Violation};
 
 /// The units the simulation's identifiers encode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -56,19 +64,36 @@ pub fn unit_of_name(name: &str) -> Option<Unit> {
     }
 }
 
-pub fn run(models: &[FileModel]) -> Vec<Violation> {
+/// Per-call-site facts from the callee summaries, keyed by the name token.
+struct CallFact {
+    /// Agreed return unit across all resolved callees.
+    ret: Option<Unit>,
+    /// Agreed per-position parameter facts: `(param name, unit)`.
+    params: Vec<(Option<String>, Option<Unit>)>,
+    /// Display name of the call.
+    name: String,
+    /// Declaration site of one resolved callee (stable-key minimal), for
+    /// the related location.
+    decl: (String, usize),
+}
+
+/// One side of a `+`/`-`: a binding (or unit-named call) with its unit, or
+/// a call whose unit is its summarized return.
+enum Operand<'a> {
+    Binding(&'a str, Unit),
+    Call(&'a CallFact, Unit),
+}
+
+pub fn run(models: &[FileModel], graph: &CallGraph, sums: &Summaries) -> Vec<Violation> {
     let mut out = Vec::new();
-    for m in models {
-        if m.harness {
+    for (id, &(fi, gi)) in graph.fns.iter().enumerate() {
+        let m = &models[fi];
+        let f = &m.fns[gi];
+        if m.harness || f.in_test {
             continue;
         }
-        for f in &m.fns {
-            if f.in_test {
-                continue;
-            }
-            let Some((s, e)) = f.body else { continue };
-            check_body(m, s, e, &mut out);
-        }
+        let Some((s, e)) = f.body else { continue };
+        check_body(m, s, e, &call_facts(models, graph, sums, id), &mut out);
     }
     out
 }
@@ -92,15 +117,78 @@ pub(crate) fn unit_at(toks: &[Tok], k: usize, flow: &Flow<Unit>) -> Option<Unit>
     })
 }
 
-fn check_body(m: &FileModel, start: usize, end: usize, out: &mut Vec<Violation>) {
+/// Builds the call-site fact table for one caller: only calls whose name
+/// does not itself declare a unit (those are plain operands), and whose
+/// resolved callees agree.
+fn call_facts(
+    models: &[FileModel],
+    graph: &CallGraph,
+    sums: &Summaries,
+    id: usize,
+) -> BTreeMap<usize, CallFact> {
+    let mut by_tok: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for e in &graph.edges[id] {
+        by_tok.entry(e.tok).or_default().push(e.callee);
+    }
+    let mut out = BTreeMap::new();
+    for (tok, callees) in by_tok {
+        let (c0fi, c0gi) = graph.fns[callees[0]];
+        let name = models[c0fi].fns[c0gi].name.clone();
+        if unit_of_name(&name).is_some() {
+            continue;
+        }
+        let ret = agreed(callees.iter().map(|&c| sums.ret_unit[c]));
+        let max_params = callees.iter().map(|&c| sums.params[c].len()).max().unwrap_or(0);
+        let params: Vec<(Option<String>, Option<Unit>)> = (0..max_params)
+            .map(|p| {
+                let unit =
+                    agreed(callees.iter().map(|&c| sums.params[c].get(p).and_then(|pa| pa.unit)));
+                let pname = sums.params[callees[0]].get(p).and_then(|pa| pa.name.clone());
+                (pname, unit)
+            })
+            .collect();
+        if ret.is_none() && params.iter().all(|(_, u)| u.is_none()) {
+            continue;
+        }
+        let decl_of = |c: usize| {
+            let (dfi, dgi) = graph.fns[c];
+            (models[dfi].rel_path.clone(), models[dfi].fns[dgi].line)
+        };
+        let decl = callees.iter().map(|&c| decl_of(c)).min().unwrap_or_default();
+        out.insert(tok, CallFact { ret, params, name, decl });
+    }
+    out
+}
+
+/// The single unit all items agree on, or `None` on any unknown/conflict
+/// (or no items at all).
+pub(crate) fn agreed(units: impl Iterator<Item = Option<Unit>>) -> Option<Unit> {
+    let mut acc: Option<Unit> = None;
+    for u in units {
+        match (u, acc) {
+            (None, _) => return None,
+            (Some(u), None) => acc = Some(u),
+            (Some(u), Some(a)) if u != a => return None,
+            _ => {}
+        }
+    }
+    acc
+}
+
+fn check_body(
+    m: &FileModel,
+    start: usize,
+    end: usize,
+    facts: &BTreeMap<usize, CallFact>,
+    out: &mut Vec<Violation>,
+) {
     let toks = &m.toks;
     let end = end.min(toks.len().saturating_sub(1));
     let bindings = dataflow::let_bindings(toks, start, end);
     let mut next_binding = 0usize;
     let mut flow: Flow<Unit> = Flow::new();
 
-    let mut k = start;
-    while k <= end {
+    for k in start..=end {
         // Apply every binding whose initializer we have fully walked past,
         // so checks inside an initializer use the pre-binding facts.
         while next_binding < bindings.len() && bindings[next_binding].rhs.1 < k {
@@ -108,31 +196,19 @@ fn check_body(m: &FileModel, start: usize, end: usize, out: &mut Vec<Violation>)
             next_binding += 1;
         }
         let t = &toks[k];
+        let line = t.line;
 
-        // Mixing: `a_ns + b_bytes`, `acc_ns -= delta_bytes`, …
+        // Mixing: `a_ns + b_bytes`, `acc_ns -= delta_bytes`, `x_ns + f(…)`…
         if t.kind == TokKind::Op
             && matches!(t.text.as_str(), "+" | "-" | "+=" | "-=")
             && k > start
             && k < end
         {
-            let lhs = unit_at(toks, k - 1, &flow);
-            let rhs = unit_at(toks, k + 1, &flow);
+            let lhs = operand_before(toks, k - 1, facts, &flow);
+            let rhs = operand_after(toks, k + 1, facts, &flow);
             if let (Some(l), Some(r)) = (lhs, rhs) {
-                if l != r {
-                    out.push(Violation::new(
-                        Rule::UnitFlow,
-                        &m.rel_path,
-                        t.line,
-                        format!(
-                            "`{}` ({}) and `{}` ({}) are combined with `{}` — different units \
-                             never add; convert explicitly (multiply by a rate) first",
-                            toks[k - 1].text,
-                            l.name(),
-                            toks[k + 1].text,
-                            r.name(),
-                            t.text
-                        ),
-                    ));
+                if let Some(v) = mix_violation(m, line, &l, &r, &t.text) {
+                    out.push(v);
                 }
             }
         }
@@ -144,22 +220,167 @@ fn check_body(m: &FileModel, start: usize, end: usize, out: &mut Vec<Violation>)
             && unit_of_name(&t.text) == Some(Unit::Ns)
             && toks.get(k + 1).is_some_and(|n| n.is_op("=") || n.is_op(":"))
         {
-            if let Some((bad_tok, bad_unit)) = offending_rhs(toks, k + 2, end, &flow) {
-                out.push(Violation::new(
+            match offending_rhs(toks, k + 2, end, facts, &flow) {
+                Some(Operand::Binding(name, unit)) => out.push(Violation::new(
                     Rule::UnitFlow,
                     &m.rel_path,
-                    t.line,
+                    line,
                     format!(
-                        "`{}` ({}) flows into `{}` — a nanosecond sink must receive \
+                        "`{name}` ({}) flows into `{}` — a nanosecond sink must receive \
                          nanoseconds; convert with an explicit rate first",
-                        toks[bad_tok].text,
-                        bad_unit.name(),
+                        unit.name(),
                         t.text
                     ),
-                ));
+                )),
+                Some(Operand::Call(fact, ret)) => out.push(
+                    Violation::new(
+                        Rule::UnitFlow,
+                        &m.rel_path,
+                        line,
+                        format!(
+                            "`{}(…)` returns {} and flows into `{}` — a nanosecond sink \
+                             must receive nanoseconds; convert with an explicit rate first",
+                            fact.name,
+                            ret.name(),
+                            t.text
+                        ),
+                    )
+                    .with_related(vec![decl_related(fact, ret)]),
+                ),
+                None => {}
             }
         }
-        k += 1;
+
+        // Argument positions: a single-ident argument with a known unit must
+        // match the parameter's declared unit.
+        let Some(fact) = facts.get(&k) else { continue };
+        let Some(close) = cfg::matching(toks, k + 1, "(", ")") else { continue };
+        for (p, arg) in single_ident_args(toks, k + 1, close).into_iter().enumerate() {
+            let Some(arg_tok) = arg else { continue };
+            let Some((pname, Some(want))) = fact.params.get(p).cloned() else { continue };
+            let Some(have) = unit_at(toks, arg_tok, &flow) else { continue };
+            if have != want {
+                let pname = pname.unwrap_or_else(|| format!("#{p}"));
+                out.push(
+                    Violation::new(
+                        Rule::UnitFlow,
+                        &m.rel_path,
+                        line,
+                        format!(
+                            "`{}` ({}) is passed to parameter `{pname}` ({}) of \
+                             `{}` — convert with an explicit rate first",
+                            toks[arg_tok].text,
+                            have.name(),
+                            want.name(),
+                            fact.name
+                        ),
+                    )
+                    .with_related(vec![Related {
+                        path: fact.decl.0.clone(),
+                        line: fact.decl.1,
+                        note: format!("`{}` declares `{pname}` as {}", fact.name, want.name()),
+                    }]),
+                );
+            }
+        }
+    }
+}
+
+/// The operand ending at token `k`: a binding, or a call `f(…)` whose
+/// summarized return carries a unit.
+fn operand_before<'a>(
+    toks: &'a [Tok],
+    k: usize,
+    facts: &'a BTreeMap<usize, CallFact>,
+    flow: &Flow<Unit>,
+) -> Option<Operand<'a>> {
+    if toks[k].is_op(")") {
+        let mut depth = 0i64;
+        let open = (0..=k).rev().find(|&j| {
+            depth += i64::from(toks[j].is_op(")")) - i64::from(toks[j].is_op("("));
+            depth == 0
+        })?;
+        let fact = facts.get(&open.checked_sub(1)?)?;
+        return fact.ret.map(|u| Operand::Call(fact, u));
+    }
+    unit_at(toks, k, flow).map(|u| Operand::Binding(&toks[k].text, u))
+}
+
+/// The operand starting at token `k`: a (possibly path-qualified) call with
+/// a summarized return unit, else the binding at `k`.
+fn operand_after<'a>(
+    toks: &'a [Tok],
+    k: usize,
+    facts: &'a BTreeMap<usize, CallFact>,
+    flow: &Flow<Unit>,
+) -> Option<Operand<'a>> {
+    let mut name = k;
+    while toks.get(name + 1).is_some_and(|t| t.is_op("::"))
+        && toks.get(name + 2).is_some_and(|t| t.kind == TokKind::Ident)
+    {
+        name += 2;
+    }
+    if let Some(fact) = facts.get(&name) {
+        return fact.ret.map(|u| Operand::Call(fact, u));
+    }
+    unit_at(toks, k, flow).map(|u| Operand::Binding(&toks[k].text, u))
+}
+
+/// The finding for `l op r` when the two units differ; a summarized call
+/// on either side is named with its declaration as the related location.
+fn mix_violation(
+    m: &FileModel,
+    line: usize,
+    l: &Operand,
+    r: &Operand,
+    op: &str,
+) -> Option<Violation> {
+    let v = match (l, r) {
+        (Operand::Binding(a, u), Operand::Binding(b, w)) => {
+            if u == w {
+                return None;
+            }
+            Violation::new(
+                Rule::UnitFlow,
+                &m.rel_path,
+                line,
+                format!(
+                    "`{a}` ({}) and `{b}` ({}) are combined with `{op}` — different units \
+                     never add; convert explicitly (multiply by a rate) first",
+                    u.name(),
+                    w.name()
+                ),
+            )
+        }
+        (Operand::Call(fact, ret), Operand::Binding(other, u))
+        | (Operand::Binding(other, u), Operand::Call(fact, ret)) => {
+            if ret == u {
+                return None;
+            }
+            Violation::new(
+                Rule::UnitFlow,
+                &m.rel_path,
+                line,
+                format!(
+                    "`{}(…)` returns {} but is combined with `{other}` ({}) via `{op}` — \
+                     different units never add; convert explicitly (multiply by a rate) first",
+                    fact.name,
+                    ret.name(),
+                    u.name()
+                ),
+            )
+            .with_related(vec![decl_related(fact, *ret)])
+        }
+        (Operand::Call(..), Operand::Call(..)) => return None,
+    };
+    Some(v)
+}
+
+fn decl_related(fact: &CallFact, ret: Unit) -> Related {
+    Related {
+        path: fact.decl.0.clone(),
+        line: fact.decl.1,
+        note: format!("`{}` returns {} (summarized here)", fact.name, ret.name()),
     }
 }
 
@@ -168,16 +389,16 @@ fn check_body(m: &FileModel, start: usize, end: usize, out: &mut Vec<Violation>)
 /// non-`Ns` unit — unless a `*`/`/` at depth 0 marks the expression as a
 /// conversion, or any operand is already `Ns` (then the `+`/`-` mixing
 /// check owns the finding).
-fn offending_rhs(
-    toks: &[Tok],
+fn offending_rhs<'a>(
+    toks: &'a [Tok],
     from: usize,
     end: usize,
+    facts: &'a BTreeMap<usize, CallFact>,
     flow: &Flow<Unit>,
-) -> Option<(usize, Unit)> {
+) -> Option<Operand<'a>> {
     let mut depth = 0i64;
-    let mut first_bad: Option<(usize, Unit)> = None;
-    let mut k = from;
-    while k <= end {
+    let mut first_bad: Option<Operand> = None;
+    for k in from..=end {
         let t = &toks[k];
         if t.is_op("(") || t.is_op("[") || t.is_op("{") {
             depth += 1;
@@ -191,13 +412,16 @@ fn offending_rhs(
         } else if depth == 0 && (t.is_op("*") || t.is_op("/")) {
             return None; // conversion expression
         } else if depth == 0 && t.kind == TokKind::Ident {
-            match unit_at(toks, k, flow) {
-                Some(Unit::Ns) => return None,
-                Some(u) if first_bad.is_none() => first_bad = Some((k, u)),
+            let operand = match facts.get(&k) {
+                Some(fact) => fact.ret.map(|u| Operand::Call(fact, u)),
+                None => unit_at(toks, k, flow).map(|u| Operand::Binding(&t.text, u)),
+            };
+            match operand {
+                Some(Operand::Binding(_, Unit::Ns) | Operand::Call(_, Unit::Ns)) => return None,
+                Some(o) if first_bad.is_none() => first_bad = Some(o),
                 _ => {}
             }
         }
-        k += 1;
     }
     first_bad
 }
@@ -250,12 +474,43 @@ pub(crate) fn apply_binding(toks: &[Tok], b: &LetBinding, flow: &mut Flow<Unit>)
     flow.bind(name, derived);
 }
 
+/// Arguments of the call spanning `(open, close)`, positionally: the token
+/// index of arguments that are a single bare identifier, `None` for
+/// anything more structured (those carry no checkable unit).
+fn single_ident_args(toks: &[Tok], open: usize, close: usize) -> Vec<Option<usize>> {
+    let mut args: Vec<Vec<usize>> = vec![Vec::new()];
+    let mut depth = 0i64;
+    for (k, t) in toks.iter().enumerate().take(close).skip(open + 1) {
+        if t.is_op("(") || t.is_op("[") || t.is_op("{") {
+            depth += 1;
+        } else if t.is_op(")") || t.is_op("]") || t.is_op("}") {
+            depth -= 1;
+        } else if depth == 0 && t.is_op(",") {
+            args.push(Vec::new());
+            continue;
+        }
+        if let Some(arg) = args.last_mut() {
+            arg.push(k);
+        }
+    }
+    args.into_iter()
+        .map(|idxs| match idxs.as_slice() {
+            [one] if toks[*one].kind == TokKind::Ident => Some(*one),
+            _ => None,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::callgraph;
 
     fn analyze(src: &str) -> Vec<Violation> {
-        run(&[FileModel::build("crates/cluster/src/x.rs", src)])
+        let models = [FileModel::build("crates/core/src/x.rs", src)];
+        let graph = callgraph::build(&models);
+        let sums = Summaries::compute(&models, &graph);
+        run(&models, &graph, &sums)
     }
 
     #[test]
@@ -332,5 +587,64 @@ mod tests {
     fn test_code_is_out_of_scope() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t(a_ns: u64, b_bytes: u64) -> u64 { a_ns + b_bytes }\n}\n";
         assert!(analyze(src).is_empty(), "{src}");
+    }
+
+    #[test]
+    fn returned_unit_mixing_fires_on_either_side_of_the_operator() {
+        for src in [
+            "pub fn total(task_ns: u64, n: u64) -> u64 { task_ns + moved(n) }\nfn moved(n: u64) -> u64 {\n    let out_bytes = n;\n    out_bytes\n}\n",
+            "pub fn total(task_ns: u64, n: u64) -> u64 { moved(n) + task_ns }\nfn moved(n: u64) -> u64 {\n    let out_bytes = n;\n    out_bytes\n}\n",
+        ] {
+            let vs = analyze(src);
+            assert_eq!(vs.len(), 1, "{vs:?}");
+            assert!(vs[0].message.contains("`moved(…)` returns bytes"), "{vs:?}");
+            assert!(vs[0].related[0].note.contains("summarized here"), "{vs:?}");
+        }
+    }
+
+    #[test]
+    fn returned_unit_into_ns_sink_fires() {
+        let vs = analyze(
+            "pub fn record(r: &mut R, n: u64) {\n    r.sim_ns = step(n);\n}\nfn step(n: u64) -> u64 {\n    let got_bytes = n;\n    got_bytes\n}\n",
+        );
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert!(
+            vs[0].message.contains("`step(…)` returns bytes and flows into `sim_ns`"),
+            "{vs:?}"
+        );
+    }
+
+    #[test]
+    fn argument_unit_mismatch_fires() {
+        let vs = analyze(
+            "pub fn drive(read_bytes: u64) -> u64 { scale(read_bytes) }\nfn scale(cost_ns: u64) -> u64 { cost_ns }\n",
+        );
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert!(vs[0].message.contains("parameter `cost_ns`"), "{vs:?}");
+    }
+
+    #[test]
+    fn converted_agreeing_and_unknown_returns_are_clean() {
+        for ok in [
+            // Converted before the sink.
+            "pub fn record(r: &mut R, n: u64, ns_per_byte: u64) {\n    r.sim_ns = step(n) * ns_per_byte;\n}\nfn step(n: u64) -> u64 {\n    let got_bytes = n;\n    got_bytes\n}\n",
+            // Same units agree.
+            "pub fn total(task_ns: u64, n: u64) -> u64 { task_ns + step(n) }\nfn step(n: u64) -> u64 {\n    let more_ns = n;\n    more_ns\n}\n",
+            // Unknown callee unit carries no fact.
+            "pub fn total(task_ns: u64, n: u64) -> u64 { task_ns + plain(n) }\nfn plain(n: u64) -> u64 { n }\n",
+            // A unit-named call is an operand like any binding.
+            "pub fn total(task_ns: u64) -> u64 { task_ns + other_ns() }\nfn other_ns() -> u64 { 1 }\n",
+        ] {
+            assert!(analyze(ok).is_empty(), "{ok}");
+        }
+    }
+
+    #[test]
+    fn unit_named_call_is_reported_once() {
+        let vs = analyze(
+            "pub fn total(task_ns: u64) -> u64 { task_ns + other_bytes() }\nfn other_bytes() -> u64 { 1 }\n",
+        );
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert!(vs[0].message.contains("`other_bytes` (bytes)"), "{vs:?}");
     }
 }

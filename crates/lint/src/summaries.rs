@@ -668,16 +668,7 @@ fn ret_unit_of(
     }
 
     // All observed returns must carry the same known unit.
-    let mut agreed: Option<Unit> = None;
-    for c in candidates {
-        match (c, agreed) {
-            (None, _) => return None,
-            (Some(u), None) => agreed = Some(u),
-            (Some(u), Some(a)) if u != a => return None,
-            _ => {}
-        }
-    }
-    agreed
+    unit_flow::agreed(candidates.into_iter())
 }
 
 /// The unit returned by the call whose name sits at token `name_tok` in fn
@@ -688,22 +679,7 @@ fn call_ret_unit(
     name_tok: usize,
     ret: &[Option<Unit>],
 ) -> Option<Unit> {
-    let mut agreed: Option<Unit> = None;
-    let mut any = false;
-    for e in graph.edges[f].iter().filter(|e| e.tok == name_tok) {
-        any = true;
-        match (ret[e.callee], agreed) {
-            (None, _) => return None,
-            (Some(u), None) => agreed = Some(u),
-            (Some(u), Some(a)) if u != a => return None,
-            _ => {}
-        }
-    }
-    if any {
-        agreed
-    } else {
-        None
-    }
+    unit_flow::agreed(graph.edges[f].iter().filter(|e| e.tok == name_tok).map(|e| ret[e.callee]))
 }
 
 #[cfg(test)]

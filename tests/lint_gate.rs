@@ -1,25 +1,22 @@
 //! Tier-1 lint gate.
 //!
-//! Three parts, all of which must hold for the simulated results to be
+//! Two parts, both of which must hold for the simulated results to be
 //! trustworthy:
 //!
 //! 1. the workspace itself is clean under **both** checker layers — the
 //!    line rules and the cross-file `sjc-analyze` passes — so every
-//!    remaining panic/nondeterminism/race/discard site is an audited,
-//!    reasoned suppression;
-//! 2. the checker actually works — each named rule fires on seeded bad code
-//!    (otherwise a silently broken scanner would make gate 1 vacuous); the
-//!    analyzer passes prove this against fixture trees in
-//!    `crates/lint/tests/analyze_fixtures.rs`;
-//! 3. the checked-in `LINT_BASELINE.json` ratchet holds: per-rule counts
-//!    may only decrease, and the baseline documents every rule.
+//!    remaining panic/nondeterminism/spawn/discard site is an audited,
+//!    reasoned suppression. This is the one gate: any finding fails it,
+//!    exactly as it fails `cargo run -p sjc-lint -- .`;
+//! 2. the checker actually works — every rule in `Rule::ALL` fires on a
+//!    seeded line case here or on a fixture tree under
+//!    `crates/lint/tests/fixtures/` (otherwise a silently broken or dead
+//!    rule would make gate 1 vacuous).
 
 use std::path::Path;
 use std::time::Duration;
 
-use sjc_lint::{
-    check_all, check_all_timed, check_file, check_workspace, json, sarif, Rule, Violation,
-};
+use sjc_lint::{analyze_workspace, check_all, check_all_timed, check_file, check_workspace, Rule};
 
 /// The gate: `cargo test -q` fails if any workspace source regresses under
 /// the line rules **or** the `sjc-analyze` passes.
@@ -39,60 +36,16 @@ fn workspace_is_lint_clean() {
     assert!(check_workspace(root).is_ok());
 }
 
-/// The ratchet: the fresh scan's per-rule counts must not exceed the
-/// checked-in baseline, and the baseline must document every rule (so a new
-/// rule cannot land without extending the contract).
-#[test]
-fn baseline_ratchet_holds_and_documents_every_rule() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(root.join("LINT_BASELINE.json"))
-        .expect("LINT_BASELINE.json must be checked in at the workspace root");
-    let baseline = json::Counts::parse(&text).expect("baseline must parse");
-    for rule in Rule::ALL {
-        assert!(
-            baseline.by_rule.contains_key(rule.name()),
-            "LINT_BASELINE.json is missing rule {:?} — regenerate with --write-baseline",
-            rule.name()
-        );
-    }
-    assert!(baseline.by_rule.contains_key(Rule::BadSuppression.name()));
-
-    let violations = check_all(root).expect("workspace scan must succeed");
-    let counts = json::Counts::from_violations(&violations);
-    counts.ratchet_against(&baseline).unwrap_or_else(|e| panic!("baseline ratchet failed:\n{e}"));
-}
-
-/// The ratchet compares per-(rule, file) cells, not just totals: a
-/// violation that merely *moves* between files — totals flat — must still
-/// be rejected, otherwise churn could smuggle regressions into files the
-/// baseline records as clean.
-#[test]
-fn ratchet_rejects_a_per_file_increase_even_at_flat_totals() {
-    let baseline = json::Counts::from_violations(&[Violation::new(
-        Rule::HotAlloc,
-        "crates/a/src/x.rs",
-        3,
-        "seeded".to_string(),
-    )]);
-    let fresh = json::Counts::from_violations(&[Violation::new(
-        Rule::HotAlloc,
-        "crates/b/src/y.rs",
-        3,
-        "seeded".to_string(),
-    )]);
-    assert_eq!(fresh.total, baseline.total, "the move keeps totals flat");
-    let err = fresh.ratchet_against(&baseline).expect_err("per-file cell must be enforced");
-    assert!(err.contains("crates/b/src/y.rs"), "error names the regressed file: {err}");
-}
-
 /// The analyzer's own perf gate: the full two-layer scan (the same one
 /// `--timings` instruments) must stay comfortably interactive, or the
-/// checker stops being something contributors run before every commit. The
-/// budget is generous — an order of magnitude above today's wall time — so
-/// it only trips on genuine blowups (an accidentally quadratic pass, a
-/// fixpoint that stops converging), not on CI jitter.
+/// checker stops being something contributors run before every commit.
+/// The budget is the slowest total of ten `cargo test -q --test lint_gate`
+/// runs on a 2-vCPU host — measured under this binary's own concurrency,
+/// with `bench_targets_compile` building beside it — plus 50 %.
 #[test]
 fn full_scan_fits_the_wall_budget_and_names_every_stage() {
+    // Slowest of ten runs: 1 121 ms (range 420–1 121 ms).
+    const BUDGET: Duration = Duration::from_millis(1_700);
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let (violations, timings) = check_all_timed(root).expect("workspace scan must succeed");
     assert!(violations.is_empty(), "{violations:?}");
@@ -102,16 +55,14 @@ fn full_scan_fits_the_wall_budget_and_names_every_stage() {
         "line-rules",
         "model+callgraph",
         "summaries",
+        "hot-loops",
         "entropy",
-        "par-closure",
         "error-flow",
         "hot-alloc",
         "loop-invariant",
         "unit-flow",
         "panic-path",
-        "interproc-unit-flow",
         "cache-purity",
-        "scoped-spawn",
         "stale-suppression",
     ] {
         assert!(
@@ -121,7 +72,7 @@ fn full_scan_fits_the_wall_budget_and_names_every_stage() {
         );
     }
     let total: Duration = timings.iter().map(|t| t.wall).sum();
-    assert!(total < Duration::from_secs(20), "scan took {total:?}, budget is 20s");
+    assert!(total < BUDGET, "scan took {total:?}, budget is {BUDGET:?}");
 }
 
 /// Every rule the checker enforces is documented in the README's rule
@@ -140,30 +91,47 @@ fn every_rule_is_documented_in_the_readme_table() {
     assert!(text.contains(&format!("| `{}` |", Rule::BadSuppression.name())));
 }
 
-/// `--format sarif` on the live workspace scan must produce a report the
-/// crate's own SARIF 2.1.0 checker accepts — the same artifact CI uploads
-/// to code scanning.
-#[test]
-fn sarif_report_from_the_live_scan_validates() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let violations = check_all(root).expect("workspace scan must succeed");
-    let report = sarif::report(&violations);
-    sarif::validate(&report).unwrap_or_else(|e| panic!("live SARIF report invalid: {e}"));
-}
+/// One seeded firing case per line rule: `(rule, path, source)`. The
+/// analyzer passes fire on fixture trees instead.
+const SEEDED: &[(Rule, &str, &str)] = &[
+    (Rule::NoNondeterminism, "crates/cluster/src/fixture.rs", "use std::collections::HashMap;\n"),
+    (Rule::NoPanicInLib, "crates/geom/src/fixture.rs", "let x = opt.unwrap();\n"),
+    (Rule::FloatHygiene, "crates/geom/src/fixture.rs", "if area == 0.0 { return; }\n"),
+    (Rule::BenchIsolation, "crates/testkit/src/fixture.rs", "let t0 = Instant::now();\n"),
+    (Rule::SerialHotLoop, "crates/mapreduce/src/job.rs", "for t in tasks {\n"),
+    (Rule::BoundedRetry, "crates/cluster/src/fixture.rs", "for attempt in 0..4 { g(attempt) }\n"),
+    (Rule::ScopedSpawnInHotPath, "crates/index/src/fixture.rs", "std::thread::spawn(work);\n"),
+];
 
-/// `--format json` and the baseline file share one parser: a report emitted
-/// from the live scan must round-trip through it with identical counts.
+/// Every rule has a firing case — a seeded line case above, or a
+/// `<rule>_bad` fixture tree that fires it (and nothing else) beside a
+/// `<rule>_ok` twin that stays clean — and every fixture tree belongs to a
+/// rule. A rule that can no longer fire, or a fixture for a deleted rule,
+/// fails here.
 #[test]
-fn json_report_round_trips_against_the_live_scan() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let violations = check_all(root).expect("workspace scan must succeed");
-    let report = json::report(&violations);
-    let parsed = json::Counts::parse(&report).expect("report must parse");
-    assert_eq!(parsed, json::Counts::from_violations(&violations));
-    // The workspace is clean today, so the report's counts must equal the
-    // checked-in all-zero baseline exactly.
-    let text = std::fs::read_to_string(root.join("LINT_BASELINE.json")).unwrap();
-    assert_eq!(parsed, json::Counts::parse(&text).unwrap());
+fn every_rule_fires_on_a_fixture_or_a_seeded_case() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/lint/tests/fixtures");
+    for rule in Rule::ALL {
+        let snake = rule.name().replace('-', "_");
+        let bad = fixtures.join(format!("{snake}_bad"));
+        if let Some(&(_, path, src)) = SEEDED.iter().find(|(r, ..)| *r == rule) {
+            assert!(!bad.exists(), "{rule} has both a seeded case and a fixture");
+            assert!(rules_fired(path, src).contains(&rule), "{rule}: {src:?} does not fire");
+            continue;
+        }
+        let vs = analyze_workspace(&bad).unwrap_or_else(|e| panic!("{rule}: no fixture: {e}"));
+        assert!(vs.iter().any(|v| v.rule == rule), "{snake}_bad: no {rule} finding in {vs:?}");
+        assert!(vs.iter().all(|v| v.rule == rule), "{snake}_bad: other rules in {vs:?}");
+        let ok = analyze_workspace(&fixtures.join(format!("{snake}_ok")))
+            .unwrap_or_else(|e| panic!("{rule}: no clean twin: {e}"));
+        assert!(ok.is_empty(), "{snake}_ok: expected clean, got {ok:?}");
+    }
+    for entry in std::fs::read_dir(&fixtures).expect("fixture dir") {
+        let name = entry.expect("fixture entry").file_name().to_string_lossy().into_owned();
+        let stem = name.strip_suffix("_bad").or_else(|| name.strip_suffix("_ok"));
+        let rule = stem.and_then(|s| Rule::from_name(&s.replace('_', "-")));
+        assert!(rule.is_some(), "fixture {name} names no rule in Rule::ALL");
+    }
 }
 
 fn rules_fired(rel_path: &str, src: &str) -> Vec<Rule> {
@@ -258,6 +226,29 @@ fn bounded_retry_fires_on_seeded_bad_code() {
     assert!(rules_fired("crates/mapreduce/src/fixture.rs", agg).is_empty());
     // …and presentation code outside the engine crates is out of scope.
     assert!(rules_fired("crates/core/src/fixture.rs", bad).is_empty());
+}
+
+#[test]
+fn scoped_spawn_in_hot_path_fires_on_seeded_bad_code() {
+    // Direct scoped and plain spawns outside crates/par are flagged…
+    for bad in [
+        "std::thread::scope(|s| {\n    s.spawn(|| work(parts));\n});\n",
+        "let h = thread::spawn(|| 1u64);\n",
+    ] {
+        let fired = rules_fired("crates/index/src/fixture.rs", bad);
+        assert!(fired.contains(&Rule::ScopedSpawnInHotPath), "{bad:?} -> {fired:?}");
+    }
+    // …the pool crate owns its threads, and test code may spawn freely…
+    let pool = "std::thread::scope(|s| s.spawn(f));\n";
+    assert!(rules_fired("crates/par/src/pool.rs", pool).is_empty());
+    assert!(rules_fired("crates/index/tests/threads.rs", pool).is_empty());
+    let test_mod =
+        "#[cfg(test)]\nmod tests {\n    fn t() {\n        std::thread::spawn(|| 1u64);\n    }\n}\n";
+    assert!(rules_fired("crates/index/src/fixture.rs", test_mod).is_empty());
+    // …and methods or other APIs named `spawn`/`scope` never fire.
+    for ok in ["s.spawn(task);\n", "pool::scope(run);\n", "let scope = lexical_scope();\n"] {
+        assert!(rules_fired("crates/cluster/src/fixture.rs", ok).is_empty(), "{ok:?}");
+    }
 }
 
 /// Compile-only bench gate: `cargo bench --no-run` must keep building so
