@@ -94,65 +94,8 @@ fn main() {
         println!("{}", report::extension_string(args.scale, args.seed));
     }
     if want("ablations") {
-        use sjc_core::ablation;
-        let s = (args.scale / 2.0).max(1e-4);
         println!("Ablations (design choices isolated on shared substrates; simulated seconds)\n");
-        println!(
-            "{}",
-            ablation::format_rows(
-                "geometry engine (same system, JTS vs GEOS)",
-                &ablation::geometry_engine(s, args.seed)
-            )
-        );
-        println!(
-            "{}",
-            ablation::format_rows(
-                "data access model (same engine, streaming vs native)",
-                &ablation::access_model(s, args.seed)
-            )
-        );
-        println!(
-            "{}",
-            ablation::format_rows(
-                "local join algorithm (SpatialHadoop)",
-                &ablation::local_join_algo(s, args.seed)
-            )
-        );
-        println!(
-            "{}",
-            ablation::format_kernel_grid(
-                "local-join kernel grid (every system x every kernel)",
-                &ablation::kernel_grid(s, args.seed)
-            )
-        );
-        println!(
-            "{}",
-            ablation::format_rows(
-                "broadcast vs partition join (SpatialSpark)",
-                &ablation::broadcast_join(s, args.seed)
-            )
-        );
-        println!(
-            "{}",
-            ablation::format_rows(
-                "partition-count sweep (SpatialSpark, EC2-10)",
-                &ablation::partition_sweep(s, args.seed)
-            )
-        );
-        println!(
-            "{}",
-            ablation::format_rows(
-                "partitioner family (SpatialHadoop)",
-                &ablation::partitioner_kind(s, args.seed)
-            )
-        );
-        println!(
-            "{}",
-            ablation::format_rows(
-                "re-partitioning vs compatible grids (SpatialHadoop)",
-                &ablation::repartitioning(s, args.seed)
-            )
-        );
+        println!("{}", sjc_core::ablation::report((args.scale / 2.0).max(1e-4), args.seed));
     }
 
     if let Some(path) = args.json {

@@ -2,24 +2,22 @@
 
 use sjc_geom::{GeometryEngine, Mbr};
 use sjc_index::entry::IndexEntry;
-use sjc_index::join::{indexed_nested_loop, plane_sweep, stripe_sweep, sync_rtree, CandidatePairs};
+use sjc_index::join::{indexed_nested_loop, stripe_sweep, sync_rtree, CandidatePairs};
 
 use crate::framework::{GeoRecord, JoinPredicate};
 
 /// Which local (per-partition) join algorithm a system runs — the paper's
-/// three filter algorithms (§II.C) plus the repo's cache-conscious default.
+/// three filter algorithms (§II.C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LocalJoinAlgo {
     /// Build an R-tree on one side, probe with the other (SpatialSpark).
     IndexedNestedLoop,
-    /// Sort by min-x and sweep (SpatialHadoop's default in the paper).
-    PlaneSweep,
     /// Synchronized traversal of two R-trees (SpatialHadoop's alternative).
     SyncRTree,
-    /// Striped SoA forward sweep (`sjc_index::join::stripe_sweep`): the
-    /// default host kernel. Produces the plane sweep's exact pair set and
-    /// exact `JoinStats` (canonical-cost accounting), so swapping it for
-    /// `PlaneSweep` changes host wall time but never simulated time.
+    /// The plane sweep (SpatialHadoop's default in the paper), run as the
+    /// striped SoA forward sweep `sjc_index::join::stripe_sweep`: the
+    /// classic sweep's exact pair set and exact `JoinStats`
+    /// (canonical-cost accounting), faster on the host.
     #[default]
     StripeSweep,
 }
@@ -69,7 +67,6 @@ pub fn local_join(
 
     let CandidatePairs { pairs, stats } = match algo {
         LocalJoinAlgo::IndexedNestedLoop => indexed_nested_loop(&l_entries, &r_entries),
-        LocalJoinAlgo::PlaneSweep => plane_sweep(&l_entries, &r_entries),
         LocalJoinAlgo::SyncRTree => sync_rtree(&l_entries, &r_entries),
         LocalJoinAlgo::StripeSweep => stripe_sweep(&l_entries, &r_entries),
     };
@@ -166,15 +163,6 @@ impl PartitionerKind {
     }
 }
 
-/// Number of spatial partitions a sample-driven system targets.
-///
-/// Fixed by configuration (sample rate and desired partition size), *not*
-/// by dataset volume — which is exactly why per-partition payloads grow
-/// with the data and eventually break HadoopGIS's pipes (§III.B).
-pub fn default_partition_count() -> usize {
-    64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,7 +192,6 @@ mod tests {
         let r: Vec<&GeoRecord> = right.iter().collect();
         let mut results: Vec<Vec<(u64, u64)>> = [
             LocalJoinAlgo::IndexedNestedLoop,
-            LocalJoinAlgo::PlaneSweep,
             LocalJoinAlgo::SyncRTree,
             LocalJoinAlgo::StripeSweep,
         ]
@@ -234,7 +221,7 @@ mod tests {
         let (pairs, cost) = local_join(
             &engine,
             JoinPredicate::Intersects,
-            LocalJoinAlgo::PlaneSweep,
+            LocalJoinAlgo::StripeSweep,
             &l,
             &r,
             |_, _| true,
@@ -302,7 +289,7 @@ mod tests {
         let (kept, cost) = local_join(
             &engine,
             JoinPredicate::Intersects,
-            LocalJoinAlgo::PlaneSweep,
+            LocalJoinAlgo::StripeSweep,
             &l,
             &r,
             |_, _| false,

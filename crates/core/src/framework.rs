@@ -1,8 +1,14 @@
-//! The generalized framework: shared vocabulary of all three systems.
+//! The generalized framework: the vocabulary of every system, and the steps
+//! their pipelines share, each written once — gathering records by id
+//! (`JoinInput::pick`), tagging records with partition cells ([`CellIndex`])
+//! and the reference-point rule (`reported_by`).
 
 use sjc_cluster::{Cluster, RunTrace, SimError};
 use sjc_data::ScaledDataset;
 use sjc_geom::{EngineKind, Geometry, GeometryEngine, Mbr};
+use sjc_index::entry::IndexEntry;
+use sjc_index::partition::{dedup_owner_cell, CellId, SpatialPartitioner};
+use sjc_index::RTree;
 
 /// The spatial predicate refined in the local join stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,10 +123,70 @@ impl JoinInput {
         }
     }
 
-    /// Total geometry vertices (generation scale).
-    pub fn total_vertices(&self) -> u64 {
-        self.records.iter().map(|r| r.geom.num_vertices() as u64).sum()
+    /// The records with dataset ids `ids`, in that order: the one place a
+    /// dataset id indexes `records`.
+    pub(crate) fn pick<'a>(
+        &'a self,
+        ids: impl IntoIterator<Item = u64> + 'a,
+    ) -> impl Iterator<Item = &'a GeoRecord> + 'a {
+        // sjc-lint: allow(no-panic-in-lib) — dataset ids are the enumerate indices minted by from_dataset
+        ids.into_iter().map(|i| &self.records[i as usize])
     }
+}
+
+/// A partitioner plus the STR R-tree over its cells: how SpatialHadoop,
+/// SpatialSpark and LDE tag a record with the cells it meets. Each charges
+/// the nodes a probe visits at its own rate.
+pub struct CellIndex {
+    partitioner: Box<dyn SpatialPartitioner + Send + Sync>,
+    tree: RTree,
+}
+
+impl CellIndex {
+    pub fn new(partitioner: Box<dyn SpatialPartitioner + Send + Sync>) -> Self {
+        let tree = RTree::bulk_load_str(cell_entries(partitioner.cells()));
+        CellIndex { partitioner, tree }
+    }
+
+    pub fn partitioner(&self) -> &(dyn SpatialPartitioner + Send + Sync) {
+        &*self.partitioner
+    }
+
+    /// The cells as index entries, id = cell id (the list SpatialHadoop's
+    /// getSplits sweeps).
+    pub(crate) fn entries(&self) -> Vec<IndexEntry> {
+        cell_entries(self.partitioner.cells())
+    }
+
+    /// R-tree nodes (the broadcast size of the index).
+    pub(crate) fn nodes(&self) -> usize {
+        self.tree.num_nodes()
+    }
+
+    /// Fills `hits` with the cells `mbr` meets, in R-tree order, or with the
+    /// cell nearest its center when it meets none. Returns the nodes visited.
+    pub fn tag(&self, mbr: &Mbr, hits: &mut Vec<u64>) -> usize {
+        let visited = self.tree.query_counting(mbr, hits);
+        if hits.is_empty() {
+            hits.push(u64::from(self.partitioner.nearest_cell(&mbr.center())));
+        }
+        visited
+    }
+}
+
+fn cell_entries(cells: &[Mbr]) -> Vec<IndexEntry> {
+    cells.iter().enumerate().map(|(i, c)| IndexEntry::new(i as u64, *c)).collect()
+}
+
+/// The reference-point rule as a [`local_join`](crate::common::local_join)
+/// `keep`: `cell` reports a candidate pair only if it owns the pair's
+/// reference point, taken on the left MBR as the filter saw it.
+pub(crate) fn reported_by<'a, P: SpatialPartitioner + Sync + ?Sized>(
+    partitioner: &'a P,
+    cell: CellId,
+    predicate: JoinPredicate,
+) -> impl Fn(&Mbr, &Mbr) -> bool + Sync + 'a {
+    move |am, bm| dedup_owner_cell(partitioner, cell, &predicate.filter_mbr(am), bm)
 }
 
 /// The result of a distributed spatial join run.

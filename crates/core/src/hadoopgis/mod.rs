@@ -32,24 +32,30 @@
 //! mapper to shuffle to reducer, so each charged length is the `len()` of
 //! bytes that exist while the host copies none of them.
 
+use sjc_cluster::hdfs::DEFAULT_BLOCK_SIZE;
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::{
-    Cluster, RecoveryEvent, RunTrace, SimError, SimHdfs, SimNs, StageKind, StageTrace,
-};
+use sjc_cluster::{Cluster, RunTrace, SimError, SimHdfs, StageKind, StageTrace};
 use sjc_data::tsv::to_tsv_text;
 use sjc_geom::{EngineKind, GeometryEngine, Mbr, Point};
-use sjc_index::partition::{dedup_owner_cell, BspPartitioner, SpatialPartitioner};
+use sjc_index::partition::{BspPartitioner, SpatialPartitioner};
 use sjc_mapreduce::job::ScaleMode;
 use sjc_mapreduce::{block_splits, JobConfig, MapReduceJob, StreamingJob, TextLen};
 
-use crate::common::{default_partition_count, local_join, LocalJoinAlgo};
-use crate::framework::{DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate};
+use crate::common::{local_join, LocalJoinAlgo};
+use crate::framework::{
+    reported_by, DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate,
+};
+
+/// Target partition count of the sample-derived partitionings.
+///
+/// Fixed by configuration (sample rate and desired partition size), *not*
+/// by dataset volume — which is exactly why per-partition payloads grow
+/// with the data and eventually break HadoopGIS's pipes (§III.B).
+const PARTITIONS: usize = 64;
 
 /// The HadoopGIS system.
 #[derive(Debug, Clone)]
 pub struct HadoopGis {
-    /// Target partition count of the sample-derived partitioning.
-    pub partitions: usize,
     /// Local join algorithm inside the reducers. Stays on the paper's
     /// indexed nested loop (§II.C): its charged cost depends on real
     /// R-tree traversal counts, which the analytic stripe-sweep accounting
@@ -62,11 +68,7 @@ pub struct HadoopGis {
 
 impl Default for HadoopGis {
     fn default() -> Self {
-        HadoopGis {
-            partitions: default_partition_count(),
-            local_algo: LocalJoinAlgo::IndexedNestedLoop,
-            engine: EngineKind::Geos,
-        }
+        HadoopGis { local_algo: LocalJoinAlgo::IndexedNestedLoop, engine: EngineKind::Geos }
     }
 }
 
@@ -106,11 +108,38 @@ impl TextLen for CellKey {
     }
 }
 
+/// The record a streaming line names by its leading `id` field.
+fn line_record<'a>(input: &'a JoinInput, line: &str) -> Option<&'a GeoRecord> {
+    let id = line.split('\t').next()?.parse().ok()?;
+    input.pick([id]).next()
+}
+
+/// A join-job line, `A\t<TSV line>` for the left side or `B\t…` for the
+/// right: whether it is the left side's, and its record.
+fn tagged_record<'a>(
+    line: &str,
+    left: &'a JoinInput,
+    right: &'a JoinInput,
+) -> Option<(bool, &'a GeoRecord)> {
+    let (tag, tsv) = line.split_once('\t')?;
+    let is_left = tag == "A";
+    line_record(if is_left { left } else { right }, tsv).map(|rec| (is_left, rec))
+}
+
 /// An `FsCopy` stage: HDFS <-> local filesystem transfer of `bytes`.
-fn fs_copy(cluster: &Cluster, name: String, phase: Phase, bytes: u64) -> StageTrace {
+fn fs_copy(cluster: &Cluster, name: impl Into<String>, phase: Phase, bytes: u64) -> StageTrace {
     let mut st = StageTrace::new(name, StageKind::FsCopy, phase);
     st.sim_ns = cluster.cost.io_ns(bytes, cluster.cost.local_copy_bw);
     st.hdfs_bytes_read = bytes;
+    st
+}
+
+/// A `LocalSerial` stage generating partitions from `samples` points at
+/// script speed (an n log n sort and split).
+fn serial_partitioning(name: impl Into<String>, phase: Phase, samples: usize) -> StageTrace {
+    let mut st = StageTrace::new(name, StageKind::LocalSerial, phase);
+    let n = samples.max(2) as f64;
+    st.sim_ns = (n * n.log2() * 500.0) as u64;
     st
 }
 
@@ -130,32 +159,22 @@ fn keyed_by_cell<'t>(
     })
 }
 
-/// Default HDFS block size (the streaming jobs split inputs by it).
-fn hdfs_block() -> u64 {
-    sjc_cluster::hdfs::DEFAULT_BLOCK_SIZE
-}
-
 impl HadoopGis {
-    /// Steps 1–6 for one dataset, whose TSV is `text`. Returns the sample MBR
-    /// centers (reused by the global join) and the converted TSV lines.
-    #[allow(clippy::type_complexity)]
+    /// Steps 1–6 for one dataset, whose TSV is `text`, appended to `trace`.
+    /// Each job starts where the previous stage (job, copy, or serial step)
+    /// of this run left off on the global simulated clock. Returns the sample
+    /// MBR centers (reused by the global join) and the converted TSV lines.
     fn preprocess<'t>(
         &self,
         cluster: &Cluster,
         hdfs: &mut SimHdfs,
+        trace: &mut RunTrace,
         input: &JoinInput,
         text: &'t str,
         phase: Phase,
-        start_ns: SimNs,
-    ) -> Result<(Vec<Point>, Vec<&'t str>, Vec<StageTrace>, Vec<RecoveryEvent>), SimError> {
-        let mut traces: Vec<StageTrace> = Vec::new();
-        let mut recovery: Vec<RecoveryEvent> = Vec::new();
-        // Each job starts where the previous stage (job, copy, or serial
-        // step) of this run left off on the global simulated clock.
-        let elapsed =
-            |traces: &[StageTrace]| start_ns + traces.iter().map(|t| t.sim_ns).sum::<SimNs>();
+    ) -> Result<(Vec<Point>, Vec<&'t str>), SimError> {
         let bpr = input.bytes_per_record();
-        let block = hdfs_block();
+        let block = DEFAULT_BLOCK_SIZE;
         let raw: Vec<&str> = text.split_terminator('\n').collect();
 
         let mut engine = MapReduceJob::new(cluster, hdfs);
@@ -165,16 +184,16 @@ impl HadoopGis {
         // cost is reading + piping + rewriting every byte).
         let cfg1 =
             JobConfig::new(format!("{}: 1 convert to TSV", input.name), phase, input.multiplier)
-                .starting_at(elapsed(&traces));
+                .starting_at(trace.total_ns());
         let converted =
             streaming.map_only_lines(&cfg1, block_splits(&raw, bpr, block), |&l, out| out(l))?;
-        recovery.extend(converted.recovery.iter().cloned());
-        traces.push(converted.trace);
+        trace.push_recovery(converted.recovery);
+        trace.push(converted.trace);
         let tsv = converted.lines;
 
         // Step 2: sample MBRs (systematic 1-in-k, k sized for ~10 samples
         // per partition).
-        let stride = (input.records.len() / (10 * self.partitions)).max(1);
+        let stride = (input.records.len() / (10 * PARTITIONS)).max(1);
         // The sampled lines are every `stride`-th line in job order; taking
         // them from `tsv` up front keeps the mapper a pure (`Fn + Sync`)
         // membership test so the host can run map tasks in parallel. Lines
@@ -183,77 +202,65 @@ impl HadoopGis {
         let keep: std::collections::BTreeSet<&str> = tsv.iter().step_by(stride).copied().collect();
         let cfg2 =
             JobConfig::new(format!("{}: 2 sample MBRs", input.name), phase, input.multiplier)
-                .starting_at(elapsed(&traces));
+                .starting_at(trace.total_ns());
         let sampled =
             streaming.map_only_lines(&cfg2, block_splits(&tsv, bpr, block), |l, out| {
                 if keep.contains(l) {
                     out(l.split('\t').next().unwrap_or("0"));
                 }
             })?;
-        recovery.extend(sampled.recovery.iter().cloned());
-        traces.push(sampled.trace);
+        trace.push_recovery(sampled.recovery);
+        trace.push(sampled.trace);
         let sample_lines = sampled.lines;
-        let sample_ids: Vec<u64> = sample_lines
-            .iter()
-            // sjc-lint: allow(no-panic-in-lib) — step 2's mapper emitted these lines from the TSV's numeric id column
-            .map(|l| l.parse::<u64>().expect("sample lines carry record ids"))
-            .collect();
-        let sample_bytes = sample_ids.len() as u64 * 72;
+        let sample_bytes = sample_lines.len() as u64 * 72;
 
         // Step 3: compute the extent of the samples (MR job, single reducer).
         let cfg3 =
             JobConfig::new(format!("{}: 3 compute extent", input.name), phase, input.multiplier)
                 .write_output(false)
-                .starting_at(elapsed(&traces));
+                .starting_at(trace.total_ns());
         let extent_out = streaming.map_reduce_lines(
             &cfg3,
             block_splits(&sample_lines, 72.0, block),
             |&l, out| out("extent", l),
             |_, vs, out| out(format!("count={}", vs.len())),
         )?;
-        recovery.extend(extent_out.recovery.iter().cloned());
-        traces.push(extent_out.trace);
+        trace.push_recovery(extent_out.recovery);
+        trace.push(extent_out.trace);
 
         // Step 4: normalize sample MBRs (map-only over the samples).
         let cfg4 =
             JobConfig::new(format!("{}: 4 normalize samples", input.name), phase, input.multiplier)
-                .starting_at(elapsed(&traces));
+                .starting_at(trace.total_ns());
         let normalized = streaming.map_only_lines(
             &cfg4,
             block_splits(&sample_lines, 72.0, block),
             |&l, out| out(l),
         )?;
-        recovery.extend(normalized.recovery.iter().cloned());
-        traces.push(normalized.trace);
+        trace.push_recovery(normalized.recovery);
+        trace.push(normalized.trace);
 
         // Step 5: local serial partition generation with HDFS round-trips.
-        traces.push(fs_copy(
+        trace.push(fs_copy(
             cluster,
             format!("{}: 5a copy samples to local", input.name),
             phase,
             sample_bytes,
         ));
-        let centers: Vec<Point> = sample_ids
+        let centers: Vec<Point> = sample_lines
             .iter()
-            // sjc-lint: allow(no-panic-in-lib) — record ids are the enumerate indices minted by JoinInput::from_dataset
-            .map(|&i| input.records[i as usize].mbr.center())
+            .filter_map(|l| line_record(input, l))
+            .map(|r| r.mbr.center())
             .collect();
-        let mut gen_stage = StageTrace::new(
-            format!("{}: 5b generate partitions (serial)", input.name),
-            StageKind::LocalSerial,
-            phase,
-        );
-        let n = centers.len().max(2) as f64;
-        gen_stage.sim_ns = (n * n.log2() * 500.0) as u64; // serial script-speed sort/split
-        traces.push(gen_stage);
-        traces.push(fs_copy(
+        let name = format!("{}: 5b generate partitions (serial)", input.name);
+        trace.push(serial_partitioning(name, phase, centers.len()));
+        trace.push(fs_copy(
             cluster,
             format!("{}: 5c copy partitions to HDFS", input.name),
             phase,
-            self.partitions as u64 * 72,
+            PARTITIONS as u64 * 72,
         ));
-        let partitioner =
-            BspPartitioner::from_sample(input.domain, centers.clone(), self.partitions);
+        let partitioner = BspPartitioner::from_sample(input.domain, centers.clone(), PARTITIONS);
 
         // Step 6: assign partition ids — the expensive step: every record is
         // parsed, probed against the sample partitions and rewritten, and
@@ -263,16 +270,14 @@ impl HadoopGis {
         // calibrated per-byte constants.)
         let cfg6 =
             JobConfig::new(format!("{}: 6 assign partitions", input.name), phase, input.multiplier)
-                .starting_at(elapsed(&traces));
-        let records = &input.records;
+                .starting_at(trace.total_ns());
         let assigned = streaming.map_reduce_lines(
             &cfg6,
             block_splits(&tsv, bpr, block),
             |l, out| {
-                let id: u64 = l.split('\t').next().unwrap_or("0").parse().unwrap_or(0);
-                // sjc-lint: allow(no-panic-in-lib) — ids in the TSV are enumerate indices into input.records
-                let mbr = &records[id as usize].mbr;
-                keyed_by_cell(&partitioner, mbr, l, out)
+                if let Some(rec) = line_record(input, l) {
+                    keyed_by_cell(&partitioner, &rec.mbr, l, out)
+                }
             },
             |_pid, lines, out| {
                 // cat | sort | unique — sorting is charged by the engine;
@@ -283,10 +288,10 @@ impl HadoopGis {
                 sorted.into_iter().for_each(out)
             },
         )?;
-        recovery.extend(assigned.recovery.iter().cloned());
-        traces.push(assigned.trace);
+        trace.push_recovery(assigned.recovery);
+        trace.push(assigned.trace);
 
-        Ok((centers, tsv, traces, recovery))
+        Ok((centers, tsv))
     }
 }
 
@@ -312,44 +317,28 @@ impl DistributedSpatialJoin for HadoopGis {
 
         // Preprocessing: the six steps, per dataset.
         let text_a = dataset_text(left);
-        let (centers_a, tsv_a, t, r) =
-            self.preprocess(cluster, &mut hdfs, left, &text_a, Phase::IndexA, trace.total_ns())?;
-        trace.stages.extend(t);
-        trace.push_recovery(r);
+        let (centers_a, tsv_a) =
+            self.preprocess(cluster, &mut hdfs, &mut trace, left, &text_a, Phase::IndexA)?;
         let text_b = dataset_text(right);
-        let (centers_b, tsv_b, t, r) =
-            self.preprocess(cluster, &mut hdfs, right, &text_b, Phase::IndexB, trace.total_ns())?;
-        trace.stages.extend(t);
-        trace.push_recovery(r);
+        let (centers_b, tsv_b) =
+            self.preprocess(cluster, &mut hdfs, &mut trace, right, &text_b, Phase::IndexB)?;
 
         // Global join: concatenate the samples locally and build *new*
         // partitions (the step-6 partition ids are discarded — wasteful, as
         // the paper notes, but Streaming leaves no alternative).
         let sample_bytes = (centers_a.len() + centers_b.len()) as u64 * 72;
-        trace.push(fs_copy(
-            cluster,
-            "GJ: copy both samples to local".into(),
-            Phase::DistributedJoin,
-            sample_bytes,
-        ));
+        let dj = Phase::DistributedJoin;
+        trace.push(fs_copy(cluster, "GJ: copy both samples to local", dj, sample_bytes));
         let mut combined = centers_a;
         combined.extend(centers_b);
-        let mut gen = StageTrace::new(
+        trace.push(serial_partitioning(
             "GJ: build combined partitions (serial)",
-            StageKind::LocalSerial,
-            Phase::DistributedJoin,
-        );
-        let n = combined.len().max(2) as f64;
-        gen.sim_ns = (n * n.log2() * 500.0) as u64;
-        trace.push(gen);
-        trace.push(fs_copy(
-            cluster,
-            "GJ: copy partitions to HDFS".into(),
-            Phase::DistributedJoin,
-            self.partitions as u64 * 72,
+            dj,
+            combined.len(),
         ));
+        trace.push(fs_copy(cluster, "GJ: copy partitions to HDFS", dj, PARTITIONS as u64 * 72));
         let domain = left.domain.union(&right.domain);
-        let partitioner = BspPartitioner::from_sample(domain, combined, self.partitions);
+        let partitioner = BspPartitioner::from_sample(domain, combined, PARTITIONS);
 
         // The distributed join MR job: both datasets are re-read, re-parsed,
         // re-assigned and shuffled; reducers run the local join with GEOS.
@@ -384,57 +373,38 @@ impl DistributedSpatialJoin for HadoopGis {
         let local_algo = self.local_algo;
         let outcome = streaming.map_reduce_lines(
             &cfg,
-            block_splits(&tagged, bpr, hdfs_block()),
+            block_splits(&tagged, bpr, DEFAULT_BLOCK_SIZE),
             |l, out| {
-                let mut it = l.splitn(3, '\t');
-                let tag = it.next().unwrap_or("A");
-                let id: u64 = it.next().unwrap_or("0").parse().unwrap_or(0);
-                let rec = if tag == "A" {
-                    // sjc-lint: allow(no-panic-in-lib) — tagged ids are enumerate indices into left.records
-                    &left.records[id as usize]
-                } else {
-                    // sjc-lint: allow(no-panic-in-lib) — tagged ids are enumerate indices into right.records
-                    &right.records[id as usize]
-                };
-                let mbr = if tag == "A" { predicate.filter_mbr(&rec.mbr) } else { rec.mbr };
-                keyed_by_cell(&partitioner, &mbr, l, out)
+                if let Some((is_left, rec)) = tagged_record(l, left, right) {
+                    let mbr = if is_left { predicate.filter_mbr(&rec.mbr) } else { rec.mbr };
+                    keyed_by_cell(&partitioner, &mbr, l, out)
+                }
             },
             |key, lines, out| {
-                let cell = key.cell;
                 let mut lrecs: Vec<&GeoRecord> = Vec::new();
                 let mut rrecs: Vec<&GeoRecord> = Vec::new();
-                for l in lines {
-                    let mut it = l.splitn(3, '\t');
-                    let tag = it.next().unwrap_or("A");
-                    let id: u64 = it.next().unwrap_or("0").parse().unwrap_or(0);
-                    if tag == "A" {
-                        // sjc-lint: allow(no-panic-in-lib) — tagged ids are enumerate indices into left.records
-                        lrecs.push(&left.records[id as usize]);
+                for (is_left, rec) in lines.iter().filter_map(|l| tagged_record(l, left, right)) {
+                    if is_left {
+                        lrecs.push(rec)
                     } else {
-                        // sjc-lint: allow(no-panic-in-lib) — tagged ids are enumerate indices into right.records
-                        rrecs.push(&right.records[id as usize]);
+                        rrecs.push(rec)
                     }
                 }
-                let (pairs, _cost) =
-                    local_join(&geos, predicate, local_algo, &lrecs, &rrecs, |am, bm| {
-                        dedup_owner_cell(&partitioner, cell, &predicate.filter_mbr(am), bm)
-                    });
+                let keep = reported_by(&partitioner, key.cell, predicate);
+                let (pairs, _cost) = local_join(&geos, predicate, local_algo, &lrecs, &rrecs, keep);
                 pairs.into_iter().for_each(|(a, b)| out(format!("{a}\t{b}")))
             },
         )?;
-        trace.push_recovery(outcome.recovery.iter().cloned());
+        trace.push_recovery(outcome.recovery);
         trace.push(outcome.trace);
 
+        // The reducer above wrote every line as `left id\tright id`.
         let pairs = outcome
             .lines
             .iter()
-            .map(|l| {
-                let mut it = l.split('\t');
-                // sjc-lint: allow(no-panic-in-lib) — the join reducer above emits exactly "leftid\trightid" lines
-                let a = it.next().unwrap_or("0").parse::<u64>().expect("left id");
-                // sjc-lint: allow(no-panic-in-lib) — right id of a self-emitted pair line
-                let b = it.next().unwrap_or("0").parse::<u64>().expect("right id");
-                (a, b)
+            .filter_map(|l| {
+                let (a, b) = l.split_once('\t')?;
+                Some((a.parse().ok()?, b.parse().ok()?))
             })
             .collect();
         Ok(JoinOutput { pairs, trace })

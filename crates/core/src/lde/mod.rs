@@ -26,18 +26,19 @@ use sjc_cluster::metrics::Phase;
 use sjc_cluster::scheduler::lpt_makespan;
 use sjc_cluster::{Cluster, RunTrace, SimError, StageKind, StageTrace};
 use sjc_geom::{EngineKind, GeometryEngine, Point};
-use sjc_index::entry::IndexEntry;
-use sjc_index::partition::{dedup_owner_cell, SpatialPartitioner, StrTilePartitioner};
-use sjc_index::RTree;
+use sjc_index::partition::StrTilePartitioner;
 
 use crate::common::{local_join, LocalJoinAlgo};
-use crate::framework::{DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate};
+use crate::framework::{
+    reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate,
+};
+
+/// Target spatial partition count.
+const PARTITIONS: usize = 512;
 
 /// The LDE-MC+ style system.
 #[derive(Debug, Clone)]
 pub struct LdeEngine {
-    /// Target spatial partition count.
-    pub partitions: usize,
     /// Local join algorithm for the filter step (the modeled system probes
     /// per-partition R-trees, so the default stays `IndexedNestedLoop`;
     /// `StripeSweep` is selectable for ablations).
@@ -46,7 +47,7 @@ pub struct LdeEngine {
 
 impl Default for LdeEngine {
     fn default() -> Self {
-        LdeEngine { partitions: 512, local_algo: LocalJoinAlgo::IndexedNestedLoop }
+        LdeEngine { local_algo: LocalJoinAlgo::IndexedNestedLoop }
     }
 }
 
@@ -78,19 +79,15 @@ impl DistributedSpatialJoin for LdeEngine {
         // --- Stage 1: read + partition, fully in memory ---
         // Workers scan their input shards once; the coordinator derives
         // partitions from a sample and broadcasts cell MBRs over RPC.
-        let stride = (right.records.len() / (10 * self.partitions)).max(1);
+        let stride = (right.records.len() / (10 * PARTITIONS)).max(1);
         let sample: Vec<Point> =
             right.records.iter().step_by(stride).map(|r| r.mbr.center()).collect();
-        let partitioner = StrTilePartitioner::from_sample(right.domain, sample, self.partitions);
-        let ncells = partitioner.cells().len();
-        let cell_tree = RTree::bulk_load_str(
-            partitioner
-                .cells()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| IndexEntry::new(i as u64, *c))
-                .collect(),
-        );
+        let index = CellIndex::new(Box::new(StrTilePartitioner::from_sample(
+            right.domain,
+            sample,
+            PARTITIONS,
+        )));
+        let ncells = index.partitioner().cells().len();
 
         let mut read_stage = StageTrace::new(
             "scan inputs + derive partitions",
@@ -116,18 +113,14 @@ impl DistributedSpatialJoin for LdeEngine {
         let mut assign_l: Vec<Vec<u64>> = vec![Vec::new(); ncells];
         let mut assign_r: Vec<Vec<u64>> = vec![Vec::new(); ncells];
         let mut probe_visits = 0u64;
-        let mut buf = Vec::new();
+        let mut hits = Vec::new();
         for (assign, input, widen) in [(&mut assign_l, left, true), (&mut assign_r, right, false)] {
             for rec in &input.records {
                 let mbr = if widen { predicate.filter_mbr(&rec.mbr) } else { rec.mbr };
-                probe_visits += cell_tree.query_counting(&mbr, &mut buf) as u64;
-                if buf.is_empty() {
-                    // sjc-lint: allow(no-panic-in-lib) — nearest_cell returns a cell id < ncells by the partitioner contract
-                    assign[partitioner.nearest_cell(&mbr.center()) as usize].push(rec.id);
-                } else {
-                    for &c in &buf {
-                        // sjc-lint: allow(no-panic-in-lib) — the cell tree indexes exactly the ncells partition cells
-                        assign[c as usize].push(rec.id);
+                probe_visits += index.tag(&mbr, &mut hits) as u64;
+                for &c in &hits {
+                    if let Some(cell) = assign.get_mut(c as usize) {
+                        cell.push(rec.id);
                     }
                 }
             }
@@ -166,20 +159,17 @@ impl DistributedSpatialJoin for LdeEngine {
         // Vecs ncells times.
         let mut lrecs: Vec<&GeoRecord> = Vec::new();
         let mut rrecs: Vec<&GeoRecord> = Vec::new();
-        for cell in 0..ncells {
+        for (cell, (l_ids, r_ids)) in assign_l.iter().zip(&assign_r).enumerate() {
             lrecs.clear();
             rrecs.clear();
-            // sjc-lint: allow(no-panic-in-lib) — cell < ncells = assign_l.len(); record ids are enumerate indices
-            lrecs.extend(assign_l[cell].iter().map(|&i| &left.records[i as usize]));
-            // sjc-lint: allow(no-panic-in-lib) — cell < ncells = assign_r.len(); record ids are enumerate indices
-            rrecs.extend(assign_r[cell].iter().map(|&i| &right.records[i as usize]));
+            lrecs.extend(left.pick(l_ids.iter().copied()));
+            rrecs.extend(right.pick(r_ids.iter().copied()));
             if lrecs.is_empty() || rrecs.is_empty() {
                 continue;
             }
+            let keep = reported_by(index.partitioner(), cell as u32, predicate);
             let (cell_pairs, jc) =
-                local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, |am, bm| {
-                    dedup_owner_cell(&partitioner, cell as u32, &predicate.filter_mbr(am), bm)
-                });
+                local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, keep);
             pairs.extend(cell_pairs);
 
             let part_bytes =

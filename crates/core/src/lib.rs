@@ -8,6 +8,14 @@
 //! * [`framework`] — the common vocabulary: [`framework::GeoRecord`],
 //!   [`framework::JoinPredicate`], [`framework::JoinInput`], the
 //!   [`framework::DistributedSpatialJoin`] trait and [`framework::JoinOutput`];
+//!   and the steps every engine repeats, each written once: gathering
+//!   records by id (`JoinInput::pick`), tagging records with partition cells
+//!   ([`framework::CellIndex`]) and the reference-point de-duplication rule
+//!   (`reported_by`);
+//! * [`common`] — the per-partition [`common::local_join`] (MBR filter by
+//!   one of the paper's three algorithms, then exact refinement), the
+//!   quadratic [`common::direct_join`] reference, and the partitioner
+//!   families;
 //! * [`hadoopgis`] — Hadoop Streaming + GEOS + 6-step preprocessing +
 //!   reducer-side local join (§II of the paper, Fig. 1(a));
 //! * [`spatialhadoop`] — native Hadoop + JTS + 2-job preprocessing with
@@ -17,12 +25,17 @@
 //!   partition index, `groupByKey`/`join` global join, indexed nested loop
 //!   local join (Fig. 1(c)); plus the broadcast-based variant the paper
 //!   defers to future work;
+//! * [`lde`] — LDE-MC+, the native RPC + SIMD design the paper's conclusion
+//!   previews, on the same partitioner and local join;
+//! * [`ablation`] — design choices flipped one at a time: each study a table
+//!   of `(label, system config)` rows, all rendered by [`ablation::report`];
 //! * [`experiment`] — the paper's experiment grid (workloads × hardware ×
 //!   systems) with failure capture and the IA/IB/DJ breakdown;
 //! * [`report`] — printers that regenerate Table 1, Table 2, Table 3, the
-//!   Fig. 1 dataflow traces and the in-text speedup analysis.
+//!   Fig. 1 dataflow traces, the in-text speedup analysis and the
+//!   scalability and extension tables.
 //!
-//! The three systems produce **identical result pair sets** on identical
+//! The systems produce **identical result pair sets** on identical
 //! inputs (cross-checked by integration tests); they differ — exactly as in
 //! the paper — in *how* the work flows and what it costs.
 

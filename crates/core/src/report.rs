@@ -7,10 +7,14 @@
 
 use std::fmt::Write as _;
 
-use sjc_cluster::RunTrace;
+use sjc_cluster::{Cluster, ClusterConfig, RunTrace, SimError};
 use sjc_data::DatasetId;
 
-use crate::experiment::{CellResult, SystemKind};
+use crate::experiment::{CellResult, SystemKind, Workload};
+use crate::framework::{DistributedSpatialJoin, JoinInput, JoinPredicate};
+use crate::lde::LdeEngine;
+use crate::spatialhadoop::SpatialHadoop;
+use crate::spatialspark::SpatialSpark;
 
 /// The paper's Table 2 (end-to-end seconds; `None` = failed cell), keyed by
 /// (workload, system, config) in the same order our grid produces.
@@ -433,38 +437,15 @@ SpatialHadoop DJ share of end-to-end runtime:"
 /// same ... which may indicate poor scalability") extended across a wider
 /// node range and rendered as ASCII bars.
 pub fn scalability_string(scale: f64, seed: u64) -> String {
-    use crate::experiment::Workload;
-    use crate::framework::{DistributedSpatialJoin, JoinPredicate};
-    use crate::lde::LdeEngine;
-    use crate::spatialhadoop::SpatialHadoop;
-    use crate::spatialspark::SpatialSpark;
-    use sjc_cluster::{Cluster, ClusterConfig};
-
     let mut out = String::new();
     let _ = writeln!(out, "Scalability: end-to-end simulated seconds vs EC2 node count");
     for w in [Workload::taxi1m_nycb(), Workload::edge_linearwater()] {
         let (l, r) = w.prepare(scale, seed);
-        let _ = writeln!(
-            out,
-            "
-[{}]",
-            w.name
-        );
-        let systems: Vec<Box<dyn DistributedSpatialJoin>> = vec![
-            Box::new(SpatialHadoop::default()),
-            Box::new(SpatialSpark::default()),
-            Box::new(LdeEngine::default()),
-        ];
-        for sys in systems {
-            let mut series: Vec<(u32, Option<f64>)> = Vec::new();
-            for n in [4u32, 6, 8, 10, 12, 16] {
-                let cluster = Cluster::new(ClusterConfig::ec2(n));
-                let cell = sys
-                    .run(&cluster, &l, &r, JoinPredicate::Intersects)
-                    .ok()
-                    .map(|o| o.trace.total_seconds());
-                series.push((n, cell));
-            }
+        let _ = writeln!(out, "\n[{}]", w.name);
+        for sys in compared_systems() {
+            let series = [4u32, 6, 8, 10, 12, 16].map(|n| {
+                (n, run_seconds(&*sys, &Cluster::new(ClusterConfig::ec2(n)), &l, &r).ok())
+            });
             let max = series.iter().filter_map(|&(_, v)| v).fold(1.0f64, f64::max);
             let _ = writeln!(out, "  {}", sys.name());
             for (n, v) in series {
@@ -487,13 +468,6 @@ pub fn scalability_string(scale: f64, seed: u64) -> String {
 /// paper's conclusion previews) against the two surviving JVM systems on
 /// the full-scale workloads.
 pub fn extension_string(scale: f64, seed: u64) -> String {
-    use crate::experiment::Workload;
-    use crate::framework::{DistributedSpatialJoin, JoinPredicate};
-    use crate::lde::LdeEngine;
-    use crate::spatialhadoop::SpatialHadoop;
-    use crate::spatialspark::SpatialSpark;
-    use sjc_cluster::{Cluster, ClusterConfig};
-
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -508,25 +482,37 @@ pub fn extension_string(scale: f64, seed: u64) -> String {
     let _ = writeln!(out);
     for w in [Workload::taxi_nycb(), Workload::edge_linearwater()] {
         let (l, r) = w.prepare(scale, seed);
-        let systems: Vec<Box<dyn DistributedSpatialJoin>> = vec![
-            Box::new(SpatialHadoop::default()),
-            Box::new(SpatialSpark::default()),
-            Box::new(LdeEngine::default()),
-        ];
-        for sys in systems {
+        for sys in compared_systems() {
             let _ = write!(out, "{:<22} {:<14}", w.name, sys.name());
             for cfg in &configs {
-                let cluster = Cluster::new(cfg.clone());
-                let cell = match sys.run(&cluster, &l, &r, JoinPredicate::Intersects) {
-                    Ok(o) => format!("{:.0}", o.trace.total_seconds()),
-                    Err(_) => "-".to_string(),
-                };
+                let cell = run_seconds(&*sys, &Cluster::new(cfg.clone()), &l, &r)
+                    .map_or("-".to_string(), |s| format!("{s:.0}"));
                 let _ = write!(out, " {cell:>9}");
             }
             let _ = writeln!(out);
         }
     }
     out
+}
+
+/// The systems the scalability and extension tables set side by side.
+fn compared_systems() -> [Box<dyn DistributedSpatialJoin>; 3] {
+    [
+        Box::new(SpatialHadoop::default()),
+        Box::new(SpatialSpark::default()),
+        Box::new(LdeEngine::default()),
+    ]
+}
+
+/// End-to-end simulated seconds of `sys` joining `left ⋈ right` by
+/// intersection on `cluster`.
+pub(crate) fn run_seconds(
+    sys: &dyn DistributedSpatialJoin,
+    cluster: &Cluster,
+    left: &JoinInput,
+    right: &JoinInput,
+) -> Result<f64, SimError> {
+    sys.run(cluster, left, right, JoinPredicate::Intersects).map(|o| o.trace.total_seconds())
 }
 
 fn truncate(s: &str, n: usize) -> String {

@@ -23,19 +23,24 @@
 //!    robustness.
 
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::{
-    Cluster, RecoveryEvent, RunTrace, SimError, SimHdfs, SimNs, StageKind, StageTrace,
-};
-use sjc_geom::{EngineKind, GeometryEngine, Point};
-use sjc_index::entry::IndexEntry;
+use sjc_cluster::{Cluster, RunTrace, SimError, SimHdfs, StageKind, StageTrace};
+use sjc_geom::{EngineKind, GeometryEngine, Mbr};
 use sjc_index::join::plane_sweep;
-use sjc_index::partition::{dedup_owner_cell, CellLocator, SpatialPartitioner};
-use sjc_index::RTree;
+use sjc_index::partition::CellLocator;
 use sjc_mapreduce::job::ScaleMode;
 use sjc_mapreduce::{block_splits, JobConfig, MapReduceJob, MapTask};
 
 use crate::common::{local_join, LocalJoinAlgo, PartitionerKind};
-use crate::framework::{DistributedSpatialJoin, JoinInput, JoinOutput, JoinPredicate};
+use crate::framework::{
+    reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate,
+};
+
+/// Systematic sample stride for partition derivation: a 1 % sample.
+const SAMPLE_STRIDE: u64 = 100;
+/// Target spatial partition count per dataset. SpatialHadoop sizes
+/// partitions toward HDFS blocks; 128 cells approximates the block count of
+/// the full datasets.
+const PARTITIONS: usize = 128;
 
 /// The SpatialHadoop system.
 #[derive(Debug, Clone)]
@@ -45,10 +50,6 @@ pub struct SpatialHadoop {
     /// computes the plane sweep's exact pair set and `JoinStats` faster on
     /// the host; the paper's algorithms stay selectable for the ablation.
     pub local_algo: LocalJoinAlgo,
-    /// Systematic sample rate for partition derivation.
-    pub sample_rate: f64,
-    /// Target spatial partition count per dataset.
-    pub partitions: usize,
     /// Spatial partitioner family (SpatialHadoop supports GRID and
     /// STR-style indexes; the ablation benches sweep this).
     pub partitioner: PartitionerKind,
@@ -68,10 +69,6 @@ impl Default for SpatialHadoop {
     fn default() -> Self {
         SpatialHadoop {
             local_algo: LocalJoinAlgo::default(),
-            sample_rate: 0.01,
-            // SpatialHadoop sizes partitions toward HDFS blocks; 128 cells
-            // approximates the block count of the full datasets.
-            partitions: 128,
             partitioner: PartitionerKind::StrTiles,
             engine: EngineKind::Jts,
             reuse_partitions: false,
@@ -79,16 +76,30 @@ impl Default for SpatialHadoop {
     }
 }
 
-/// A dataset after preprocessing: its partitioner, per-cell record indices
-/// and per-cell serialized bytes.
+/// A dataset after preprocessing: its cell index, the record ids of each
+/// cell, and the dataset's serialized bytes per record.
 struct Indexed {
-    partitioner: Box<dyn SpatialPartitioner + Send + Sync>,
+    index: CellIndex,
     cells: Vec<Vec<u64>>,
-    cell_bytes: Vec<u64>,
+    bpr: f64,
+}
+
+impl Indexed {
+    /// The record ids of `cell` (none for an id outside the index).
+    fn cell(&self, cell: u64) -> &[u64] {
+        self.cells.get(cell as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// Serialized bytes of `cell`'s indexed block file.
+    fn cell_bytes(&self, cell: u64) -> u64 {
+        (self.cell(cell).len() as f64 * self.bpr) as u64
+    }
 }
 
 impl SpatialHadoop {
-    /// The two preprocessing MR jobs for one dataset.
+    /// The two preprocessing MR jobs for one dataset, appended to `trace`.
+    /// Each job starts on the run's global clock, so scheduled node crashes
+    /// land in whatever stage is executing at that simulated instant.
     // One argument per knob the two call sites actually vary; a params
     // struct would just re-spell this signature with extra ceremony.
     #[allow(clippy::too_many_arguments)]
@@ -96,89 +107,60 @@ impl SpatialHadoop {
         &self,
         cluster: &Cluster,
         hdfs: &mut SimHdfs,
+        trace: &mut RunTrace,
         input: &JoinInput,
         phase: Phase,
         widen: Option<JoinPredicate>,
-        shared_cells: Option<Vec<sjc_geom::Mbr>>,
-        start_ns: SimNs,
-    ) -> Result<(Indexed, Vec<StageTrace>, Vec<RecoveryEvent>), SimError> {
-        let mut traces = Vec::new();
-        let mut recovery = Vec::new();
+        shared_cells: Option<Vec<Mbr>>,
+    ) -> Result<Indexed, SimError> {
         let mut engine = MapReduceJob::new(cluster, hdfs);
         let bpr = input.bytes_per_record();
         let block = engine.hdfs.block_size();
+        let records: Vec<&GeoRecord> = input.records.iter().collect();
 
-        let partitioner: Box<dyn SpatialPartitioner + Send + Sync> = match shared_cells {
+        let index = CellIndex::new(match shared_cells {
             // Compatible-grid mode: adopt the other dataset's cells and skip
             // the sample job entirely.
             Some(cells) => Box::new(CellLocator::new(cells)),
             None => {
                 // --- MR job 1: sample + derive partitions on the master ---
-                let stride = (1.0 / self.sample_rate).round().max(1.0) as u64;
-                let ids: Vec<u64> = (0..input.records.len() as u64).collect();
                 let cfg1 =
                     JobConfig::new(format!("{}: sample", input.name), phase, input.multiplier)
                         .write_output(false)
-                        .starting_at(start_ns);
+                        .starting_at(trace.total_ns());
                 let sample_out =
-                    engine.map_only(&cfg1, block_splits(&ids, bpr, block), |&i, em| {
-                        if i % stride == 0 {
-                            em.emit(i, 16);
+                    engine.map_only(&cfg1, block_splits(&records, bpr, block), |rec, em| {
+                        if rec.id % SAMPLE_STRIDE == 0 {
+                            em.emit(rec.mbr.center(), 16);
                         }
                     })?;
-                recovery.extend(sample_out.recovery.iter().cloned());
-                traces.push(sample_out.trace);
-
-                let sample_points: Vec<Point> = sample_out
-                    .output
-                    .iter()
-                    // sjc-lint: allow(no-panic-in-lib) — sample ids are drawn from 0..records.len() above
-                    .map(|&i| input.records[i as usize].mbr.center())
-                    .collect();
-                self.partitioner.build(input.domain, sample_points, self.partitions)
+                trace.push_recovery(sample_out.recovery);
+                trace.push(sample_out.trace);
+                self.partitioner.build(input.domain, sample_out.output, PARTITIONS)
             }
-        };
-        let ids: Vec<u64> = (0..input.records.len() as u64).collect();
+        });
         // `_master` file: one MBR row per cell.
-        let master_bytes = partitioner.cells().len() as u64 * 72;
+        let ncells = index.partitioner().cells().len();
         engine.hdfs.write_file(
             &format!("{}_master", input.name),
-            master_bytes,
-            partitioner.cells().len() as u64,
+            ncells as u64 * 72,
+            ncells as u64,
         );
 
         // --- MR job 2: assign partitions, shuffle, write indexed blocks ---
-        let cell_rtree = RTree::bulk_load_str(
-            partitioner
-                .cells()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| IndexEntry::new(i as u64, *c))
-                .collect(),
-        );
         let jts = GeometryEngine::new(self.engine());
-        let elapsed: SimNs = traces.iter().map(|t| t.sim_ns).sum();
         let cfg2 =
             JobConfig::new(format!("{}: partition+index", input.name), phase, input.multiplier)
-                .starting_at(start_ns + elapsed);
+                .starting_at(trace.total_ns());
         let outcome = engine.map_reduce(
             &cfg2,
-            block_splits(&ids, bpr, block),
-            |&i, em| {
-                // sjc-lint: allow(no-panic-in-lib) — split ids are drawn from 0..records.len() above
-                let rec = &input.records[i as usize];
-                let mbr = match widen {
-                    Some(p) => p.filter_mbr(&rec.mbr),
-                    None => rec.mbr,
-                };
+            block_splits(&records, bpr, block),
+            |rec, em| {
+                let mbr = widen.map_or(rec.mbr, |p| p.filter_mbr(&rec.mbr));
                 let mut hits = Vec::new();
-                let visited = cell_rtree.query_counting(&mbr, &mut hits);
-                em.charge(visited as u64 * jts.filter_cost_ns());
-                if hits.is_empty() {
-                    hits.push(partitioner.nearest_cell(&mbr.center()) as u64);
-                }
+                em.charge(index.tag(&mbr, &mut hits) as u64 * jts.filter_cost_ns());
                 for cell in hits {
-                    em.emit(cell as u32, i, bpr as u64);
+                    em.emit(cell as u32, rec.id, bpr as u64);
                 }
             },
             |cell, ids, em| {
@@ -188,18 +170,16 @@ impl SpatialHadoop {
                 em.emit((*cell, ids.to_vec()), (ids.len() as f64 * bpr) as u64);
             },
         )?;
-        recovery.extend(outcome.recovery.iter().cloned());
-        traces.push(outcome.trace);
+        trace.push_recovery(outcome.recovery);
+        trace.push(outcome.trace);
 
-        let mut cells: Vec<Vec<u64>> = vec![Vec::new(); partitioner.cells().len()];
-        let mut cell_bytes: Vec<u64> = vec![0; partitioner.cells().len()];
+        let mut cells: Vec<Vec<u64>> = vec![Vec::new(); ncells];
         for (cell, ids) in outcome.output {
-            // sjc-lint: allow(no-panic-in-lib) — reducer keys are cell ids < partitioner.cells().len()
-            cell_bytes[cell as usize] = (ids.len() as f64 * bpr) as u64;
-            // sjc-lint: allow(no-panic-in-lib) — reducer keys are cell ids < partitioner.cells().len()
-            cells[cell as usize] = ids;
+            if let Some(slot) = cells.get_mut(cell as usize) {
+                *slot = ids;
+            }
         }
-        Ok((Indexed { partitioner, cells, cell_bytes }, traces, recovery))
+        Ok(Indexed { index, cells, bpr })
     }
 }
 
@@ -223,54 +203,31 @@ impl DistributedSpatialJoin for SpatialHadoop {
         let mut trace = RunTrace::new(self.name());
         let jts = GeometryEngine::new(self.engine());
 
-        // Preprocessing: index both datasets (IA, IB). Each job starts on
-        // the run's global clock so scheduled node crashes land in whatever
-        // stage is executing at that simulated instant.
-        let (ia, t, r) = self.index_dataset(
+        // Preprocessing: index both datasets (IA, IB).
+        let ia = self.index_dataset(
             cluster,
             &mut hdfs,
+            &mut trace,
             left,
             Phase::IndexA,
             Some(predicate),
             None,
-            trace.total_ns(),
         )?;
-        trace.stages.extend(t);
-        trace.push_recovery(r);
-        let shared =
-            if self.reuse_partitions { Some(ia.partitioner.cells().to_vec()) } else { None };
-        let (ib, t, r) = self.index_dataset(
-            cluster,
-            &mut hdfs,
-            right,
-            Phase::IndexB,
-            None,
-            shared,
-            trace.total_ns(),
-        )?;
-        trace.stages.extend(t);
-        trace.push_recovery(r);
+        let shared = if self.reuse_partitions {
+            Some(ia.index.partitioner().cells().to_vec())
+        } else {
+            None
+        };
+        let ib =
+            self.index_dataset(cluster, &mut hdfs, &mut trace, right, Phase::IndexB, None, shared)?;
 
         // Global join on the master: serial plane-sweep over the two
         // `_master` cell-MBR lists (the getSplits override).
-        let a_entries: Vec<IndexEntry> = ia
-            .partitioner
-            .cells()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| IndexEntry::new(i as u64, *c))
-            .collect();
-        let b_entries: Vec<IndexEntry> = ib
-            .partitioner
-            .cells()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| IndexEntry::new(i as u64, *c))
-            .collect();
+        let (a_entries, b_entries) = (ia.index.entries(), ib.index.entries());
         let cand = if self.reuse_partitions {
             // Compatible grids: cell i pairs with cell i — no serial sweep.
             sjc_index::join::CandidatePairs {
-                pairs: (0..ia.partitioner.cells().len() as u64).map(|i| (i, i)).collect(),
+                pairs: (0..a_entries.len() as u64).map(|i| (i, i)).collect(),
                 stats: Default::default(),
             }
         } else {
@@ -280,17 +237,15 @@ impl DistributedSpatialJoin for SpatialHadoop {
             // the simulated clock. The lists are tiny (one entry per cell).
             plane_sweep(&a_entries, &b_entries)
         };
+        let master_bytes = (a_entries.len() + b_entries.len()) as u64 * 72;
         let mut gstage = StageTrace::new(
             "getSplits: pair partitions",
             StageKind::LocalSerial,
             Phase::DistributedJoin,
         );
         gstage.sim_ns = cand.stats.filter_tests * jts.filter_cost_ns()
-            + cluster.cost.io_ns(
-                (a_entries.len() + b_entries.len()) as u64 * 72,
-                cluster.config.node.disk_read_bw,
-            );
-        gstage.hdfs_bytes_read = (a_entries.len() + b_entries.len()) as u64 * 72;
+            + cluster.cost.io_ns(master_bytes, cluster.config.node.disk_read_bw);
+        gstage.hdfs_bytes_read = master_bytes;
         trace.push(gstage);
 
         // Local join: map-only job, one task per intersecting cell pair.
@@ -298,13 +253,7 @@ impl DistributedSpatialJoin for SpatialHadoop {
         let tasks: Vec<MapTask<(u64, u64)>> = cand
             .pairs
             .iter()
-            .map(|&(ca, cb)| {
-                MapTask::new(
-                    vec![(ca, cb)],
-                    // sjc-lint: allow(no-panic-in-lib) — plane-sweep pairs carry cell ids of the two indexes
-                    ia.cell_bytes[ca as usize] + ib.cell_bytes[cb as usize],
-                )
-            })
+            .map(|&(ca, cb)| MapTask::new(vec![(ca, cb)], ia.cell_bytes(ca) + ib.cell_bytes(cb)))
             .collect();
         let mult = left.multiplier.max(right.multiplier);
         let cfg = JobConfig::new("distributed join (map-only)", Phase::DistributedJoin, mult)
@@ -312,23 +261,15 @@ impl DistributedSpatialJoin for SpatialHadoop {
             .parse_input(false) // indexed binary blocks, no text parse
             .starting_at(trace.total_ns());
         let outcome = engine.map_only(&cfg, tasks, |&(ca, cb), em| {
-            // sjc-lint: allow(no-panic-in-lib) — ca is a cell id of index A; stored ids are enumerate indices
-            let lrecs: Vec<&crate::framework::GeoRecord> = ia.cells[ca as usize]
-                .iter()
-                // sjc-lint: allow(no-panic-in-lib) — record ids are the enumerate indices minted by JoinInput::from_dataset
-                .map(|&i| &left.records[i as usize])
-                .collect();
-            // sjc-lint: allow(no-panic-in-lib) — cb is a cell id of index B; stored ids are enumerate indices
-            let rrecs: Vec<&crate::framework::GeoRecord> = ib.cells[cb as usize]
-                .iter()
-                // sjc-lint: allow(no-panic-in-lib) — record ids are the enumerate indices minted by JoinInput::from_dataset
-                .map(|&i| &right.records[i as usize])
-                .collect();
+            let lrecs: Vec<&GeoRecord> = left.pick(ia.cell(ca).iter().copied()).collect();
+            let rrecs: Vec<&GeoRecord> = right.pick(ib.cell(cb).iter().copied()).collect();
+            // A pair is reported once: by the cell pair owning its
+            // reference point in both grids.
+            let in_a = reported_by(ia.index.partitioner(), ca as u32, predicate);
+            let in_b = reported_by(ib.index.partitioner(), cb as u32, predicate);
             let (pairs, cost) =
                 local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, |am, bm| {
-                    let am = predicate.filter_mbr(am);
-                    dedup_owner_cell(&*ia.partitioner, ca as u32, &am, bm)
-                        && dedup_owner_cell(&*ib.partitioner, cb as u32, &am, bm)
+                    in_a(am, bm) && in_b(am, bm)
                 });
             // Deserializing the two block files' records into JVM objects is
             // the task's real per-record cost; the geometry work rides on top.

@@ -32,12 +32,14 @@ use sjc_cluster::metrics::Phase;
 use sjc_cluster::{Cluster, CostModel, SimError};
 use sjc_geom::{EngineKind, GeometryEngine, Point};
 use sjc_index::entry::IndexEntry;
-use sjc_index::partition::{dedup_owner_cell, SpatialPartitioner, StrTilePartitioner};
+use sjc_index::partition::StrTilePartitioner;
 use sjc_index::RTree;
-use sjc_rdd::{memory, SparkContext, SparkRecord};
+use sjc_rdd::{memory, Rdd, SparkContext, SparkRecord};
 
 use crate::common::{local_join, LocalJoinAlgo};
-use crate::framework::{DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate};
+use crate::framework::{
+    reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate,
+};
 
 /// The SpatialSpark system.
 #[derive(Debug, Clone)]
@@ -50,8 +52,6 @@ pub struct SpatialSpark {
     /// kept as the default so the simulated R-tree traversal costs match
     /// the modeled system — `StripeSweep` is selectable for ablations).
     pub local_algo: LocalJoinAlgo,
-    /// Geometry library cost profile (JTS for the real system).
-    pub engine: EngineKind,
 }
 
 impl Default for SpatialSpark {
@@ -62,7 +62,6 @@ impl Default for SpatialSpark {
             partitions: 512,
             broadcast_join: false,
             local_algo: LocalJoinAlgo::IndexedNestedLoop,
-            engine: EngineKind::Jts,
         }
     }
 }
@@ -116,57 +115,32 @@ impl SpatialSpark {
             rate,
             0x5EED,
         )?;
-        let centers: Vec<Point> = sample
-            .iter()
-            // sjc-lint: allow(no-panic-in-lib) — RecRef idx values index the records slice they were minted from
-            .map(|r| right.records[r.idx as usize].mbr.center())
-            .collect();
-        let partitioner = StrTilePartitioner::from_sample(right.domain, centers, self.partitions);
-        let ncells = partitioner.cells().len();
+        let centers: Vec<Point> =
+            right.pick(sample.iter().map(|r| u64::from(r.idx))).map(|r| r.mbr.center()).collect();
+        let index = CellIndex::new(Box::new(StrTilePartitioner::from_sample(
+            right.domain,
+            centers,
+            self.partitions,
+        )));
+        let ncells = index.partitioner().cells().len();
 
         // Broadcast the partition-MBR R-tree (index over cells, not data).
-        let cell_tree = RTree::bulk_load_str(
-            partitioner
-                .cells()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| IndexEntry::new(i as u64, *c))
-                .collect(),
-        );
-        let bcast_bytes = (cell_tree.num_nodes() as u64) * 56 + ncells as u64 * 72;
+        let bcast_bytes = (index.nodes() as u64) * 56 + ncells as u64 * 72;
         ctx.broadcast("broadcast partition index", Phase::IndexB, (), bcast_bytes);
 
-        // 3. Tag records with partition ids (both sides).
-        let probe = |tree: &RTree,
-                     part: &StrTilePartitioner,
-                     mbr: &sjc_geom::Mbr,
-                     extra: &mut u64|
-         -> Vec<u32> {
-            let mut hits = Vec::new();
-            let visited = tree.query_counting(mbr, &mut hits);
-            *extra += visited as u64 * jts.filter_cost_ns();
-            if hits.is_empty() {
-                vec![part.nearest_cell(&mbr.center())]
-            } else {
-                hits.into_iter().map(|c| c as u32).collect()
-            }
+        // 3. Tag records with partition ids (both sides; the left side's
+        // MBRs widened as the filter sees them).
+        let tag = |rdd: Rdd<RecRef>, input: &JoinInput, widen: bool| {
+            rdd.flat_map(&ctx, |r: &RecRef, extra: &mut u64| {
+                let mut hits = Vec::new();
+                for rec in input.pick([u64::from(r.idx)]) {
+                    let mbr = if widen { predicate.filter_mbr(&rec.mbr) } else { rec.mbr };
+                    *extra += index.tag(&mbr, &mut hits) as u64 * jts.filter_cost_ns();
+                }
+                hits.into_iter().map(|c| (c as u32, *r)).collect::<Vec<_>>()
+            })
         };
-        let tagged_l = rdd_l.flat_map(&ctx, |r: &RecRef, extra: &mut u64| {
-            // sjc-lint: allow(no-panic-in-lib) — RecRef idx values index the records slice they were minted from
-            let mbr = predicate.filter_mbr(&left.records[r.idx as usize].mbr);
-            probe(&cell_tree, &partitioner, &mbr, extra)
-                .into_iter()
-                .map(|c| (c, *r))
-                .collect::<Vec<_>>()
-        });
-        let tagged_r = rdd_r.flat_map(&ctx, |r: &RecRef, extra: &mut u64| {
-            // sjc-lint: allow(no-panic-in-lib) — RecRef idx values index the records slice they were minted from
-            let mbr = right.records[r.idx as usize].mbr;
-            probe(&cell_tree, &partitioner, &mbr, extra)
-                .into_iter()
-                .map(|c| (c, *r))
-                .collect::<Vec<_>>()
-        });
+        let (tagged_l, tagged_r) = (tag(rdd_l, left, true), tag(rdd_r, right, false));
 
         // 4. Group both sides by partition id, then join the grouped lists.
         let grouped_l =
@@ -184,16 +158,12 @@ impl SpatialSpark {
         // 5. Local join per partition (indexed nested loop + JTS refine).
         let local_algo = self.local_algo;
         let result = joined.flat_map(&ctx, |(cell, (lrefs, rrefs)), extra| {
-            // sjc-lint: allow(no-panic-in-lib) — RecRef idx values index the records slice they were minted from
             let lrecs: Vec<&GeoRecord> =
-                lrefs.iter().map(|r| &left.records[r.idx as usize]).collect();
-            // sjc-lint: allow(no-panic-in-lib) — RecRef idx values index the records slice they were minted from
+                left.pick(lrefs.iter().map(|r| u64::from(r.idx))).collect();
             let rrecs: Vec<&GeoRecord> =
-                rrefs.iter().map(|r| &right.records[r.idx as usize]).collect();
-            let (pairs, cost) =
-                local_join(&jts, predicate, local_algo, &lrecs, &rrecs, |am, bm| {
-                    dedup_owner_cell(&partitioner, *cell, &predicate.filter_mbr(am), bm)
-                });
+                right.pick(rrefs.iter().map(|r| u64::from(r.idx))).collect();
+            let keep = reported_by(index.partitioner(), *cell, predicate);
+            let (pairs, cost) = local_join(&jts, predicate, local_algo, &lrecs, &rrecs, keep);
             *extra += cost.filter_ns + cost.refine_ns;
             pairs
         });
@@ -219,9 +189,9 @@ impl SpatialSpark {
 
         // Broadcast an R-tree over *all* right records. Every executor
         // holds the full right side: memory-check it explicitly.
-        let entries: Vec<IndexEntry> =
-            right.records.iter().map(|r| IndexEntry::new(r.id, r.mbr)).collect();
-        let tree = RTree::bulk_load_str(entries);
+        let tree = RTree::bulk_load_str(
+            right.records.iter().map(|r| IndexEntry::new(r.id, r.mbr)).collect(),
+        );
         let right_mem: u64 = (right
             .records
             .iter()
@@ -234,19 +204,17 @@ impl SpatialSpark {
 
         // Probe directly: no partitioning, no shuffle, no duplicates.
         let result = rdd_l.flat_map(&ctx, |r: &RecRef, extra: &mut u64| {
-            // sjc-lint: allow(no-panic-in-lib) — RecRef idx values index the records slice they were minted from
-            let lrec = &left.records[r.idx as usize];
-            let mut hits = Vec::new();
-            let visited = tree.query_counting(&predicate.filter_mbr(&lrec.mbr), &mut hits);
-            *extra += visited as u64 * jts.filter_cost_ns();
             let mut out = Vec::new();
-            for rid in hits {
-                // sjc-lint: allow(no-panic-in-lib) — R-tree hits carry the enumerate record ids they were built from
-                let rrec = &right.records[rid as usize];
-                let (hit, ns) = predicate.evaluate_records(&jts, lrec, rrec);
-                *extra += ns;
-                if hit {
-                    out.push((lrec.id, rrec.id));
+            for lrec in left.pick([u64::from(r.idx)]) {
+                let mut hits = Vec::new();
+                let visited = tree.query_counting(&predicate.filter_mbr(&lrec.mbr), &mut hits);
+                *extra += visited as u64 * jts.filter_cost_ns();
+                for rrec in right.pick(hits) {
+                    let (hit, ns) = predicate.evaluate_records(&jts, lrec, rrec);
+                    *extra += ns;
+                    if hit {
+                        out.push((lrec.id, rrec.id));
+                    }
                 }
             }
             out
@@ -264,7 +232,7 @@ impl DistributedSpatialJoin for SpatialSpark {
     }
 
     fn engine(&self) -> EngineKind {
-        self.engine
+        EngineKind::Jts
     }
 
     fn run(

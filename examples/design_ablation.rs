@@ -16,51 +16,5 @@ fn main() {
     let seed = 20150701;
 
     println!("Design-choice ablations (simulated seconds; scale {scale:.0e})\n");
-    print!(
-        "{}",
-        ablation::format_rows(
-            "geometry engine — same pipeline, JTS vs GEOS",
-            &ablation::geometry_engine(scale, seed)
-        )
-    );
-    println!();
-    print!(
-        "{}",
-        ablation::format_rows(
-            "data access model — same engine, streaming vs native",
-            &ablation::access_model(scale, seed)
-        )
-    );
-    println!();
-    print!(
-        "{}",
-        ablation::format_rows(
-            "local join algorithm (SpatialHadoop)",
-            &ablation::local_join_algo(scale, seed)
-        )
-    );
-    println!();
-    print!(
-        "{}",
-        ablation::format_rows(
-            "broadcast vs partition join (SpatialSpark)",
-            &ablation::broadcast_join(scale, seed)
-        )
-    );
-    println!();
-    print!(
-        "{}",
-        ablation::format_rows(
-            "partition-count sweep (SpatialSpark on EC2-10)",
-            &ablation::partition_sweep(scale, seed)
-        )
-    );
-    println!();
-    print!(
-        "{}",
-        ablation::format_rows(
-            "partitioner family (SpatialHadoop)",
-            &ablation::partitioner_kind(scale, seed)
-        )
-    );
+    print!("{}", ablation::report(scale, seed));
 }

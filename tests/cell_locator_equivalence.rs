@@ -5,8 +5,12 @@
 //!
 //! The linear scans are kept here verbatim (as they stood in
 //! `SpatialPartitioner`'s defaults before the locator existed), so this
-//! file stays a fixed reference even if the trait defaults change.
+//! file stays a fixed reference even if the trait defaults change. The
+//! engines' R-tree tagging, `sjc_core::framework::CellIndex::tag`, is held
+//! to the same reference.
 
+use sjc_core::common::PartitionerKind;
+use sjc_core::framework::{CellIndex, JoinPredicate};
 use sjc_geom::{Mbr, Point};
 use sjc_index::partition::{
     BspPartitioner, CellId, CellLocator, SpatialPartitioner, StrTilePartitioner,
@@ -225,4 +229,86 @@ fn degenerate_cell_lists_are_total() {
     ] {
         check_partitioner(&CellLocator::new(cells), &mut rng, &mut seen);
     }
+}
+
+/// `CellIndex::tag` — how SpatialHadoop, SpatialSpark and LDE tag records
+/// with cells — answers `assign` as a set: inside the extent, on shared
+/// cell edges and corners, wholly outside it (the nearest-cell fallback),
+/// and on the MBRs a within-distance join widens.
+///
+/// `FixedGridPartitioner` overrides `assign` with clamped arithmetic over
+/// half-open ranges, so on a shared edge it names one cell where the tag
+/// names both, and outside the extent it clamps where the tag falls back to
+/// the nearest cell. For it the tag is held to the linear scan, and its
+/// `assign` to a subset of the tag wherever the probe meets the extent.
+#[test]
+fn cell_index_tags_exactly_the_assigned_cells() {
+    let (mut edge_probes, mut fallbacks, mut multi) = (0, 0, 0);
+    cases(0x7A61_0DE5, 8, |rng| {
+        for target in [1usize, 16, 128, 512] {
+            let pts = sample(rng);
+            for kind in
+                [PartitionerKind::FixedGrid, PartitionerKind::StrTiles, PartitionerKind::Bsp]
+            {
+                let index = CellIndex::new(kind.build(EXTENT, pts.clone(), target));
+                let p = index.partitioner();
+                let mut probes = Vec::new();
+                for c in p.cells().iter().filter(|c| !c.is_empty()) {
+                    let mid = c.center();
+                    for x in [c.min_x, mid.x, c.max_x] {
+                        for y in [c.min_y, mid.y, c.max_y] {
+                            probes.push(Point::new(x, y).mbr());
+                        }
+                    }
+                    probes.push(*c);
+                }
+                edge_probes += probes.len();
+                let around = EXTENT.buffered(15.0);
+                for _ in 0..40 {
+                    let a = point_in(rng, &around);
+                    let reach = [0.5, 8.0, 120.0][rng.usize_in(0..3)];
+                    probes.push(Mbr::new(
+                        a.x,
+                        a.y,
+                        a.x + rng.f64_in(0.0..reach),
+                        a.y + reach / 2.0,
+                    ));
+                }
+                for (dx, dy) in [(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (1.0, 1.0)] {
+                    let far = Point::new(30.0 + dx * 500.0, 35.0 + dy * 500.0);
+                    probes.push(Mbr::new(far.x, far.y, far.x + 3.0, far.y + 3.0));
+                }
+                let within = JoinPredicate::WithinDistance([0.1, 2.5, 25.0][rng.usize_in(0..3)]);
+                let widened: Vec<Mbr> = probes.iter().map(|m| within.filter_mbr(m)).collect();
+                probes.extend(widened);
+
+                let mut hits = vec![u64::MAX; 2];
+                for m in &probes {
+                    assert!(
+                        index.tag(m, &mut hits) > 0,
+                        "{} visits no node for {m:?}",
+                        kind.name()
+                    );
+                    hits.sort_unstable();
+                    let linear: Vec<u64> =
+                        ref_assign(p.cells(), m).into_iter().map(u64::from).collect();
+                    assert_eq!(hits, linear, "{} tag of {m:?}", kind.name());
+                    let assigned: Vec<u64> = p.assign(m).into_iter().map(u64::from).collect();
+                    if kind != PartitionerKind::FixedGrid {
+                        assert_eq!(assigned, linear, "{} assign of {m:?}", kind.name());
+                    } else if m.intersects(&EXTENT) {
+                        assert!(assigned.iter().all(|c| hits.contains(c)), "grid assign of {m:?}");
+                    }
+                    if !p.cells().iter().any(|c| c.intersects(m)) {
+                        fallbacks += 1;
+                    } else if hits.len() > 1 {
+                        multi += 1;
+                    }
+                }
+            }
+        }
+    });
+    assert!(edge_probes > 1000, "edge and corner probes: {edge_probes}");
+    assert!(fallbacks > 100, "nearest-cell tags: {fallbacks}");
+    assert!(multi > 1000, "multi-cell tags: {multi}");
 }

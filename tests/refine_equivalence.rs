@@ -273,7 +273,6 @@ fn local_join_on_a_polyline_slice_is_pinned() {
             7_196u64,
             [
                 (LocalJoinAlgo::IndexedNestedLoop, 0x08d8_61d7_e25c_a336u64, 6_148_928u64),
-                (LocalJoinAlgo::PlaneSweep, 0x95cc_400f_e1dc_bc96, 10_379_536),
                 (LocalJoinAlgo::SyncRTree, 0x2e74_d2ea_b70e_0512, 6_609_632),
                 (LocalJoinAlgo::StripeSweep, 0x4f77_c61e_ab0d_dc12, 10_379_536),
             ],
@@ -286,7 +285,6 @@ fn local_join_on_a_polyline_slice_is_pinned() {
             294,
             [
                 (LocalJoinAlgo::IndexedNestedLoop, 0x5ed6_53bf_10fd_03df, 616_384),
-                (LocalJoinAlgo::PlaneSweep, 0x8cee_0e37_1a77_cfa3, 421_536),
                 (LocalJoinAlgo::SyncRTree, 0xa6b8_b28e_cc9b_087b, 661_408),
                 (LocalJoinAlgo::StripeSweep, 0xbf31_a7c2_3c6d_e72b, 421_536),
             ],
