@@ -3,7 +3,11 @@
 //! (`JoinInput::pick`), tagging records with partition cells ([`CellIndex`])
 //! and the reference-point rule (`reported_by`).
 
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
 use sjc_cluster::{Cluster, RunTrace, SimError};
+use sjc_data::tsv::to_tsv_text;
 use sjc_data::ScaledDataset;
 use sjc_geom::{EngineKind, Geometry, GeometryEngine, Mbr};
 use sjc_index::entry::IndexEntry;
@@ -85,7 +89,12 @@ impl GeoRecord {
 }
 
 /// One side of a distributed spatial join.
-#[derive(Debug, Clone)]
+///
+/// Record `i` has id `i` (`new` checks it in debug builds): `pick` and
+/// HadoopGIS's line parser index `records` by id. The records' TSV text
+/// ([`tsv_text`](JoinInput::tsv_text)) is built on first use and shared by
+/// every clone, so `records` must not change once a run has read it.
+#[derive(Clone)]
 pub struct JoinInput {
     pub name: String,
     pub records: Vec<GeoRecord>,
@@ -95,23 +104,41 @@ pub struct JoinInput {
     pub multiplier: f64,
     /// The spatial domain both join sides share.
     pub domain: Mbr,
+    tsv: Arc<OnceLock<String>>,
 }
 
 impl JoinInput {
+    /// A join input over `records`, whose ids must be `0..records.len()` in
+    /// order.
+    pub fn new(
+        name: impl Into<String>,
+        records: Vec<GeoRecord>,
+        sim_bytes: u64,
+        multiplier: f64,
+        domain: Mbr,
+    ) -> JoinInput {
+        debug_assert!(
+            records.iter().enumerate().all(|(i, r)| r.id == i as u64),
+            "JoinInput: record ids must be dense, record i with id i"
+        );
+        let name = name.into();
+        JoinInput { name, records, sim_bytes, multiplier, domain, tsv: Arc::default() }
+    }
+
     /// Wraps a generated dataset as a join input.
     pub fn from_dataset(ds: &ScaledDataset) -> JoinInput {
-        JoinInput {
-            name: ds.spec.name.to_string(),
-            records: ds
-                .geoms
-                .iter()
-                .enumerate()
-                .map(|(i, g)| GeoRecord::new(i as u64, g.clone()))
-                .collect(),
-            sim_bytes: ds.sim_bytes(),
-            multiplier: ds.multiplier(),
-            domain: ds.domain,
-        }
+        let records =
+            ds.geoms.iter().enumerate().map(|(i, g)| GeoRecord::new(i as u64, g.clone())).collect();
+        JoinInput::new(ds.spec.name, records, ds.sim_bytes(), ds.multiplier(), ds.domain)
+    }
+
+    /// The records as TSV text, one `id \t WKT \n` line each: the input file
+    /// HadoopGIS reads off HDFS. The WKT sizes of the synthetic geometry
+    /// track the paper's Table-1 bytes/record closely, so pipe and parse
+    /// charges computed from these real line lengths are faithful. Built on
+    /// the first call, then shared by every later call and every clone.
+    pub fn tsv_text(&self) -> &str {
+        self.tsv.get_or_init(|| memo_tsv_text(&self.records))
     }
 
     /// Average serialized bytes per record.
@@ -131,6 +158,29 @@ impl JoinInput {
     ) -> impl Iterator<Item = &'a GeoRecord> + 'a {
         // sjc-lint: allow(no-panic-in-lib) — dataset ids are the enumerate indices minted by from_dataset
         ids.into_iter().map(|i| &self.records[i as usize])
+    }
+}
+
+/// The value behind [`JoinInput::tsv_text`]'s memo: a pure function of the
+/// records (its name puts it under the `cache-purity` pass). The text lives
+/// as long as the input, so the growth slack goes back to the allocator.
+fn memo_tsv_text(records: &[GeoRecord]) -> String {
+    let mut text = to_tsv_text(records.iter().map(|r| (r.id, &r.geom)));
+    text.shrink_to_fit();
+    text
+}
+
+/// Prints the text's length, not the text or the records.
+impl fmt::Debug for JoinInput {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("JoinInput")
+            .field("name", &self.name)
+            .field("records", &self.records.len())
+            .field("sim_bytes", &self.sim_bytes)
+            .field("multiplier", &self.multiplier)
+            .field("domain", &self.domain)
+            .field("tsv_text_len", &self.tsv.get().map(String::len))
+            .finish()
     }
 }
 
@@ -331,5 +381,81 @@ mod tests {
         assert!(input.bytes_per_record() > 100.0);
         // Ids are dense 0..n.
         assert_eq!(input.records.last().unwrap().id as usize, input.records.len() - 1);
+    }
+
+    fn tiny_inputs() -> (JoinInput, JoinInput) {
+        let taxi = sjc_data::ScaledDataset::generate(sjc_data::DatasetId::Taxi, 2e-5, 7);
+        let nycb = sjc_data::ScaledDataset::generate(sjc_data::DatasetId::Nycb, 2e-5, 7);
+        (JoinInput::from_dataset(&taxi), JoinInput::from_dataset(&nycb))
+    }
+
+    #[test]
+    fn tsv_text_is_the_records_text() {
+        let (input, _) = tiny_inputs();
+        let want = to_tsv_text(input.records.iter().map(|r| (r.id, &r.geom)));
+        assert_eq!(input.tsv_text(), want);
+        assert_eq!(input.tsv_text().lines().count(), input.records.len());
+    }
+
+    #[test]
+    fn tsv_text_is_built_once_and_shared_by_clones() {
+        let (input, _) = tiny_inputs();
+        let first = input.tsv_text().as_ptr();
+        assert_eq!(input.tsv_text().as_ptr(), first);
+        let clone = input.clone();
+        assert_eq!(clone.tsv_text().as_ptr(), first);
+        // A clone taken before the first call shares the text too.
+        let (cold, _) = tiny_inputs();
+        let early = cold.clone();
+        assert_eq!(early.tsv_text().as_ptr(), cold.tsv_text().as_ptr());
+    }
+
+    #[test]
+    fn concurrent_first_callers_share_one_text() {
+        let (input, _) = tiny_inputs();
+        let callers: Vec<JoinInput> = (0..64).map(|_| input.clone()).collect();
+        // Weighted dispatch: 64 plain `par_map` items fall under the serial
+        // cut-over and would never race.
+        let ptrs = sjc_par::par_map_weighted_budget(
+            sjc_par::Budget::explicit(4),
+            &callers,
+            |_| 1,
+            |c| c.tsv_text().as_ptr() as usize,
+        );
+        let first = input.tsv_text().as_ptr() as usize;
+        assert!(ptrs.iter().all(|&p| p == first), "{ptrs:?}");
+    }
+
+    #[test]
+    fn only_hadoopgis_builds_the_text() {
+        use crate::hadoopgis::HadoopGis;
+        use crate::spatialhadoop::SpatialHadoop;
+        use crate::spatialspark::SpatialSpark;
+        use sjc_cluster::ClusterConfig;
+
+        let (mut left, mut right) = tiny_inputs();
+        left.multiplier = 1.0;
+        right.multiplier = 1.0;
+        let cluster = Cluster::new(ClusterConfig::workstation());
+        let p = JoinPredicate::Intersects;
+        SpatialSpark::default().run(&cluster, &left, &right, p).unwrap();
+        SpatialHadoop::default().run(&cluster, &left, &right, p).unwrap();
+        assert!(left.tsv.get().is_none() && right.tsv.get().is_none());
+        assert!(format!("{left:?}").contains("tsv_text_len: None"), "{left:?}");
+
+        HadoopGis::default().run(&cluster, &left, &right, p).unwrap();
+        let len = left.tsv.get().map(String::len);
+        assert!(len.is_some() && right.tsv.get().is_some());
+        assert!(format!("{left:?}").contains(&format!("tsv_text_len: {len:?}")), "{left:?}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "record ids must be dense")]
+    fn new_rejects_sparse_ids() {
+        let (input, _) = tiny_inputs();
+        let mut records = input.records;
+        records.swap(0, 1);
+        JoinInput::new("swapped", records, 0, 1.0, input.domain);
     }
 }

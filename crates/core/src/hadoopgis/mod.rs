@@ -26,16 +26,17 @@
 //! the node's pipe capacity dies with a broken pipe — which is how every
 //! full-dataset run in Table 2 ends for HadoopGIS.
 //!
-//! The text is real and written once: `run` holds each dataset's TSV in one
-//! buffer (the file HDFS would hold) and one more for the join job's tagged
-//! lines; every streaming line is a `&str` slice of those, passed from
-//! mapper to shuffle to reducer, so each charged length is the `len()` of
-//! bytes that exist while the host copies none of them.
+//! The text is real and `run` writes none of it: each dataset's TSV is its
+//! input file ([`JoinInput::tsv_text`]), built once per input and shared by
+//! every run and clone, as the file would sit on HDFS. Every streaming line
+//! is a `&str` slice of it, passed from mapper to shuffle to reducer; the
+//! join job's `A\t…`/`B\t…` lines are `Tagged` views of the same slices,
+//! two bytes longer. So each charged length is the `len()` of bytes that
+//! exist, or those plus the tag, while the host copies none of them.
 
 use sjc_cluster::hdfs::DEFAULT_BLOCK_SIZE;
 use sjc_cluster::metrics::Phase;
 use sjc_cluster::{Cluster, RunTrace, SimError, SimHdfs, StageKind, StageTrace};
-use sjc_data::tsv::to_tsv_text;
 use sjc_geom::{EngineKind, GeometryEngine, Mbr, Point};
 use sjc_index::partition::{BspPartitioner, SpatialPartitioner};
 use sjc_mapreduce::job::ScaleMode;
@@ -70,14 +71,6 @@ impl Default for HadoopGis {
     fn default() -> Self {
         HadoopGis { local_algo: LocalJoinAlgo::IndexedNestedLoop, engine: EngineKind::Geos }
     }
-}
-
-/// A dataset's TSV text, one `\n`-terminated line per record. The WKT text
-/// sizes of the synthetic geometry track the paper's Table-1 bytes/record
-/// closely, so pipe and parse charges computed from real line lengths are
-/// faithful.
-fn dataset_text(input: &JoinInput) -> String {
-    to_tsv_text(input.records.iter().map(|r| (r.id, &r.geom)))
 }
 
 /// A partition id as a streaming key: the text `format!("{cell:06}")`,
@@ -115,15 +108,25 @@ fn line_record<'a>(input: &'a JoinInput, line: &str) -> Option<&'a GeoRecord> {
 }
 
 /// A join-job line, `A\t<TSV line>` for the left side or `B\t…` for the
-/// right: whether it is the left side's, and its record.
-fn tagged_record<'a>(
-    line: &str,
-    left: &'a JoinInput,
-    right: &'a JoinInput,
-) -> Option<(bool, &'a GeoRecord)> {
-    let (tag, tsv) = line.split_once('\t')?;
-    let is_left = tag == "A";
-    line_record(if is_left { left } else { right }, tsv).map(|rec| (is_left, rec))
+/// right, as a view of the dataset's TSV line: the tag is two bytes of the
+/// line's length, not a copy of it.
+#[derive(Debug, Clone, Copy)]
+struct Tagged<'t> {
+    left: bool,
+    line: &'t str,
+}
+
+impl TextLen for Tagged<'_> {
+    fn text_len(&self) -> usize {
+        self.line.len() + 2
+    }
+}
+
+impl Tagged<'_> {
+    /// The record the line names, on its side of the join.
+    fn record<'a>(&self, left: &'a JoinInput, right: &'a JoinInput) -> Option<&'a GeoRecord> {
+        line_record(if self.left { left } else { right }, self.line)
+    }
 }
 
 /// An `FsCopy` stage: HDFS <-> local filesystem transfer of `bytes`.
@@ -145,11 +148,11 @@ fn serial_partitioning(name: impl Into<String>, phase: Phase, samples: usize) ->
 
 /// The streaming mapper's output for one record: its `line` keyed by every
 /// partition `mbr` is assigned to.
-fn keyed_by_cell<'t>(
+fn keyed_by_cell<L: Copy>(
     partitioner: &BspPartitioner,
     mbr: &Mbr,
-    line: &'t str,
-    out: &mut dyn FnMut(CellKey, &'t str),
+    line: L,
+    out: &mut dyn FnMut(CellKey, L),
 ) {
     sjc_par::scratch::with_vec(|cells| {
         partitioner.assign_into(mbr, cells);
@@ -160,22 +163,22 @@ fn keyed_by_cell<'t>(
 }
 
 impl HadoopGis {
-    /// Steps 1–6 for one dataset, whose TSV is `text`, appended to `trace`.
-    /// Each job starts where the previous stage (job, copy, or serial step)
-    /// of this run left off on the global simulated clock. Returns the sample
-    /// MBR centers (reused by the global join) and the converted TSV lines.
+    /// Steps 1–6 for one dataset, reading its TSV file
+    /// ([`JoinInput::tsv_text`]), appended to `trace`. Each job starts where
+    /// the previous stage (job, copy, or serial step) of this run left off on
+    /// the global simulated clock. Returns the sample MBR centers (reused by
+    /// the global join) and the converted TSV lines.
     fn preprocess<'t>(
         &self,
         cluster: &Cluster,
         hdfs: &mut SimHdfs,
         trace: &mut RunTrace,
-        input: &JoinInput,
-        text: &'t str,
+        input: &'t JoinInput,
         phase: Phase,
     ) -> Result<(Vec<Point>, Vec<&'t str>), SimError> {
         let bpr = input.bytes_per_record();
         let block = DEFAULT_BLOCK_SIZE;
-        let raw: Vec<&str> = text.split_terminator('\n').collect();
+        let raw: Vec<&str> = input.tsv_text().split_terminator('\n').collect();
 
         let mut engine = MapReduceJob::new(cluster, hdfs);
         let mut streaming = StreamingJob::new(&mut engine);
@@ -274,7 +277,7 @@ impl HadoopGis {
         let assigned = streaming.map_reduce_lines(
             &cfg6,
             block_splits(&tsv, bpr, block),
-            |l, out| {
+            |&l, out| {
                 if let Some(rec) = line_record(input, l) {
                     keyed_by_cell(&partitioner, &rec.mbr, l, out)
                 }
@@ -316,12 +319,10 @@ impl DistributedSpatialJoin for HadoopGis {
         let geos = GeometryEngine::new(self.engine());
 
         // Preprocessing: the six steps, per dataset.
-        let text_a = dataset_text(left);
         let (centers_a, tsv_a) =
-            self.preprocess(cluster, &mut hdfs, &mut trace, left, &text_a, Phase::IndexA)?;
-        let text_b = dataset_text(right);
+            self.preprocess(cluster, &mut hdfs, &mut trace, left, Phase::IndexA)?;
         let (centers_b, tsv_b) =
-            self.preprocess(cluster, &mut hdfs, &mut trace, right, &text_b, Phase::IndexB)?;
+            self.preprocess(cluster, &mut hdfs, &mut trace, right, Phase::IndexB)?;
 
         // Global join: concatenate the samples locally and build *new*
         // partitions (the step-6 partition ids are discarded — wasteful, as
@@ -342,16 +343,9 @@ impl DistributedSpatialJoin for HadoopGis {
 
         // The distributed join MR job: both datasets are re-read, re-parsed,
         // re-assigned and shuffled; reducers run the local join with GEOS.
-        let mut tagged_text =
-            String::with_capacity(text_a.len() + text_b.len() + 2 * (tsv_a.len() + tsv_b.len()));
-        for (tag, tsv) in [("A\t", &tsv_a), ("B\t", &tsv_b)] {
-            for l in tsv {
-                tagged_text.push_str(tag);
-                tagged_text.push_str(l);
-                tagged_text.push('\n');
-            }
-        }
-        let tagged: Vec<&str> = tagged_text.split_terminator('\n').collect();
+        let tagged: Vec<Tagged> = (tsv_a.iter().map(|&line| Tagged { left: true, line }))
+            .chain(tsv_b.iter().map(|&line| Tagged { left: false, line }))
+            .collect();
         let bpr = (left.bytes_per_record() * tsv_a.len() as f64
             + right.bytes_per_record() * tsv_b.len() as f64)
             / tagged.len().max(1) as f64;
@@ -374,20 +368,20 @@ impl DistributedSpatialJoin for HadoopGis {
         let outcome = streaming.map_reduce_lines(
             &cfg,
             block_splits(&tagged, bpr, DEFAULT_BLOCK_SIZE),
-            |l, out| {
-                if let Some((is_left, rec)) = tagged_record(l, left, right) {
-                    let mbr = if is_left { predicate.filter_mbr(&rec.mbr) } else { rec.mbr };
+            |&l, out| {
+                if let Some(rec) = l.record(left, right) {
+                    let mbr = if l.left { predicate.filter_mbr(&rec.mbr) } else { rec.mbr };
                     keyed_by_cell(&partitioner, &mbr, l, out)
                 }
             },
             |key, lines, out| {
                 let mut lrecs: Vec<&GeoRecord> = Vec::new();
                 let mut rrecs: Vec<&GeoRecord> = Vec::new();
-                for (is_left, rec) in lines.iter().filter_map(|l| tagged_record(l, left, right)) {
-                    if is_left {
-                        lrecs.push(rec)
-                    } else {
-                        rrecs.push(rec)
+                for l in lines {
+                    match l.record(left, right) {
+                        Some(rec) if l.left => lrecs.push(rec),
+                        Some(rec) => rrecs.push(rec),
+                        None => {}
                     }
                 }
                 let keep = reported_by(&partitioner, key.cell, predicate);

@@ -97,4 +97,35 @@ mod tests {
         let piped: usize = text.split_terminator('\n').map(|l| l.len() + 1).sum();
         assert_eq!(piped, text.len(), "every line's newline is in the buffer");
     }
+
+    /// `parse_tsv_line` either errors or returns a record whose own line
+    /// parses back to it.
+    fn parses_or_errors_cleanly(line: &str) {
+        if let Ok((id, g)) = parse_tsv_line(line) {
+            let re = to_tsv_text([(id, &g)]);
+            let back = parse_tsv_line(re.trim_end_matches('\n')).expect("writer output parses");
+            assert_eq!(back, (id, g), "{line:?}");
+        }
+    }
+
+    #[test]
+    fn tsv_parser_never_panics_on_garbage_or_truncated_lines() {
+        const ALPHABET: &[u8] = b"\t0123456789 (),.-+eEPOINTLSRGYMUXABC";
+        sjc_testkit::cases(0x75F1, 512, |rng| {
+            let len = rng.usize_in(0..81);
+            let line: String =
+                (0..len).map(|_| ALPHABET[rng.usize_in(0..ALPHABET.len())] as char).collect();
+            parses_or_errors_cleanly(&line);
+        });
+        // Every prefix of real lines: a point, a polyline and a polygon
+        // dataset's first few records.
+        for id in [crate::DatasetId::Taxi, crate::DatasetId::Edges01, crate::DatasetId::Nycb] {
+            let ds = crate::ScaledDataset::generate(id, 1e-4, 3);
+            let text = to_tsv_text(ds.geoms.iter().take(4).enumerate().map(|(i, g)| (i as u64, g)));
+            for line in text.split_terminator('\n') {
+                assert!(parse_tsv_line(line).is_ok(), "{line:?}");
+                (0..=line.len()).for_each(|k| parses_or_errors_cleanly(&line[..k]));
+            }
+        }
+    }
 }

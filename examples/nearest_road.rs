@@ -44,13 +44,7 @@ fn main() {
             )
         })
         .collect();
-    let points_input = JoinInput {
-        name: "pickups".into(),
-        records: pickups.clone(),
-        sim_bytes: n_points as u64 * 41,
-        multiplier: 1.0,
-        domain: d,
-    };
+    let points_input = JoinInput::new("pickups", pickups.clone(), n_points as u64 * 41, 1.0, d);
 
     // Method 1: within-distance join (radius = 1% of the domain side),
     // then nearest per point.

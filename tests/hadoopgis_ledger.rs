@@ -11,6 +11,10 @@
 //! (`pip_1t`: taxi × nycb at 4e-4; `sampled_ws_1t`: the two sampled pairs)
 //! at its default seed.
 //!
+//! Each dataset's TSV text is built on a `JoinInput`'s first HadoopGIS run
+//! and reused by every later run and clone, so the ledger is derived twice on
+//! the same inputs, cold then warm, and both must match.
+//!
 //! A deliberate cost-model change regenerates the fixture with
 //! `cargo test --test hadoopgis_ledger -- --ignored`.
 
@@ -18,7 +22,7 @@ use std::fmt::Write as _;
 
 use sjc_cluster::{Cluster, ClusterConfig, FaultPlan};
 use sjc_core::experiment::Workload;
-use sjc_core::framework::{DistributedSpatialJoin, JoinPredicate};
+use sjc_core::framework::{DistributedSpatialJoin, JoinInput, JoinPredicate};
 use sjc_core::hadoopgis::HadoopGis;
 
 const SEED: u64 = 20150701;
@@ -35,16 +39,40 @@ fn pair_hash(pairs: &[(u64, u64)]) -> u64 {
     h
 }
 
+/// The prepared input pairs of the three sections, kept across ledger
+/// derivations so the second one reads warm text.
+struct Inputs {
+    stage: Vec<(&'static str, f64, JoinInput, JoinInput)>,
+    full: (JoinInput, JoinInput),
+    faulted: (JoinInput, JoinInput),
+}
+
+impl Inputs {
+    fn prepare() -> Inputs {
+        let stage = [(Workload::taxi1m_nycb(), 2e-3), (Workload::edge01_linearwater01(), 6e-4)]
+            .into_iter()
+            .map(|(w, scale)| {
+                let (l, r) = w.prepare(scale, SEED);
+                (w.name, scale, l, r)
+            })
+            .collect();
+        Inputs {
+            stage,
+            full: Workload::taxi_nycb().prepare(4e-4, SEED),
+            faulted: Workload::taxi1m_nycb().prepare(1e-4, SEED),
+        }
+    }
+}
+
 /// (a) Successful runs on the workstation: every stage's simulated numbers
 /// and the result set.
-fn stage_ledgers(out: &mut String) {
-    for (w, scale) in [(Workload::taxi1m_nycb(), 2e-3), (Workload::edge01_linearwater01(), 6e-4)] {
-        let (l, r) = w.prepare(scale, SEED);
+fn stage_ledgers(inputs: &Inputs, out: &mut String) {
+    for (name, scale, l, r) in &inputs.stage {
         let cluster = Cluster::new(ClusterConfig::workstation());
         let run = HadoopGis::default()
-            .run(&cluster, &l, &r, JoinPredicate::Intersects)
-            .unwrap_or_else(|e| panic!("{} must complete on WS: {e}", w.name));
-        writeln!(out, "## {} @ {scale:e} on WS", w.name).unwrap();
+            .run(&cluster, l, r, JoinPredicate::Intersects)
+            .unwrap_or_else(|e| panic!("{name} must complete on WS: {e}"));
+        writeln!(out, "## {name} @ {scale:e} on WS").unwrap();
         writeln!(out, "# name | sim_ns pipe shuffle hdfs_read hdfs_written tasks").unwrap();
         for s in &run.trace.stages {
             writeln!(
@@ -67,12 +95,12 @@ fn stage_ledgers(out: &mut String) {
 
 /// (b) Full-dataset runs: the exact error, payload included — group order
 /// decides which group's payload is reported.
-fn broken_pipes(out: &mut String) {
-    let (l, r) = Workload::taxi_nycb().prepare(4e-4, SEED);
+fn broken_pipes(inputs: &Inputs, out: &mut String) {
+    let (l, r) = &inputs.full;
     for cfg in [ClusterConfig::workstation(), ClusterConfig::ec2(10)] {
         let name = cfg.name.clone();
         let err = HadoopGis::default()
-            .run(&Cluster::new(cfg), &l, &r, JoinPredicate::Intersects)
+            .run(&Cluster::new(cfg), l, r, JoinPredicate::Intersects)
             .map(|o| o.pairs.len())
             .expect_err("the full taxi dataset breaks HadoopGIS's pipe everywhere");
         writeln!(out, "## taxi-nycb @ 4e-4 on {name}").unwrap();
@@ -81,9 +109,10 @@ fn broken_pipes(out: &mut String) {
 }
 
 /// (c) A faulted, checkpointed run: recovery accounting per stage and the
-/// recovery ledger itself.
-fn faulted_run(out: &mut String) {
-    let (mut l, mut r) = Workload::taxi1m_nycb().prepare(1e-4, SEED);
+/// recovery ledger itself. The inputs are multiplier-1 clones, as the
+/// benchmark's faulted cells use: they share the originals' text.
+fn faulted_run(inputs: &Inputs, out: &mut String) {
+    let (mut l, mut r) = inputs.faulted.clone();
     l.multiplier = 1.0;
     r.multiplier = 1.0;
     let cfg = ClusterConfig::ec2(8);
@@ -102,11 +131,11 @@ fn faulted_run(out: &mut String) {
     }
 }
 
-fn ledger() -> String {
+fn ledger(inputs: &Inputs) -> String {
     let mut out = String::new();
-    stage_ledgers(&mut out);
-    broken_pipes(&mut out);
-    faulted_run(&mut out);
+    stage_ledgers(inputs, &mut out);
+    broken_pipes(inputs, &mut out);
+    faulted_run(inputs, &mut out);
     out
 }
 
@@ -115,19 +144,25 @@ fn hadoopgis_ledger_matches_the_fixture_at_1_and_4_threads() {
     let want = std::fs::read_to_string(FIXTURE).expect("fixture is checked in");
     for threads in [1, 4] {
         sjc_par::set_global_threads(threads);
-        let got = ledger();
+        let inputs = Inputs::prepare();
+        let derived = [("cold", ledger(&inputs)), ("warm", ledger(&inputs))];
         sjc_par::set_global_threads(0);
-        if let Some((i, (g, w))) =
-            got.lines().zip(want.lines()).enumerate().find(|(_, (g, w))| g != w)
-        {
-            panic!("{threads} threads, {FIXTURE}:{}:\n  derived {g}\n  fixture {w}", i + 1);
+        for (text, got) in derived {
+            if let Some((i, (g, w))) =
+                got.lines().zip(want.lines()).enumerate().find(|(_, (g, w))| g != w)
+            {
+                panic!(
+                    "{threads} threads, {text}, {FIXTURE}:{}:\n  derived {g}\n  fixture {w}",
+                    i + 1
+                );
+            }
+            assert_eq!(got.len(), want.len(), "{threads} threads, {text}: lengths differ");
         }
-        assert_eq!(got.len(), want.len(), "{threads} threads: ledger and fixture differ in length");
     }
 }
 
 #[test]
 #[ignore = "rewrites the fixture; run only for a deliberate cost-model change"]
 fn regenerate_fixture() {
-    std::fs::write(FIXTURE, ledger()).expect("fixture is writable");
+    std::fs::write(FIXTURE, ledger(&Inputs::prepare())).expect("fixture is writable");
 }
