@@ -91,7 +91,8 @@ fn bench_partitioners(b: &mut Bench) {
         }
         total
     });
-    // `owner` runs once or twice per refined hit (reference-point de-dup).
+    // `owner` locates a reference point; `owns` decides whether one cell
+    // reports it — once or twice per candidate pair (reference-point de-dup).
     let corners: Vec<Point> = probes.iter().map(|e| Point::new(e.mbr.min_x, e.mbr.min_y)).collect();
     b.bench_in("partition_owner_10k", "str_tiles", || {
         corners.iter().map(|p| partitioner.owner(black_box(p)) as usize).sum::<usize>()
@@ -99,6 +100,27 @@ fn bench_partitioners(b: &mut Bench) {
     b.bench_in("partition_owner_10k", "bsp", || {
         corners.iter().map(|p| bsp.owner(black_box(p)) as usize).sum::<usize>()
     });
+    // Each corner against its owner and against a neighbouring id, so both
+    // verdicts are timed: 20 000 calls.
+    let bench_owns = |b: &mut Bench, name: &str, p: &dyn SpatialPartitioner| {
+        let n = p.cells().len() as u32;
+        let probes: Vec<(Point, u32, u32)> = corners
+            .iter()
+            .map(|c| {
+                let owner = p.owner(c);
+                (*c, owner, (owner + 1) % n)
+            })
+            .collect();
+        b.bench_in("partition_owns_10k", name, || {
+            let owns = |(c, owner, other): &(Point, u32, u32)| {
+                usize::from(p.owns(black_box(*owner), black_box(c)))
+                    + usize::from(p.owns(black_box(*other), black_box(c)))
+            };
+            probes.iter().map(owns).sum::<usize>()
+        });
+    };
+    bench_owns(b, "str_tiles", &partitioner);
+    bench_owns(b, "bsp", &bsp);
 }
 
 fn bench_knn(b: &mut Bench) {

@@ -31,8 +31,6 @@ pub struct LocalJoinCost {
     pub refine_ns: u64,
     /// Candidate pairs produced by the filter.
     pub candidates: u64,
-    /// Result pairs surviving refinement (before de-dup suppression).
-    pub results: u64,
 }
 
 /// Runs the filter + refinement of one partition pair.
@@ -40,8 +38,9 @@ pub struct LocalJoinCost {
 /// `left`/`right` are the partition's records; `keep` is the
 /// de-duplication predicate deciding whether *this* partition reports a
 /// given MBR pair (reference-point rule — pass `|_, _| true` when the
-/// caller guarantees no duplication). Returns `(left_id, right_id)` pairs
-/// using the records' dataset-global ids.
+/// caller guarantees no duplication), asked of every candidate before its
+/// exact test. Returns `(left_id, right_id)` pairs using the records'
+/// dataset-global ids.
 pub fn local_join(
     engine: &GeometryEngine,
     predicate: JoinPredicate,
@@ -74,30 +73,28 @@ pub fn local_join(
     cost.filter_ns = stats.filter_tests * engine.filter_cost_ns()
         + stats.index_nodes_visited * engine.filter_cost_ns();
 
-    // Refinement with exact geometry; de-dup decides which partition
-    // reports the pair. Below a threshold each candidate is refined, counted
-    // and collected in one pass; above it the candidate list is refined in
-    // parallel — per-pair work is pure, `sjc_par::par_map` preserves input
-    // order, and the summed costs are exact integer adds, so results and
-    // simulated time stay bit-identical to the serial path.
+    // De-dup first: a candidate this partition does not report is still
+    // charged its refinement — the modelled systems refine, then
+    // de-duplicate — but its exact test is not run. Below a threshold each candidate is decided,
+    // charged and collected in one pass; above it the candidate list is
+    // decided in parallel — per-pair work is pure, `sjc_par::par_map`
+    // preserves input order, and the summed costs are exact integer adds,
+    // so results and simulated time stay bit-identical to the serial path.
     const PAR_THRESHOLD: usize = 4096;
-    // (refine ns, hit count, kept pair)
-    type Refined = (u64, u64, Option<(u64, u64)>);
+    // (refine ns, kept pair)
+    type Refined = (u64, Option<(u64, u64)>);
     let refine_one = |&(li, ri): &(u64, u64)| -> Refined {
         let l = left[li as usize]; // sjc-lint: allow(no-panic-in-lib) — filter emits indices into these exact slices
         let r = right[ri as usize]; // sjc-lint: allow(no-panic-in-lib) — filter emits indices into these exact slices
-        let (hit, ns) = predicate.evaluate_records(engine, l, r);
-        if hit {
-            let kept = keep(&l.mbr, &r.mbr).then_some((l.id, r.id));
-            (ns, 1, kept)
-        } else {
-            (ns, 0, None)
+        if !keep(&l.mbr, &r.mbr) {
+            return (predicate.refine_cost_ns(engine, l, r), None);
         }
+        let (hit, ns) = predicate.evaluate_records(engine, l, r);
+        (ns, hit.then_some((l.id, r.id)))
     };
     let mut out = Vec::new();
-    let tally = |(ns, hits, kept): Refined| {
+    let tally = |(ns, kept): Refined| {
         cost.refine_ns += ns;
-        cost.results += hits;
         out.extend(kept);
     };
     if pairs.len() >= PAR_THRESHOLD {
@@ -294,8 +291,18 @@ mod tests {
             &r,
             |_, _| false,
         );
-        assert!(kept.is_empty());
-        assert_eq!(cost.results, 1, "the refinement hit is still counted");
+        assert!(kept.is_empty(), "the suppressed hit is not output");
+        let (all, reported) = local_join(
+            &engine,
+            JoinPredicate::Intersects,
+            LocalJoinAlgo::StripeSweep,
+            &l,
+            &r,
+            |_, _| true,
+        );
+        assert_eq!(all, vec![(7, 9)]);
+        assert_eq!(cost.refine_ns, reported.refine_ns, "the suppressed pair is still charged");
+        assert!(cost.refine_ns > 0);
     }
 
     #[test]

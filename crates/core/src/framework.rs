@@ -61,6 +61,17 @@ impl JoinPredicate {
         }
     }
 
+    /// The simulated cost [`evaluate_records`](JoinPredicate::evaluate_records)
+    /// charges for `left` and `right`, without running the exact test.
+    pub fn refine_cost_ns(
+        &self,
+        engine: &GeometryEngine,
+        left: &GeoRecord,
+        right: &GeoRecord,
+    ) -> u64 {
+        engine.refine_cost_ns(left.geom.num_vertices() + right.geom.num_vertices())
+    }
+
     /// Widens an MBR for the filter step (only within-distance joins need
     /// a buffer).
     pub fn filter_mbr(&self, mbr: &Mbr) -> Mbr {
@@ -329,8 +340,8 @@ mod tests {
         assert!(!JoinPredicate::WithinDistance(0.5).evaluate(&jts, &p_in, &road).0);
     }
 
-    #[test]
-    fn evaluate_records_matches_evaluate_in_verdict_and_cost() {
+    /// Every predicate x engine x pair of these records.
+    fn each_case(mut check: impl FnMut(JoinPredicate, &GeometryEngine, &GeoRecord, &GeoRecord)) {
         let line = |pts: &[(f64, f64)]| {
             Geometry::LineString(LineString::new(
                 pts.iter().map(|&(x, y)| Point::new(x, y)).collect(),
@@ -351,17 +362,37 @@ mod tests {
             ] {
                 for l in &recs {
                     for r in &recs {
-                        assert_eq!(
-                            p.evaluate_records(&engine, l, r),
-                            p.evaluate(&engine, &l.geom, &r.geom),
-                            "{p:?} on records {} x {}",
-                            l.id,
-                            r.id
-                        );
+                        check(p, &engine, l, r);
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn evaluate_records_matches_evaluate_in_verdict_and_cost() {
+        each_case(|p, engine, l, r| {
+            assert_eq!(
+                p.evaluate_records(engine, l, r),
+                p.evaluate(engine, &l.geom, &r.geom),
+                "{p:?} on records {} x {}",
+                l.id,
+                r.id
+            );
+        });
+    }
+
+    #[test]
+    fn refine_cost_ns_is_what_evaluate_records_charges() {
+        each_case(|p, engine, l, r| {
+            assert_eq!(
+                p.refine_cost_ns(engine, l, r),
+                p.evaluate_records(engine, l, r).1,
+                "{p:?} on records {} x {}",
+                l.id,
+                r.id
+            );
+        });
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   ([`framework::CellIndex`]) and the reference-point de-duplication rule
 //!   (`reported_by`);
 //! * [`common`] — the per-partition [`common::local_join`] (MBR filter by
-//!   one of the paper's three algorithms, then exact refinement), the
+//!   one of the paper's three algorithms, the reference-point test, then
+//!   exact refinement of the candidates the partition reports), the
 //!   quadratic [`common::direct_join`] reference, and the partitioner
 //!   families;
 //! * [`hadoopgis`] — Hadoop Streaming + GEOS + 6-step preprocessing +

@@ -102,6 +102,10 @@ impl SpatialPartitioner for BspPartitioner {
     fn owner(&self, p: &Point) -> CellId {
         self.cells.owner(p)
     }
+
+    fn owns(&self, cell: CellId, p: &Point) -> bool {
+        self.cells.owns(cell, p)
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Exact point/rectangle location over a fixed cell list.
 //!
 //! The trait defaults of [`SpatialPartitioner`] scan every cell per call —
-//! once or twice per *refined hit* for `owner`, once per record for
+//! once or twice per *candidate pair* for `owns`, once per record for
 //! `assign`. [`CellLocator`] answers the same questions from a structure
 //! built once per partitioner.
 //!
@@ -23,6 +23,19 @@
 //! every cell resolve exactly as the linear scans resolve them (lowest id
 //! wins; nearest cell otherwise). `tests/cell_locator_equivalence.rs`
 //! holds the two to each other.
+//!
+//! `owns(cell, p)` — the reference-point test, asked of every candidate
+//! pair — is mostly answered without a search, from two certificates read
+//! off the axes once:
+//!
+//! * `sole[c]`: no other cell's closed rectangle meets `c`'s open interior,
+//!   so a point strictly inside `c` has `c` as its only containing cell,
+//!   hence its owner;
+//! * `filled`: a box the closed union of the cells covers, so a point in it
+//!   has a containing owner, and a cell not containing the point is not it.
+//!
+//! Any other probe (a cell boundary, outside `filled`, NaN, a cell of an
+//! overlapping adopted list) asks `owner`.
 
 use std::ops::Range;
 
@@ -39,6 +52,11 @@ pub struct CellLocator {
     /// Axis 0 is the x-axis over every non-empty cell; axis `1 + i` is the
     /// y-axis over the cells of the `i`-th open x-interval.
     axes: Axes,
+    /// Per cell: no other cell's closed rectangle meets its open interior.
+    sole: Vec<bool>,
+    /// A box inside the closed union of the cells ([`Mbr::empty`] if none
+    /// is certified).
+    filled: Mbr,
 }
 
 /// A sequence of axes stored back to back in four vectors, however many
@@ -169,7 +187,70 @@ impl CellLocator {
             );
             axes.push(&spans, &mut edges, &mut cursors);
         }
-        CellLocator { cells, axes }
+        let mut located = CellLocator { cells, axes, sole: Vec::new(), filled: Mbr::empty() };
+        (located.sole, located.filled) = located.certify();
+        located
+    }
+
+    /// The `owns` certificates (`sole`, `filled`), read off the axes.
+    fn certify(&self) -> (Vec<bool>, Mbr) {
+        let x = self.columns();
+        let mut sole: Vec<bool> =
+            self.cells.iter().map(|c| c.min_x < c.max_x && c.min_y < c.max_y).collect();
+        let mut clear = |id: CellId| {
+            if let Some(s) = sole.get_mut(id as usize) {
+                *s = false;
+            }
+        };
+        // A zero-width cell on x-edge `e` meets the interior of the cells
+        // whose open x-range holds `e` and whose open y-range its y-range
+        // meets. It is in no open x-interval, so the columns below miss it.
+        for d in self.cells.iter().filter(|d| d.min_x == d.max_x && !d.is_empty()) {
+            let on_edge = x.region(d.min_x).map(|r| x.list(r)).unwrap_or_default();
+            for (id, c) in self.members(on_edge) {
+                let inside = c.min_x < d.min_x && d.min_x < c.max_x;
+                if inside && d.min_y < c.max_y && c.min_y < d.max_y {
+                    clear(id);
+                }
+            }
+        }
+        // Every other cell meeting `c`'s interior shares a region with it
+        // in some open x-interval: an open y-interval (inside the open
+        // interior of every cell holding it), or a y-edge strictly inside
+        // `c`'s y-range. Meanwhile the columns certify `filled` if each
+        // one's y-axis spans the same range with no open y-interval empty.
+        let mut span = None;
+        let mut covered = x.edges.len() > 1;
+        for column in (1..(2 * x.edges.len()).saturating_sub(1)).step_by(2) {
+            let Some(rows) = self.rows_under(column) else {
+                covered = false;
+                continue;
+            };
+            for r in 0..(2 * rows.edges.len()).saturating_sub(1) {
+                let list = rows.list(r);
+                if r % 2 == 1 {
+                    covered &= !list.is_empty();
+                }
+                if list.len() < 2 {
+                    continue;
+                }
+                let v = rows.edges.get(r / 2).copied().unwrap_or(f64::NAN);
+                for (id, c) in self.members(list) {
+                    if r % 2 == 1 || (c.min_y < v && v < c.max_y) {
+                        clear(id);
+                    }
+                }
+            }
+            match (rows.edges.first(), rows.edges.last()) {
+                (Some(&lo), Some(&hi)) => covered &= *span.get_or_insert((lo, hi)) == (lo, hi),
+                _ => covered = false,
+            }
+        }
+        let filled = match (x.edges.first(), x.edges.last(), span) {
+            (Some(&x0), Some(&x1), Some((y0, y1))) if covered => Mbr::new(x0, y0, x1, y1),
+            _ => Mbr::empty(),
+        };
+        (sole, filled)
     }
 
     /// The x-axis (always pushed first; without edges when no cell is live).
@@ -179,6 +260,11 @@ impl CellLocator {
 
     fn cell(&self, id: CellId) -> Option<&Mbr> {
         self.cells.get(id as usize)
+    }
+
+    /// The cells of a region's list, with their ids.
+    fn members<'a>(&'a self, list: &'a [CellId]) -> impl Iterator<Item = (CellId, &'a Mbr)> {
+        list.iter().filter_map(|&id| Some((id, self.cell(id)?)))
     }
 
     /// The y-axis under x-region `column`, when that is an open interval.
@@ -244,6 +330,33 @@ impl SpatialPartitioner for CellLocator {
         debug_assert_eq!(owner, Linear(&self.cells).owner(p), "sanitize: owner({p:?})");
         owner
     }
+
+    fn owns(&self, cell: CellId, p: &Point) -> bool {
+        let decided = self.cell(cell).and_then(|c| {
+            let sole = self.sole.get(cell as usize).is_some_and(|&s| s);
+            let inside = c.min_x < p.x && p.x < c.max_x && c.min_y < p.y && p.y < c.max_y;
+            if sole && inside {
+                Some(true)
+            } else if self.filled.contains_point(p) && !c.contains_point(p) {
+                Some(false)
+            } else {
+                None
+            }
+        });
+        match decided {
+            Some(owns) => {
+                #[cfg(feature = "sanitize")]
+                debug_assert_eq!(
+                    owns,
+                    Linear(&self.cells).owner(p) == cell,
+                    "sanitize: owns({cell}, {p:?})"
+                );
+                owns
+            }
+            // `owner` runs its own sanitizer check.
+            None => self.owner(p) == cell,
+        }
+    }
 }
 
 /// Runtime invariant sanitizer (feature `sanitize`): the trait's linear
@@ -255,5 +368,70 @@ struct Linear<'a>(&'a [Mbr]);
 impl SpatialPartitioner for Linear<'_> {
     fn cells(&self) -> &[Mbr] {
         self.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::partition::{BspPartitioner, StrTilePartitioner};
+
+    const EXTENT: Mbr = Mbr { min_x: -20.0, min_y: 5.0, max_x: 80.0, max_y: 65.0 };
+
+    fn spread(n: usize) -> Vec<Point> {
+        let at = |i: usize, m: usize, lo: f64, len: f64| lo + (i * 37 % m) as f64 / m as f64 * len;
+        (0..n).map(|i| Point::new(at(i, 101, -20.0, 100.0), at(i * 3, 97, 5.0, 60.0))).collect()
+    }
+
+    /// A few distinct coordinates, each many times: STR emits zero-height
+    /// tiles and zero-width strips, BSP stops early.
+    fn duplicates(n: usize) -> Vec<Point> {
+        (0..n).map(|i| Point::new((i % 5) as f64 * 10.0, (i % 3) as f64 * 10.0 + 10.0)).collect()
+    }
+
+    /// `owns` answers correctly whether or not its fast path fires — the
+    /// fallback is `owner` — so the certificates are held here directly:
+    /// every positive-area cell of an STR, BSP or subdivided tiling is
+    /// sole, and the tiling's extent is filled.
+    #[test]
+    fn tilings_certify_every_cell_and_their_extent() {
+        let (mut subdivided, mut degenerate) = (0, 0);
+        for sample in [spread(2000), spread(3), duplicates(400), Vec::new()] {
+            for target in [1usize, 2, 64, 512] {
+                let str_tiles = StrTilePartitioner::from_sample(EXTENT, sample.clone(), target);
+                if str_tiles.cells().len() > sample.len().max(1) {
+                    subdivided += 1;
+                }
+                let bsp = BspPartitioner::from_sample(EXTENT, sample.clone(), target);
+                for cells in [str_tiles.cells(), bsp.cells()] {
+                    degenerate += cells.iter().filter(|c| c.area() == 0.0).count();
+                    let located = CellLocator::new(cells.to_vec());
+                    assert_eq!(located.filled, EXTENT, "{} cells", cells.len());
+                    for (id, (c, &sole)) in cells.iter().zip(&located.sole).enumerate() {
+                        assert_eq!(sole, c.area() > 0.0, "cell {id} = {c:?}");
+                    }
+                }
+            }
+        }
+        assert!(subdivided > 0, "STR never had to subdivide");
+        assert!(degenerate > 0, "no zero-width or zero-height tile was generated");
+    }
+
+    #[test]
+    fn overlaps_gaps_and_needles_certify_nothing_false() {
+        let (a, b) = (Mbr::new(0.0, 0.0, 2.0, 2.0), Mbr::new(1.0, 1.0, 3.0, 3.0));
+        let located = CellLocator::new(vec![a, b, Mbr::new(5.0, 0.0, 6.0, 1.0)]);
+        assert_eq!(located.sole, [false, false, true]);
+        assert!(located.filled.is_empty(), "a gap and a ragged top fill nothing");
+        // A zero-width or zero-height needle through a cell's interior.
+        for needle in [Mbr::new(1.0, -1.0, 1.0, 0.5), Mbr::new(-1.0, 1.0, 0.5, 1.0)] {
+            let located = CellLocator::new(vec![a, needle]);
+            assert_eq!(located.sole, [false, false]);
+        }
+        // A needle along a shared boundary leaves both neighbours sole.
+        let right = Mbr::new(2.0, 0.0, 4.0, 2.0);
+        let located = CellLocator::new(vec![a, Mbr::new(2.0, 0.0, 2.0, 2.0), right]);
+        assert_eq!(located.sole, [true, false, true]);
+        assert_eq!(located.filled, Mbr::new(0.0, 0.0, 4.0, 2.0));
     }
 }

@@ -12,7 +12,7 @@
 //! * [`BspPartitioner`] — recursive median splits over a sample (the
 //!   SATO-flavoured balanced partitioning HadoopGIS derives from samples).
 //!
-//! The sample-driven families answer `assign`/`owner` through a
+//! The sample-driven families answer `assign`/`owner`/`owns` through a
 //! [`CellLocator`] built once over their cells; the trait's linear-scan
 //! defaults are the reference it is tested against.
 
@@ -73,6 +73,13 @@ pub trait SpatialPartitioner {
             .unwrap_or_else(|| self.nearest_cell(p))
     }
 
+    /// Whether `cell` owns `p`: exactly `owner(p) == cell`, which is the
+    /// default. The reference-point rule asks it of every candidate pair,
+    /// so a partitioner may answer most probes without locating the owner.
+    fn owns(&self, cell: CellId, p: &Point) -> bool {
+        self.owner(p) == cell
+    }
+
     /// Nearest cell to a point by MBR distance (deterministic tie-break on id).
     fn nearest_cell(&self, p: &Point) -> CellId {
         let pm = p.mbr();
@@ -101,7 +108,7 @@ pub fn dedup_owner_cell<P: SpatialPartitioner + ?Sized>(
     b: &Mbr,
 ) -> bool {
     match a.reference_point(b) {
-        Some(rp) => partitioner.owner(&rp) == cell_id,
+        Some(rp) => partitioner.owns(cell_id, &rp),
         None => false, // disjoint MBRs can never be a candidate pair
     }
 }

@@ -38,7 +38,7 @@ fn main() {
             format!("{algo:?}"),
             cost.candidates,
             pairs.len(),
-            cost.candidates - cost.results,
+            cost.candidates - pairs.len() as u64,
         );
     }
 

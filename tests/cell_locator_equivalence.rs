@@ -1,7 +1,7 @@
 //! `CellLocator` — the point/rectangle location structure behind
 //! `StrTilePartitioner`, `BspPartitioner` and SpatialHadoop's adopted cell
-//! lists — must answer `owner`, `assign` and `assign_into` exactly as the
-//! linear scans it replaced, ties and fallbacks included.
+//! lists — must answer `owner`, `owns`, `assign` and `assign_into` exactly
+//! as the linear scans it replaced, ties and fallbacks included.
 //!
 //! The linear scans are kept here verbatim (as they stood in
 //! `SpatialPartitioner`'s defaults before the locator existed), so this
@@ -118,8 +118,22 @@ struct Seen {
 
 fn check_point(p: &dyn SpatialPartitioner, pt: Point, seen: &mut Seen) {
     let cells = p.cells();
-    assert_eq!(p.owner(&pt), ref_owner(cells, &pt), "owner of {pt:?} over {} cells", cells.len());
-    match cells.iter().filter(|c| c.contains_point(&pt)).count() {
+    let owner = ref_owner(cells, &pt);
+    assert_eq!(p.owner(&pt), owner, "owner of {pt:?} over {} cells", cells.len());
+    // `owns` for the owner, every cell containing the point, both ends of
+    // the id range and one id past it — not every id, which would make
+    // this the slowest test of the suite.
+    let last = cells.len().saturating_sub(1) as CellId;
+    let mut ids = vec![owner, 0, last, last + 1];
+    let containing = cells.iter().enumerate().filter(|(_, c)| c.contains_point(&pt));
+    ids.extend(containing.map(|(i, _)| i as CellId));
+    let ties = ids.len() - 4;
+    ids.sort_unstable();
+    ids.dedup();
+    for id in ids {
+        assert_eq!(p.owns(id, &pt), id == owner, "owns({id}, {pt:?}) over {} cells", cells.len());
+    }
+    match ties {
         0 => seen.owner_fallbacks += 1,
         1 => {}
         2 | 3 => seen.ties_of_two += 1,

@@ -245,14 +245,14 @@ fn pair_hash(pairs: &[(u64, u64)]) -> u64 {
     h
 }
 
-/// `local_join` on an `edges × linearwater` slice: pair vector and all four
+/// `local_join` on an `edges × linearwater` slice: pair vector and all three
 /// `LocalJoinCost` fields per algorithm, pinned to the numbers the double
 /// loop produced (measured at the parent commit with this same test body).
 ///
 /// Two sizes, because `local_join` refines either side of its 4096-candidate
 /// threshold differently (one refine-count-collect pass below it, `par_map`
 /// then a fold above it), and two `keep` rules, because a suppressed pair
-/// still counts as a result.
+/// is still charged.
 #[test]
 fn local_join_on_a_polyline_slice_is_pinned() {
     let (l, r) = Workload::edge_linearwater().prepare(2e-4, 23);
@@ -296,14 +296,14 @@ fn local_join_on_a_polyline_slice_is_pinned() {
         for (algo, hash, filter_ns) in per_algo {
             let (pairs, cost) =
                 local_join(&engine, JoinPredicate::Intersects, algo, left, right, |_, _| true);
-            let ledger = (cost.filter_ns, cost.refine_ns, cost.candidates, cost.results);
+            let ledger = (cost.filter_ns, cost.refine_ns, cost.candidates);
             assert_eq!(
                 (algo, pairs.len() as u64, pair_hash(&pairs), ledger),
-                (algo, results, hash, (filter_ns, refine_ns, candidates, results))
+                (algo, results, hash, (filter_ns, refine_ns, candidates))
             );
             let (kept, cost) =
                 local_join(&engine, JoinPredicate::Intersects, algo, left, right, |_, _| false);
-            let suppressed = (cost.filter_ns, cost.refine_ns, cost.candidates, cost.results);
+            let suppressed = (cost.filter_ns, cost.refine_ns, cost.candidates);
             assert_eq!((algo, kept.len(), suppressed), (algo, 0, ledger));
         }
     }
