@@ -1,8 +1,10 @@
 //! Index and partitioner micro-benchmarks: R-tree construction modes (STR
 //! bulk vs dynamic insertion — the SpatialHadoop/SpatialSpark vs
-//! libspatialindex contrast), window queries, and partitioner builds.
+//! libspatialindex contrast), window queries, partitioner builds, and the
+//! engines' cell tagging (`CellIndex::tag`).
 
 use sjc_bench::microbench::{black_box, Bench};
+use sjc_core::framework::CellIndex;
 use sjc_data::rng::StdRng;
 use sjc_geom::{Mbr, Point};
 use sjc_index::entry::IndexEntry;
@@ -63,6 +65,23 @@ fn bench_rtree_query(b: &mut Bench) {
     });
 }
 
+/// The probe charge over a 512-cell STR tiling's R-tree: the full walk,
+/// and the count read from the inner levels alone.
+fn bench_rtree_visits(b: &mut Bench) {
+    let extent = Mbr::new(0.0, 0.0, 1000.0, 1000.0);
+    let tiles = StrTilePartitioner::from_sample(extent, points(10_000, 13), 512);
+    let cells = tiles.cells().iter().enumerate().map(|(i, c)| IndexEntry::new(i as u64, *c));
+    let tree = RTree::bulk_load_str(cells.collect());
+    let probes = entries(10_000, 17);
+    let mut buf = Vec::new();
+    b.bench("rtree_query_counting_10k", || {
+        probes.iter().map(|e| tree.query_counting(black_box(&e.mbr), &mut buf)).sum::<usize>()
+    });
+    b.bench("rtree_visits_10k", || {
+        probes.iter().map(|e| tree.visits(black_box(&e.mbr))).sum::<usize>()
+    });
+}
+
 fn bench_partitioners(b: &mut Bench) {
     let extent = Mbr::new(0.0, 0.0, 1000.0, 1000.0);
     let sample = points(10_000, 13);
@@ -91,6 +110,22 @@ fn bench_partitioners(b: &mut Bench) {
         }
         total
     });
+    // What SpatialHadoop, SpatialSpark and LDE run per record: the cells
+    // plus the R-tree nodes the probe is charged.
+    let grid = FixedGridPartitioner::with_target_cells(extent, 128);
+    for (name, index) in [
+        ("str_tiles", CellIndex::new(Box::new(partitioner.clone()))),
+        ("bsp", CellIndex::new(Box::new(bsp.clone()))),
+        ("fixed_grid", CellIndex::new(Box::new(grid))),
+    ] {
+        b.bench_in("cell_index_tag_10k", name, || {
+            let mut total = 0usize;
+            for e in &probes {
+                total += index.tag(black_box(&e.mbr), &mut cells) + cells.len();
+            }
+            total
+        });
+    }
     // `owner` locates a reference point; `owns` decides whether one cell
     // reports it — once or twice per candidate pair (reference-point de-dup).
     let corners: Vec<Point> = probes.iter().map(|e| Point::new(e.mbr.min_x, e.mbr.min_y)).collect();
@@ -135,6 +170,7 @@ fn main() {
     let mut b = Bench::from_args();
     bench_rtree_build(&mut b);
     bench_rtree_query(&mut b);
+    bench_rtree_visits(&mut b);
     bench_partitioners(&mut b);
     bench_knn(&mut b);
 }

@@ -106,6 +106,10 @@ impl SpatialPartitioner for BspPartitioner {
     fn owns(&self, cell: CellId, p: &Point) -> bool {
         self.cells.owns(cell, p)
     }
+
+    fn locator(&self) -> Option<&CellLocator> {
+        Some(&self.cells)
+    }
 }
 
 #[cfg(test)]

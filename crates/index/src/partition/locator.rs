@@ -357,6 +357,10 @@ impl SpatialPartitioner for CellLocator {
             None => self.owner(p) == cell,
         }
     }
+
+    fn locator(&self) -> Option<&CellLocator> {
+        Some(self)
+    }
 }
 
 /// Runtime invariant sanitizer (feature `sanitize`): the trait's linear

@@ -80,6 +80,13 @@ pub trait SpatialPartitioner {
         self.owner(p) == cell
     }
 
+    /// The [`CellLocator`] over [`cells`](Self::cells) this partitioner
+    /// answers from, if it keeps one; its `assign_into` is then the exact
+    /// closed-intersection assignment over these cells. None by default.
+    fn locator(&self) -> Option<&CellLocator> {
+        None
+    }
+
     /// Nearest cell to a point by MBR distance (deterministic tie-break on id).
     fn nearest_cell(&self, p: &Point) -> CellId {
         let pm = p.mbr();

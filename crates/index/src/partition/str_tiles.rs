@@ -136,6 +136,10 @@ impl SpatialPartitioner for StrTilePartitioner {
     fn owns(&self, cell: CellId, p: &Point) -> bool {
         self.cells.owns(cell, p)
     }
+
+    fn locator(&self) -> Option<&CellLocator> {
+        Some(&self.cells)
+    }
 }
 
 #[cfg(test)]

@@ -65,6 +65,39 @@ fn dynamic_rtree_query_equals_linear_scan() {
     });
 }
 
+/// `visits` is the count of `query_counting`'s walk, for random, point,
+/// inverted and extent-covering windows over STR and dynamic trees of up
+/// to 2 000 entries (a leaf root, and three levels and more).
+#[test]
+fn rtree_visits_equal_query_counting() {
+    cases(0x1D07, N, |rng| {
+        let es = entries(rng, 0..2001);
+        let bulk = RTree::bulk_load_str(es.clone());
+        let mut dynamic = RTree::new_dynamic();
+        for e in es.iter().take(rng.usize_in(0..300)) {
+            dynamic.insert(*e);
+        }
+        let p = Point::new(rng.f64_in(-10.0..120.0), rng.f64_in(-10.0..120.0));
+        let (x, y) = (rng.f64_in(0.0..100.0), rng.f64_in(0.0..100.0));
+        let windows = [
+            mbr(rng, 120.0, 30.0),
+            p.mbr(),
+            Mbr { min_x: x + rng.f64_in(0.1..20.0), min_y: y, max_x: x, max_y: y + 5.0 },
+            Mbr { min_x: x, min_y: y + rng.f64_in(0.1..20.0), max_x: x + 5.0, max_y: y },
+            Mbr::new(-1.0, -1.0, 200.0, 200.0),
+        ];
+        let mut hits = Vec::new();
+        for tree in [&bulk, &dynamic] {
+            for w in &windows {
+                let walked = tree.query_counting(w, &mut hits);
+                assert_eq!(tree.visits(w), walked, "{w:?} over {} entries", tree.len());
+            }
+            let all = Mbr::new(-1.0, -1.0, 200.0, 200.0);
+            assert_eq!(tree.visits(&all), tree.num_nodes());
+        }
+    });
+}
+
 #[test]
 fn join_algorithms_produce_identical_pairs() {
     cases(0x1D03, N, |rng| {

@@ -1,13 +1,16 @@
 //! Runtime invariant sanitizer coverage (`sanitize` feature).
 //!
-//! The workspace test suite enables `sanitize` on `sjc-geom`, `sjc-index`
-//! and `sjc-cluster` (see the root `Cargo.toml` dev-dependencies), turning
-//! the static lint's structural assumptions into executable `debug_assert!`s.
+//! The workspace test suite enables `sanitize` on `sjc-geom`, `sjc-index`,
+//! `sjc-cluster` and `sjc-core` (see the root `Cargo.toml`
+//! dev-dependencies), turning the static lint's structural assumptions into
+//! executable `debug_assert!`s.
 //! These tests prove both directions: corruption actually trips the checks,
 //! and the seed data pipeline runs clean under them.
 
 use sjc_cluster::scheduler::{lpt_makespan, replicated_makespan};
 use sjc_cluster::SimHdfs;
+use sjc_core::common::PartitionerKind;
+use sjc_core::framework::CellIndex;
 use sjc_data::{DatasetId, ScaledDataset};
 use sjc_geom::{Mbr, Point};
 use sjc_index::{IndexEntry, RTree};
@@ -68,6 +71,35 @@ fn seed_datasets_run_clean_under_sanitizer() {
         let probe = ds.domain;
         assert_eq!(bulk.query(&probe).len(), ds.geoms.len());
         assert_eq!(dynamic.query(&probe).len(), ds.geoms.len());
+    }
+}
+
+/// Every `CellIndex::tag` checks its cells and its visit count against a
+/// walk of the R-tree over the cells. Seed records tagged against grid,
+/// STR and BSP cells — a leaf root at 1 and 16 cells, three levels at 512
+/// — run clean, and so do their widened and inverted MBRs; a `visits` off
+/// by one trips the check, and the summed count is held to the walk too.
+#[test]
+fn cell_tags_run_clean_under_sanitizer() {
+    for id in [DatasetId::Taxi, DatasetId::Nycb] {
+        let ds = ScaledDataset::generate(id, 2e-5, 42);
+        let mut probes: Vec<Mbr> = ds.geoms.iter().map(|g| g.mbr()).collect();
+        let sample: Vec<Point> = probes.iter().map(Mbr::center).collect();
+        probes.extend(sample.iter().map(|p| p.mbr().buffered(0.01)));
+        probes.push(inverted_mbr());
+        for kind in [PartitionerKind::FixedGrid, PartitionerKind::StrTiles, PartitionerKind::Bsp] {
+            for target in [1usize, 16, 512] {
+                let index = CellIndex::new(kind.build(ds.domain, sample.clone(), target));
+                let cells = index.partitioner().cells().iter().enumerate();
+                let tree = RTree::bulk_load_str(
+                    cells.map(|(i, c)| IndexEntry::new(i as u64, *c)).collect(),
+                );
+                let (mut hits, mut walked) = (Vec::new(), Vec::new());
+                let tagged: usize = probes.iter().map(|m| index.tag(m, &mut hits)).sum();
+                let walks: usize = probes.iter().map(|m| tree.query_counting(m, &mut walked)).sum();
+                assert_eq!(tagged, walks, "{} at {target} cells over {id:?}", kind.name());
+            }
+        }
     }
 }
 
