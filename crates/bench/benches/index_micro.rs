@@ -1,7 +1,6 @@
-//! Index and partitioner micro-benchmarks: R-tree construction modes (STR
-//! bulk vs dynamic insertion — the SpatialHadoop/SpatialSpark vs
-//! libspatialindex contrast), window queries, partitioner builds, and the
-//! engines' cell tagging (`CellIndex::tag`).
+//! Index and partitioner micro-benchmarks: STR bulk loading, window
+//! queries, partitioner builds, and the engines' cell tagging
+//! (`CellIndex::tag`).
 
 use sjc_bench::microbench::{black_box, Bench};
 use sjc_core::framework::CellIndex;
@@ -38,15 +37,6 @@ fn bench_rtree_build(b: &mut Bench) {
         b.bench_in("rtree_build", &format!("str_bulk/{n}"), || {
             RTree::bulk_load_str(black_box(es.clone())).num_nodes()
         });
-        if n <= 10_000 {
-            b.bench_in("rtree_build", &format!("dynamic_insert/{n}"), || {
-                let mut t = RTree::new_dynamic();
-                for e in &es {
-                    t.insert(*e);
-                }
-                t.num_nodes()
-            });
-        }
     }
 }
 

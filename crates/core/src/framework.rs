@@ -11,7 +11,7 @@ use sjc_data::tsv::to_tsv_text;
 use sjc_data::ScaledDataset;
 use sjc_geom::{EngineKind, Geometry, GeometryEngine, Mbr};
 use sjc_index::entry::IndexEntry;
-use sjc_index::partition::{dedup_owner_cell, CellId, CellLocator, SpatialPartitioner};
+use sjc_index::partition::{dedup_owner_cell, CellId, SpatialPartitioner};
 use sjc_index::RTree;
 
 /// The spatial predicate refined in the local join stage.
@@ -198,22 +198,17 @@ impl fmt::Debug for JoinInput {
 /// A partitioner plus the STR R-tree over its cells: how SpatialHadoop,
 /// SpatialSpark and LDE tag a record with the cells it meets. Each charges
 /// the nodes a probe of the tree visits at its own rate; the cells
-/// themselves come from a [`CellLocator`].
+/// themselves are the partitioner's `assign_into`, which every partitioner
+/// family answers from its [`CellLocator`](sjc_index::partition::CellLocator).
 pub struct CellIndex {
     partitioner: Box<dyn SpatialPartitioner + Send + Sync>,
-    /// A locator over the cells, built only for a partitioner that keeps
-    /// none (the fixed grid, whose clamped, half-open `assign` is not the
-    /// closed-intersection tag).
-    built: Option<CellLocator>,
     tree: RTree,
 }
 
 impl CellIndex {
     pub fn new(partitioner: Box<dyn SpatialPartitioner + Send + Sync>) -> Self {
         let tree = RTree::bulk_load_str(cell_entries(partitioner.cells()));
-        let built =
-            partitioner.locator().is_none().then(|| CellLocator::new(partitioner.cells().to_vec()));
-        CellIndex { partitioner, built, tree }
+        CellIndex { partitioner, tree }
     }
 
     pub fn partitioner(&self) -> &(dyn SpatialPartitioner + Send + Sync) {
@@ -236,11 +231,7 @@ impl CellIndex {
     /// R-tree nodes a probe for `mbr` visits: the set and the count the
     /// tree's walk produces, read from the locator and the inner levels.
     pub fn tag(&self, mbr: &Mbr, hits: &mut Vec<CellId>) -> usize {
-        match &self.built {
-            Some(built) => built.assign_into(mbr, hits),
-            // The partitioner answers from the locator it keeps.
-            None => self.partitioner.assign_into(mbr, hits),
-        }
+        self.partitioner.assign_into(mbr, hits);
         let visits = self.tree.visits(mbr);
         #[cfg(feature = "sanitize")]
         {

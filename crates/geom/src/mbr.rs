@@ -184,11 +184,6 @@ impl Mbr {
         }
     }
 
-    /// Area growth required to cover `other` — the R-tree insertion heuristic.
-    pub fn enlargement(&self, other: &Mbr) -> f64 {
-        self.union(other).area() - self.area()
-    }
-
     /// Minimum distance between two MBRs (0 when intersecting).
     pub fn min_distance(&self, other: &Mbr) -> f64 {
         if self.is_empty() || other.is_empty() {
@@ -331,13 +326,6 @@ mod tests {
         assert_eq!(r.margin(), 6.0);
         assert_eq!(r.center(), Point::new(2.0, 1.0));
         assert_eq!(Mbr::empty().area(), 0.0);
-    }
-
-    #[test]
-    fn enlargement_is_zero_for_contained() {
-        let outer = m(0.0, 0.0, 10.0, 10.0);
-        assert_eq!(outer.enlargement(&m(1.0, 1.0, 2.0, 2.0)), 0.0);
-        assert!(outer.enlargement(&m(9.0, 9.0, 12.0, 12.0)) > 0.0);
     }
 
     #[test]

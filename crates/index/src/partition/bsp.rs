@@ -7,7 +7,7 @@
 
 use sjc_geom::{Mbr, Point};
 
-use super::{CellId, CellLocator, SpatialPartitioner};
+use super::{CellLocator, Located};
 
 /// Sample-driven recursive median splits.
 #[derive(Debug, Clone)]
@@ -90,31 +90,16 @@ fn split(
     }
 }
 
-impl SpatialPartitioner for BspPartitioner {
-    fn cells(&self) -> &[Mbr] {
-        self.cells.cells()
-    }
-
-    fn assign_into(&self, mbr: &Mbr, out: &mut Vec<CellId>) {
-        self.cells.assign_into(mbr, out)
-    }
-
-    fn owner(&self, p: &Point) -> CellId {
-        self.cells.owner(p)
-    }
-
-    fn owns(&self, cell: CellId, p: &Point) -> bool {
-        self.cells.owns(cell, p)
-    }
-
-    fn locator(&self) -> Option<&CellLocator> {
-        Some(&self.cells)
+impl Located for BspPartitioner {
+    fn locator(&self) -> &CellLocator {
+        &self.cells
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::SpatialPartitioner;
 
     fn uniform_sample(n: usize) -> Vec<Point> {
         (0..n)

@@ -1,21 +1,21 @@
 //! Fixed uniform-grid partitioner.
 
-use sjc_geom::{Mbr, Point};
+use sjc_geom::Mbr;
 
-use super::{CellId, SpatialPartitioner};
+use super::{CellLocator, Located};
 
 /// Partitions a fixed extent into an `nx × ny` uniform grid.
 ///
 /// This is SpatialHadoop's `GRID` partitioning: simple, sample-free, but
 /// skew-oblivious — dense areas (midtown Manhattan in the taxi data) land in
 /// a single overloaded cell, which the ablation bench `ablation_partitioner`
-/// quantifies.
+/// quantifies. Cells are located by comparisons against their stored
+/// bounds, as for every partitioner: the arithmetic `floor((x - min) / w)`
+/// does not always agree with the rounded edges `min + c * w`, and a point
+/// owned by a cell its record was never assigned to loses its pair.
 #[derive(Debug, Clone)]
 pub struct FixedGridPartitioner {
-    extent: Mbr,
-    nx: usize,
-    ny: usize,
-    cells: Vec<Mbr>,
+    cells: CellLocator,
 }
 
 impl FixedGridPartitioner {
@@ -35,7 +35,7 @@ impl FixedGridPartitioner {
                 ));
             }
         }
-        FixedGridPartitioner { extent, nx, ny, cells }
+        FixedGridPartitioner { cells: CellLocator::new(cells) }
     }
 
     /// Chooses a square-ish grid with roughly `target_cells` cells.
@@ -43,48 +43,19 @@ impl FixedGridPartitioner {
         let side = (target_cells.max(1) as f64).sqrt().round().max(1.0) as usize;
         FixedGridPartitioner::new(extent, side, side)
     }
-
-    pub fn dims(&self) -> (usize, usize) {
-        (self.nx, self.ny)
-    }
-
-    fn clamp_col(&self, x: f64) -> usize {
-        let w = self.extent.width() / self.nx as f64;
-        ((((x - self.extent.min_x) / w).floor() as isize).clamp(0, self.nx as isize - 1)) as usize
-    }
-
-    fn clamp_row(&self, y: f64) -> usize {
-        let h = self.extent.height() / self.ny as f64;
-        ((((y - self.extent.min_y) / h).floor() as isize).clamp(0, self.ny as isize - 1)) as usize
-    }
 }
 
-impl SpatialPartitioner for FixedGridPartitioner {
-    fn cells(&self) -> &[Mbr] {
+impl Located for FixedGridPartitioner {
+    fn locator(&self) -> &CellLocator {
         &self.cells
-    }
-
-    /// O(cells touched) arithmetic assignment instead of the generic scan.
-    fn assign_into(&self, mbr: &Mbr, out: &mut Vec<CellId>) {
-        let (c0, c1) = (self.clamp_col(mbr.min_x), self.clamp_col(mbr.max_x));
-        let (r0, r1) = (self.clamp_row(mbr.min_y), self.clamp_row(mbr.max_y));
-        out.clear();
-        for r in r0..=r1 {
-            out.extend((c0..=c1).map(|c| (r * self.nx + c) as CellId));
-        }
-    }
-
-    /// O(1) owner: the cell whose half-open `[min, max)` range holds the
-    /// point (clamped at the top/right edges so ownership stays total).
-    fn owner(&self, p: &Point) -> CellId {
-        (self.clamp_row(p.y) * self.nx + self.clamp_col(p.x)) as CellId
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::dedup_owner_cell;
+    use crate::partition::{dedup_owner_cell, CellId, SpatialPartitioner};
+    use sjc_geom::Point;
 
     fn grid() -> FixedGridPartitioner {
         FixedGridPartitioner::new(Mbr::new(0.0, 0.0, 10.0, 10.0), 5, 5)
@@ -96,33 +67,6 @@ mod tests {
         assert_eq!(g.cells().len(), 25);
         let total: f64 = g.cells().iter().map(Mbr::area).sum();
         assert!((total - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fast_assign_matches_generic_scan() {
-        let g = grid();
-        for mbr in [
-            Mbr::new(0.5, 0.5, 1.0, 1.0),
-            Mbr::new(1.5, 3.5, 6.5, 4.5),
-            Mbr::new(9.9, 9.9, 15.0, 15.0),
-            Mbr::new(-3.0, -3.0, -1.0, -1.0),
-        ] {
-            let mut fast = g.assign(&mbr);
-            fast.sort_unstable();
-            // Generic: every intersecting cell (plus nearest-fallback).
-            let mut generic: Vec<CellId> = g
-                .cells()
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.intersects(&mbr))
-                .map(|(i, _)| i as CellId)
-                .collect();
-            if generic.is_empty() {
-                generic.push(g.nearest_cell(&mbr.center()));
-            }
-            generic.sort_unstable();
-            assert_eq!(fast, generic, "mbr {mbr:?}");
-        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use sjc_geom::{Mbr, Point};
 use super::{CellId, SpatialPartitioner};
 
 /// A fixed cell list with O(log n) exact location. Itself a partitioner, so
-/// an adopted cell list needs no wrapper; the sample-driven partitioners
+/// an adopted cell list needs no wrapper; the three partitioner families
 /// hold one and delegate.
 #[derive(Debug, Clone)]
 pub struct CellLocator {
@@ -356,10 +356,6 @@ impl SpatialPartitioner for CellLocator {
             // `owner` runs its own sanitizer check.
             None => self.owner(p) == cell,
         }
-    }
-
-    fn locator(&self) -> Option<&CellLocator> {
-        Some(self)
     }
 }
 

@@ -12,9 +12,10 @@
 //! * [`BspPartitioner`] — recursive median splits over a sample (the
 //!   SATO-flavoured balanced partitioning HadoopGIS derives from samples).
 //!
-//! The sample-driven families answer `assign`/`owner`/`owns` through a
-//! [`CellLocator`] built once over their cells; the trait's linear-scan
-//! defaults are the reference it is tested against.
+//! Every family answers `assign`/`owner`/`owns` through a [`CellLocator`]
+//! built once over its cells, so the cells a record is assigned to and the
+//! cell that owns a reference point are read from the same rectangles; the
+//! trait's linear-scan defaults are the reference it is tested against.
 
 mod bsp;
 mod fixed_grid;
@@ -80,13 +81,6 @@ pub trait SpatialPartitioner {
         self.owner(p) == cell
     }
 
-    /// The [`CellLocator`] over [`cells`](Self::cells) this partitioner
-    /// answers from, if it keeps one; its `assign_into` is then the exact
-    /// closed-intersection assignment over these cells. None by default.
-    fn locator(&self) -> Option<&CellLocator> {
-        None
-    }
-
     /// Nearest cell to a point by MBR distance (deterministic tie-break on id).
     fn nearest_cell(&self, p: &Point) -> CellId {
         let pm = p.mbr();
@@ -98,6 +92,30 @@ pub trait SpatialPartitioner {
             }
         }
         best.1
+    }
+}
+
+/// A partitioner that keeps its cells in a [`CellLocator`]: the one
+/// [`SpatialPartitioner`] impl below answers every question from it.
+pub(crate) trait Located {
+    fn locator(&self) -> &CellLocator;
+}
+
+impl<T: Located> SpatialPartitioner for T {
+    fn cells(&self) -> &[Mbr] {
+        self.locator().cells()
+    }
+
+    fn assign_into(&self, mbr: &Mbr, out: &mut Vec<CellId>) {
+        self.locator().assign_into(mbr, out)
+    }
+
+    fn owner(&self, p: &Point) -> CellId {
+        self.locator().owner(p)
+    }
+
+    fn owns(&self, cell: CellId, p: &Point) -> bool {
+        self.locator().owns(cell, p)
     }
 }
 

@@ -10,7 +10,7 @@
 
 use sjc_geom::{Mbr, Point};
 
-use super::{CellId, CellLocator, SpatialPartitioner};
+use super::{CellLocator, Located};
 
 /// Sample-based STR tiles.
 #[derive(Debug, Clone)]
@@ -120,31 +120,16 @@ fn subdivide(cell: Mbr, k: usize, out: &mut Vec<Mbr>) {
     }
 }
 
-impl SpatialPartitioner for StrTilePartitioner {
-    fn cells(&self) -> &[Mbr] {
-        self.cells.cells()
-    }
-
-    fn assign_into(&self, mbr: &Mbr, out: &mut Vec<CellId>) {
-        self.cells.assign_into(mbr, out)
-    }
-
-    fn owner(&self, p: &Point) -> CellId {
-        self.cells.owner(p)
-    }
-
-    fn owns(&self, cell: CellId, p: &Point) -> bool {
-        self.cells.owns(cell, p)
-    }
-
-    fn locator(&self) -> Option<&CellLocator> {
-        Some(&self.cells)
+impl Located for StrTilePartitioner {
+    fn locator(&self) -> &CellLocator {
+        &self.cells
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::SpatialPartitioner;
 
     fn skewed_sample(n: usize) -> Vec<Point> {
         // 80% of points clustered in the lower-left 10% of the extent.

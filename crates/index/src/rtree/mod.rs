@@ -1,12 +1,9 @@
-//! Packed R-tree with STR bulk loading and dynamic insertion.
+//! Packed R-tree, built by Sort-Tile-Recursive bulk loading.
 //!
-//! Two construction modes mirror the two libraries in the paper:
-//!
-//! * [`RTree::bulk_load_str`] — Sort-Tile-Recursive packing, the bulk loader
-//!   SpatialHadoop uses when writing indexed HDFS blocks and SpatialSpark
-//!   uses for its broadcast partition index;
-//! * [`RTree::new_dynamic`] + [`RTree::insert`] — one-at-a-time insertion
-//!   with quadratic split, approximating libspatialindex (HadoopGIS).
+//! [`RTree::bulk_load_str`] is the one way to build a tree: the bulk loader
+//! SpatialHadoop uses when writing indexed HDFS blocks and SpatialSpark uses
+//! for its broadcast partition index. Every system's local join that builds
+//! a tree — HadoopGIS's indexed nested loop included — packs it with STR.
 //!
 //! Nodes live in a flat arena (`Vec<Node>`), children referenced by index —
 //! cache-friendly and trivially serializable for the simulated block files.
@@ -14,7 +11,6 @@
 mod knn;
 mod node;
 mod query;
-mod split;
 mod str_bulk;
 
 pub use node::{Node, NodeId};
@@ -27,8 +23,6 @@ use crate::entry::IndexEntry;
 /// in-memory choice; SpatialHadoop uses degree ~25 for 64MB blocks, but the
 /// structure is insensitive to the exact constant.
 pub const MAX_ENTRIES: usize = 16;
-/// Minimum fill after a split (40% of max, the classic Guttman setting).
-pub const MIN_ENTRIES: usize = 6;
 
 /// A packed R-tree over `(id, mbr)` entries.
 #[derive(Debug, Clone)]
@@ -59,17 +53,11 @@ impl RTree {
         self.nodes.len()
     }
 
-    /// The audited arena access: every `NodeId` is minted by the builders in
-    /// this module and points into `self.nodes`, so the index cannot miss.
+    /// The audited arena access: every `NodeId` is minted by the bulk loader
+    /// in this module and points into `self.nodes`, so the index cannot miss.
     pub(crate) fn node(&self, id: NodeId) -> &Node {
         // sjc-lint: allow(no-panic-in-lib) — NodeIds are minted by this module and always index the arena
         &self.nodes[id.0]
-    }
-
-    /// Mutable counterpart of [`RTree::node`].
-    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        // sjc-lint: allow(no-panic-in-lib) — NodeIds are minted by this module and always index the arena
-        &mut self.nodes[id.0]
     }
 
     /// Root node id — exposed for synchronized dual-tree traversal.
@@ -141,7 +129,7 @@ impl RTree {
     }
 
     /// Runtime invariant sanitizer (feature `sanitize`): entries handed to
-    /// the builders must carry a real MBR — an inverted/empty box would be
+    /// the bulk loader must carry a real MBR — an inverted/empty box would be
     /// invisible to every query and silently drop join results.
     #[cfg(feature = "sanitize")]
     pub(crate) fn sanitize_entry(entry: &IndexEntry) {
@@ -156,8 +144,8 @@ impl RTree {
 
     /// Runtime invariant sanitizer (feature `sanitize`): full structural
     /// check (node fill in `[1, MAX_ENTRIES]`, parent MBRs equal the union
-    /// of their children, uniform leaf depth). O(n), so the builders call it
-    /// once per bulk load, not per insert.
+    /// of their children, uniform leaf depth). O(n); the bulk loader calls
+    /// it once per tree.
     #[cfg(feature = "sanitize")]
     pub(crate) fn sanitize_tree(&self) {
         if let Err(e) = self.check_invariants() {
@@ -201,32 +189,6 @@ mod tests {
             assert_eq!(t.len(), n);
             t.check_invariants().unwrap_or_else(|e| panic!("n={n}: {e}"));
         }
-    }
-
-    #[test]
-    fn dynamic_insert_invariants_hold() {
-        let mut t = RTree::new_dynamic();
-        for e in grid_entries(300) {
-            t.insert(e);
-        }
-        assert_eq!(t.len(), 300);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn bulk_and_dynamic_answer_identically() {
-        let entries = grid_entries(200);
-        let bulk = RTree::bulk_load_str(entries.clone());
-        let mut dynamic = RTree::new_dynamic();
-        for e in entries {
-            dynamic.insert(e);
-        }
-        let q = Mbr::new(2.3, 3.1, 6.7, 8.2);
-        let mut a = bulk.query(&q);
-        let mut b = dynamic.query(&q);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -25,11 +25,4 @@ impl Node {
     pub fn is_leaf(&self) -> bool {
         matches!(self, Node::Leaf { .. })
     }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Node::Leaf { entries, .. } => entries.len(),
-            Node::Inner { children, .. } => children.len(),
-        }
-    }
 }

@@ -46,37 +46,14 @@ fn rtree_query_equals_linear_scan() {
     });
 }
 
-#[test]
-fn dynamic_rtree_query_equals_linear_scan() {
-    cases(0x1D02, N, |rng| {
-        let es = entries(rng, 1..120);
-        let q = mbr(rng, 120.0, 30.0);
-        let mut tree = RTree::new_dynamic();
-        for e in &es {
-            tree.insert(*e);
-        }
-        tree.check_invariants().unwrap();
-        let mut got = tree.query(&q);
-        got.sort_unstable();
-        let mut expected: Vec<u64> =
-            es.iter().filter(|e| e.mbr.intersects(&q)).map(|e| e.id).collect();
-        expected.sort_unstable();
-        assert_eq!(got, expected);
-    });
-}
-
 /// `visits` is the count of `query_counting`'s walk, for random, point,
-/// inverted and extent-covering windows over STR and dynamic trees of up
-/// to 2 000 entries (a leaf root, and three levels and more).
+/// inverted and extent-covering windows over STR trees of up to 2 000
+/// entries (a leaf root, and three levels and more).
 #[test]
 fn rtree_visits_equal_query_counting() {
     cases(0x1D07, N, |rng| {
         let es = entries(rng, 0..2001);
-        let bulk = RTree::bulk_load_str(es.clone());
-        let mut dynamic = RTree::new_dynamic();
-        for e in es.iter().take(rng.usize_in(0..300)) {
-            dynamic.insert(*e);
-        }
+        let tree = RTree::bulk_load_str(es);
         let p = Point::new(rng.f64_in(-10.0..120.0), rng.f64_in(-10.0..120.0));
         let (x, y) = (rng.f64_in(0.0..100.0), rng.f64_in(0.0..100.0));
         let windows = [
@@ -87,14 +64,12 @@ fn rtree_visits_equal_query_counting() {
             Mbr::new(-1.0, -1.0, 200.0, 200.0),
         ];
         let mut hits = Vec::new();
-        for tree in [&bulk, &dynamic] {
-            for w in &windows {
-                let walked = tree.query_counting(w, &mut hits);
-                assert_eq!(tree.visits(w), walked, "{w:?} over {} entries", tree.len());
-            }
-            let all = Mbr::new(-1.0, -1.0, 200.0, 200.0);
-            assert_eq!(tree.visits(&all), tree.num_nodes());
+        for w in &windows {
+            let walked = tree.query_counting(w, &mut hits);
+            assert_eq!(tree.visits(w), walked, "{w:?} over {} entries", tree.len());
         }
+        let all = Mbr::new(-1.0, -1.0, 200.0, 200.0);
+        assert_eq!(tree.visits(&all), tree.num_nodes());
     });
 }
 
@@ -133,6 +108,15 @@ fn partitioners_assign_every_mbr() {
 
 #[test]
 fn owner_is_deterministic_and_contained() {
+    // An 11 × 11 grid whose stored x-edges `min_x + c * w` are rounded away
+    // from where `floor((x - min_x) / w)` cuts: probed at every edge and one
+    // ulp below every edge but the first.
+    let grid = FixedGridPartitioner::new(Mbr::new(-27.173, 0.0, 55.685, 11.0), 11, 11);
+    let mut edges: Vec<f64> = grid.cells().iter().flat_map(|c| [c.min_x, c.max_x]).collect();
+    edges.sort_by(f64::total_cmp);
+    edges.dedup();
+    let mut near_edges: Vec<f64> = edges.iter().skip(1).map(|x| x.next_down()).collect();
+    near_edges.extend(&edges);
     cases(0x1D05, N, |rng| {
         let sample = points(rng, 1..200);
         let p = Point::new(rng.f64_in(0.0..100.0), rng.f64_in(0.0..100.0));
@@ -142,12 +126,17 @@ fn owner_is_deterministic_and_contained() {
             Box::new(StrTilePartitioner::from_sample(extent, sample.clone(), 8)),
             Box::new(BspPartitioner::from_sample(extent, sample, 8)),
         ];
-        for part in &parts {
-            let o1 = part.owner(&p);
-            let o2 = part.owner(&p);
-            assert_eq!(o1, o2);
-            // Points inside the extent are owned by a containing cell.
-            assert!(part.cells()[o1 as usize].contains_point(&p));
+        let y = rng.f64_in(0.0..11.0);
+        let on_edges: Vec<Point> = near_edges.iter().map(|&x| Point::new(x, y)).collect();
+        let inputs = parts.iter().map(|part| (part.as_ref(), vec![p]));
+        for (part, probes) in inputs.chain([(&grid as &dyn SpatialPartitioner, on_edges)]) {
+            for q in probes {
+                let o1 = part.owner(&q);
+                let o2 = part.owner(&q);
+                assert_eq!(o1, o2);
+                // Points inside the extent are owned by a containing cell.
+                assert!(part.cells()[o1 as usize].contains_point(&q), "owner {o1} of {q:?}");
+            }
         }
     });
 }

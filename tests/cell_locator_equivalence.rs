@@ -1,6 +1,6 @@
 //! `CellLocator` — the point/rectangle location structure behind
-//! `StrTilePartitioner`, `BspPartitioner` and SpatialHadoop's adopted cell
-//! lists — must answer `owner`, `owns`, `assign` and `assign_into` exactly
+//! `FixedGridPartitioner`, `StrTilePartitioner`, `BspPartitioner` and
+//! SpatialHadoop's adopted cell lists — must answer `owner`, `owns`, `assign` and `assign_into` exactly
 //! as the linear scans it replaced, ties and fallbacks included.
 //!
 //! The linear scans are kept here verbatim (as they stood in
@@ -15,7 +15,8 @@ use sjc_core::framework::{CellIndex, JoinPredicate};
 use sjc_geom::{Mbr, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::partition::{
-    BspPartitioner, CellId, CellLocator, SpatialPartitioner, StrTilePartitioner,
+    BspPartitioner, CellId, CellLocator, FixedGridPartitioner, SpatialPartitioner,
+    StrTilePartitioner,
 };
 use sjc_index::rtree::MAX_ENTRIES;
 use sjc_index::RTree;
@@ -64,6 +65,10 @@ impl SpatialPartitioner for Defaults {
 }
 
 const EXTENT: Mbr = Mbr { min_x: -20.0, min_y: 5.0, max_x: 80.0, max_y: 65.0 };
+
+/// An extent over which an 11 × 11 grid's stored x-edges `min_x + c * w`
+/// are not where `floor((x - min_x) / w)` cuts.
+const ROUNDED: Mbr = Mbr { min_x: -27.173, min_y: 0.0, max_x: 55.685, max_y: 11.0 };
 
 fn point_in(rng: &mut TestRng, m: &Mbr) -> Point {
     Point::new(rng.f64_in(m.min_x..m.max_x), rng.f64_in(m.min_y..m.max_y))
@@ -222,6 +227,14 @@ fn located_partitioners_match_the_linear_scans() {
         // The trait defaults are still the linear scans.
         check_partitioner(&Defaults(arbitrary_cells(rng)), rng, &mut seen);
     });
+    // The grid takes no sample: each shape once.
+    let mut rng = TestRng::new(0x6121_D000);
+    for extent in [EXTENT, ROUNDED] {
+        for target in [1usize, 2, 64, 128, 512] {
+            let grid = FixedGridPartitioner::with_target_cells(extent, target);
+            check_partitioner(&grid, &mut rng, &mut seen);
+        }
+    }
     // The interesting cases all occurred.
     assert!(seen.ties_of_two > 1000, "two-cell boundary ties: {}", seen.ties_of_two);
     assert!(seen.ties_of_four > 1000, "four-cell corner ties: {}", seen.ties_of_four);
@@ -253,12 +266,6 @@ fn degenerate_cell_lists_are_total() {
 /// with cells — answers `assign`, ascending: inside the extent, on shared
 /// cell edges and corners, wholly outside it (the nearest-cell fallback),
 /// and on the MBRs a within-distance join widens.
-///
-/// `FixedGridPartitioner` overrides `assign` with clamped arithmetic over
-/// half-open ranges, so on a shared edge it names one cell where the tag
-/// names both, and outside the extent it clamps where the tag falls back to
-/// the nearest cell. For it the tag is held to the linear scan, and its
-/// `assign` to a subset of the tag wherever the probe meets the extent.
 ///
 /// The count `tag` returns — what each engine charges a probe — is the
 /// nodes a walk of the STR R-tree over the cells visits, for every probe:
@@ -331,12 +338,7 @@ fn cell_index_tags_exactly_the_assigned_cells() {
                     // Ascending by contract: no sort before comparing.
                     let linear = ref_assign(p.cells(), m);
                     assert_eq!(hits, linear, "{} tag of {m:?}", kind.name());
-                    let assigned = p.assign(m);
-                    if kind != PartitionerKind::FixedGrid {
-                        assert_eq!(assigned, linear, "{} assign of {m:?}", kind.name());
-                    } else if m.intersects(&EXTENT) {
-                        assert!(assigned.iter().all(|c| hits.contains(c)), "grid assign of {m:?}");
-                    }
+                    assert_eq!(p.assign(m), linear, "{} assign of {m:?}", kind.name());
                     if !p.cells().iter().any(|c| c.intersects(m)) {
                         fallbacks += 1;
                     } else if hits.len() > 1 {

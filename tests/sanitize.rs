@@ -34,14 +34,6 @@ fn nan_coordinate_trips_mbr_sanitizer() {
 #[cfg(debug_assertions)]
 #[test]
 #[should_panic(expected = "inverted/empty MBR")]
-fn inverted_entry_trips_rtree_insert_sanitizer() {
-    let mut tree = RTree::new_dynamic();
-    tree.insert(IndexEntry::new(0, inverted_mbr()));
-}
-
-#[cfg(debug_assertions)]
-#[test]
-#[should_panic(expected = "inverted/empty MBR")]
 fn inverted_entry_trips_rtree_bulk_load_sanitizer() {
     let _ = RTree::bulk_load_str(vec![
         IndexEntry::new(0, Mbr::new(0.0, 0.0, 1.0, 1.0)),
@@ -60,17 +52,9 @@ fn seed_datasets_run_clean_under_sanitizer() {
         let entries: Vec<IndexEntry> =
             ds.geoms.iter().enumerate().map(|(i, g)| IndexEntry::new(i as u64, g.mbr())).collect();
 
-        // Both construction modes walk every sanitize hook.
-        let bulk = RTree::bulk_load_str(entries.clone());
-        let mut dynamic = RTree::new_dynamic();
-        for e in entries {
-            dynamic.insert(e);
-        }
-        assert_eq!(bulk.len(), dynamic.len());
-
-        let probe = ds.domain;
-        assert_eq!(bulk.query(&probe).len(), ds.geoms.len());
-        assert_eq!(dynamic.query(&probe).len(), ds.geoms.len());
+        let tree = RTree::bulk_load_str(entries);
+        assert_eq!(tree.len(), ds.geoms.len());
+        assert_eq!(tree.query(&ds.domain).len(), ds.geoms.len());
     }
 }
 

@@ -3,7 +3,7 @@
 //! identical result pair sets, for every workload and predicate.
 
 use sjc_cluster::{Cluster, ClusterConfig};
-use sjc_core::common::direct_join;
+use sjc_core::common::{direct_join, PartitionerKind};
 use sjc_core::experiment::Workload;
 use sjc_core::framework::GeoRecord;
 use sjc_core::framework::{DistributedSpatialJoin, JoinInput, JoinPredicate};
@@ -11,7 +11,7 @@ use sjc_core::hadoopgis::HadoopGis;
 use sjc_core::spatialhadoop::SpatialHadoop;
 use sjc_core::spatialspark::SpatialSpark;
 use sjc_geom::predicates::segments_intersect;
-use sjc_geom::{Geometry, GeometryEngine, Point};
+use sjc_geom::{Geometry, GeometryEngine, Mbr, Point, Polygon};
 
 /// Prepares a workload slice small enough for exhaustive comparison, with
 /// multiplier pinned to 1 so no failure mechanism triggers.
@@ -187,4 +187,33 @@ fn agreement_across_cluster_configs() {
             .sorted_pairs();
         assert_eq!(out, reference);
     }
+}
+
+/// SpatialHadoop's fixed grid over this extent is 11 × 11, and one of its
+/// cells stores the x-edge `min_x + c * w` = -4.575363636363633. The point
+/// lies one ulp left of it, where `floor((x - min_x) / w)` still names the
+/// cell to the right: a grid that located points by that arithmetic gave the
+/// reference point to a cell neither record was tagged to, and lost the
+/// pair.
+#[test]
+fn fixed_grid_reports_a_pair_on_a_rounded_cell_edge() {
+    let domain = Mbr::new(-27.173, 0.0, 55.685, 11.0);
+    let p = Point::new(-4.575363636363634, 5.5);
+    let square = Polygon::new(vec![
+        Point::new(p.x - 0.01, p.y - 0.01),
+        Point::new(p.x + 0.01, p.y - 0.01),
+        Point::new(p.x + 0.01, p.y + 0.01),
+        Point::new(p.x - 0.01, p.y + 0.01),
+    ]);
+    let input = |name: &str, geom: Geometry| {
+        JoinInput::new(name, vec![GeoRecord::new(0, geom)], 64, 1.0, domain)
+    };
+    let (l, r) = (input("point", Geometry::Point(p)), input("square", Geometry::Polygon(square)));
+    let predicate = JoinPredicate::Intersects;
+    let expected = direct_join(&GeometryEngine::jts(), predicate, &l.records, &r.records);
+    assert_eq!(expected, [(0, 0)]);
+    let grid =
+        SpatialHadoop { partitioner: PartitionerKind::FixedGrid, ..SpatialHadoop::default() };
+    let out = grid.run(&Cluster::new(ClusterConfig::workstation()), &l, &r, predicate).unwrap();
+    assert_eq!(out.sorted_pairs(), expected);
 }
