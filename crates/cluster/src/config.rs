@@ -104,21 +104,6 @@ impl ClusterConfig {
             ClusterConfig::ec2(6),
         ]
     }
-
-    /// Aggregate disk read bandwidth across nodes.
-    pub fn aggregate_disk_read_bw(&self) -> f64 {
-        self.nodes as f64 * self.node.disk_read_bw
-    }
-
-    /// Aggregate disk write bandwidth across nodes.
-    pub fn aggregate_disk_write_bw(&self) -> f64 {
-        self.nodes as f64 * self.node.disk_write_bw
-    }
-
-    /// Aggregate network bandwidth across nodes.
-    pub fn aggregate_net_bw(&self) -> f64 {
-        self.nodes as f64 * self.node.net_bw
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +130,8 @@ mod tests {
         // distributed I/O lifts the WS disk bottleneck.
         let ws = ClusterConfig::workstation();
         let ec2 = ClusterConfig::ec2(10);
-        assert!(ec2.aggregate_disk_read_bw() > 4.0 * ws.aggregate_disk_read_bw());
+        let read_bw = |c: &ClusterConfig| c.nodes as f64 * c.node.disk_read_bw;
+        assert!(read_bw(&ec2) > 4.0 * read_bw(&ws));
     }
 
     #[test]

@@ -18,9 +18,6 @@ pub enum SimError {
     OutOfMemory { stage: String, needed_bytes: u64, usable_bytes: u64 },
     /// A named input file does not exist in the simulated HDFS.
     FileNotFound(String),
-    /// Every replica of an HDFS block lives on a crashed datanode, so the
-    /// read cannot fail over anywhere (replication exhausted).
-    BlockLost { file: String, block: u64 },
     /// A task failed on its last permitted attempt (Hadoop's
     /// `mapreduce.map.maxattempts`-style bound).
     TaskAttemptsExhausted { stage: String, task: u64, attempts: u32 },
@@ -36,7 +33,6 @@ impl SimError {
             SimError::BrokenPipe { .. } => "broken pipe",
             SimError::OutOfMemory { .. } => "out of memory",
             SimError::FileNotFound(_) => "file not found",
-            SimError::BlockLost { .. } => "block lost",
             SimError::TaskAttemptsExhausted { .. } => "task attempts exhausted",
             SimError::NodeLost { .. } => "node lost",
         }
@@ -57,9 +53,6 @@ impl fmt::Display for SimError {
                  (usable {usable_bytes}); Spark cannot spill"
             ),
             SimError::FileNotFound(name) => write!(f, "HDFS file not found: {name:?}"),
-            SimError::BlockLost { file, block } => {
-                write!(f, "HDFS block lost: {file:?} block {block} has no surviving replica")
-            }
             SimError::TaskAttemptsExhausted { stage, task, attempts } => write!(
                 f,
                 "task {task} of stage {stage:?} failed {attempts} attempts (bound reached)"
@@ -99,7 +92,6 @@ mod tests {
             SimError::BrokenPipe { stage: "s".into(), payload_bytes: 2, limit_bytes: 1 },
             SimError::OutOfMemory { stage: "s".into(), needed_bytes: 2, usable_bytes: 1 },
             SimError::FileNotFound("f".into()),
-            SimError::BlockLost { file: "f".into(), block: 0 },
             SimError::TaskAttemptsExhausted { stage: "s".into(), task: 3, attempts: 4 },
             SimError::NodeLost { stage: "s".into(), node: 7 },
         ]
@@ -114,7 +106,6 @@ mod tests {
                 SimError::BrokenPipe { .. } => "broken pipe",
                 SimError::OutOfMemory { .. } => "out of memory",
                 SimError::FileNotFound(_) => "file not found",
-                SimError::BlockLost { .. } => "block lost",
                 SimError::TaskAttemptsExhausted { .. } => "task attempts exhausted",
                 SimError::NodeLost { .. } => "node lost",
             };

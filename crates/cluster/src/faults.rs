@@ -16,8 +16,11 @@
 //!   `straggler_slowdown×` slower (Hadoop speculates around these);
 //! * **transient disk-read errors** — a per-attempt Bernoulli draw; the
 //!   attempt's work is wasted and the task retries (bounded);
-//! * **lost block replicas** — follows from node crashes via
-//!   [`crate::hdfs::SimHdfs::read_file_failover`].
+//! * **lost block replicas** — follows from node crashes: the share of a
+//!   stage's input whose primary replica died before the stage started is
+//!   re-read from remote replicas over the NIC (`failover_penalty` in
+//!   `sjc-mapreduce`, the same closed form in `sjc-rdd`'s stage runner) and
+//!   recorded as a [`crate::metrics::RecoveryKind::ReplicaFailover`] event.
 //!
 //! [`FaultPlan::none()`] is the identity plan: every query answers "no
 //! fault", and every engine bypasses its fault machinery entirely, so
@@ -103,12 +106,6 @@ impl CheckpointPolicy {
     /// The identity policy: never checkpoint (interval = ∞).
     pub fn disabled() -> Self {
         CheckpointPolicy { interval_stages: 0, replication: DEFAULT_CHECKPOINT_REPLICATION }
-    }
-
-    /// Checkpoint every `interval_stages` completed stages at the default
-    /// replication.
-    pub fn every(interval_stages: u32) -> Self {
-        CheckpointPolicy { interval_stages, replication: DEFAULT_CHECKPOINT_REPLICATION }
     }
 
     /// Whether this policy ever writes a checkpoint.
@@ -207,8 +204,7 @@ impl FaultPlan {
     }
 
     /// An empty plan bound to a cluster; compose faults with the builder
-    /// methods ([`Self::crash_at`], [`Self::with_crashes`],
-    /// [`Self::with_disk_errors`], [`Self::with_stragglers`],
+    /// methods ([`Self::crash_at`], [`Self::with_disk_errors`], [`Self::with_stragglers`],
     /// [`Self::with_retry_backoff`], [`Self::with_checkpoints`],
     /// [`Self::with_elastic_provisioning`], [`Self::decommission_at`]).
     pub fn seeded(seed: u64, config: &ClusterConfig) -> Self {
@@ -244,18 +240,6 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules `count` crashes at hashed times within `[0, horizon_ns)`,
-    /// on hashed nodes — the seeded random-crash mode.
-    pub fn with_crashes(mut self, count: u32, horizon_ns: SimNs) -> Self {
-        for k in 0..count {
-            let h = mix64(self.seed ^ 0xC4A5_u64.wrapping_add(k as u64).wrapping_mul(0x9E6D));
-            let node = if self.nodes > 0 { (h >> 32) as u32 % self.nodes } else { 0 };
-            let at_ns = if horizon_ns > 0 { mix64(h) % horizon_ns } else { 0 };
-            self.crashes.push(NodeCrash { node, at_ns });
-        }
-        self
-    }
-
     /// Sets the per-attempt transient disk-read error probability.
     pub fn with_disk_errors(mut self, rate: f64) -> Self {
         self.disk_error_rate = rate.clamp(0.0, 1.0);
@@ -270,6 +254,7 @@ impl FaultPlan {
     }
 
     /// Sets the exponential retry-backoff base (`0` disables backoff).
+    // sjc-lint: allow(dead-pub) — `retry_backoff_shifts_attempt_histograms_and_costs_time` in tests/fault_recovery.rs drives the backoff path with it
     pub fn with_retry_backoff(mut self, base_ns: SimNs) -> Self {
         self.retry_backoff_base_ns = base_ns;
         self
@@ -295,6 +280,7 @@ impl FaultPlan {
     /// Schedules a graceful decommission of `node` at absolute simulated
     /// `at_ns`: from then on the node launches no new tasks, but running
     /// tasks drain and no replicas or map output are lost.
+    // sjc-lint: allow(dead-pub) — `decommission_drains_gracefully_at_system_level` in tests/fault_recovery.rs drives the decommission path with it
     pub fn decommission_at(mut self, node: u32, at_ns: SimNs) -> Self {
         let node = if self.nodes > 0 { node % self.nodes } else { node };
         self.decommissions.push(NodeDecommission { node, at_ns });
@@ -328,15 +314,6 @@ impl FaultPlan {
         dead.sort_unstable();
         dead.dedup();
         dead
-    }
-
-    /// Fraction of the cluster's nodes dead at `t` (0 when the plan is not
-    /// bound to a cluster).
-    pub fn dead_fraction_at(&self, t: SimNs) -> f64 {
-        if self.nodes == 0 {
-            return 0.0;
-        }
-        self.dead_nodes_at(t).len() as f64 / self.nodes as f64
     }
 
     /// Whether attempt `attempt` of `task` in the stage tagged `tag`
@@ -481,20 +458,6 @@ mod tests {
         assert!(p.dead_nodes_at(99).is_empty());
         assert_eq!(p.dead_nodes_at(100), vec![4]);
         assert_eq!(p.dead_nodes_at(500), vec![4, 7]);
-        assert!((p.dead_fraction_at(500) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hashed_crashes_land_in_horizon() {
-        let p = FaultPlan::seeded(11, &ec2()).with_crashes(5, 1_000);
-        assert_eq!(p.crashes.len(), 5);
-        for c in &p.crashes {
-            assert!(c.at_ns < 1_000);
-            assert!(c.node < 10);
-        }
-        // And the schedule is reproducible from the seed.
-        let q = FaultPlan::seeded(11, &ec2()).with_crashes(5, 1_000);
-        assert_eq!(p, q);
     }
 
     #[test]
@@ -544,7 +507,6 @@ mod tests {
         assert_eq!(r.checkpoint.replication, 3);
         // Replication is clamped to at least 1.
         assert_eq!(FaultPlan::none().with_checkpoints(1, 0).checkpoint.replication, 1);
-        assert_eq!(CheckpointPolicy::every(2).interval_stages, 2);
         assert_eq!(CheckpointPolicy::default(), CheckpointPolicy::disabled());
     }
 

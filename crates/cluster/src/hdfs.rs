@@ -19,26 +19,12 @@ pub const DEFAULT_BLOCK_SIZE: u64 = 64 << 20;
 /// Default HDFS replication factor (`dfs.replication`).
 pub const DEFAULT_REPLICATION: u32 = 3;
 
-/// Metadata of one block replica set.
+/// Metadata of one block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockMeta {
     /// Node hosting the primary replica.
     pub primary_node: u32,
     pub bytes: u64,
-    /// All replica hosts in locality order (primary first, then the
-    /// pipeline replicas; deduplicated — a small cluster may hold fewer
-    /// distinct replicas than `dfs.replication`).
-    pub replicas: Vec<u32>,
-}
-
-/// Ledger of one fault-aware file read (see
-/// [`SimHdfs::read_file_failover`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FailoverRead {
-    /// Blocks whose primary replica was on a dead node.
-    pub failed_over_blocks: u64,
-    /// Bytes that had to come from a non-primary replica (remote re-read).
-    pub remote_bytes: u64,
 }
 
 /// Metadata of a simulated HDFS file.
@@ -85,16 +71,7 @@ impl SimHdfs {
         let mut remaining = bytes;
         loop {
             let b = remaining.min(self.block_size);
-            let primary = self.next_node % self.nodes;
-            // Replica pipeline: primary plus the next nodes round-robin
-            // (rack-awareness is below this model's resolution). Pre-sized:
-            // the pipeline never exceeds the replication factor.
-            let mut replicas: Vec<u32> = Vec::with_capacity(DEFAULT_REPLICATION as usize);
-            replicas.extend(
-                (0..DEFAULT_REPLICATION.min(self.nodes)).map(|k| (primary + k) % self.nodes),
-            );
-            replicas.dedup();
-            blocks.push(BlockMeta { primary_node: primary, bytes: b, replicas });
+            blocks.push(BlockMeta { primary_node: self.next_node % self.nodes, bytes: b });
             self.next_node = (self.next_node + 1) % self.nodes;
             if remaining <= self.block_size {
                 break;
@@ -126,66 +103,6 @@ impl SimHdfs {
             .ok_or_else(|| SimError::FileNotFound(name.to_string()))?;
         self.total_bytes_read += f.bytes;
         Ok(f)
-    }
-
-    /// Fault-aware read: blocks whose primary replica sits on a node in
-    /// `dead_nodes` fail over to the first surviving replica in locality
-    /// order. Only when *every* replica of some block is dead does the read
-    /// fail, with [`SimError::BlockLost`] — replication is the recovery
-    /// mechanism, its exhaustion the failure.
-    ///
-    /// With an empty `dead_nodes` this is byte-identical to
-    /// [`Self::read_file`] (and charges the same totals).
-    pub fn read_file_failover(
-        &mut self,
-        name: &str,
-        dead_nodes: &[u32],
-    ) -> Result<(DfsFile, FailoverRead), SimError> {
-        let f = self
-            .files
-            .get(name)
-            .cloned()
-            .ok_or_else(|| SimError::FileNotFound(name.to_string()))?;
-        let mut ledger = FailoverRead::default();
-        for (i, b) in f.blocks.iter().enumerate() {
-            if !dead_nodes.contains(&b.primary_node) {
-                continue;
-            }
-            match b.replicas.iter().find(|r| !dead_nodes.contains(r)) {
-                Some(_survivor) => {
-                    ledger.failed_over_blocks += 1;
-                    ledger.remote_bytes += b.bytes;
-                }
-                None => {
-                    return Err(SimError::BlockLost { file: name.to_string(), block: i as u64 })
-                }
-            }
-        }
-        self.total_bytes_read += f.bytes;
-        Ok((f, ledger))
-    }
-
-    /// Metadata lookup without charging a read (namenode RPC only).
-    pub fn stat(&self, name: &str) -> Option<&DfsFile> {
-        self.files.get(name)
-    }
-
-    pub fn exists(&self, name: &str) -> bool {
-        self.files.contains_key(name)
-    }
-
-    pub fn delete(&mut self, name: &str) -> bool {
-        self.files.remove(name).is_some()
-    }
-
-    /// Number of files currently stored.
-    pub fn num_files(&self) -> usize {
-        self.files.len()
-    }
-
-    /// All file names (deterministic order).
-    pub fn list(&self) -> impl Iterator<Item = &str> {
-        self.files.keys().map(String::as_str)
     }
 }
 
@@ -233,54 +150,14 @@ mod tests {
     fn missing_file_errors() {
         let mut fs = SimHdfs::new(1);
         assert!(matches!(fs.read_file("nope"), Err(SimError::FileNotFound(_))));
-        assert!(!fs.exists("nope"));
     }
 
     #[test]
-    fn replicas_follow_the_pipeline() {
-        let mut fs = SimHdfs::new(5);
-        let f = fs.write_file("f", 10, 1).clone();
-        let b = &f.blocks[0];
-        assert_eq!(b.replicas.len(), 3, "dfs.replication = 3");
-        assert_eq!(b.replicas[0], b.primary_node, "primary is the local replica");
-        // Tiny clusters hold fewer distinct replicas.
-        let mut one = SimHdfs::new(1);
-        assert_eq!(one.write_file("g", 10, 1).blocks[0].replicas, vec![0]);
-    }
-
-    #[test]
-    fn failover_reads_around_dead_primaries() {
-        let mut fs = SimHdfs::new(4);
-        fs.write_file("f", 300 << 20, 10); // 5 blocks round-robin over 4 nodes
-                                           // No deaths: identical to a plain read.
-        let (_, clean) = fs.read_file_failover("f", &[]).unwrap();
-        assert_eq!(clean, FailoverRead::default());
-        // Kill node 0: its primary blocks fail over to surviving replicas.
-        let (_, led) = fs.read_file_failover("f", &[0]).unwrap();
-        assert!(led.failed_over_blocks > 0);
-        assert!(led.remote_bytes > 0);
-        assert_eq!(fs.total_bytes_read, 2 * (300 << 20), "both reads charged");
-    }
-
-    #[test]
-    fn replication_exhaustion_is_block_lost() {
-        let mut fs = SimHdfs::new(4);
-        fs.write_file("f", 100 << 20, 10);
-        // Replication 3 over nodes {p, p+1, p+2}: killing three consecutive
-        // nodes starting at some block's primary loses that block.
-        let err = fs.read_file_failover("f", &[0, 1, 2]).unwrap_err();
-        assert!(matches!(err, SimError::BlockLost { .. }), "{err:?}");
-        assert_eq!(err.kind(), "block lost");
-    }
-
-    #[test]
-    fn overwrite_and_delete() {
+    fn overwrite_replaces_the_file() {
         let mut fs = SimHdfs::new(1);
         fs.write_file("f", 100, 1);
         fs.write_file("f", 50, 2);
-        assert_eq!(fs.stat("f").unwrap().bytes, 50);
-        assert!(fs.delete("f"));
-        assert!(!fs.delete("f"));
-        assert_eq!(fs.num_files(), 0);
+        let f = fs.read_file("f").unwrap();
+        assert_eq!((f.bytes, f.records), (50, 2));
     }
 }

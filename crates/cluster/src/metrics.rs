@@ -212,6 +212,7 @@ impl RunTrace {
     }
 
     /// Total HDFS traffic (read + written).
+    // sjc-lint: allow(dead-pub) — `hadoop_systems_interact_with_hdfs_much_more` in tests/trace_claims.rs checks the paper's HDFS-volume claim through it
     pub fn hdfs_bytes(&self) -> u64 {
         self.stages.iter().map(|s| s.hdfs_bytes_read + s.hdfs_bytes_written).sum()
     }

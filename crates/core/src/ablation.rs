@@ -79,7 +79,7 @@ const KERNELS: [LocalJoinAlgo; 3] =
 /// SpatialHadoop (where refinement is a sliver of the pipeline) it barely
 /// registers — which is exactly why the paper's HadoopGIS numbers implicate
 /// GEOS while SpatialHadoop's do not.
-pub fn geometry_engine(scale: f64, seed: u64) -> Vec<AblationRow> {
+fn geometry_engine(scale: f64, seed: u64) -> Vec<AblationRow> {
     let engines = [EngineKind::Jts, EngineKind::Geos];
     let hg = engines.map(|engine| {
         row(format!("HadoopGIS + {}", engine.name()), HadoopGis { engine, ..HadoopGis::default() })
@@ -95,7 +95,7 @@ pub fn geometry_engine(scale: f64, seed: u64) -> Vec<AblationRow> {
 /// Streaming vs native data access with the geometry engine held equal:
 /// HadoopGIS-with-JTS vs SpatialHadoop-with-JTS. What remains of the gap is
 /// the access model (pipes, re-parsing, extra jobs, script reducers).
-pub fn access_model(scale: f64, seed: u64) -> Vec<AblationRow> {
+fn access_model(scale: f64, seed: u64) -> Vec<AblationRow> {
     let rows = vec![
         row(
             "streaming access (HadoopGIS pipeline, JTS)",
@@ -107,7 +107,7 @@ pub fn access_model(scale: f64, seed: u64) -> Vec<AblationRow> {
 }
 
 /// The paper's local-join algorithms inside SpatialHadoop.
-pub fn local_join_algo(scale: f64, seed: u64) -> Vec<AblationRow> {
+fn local_join_algo(scale: f64, seed: u64) -> Vec<AblationRow> {
     let rows = KERNELS.map(|algo| {
         row(format!("{algo:?}"), SpatialHadoop { local_algo: algo, ..SpatialHadoop::default() })
     });
@@ -117,7 +117,7 @@ pub fn local_join_algo(scale: f64, seed: u64) -> Vec<AblationRow> {
 /// Every system × every local-join kernel, labelled `system / kernel`: the
 /// kernel-selection seam exercised end-to-end. The R-tree kernels change
 /// simulated time because their traversal counts are charged.
-pub fn kernel_grid(scale: f64, seed: u64) -> Vec<AblationRow> {
+fn kernel_grid(scale: f64, seed: u64) -> Vec<AblationRow> {
     let systems: [fn(LocalJoinAlgo) -> Box<dyn DistributedSpatialJoin>; 4] = [
         |local_algo| Box::new(SpatialHadoop { local_algo, ..SpatialHadoop::default() }),
         |local_algo| Box::new(HadoopGis { local_algo, ..HadoopGis::default() }),
@@ -134,7 +134,7 @@ pub fn kernel_grid(scale: f64, seed: u64) -> Vec<AblationRow> {
 
 /// Partition-based vs broadcast-based SpatialSpark (§II.B — the comparison
 /// the paper defers to future work), on both a small and a big right side.
-pub fn broadcast_join(scale: f64, seed: u64) -> Vec<AblationRow> {
+fn broadcast_join(scale: f64, seed: u64) -> Vec<AblationRow> {
     let (taxi, edge) = (Workload::taxi1m_nycb(), Workload::edge01_linearwater01());
     let (ws, ec2) = (ClusterConfig::workstation(), ClusterConfig::ec2(10));
     [(taxi, ws.clone()), (taxi, ec2.clone()), (edge, ws), (edge, ec2)]
@@ -152,7 +152,7 @@ pub fn broadcast_join(scale: f64, seed: u64) -> Vec<AblationRow> {
 /// Partition-count sweep for SpatialSpark — the sample-rate / granularity
 /// knob of §II.A-B (too few partitions starve task slots and blow up
 /// per-executor memory; too many pay per-task overhead).
-pub fn partition_sweep(scale: f64, seed: u64) -> Vec<AblationRow> {
+fn partition_sweep(scale: f64, seed: u64) -> Vec<AblationRow> {
     let rows = [32usize, 128, 512, 2048].map(|partitions| {
         row(
             format!("{partitions} partitions"),
@@ -164,7 +164,7 @@ pub fn partition_sweep(scale: f64, seed: u64) -> Vec<AblationRow> {
 
 /// Partitioner family sweep for SpatialHadoop (fixed grid vs STR tiles vs
 /// BSP — the SATO design space of §II.A).
-pub fn partitioner_kind(scale: f64, seed: u64) -> Vec<AblationRow> {
+fn partitioner_kind(scale: f64, seed: u64) -> Vec<AblationRow> {
     let rows = [PartitionerKind::FixedGrid, PartitionerKind::StrTiles, PartitionerKind::Bsp]
         .map(|k| row(k.name(), SpatialHadoop { partitioner: k, ..SpatialHadoop::default() }));
     study(Workload::taxi1m_nycb(), ClusterConfig::workstation(), scale, seed, rows.into())
@@ -172,7 +172,7 @@ pub fn partitioner_kind(scale: f64, seed: u64) -> Vec<AblationRow> {
 
 /// Re-partitioning vs compatible grids in SpatialHadoop (§II.B: "SpatialHadoop
 /// can run faster when re-partitioning can be skipped").
-pub fn repartitioning(scale: f64, seed: u64) -> Vec<AblationRow> {
+fn repartitioning(scale: f64, seed: u64) -> Vec<AblationRow> {
     let rows = [
         ("independent grids (re-partitioning required)", false),
         ("compatible grids (re-partitioning skipped)", true),

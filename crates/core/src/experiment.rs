@@ -1,7 +1,7 @@
 //! The paper's experiment grid: workloads × hardware × systems.
 
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::{Cluster, ClusterConfig, FaultPlan, RunTrace, SimError};
+use sjc_cluster::{Cluster, ClusterConfig, RunTrace, SimError};
 use sjc_data::DatasetId;
 
 use crate::framework::{DistributedSpatialJoin, JoinInput, JoinPredicate};
@@ -156,21 +156,7 @@ impl ExperimentGrid {
         left: &JoinInput,
         right: &JoinInput,
     ) -> CellResult {
-        self.run_cell_faulted(system, config, workload, left, right, &FaultPlan::none())
-    }
-
-    /// [`ExperimentGrid::run_cell`] under a fault plan: the same cell, with
-    /// the plan's crashes/stragglers/disk errors injected into every stage.
-    pub fn run_cell_faulted(
-        &self,
-        system: SystemKind,
-        config: &ClusterConfig,
-        workload: &Workload,
-        left: &JoinInput,
-        right: &JoinInput,
-        faults: &FaultPlan,
-    ) -> CellResult {
-        let cluster = Cluster::with_faults(config.clone(), faults.clone());
+        let cluster = Cluster::new(config.clone());
         let outcome: Result<RunSummary, SimError> = system
             .instance()
             .run(&cluster, left, right, JoinPredicate::Intersects)
@@ -200,30 +186,7 @@ impl ExperimentGrid {
         )
     }
 
-    /// Table 2 under per-config fault plans: `plan_for` derives the plan
-    /// from each cluster configuration (plans are sized by node count, so
-    /// they cannot be shared across configs). Used by the fault-sweep bench.
-    pub fn table2_faulted(
-        &self,
-        plan_for: &(dyn Fn(&ClusterConfig) -> FaultPlan + Sync),
-    ) -> Vec<CellResult> {
-        self.run_grid_faulted(
-            &[Workload::taxi_nycb(), Workload::edge_linearwater()],
-            &ClusterConfig::paper_configs(),
-            plan_for,
-        )
-    }
-
     fn run_grid(&self, workloads: &[Workload], configs: &[ClusterConfig]) -> Vec<CellResult> {
-        self.run_grid_faulted(workloads, configs, &|_| FaultPlan::none())
-    }
-
-    fn run_grid_faulted(
-        &self,
-        workloads: &[Workload],
-        configs: &[ClusterConfig],
-        plan_for: &(dyn Fn(&ClusterConfig) -> FaultPlan + Sync),
-    ) -> Vec<CellResult> {
         let mut out = Vec::new();
         // The (system, config) grid is the same for every workload — built
         // once, outside the workload loop.
@@ -233,10 +196,10 @@ impl ExperimentGrid {
             .collect();
         for w in workloads {
             let (left, right) = w.prepare(self.scale, self.seed);
-            // Cells are pure functions of (system, config, workload, plan):
-            // run them in parallel, collect in deterministic grid order.
+            // Cells are pure functions of (system, config, workload): run
+            // them in parallel, collect in deterministic grid order.
             out.extend(sjc_par::par_map(&cells, |(sys, cfg)| {
-                self.run_cell_faulted(*sys, cfg, w, &left, &right, &plan_for(cfg))
+                self.run_cell(*sys, cfg, w, &left, &right)
             }));
         }
         out

@@ -216,12 +216,6 @@ impl ScaledDataset {
     pub fn sim_bytes(&self) -> u64 {
         (self.len() as f64 * self.spec.bytes_per_record()) as u64
     }
-
-    /// Total geometry vertices in the generated slice (drives refinement
-    /// and memory-footprint costs).
-    pub fn total_vertices(&self) -> u64 {
-        self.geoms.iter().map(|g| g.num_vertices() as u64).sum()
-    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,12 @@
 //! TSV + WKT text serialization.
 //!
 //! All three systems ingest tab-separated text whose last field is WKT.
-//! HadoopGIS additionally *re-serializes* records between every streaming
-//! stage — `to_tsv_text`/`parse_tsv_line` are exactly the operations its
-//! pipes pay for, and what the cost model's parse/serialize constants meter.
+//! HadoopGIS's streaming pipes carry these lines between stages; what they
+//! pay for is the text's volume, which the cost model's parse/serialize
+//! constants meter. Its stages never parse a line back into a geometry:
+//! they split off the leading id and look the record up.
+//! [`parse_tsv_line`] is the reader the round-trip and garbage tests hold
+//! [`to_tsv_text`] to.
 //!
 //! A dataset's text is one buffer, written once: the file HDFS would hold.
 //! A line is a `split_terminator('\n')` slice of it, and HadoopGIS's
@@ -52,6 +55,7 @@ impl std::fmt::Display for TsvError {
 impl std::error::Error for TsvError {}
 
 /// Parses an `id \t WKT` line back into a record.
+// sjc-lint: allow(dead-pub) — `round_trip` and `tsv_parser_never_panics_on_garbage_or_truncated_lines` read `to_tsv_text`'s lines back through it
 pub fn parse_tsv_line(line: &str) -> Result<(u64, Geometry), TsvError> {
     let mut fields = line.splitn(2, '\t');
     let id_str = fields.next().ok_or(TsvError::MissingField("id"))?;

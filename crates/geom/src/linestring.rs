@@ -48,11 +48,6 @@ impl LineString {
         })
     }
 
-    /// Number of segments (`num_points - 1`).
-    pub fn num_segments(&self) -> usize {
-        self.points.len() - 1
-    }
-
     /// Tight MBR over all vertices.
     pub fn mbr(&self) -> Mbr {
         Mbr::from_points(self.points.iter())
@@ -61,11 +56,6 @@ impl LineString {
     /// Total arc length.
     pub fn length(&self) -> f64 {
         self.segments().map(|(a, b)| a.distance(b)).sum()
-    }
-
-    /// Whether first and last vertices coincide.
-    pub fn is_closed(&self) -> bool {
-        self.points.first() == self.points.last()
     }
 
     /// Translated copy.
@@ -86,7 +76,7 @@ mod tests {
     fn length_of_l_shape() {
         let l = ls(&[(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)]);
         assert_eq!(l.length(), 7.0);
-        assert_eq!(l.num_segments(), 2);
+        assert_eq!(l.segments().count(), 2);
     }
 
     #[test]
@@ -105,12 +95,6 @@ mod tests {
     fn try_new_returns_none_for_short_input() {
         assert!(LineString::try_new(vec![Point::new(0.0, 0.0)]).is_none());
         assert!(LineString::try_new(vec![Point::new(0.0, 0.0), Point::new(1.0, 1.0)]).is_some());
-    }
-
-    #[test]
-    fn closed_detection() {
-        assert!(ls(&[(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)]).is_closed());
-        assert!(!ls(&[(0.0, 0.0), (1.0, 0.0)]).is_closed());
     }
 
     #[test]

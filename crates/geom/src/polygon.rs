@@ -71,12 +71,6 @@ impl Polygon {
         ring_perimeter(&self.shell)
     }
 
-    /// Iterator over the closed edge list of the shell, including the
-    /// closing edge `last -> first`.
-    pub fn shell_edges(&self) -> impl Iterator<Item = (&Point, &Point)> {
-        ring_edges(&self.shell)
-    }
-
     /// Edge iterators for every ring (shell first, then holes).
     pub fn all_rings(&self) -> impl Iterator<Item = &[Point]> {
         std::iter::once(self.shell.as_slice()).chain(self.holes.iter().map(|h| h.as_slice()))
@@ -212,7 +206,7 @@ mod tests {
     #[test]
     fn shell_edges_close_the_ring() {
         let sq = unit_square();
-        let edges: Vec<_> = sq.shell_edges().collect();
+        let edges: Vec<_> = ring_edges(sq.shell()).collect();
         assert_eq!(edges.len(), 4);
         assert_eq!(edges[3].1, edges[0].0, "last edge returns to first vertex");
     }

@@ -31,11 +31,6 @@ pub fn approx_zero(v: f64) -> bool {
     v.abs() < EPS
 }
 
-/// Whether `a` and `b` are equal within [`EPS`].
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() < EPS
-}
-
 /// Cross product `(b - a) × (c - a)`; positive for counter-clockwise turns.
 pub fn cross(a: &Point, b: &Point, c: &Point) -> f64 {
     (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
@@ -92,27 +87,6 @@ pub fn segments_intersect(p1: &Point, p2: &Point, q1: &Point, q2: &Point) -> boo
         || (o4 == Orientation::Collinear && on_segment(q1, q2, p2))
 }
 
-/// Intersection *point* of two properly crossing segments, if one exists.
-///
-/// Returns `None` for disjoint or collinear-overlapping segments (the latter
-/// has no unique intersection point).
-pub fn segment_intersection_point(p1: &Point, p2: &Point, q1: &Point, q2: &Point) -> Option<Point> {
-    let r = (p2.x - p1.x, p2.y - p1.y);
-    let s = (q2.x - q1.x, q2.y - q1.y);
-    let denom = r.0 * s.1 - r.1 * s.0;
-    if denom.abs() < f64::EPSILON {
-        return None; // parallel or collinear
-    }
-    let qp = (q1.x - p1.x, q1.y - p1.y);
-    let t = (qp.0 * s.1 - qp.1 * s.0) / denom;
-    let u = (qp.0 * r.1 - qp.1 * r.0) / denom;
-    if (0.0..=1.0).contains(&t) && (0.0..=1.0).contains(&u) {
-        Some(Point::new(p1.x + t * r.0, p1.y + t * r.1))
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,29 +141,5 @@ mod tests {
     fn intersection_is_symmetric() {
         let (a, b, c, d) = (p(0.0, 0.0), p(2.0, 2.0), p(0.0, 2.0), p(2.0, 0.0));
         assert_eq!(segments_intersect(&a, &b, &c, &d), segments_intersect(&c, &d, &a, &b));
-    }
-
-    #[test]
-    fn intersection_point_of_cross() {
-        let ip = segment_intersection_point(&p(0.0, 0.0), &p(2.0, 2.0), &p(0.0, 2.0), &p(2.0, 0.0))
-            .unwrap();
-        assert!((ip.x - 1.0).abs() < 1e-12 && (ip.y - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn intersection_point_none_for_parallel() {
-        assert!(segment_intersection_point(&p(0.0, 0.0), &p(1.0, 0.0), &p(0.0, 1.0), &p(1.0, 1.0))
-            .is_none());
-    }
-
-    #[test]
-    fn intersection_point_none_when_beyond_ends() {
-        assert!(segment_intersection_point(
-            &p(0.0, 0.0),
-            &p(1.0, 0.0),
-            &p(2.0, -1.0),
-            &p(2.0, 1.0)
-        )
-        .is_none());
     }
 }

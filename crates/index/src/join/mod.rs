@@ -45,15 +45,6 @@ pub struct JoinStats {
     pub index_nodes_visited: u64,
 }
 
-impl JoinStats {
-    pub fn merged(self, other: JoinStats) -> JoinStats {
-        JoinStats {
-            filter_tests: self.filter_tests + other.filter_tests,
-            index_nodes_visited: self.index_nodes_visited + other.index_nodes_visited,
-        }
-    }
-}
-
 /// Result of a local MBR join: candidate `(left_id, right_id)` pairs plus
 /// work counters.
 #[derive(Debug, Clone, Default)]
@@ -70,7 +61,9 @@ impl CandidatePairs {
     }
 }
 
-/// Quadratic reference implementation (tests and tiny partitions).
+/// Quadratic reference implementation: the oracle the kernel tests compare
+/// against.
+// sjc-lint: allow(dead-pub) — the oracle of `all_algorithms_agree_with_brute_force`, the stripe-sweep tests and the index proptests
 pub fn brute_force(left: &[IndexEntry], right: &[IndexEntry]) -> CandidatePairs {
     let mut pairs = Vec::new();
     for a in left {

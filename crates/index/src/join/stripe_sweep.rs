@@ -26,8 +26,8 @@
 //!   y-coordinate of the pair's reference point), so every pair appears
 //!   exactly once without a sort/dedup pass.
 //!
-//! Stripe pairs run through [`sjc_par::par_map_flat`], whose stable
-//! chunk-ordered merge makes pair order — and therefore the whole
+//! Stripe pairs run through [`sjc_par::par_map_flat_weighted`], whose
+//! input-ordered merge makes pair order — and therefore the whole
 //! [`CandidatePairs`] — bit-identical at every thread budget.
 //!
 //! A small call pays for none of this: under 2 × `STRIPE_TARGET` rectangles

@@ -170,7 +170,6 @@ impl RTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sjc_geom::Point;
 
     fn grid_entries(n: usize) -> Vec<IndexEntry> {
         (0..n)
@@ -206,18 +205,10 @@ mod tests {
         let t = RTree::bulk_load_str(Vec::new());
         assert!(t.is_empty());
         assert!(t.mbr().is_empty());
-        assert!(t.query(&Mbr::new(0.0, 0.0, 1.0, 1.0)).is_empty());
+        let mut out = Vec::new();
+        t.query_into(&Mbr::new(0.0, 0.0, 1.0, 1.0), &mut out);
+        assert!(out.is_empty());
         t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn query_point_matches_query_box() {
-        let t = RTree::bulk_load_str(grid_entries(100));
-        let p = Point::new(3.25, 4.25);
-        let via_point = t.query_point(&p);
-        let via_box = t.query(&p.mbr());
-        assert_eq!(via_point, via_box);
-        assert!(!via_point.is_empty());
     }
 
     #[test]

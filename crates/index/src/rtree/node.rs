@@ -21,8 +21,4 @@ impl Node {
             Node::Leaf { mbr, .. } | Node::Inner { mbr, .. } => *mbr,
         }
     }
-
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf { .. })
-    }
 }

@@ -1,19 +1,13 @@
-//! R-tree window and point queries.
+//! R-tree window queries.
 
-use sjc_geom::{Mbr, Point};
+use sjc_geom::Mbr;
 
 use super::{Node, NodeId, RTree};
 
 impl RTree {
-    /// Returns the ids of all entries whose MBR intersects `window`.
-    pub fn query(&self, window: &Mbr) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.query_into(window, &mut out);
-        out
-    }
-
-    /// Window query into a reusable buffer (avoids per-probe allocation in
-    /// the hot local-join loop).
+    /// The ids of all entries whose MBR intersects `window`, into a
+    /// reusable buffer (avoids per-probe allocation in the hot local-join
+    /// loop).
     pub fn query_into(&self, window: &Mbr, out: &mut Vec<u64>) {
         self.query_counting(window, out);
     }
@@ -85,11 +79,6 @@ impl RTree {
             _ => 0,
         }
     }
-
-    /// Ids of all entries whose MBR contains the point.
-    pub fn query_point(&self, p: &Point) -> Vec<u64> {
-        self.query(&p.mbr())
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +117,8 @@ mod tests {
             Mbr::new(0.0, 0.0, 100.0, 100.0),
             Mbr::new(19.95, 19.95, 25.0, 25.0),
         ] {
-            let mut got = t.query(&window);
+            let mut got = Vec::new();
+            t.query_into(&window, &mut got);
             got.sort_unstable();
             let mut expected = brute_force(&window);
             expected.sort_unstable();
@@ -138,7 +128,9 @@ mod tests {
 
     #[test]
     fn empty_window_returns_nothing() {
-        assert!(tree().query(&Mbr::empty()).is_empty());
+        let mut out = vec![7];
+        tree().query_into(&Mbr::empty(), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -37,7 +37,8 @@ fn rtree_query_equals_linear_scan() {
         let q = mbr(rng, 120.0, 30.0);
         let tree = RTree::bulk_load_str(es.clone());
         tree.check_invariants().unwrap();
-        let mut got = tree.query(&q);
+        let mut got = Vec::new();
+        tree.query_into(&q, &mut got);
         got.sort_unstable();
         let mut expected: Vec<u64> =
             es.iter().filter(|e| e.mbr.intersects(&q)).map(|e| e.id).collect();

@@ -37,6 +37,7 @@
 //! | `cache-purity` | fns reachable from memoized seams (`sjc-analyze`) | a function reachable from `generate_cached`/other memoized entry points whose body reads the clock/entropy or mutates a static — the cache key must fully determine the cached value; the seam's own bookkeeping file is exempt |
 //! | `scoped-spawn-in-hot-path` | non-test code everywhere except `crates/par` | direct `thread::scope(`/`thread::spawn(` calls — per-call thread spawning is exactly the negative-scaling overhead the persistent pool removed; dispatch through the `sjc_par` entry points instead |
 //! | `stale-suppression` | whole workspace (`sjc-analyze`) | an audited `allow(<rule>)` comment whose rule no longer fires on the covered span (audits consumed by the panic-path summaries stay live) — suppressions are part of the audit trail and must not rot |
+//! | `dead-pub` | non-test `pub fn`s of `geom`, `index`, `cluster`, `mapreduce`, `rdd`, `data`, `core`, `par` (`sjc-analyze`) | a public function whose name appears nowhere but its definition and test code — a reference counts from non-test code of a file that can see the crate (same crate or one naming `sjc_<crate>`), from `src/` or `examples/`, or from anything under `benchmark/src`; delete it, make it private, or keep it with an allow naming the test it serves |
 //!
 //! ## Suppression
 //!
@@ -133,11 +134,12 @@ pub enum Rule {
     CachePurity,
     ScopedSpawnInHotPath,
     StaleSuppression,
+    DeadPub,
     BadSuppression,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 15] = [
+    pub const ALL: [Rule; 16] = [
         Rule::NoNondeterminism,
         Rule::NoPanicInLib,
         Rule::FloatHygiene,
@@ -153,6 +155,7 @@ impl Rule {
         Rule::CachePurity,
         Rule::ScopedSpawnInHotPath,
         Rule::StaleSuppression,
+        Rule::DeadPub,
     ];
 
     pub fn name(self) -> &'static str {
@@ -172,6 +175,7 @@ impl Rule {
             Rule::CachePurity => "cache-purity",
             Rule::ScopedSpawnInHotPath => "scoped-spawn-in-hot-path",
             Rule::StaleSuppression => "stale-suppression",
+            Rule::DeadPub => "dead-pub",
             Rule::BadSuppression => "bad-suppression",
         }
     }
@@ -1042,6 +1046,17 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
             fs::read_to_string(&file).map(|source| (rel, source))
         })
         .collect()
+}
+
+/// The source text of the reference-only files under `root`: `examples/`
+/// and `benchmark/src` (a package outside the workspace that compiles
+/// against its API). Only the `dead-pub` pass reads them, as callers; no
+/// rule checks them.
+pub(crate) fn reference_sources(root: &Path) -> io::Result<Vec<String>> {
+    let mut files = Vec::new();
+    collect_rs(&root.join("examples"), &mut files)?;
+    collect_rs(&root.join("benchmark/src"), &mut files)?;
+    files.iter().map(fs::read_to_string).collect()
 }
 
 /// Checks every Rust source file of the workspace rooted at `root` with the

@@ -64,12 +64,12 @@ pub(crate) fn hot_loops(models: &[FileModel], graph: &CallGraph) -> Vec<Vec<Loop
 }
 
 /// True when token `i` heads a call to a `sjc_par` entry point: a `par_*`
-/// function, or `join`/`join_budget` qualified by `sjc_par::` or imported
-/// from it, so `path.join(…)` and the spatial-join functions never match.
+/// function, or `join` qualified by `sjc_par::` or imported from it, so
+/// `path.join(…)` and the spatial-join functions never match.
 fn is_par_call(m: &FileModel, i: usize) -> bool {
     let toks = &m.toks;
     let t = &toks[i];
-    let join = t.text == "join" || t.text == "join_budget";
+    let join = t.text == "join";
     if t.kind != TokKind::Ident
         || !(t.text.starts_with("par_") || join)
         || !toks.get(i + 1).is_some_and(|n| n.is_op("("))

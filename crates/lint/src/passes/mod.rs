@@ -5,7 +5,7 @@
 //! item model with function extents, visibility and test regions (`items`),
 //! a name-resolved call graph gated by the crate topology (`callgraph`),
 //! and one bottom-up SCC fixpoint computing may-panic, purity and unit
-//! facts per function ([`crate::summaries`]). Eight passes run on top:
+//! facts per function ([`crate::summaries`]). Nine passes run on top:
 //!
 //! * [`entropy`] — no simulation-crate function may *transitively* reach a
 //!   wall-clock or entropy source, and nothing derived from one may flow
@@ -28,13 +28,17 @@
 //! * [`cache_purity`] — everything reachable from a memoized seam
 //!   (`generate_cached` and friends) must be a pure function of its inputs;
 //! * [`stale_suppression`] — audited allow comments must still cover a
-//!   finding (delete or re-justify dead waivers).
+//!   finding (delete or re-justify dead waivers);
+//! * [`dead_pub`] — every non-test `pub fn` of a library crate is named
+//!   somewhere outside test code (the only pass that also reads the
+//!   reference-only `examples/` and `benchmark/src`).
 //!
 //! Suppression works exactly as for the line rules: an inline allow
 //! comment naming the rule, with a reason, on (or directly above) the
 //! reported line.
 
 pub mod cache_purity;
+pub mod dead_pub;
 pub mod entropy;
 pub mod error_flow;
 pub(crate) mod hot;
@@ -50,6 +54,7 @@ use std::time::Duration;
 
 use crate::callgraph;
 use crate::items::FileModel;
+use crate::lexer::lex;
 use crate::summaries::Summaries;
 use crate::{Rule, Violation};
 
@@ -75,12 +80,17 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Violation>> {
 /// [`analyze_workspace`] plus per-stage wall times (the `--timings` flag).
 pub fn analyze_workspace_timed(root: &Path) -> io::Result<(Vec<Violation>, Vec<PassTiming>)> {
     let files = crate::workspace_files(root)?;
-    Ok(analyze_files(&files))
+    let refs = crate::reference_sources(root)?;
+    Ok(analyze_files(&files, &refs))
 }
 
-/// The whole pipeline over an in-memory file set. Split from the I/O so the
-/// order-independence tests can drive it with permuted file lists.
-pub(crate) fn analyze_files(files: &[(String, String)]) -> (Vec<Violation>, Vec<PassTiming>) {
+/// The whole pipeline over an in-memory file set; `refs` are the
+/// reference-only sources only [`dead_pub`] reads. Split from the I/O so
+/// the order-independence tests can drive it with permuted file lists.
+pub(crate) fn analyze_files(
+    files: &[(String, String)],
+    refs: &[String],
+) -> (Vec<Violation>, Vec<PassTiming>) {
     let mut timings = Vec::new();
 
     let t = stamp();
@@ -130,6 +140,9 @@ pub(crate) fn analyze_files(files: &[(String, String)]) -> (Vec<Violation>, Vec<
     out.extend(timed("panic-path", panic_path::run(&models, &graph, &sums), t));
     let t = stamp();
     out.extend(timed("cache-purity", cache_purity::run(&models, &graph, &sums), t));
+    let t = stamp();
+    let ref_toks: Vec<_> = refs.iter().map(|s| lex(&crate::strip_noncode(s))).collect();
+    out.extend(timed("dead-pub", dead_pub::run(&models, &ref_toks), t));
 
     // Stale-suppression compares every allow against the *pre-suppression*
     // findings of both layers, so it runs after every other pass and before
@@ -232,7 +245,7 @@ mod order_independence {
     #[test]
     fn fixpoint_converges_identically_under_any_file_order() {
         let baseline_files = corpus();
-        let baseline_violations = analyze_files(&baseline_files).0;
+        let baseline_violations = analyze_files(&baseline_files, &[]).0;
         let baseline_facts = summary_facts(&baseline_files);
         // The corpus exercises the fixpoint: the recursive chains must be
         // reported (an empty baseline would make the permutation check
@@ -252,13 +265,13 @@ mod order_independence {
             for i in (1..files.len()).rev() {
                 files.swap(i, rng.usize_in(0..i + 1));
             }
-            assert_eq!(analyze_files(&files).0, baseline_violations);
+            assert_eq!(analyze_files(&files, &[]).0, baseline_violations);
             assert_eq!(summary_facts(&files), baseline_facts);
         });
         // The two boundary orders a walk is most likely to produce.
         let mut rev = corpus();
         rev.reverse();
-        assert_eq!(analyze_files(&rev).0, baseline_violations);
+        assert_eq!(analyze_files(&rev, &[]).0, baseline_violations);
         assert_eq!(summary_facts(&rev), baseline_facts);
     }
 }

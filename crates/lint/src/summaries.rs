@@ -4,7 +4,7 @@
 //! It condenses the crate-topology-gated call graph into strongly connected
 //! components (iterative Tarjan — the pop order of Tarjan is already reverse
 //! topological, i.e. callees before callers) and computes, bottom-up, one
-//! [`Summary`] fact set per function:
+//! fact set per function, gathered in [`Summaries`]:
 //!
 //! * **may-panic** — the body contains `.unwrap()`/`.expect(`, a panicking
 //!   macro, slice indexing, or a literal-zero divisor, or the function calls

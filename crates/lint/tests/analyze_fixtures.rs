@@ -131,3 +131,15 @@ fn error_flow_bad_names_the_phantom_variant_at_its_declaration() {
     let discards: Vec<_> = vs.iter().filter(|v| v.path == "crates/cluster/src/lib.rs").collect();
     assert_eq!(discards.len(), 2, "{vs:?}");
 }
+
+#[test]
+fn dead_pub_bad_names_every_function_without_a_real_caller() {
+    let vs = analyze_workspace(&fixture("dead_pub_bad")).unwrap();
+    assert!(vs.iter().all(|v| v.rule == Rule::DeadPub && v.path.starts_with("crates/geom/src/")));
+    // A `tests/` file and a `#[cfg(test)]` module are not callers; neither
+    // is a same-named call in a crate that never names `sjc_geom`, nor the
+    // module path `grid::` for a function named `grid`.
+    let named: Vec<&str> = vs.iter().map(|v| v.message.split('`').nth(1).unwrap()).collect();
+    assert_eq!(named, ["grid", "only_tested", "unreferenced", "wrong_crate"], "{vs:?}");
+    assert!(vs[0].message.contains("allow(dead-pub)"), "{vs:?}");
+}

@@ -11,24 +11,21 @@
 //!   Workers claim *chunks* of indices from a single cache-line-padded atomic
 //!   cursor (range claiming, not per-item `fetch_add`), so contention and
 //!   false sharing stay negligible while the slot-indexed writes keep order.
-//! * [`par_map_flat`] is an order-preserving flat-map: each chunk appends into
-//!   its own buffer and the buffers are concatenated in chunk order, so the
-//!   output equals the serial flat-map byte for byte.
-//! * [`par_map_weighted`] / [`par_map_flat_weighted`] are the same maps with
-//!   **skew-aware (LPT) dispatch**: items are *processed* in descending
-//!   estimated-cost order ([`lpt_order`]) so one fat cell cannot serialize the
-//!   tail, but results are still *written* to their input-order slots — the
-//!   output is bit-identical to the unweighted variant.
+//! * [`par_map_weighted`] is the same map with **skew-aware (LPT)
+//!   dispatch**: items are *processed* in descending estimated-cost order so
+//!   one fat cell cannot serialize the tail, but results are still
+//!   *written* to their input-order slots — the output is bit-identical to
+//!   [`par_map`]'s.
+//! * [`par_map_flat_weighted`] is the order-preserving flat-map with the
+//!   same dispatch: each item appends into its own buffer, and the buffers
+//!   are concatenated in input order, so the output equals the serial
+//!   flat-map byte for byte.
 //! * [`par_sort_by`] is a **stable** parallel merge sort (ties keep their
 //!   original relative order, merges prefer the left run). A stable sort has a
 //!   unique answer, so the result is identical to `slice::sort_by` for every
 //!   thread count.
 //! * [`par_group`] is the shuffle: a stable [`par_sort_by`] on the key, cut
 //!   into runs — keys ascending, each key's values in input order.
-//! * [`par_reduce`] folds over **fixed-shape** chunks (`REDUCE_CHUNK`
-//!   elements, independent of the thread count) and combines the partials
-//!   serially left-to-right, so float/accumulator results are
-//!   schedule-independent even for non-associative operations.
 //! * [`par_chunks_mut`] is the in-place sibling of [`par_map`]: workers claim
 //!   chunk indices and receive disjoint `&mut` sub-slices, so each chunk sees
 //!   exactly the transformation the serial `chunks_mut` pass would apply.
@@ -67,11 +64,6 @@ pub mod scratch;
 /// Minimum chunk the parallel sort hands one worker — large enough to
 /// amortize the claim and the merge bookkeeping.
 const MIN_SORT_CHUNK: usize = 64;
-
-/// Fixed fold-chunk width for [`par_reduce`]. Must not depend on the thread
-/// count: the reduction tree's shape is what makes accumulator results
-/// schedule-independent.
-const REDUCE_CHUNK: usize = 1024;
 
 /// Below this length a parallel sort is slower than `slice::sort_by`.
 const SORT_MIN: usize = 4096;
@@ -204,18 +196,8 @@ pub fn par_map_budget<T: Sync, U: Send>(
     items: &[T],
     f: impl Fn(&T) -> U + Sync,
 ) -> Vec<U> {
-    par_map_cost(budget, items, plan::DEFAULT_ITEM_COST, f)
-}
-
-/// [`par_map_budget`] with an explicit per-item cost weight for the planner.
-fn par_map_cost<T: Sync, U: Send>(
-    budget: Budget,
-    items: &[T],
-    cost: u32,
-    f: impl Fn(&T) -> U + Sync,
-) -> Vec<U> {
     let n = items.len();
-    let p = plan::plan_weighted(n, budget, cost);
+    let p = plan::plan_weighted(n, budget, plan::DEFAULT_ITEM_COST);
     if p.is_serial() || pool::on_worker() {
         return items.iter().map(f).collect();
     }
@@ -249,62 +231,6 @@ fn par_map_cost<T: Sync, U: Send>(
     slots.into_iter().map(|s| s.expect("chunk claiming covers every index exactly once")).collect()
 }
 
-/// Order-preserving parallel flat-map: `f` appends any number of outputs per
-/// item into the provided buffer; buffers are concatenated in input order.
-pub fn par_map_flat<T: Sync, U: Send + 'static>(
-    items: &[T],
-    f: impl Fn(&T, &mut Vec<U>) + Sync,
-) -> Vec<U> {
-    par_map_flat_budget(Budget::resolve(), items, f)
-}
-
-/// [`par_map_flat`] with an explicit thread budget.
-pub fn par_map_flat_budget<T: Sync, U: Send + 'static>(
-    budget: Budget,
-    items: &[T],
-    f: impl Fn(&T, &mut Vec<U>) + Sync,
-) -> Vec<U> {
-    let n = items.len();
-    let p = plan::plan(n, budget);
-    if p.is_serial() || pool::on_worker() {
-        let mut out = Vec::new();
-        for item in items {
-            f(item, &mut out);
-        }
-        return out;
-    }
-    let chunk = p.chunk;
-    let n_chunks = n.div_ceil(chunk);
-    let mut bufs: Vec<Option<Vec<U>>> = Vec::with_capacity(n_chunks);
-    bufs.resize_with(n_chunks, || None);
-    let cursor = PaddedCursor(AtomicUsize::new(0));
-    let out = SendSlots(bufs.as_mut_ptr());
-    let work = || {
-        let out = &out; // capture the wrapper, not its raw-pointer field
-        loop {
-            let start = cursor.0.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + chunk).min(n);
-            // The chunk buffer comes from the participant's scratch arena, so
-            // repeated flat-map calls reuse capacity instead of reallocating.
-            let mut buf = scratch::take_vec();
-            // sjc-lint: allow(panic-path) — start < n guarded above and end is clamped to n, so the range is in bounds
-            for item in &items[start..end] {
-                f(item, &mut buf);
-            }
-            // SAFETY: chunk index `start / chunk` is unique to this claimed
-            // range; no other thread writes this buffer slot.
-            unsafe {
-                *out.0.add(start / chunk) = Some(buf);
-            }
-        }
-    };
-    pool::run(p.helpers, &work);
-    concat_buffers(bufs)
-}
-
 /// Concatenates per-chunk buffers in slot order, recycling the emptied
 /// buffers through the scratch arena.
 fn concat_buffers<U: 'static>(bufs: Vec<Option<Vec<U>>>) -> Vec<U> {
@@ -319,18 +245,12 @@ fn concat_buffers<U: 'static>(bufs: Vec<Option<Vec<U>>>) -> Vec<U> {
     flat
 }
 
-/// Stable longest-processing-time-first schedule: the indices of `weights`
-/// sorted by descending weight, ties broken by ascending index. The result
-/// is always a permutation of `0..weights.len()`; the weighted primitives
-/// *process* items in this order while *writing* results to input-order
-/// slots, so skew-aware scheduling never changes an output.
-pub fn lpt_order(weights: &[u64]) -> Vec<u32> {
-    let mut order: Vec<u32> = Vec::with_capacity(weights.len());
-    lpt_sort(weights, &mut order);
-    order
-}
-
-/// [`lpt_order`] into a caller-provided (scratch) buffer.
+/// Stable longest-processing-time-first schedule, into a caller-provided
+/// (scratch) buffer: the indices of `weights` sorted by descending weight,
+/// ties broken by ascending index. The result is always a permutation of
+/// `0..weights.len()`; the weighted primitives *process* items in this order
+/// while *writing* results to input-order slots, so skew-aware scheduling
+/// never changes an output.
 fn lpt_sort(weights: &[u64], order: &mut Vec<u32>) {
     order.clear();
     order.extend(0..weights.len() as u32);
@@ -394,9 +314,10 @@ pub fn par_map_weighted_budget<T: Sync, U: Send>(
     slots.into_iter().map(|s| s.expect("LPT claiming covers every index exactly once")).collect()
 }
 
-/// [`par_map_flat`] with skew-aware (LPT) dispatch: per-item output buffers
-/// are filled heaviest-first and concatenated in input order, so the output
-/// is bit-identical to the unweighted flat-map.
+/// Order-preserving parallel flat-map with skew-aware (LPT) dispatch: `f`
+/// appends any number of outputs per item into its own buffer; buffers are
+/// filled heaviest-first and concatenated in input order, so the output is
+/// bit-identical to the serial flat-map.
 pub fn par_map_flat_weighted<T: Sync, U: Send + 'static>(
     items: &[T],
     weight: impl Fn(&T) -> u64,
@@ -406,7 +327,7 @@ pub fn par_map_flat_weighted<T: Sync, U: Send + 'static>(
 }
 
 /// [`par_map_flat_weighted`] with an explicit thread budget.
-pub fn par_map_flat_weighted_budget<T: Sync, U: Send + 'static>(
+fn par_map_flat_weighted_budget<T: Sync, U: Send + 'static>(
     budget: Budget,
     items: &[T],
     weight: impl Fn(&T) -> u64,
@@ -460,7 +381,7 @@ pub fn par_sort_by<T: Sync>(v: &mut [T], cmp: impl Fn(&T, &T) -> CmpOrdering + S
 }
 
 /// [`par_sort_by`] with an explicit thread budget.
-pub fn par_sort_by_budget<T: Sync>(
+fn par_sort_by_budget<T: Sync>(
     budget: Budget,
     v: &mut [T],
     cmp: impl Fn(&T, &T) -> CmpOrdering + Sync,
@@ -566,7 +487,7 @@ pub fn par_group<K: Ord + Sync, V: Sync>(pairs: Vec<(K, V)>) -> Groups<K, V> {
 }
 
 /// [`par_group`] with an explicit thread budget.
-pub fn par_group_budget<K: Ord + Sync, V: Sync>(
+fn par_group_budget<K: Ord + Sync, V: Sync>(
     budget: Budget,
     mut pairs: Vec<(K, V)>,
 ) -> Groups<K, V> {
@@ -667,34 +588,6 @@ fn merge_runs<T>(
     out[k..k + b.len() - j].copy_from_slice(&b[j..]);
 }
 
-/// Fixed-shape parallel reduction. Items are folded in `REDUCE_CHUNK`-sized
-/// chunks (boundaries independent of the thread count) and the per-chunk
-/// partials are combined serially left-to-right, so the result — including
-/// float accumulations — is schedule-independent.
-pub fn par_reduce<T: Sync, A: Send>(
-    items: &[T],
-    identity: impl Fn() -> A + Sync,
-    fold: impl Fn(A, &T) -> A + Sync,
-    combine: impl Fn(A, A) -> A,
-) -> A {
-    par_reduce_budget(Budget::resolve(), items, identity, fold, combine)
-}
-
-/// [`par_reduce`] with an explicit thread budget.
-pub fn par_reduce_budget<T: Sync, A: Send>(
-    budget: Budget,
-    items: &[T],
-    identity: impl Fn() -> A + Sync,
-    fold: impl Fn(A, &T) -> A + Sync,
-    combine: impl Fn(A, A) -> A,
-) -> A {
-    let chunks: Vec<&[T]> = items.chunks(REDUCE_CHUNK).collect();
-    // Each fold chunk is REDUCE_CHUNK items of real work: coarse tasks.
-    let partials =
-        par_map_cost(budget, &chunks, plan::COARSE_ITEM_COST, |c| c.iter().fold(identity(), &fold));
-    partials.into_iter().fold(identity(), combine)
-}
-
 /// Runs `f` over disjoint `chunk`-sized sub-slices of `v` concurrently,
 /// passing each chunk's index. Chunk boundaries depend only on `chunk` and
 /// `v.len()` — never on the thread count — and each chunk is claimed exactly
@@ -706,7 +599,7 @@ pub fn par_chunks_mut<T: Send>(v: &mut [T], chunk: usize, f: impl Fn(usize, &mut
 }
 
 /// [`par_chunks_mut`] with an explicit thread budget.
-pub fn par_chunks_mut_budget<T: Send>(
+fn par_chunks_mut_budget<T: Send>(
     budget: Budget,
     v: &mut [T],
     chunk: usize,
@@ -745,7 +638,7 @@ pub fn join<A: Send, B: Send>(
 }
 
 /// [`join`] with an explicit thread budget.
-pub fn join_budget<A: Send, B: Send>(
+fn join_budget<A: Send, B: Send>(
     budget: Budget,
     fa: impl FnOnce() -> A + Send,
     fb: impl FnOnce() -> B + Send,
@@ -820,26 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_flat_matches_serial_for_arbitrary_inputs() {
-        cases(0x5eed2, 40, |rng| {
-            let items = rng.vec_u64(0..u64::MAX, 0..3000);
-            let expand = |&x: &u64, out: &mut Vec<u64>| {
-                for k in 0..(x % 4) {
-                    out.push(x.wrapping_add(k));
-                }
-            };
-            let mut serial = Vec::new();
-            for item in &items {
-                expand(item, &mut serial);
-            }
-            for b in budgets() {
-                let par = par_map_flat_budget(b, &items, expand);
-                assert_eq!(par, serial, "budget {b:?}");
-            }
-        });
-    }
-
-    #[test]
     fn weighted_maps_match_their_unweighted_siblings_bit_for_bit() {
         cases(0x5eed7, 30, |rng| {
             let items = rng.vec_u64(0..u64::MAX, 0..3000);
@@ -875,7 +748,8 @@ mod tests {
     fn lpt_order_is_a_descending_permutation() {
         cases(0x5eed8, 60, |rng| {
             let weights = rng.vec_u64(0..1000, 0..2000);
-            let order = lpt_order(&weights);
+            let mut order = Vec::new();
+            lpt_sort(&weights, &mut order);
             // A permutation: every index exactly once.
             let mut seen = vec![false; weights.len()];
             for &i in &order {
@@ -949,33 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn par_reduce_is_schedule_independent_even_for_floats() {
-        cases(0x5eed4, 30, |rng| {
-            let n = rng.usize_in(0..10_000);
-            let items: Vec<f64> = (0..n).map(|_| rng.f64_in(-1.0..1.0)).collect();
-            let sum = |b: Budget| {
-                par_reduce_budget(b, &items, || 0.0f64, |acc, &x| acc + x, |a, bb| a + bb)
-            };
-            let reference = sum(Budget::explicit(1));
-            for b in budgets() {
-                // Float addition is non-associative, but the fixed chunk
-                // shape makes every budget produce bit-identical sums.
-                assert_eq!(sum(b).to_bits(), reference.to_bits(), "budget {b:?}");
-            }
-        });
-    }
-
-    #[test]
-    fn par_reduce_integer_sum_equals_serial_fold() {
-        let items: Vec<u64> = (0..12_345).collect();
-        let serial: u64 = items.iter().sum();
-        for b in budgets() {
-            let par = par_reduce_budget(b, &items, || 0u64, |acc, &x| acc + x, |a, bb| a + bb);
-            assert_eq!(par, serial);
-        }
-    }
-
-    #[test]
     fn par_chunks_mut_matches_serial_chunked_pass() {
         cases(0x5eed5, 30, |rng| {
             let items = rng.vec_u64(0..u64::MAX, 0..8000);
@@ -1015,10 +862,15 @@ mod tests {
         let outer: Vec<u64> = (0..64).collect();
         let expected: Vec<u64> = outer.iter().map(|&x| (0..2000).map(|k| x + k).sum()).collect();
         for b in budgets() {
-            let got = par_map_cost(b, &outer, plan::COARSE_ITEM_COST, |&x| {
-                let inner: Vec<u64> = (0..2000).map(|k| x + k).collect();
-                par_reduce_budget(b, &inner, || 0u64, |a, &v| a + v, |a, c| a + c)
-            });
+            let got = par_map_weighted_budget(
+                b,
+                &outer,
+                |_| 1,
+                |&x| {
+                    let inner: Vec<u64> = (0..2000).map(|k| x + k).collect();
+                    par_map_budget(b, &inner, |&v| v).into_iter().sum::<u64>()
+                },
+            );
             assert_eq!(got, expected, "budget {b:?}");
         }
     }
@@ -1027,15 +879,17 @@ mod tests {
     fn empty_and_tiny_inputs() {
         let empty: Vec<u64> = Vec::new();
         assert!(par_map_budget(Budget::explicit(8), &empty, |&x| x).is_empty());
-        assert!(par_map_flat_budget(Budget::explicit(8), &empty, |&x, o| o.push(x)).is_empty());
+        assert!(par_map_flat_weighted_budget(
+            Budget::explicit(8),
+            &empty,
+            |_| 1,
+            |&x, o| o.push(x)
+        )
+        .is_empty());
         assert!(par_map_weighted_budget(Budget::explicit(8), &empty, |_| 1, |&x| x).is_empty());
         let mut one = vec![42u64];
         par_sort_by_budget(Budget::explicit(8), &mut one, |a, b| a.cmp(b));
         assert_eq!(one, vec![42]);
-        // Zero chunks → no partials → the fold over partials returns identity.
-        let s =
-            par_reduce_budget(Budget::explicit(8), &empty, || 7u64, |a, &x| a + x, |a, b| a + b);
-        assert_eq!(s, 7);
     }
 
     #[test]

@@ -88,11 +88,6 @@ pub(crate) fn granularity_override() -> Option<usize> {
     })
 }
 
-/// Plans a call over `n` items at the default cost weight.
-pub fn plan(n: usize, budget: Budget) -> ChunkPlan {
-    plan_with(n, budget, DEFAULT_ITEM_COST, granularity_override())
-}
-
 /// Plans a call over `n` items whose per-item cost weight is `cost`
 /// (relative to a trivial integer op = 1).
 pub fn plan_weighted(n: usize, budget: Budget, cost: u32) -> ChunkPlan {

@@ -83,7 +83,7 @@ fn results_are_identical_across_thread_budgets() {
 #[test]
 fn stripe_sweep_kernel_is_identical_at_1_and_8_threads() {
     // The default local-join kernel fans its stripes out through
-    // `sjc_par::par_map_flat`; the order-preserving merge must make the
+    // `sjc_par::par_map_flat_weighted`; the order-preserving merge must make the
     // emitted pair sequence — not just the set — and the reported JoinStats
     // bit-identical at any thread budget.
     let mut rng = sjc_data::rng::StdRng::seed_from_u64(0xD17E);

@@ -170,7 +170,7 @@ fn recovery_never_changes_results_proptest() {
             Err(e) => {
                 let k = e.kind();
                 assert!(
-                    ["task attempts exhausted", "node lost", "block lost"].contains(&k),
+                    ["task attempts exhausted", "node lost"].contains(&k),
                     "{}: unexpected failure kind {k:?} under {plan:?}",
                     sys.paper_name()
                 );

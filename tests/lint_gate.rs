@@ -63,6 +63,7 @@ fn full_scan_fits_the_wall_budget_and_names_every_stage() {
         "unit-flow",
         "panic-path",
         "cache-purity",
+        "dead-pub",
         "stale-suppression",
     ] {
         assert!(

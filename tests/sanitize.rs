@@ -54,7 +54,9 @@ fn seed_datasets_run_clean_under_sanitizer() {
 
         let tree = RTree::bulk_load_str(entries);
         assert_eq!(tree.len(), ds.geoms.len());
-        assert_eq!(tree.query(&ds.domain).len(), ds.geoms.len());
+        let mut hits = Vec::new();
+        tree.query_into(&ds.domain, &mut hits);
+        assert_eq!(hits.len(), ds.geoms.len());
     }
 }
 
