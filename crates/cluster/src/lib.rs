@@ -85,6 +85,52 @@ impl Cluster {
     pub fn makespan(&self, task_ns: &[SimNs]) -> SimNs {
         scheduler::lpt_makespan(task_ns, self.total_slots())
     }
+
+    /// Effective per-slot HDFS write bandwidth: on a multi-node cluster the
+    /// replication pipeline streams two remote copies through the NIC, so a
+    /// writer is capped by `min(disk, net / 2)` — on 1 Gbit/s EC2 networks
+    /// this, not the SSD, bounds SpatialHadoop's index writes and every
+    /// checkpoint write.
+    pub fn hdfs_write_bw(&self) -> f64 {
+        let node = &self.config.node;
+        if self.config.nodes > 1 {
+            node.slot_disk_write_bw().min(node.slot_net_bw() / 2.0)
+        } else {
+            node.slot_disk_write_bw()
+        }
+    }
+
+    /// Replica failover for a stage starting at `start` that reads `bytes`
+    /// of full-scale input: the blocks whose primary replica sat on a node
+    /// already dead come from remote replicas over the NIC, spread across
+    /// the surviving slots. Returns the bytes re-read and the recovery event,
+    /// whose `wasted_ns` is the time the stage pays; `None` when no node is
+    /// dead or nothing is read.
+    pub fn replica_failover(
+        &self,
+        stage: &str,
+        start: SimNs,
+        bytes: u64,
+    ) -> Option<(u64, RecoveryEvent)> {
+        let dead = self.faults.dead_nodes_at(start);
+        if dead.is_empty() || bytes == 0 {
+            return None;
+        }
+        let nodes = self.config.nodes;
+        let node = &self.config.node;
+        let live = nodes.saturating_sub(dead.len() as u32).max(1);
+        let reread = (bytes as f64 * dead.len() as f64 / nodes as f64) as u64;
+        let live_slots = (live as u64 * node.cores as u64).max(1);
+        let extra = self.cost.io_ns(reread / live_slots, node.slot_net_bw());
+        let event = RecoveryEvent {
+            stage: stage.to_string(),
+            kind: RecoveryKind::ReplicaFailover {
+                blocks: reread.div_ceil(hdfs::DEFAULT_BLOCK_SIZE),
+            },
+            wasted_ns: extra,
+        };
+        Some((reread, event))
+    }
 }
 
 #[cfg(test)]

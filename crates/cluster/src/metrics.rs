@@ -99,7 +99,7 @@ pub struct RecoveryEvent {
 }
 
 /// One stage of a simulated run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageTrace {
     pub name: String,
     pub kind: StageKind,

@@ -36,16 +36,17 @@
 
 use sjc_cluster::hdfs::DEFAULT_BLOCK_SIZE;
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::{Cluster, RunTrace, SimError, SimHdfs, StageKind, StageTrace};
+use sjc_cluster::{Cluster, CostModel, SimError, StageKind, StageTrace};
 use sjc_geom::{EngineKind, GeometryEngine, Mbr, Point};
 use sjc_index::partition::{BspPartitioner, SpatialPartitioner};
 use sjc_mapreduce::job::ScaleMode;
-use sjc_mapreduce::{block_splits, JobConfig, MapReduceJob, StreamingJob, TextLen};
+use sjc_mapreduce::{block_splits, JobConfig, JobWork, TextLen};
 
 use crate::common::{local_join, LocalJoinAlgo};
 use crate::framework::{
     reported_by, DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate,
 };
+use crate::ledger::{work_cost, Step, WorkLedger};
 
 /// Target partition count of the sample-derived partitionings.
 ///
@@ -130,20 +131,28 @@ impl Tagged<'_> {
 }
 
 /// An `FsCopy` stage: HDFS <-> local filesystem transfer of `bytes`.
-fn fs_copy(cluster: &Cluster, name: impl Into<String>, phase: Phase, bytes: u64) -> StageTrace {
+fn fs_copy(cost: &CostModel, name: impl Into<String>, phase: Phase, bytes: u64) -> Step {
     let mut st = StageTrace::new(name, StageKind::FsCopy, phase);
-    st.sim_ns = cluster.cost.io_ns(bytes, cluster.cost.local_copy_bw);
+    st.sim_ns = cost.io_ns(bytes, cost.local_copy_bw);
     st.hdfs_bytes_read = bytes;
-    st
+    Step::Fixed(st)
 }
 
 /// A `LocalSerial` stage generating partitions from `samples` points at
 /// script speed (an n log n sort and split).
-fn serial_partitioning(name: impl Into<String>, phase: Phase, samples: usize) -> StageTrace {
+fn serial_partitioning(name: impl Into<String>, phase: Phase, samples: usize) -> Step {
     let mut st = StageTrace::new(name, StageKind::LocalSerial, phase);
     let n = samples.max(2) as f64;
     st.sim_ns = (n * n.log2() * 500.0) as u64;
-    st
+    Step::Fixed(st)
+}
+
+/// Records a streaming map-reduce job's work; `true` when its reducers'
+/// pipes break on every cluster of `stop`, which ends the run's work.
+fn pipes_break(steps: &mut Vec<Step>, job: JobWork, stop: &[Cluster]) -> bool {
+    let broken = !stop.is_empty() && stop.iter().all(|c| job.pipe_error(c).is_some());
+    steps.push(Step::Job(job));
+    broken
 }
 
 /// The streaming mapper's output for one record: its `line` keyed by every
@@ -164,35 +173,28 @@ fn keyed_by_cell<L: Copy>(
 
 impl HadoopGis {
     /// Steps 1–6 for one dataset, reading its TSV file
-    /// ([`JoinInput::tsv_text`]), appended to `trace`. Each job starts where
-    /// the previous stage (job, copy, or serial step) of this run left off on
-    /// the global simulated clock. Returns the sample MBR centers (reused by
-    /// the global join) and the converted TSV lines.
+    /// ([`JoinInput::tsv_text`]), appended to `steps`. Returns the sample
+    /// MBR centers (reused by the global join) and the converted TSV lines,
+    /// or `None` when a step's pipes break on every cluster of `stop`.
     fn preprocess<'t>(
         &self,
-        cluster: &Cluster,
-        hdfs: &mut SimHdfs,
-        trace: &mut RunTrace,
+        cost: &CostModel,
+        steps: &mut Vec<Step>,
         input: &'t JoinInput,
         phase: Phase,
-    ) -> Result<(Vec<Point>, Vec<&'t str>), SimError> {
+        stop: &[Cluster],
+    ) -> Option<(Vec<Point>, Vec<&'t str>)> {
         let bpr = input.bytes_per_record();
         let block = DEFAULT_BLOCK_SIZE;
         let raw: Vec<&str> = input.tsv_text().split_terminator('\n').collect();
 
-        let mut engine = MapReduceJob::new(cluster, hdfs);
-        let mut streaming = StreamingJob::new(&mut engine);
-
         // Step 1: convert to TSV while loading (identity mapper here — the
         // cost is reading + piping + rewriting every byte).
         let cfg1 =
-            JobConfig::new(format!("{}: 1 convert to TSV", input.name), phase, input.multiplier)
-                .starting_at(trace.total_ns());
-        let converted =
-            streaming.map_only_lines(&cfg1, block_splits(&raw, bpr, block), |&l, out| out(l))?;
-        trace.push_recovery(converted.recovery);
-        trace.push(converted.trace);
-        let tsv = converted.lines;
+            JobConfig::new(format!("{}: 1 convert to TSV", input.name), phase, input.multiplier);
+        let (job, tsv) =
+            JobWork::map_only_lines(cost, &cfg1, block_splits(&raw, bpr, block), |&l, out| out(l));
+        steps.push(Step::Job(job));
 
         // Step 2: sample MBRs (systematic 1-in-k, k sized for ~10 samples
         // per partition).
@@ -204,48 +206,45 @@ impl HadoopGis {
         // exactly the lines the old 1-in-k invocation counter did.
         let keep: std::collections::BTreeSet<&str> = tsv.iter().step_by(stride).copied().collect();
         let cfg2 =
-            JobConfig::new(format!("{}: 2 sample MBRs", input.name), phase, input.multiplier)
-                .starting_at(trace.total_ns());
-        let sampled =
-            streaming.map_only_lines(&cfg2, block_splits(&tsv, bpr, block), |l, out| {
+            JobConfig::new(format!("{}: 2 sample MBRs", input.name), phase, input.multiplier);
+        let (job, sample_lines) =
+            JobWork::map_only_lines(cost, &cfg2, block_splits(&tsv, bpr, block), |l, out| {
                 if keep.contains(l) {
                     out(l.split('\t').next().unwrap_or("0"));
                 }
-            })?;
-        trace.push_recovery(sampled.recovery);
-        trace.push(sampled.trace);
-        let sample_lines = sampled.lines;
+            });
+        steps.push(Step::Job(job));
         let sample_bytes = sample_lines.len() as u64 * 72;
 
         // Step 3: compute the extent of the samples (MR job, single reducer).
         let cfg3 =
             JobConfig::new(format!("{}: 3 compute extent", input.name), phase, input.multiplier)
-                .write_output(false)
-                .starting_at(trace.total_ns());
-        let extent_out = streaming.map_reduce_lines(
+                .write_output(false);
+        let (job, _extent) = JobWork::map_reduce_lines(
+            cost,
             &cfg3,
             block_splits(&sample_lines, 72.0, block),
             |&l, out| out("extent", l),
             |_, vs, out| out(format!("count={}", vs.len())),
-        )?;
-        trace.push_recovery(extent_out.recovery);
-        trace.push(extent_out.trace);
+        );
+        if pipes_break(steps, job, stop) {
+            return None;
+        }
 
         // Step 4: normalize sample MBRs (map-only over the samples).
         let cfg4 =
-            JobConfig::new(format!("{}: 4 normalize samples", input.name), phase, input.multiplier)
-                .starting_at(trace.total_ns());
-        let normalized = streaming.map_only_lines(
+            JobConfig::new(format!("{}: 4 normalize samples", input.name), phase, input.multiplier);
+        let (job, _normalized) = JobWork::map_only_lines(
+            cost,
             &cfg4,
             block_splits(&sample_lines, 72.0, block),
             |&l, out| out(l),
-        )?;
-        trace.push_recovery(normalized.recovery);
-        trace.push(normalized.trace);
+        );
+        steps.push(Step::Job(job));
 
         // Step 5: local serial partition generation with HDFS round-trips.
-        trace.push(fs_copy(
-            cluster,
+        steps.push(fs_copy(
+            cost,
             format!("{}: 5a copy samples to local", input.name),
             phase,
             sample_bytes,
@@ -256,9 +255,9 @@ impl HadoopGis {
             .map(|r| r.mbr.center())
             .collect();
         let name = format!("{}: 5b generate partitions (serial)", input.name);
-        trace.push(serial_partitioning(name, phase, centers.len()));
-        trace.push(fs_copy(
-            cluster,
+        steps.push(serial_partitioning(name, phase, centers.len()));
+        steps.push(fs_copy(
+            cost,
             format!("{}: 5c copy partitions to HDFS", input.name),
             phase,
             PARTITIONS as u64 * 72,
@@ -272,9 +271,9 @@ impl HadoopGis {
         // against the task's pipe+parse bill, so it rides inside the
         // calibrated per-byte constants.)
         let cfg6 =
-            JobConfig::new(format!("{}: 6 assign partitions", input.name), phase, input.multiplier)
-                .starting_at(trace.total_ns());
-        let assigned = streaming.map_reduce_lines(
+            JobConfig::new(format!("{}: 6 assign partitions", input.name), phase, input.multiplier);
+        let (job, _assigned) = JobWork::map_reduce_lines(
+            cost,
             &cfg6,
             block_splits(&tsv, bpr, block),
             |&l, out| {
@@ -290,54 +289,59 @@ impl HadoopGis {
                 sorted.dedup();
                 sorted.into_iter().for_each(out)
             },
-        )?;
-        trace.push_recovery(assigned.recovery);
-        trace.push(assigned.trace);
-
-        Ok((centers, tsv))
-    }
-}
-
-impl DistributedSpatialJoin for HadoopGis {
-    fn name(&self) -> &'static str {
-        "HadoopGIS"
+        );
+        if pipes_break(steps, job, stop) {
+            return None;
+        }
+        Some((centers, tsv))
     }
 
-    fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
-    fn run(
+    /// Runs the join's real work once — the six preprocessing steps per
+    /// dataset, the global re-partitioning and the streaming join job — and
+    /// records it for pricing. It stops after the first streaming job whose
+    /// reducer pipes break on every cluster of `stop`.
+    pub fn work(
         &self,
-        cluster: &Cluster,
         left: &JoinInput,
         right: &JoinInput,
         predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError> {
-        let mut hdfs = SimHdfs::new(cluster.config.nodes);
-        let mut trace = RunTrace::new(self.name());
+        stop: &[Cluster],
+    ) -> WorkLedger {
+        let cost = work_cost();
+        let mut steps = Vec::new();
+        let pairs = self.work_steps(&cost, &mut steps, left, right, predicate, stop);
+        WorkLedger { system: self.name(), steps, pairs }
+    }
+
+    fn work_steps(
+        &self,
+        cost: &CostModel,
+        steps: &mut Vec<Step>,
+        left: &JoinInput,
+        right: &JoinInput,
+        predicate: JoinPredicate,
+        stop: &[Cluster],
+    ) -> Option<Vec<(u64, u64)>> {
         let geos = GeometryEngine::new(self.engine());
 
         // Preprocessing: the six steps, per dataset.
-        let (centers_a, tsv_a) =
-            self.preprocess(cluster, &mut hdfs, &mut trace, left, Phase::IndexA)?;
-        let (centers_b, tsv_b) =
-            self.preprocess(cluster, &mut hdfs, &mut trace, right, Phase::IndexB)?;
+        let (centers_a, tsv_a) = self.preprocess(cost, steps, left, Phase::IndexA, stop)?;
+        let (centers_b, tsv_b) = self.preprocess(cost, steps, right, Phase::IndexB, stop)?;
 
         // Global join: concatenate the samples locally and build *new*
         // partitions (the step-6 partition ids are discarded — wasteful, as
         // the paper notes, but Streaming leaves no alternative).
         let sample_bytes = (centers_a.len() + centers_b.len()) as u64 * 72;
         let dj = Phase::DistributedJoin;
-        trace.push(fs_copy(cluster, "GJ: copy both samples to local", dj, sample_bytes));
+        steps.push(fs_copy(cost, "GJ: copy both samples to local", dj, sample_bytes));
         let mut combined = centers_a;
         combined.extend(centers_b);
-        trace.push(serial_partitioning(
+        steps.push(serial_partitioning(
             "GJ: build combined partitions (serial)",
             dj,
             combined.len(),
         ));
-        trace.push(fs_copy(cluster, "GJ: copy partitions to HDFS", dj, PARTITIONS as u64 * 72));
+        steps.push(fs_copy(cost, "GJ: copy partitions to HDFS", dj, PARTITIONS as u64 * 72));
         let domain = left.domain.union(&right.domain);
         let partitioner = BspPartitioner::from_sample(domain, combined, PARTITIONS);
 
@@ -351,8 +355,6 @@ impl DistributedSpatialJoin for HadoopGis {
             / tagged.len().max(1) as f64;
 
         let mult = left.multiplier.max(right.multiplier);
-        let mut engine = MapReduceJob::new(cluster, &mut hdfs);
-        let mut streaming = StreamingJob::new(&mut engine);
         // The join reducer is the Python-driven geometry script — the
         // per-record interpreter cost behind the paper's 14x / 5.7x DJ gap.
         // ~40% of the per-record cost is Python string handling, ~60% the
@@ -362,10 +364,10 @@ impl DistributedSpatialJoin for HadoopGis {
         let cfg = JobConfig::new("distributed join (streaming MR)", Phase::DistributedJoin, mult)
             .map_scale(ScaleMode::MoreTasks)
             .script_reducer(true)
-            .script_cost_factor(script_factor)
-            .starting_at(trace.total_ns());
+            .script_cost_factor(script_factor);
         let local_algo = self.local_algo;
-        let outcome = streaming.map_reduce_lines(
+        let (job, lines) = JobWork::map_reduce_lines(
+            cost,
             &cfg,
             block_splits(&tagged, bpr, DEFAULT_BLOCK_SIZE),
             |&l, out| {
@@ -388,20 +390,40 @@ impl DistributedSpatialJoin for HadoopGis {
                 let (pairs, _cost) = local_join(&geos, predicate, local_algo, &lrecs, &rrecs, keep);
                 pairs.into_iter().for_each(|(a, b)| out(format!("{a}\t{b}")))
             },
-        )?;
-        trace.push_recovery(outcome.recovery);
-        trace.push(outcome.trace);
+        );
+        if pipes_break(steps, job, stop) {
+            return None;
+        }
 
         // The reducer above wrote every line as `left id\tright id`.
-        let pairs = outcome
-            .lines
+        let pairs = lines
             .iter()
             .filter_map(|l| {
                 let (a, b) = l.split_once('\t')?;
                 Some((a.parse().ok()?, b.parse().ok()?))
             })
             .collect();
-        Ok(JoinOutput { pairs, trace })
+        Some(pairs)
+    }
+}
+
+impl DistributedSpatialJoin for HadoopGis {
+    fn name(&self) -> &'static str {
+        "HadoopGIS"
+    }
+
+    fn engine(&self) -> EngineKind {
+        self.engine
+    }
+
+    fn run(
+        &self,
+        cluster: &Cluster,
+        left: &JoinInput,
+        right: &JoinInput,
+        predicate: JoinPredicate,
+    ) -> Result<JoinOutput, SimError> {
+        self.work(left, right, predicate, std::slice::from_ref(cluster)).into_output(cluster)
     }
 }
 

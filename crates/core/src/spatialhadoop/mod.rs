@@ -22,18 +22,20 @@
 //!    reducers — the design the paper credits for SpatialHadoop's
 //!    robustness.
 
+use sjc_cluster::hdfs::DEFAULT_BLOCK_SIZE;
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::{Cluster, RunTrace, SimError, SimHdfs, StageKind, StageTrace};
+use sjc_cluster::{Cluster, CostModel, SimError, StageKind, StageTrace};
 use sjc_geom::{EngineKind, GeometryEngine, Mbr};
 use sjc_index::join::plane_sweep;
 use sjc_index::partition::CellLocator;
 use sjc_mapreduce::job::ScaleMode;
-use sjc_mapreduce::{block_splits, JobConfig, MapReduceJob, MapTask};
+use sjc_mapreduce::{block_splits, JobConfig, JobWork, MapTask};
 
 use crate::common::{local_join, LocalJoinAlgo, PartitionerKind};
 use crate::framework::{
     reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate,
 };
+use crate::ledger::{work_cost, Step, WorkLedger};
 
 /// Systematic sample stride for partition derivation: a 1 % sample.
 const SAMPLE_STRIDE: u64 = 100;
@@ -97,25 +99,18 @@ impl Indexed {
 }
 
 impl SpatialHadoop {
-    /// The two preprocessing MR jobs for one dataset, appended to `trace`.
-    /// Each job starts on the run's global clock, so scheduled node crashes
-    /// land in whatever stage is executing at that simulated instant.
-    // One argument per knob the two call sites actually vary; a params
-    // struct would just re-spell this signature with extra ceremony.
-    #[allow(clippy::too_many_arguments)]
+    /// The two preprocessing MR jobs for one dataset, appended to `steps`.
     fn index_dataset(
         &self,
-        cluster: &Cluster,
-        hdfs: &mut SimHdfs,
-        trace: &mut RunTrace,
+        cost: &CostModel,
+        steps: &mut Vec<Step>,
         input: &JoinInput,
         phase: Phase,
         widen: Option<JoinPredicate>,
         shared_cells: Option<Vec<Mbr>>,
-    ) -> Result<Indexed, SimError> {
-        let mut engine = MapReduceJob::new(cluster, hdfs);
+    ) -> Indexed {
         let bpr = input.bytes_per_record();
-        let block = engine.hdfs.block_size();
+        let block = DEFAULT_BLOCK_SIZE;
         let records: Vec<&GeoRecord> = input.records.iter().collect();
 
         let index = CellIndex::new(match shared_cells {
@@ -126,33 +121,30 @@ impl SpatialHadoop {
                 // --- MR job 1: sample + derive partitions on the master ---
                 let cfg1 =
                     JobConfig::new(format!("{}: sample", input.name), phase, input.multiplier)
-                        .write_output(false)
-                        .starting_at(trace.total_ns());
-                let sample_out =
-                    engine.map_only(&cfg1, block_splits(&records, bpr, block), |rec, em| {
+                        .write_output(false);
+                let (job, sample) =
+                    JobWork::map_only(&cfg1, block_splits(&records, bpr, block), |rec, em| {
                         if rec.id % SAMPLE_STRIDE == 0 {
                             em.emit(rec.mbr.center(), 16);
                         }
-                    })?;
-                trace.push_recovery(sample_out.recovery);
-                trace.push(sample_out.trace);
-                self.partitioner.build(input.domain, sample_out.output, PARTITIONS)
+                    });
+                steps.push(Step::Job(job));
+                self.partitioner.build(input.domain, sample, PARTITIONS)
             }
         });
         // `_master` file: one MBR row per cell.
         let ncells = index.partitioner().cells().len();
-        engine.hdfs.write_file(
-            &format!("{}_master", input.name),
-            ncells as u64 * 72,
-            ncells as u64,
-        );
+        steps.push(Step::HdfsWrite {
+            name: format!("{}_master", input.name),
+            bytes: ncells as u64 * 72,
+            records: ncells as u64,
+        });
 
         // --- MR job 2: assign partitions, shuffle, write indexed blocks ---
         let jts = GeometryEngine::new(self.engine());
         let cfg2 =
-            JobConfig::new(format!("{}: partition+index", input.name), phase, input.multiplier)
-                .starting_at(trace.total_ns());
-        let outcome = engine.map_reduce(
+            JobConfig::new(format!("{}: partition+index", input.name), phase, input.multiplier);
+        let (job, output) = JobWork::map_reduce(
             &cfg2,
             block_splits(&records, bpr, block),
             |rec, em| {
@@ -166,20 +158,102 @@ impl SpatialHadoop {
             |cell, ids, em| {
                 // Build the intra-block index (an STR sort) and write the
                 // block: the write dominates, as the paper notes.
-                em.charge(cluster.cost.sort_ns(ids.len() as u64));
+                em.charge(cost.sort_ns(ids.len() as u64));
                 em.emit((*cell, ids.to_vec()), (ids.len() as f64 * bpr) as u64);
             },
-        )?;
-        trace.push_recovery(outcome.recovery);
-        trace.push(outcome.trace);
+        );
+        steps.push(Step::Job(job));
 
         let mut cells: Vec<Vec<u64>> = vec![Vec::new(); ncells];
-        for (cell, ids) in outcome.output {
+        for (cell, ids) in output {
             if let Some(slot) = cells.get_mut(cell as usize) {
                 *slot = ids;
             }
         }
-        Ok(Indexed { index, cells, bpr })
+        Indexed { index, cells, bpr }
+    }
+
+    /// Runs the join's real work once — both datasets' sample and
+    /// partition jobs, `getSplits`, and the map-only local join — and
+    /// records it for pricing. SpatialHadoop has no capacity check, so
+    /// `stop` never ends it early.
+    pub fn work(
+        &self,
+        left: &JoinInput,
+        right: &JoinInput,
+        predicate: JoinPredicate,
+        _stop: &[Cluster],
+    ) -> WorkLedger {
+        let cost = work_cost();
+        let mut steps = Vec::new();
+        let jts = GeometryEngine::new(self.engine());
+
+        // Preprocessing: index both datasets (IA, IB).
+        let ia = self.index_dataset(&cost, &mut steps, left, Phase::IndexA, Some(predicate), None);
+        let shared = if self.reuse_partitions {
+            Some(ia.index.partitioner().cells().to_vec())
+        } else {
+            None
+        };
+        let ib = self.index_dataset(&cost, &mut steps, right, Phase::IndexB, None, shared);
+
+        // Global join on the master: serial plane-sweep over the two
+        // `_master` cell-MBR lists (the getSplits override).
+        let (a_entries, b_entries) = (ia.index.entries(), ib.index.entries());
+        let cand = if self.reuse_partitions {
+            // Compatible grids: cell i pairs with cell i — no serial sweep.
+            sjc_index::join::CandidatePairs {
+                pairs: (0..a_entries.len() as u64).map(|i| (i, i)).collect(),
+                stats: Default::default(),
+            }
+        } else {
+            // Deliberately the classic sweep, not `stripe_sweep`: the pair
+            // *order* here becomes the task order fed to the wave
+            // scheduler, so switching kernels would reorder tasks and move
+            // the simulated clock. The lists are tiny (one entry per cell).
+            plane_sweep(&a_entries, &b_entries)
+        };
+        let master_bytes = (a_entries.len() + b_entries.len()) as u64 * 72;
+        let mut stage = StageTrace::new(
+            "getSplits: pair partitions",
+            StageKind::LocalSerial,
+            Phase::DistributedJoin,
+        );
+        stage.hdfs_bytes_read = master_bytes;
+        let cpu_ns = cand.stats.filter_tests * jts.filter_cost_ns();
+        steps.push(Step::MasterRead { stage, cpu_ns, bytes: master_bytes });
+
+        // Local join: map-only job, one task per intersecting cell pair.
+        let tasks: Vec<MapTask<(u64, u64)>> = cand
+            .pairs
+            .iter()
+            .map(|&(ca, cb)| MapTask::new(vec![(ca, cb)], ia.cell_bytes(ca) + ib.cell_bytes(cb)))
+            .collect();
+        let mult = left.multiplier.max(right.multiplier);
+        let cfg = JobConfig::new("distributed join (map-only)", Phase::DistributedJoin, mult)
+            .map_scale(ScaleMode::BiggerTasks)
+            .parse_input(false); // indexed binary blocks, no text parse
+        let (job, pairs) = JobWork::map_only(&cfg, tasks, |&(ca, cb), em| {
+            let lrecs: Vec<&GeoRecord> = left.pick(ia.cell(ca).iter().copied()).collect();
+            let rrecs: Vec<&GeoRecord> = right.pick(ib.cell(cb).iter().copied()).collect();
+            // A pair is reported once: by the cell pair owning its
+            // reference point in both grids.
+            let in_a = reported_by(ia.index.partitioner(), ca as u32, predicate);
+            let in_b = reported_by(ib.index.partitioner(), cb as u32, predicate);
+            let (pairs, join) =
+                local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, |am, bm| {
+                    in_a(am, bm) && in_b(am, bm)
+                });
+            // Deserializing the two block files' records into JVM objects is
+            // the task's real per-record cost; the geometry work rides on top.
+            em.charge(cost.hadoop_records_ns((lrecs.len() + rrecs.len()) as u64));
+            em.charge(join.filter_ns + join.refine_ns);
+            for p in pairs {
+                em.emit(p, 24);
+            }
+        });
+        steps.push(Step::Job(job));
+        WorkLedger { system: self.name(), steps, pairs: Some(pairs) }
     }
 }
 
@@ -199,90 +273,7 @@ impl DistributedSpatialJoin for SpatialHadoop {
         right: &JoinInput,
         predicate: JoinPredicate,
     ) -> Result<JoinOutput, SimError> {
-        let mut hdfs = SimHdfs::new(cluster.config.nodes);
-        let mut trace = RunTrace::new(self.name());
-        let jts = GeometryEngine::new(self.engine());
-
-        // Preprocessing: index both datasets (IA, IB).
-        let ia = self.index_dataset(
-            cluster,
-            &mut hdfs,
-            &mut trace,
-            left,
-            Phase::IndexA,
-            Some(predicate),
-            None,
-        )?;
-        let shared = if self.reuse_partitions {
-            Some(ia.index.partitioner().cells().to_vec())
-        } else {
-            None
-        };
-        let ib =
-            self.index_dataset(cluster, &mut hdfs, &mut trace, right, Phase::IndexB, None, shared)?;
-
-        // Global join on the master: serial plane-sweep over the two
-        // `_master` cell-MBR lists (the getSplits override).
-        let (a_entries, b_entries) = (ia.index.entries(), ib.index.entries());
-        let cand = if self.reuse_partitions {
-            // Compatible grids: cell i pairs with cell i — no serial sweep.
-            sjc_index::join::CandidatePairs {
-                pairs: (0..a_entries.len() as u64).map(|i| (i, i)).collect(),
-                stats: Default::default(),
-            }
-        } else {
-            // Deliberately the classic sweep, not `stripe_sweep`: the pair
-            // *order* here becomes the task order fed to the wave
-            // scheduler, so switching kernels would reorder tasks and move
-            // the simulated clock. The lists are tiny (one entry per cell).
-            plane_sweep(&a_entries, &b_entries)
-        };
-        let master_bytes = (a_entries.len() + b_entries.len()) as u64 * 72;
-        let mut gstage = StageTrace::new(
-            "getSplits: pair partitions",
-            StageKind::LocalSerial,
-            Phase::DistributedJoin,
-        );
-        gstage.sim_ns = cand.stats.filter_tests * jts.filter_cost_ns()
-            + cluster.cost.io_ns(master_bytes, cluster.config.node.disk_read_bw);
-        gstage.hdfs_bytes_read = master_bytes;
-        trace.push(gstage);
-
-        // Local join: map-only job, one task per intersecting cell pair.
-        let mut engine = MapReduceJob::new(cluster, &mut hdfs);
-        let tasks: Vec<MapTask<(u64, u64)>> = cand
-            .pairs
-            .iter()
-            .map(|&(ca, cb)| MapTask::new(vec![(ca, cb)], ia.cell_bytes(ca) + ib.cell_bytes(cb)))
-            .collect();
-        let mult = left.multiplier.max(right.multiplier);
-        let cfg = JobConfig::new("distributed join (map-only)", Phase::DistributedJoin, mult)
-            .map_scale(ScaleMode::BiggerTasks)
-            .parse_input(false) // indexed binary blocks, no text parse
-            .starting_at(trace.total_ns());
-        let outcome = engine.map_only(&cfg, tasks, |&(ca, cb), em| {
-            let lrecs: Vec<&GeoRecord> = left.pick(ia.cell(ca).iter().copied()).collect();
-            let rrecs: Vec<&GeoRecord> = right.pick(ib.cell(cb).iter().copied()).collect();
-            // A pair is reported once: by the cell pair owning its
-            // reference point in both grids.
-            let in_a = reported_by(ia.index.partitioner(), ca as u32, predicate);
-            let in_b = reported_by(ib.index.partitioner(), cb as u32, predicate);
-            let (pairs, cost) =
-                local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, |am, bm| {
-                    in_a(am, bm) && in_b(am, bm)
-                });
-            // Deserializing the two block files' records into JVM objects is
-            // the task's real per-record cost; the geometry work rides on top.
-            em.charge(cluster.cost.hadoop_records_ns((lrecs.len() + rrecs.len()) as u64));
-            em.charge(cost.filter_ns + cost.refine_ns);
-            for p in pairs {
-                em.emit(p, 24);
-            }
-        })?;
-        trace.stages.extend(std::iter::once(outcome.trace));
-        trace.push_recovery(outcome.recovery);
-
-        Ok(JoinOutput { pairs: outcome.output, trace })
+        self.work(left, right, predicate, std::slice::from_ref(cluster)).into_output(cluster)
     }
 }
 

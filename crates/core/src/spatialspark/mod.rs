@@ -34,12 +34,13 @@ use sjc_geom::{EngineKind, GeometryEngine, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::partition::StrTilePartitioner;
 use sjc_index::RTree;
-use sjc_rdd::{memory, Rdd, SparkContext, SparkRecord};
+use sjc_rdd::{Rdd, SparkContext, SparkRecord};
 
 use crate::common::{local_join, LocalJoinAlgo};
 use crate::framework::{
     reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate,
 };
+use crate::ledger::{work_cost, Step, WorkLedger};
 
 /// The SpatialSpark system.
 #[derive(Debug, Clone)]
@@ -90,15 +91,14 @@ fn rec_refs(input: &JoinInput) -> Vec<RecRef> {
 }
 
 impl SpatialSpark {
-    fn run_partition_based(
+    fn partition_based(
         &self,
-        cluster: &Cluster,
+        ctx: &mut SparkContext<'_>,
         left: &JoinInput,
         right: &JoinInput,
         predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError> {
+    ) -> Result<Vec<(u64, u64)>, SimError> {
         let jts = GeometryEngine::new(self.engine());
-        let mut ctx = SparkContext::new(cluster);
 
         // 1. Load both datasets (lazy read, charged at first materialization).
         let rdd_l = ctx.read_text(rec_refs(left), left.sim_bytes, left.multiplier);
@@ -109,7 +109,7 @@ impl SpatialSpark {
         // rates per dataset; this is the same knob, self-adjusted).
         let rate = ((10 * self.partitions) as f64 / right.records.len().max(1) as f64).min(1.0);
         let sample = rdd_r.sample_collect(
-            &mut ctx,
+            ctx,
             "sample right side (in-memory)",
             Phase::IndexB,
             rate,
@@ -130,8 +130,8 @@ impl SpatialSpark {
 
         // 3. Tag records with partition ids (both sides; the left side's
         // MBRs widened as the filter sees them).
-        let tag = |rdd: Rdd<RecRef>, input: &JoinInput, widen: bool| {
-            rdd.flat_map(&ctx, |r: &RecRef, extra: &mut u64| {
+        let tag = |rdd: Rdd<RecRef>, ctx: &SparkContext<'_>, input: &JoinInput, widen: bool| {
+            rdd.flat_map(ctx, |r: &RecRef, extra: &mut u64| {
                 let mut hits = Vec::new();
                 for rec in input.pick([u64::from(r.idx)]) {
                     let mbr = if widen { predicate.filter_mbr(&rec.mbr) } else { rec.mbr };
@@ -140,16 +140,16 @@ impl SpatialSpark {
                 hits.into_iter().map(|c| (c, *r)).collect::<Vec<_>>()
             })
         };
-        let (tagged_l, tagged_r) = (tag(rdd_l, left, true), tag(rdd_r, right, false));
+        let (tagged_l, tagged_r) = (tag(rdd_l, ctx, left, true), tag(rdd_r, ctx, right, false));
 
         // 4. Group both sides by partition id, then join the grouped lists.
         let grouped_l =
-            tagged_l.group_by_key(&mut ctx, "groupByKey left", Phase::DistributedJoin, ncells)?;
+            tagged_l.group_by_key(ctx, "groupByKey left", Phase::DistributedJoin, ncells)?;
         let grouped_r =
-            tagged_r.group_by_key(&mut ctx, "groupByKey right", Phase::DistributedJoin, ncells)?;
+            tagged_r.group_by_key(ctx, "groupByKey right", Phase::DistributedJoin, ncells)?;
         let joined = grouped_l.join(
             grouped_r,
-            &mut ctx,
+            ctx,
             "join on partition id",
             Phase::DistributedJoin,
             ncells,
@@ -157,7 +157,7 @@ impl SpatialSpark {
 
         // 5. Local join per partition (indexed nested loop + JTS refine).
         let local_algo = self.local_algo;
-        let result = joined.flat_map(&ctx, |(cell, (lrefs, rrefs)), extra| {
+        let result = joined.flat_map(ctx, |(cell, (lrefs, rrefs)), extra| {
             let lrecs: Vec<&GeoRecord> =
                 left.pick(lrefs.iter().map(|r| u64::from(r.idx))).collect();
             let rrecs: Vec<&GeoRecord> =
@@ -169,21 +169,17 @@ impl SpatialSpark {
         });
 
         // 6. Collect to the driver.
-        let pairs = result.collect(&mut ctx, "collect results", Phase::DistributedJoin)?;
-        let mut trace = ctx.trace;
-        trace.system = self.name().to_string();
-        Ok(JoinOutput { pairs, trace })
+        result.collect(ctx, "collect results", Phase::DistributedJoin)
     }
 
-    fn run_broadcast_based(
+    fn broadcast_based(
         &self,
-        cluster: &Cluster,
+        ctx: &mut SparkContext<'_>,
         left: &JoinInput,
         right: &JoinInput,
         predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError> {
+    ) -> Result<Vec<(u64, u64)>, SimError> {
         let jts = GeometryEngine::new(self.engine());
-        let mut ctx = SparkContext::new(cluster);
 
         let rdd_l = ctx.read_text(rec_refs(left), left.sim_bytes, left.multiplier);
 
@@ -192,18 +188,18 @@ impl SpatialSpark {
         let tree = RTree::bulk_load_str(
             right.records.iter().map(|r| IndexEntry::new(r.id, r.mbr)).collect(),
         );
+        let cost = work_cost();
         let right_mem: u64 = (right
             .records
             .iter()
-            .map(|r| cluster.cost.spark_footprint_bytes(1, r.geom.num_vertices() as u64))
+            .map(|r| cost.spark_footprint_bytes(1, r.geom.num_vertices() as u64))
             .sum::<u64>() as f64
             * right.multiplier) as u64;
-        let per_node: Vec<u64> = (0..cluster.config.nodes).map(|_| right_mem).collect();
-        memory::check_fits(cluster, "broadcast full right index", &[&per_node])?;
+        ctx.fits_on_every_node("broadcast full right index", right_mem)?;
         ctx.broadcast("broadcast full right index", Phase::IndexB, (), right_mem);
 
         // Probe directly: no partitioning, no shuffle, no duplicates.
-        let result = rdd_l.flat_map(&ctx, |r: &RecRef, extra: &mut u64| {
+        let result = rdd_l.flat_map(ctx, |r: &RecRef, extra: &mut u64| {
             let mut out = Vec::new();
             for lrec in left.pick([u64::from(r.idx)]) {
                 let mut hits = Vec::new();
@@ -219,10 +215,27 @@ impl SpatialSpark {
             }
             out
         });
-        let pairs = result.collect(&mut ctx, "collect results", Phase::DistributedJoin)?;
-        let mut trace = ctx.trace;
-        trace.system = "SpatialSpark (broadcast)".to_string();
-        Ok(JoinOutput { pairs, trace })
+        result.collect(ctx, "collect results", Phase::DistributedJoin)
+    }
+
+    /// Runs the join's real work once — load, sample, tag, shuffle, local
+    /// join, collect — and records its Spark stages for pricing. It stops
+    /// at the first shuffle whose executor memory check fails on every
+    /// cluster of `stop`.
+    pub fn work(
+        &self,
+        left: &JoinInput,
+        right: &JoinInput,
+        predicate: JoinPredicate,
+        stop: &[Cluster],
+    ) -> WorkLedger {
+        let mut ctx = SparkContext::for_work(work_cost(), stop);
+        let (pairs, system) = if self.broadcast_join {
+            (self.broadcast_based(&mut ctx, left, right, predicate), "SpatialSpark (broadcast)")
+        } else {
+            (self.partition_based(&mut ctx, left, right, predicate), self.name())
+        };
+        WorkLedger { system, steps: vec![Step::Spark(ctx.into_ledger())], pairs: pairs.ok() }
     }
 }
 
@@ -242,11 +255,7 @@ impl DistributedSpatialJoin for SpatialSpark {
         right: &JoinInput,
         predicate: JoinPredicate,
     ) -> Result<JoinOutput, SimError> {
-        if self.broadcast_join {
-            self.run_broadcast_based(cluster, left, right, predicate)
-        } else {
-            self.run_partition_based(cluster, left, right, predicate)
-        }
+        self.work(left, right, predicate, std::slice::from_ref(cluster)).into_output(cluster)
     }
 }
 

@@ -21,7 +21,7 @@ pub enum ScaleMode {
 }
 
 /// Configuration of one MapReduce job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobConfig {
     pub name: String,
     pub phase: Phase,
@@ -39,10 +39,6 @@ pub struct JobConfig {
     /// Multiplier on the script per-record cost (the geometry-library share
     /// of the script's work scales with the engine's refinement factor).
     pub script_cost_factor: f64,
-    /// Absolute simulated time at which the job starts. Only consulted by
-    /// the fault-aware scheduler (node crashes are scheduled on the run's
-    /// global clock); the zero-fault closed forms are start-invariant.
-    pub start_ns: SimNs,
 }
 
 impl JobConfig {
@@ -56,15 +52,7 @@ impl JobConfig {
             map_scale: ScaleMode::MoreTasks,
             script_reducer: false,
             script_cost_factor: 1.0,
-            start_ns: 0,
         }
-    }
-
-    /// Places the job at an absolute point on the run's simulated clock so
-    /// fault schedules (crash times) line up across stages.
-    pub fn starting_at(mut self, ns: SimNs) -> Self {
-        self.start_ns = ns;
-        self
     }
 
     pub fn script_reducer(mut self, yes: bool) -> Self {
@@ -158,16 +146,51 @@ pub struct JobStats {
     pub records_out: u64,
 }
 
+/// What one map task did, at generation scale. No cluster field moves it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaskWork {
+    pub records: u64,
+    pub input_bytes: u64,
+    /// Bytes the task emitted (its spill, or its output).
+    pub out_bytes: u64,
+    /// CPU the map function charged on top of the framework's costs.
+    pub extra_cpu_ns: SimNs,
+}
+
+/// What one reduce group did, at generation scale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupWork {
+    /// Values shuffled to the group.
+    pub values: u64,
+    /// Shuffled bytes: the sum of its pairs' byte shares.
+    pub in_bytes: u64,
+    /// Bytes the reducer emitted.
+    pub out_bytes: u64,
+    pub extra_cpu_ns: SimNs,
+}
+
+/// The work of one job, run once: everything pricing reads, nothing it
+/// needs a cluster for. [`MapReduceJob::price`] turns it into a stage on a
+/// cluster.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobWork {
+    pub cfg: JobConfig,
+    /// Map tasks, in task order.
+    pub maps: Vec<TaskWork>,
+    /// Reduce groups, in key order; `None` for a map-only job.
+    pub groups: Option<Vec<GroupWork>>,
+    pub stats: JobStats,
+    /// A Hadoop Streaming job: its bytes pass through pipes, and each
+    /// reducer's payload is checked against the node's pipe limit.
+    pub streaming: bool,
+}
+
 /// Output of a map-reduce run: reduce outputs, per-group shuffled byte
-/// sizes (for failure checks and diagnostics), stats and the stage trace.
+/// sizes (for diagnostics), stats and the stage trace.
 pub struct JobOutcome<O> {
     pub output: Vec<O>,
     /// Shuffled bytes per reduce group, in key order, generation scale.
     pub group_bytes: Vec<u64>,
-    /// Bytes emitted by each reduce group, in the same (key-sorted) order as
-    /// `group_bytes`. Streaming-mode pipe checks read this instead of
-    /// threading a side channel through the reducer closure.
-    pub group_out_bytes: Vec<u64>,
     pub stats: JobStats,
     pub trace: StageTrace,
     /// Recovery actions taken while scheduling this job (empty under
@@ -200,104 +223,19 @@ fn replicate_tasks(durations: &[SimNs], copies: u64) -> Vec<SimNs> {
     out
 }
 
-/// The engine: borrows the cluster (cost context) and HDFS (byte ledger).
-pub struct MapReduceJob<'a> {
-    pub cluster: &'a Cluster,
-    pub hdfs: &'a mut SimHdfs,
-}
-
-impl<'a> MapReduceJob<'a> {
-    pub fn new(cluster: &'a Cluster, hdfs: &'a mut SimHdfs) -> Self {
-        MapReduceJob { cluster, hdfs }
-    }
-
-    /// Effective per-slot HDFS write bandwidth: on a multi-node cluster the
-    /// replication pipeline streams two remote copies through the NIC, so a
-    /// writer is capped by `min(disk, net / 2)` — on 1 Gbit/s EC2 networks
-    /// this, not the SSD, bounds SpatialHadoop's index writes.
-    fn hdfs_write_bw(&self) -> f64 {
-        let node = &self.cluster.config.node;
-        if self.cluster.config.nodes > 1 {
-            node.slot_disk_write_bw().min(node.slot_net_bw() / 2.0)
-        } else {
-            node.slot_disk_write_bw()
-        }
-    }
-
-    /// Penalty for input blocks whose primary replica died before the stage
-    /// started: the dead fraction of the full-scale input is re-fetched from
-    /// remote replicas over the NIC, spread across surviving slots. Returns
-    /// `(extra_ns, bytes_reread, event)`.
-    fn failover_penalty(
-        &self,
-        stage: &str,
-        start: SimNs,
-        full_input_bytes: u64,
-    ) -> (SimNs, u64, Option<RecoveryEvent>) {
-        let plan = &self.cluster.faults;
-        let dead = plan.dead_nodes_at(start);
-        if dead.is_empty() || full_input_bytes == 0 {
-            return (0, 0, None);
-        }
-        let nodes = self.cluster.config.nodes;
-        let node = &self.cluster.config.node;
-        let live = nodes.saturating_sub(dead.len() as u32).max(1);
-        let reread = (full_input_bytes as f64 * dead.len() as f64 / nodes as f64) as u64;
-        let live_slots = (live as u64 * node.cores as u64).max(1);
-        let extra = self.cluster.cost.io_ns(reread / live_slots, node.slot_net_bw());
-        let ev = RecoveryEvent {
-            stage: stage.to_string(),
-            kind: RecoveryKind::ReplicaFailover {
-                blocks: reread.div_ceil(self.hdfs.block_size().max(1)),
-            },
-            wasted_ns: extra,
-        };
-        (extra, reread, Some(ev))
-    }
-
-    fn map_task_duration<T>(
-        &self,
-        cfg: &JobConfig,
-        task: &MapTask<T>,
-        emitted_bytes: u64,
-        extra_cpu: SimNs,
-    ) -> SimNs {
-        let c = &self.cluster.cost;
-        let node = &self.cluster.config.node;
-        // I/O at the slot's share of the node disk; CPU scaled by the
-        // node's per-core speed.
-        let mut io = c.io_ns(task.input_bytes, node.slot_disk_read_bw());
-        let mut cpu = 0u64;
-        if cfg.parse_input_text {
-            cpu += c.parse_ns(task.input_bytes);
-        }
-        cpu += c.hadoop_records_ns(task.records.len() as u64);
-        cpu += extra_cpu;
-        // Spill the map output to local disk (Hadoop always materializes).
-        cpu += c.serialize_ns(emitted_bytes);
-        io += c.io_ns(emitted_bytes, node.slot_disk_write_bw());
-        io + (cpu as f64 * node.cpu_scale) as SimNs
-    }
-
-    /// Runs a map-only job (no shuffle; output written to HDFS if configured).
+impl JobWork {
+    /// Runs a map-only job's map function over every task and records what
+    /// each task did; returns the work and the map output in task order.
     ///
-    /// Map tasks execute in parallel on the host (`sjc-par`); the simulated
-    /// cost accounting is merged serially in task order afterwards, so the
-    /// outcome is bit-identical at every thread count.
+    /// Map tasks execute in parallel on the host (`sjc-par`) and their
+    /// results merge in task order, so the work is identical at every
+    /// thread count.
     pub fn map_only<T: Sync, O: Send>(
-        &mut self,
         cfg: &JobConfig,
         tasks: Vec<MapTask<T>>,
         map: impl Fn(&T, &mut ReduceEmitter<O>) + Sync,
-    ) -> Result<JobOutcome<O>, SimError> {
-        let c = self.cluster.cost.clone();
-        let node = self.cluster.config.node;
-        let slots = self.cluster.total_slots();
-
-        let mut output = Vec::new();
-        let mut durations: Vec<SimNs> = Vec::with_capacity(tasks.len());
+    ) -> (JobWork, Vec<O>) {
         let mut stats = JobStats { map_tasks: tasks.len() as u64, ..JobStats::default() };
-
         // Skew-aware dispatch: process fat tasks first (LPT by record count)
         // so one oversized partition cannot serialize the host-parallel tail;
         // results still land in task order, so nothing downstream changes.
@@ -312,39 +250,272 @@ impl<'a> MapReduceJob<'a> {
                 em
             },
         );
-
-        // sjc-lint: allow(serial-hot-loop) — cost merge in task order; the map closures already ran in parallel above
+        let mut output = Vec::new();
+        let mut maps = Vec::with_capacity(tasks.len());
+        // sjc-lint: allow(serial-hot-loop) — output merge in task order; the map closures already ran in parallel above
         for (task, em) in tasks.iter().zip(ems) {
             stats.records_in += task.records.len() as u64;
             stats.records_out += em.out.len() as u64;
             stats.input_bytes += task.input_bytes;
             stats.output_bytes += em.bytes;
-
-            let io = c.io_ns(task.input_bytes, node.slot_disk_read_bw());
-            let mut cpu = 0u64;
-            if cfg.parse_input_text {
-                cpu += c.parse_ns(task.input_bytes);
-            }
-            cpu += c.hadoop_records_ns(task.records.len() as u64);
-            cpu += em.extra_cpu_ns;
-            let mut ns = io + (cpu as f64 * node.cpu_scale) as SimNs;
-            if cfg.write_output_to_hdfs {
-                ns += (c.serialize_ns(em.bytes) as f64 * node.cpu_scale) as SimNs
-                    + c.hdfs_write_ns(em.bytes, self.hdfs_write_bw());
-            }
-            durations.push(ns);
+            maps.push(TaskWork {
+                records: task.records.len() as u64,
+                input_bytes: task.input_bytes,
+                out_bytes: em.bytes,
+                extra_cpu_ns: em.extra_cpu_ns,
+            });
             output.extend(em.out);
         }
+        let work = JobWork { cfg: cfg.clone(), maps, groups: None, stats, streaming: false };
+        (work, output)
+    }
+
+    /// Runs a full map → shuffle → reduce job and records what every map
+    /// task and reduce group did; returns the work and the reduce output
+    /// in key order. Keys are grouped with a deterministic sort order.
+    pub fn map_reduce<T: Sync, K, V, O>(
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<T>>,
+        map: impl Fn(&T, &mut MapEmitter<K, V>) + Sync,
+        reduce: impl Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync,
+    ) -> (JobWork, Vec<O>)
+    where
+        K: Ord + Clone + Send + Sync,
+        V: Send + Sync,
+        O: Send,
+    {
+        JobWork::map_reduce_inner(cfg, tasks, &map, &reduce)
+    }
+
+    /// Host-parallel core: map tasks and reduce groups each run through
+    /// `sjc_par` (order-preserving), the shuffle is one stable sort
+    /// (`sjc_par::par_group`), and the records merge in task / key order —
+    /// so the work is independent of the thread count.
+    #[allow(clippy::type_complexity)]
+    fn map_reduce_inner<T: Sync, K, V, O>(
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<T>>,
+        map: &(dyn Fn(&T, &mut MapEmitter<K, V>) + Sync),
+        reduce: &(dyn Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync),
+    ) -> (JobWork, Vec<O>)
+    where
+        K: Ord + Clone + Send + Sync,
+        V: Send + Sync,
+        O: Send,
+    {
+        // ---- map phase ----
+        let mut stats = JobStats { map_tasks: tasks.len() as u64, ..JobStats::default() };
+        stats.records_in = tasks.iter().map(|t| t.records.len() as u64).sum();
+        stats.input_bytes = tasks.iter().map(|t| t.input_bytes).sum();
+        // LPT dispatch by record count: see `map_only` — processing order
+        // changes, the task-order results do not.
+        let mapped: Vec<MapEmitter<K, V>> = sjc_par::par_map_weighted(
+            &tasks,
+            |task| task.records.len() as u64,
+            |task| {
+                let mut em = MapEmitter::new();
+                for rec in &task.records {
+                    map(rec, &mut em);
+                }
+                // A task meters its spill, not its pairs: each pair carries an
+                // equal integer share of the task's bytes.
+                let share = em.bytes / em.pairs.len().max(1) as u64;
+                for (_, (_, s)) in &mut em.pairs {
+                    *s = share;
+                }
+                em
+            },
+        );
+        stats.shuffle_bytes = mapped.iter().map(|em| em.bytes).sum();
+        let maps: Vec<TaskWork> = tasks
+            .iter()
+            .zip(&mapped)
+            .map(|(task, em)| TaskWork {
+                records: task.records.len() as u64,
+                input_bytes: task.input_bytes,
+                out_bytes: em.bytes,
+                extra_cpu_ns: em.extra_cpu_ns,
+            })
+            .collect();
+        // The first task's buffer becomes the shuffle's, so a one-task job
+        // hands its pairs over without a copy.
+        let mut pairs = mapped.into_iter().map(|em| em.pairs);
+        let mut shuffle = pairs.next().unwrap_or_default();
+        pairs.for_each(|mut more| shuffle.append(&mut more));
+        // Hadoop's shuffle sorts keys: keys ascending, each key's values in
+        // task order, its payload the sum of its pairs' shares.
+        let groups = sjc_par::par_group(shuffle);
+        let group_bytes: Vec<u64> =
+            groups.iter().map(|(_, run)| run.iter().map(|(_, share)| share).sum()).collect();
+        let groups = groups.map_values(|(v, _)| v);
+        let group_list: Vec<(&K, &[V])> = groups.iter().collect();
+
+        // ---- reduce phase ----
+        // Reduce groups are the spatial cells — the skew hazard the LPT
+        // schedule exists for: one fat NYC-census cell dispatched last would
+        // serialize the whole tail. Weight by group size; output order
+        // (sorted key order) is unchanged by contract.
+        let reduce_ems: Vec<ReduceEmitter<O>> = sjc_par::par_map_weighted(
+            &group_list,
+            |(_, vs)| vs.len() as u64,
+            |&(k, vs)| {
+                let mut em = ReduceEmitter::new();
+                reduce(k, vs, &mut em);
+                em
+            },
+        );
+        let mut output = Vec::new();
+        let mut reduces = Vec::with_capacity(group_list.len());
+        // sjc-lint: allow(serial-hot-loop) — output merges in sorted key order; reduce closures already ran in parallel above
+        for (((_, vs), &in_bytes), em) in group_list.iter().zip(&group_bytes).zip(reduce_ems) {
+            stats.records_out += em.out.len() as u64;
+            stats.output_bytes += em.bytes;
+            reduces.push(GroupWork {
+                values: vs.len() as u64,
+                in_bytes,
+                out_bytes: em.bytes,
+                extra_cpu_ns: em.extra_cpu_ns,
+            });
+            output.extend(em.out);
+        }
+        stats.reduce_tasks = group_list.len() as u64;
+        let work =
+            JobWork { cfg: cfg.clone(), maps, groups: Some(reduces), stats, streaming: false };
+        (work, output)
+    }
+}
+
+/// The engine: borrows the cluster (cost context) and HDFS (byte ledger).
+pub struct MapReduceJob<'a> {
+    pub cluster: &'a Cluster,
+    pub hdfs: &'a mut SimHdfs,
+}
+
+impl<'a> MapReduceJob<'a> {
+    pub fn new(cluster: &'a Cluster, hdfs: &'a mut SimHdfs) -> Self {
+        MapReduceJob { cluster, hdfs }
+    }
+
+    /// Runs a map-only job (no shuffle; output written to HDFS if
+    /// configured) on this cluster: [`JobWork::map_only`], then
+    /// [`price`](Self::price).
+    pub fn map_only<T: Sync, O: Send>(
+        &mut self,
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<T>>,
+        map: impl Fn(&T, &mut ReduceEmitter<O>) + Sync,
+    ) -> Result<JobOutcome<O>, SimError> {
+        let (work, output) = JobWork::map_only(cfg, tasks, map);
+        self.outcome(work, output)
+    }
+
+    /// Runs a full map → shuffle → reduce job on this cluster:
+    /// [`JobWork::map_reduce`], then [`price`](Self::price).
+    pub fn map_reduce<T: Sync, K, V, O>(
+        &mut self,
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<T>>,
+        map: impl Fn(&T, &mut MapEmitter<K, V>) + Sync,
+        reduce: impl Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync,
+    ) -> Result<JobOutcome<O>, SimError>
+    where
+        K: Ord + Clone + Send + Sync,
+        V: Send + Sync,
+        O: Send,
+    {
+        let (work, output) = JobWork::map_reduce(cfg, tasks, map, reduce);
+        self.outcome(work, output)
+    }
+
+    /// Prices `work` as a job starting at time zero and packs it with
+    /// `output`.
+    fn outcome<O>(&mut self, work: JobWork, output: Vec<O>) -> Result<JobOutcome<O>, SimError> {
+        let (trace, recovery) = self.price(&work, 0)?;
+        let group_bytes = work.groups.iter().flatten().map(|g| g.in_bytes).collect();
+        Ok(JobOutcome { output, group_bytes, stats: work.stats, trace, recovery })
+    }
+
+    /// Prices a job's work on this cluster, the job starting at `start_ns`
+    /// on the run's global clock: per-task durations from the cluster's
+    /// bandwidths and per-core speed, the wave makespan on its slots (the
+    /// event scheduler under a fault plan), checkpoint writes, replica
+    /// failover, and for a streaming job its pipe bytes and pipe check.
+    /// Pure arithmetic over `work`; the byte totals land in `self.hdfs`.
+    pub fn price(
+        &mut self,
+        work: &JobWork,
+        start_ns: SimNs,
+    ) -> Result<(StageTrace, Vec<RecoveryEvent>), SimError> {
+        let (mut trace, recovery) = match &work.groups {
+            None => self.price_map_only(work, start_ns)?,
+            Some(groups) => self.price_map_reduce(work, groups, start_ns)?,
+        };
+        if work.streaming {
+            if let Some(err) = work.pipe_error(self.cluster) {
+                return Err(err);
+            }
+            trace.pipe_bytes = work.pipe_bytes();
+        }
+        Ok((trace, recovery))
+    }
+
+    /// A map task's duration: I/O at the slot's share of the node disk, CPU
+    /// scaled by the node's per-core speed, and the spill of its output to
+    /// local disk (Hadoop always materializes).
+    fn map_task_duration(&self, cfg: &JobConfig, task: &TaskWork) -> SimNs {
+        let c = &self.cluster.cost;
+        let node = &self.cluster.config.node;
+        let mut io = c.io_ns(task.input_bytes, node.slot_disk_read_bw());
+        let mut cpu = 0u64;
+        if cfg.parse_input_text {
+            cpu += c.parse_ns(task.input_bytes);
+        }
+        cpu += c.hadoop_records_ns(task.records);
+        cpu += task.extra_cpu_ns;
+        cpu += c.serialize_ns(task.out_bytes);
+        io += c.io_ns(task.out_bytes, node.slot_disk_write_bw());
+        io + (cpu as f64 * node.cpu_scale) as SimNs
+    }
+
+    fn price_map_only(
+        &mut self,
+        work: &JobWork,
+        start_ns: SimNs,
+    ) -> Result<(StageTrace, Vec<RecoveryEvent>), SimError> {
+        let cfg = &work.cfg;
+        let c = &self.cluster.cost;
+        let node = self.cluster.config.node;
+        let slots = self.cluster.total_slots();
+        let write_bw = self.cluster.hdfs_write_bw();
+        let durations: Vec<SimNs> = work
+            .maps
+            .iter()
+            .map(|task| {
+                let io = c.io_ns(task.input_bytes, node.slot_disk_read_bw());
+                let mut cpu = 0u64;
+                if cfg.parse_input_text {
+                    cpu += c.parse_ns(task.input_bytes);
+                }
+                cpu += c.hadoop_records_ns(task.records);
+                cpu += task.extra_cpu_ns;
+                let mut ns = io + (cpu as f64 * node.cpu_scale) as SimNs;
+                if cfg.write_output_to_hdfs {
+                    ns += (c.serialize_ns(task.out_bytes) as f64 * node.cpu_scale) as SimNs
+                        + c.hdfs_write_ns(task.out_bytes, write_bw);
+                }
+                ns
+            })
+            .collect();
 
         let plan = &self.cluster.faults;
-        let start = cfg.start_ns + c.hadoop_job_startup_ns;
+        let start = start_ns + c.hadoop_job_startup_ns;
         let full_tasks: Vec<SimNs> = match cfg.map_scale {
             ScaleMode::MoreTasks => {
                 let with_overhead: Vec<SimNs> =
                     durations.iter().map(|d| d + c.hadoop_task_overhead_ns).collect();
                 if plan.is_none() {
                     let makespan = replicated_makespan(&with_overhead, slots, cfg.multiplier);
-                    return Ok(self.finish_map_only(cfg, makespan, None, output, stats));
+                    return Ok(self.finish_map_only(work, start, makespan, None));
                 }
                 replicate_tasks(&with_overhead, cfg.multiplier.round().max(1.0) as u64)
             }
@@ -355,35 +526,35 @@ impl<'a> MapReduceJob<'a> {
                     .collect();
                 if plan.is_none() {
                     let makespan = lpt_makespan(&scaled, slots);
-                    return Ok(self.finish_map_only(cfg, makespan, None, output, stats));
+                    return Ok(self.finish_map_only(work, start, makespan, None));
                 }
                 scaled
             }
         };
         let sched = faulty_makespan(
             &full_tasks,
-            self.cluster.config.node.cores,
+            node.cores,
             self.cluster.config.nodes,
             plan,
             &cfg.name,
             start,
             false,
         )?;
-        Ok(self.finish_map_only(cfg, sched.makespan, Some(sched), output, stats))
+        Ok(self.finish_map_only(work, start, sched.makespan, Some(sched)))
     }
 
-    /// Shared tail of [`Self::map_only`]: trace assembly and byte ledger.
-    fn finish_map_only<O>(
+    /// Shared tail of [`Self::price_map_only`]: trace assembly and byte
+    /// ledger. `start` is the instant the job's tasks start.
+    fn finish_map_only(
         &mut self,
-        cfg: &JobConfig,
+        work: &JobWork,
+        start: SimNs,
         makespan: SimNs,
         sched: Option<TaskSchedule>,
-        output: Vec<O>,
-        stats: JobStats,
-    ) -> JobOutcome<O> {
-        let c = self.cluster.cost.clone();
+    ) -> (StageTrace, Vec<RecoveryEvent>) {
+        let (cfg, stats) = (&work.cfg, &work.stats);
         let mut trace = StageTrace::new(cfg.name.clone(), StageKind::MapOnlyJob, cfg.phase);
-        trace.sim_ns = c.hadoop_job_startup_ns + makespan;
+        trace.sim_ns = self.cluster.cost.hadoop_job_startup_ns + makespan;
         trace.hdfs_bytes_read = (stats.input_bytes as f64 * cfg.multiplier) as u64;
         if cfg.write_output_to_hdfs {
             trace.hdfs_bytes_written = (stats.output_bytes as f64 * cfg.multiplier) as u64;
@@ -400,104 +571,35 @@ impl<'a> MapReduceJob<'a> {
             recovery = s.events;
             // Input blocks whose primary died before the job started come
             // from remote replicas.
-            let start = cfg.start_ns + c.hadoop_job_startup_ns;
-            let (extra, reread, ev) =
-                self.failover_penalty(&cfg.name, start, trace.hdfs_bytes_read);
-            trace.sim_ns += extra;
-            trace.bytes_reread = reread;
-            recovery.extend(ev);
+            if let Some((reread, ev)) =
+                self.cluster.replica_failover(&cfg.name, start, trace.hdfs_bytes_read)
+            {
+                trace.sim_ns += ev.wasted_ns;
+                trace.bytes_reread = reread;
+                recovery.push(ev);
+            }
         }
-
-        JobOutcome {
-            output,
-            group_bytes: Vec::new(),
-            group_out_bytes: Vec::new(),
-            stats,
-            trace,
-            recovery,
-        }
+        (trace, recovery)
     }
 
-    /// Runs a full map → shuffle → reduce job. Keys are grouped with a
-    /// deterministic sort order.
-    pub fn map_reduce<T: Sync, K, V, O>(
+    fn price_map_reduce(
         &mut self,
-        cfg: &JobConfig,
-        tasks: Vec<MapTask<T>>,
-        map: impl Fn(&T, &mut MapEmitter<K, V>) + Sync,
-        reduce: impl Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync,
-    ) -> Result<JobOutcome<O>, SimError>
-    where
-        K: Ord + Clone + Send + Sync,
-        V: Send + Sync,
-        O: Send,
-    {
-        self.map_reduce_inner(cfg, tasks, &map, &reduce)
-    }
-
-    /// Host-parallel core: map tasks and reduce groups each run through
-    /// `sjc_par` (order-preserving), the shuffle is one stable sort
-    /// (`sjc_par::par_group`), and stats and output merge serially in task /
-    /// key order — so every simulated number is independent of the thread
-    /// count.
-    #[allow(clippy::type_complexity)]
-    fn map_reduce_inner<T: Sync, K, V, O>(
-        &mut self,
-        cfg: &JobConfig,
-        tasks: Vec<MapTask<T>>,
-        map: &(dyn Fn(&T, &mut MapEmitter<K, V>) + Sync),
-        reduce: &(dyn Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync),
-    ) -> Result<JobOutcome<O>, SimError>
-    where
-        K: Ord + Clone + Send + Sync,
-        V: Send + Sync,
-        O: Send,
-    {
-        let c = self.cluster.cost.clone();
+        work: &JobWork,
+        groups: &[GroupWork],
+        start_ns: SimNs,
+    ) -> Result<(StageTrace, Vec<RecoveryEvent>), SimError> {
+        let (cfg, stats) = (&work.cfg, &work.stats);
+        let c = &self.cluster.cost;
         let node = self.cluster.config.node;
         let nodes = self.cluster.config.nodes;
         let slots = self.cluster.total_slots();
-
-        // ---- map phase (real execution + per-task cost) ----
-        let mut stats = JobStats { map_tasks: tasks.len() as u64, ..JobStats::default() };
-        stats.records_in = tasks.iter().map(|t| t.records.len() as u64).sum();
-        stats.input_bytes = tasks.iter().map(|t| t.input_bytes).sum();
-        // LPT dispatch by record count: see `map_only` — processing order
-        // changes, the task-order results do not.
-        let mapped: Vec<(MapEmitter<K, V>, SimNs)> = sjc_par::par_map_weighted(
-            &tasks,
-            |task| task.records.len() as u64,
-            |task| {
-                let mut em = MapEmitter::new();
-                for rec in &task.records {
-                    map(rec, &mut em);
-                }
-                // A task meters its spill, not its pairs: each pair carries an
-                // equal integer share of the task's bytes.
-                let share = em.bytes / em.pairs.len().max(1) as u64;
-                for (_, (_, s)) in &mut em.pairs {
-                    *s = share;
-                }
-                let dur = self.map_task_duration(cfg, task, em.bytes, em.extra_cpu_ns);
-                (em, dur + c.hadoop_task_overhead_ns)
-            },
-        );
-        stats.shuffle_bytes = mapped.iter().map(|(em, _)| em.bytes).sum();
-        let map_durations: Vec<SimNs> = mapped.iter().map(|&(_, dur)| dur).collect();
-        // The first task's buffer becomes the shuffle's, so a one-task job
-        // hands its pairs over without a copy.
-        let mut pairs = mapped.into_iter().map(|(em, _)| em.pairs);
-        let mut shuffle = pairs.next().unwrap_or_default();
-        pairs.for_each(|mut more| shuffle.append(&mut more));
-        // Hadoop's shuffle sorts keys: keys ascending, each key's values in
-        // task order, its payload the sum of its pairs' shares.
-        let groups = sjc_par::par_group(shuffle);
-        let group_bytes: Vec<u64> =
-            groups.iter().map(|(_, run)| run.iter().map(|(_, share)| share).sum()).collect();
-        let groups = groups.map_values(|(v, _)| v);
-        let group_list: Vec<(&K, &[V])> = groups.iter().collect();
-        let plan = self.cluster.faults.clone();
-        let start = cfg.start_ns + c.hadoop_job_startup_ns;
+        let map_durations: Vec<SimNs> = work
+            .maps
+            .iter()
+            .map(|task| self.map_task_duration(cfg, task) + c.hadoop_task_overhead_ns)
+            .collect();
+        let plan = &self.cluster.faults;
+        let start = start_ns + c.hadoop_job_startup_ns;
         // Map wave. Under faults the full-scale task list runs through the
         // event scheduler with `rerun_on_crash`: a completed map task whose
         // host dies before the shuffle re-executes (its output is gone).
@@ -517,7 +619,7 @@ impl<'a> MapReduceJob<'a> {
                         &full,
                         node.cores,
                         nodes,
-                        &plan,
+                        plan,
                         &format!("{}/map", cfg.name),
                         start,
                         rerun_lost_maps,
@@ -537,7 +639,7 @@ impl<'a> MapReduceJob<'a> {
                         &scaled,
                         node.cores,
                         nodes,
-                        &plan,
+                        plan,
                         &format!("{}/map", cfg.name),
                         start,
                         rerun_lost_maps,
@@ -562,7 +664,7 @@ impl<'a> MapReduceJob<'a> {
                 let repl = plan.checkpoint.replication.max(1) as u64;
                 let write_ns = c.io_ns(
                     full_shuffle.saturating_mul(repl) / (slots as u64).max(1),
-                    self.hdfs_write_bw(),
+                    self.cluster.hdfs_write_bw(),
                 );
                 map_makespan += write_ns;
                 ckpt_written = full_shuffle;
@@ -593,49 +695,29 @@ impl<'a> MapReduceJob<'a> {
         // ---- shuffle + reduce phase ----
         // Each group is one spatial partition: fixed count, data grows with
         // the multiplier.
-        let mut reduce_durations = Vec::with_capacity(group_list.len());
-        let mut group_out_bytes = Vec::with_capacity(group_list.len());
-        let mut output = Vec::new();
         let remote_fraction = if nodes > 1 { (nodes - 1) as f64 / nodes as f64 } else { 0.0 };
-        // Reduce groups are the spatial cells — the skew hazard the LPT
-        // schedule exists for: one fat NYC-census cell dispatched last would
-        // serialize the whole tail. Weight by group size; output order
-        // (sorted key order) is unchanged by contract.
-        let reduce_ems: Vec<ReduceEmitter<O>> = sjc_par::par_map_weighted(
-            &group_list,
-            |(_, vs)| vs.len() as u64,
-            |&(k, vs)| {
-                let mut em = ReduceEmitter::new();
-                reduce(k, vs, &mut em);
-                em
-            },
-        );
-        // sjc-lint: allow(serial-hot-loop) — output and durations merge in sorted key order; reduce closures already ran in parallel above
-        for (((_, vs), bytes), em) in group_list.iter().zip(&group_bytes).zip(reduce_ems) {
-            stats.records_out += em.out.len() as u64;
-            stats.output_bytes += em.bytes;
-            group_out_bytes.push(em.bytes);
-
-            let full_bytes = (*bytes as f64 * cfg.multiplier) as u64;
-            let full_records = (vs.len() as f64 * cfg.multiplier) as u64;
-            // Fetch spilled map output: disk read + cross-node transfer.
-            let mut io = c.io_ns(full_bytes, node.slot_disk_read_bw());
-            io += c.io_ns((full_bytes as f64 * remote_fraction) as u64, node.slot_net_bw());
-            // Merge-sort the group (Hadoop sorts by key; within-partition
-            // sorting of values is what the streaming dedup relies on).
-            let mut cpu = c.sort_ns(full_records);
-            cpu += c.hadoop_records_ns(full_records);
-            cpu += (em.extra_cpu_ns as f64 * cfg.multiplier) as SimNs;
-            if cfg.write_output_to_hdfs {
-                let out_full = (em.bytes as f64 * cfg.multiplier) as u64;
-                cpu += c.serialize_ns(out_full);
-                io += c.hdfs_write_ns(out_full, self.hdfs_write_bw());
-            }
-            let ns = io + (cpu as f64 * node.cpu_scale) as SimNs;
-            reduce_durations.push(c.hadoop_task_overhead_ns + ns);
-            output.extend(em.out);
-        }
-        stats.reduce_tasks = group_list.len() as u64;
+        let write_bw = self.cluster.hdfs_write_bw();
+        let reduce_durations: Vec<SimNs> = groups
+            .iter()
+            .map(|g| {
+                let full_bytes = (g.in_bytes as f64 * cfg.multiplier) as u64;
+                let full_records = (g.values as f64 * cfg.multiplier) as u64;
+                // Fetch spilled map output: disk read + cross-node transfer.
+                let mut io = c.io_ns(full_bytes, node.slot_disk_read_bw());
+                io += c.io_ns((full_bytes as f64 * remote_fraction) as u64, node.slot_net_bw());
+                // Merge-sort the group (Hadoop sorts by key; within-partition
+                // sorting of values is what the streaming dedup relies on).
+                let mut cpu = c.sort_ns(full_records);
+                cpu += c.hadoop_records_ns(full_records);
+                cpu += (g.extra_cpu_ns as f64 * cfg.multiplier) as SimNs;
+                if cfg.write_output_to_hdfs {
+                    let out_full = (g.out_bytes as f64 * cfg.multiplier) as u64;
+                    cpu += c.serialize_ns(out_full);
+                    io += c.hdfs_write_ns(out_full, write_bw);
+                }
+                c.hadoop_task_overhead_ns + io + (cpu as f64 * node.cpu_scale) as SimNs
+            })
+            .collect();
         // Reduce wave: group durations are already full-scale; under faults
         // it starts on the global clock where the map wave ended.
         let mut reduce_sched: Option<TaskSchedule> = None;
@@ -646,7 +728,7 @@ impl<'a> MapReduceJob<'a> {
                 &reduce_durations,
                 node.cores,
                 nodes,
-                &plan,
+                plan,
                 &format!("{}/reduce", cfg.name),
                 start + map_makespan,
                 false,
@@ -681,14 +763,16 @@ impl<'a> MapReduceJob<'a> {
         }
         recovery.extend(ckpt_events);
         if !plan.is_none() {
-            let (extra, reread, ev) =
-                self.failover_penalty(&cfg.name, start, trace.hdfs_bytes_read);
-            trace.sim_ns += extra;
-            trace.bytes_reread = reread + ckpt_reread;
-            recovery.extend(ev);
+            trace.bytes_reread = ckpt_reread;
+            if let Some((reread, ev)) =
+                self.cluster.replica_failover(&cfg.name, start, trace.hdfs_bytes_read)
+            {
+                trace.sim_ns += ev.wasted_ns;
+                trace.bytes_reread += reread;
+                recovery.push(ev);
+            }
         }
-
-        Ok(JobOutcome { output, group_bytes, group_out_bytes, stats, trace, recovery })
+        Ok((trace, recovery))
     }
 }
 

@@ -26,5 +26,7 @@ pub mod job;
 pub mod streaming;
 
 pub use input_format::{block_splits, MapTask};
-pub use job::{JobConfig, JobStats, MapEmitter, MapReduceJob, ReduceEmitter};
+pub use job::{
+    GroupWork, JobConfig, JobStats, JobWork, MapEmitter, MapReduceJob, ReduceEmitter, TaskWork,
+};
 pub use streaming::{StreamingJob, StreamingOutcome, TextLen};

@@ -18,10 +18,10 @@
 //! [`StreamingJob::map_reduce`] are `String`-and-`Vec` adapters over the
 //! same core, kept for `benchmark/` only.
 
-use sjc_cluster::{CostModel, RecoveryEvent, SimError, SimNs, StageTrace};
+use sjc_cluster::{Cluster, CostModel, RecoveryEvent, SimError, SimNs, StageTrace};
 
 use crate::input_format::MapTask;
-use crate::job::{JobConfig, JobStats, MapReduceJob};
+use crate::job::{JobConfig, JobStats, JobWork, MapReduceJob};
 
 /// Byte length of a value written as one field of a streaming line — the
 /// only thing the simulator reads of a line, key or output.
@@ -64,13 +64,124 @@ fn process_ns(cost: &CostModel, in_bytes: u64, out_bytes: u64) -> SimNs {
     cost.pipe_ns(in_bytes + out_bytes) + cost.parse_ns(in_bytes)
 }
 
+impl JobWork {
+    /// The work of a streaming map-only job: `mapper` writes the output
+    /// lines of one input line into its sink, and every line pays its pipe
+    /// and parse costs from `cost`. Returns the work and the output lines.
+    pub fn map_only_lines<L, O>(
+        cost: &CostModel,
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<L>>,
+        mapper: impl Fn(&L, &mut dyn FnMut(O)) + Sync,
+    ) -> (JobWork, Vec<O>)
+    where
+        L: TextLen + Sync,
+        O: TextLen + Send,
+    {
+        let (mut work, lines) = JobWork::map_only(cfg, tasks, |line: &L, em| {
+            let in_bytes = line.text_len() as u64 + 1;
+            let mut pipe_out = 0u64;
+            mapper(line, &mut |out: O| {
+                let b = out.text_len() as u64 + 1;
+                pipe_out += b;
+                em.emit(out, b);
+            });
+            em.charge(process_ns(cost, in_bytes, pipe_out));
+        });
+        work.streaming = true;
+        (work, lines)
+    }
+
+    /// The work of a streaming map-reduce job: `mapper` writes `(key,
+    /// value)` line pairs into its sink; `reducer` consumes one key's values
+    /// (in map-task order) and writes output lines into its sink. Returns
+    /// the work and the output lines in key order.
+    pub fn map_reduce_lines<L, K, V, O>(
+        cost: &CostModel,
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<L>>,
+        mapper: impl Fn(&L, &mut dyn FnMut(K, V)) + Sync,
+        reducer: impl Fn(&K, &[V], &mut dyn FnMut(O)) + Sync,
+    ) -> (JobWork, Vec<O>)
+    where
+        L: TextLen + Sync,
+        K: TextLen + Ord + Clone + Send + Sync,
+        V: TextLen + Send + Sync,
+        O: TextLen + Send,
+    {
+        let (mut work, lines) = JobWork::map_reduce(
+            cfg,
+            tasks,
+            |line: &L, em| {
+                let in_bytes = line.text_len() as u64 + 1;
+                let mut pipe_out = 0u64;
+                mapper(line, &mut |k: K, v: V| {
+                    let b = (k.text_len() + v.text_len() + 2) as u64;
+                    pipe_out += b;
+                    em.emit(k, v, b);
+                });
+                em.charge(process_ns(cost, in_bytes, pipe_out));
+            },
+            |key: &K, values: &[V], em| {
+                let in_bytes: u64 =
+                    values.iter().map(|v| (key.text_len() + v.text_len() + 2) as u64).sum();
+                let mut out_bytes = 0u64;
+                reducer(key, values, &mut |out: O| {
+                    let b = out.text_len() as u64 + 1;
+                    out_bytes += b;
+                    em.emit(out, b);
+                });
+                em.charge(process_ns(cost, in_bytes, out_bytes));
+                if cfg.script_reducer {
+                    em.charge(
+                        (values.len() as f64
+                            * cost.streaming_script_record_ns
+                            * cfg.script_cost_factor) as u64,
+                    );
+                }
+            },
+        );
+        work.streaming = true;
+        (work, lines)
+    }
+
+    /// The broken-pipe check of a streaming job's reducers on `cluster`:
+    /// each reduce group is piped through one external process (stdin: the
+    /// group's records; stdout: its results), at full scale the payload is
+    /// multiplier × bigger, and the node's memory sets the limit. The first
+    /// group in key order over the limit fails the job.
+    pub fn pipe_error(&self, cluster: &Cluster) -> Option<SimError> {
+        let limit = cluster.cost.streaming_pipe_limit(cluster.config.node.memory_bytes);
+        let full = self
+            .groups
+            .iter()
+            .flatten()
+            .map(|g| ((g.in_bytes + g.out_bytes) as f64 * self.cfg.multiplier) as u64)
+            .find(|&full| full > limit)?;
+        Some(SimError::BrokenPipe {
+            stage: self.cfg.name.clone(),
+            payload_bytes: full,
+            limit_bytes: limit,
+        })
+    }
+
+    /// Full-scale bytes through the job's pipes: every input byte into a
+    /// mapper, and for a map-reduce job every shuffled byte out of a mapper
+    /// and into a reducer, and every output byte out.
+    pub(crate) fn pipe_bytes(&self) -> u64 {
+        let s = &self.stats;
+        let shuffled = if self.groups.is_some() { 2 * s.shuffle_bytes } else { 0 };
+        ((s.input_bytes + shuffled + s.output_bytes) as f64 * self.cfg.multiplier) as u64
+    }
+}
+
 impl<'a, 'b> StreamingJob<'a, 'b> {
     pub fn new(engine: &'b mut MapReduceJob<'a>) -> Self {
         StreamingJob { engine }
     }
 
-    /// Runs a streaming map-only job: `mapper` writes the output lines of
-    /// one input line into its sink.
+    /// Runs a streaming map-only job on the engine's cluster:
+    /// [`JobWork::map_only_lines`], then [`MapReduceJob::price`].
     pub fn map_only_lines<L, O>(
         &mut self,
         cfg: &JobConfig,
@@ -81,31 +192,12 @@ impl<'a, 'b> StreamingJob<'a, 'b> {
         L: TextLen + Sync,
         O: TextLen + Send,
     {
-        let cost = self.engine.cluster.cost.clone();
-        let outcome = self.engine.map_only(cfg, tasks, |line: &L, em| {
-            let in_bytes = line.text_len() as u64 + 1;
-            let mut pipe_out = 0u64;
-            mapper(line, &mut |out: O| {
-                let b = out.text_len() as u64 + 1;
-                pipe_out += b;
-                em.emit(out, b);
-            });
-            em.charge(process_ns(&cost, in_bytes, pipe_out));
-        })?;
-        let mut trace = outcome.trace;
-        trace.pipe_bytes = ((outcome.stats.input_bytes + outcome.stats.output_bytes) as f64
-            * cfg.multiplier) as u64;
-        Ok(StreamingOutcome {
-            lines: outcome.output,
-            stats: outcome.stats,
-            trace,
-            recovery: outcome.recovery,
-        })
+        let (work, lines) = JobWork::map_only_lines(&self.engine.cluster.cost, cfg, tasks, mapper);
+        self.outcome(work, lines)
     }
 
-    /// Runs a streaming map-reduce job. `mapper` writes `(key, value)` line
-    /// pairs into its sink; `reducer` consumes one key's values (in map-task
-    /// order) and writes output lines into its sink.
+    /// Runs a streaming map-reduce job on the engine's cluster:
+    /// [`JobWork::map_reduce_lines`], then [`MapReduceJob::price`].
     ///
     /// Fails with [`SimError::BrokenPipe`] when any single reduce task's
     /// full-scale pipe payload exceeds the node's streaming limit.
@@ -122,71 +214,18 @@ impl<'a, 'b> StreamingJob<'a, 'b> {
         V: TextLen + Send + Sync,
         O: TextLen + Send,
     {
-        let cost = self.engine.cluster.cost.clone();
-        let node_memory = self.engine.cluster.config.node.memory_bytes;
-        let outcome = self.engine.map_reduce(
-            cfg,
-            tasks,
-            |line: &L, em| {
-                let in_bytes = line.text_len() as u64 + 1;
-                let mut pipe_out = 0u64;
-                mapper(line, &mut |k: K, v: V| {
-                    let b = (k.text_len() + v.text_len() + 2) as u64;
-                    pipe_out += b;
-                    em.emit(k, v, b);
-                });
-                em.charge(process_ns(&cost, in_bytes, pipe_out));
-            },
-            |key: &K, values: &[V], em| {
-                let in_bytes: u64 =
-                    values.iter().map(|v| (key.text_len() + v.text_len() + 2) as u64).sum();
-                let mut out_bytes = 0u64;
-                reducer(key, values, &mut |out: O| {
-                    let b = out.text_len() as u64 + 1;
-                    out_bytes += b;
-                    em.emit(out, b);
-                });
-                em.charge(process_ns(&cost, in_bytes, out_bytes));
-                if cfg.script_reducer {
-                    em.charge(
-                        (values.len() as f64
-                            * cost.streaming_script_record_ns
-                            * cfg.script_cost_factor) as u64,
-                    );
-                }
-            },
-        )?;
+        let cost = &self.engine.cluster.cost;
+        let (work, lines) = JobWork::map_reduce_lines(cost, cfg, tasks, mapper, reducer);
+        self.outcome(work, lines)
+    }
 
-        // Broken-pipe check: each reduce group is piped through one external
-        // process (stdin: the group's records; stdout: its results); at full
-        // scale the payload is multiplier × bigger. A group's stdout volume
-        // equals its emitter byte count, which the engine records per group
-        // (key order) in `group_out_bytes`.
-        let limit = cost.streaming_pipe_limit(node_memory);
-        for (i, &gb) in outcome.group_bytes.iter().enumerate() {
-            let out = outcome.group_out_bytes.get(i).copied().unwrap_or(0);
-            let full = ((gb + out) as f64 * cfg.multiplier) as u64;
-            if full > limit {
-                return Err(SimError::BrokenPipe {
-                    // sjc-lint: allow(hot-alloc) — cold error return: allocates once, then the run is over
-                    stage: cfg.name.clone(),
-                    payload_bytes: full,
-                    limit_bytes: limit,
-                });
-            }
-        }
-
-        let mut trace = outcome.trace;
-        trace.pipe_bytes = ((outcome.stats.input_bytes
-            + 2 * outcome.stats.shuffle_bytes
-            + outcome.stats.output_bytes) as f64
-            * cfg.multiplier) as u64;
-        Ok(StreamingOutcome {
-            lines: outcome.output,
-            stats: outcome.stats,
-            trace,
-            recovery: outcome.recovery,
-        })
+    fn outcome<O>(
+        &mut self,
+        work: JobWork,
+        lines: Vec<O>,
+    ) -> Result<StreamingOutcome<O>, SimError> {
+        let (trace, recovery) = self.engine.price(&work, 0)?;
+        Ok(StreamingOutcome { lines, stats: work.stats, trace, recovery })
     }
 
     /// [`Self::map_only_lines`] over owned lines, the mapper returning a

@@ -6,10 +6,9 @@
 //! file from HDFS and rebuilds its own index. A broadcast is charged once
 //! per node over the network.
 
-use sjc_cluster::metrics::Phase;
-use sjc_cluster::{StageKind, StageTrace};
-
 use crate::context::SparkContext;
+use crate::ledger::SparkStep;
+use sjc_cluster::metrics::Phase;
 
 /// A value shipped once to every executor.
 pub struct Broadcast<B> {
@@ -28,16 +27,10 @@ impl<'a> SparkContext<'a> {
     /// Broadcasts `value` of serialized size `bytes` to all nodes; charges
     /// a network-bound stage (the driver streams to each executor).
     pub fn broadcast<B>(&mut self, name: &str, phase: Phase, value: B, bytes: u64) -> Broadcast<B> {
-        let nodes = self.cluster.config.nodes as u64;
-        let cost = &self.cluster.cost;
-        let node = &self.cluster.config.node;
-        let mut st = StageTrace::new(name, StageKind::SparkStage, phase);
-        // Torrent-style broadcast: total traffic ~ bytes × nodes, but it
-        // flows in parallel; wall time ~ one transfer plus driver serialize.
-        st.sim_ns = cost.serialize_ns(bytes) + cost.io_ns(bytes, node.net_bw);
-        st.shuffle_bytes = bytes * nodes;
-        st.tasks = nodes;
-        self.trace.push(st);
+        match &mut self.pricer {
+            Some(pricer) => pricer.broadcast(name, phase, bytes),
+            None => self.steps.push(SparkStep::Broadcast { name: name.to_string(), phase, bytes }),
+        }
         Broadcast { value, bytes }
     }
 }
@@ -53,7 +46,7 @@ mod tests {
         let mut ctx = SparkContext::new(&cluster);
         let b = ctx.broadcast("bcast index", Phase::DistributedJoin, vec![1, 2, 3], 1 << 20);
         assert_eq!(b.value(), &vec![1, 2, 3]);
-        let stage = &ctx.trace.stages[0];
+        let stage = &ctx.trace().unwrap().stages[0];
         assert_eq!(stage.shuffle_bytes, 10 << 20);
         assert_eq!(stage.hdfs_bytes_read, 0, "no HDFS involved");
         assert!(stage.sim_ns > 0);
@@ -65,7 +58,7 @@ mod tests {
             let cluster = Cluster::new(ClusterConfig::ec2(n));
             let mut ctx = SparkContext::new(&cluster);
             ctx.broadcast("b", Phase::DistributedJoin, (), 8 << 20);
-            ctx.trace.stages[0].sim_ns
+            ctx.trace().unwrap().stages[0].sim_ns
         };
         assert_eq!(t(2), t(10), "parallel torrent distribution");
     }
