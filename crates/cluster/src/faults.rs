@@ -18,9 +18,10 @@
 //!   attempt's work is wasted and the task retries (bounded);
 //! * **lost block replicas** — follows from node crashes: the share of a
 //!   stage's input whose primary replica died before the stage started is
-//!   re-read from remote replicas over the NIC (`failover_penalty` in
-//!   `sjc-mapreduce`, the same closed form in `sjc-rdd`'s stage runner) and
-//!   recorded as a [`crate::metrics::RecoveryKind::ReplicaFailover`] event.
+//!   re-read from remote replicas over the NIC (one closed form,
+//!   [`crate::Cluster::replica_failover`], which both substrates price
+//!   with) and recorded as a [`crate::metrics::RecoveryKind::ReplicaFailover`]
+//!   event.
 //!
 //! [`FaultPlan::none()`] is the identity plan: every query answers "no
 //! fault", and every engine bypasses its fault machinery entirely, so
