@@ -3,7 +3,9 @@
 
 use sjc_bench::microbench::{black_box, Bench};
 use sjc_data::rng::StdRng;
-use sjc_geom::algorithms::{linestrings_intersect, linestrings_intersect_hinted, point_in_polygon};
+use sjc_geom::algorithms::{
+    chunk_envelopes, linestrings_intersect, linestrings_intersect_hinted, point_in_polygon,
+};
 use sjc_geom::predicates::segments_intersect;
 use sjc_geom::wkt::{parse_wkt, to_wkt};
 use sjc_geom::{Geometry, LineString, Mbr, Point, Polygon};
@@ -91,12 +93,24 @@ fn bench_polyline_intersect(b: &mut Bench) {
 }
 
 /// One exact test as the join's refinement sees it: a candidate pair whose
-/// envelopes overlap, by outcome and size, with the envelopes handed over
-/// (`hinted`, what `local_join` does) or recomputed (`unhinted`).
+/// envelopes overlap, by outcome and size, with the right side handed over
+/// as its chunk envelopes (`prepared`, what `local_join` does for a long
+/// polyline), with both envelopes handed over (`hinted`, what it does for
+/// a short one) or with both recomputed (`unhinted`).
 fn bench_polyline_refine(b: &mut Bench) {
     const PAIRS: usize = 32;
     type Rec = (LineString, Mbr);
     type Pair = (Rec, Rec);
+    let chunks = |pairs: &[Pair]| -> Vec<Vec<Mbr>> {
+        pairs
+            .iter()
+            .map(|(_, (r, _))| {
+                let mut out = Vec::new();
+                chunk_envelopes(r, &mut out);
+                out
+            })
+            .collect()
+    };
     for &n in &[10usize, 64, 512] {
         let mut rng = StdRng::seed_from_u64(4 + n as u64);
         // A walk of n unit-ish steps wanders ~sqrt(n); start the partner
@@ -118,11 +132,21 @@ fn bench_polyline_refine(b: &mut Bench) {
         }
         for (outcome, pairs) in [("hit", &hits), ("miss", &misses)] {
             let group = format!("polyline_refine_{outcome}");
+            let prepared = chunks(pairs);
+            b.bench_in(&group, &format!("{n}/prepared"), || {
+                pairs
+                    .iter()
+                    .zip(&prepared)
+                    .filter(|(((l, lm), (r, _)), rc)| {
+                        linestrings_intersect_hinted(black_box(l), lm, black_box(r), rc)
+                    })
+                    .count()
+            });
             b.bench_in(&group, &format!("{n}/hinted"), || {
                 pairs
                     .iter()
                     .filter(|((l, lm), (r, rm))| {
-                        linestrings_intersect_hinted(black_box(l), lm, black_box(r), rm)
+                        linestrings_intersect_hinted(black_box(l), lm, black_box(r), &[*rm])
                     })
                     .count()
             });

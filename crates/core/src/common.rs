@@ -1,6 +1,7 @@
 //! Machinery shared by the three system implementations.
 
-use sjc_geom::{GeometryEngine, Mbr};
+use sjc_geom::algorithms::ChunkEnvelopes;
+use sjc_geom::{Geometry, GeometryEngine, LineString, Mbr};
 use sjc_index::entry::IndexEntry;
 use sjc_index::join::{indexed_nested_loop, stripe_sweep, sync_rtree, CandidatePairs};
 
@@ -73,6 +74,12 @@ pub fn local_join(
     cost.filter_ns = stats.filter_tests * engine.filter_cost_ns()
         + stats.index_nodes_visited * engine.filter_cost_ns();
 
+    // Built once, before refinement, and read by both paths below.
+    let chunks = match predicate {
+        JoinPredicate::Intersects => right_chunks(right, &pairs),
+        _ => ChunkEnvelopes::default(),
+    };
+
     // De-dup first: a candidate this partition does not report is still
     // charged its refinement — the modelled systems refine, then
     // de-duplicate — but its exact test is not run. Below a threshold each candidate is decided,
@@ -89,7 +96,7 @@ pub fn local_join(
         if !keep(&l.mbr, &r.mbr) {
             return (predicate.refine_cost_ns(engine, l, r), None);
         }
-        let (hit, ns) = predicate.evaluate_records(engine, l, r);
+        let (hit, ns) = predicate.evaluate_records(engine, l, r, chunks.get(ri as usize));
         (ns, hit.then_some((l.id, r.id)))
     };
     let mut out = Vec::new();
@@ -103,6 +110,27 @@ pub fn local_join(
         pairs.iter().map(refine_one).for_each(tally);
     }
     (out, cost)
+}
+
+/// Chunk envelopes of the right side's polylines that appear in a candidate
+/// of `pairs`; none when the right side holds no polyline.
+fn right_chunks(right: &[&GeoRecord], pairs: &[(u64, u64)]) -> ChunkEnvelopes {
+    fn line(r: &GeoRecord) -> Option<&LineString> {
+        match &r.geom {
+            Geometry::LineString(l) => Some(l),
+            _ => None,
+        }
+    }
+    if !right.iter().any(|r| line(r).is_some()) {
+        return ChunkEnvelopes::default();
+    }
+    let mut wanted = vec![false; right.len()];
+    for &(_, ri) in pairs {
+        if let Some(w) = wanted.get_mut(ri as usize) {
+            *w = true;
+        }
+    }
+    ChunkEnvelopes::build(right.iter().zip(wanted).map(|(r, w)| line(r).filter(|_| w)))
 }
 
 /// Reference quadratic join over whole inputs (tests / tiny data).

@@ -45,17 +45,24 @@ impl JoinPredicate {
     }
 
     /// [`evaluate`](JoinPredicate::evaluate) on two join records, handing the
-    /// exact test the envelopes the filter has just compared. Same verdict
-    /// and same charged cost as `evaluate` on the records' geometries.
+    /// exact test the envelopes the filter has just compared. `right_chunks`
+    /// is `right`'s entry of a [`ChunkEnvelopes`](sjc_geom::algorithms::ChunkEnvelopes),
+    /// or empty to hand over `right.mbr` alone. Same verdict and same
+    /// charged cost as `evaluate` on the records' geometries.
     pub fn evaluate_records(
         &self,
         engine: &GeometryEngine,
         left: &GeoRecord,
         right: &GeoRecord,
+        right_chunks: &[Mbr],
     ) -> (bool, u64) {
         match self {
             JoinPredicate::Intersects => {
-                engine.intersects_hinted(&left.geom, &left.mbr, &right.geom, &right.mbr)
+                let chunks = match right_chunks {
+                    [] => std::slice::from_ref(&right.mbr),
+                    chunks => chunks,
+                };
+                engine.intersects_hinted(&left.geom, &left.mbr, &right.geom, chunks)
             }
             _ => self.evaluate(engine, &left.geom, &right.geom),
         }
@@ -386,7 +393,7 @@ mod tests {
     fn evaluate_records_matches_evaluate_in_verdict_and_cost() {
         each_case(|p, engine, l, r| {
             assert_eq!(
-                p.evaluate_records(engine, l, r),
+                p.evaluate_records(engine, l, r, &[]),
                 p.evaluate(engine, &l.geom, &r.geom),
                 "{p:?} on records {} x {}",
                 l.id,
@@ -400,7 +407,7 @@ mod tests {
         each_case(|p, engine, l, r| {
             assert_eq!(
                 p.refine_cost_ns(engine, l, r),
-                p.evaluate_records(engine, l, r).1,
+                p.evaluate_records(engine, l, r, &[]).1,
                 "{p:?} on records {} x {}",
                 l.id,
                 r.id

@@ -206,7 +206,7 @@ impl SpatialSpark {
                 let visited = tree.query_counting(&predicate.filter_mbr(&lrec.mbr), &mut hits);
                 *extra += visited as u64 * jts.filter_cost_ns();
                 for rrec in right.pick(hits) {
-                    let (hit, ns) = predicate.evaluate_records(&jts, lrec, rrec);
+                    let (hit, ns) = predicate.evaluate_records(&jts, lrec, rrec, &[]);
                     *extra += ns;
                     if hit {
                         out.push((lrec.id, rrec.id));

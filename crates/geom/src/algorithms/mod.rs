@@ -13,7 +13,7 @@ pub mod point_in_polygon;
 
 pub use distance::{point_segment_distance, point_to_linestring_distance};
 pub use intersects::{
-    linestrings_intersect, linestrings_intersect_hinted, polygon_intersects_linestring,
-    polygons_intersect,
+    chunk_envelopes, linestrings_intersect, linestrings_intersect_hinted,
+    polygon_intersects_linestring, polygons_intersect, ChunkEnvelopes, CHUNK,
 };
 pub use point_in_polygon::point_in_polygon;

@@ -91,18 +91,18 @@ impl GeometryEngine {
         (a.intersects(b), cost)
     }
 
-    /// [`intersects`](GeometryEngine::intersects) with an envelope hint per
-    /// side (see [`Geometry::intersects_hinted`]). The charged cost is a
-    /// function of the vertex counts alone, so it equals the unhinted one.
+    /// [`intersects`](GeometryEngine::intersects) with envelope hints (see
+    /// [`Geometry::intersects_hinted`]). The charged cost is a function of
+    /// the vertex counts alone, so it equals the unhinted one.
     pub fn intersects_hinted(
         &self,
         a: &Geometry,
         a_mbr: &Mbr,
         b: &Geometry,
-        b_mbr: &Mbr,
+        b_chunks: &[Mbr],
     ) -> (bool, u64) {
         let cost = self.refine_cost_ns(a.num_vertices() + b.num_vertices());
-        (a.intersects_hinted(a_mbr, b, b_mbr), cost)
+        (a.intersects_hinted(a_mbr, b, b_chunks), cost)
     }
 
     /// Exact `contains` refinement plus its simulated cost.

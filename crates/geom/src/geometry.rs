@@ -81,14 +81,21 @@ impl Geometry {
     }
 
     /// [`intersects`](Geometry::intersects) for a caller that already holds
-    /// an envelope of each side (a join record's filter MBR): the
+    /// envelopes of both sides (a join record's filter MBR): the
     /// polyline–polyline test reuses them instead of rescanning vertices.
-    /// Each hint must contain its geometry's tight MBR; every other pairing
-    /// ignores the hints. The verdict is that of `intersects`.
-    pub fn intersects_hinted(&self, self_mbr: &Mbr, other: &Geometry, other_mbr: &Mbr) -> bool {
+    /// `self_mbr` must contain `self`'s tight MBR; `other_chunks` is one
+    /// envelope containing `other`'s, or, when `other` is a polyline, its
+    /// [`chunk_envelopes`](crate::algorithms::chunk_envelopes). Every other
+    /// pairing ignores the hints. The verdict is that of `intersects`.
+    pub fn intersects_hinted(
+        &self,
+        self_mbr: &Mbr,
+        other: &Geometry,
+        other_chunks: &[Mbr],
+    ) -> bool {
         match (self, other) {
             (Geometry::LineString(a), Geometry::LineString(b)) => {
-                linestrings_intersect_hinted(a, self_mbr, b, other_mbr)
+                linestrings_intersect_hinted(a, self_mbr, b, other_chunks)
             }
             _ => self.intersects(other),
         }

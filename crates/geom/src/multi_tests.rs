@@ -76,7 +76,7 @@ fn multi_verdicts_equal_the_or_over_borrowed_parts() {
         assert_eq!(by_parts, expected);
         assert_eq!(ml.intersects(&g), expected);
         assert_eq!(g.intersects(&ml), expected);
-        assert_eq!(ml.intersects_hinted(&ml.mbr(), &g, &g.mbr()), expected);
+        assert_eq!(ml.intersects_hinted(&ml.mbr(), &g, &[g.mbr()]), expected);
     }
 
     let squares = vec![square(0.0, 0.0, 2.0), square(10.0, 10.0, 2.0)];
@@ -91,7 +91,7 @@ fn multi_verdicts_equal_the_or_over_borrowed_parts() {
         assert_eq!(by_parts, expected);
         assert_eq!(mp.intersects(&g), expected);
         assert_eq!(g.intersects(&mp), expected);
-        assert_eq!(g.intersects_hinted(&g.mbr(), &mp, &mp.mbr()), expected);
+        assert_eq!(g.intersects_hinted(&g.mbr(), &mp, &[mp.mbr()]), expected);
     }
 }
 

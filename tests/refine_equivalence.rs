@@ -6,12 +6,15 @@
 //! `sjc_geom::algorithms::linestrings_intersect` as it stood before the
 //! envelope hint existed; it lives here so the library keeps one
 //! implementation and the old one survives only as the thing to compare
-//! against.
+//! against. The prepared entry — `b` handed over as its chunk envelopes —
+//! is held to it too, with a table of polylines cut at chunk seams.
 
 use sjc_core::common::{local_join, LocalJoinAlgo};
 use sjc_core::experiment::Workload;
 use sjc_core::framework::{GeoRecord, JoinPredicate};
-use sjc_geom::algorithms::{linestrings_intersect, linestrings_intersect_hinted};
+use sjc_geom::algorithms::{
+    chunk_envelopes, linestrings_intersect, linestrings_intersect_hinted, CHUNK,
+};
 use sjc_geom::predicates::segments_intersect;
 use sjc_geom::{Geometry, GeometryEngine, LineString, Mbr, Point};
 use sjc_testkit::{cases, TestRng};
@@ -48,9 +51,17 @@ fn ls(coords: &[(f64, f64)]) -> LineString {
     LineString::new(coords.iter().map(|&(x, y)| Point::new(x, y)).collect())
 }
 
+fn chunks(line: &LineString) -> Vec<Mbr> {
+    let mut out = Vec::new();
+    chunk_envelopes(line, &mut out);
+    out
+}
+
 /// Every way into the kernel — unhinted, hinted with the tight envelopes,
-/// hinted with looser ones, through `Geometry`, each in both argument
-/// orders — must give the reference verdict. Returns that verdict.
+/// hinted with looser ones, prepared (the second side as its chunk
+/// envelopes, tight or buffered, under a tight or a loose first hint),
+/// through `Geometry`, each in both argument orders — must give the
+/// reference verdict. Returns that verdict.
 fn assert_all_entries_agree(a: &LineString, b: &LineString, slack: (f64, f64)) -> bool {
     let expected = reference_linestrings_intersect(a, b);
     assert_eq!(reference_linestrings_intersect(b, a), expected, "reference is symmetric");
@@ -60,21 +71,48 @@ fn assert_all_entries_agree(a: &LineString, b: &LineString, slack: (f64, f64)) -
     let ctx = |what: &str| format!("{what}: {a:?} vs {b:?}");
     assert_eq!(linestrings_intersect(a, b), expected, "{}", ctx("unhinted"));
     assert_eq!(linestrings_intersect(b, a), expected, "{}", ctx("unhinted, swapped"));
-    assert_eq!(linestrings_intersect_hinted(a, &ta, b, &tb), expected, "{}", ctx("tight"));
-    assert_eq!(linestrings_intersect_hinted(b, &tb, a, &ta), expected, "{}", ctx("tight, swapped"));
-    assert_eq!(linestrings_intersect_hinted(a, &la, b, &lb), expected, "{}", ctx("loose"));
-    assert_eq!(linestrings_intersect_hinted(b, &lb, a, &la), expected, "{}", ctx("loose, swapped"));
-    assert_eq!(linestrings_intersect_hinted(a, &la, b, &tb), expected, "{}", ctx("loose/tight"));
+    assert_eq!(linestrings_intersect_hinted(a, &ta, b, &[tb]), expected, "{}", ctx("tight"));
+    assert_eq!(
+        linestrings_intersect_hinted(b, &tb, a, &[ta]),
+        expected,
+        "{}",
+        ctx("tight, swapped")
+    );
+    assert_eq!(linestrings_intersect_hinted(a, &la, b, &[lb]), expected, "{}", ctx("loose"));
+    assert_eq!(
+        linestrings_intersect_hinted(b, &lb, a, &[la]),
+        expected,
+        "{}",
+        ctx("loose, swapped")
+    );
+    assert_eq!(linestrings_intersect_hinted(a, &la, b, &[tb]), expected, "{}", ctx("loose/tight"));
+
+    let (ca, cb) = (chunks(a), chunks(b));
+    let buffered = |c: &[Mbr], by: f64| c.iter().map(|m| m.buffered(by)).collect::<Vec<_>>();
+    let (lca, lcb) = (buffered(&ca, slack.0), buffered(&cb, slack.1));
+    for (what, hint, b_chunks) in
+        [("prepared", &ta, &cb), ("prepared, loose hint", &la, &cb), ("prepared, loose", &la, &lcb)]
+    {
+        assert_eq!(linestrings_intersect_hinted(a, hint, b, b_chunks), expected, "{}", ctx(what));
+    }
+    for (what, hint, a_chunks) in [
+        ("prepared, swapped", &tb, &ca),
+        ("prepared, loose hint, swapped", &lb, &ca),
+        ("prepared, loose, swapped", &lb, &lca),
+    ] {
+        assert_eq!(linestrings_intersect_hinted(b, hint, a, a_chunks), expected, "{}", ctx(what));
+    }
 
     let (ga, gb) = (Geometry::LineString(a.clone()), Geometry::LineString(b.clone()));
     assert_eq!(ga.intersects(&gb), expected, "{}", ctx("Geometry::intersects"));
-    assert_eq!(ga.intersects_hinted(&la, &gb, &lb), expected, "{}", ctx("Geometry hinted"));
+    assert_eq!(ga.intersects_hinted(&la, &gb, &[lb]), expected, "{}", ctx("Geometry hinted"));
     assert_eq!(
-        gb.intersects_hinted(&tb, &ga, &ta),
+        gb.intersects_hinted(&tb, &ga, &[ta]),
         expected,
         "{}",
         ctx("Geometry hinted, swapped")
     );
+    assert_eq!(ga.intersects_hinted(&ta, &gb, &cb), expected, "{}", ctx("Geometry prepared"));
     expected
 }
 
@@ -221,6 +259,114 @@ fn adversarial_cases_match_the_reference() {
     }
 }
 
+/// Coarse integer walks long enough to span two and three chunks, so ties,
+/// zero-length and collinear segments land on chunk seams by the dozen.
+#[test]
+fn coarse_grid_walks_across_chunk_seams_match_the_reference() {
+    let (mut hits, mut total) = (0u32, 0u32);
+    cases(0x5EA3_0038, 3000, |rng| {
+        let side = rng.u64_in(3..9) as f64;
+        let (na, nb) = (rng.usize_in(2..8), rng.usize_in(CHUNK..3 * CHUNK + 3));
+        let mut grid_walk = |n| {
+            let start = (rng.u64_in(0..9) as f64 % side, rng.u64_in(0..9) as f64 % side);
+            walk(rng, n, start, |r| r.u64_in(0..3) as f64 - 1.0)
+        };
+        let (a, b) = (grid_walk(na), grid_walk(nb));
+        let slack = (rng.u64_in(0..3) as f64, rng.u64_in(0..3) as f64);
+        hits += u32::from(assert_all_entries_agree(&a, &b, slack));
+        total += 1;
+    });
+    assert!(hits > total / 20 && hits < total - total / 20, "vacuous mix: {hits} of {total} hit");
+}
+
+/// A staircase of `segments` unit steps: vertex `i` is `(i, i mod 2)`.
+fn staircase(segments: usize) -> LineString {
+    LineString::new((0..=segments).map(|i| Point::new(i as f64, (i % 2) as f64)).collect())
+}
+
+/// The prepared entry where chunks meet: lengths either side of one and
+/// two chunks, and contacts placed exactly on a seam vertex.
+#[test]
+fn chunk_seam_cases_match_the_reference() {
+    let c = CHUNK as f64;
+    let mut table: Vec<(String, LineString, LineString, bool)> = Vec::new();
+    for segments in [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1] {
+        let b = staircase(segments);
+        let last = segments as f64 - 0.5;
+        // Segment CHUNK - 1 ends chunk 0 and segment CHUNK starts chunk 1.
+        let (end0, start1) = (c - 0.5, c + 0.5);
+        for (what, a, hit) in [
+            ("crosses the first segment", ls(&[(0.5, -1.0), (0.5, 2.0)]), true),
+            (
+                "crosses the last segment of chunk 0",
+                ls(&[(end0, -1.0), (end0, 2.0)]),
+                segments >= CHUNK,
+            ),
+            (
+                "crosses the first segment of chunk 1",
+                ls(&[(start1, -1.0), (start1, 2.0)]),
+                segments > CHUNK,
+            ),
+            ("crosses the last segment", ls(&[(last, -1.0), (last, 2.0)]), true),
+            ("stops short of the last segment", ls(&[(last, 0.8), (last, 1.0)]), false),
+            ("runs past the end", ls(&[(segments as f64 + 0.5, -1.0), (last + 1.0, 2.0)]), false),
+        ] {
+            table.push((format!("{segments} segments, {what}"), a, b.clone(), hit));
+        }
+    }
+    // Vertex CHUNK, (CHUNK, 0), ends chunk 0 and starts chunk 1.
+    let seam = staircase(2 * CHUNK);
+    table.push(("touches the seam vertex".into(), ls(&[(c, -1.0), (c, 0.0)]), seam.clone(), true));
+    table.push((
+        "stops just short of the seam vertex".into(),
+        ls(&[(c, -1.0), (c, -1e-300)]),
+        seam.clone(),
+        false,
+    ));
+    table.push((
+        "crosses at the seam vertex".into(),
+        ls(&[(c - 1.0, -1.0), (c + 1.0, 1.0)]),
+        seam,
+        true,
+    ));
+    // A repeated vertex makes a zero-length segment: the last of chunk 0,
+    // then the first of chunk 1.
+    for at in [CHUNK - 1, CHUNK] {
+        let mut pts: Vec<(f64, f64)> =
+            (0..=2 * CHUNK).map(|i| (i as f64, (i % 2) as f64)).collect();
+        let dup = pts[at];
+        pts.insert(at, dup);
+        let b = ls(&pts);
+        let (x, y) = dup;
+        table.push((
+            format!("zero-length segment {at}, touched"),
+            ls(&[(x, y), (x, y)]),
+            b.clone(),
+            true,
+        ));
+        table.push((
+            format!("zero-length segment {at}, missed"),
+            ls(&[(x + 0.1, y), (x + 0.1, y)]),
+            b,
+            false,
+        ));
+    }
+    // Collinear overlaps along a straight line through the seam.
+    let line = ls(&(0..=2 * CHUNK + 1).map(|i| (i as f64, 0.0)).collect::<Vec<_>>());
+    for (what, a, hit) in [
+        ("collinear overlap across the seam", ls(&[(c - 1.5, 0.0), (c + 1.5, 0.0)]), true),
+        ("collinear overlap ending on the seam", ls(&[(c, 0.0), (c, 0.0)]), true),
+        ("collinear, a hair above the seam", ls(&[(c - 1.5, 1e-9), (c + 1.5, 1e-9)]), false),
+    ] {
+        table.push((what.into(), a, line.clone(), hit));
+    }
+    for (name, a, b, expected) in &table {
+        for slack in [(0.0, 0.0), (0.5, 0.0), (0.0, 0.25), (100.0, 100.0)] {
+            assert_eq!(assert_all_entries_agree(a, b, slack), *expected, "{name}");
+        }
+    }
+}
+
 /// A hint that cuts into its polyline is a caller bug; under the suite's
 /// `sanitize` feature the kernel says so instead of answering wrongly.
 #[cfg(debug_assertions)]
@@ -230,7 +376,7 @@ fn a_hint_smaller_than_the_polyline_trips_the_sanitizer() {
     let a = ls(&[(0.0, 0.0), (2.0, 2.0)]);
     let b = ls(&[(0.0, 2.0), (2.0, 0.0)]);
     let cut = Mbr::new(0.0, 0.0, 0.5, 0.5);
-    let _ = linestrings_intersect_hinted(&a, &cut, &b, &b.mbr());
+    let _ = linestrings_intersect_hinted(&a, &cut, &b, &[b.mbr()]);
 }
 
 /// FNV-1a over the pair vector in emission order: pins order as well as

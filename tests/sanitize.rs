@@ -12,7 +12,8 @@ use sjc_cluster::SimHdfs;
 use sjc_core::common::PartitionerKind;
 use sjc_core::framework::CellIndex;
 use sjc_data::{DatasetId, ScaledDataset};
-use sjc_geom::{Mbr, Point};
+use sjc_geom::algorithms::{chunk_envelopes, linestrings_intersect_hinted};
+use sjc_geom::{LineString, Mbr, Point};
 use sjc_index::{IndexEntry, RTree};
 
 /// An inverted MBR built by bypassing the normalizing constructor — the
@@ -39,6 +40,20 @@ fn inverted_entry_trips_rtree_bulk_load_sanitizer() {
         IndexEntry::new(0, Mbr::new(0.0, 0.0, 1.0, 1.0)),
         IndexEntry::new(1, inverted_mbr()),
     ]);
+}
+
+/// A chunk envelope shrunk off its last vertex could hide a crossing there;
+/// the polyline kernel checks every chunk it is handed.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "sanitize: chunk envelope does not contain its segments")]
+fn shrunken_chunk_envelope_trips_polyline_sanitizer() {
+    let long = LineString::new((0..20).map(|i| Point::new(i as f64, (i % 2) as f64)).collect());
+    let probe = LineString::new(vec![Point::new(9.5, -1.0), Point::new(9.5, 2.0)]);
+    let mut chunks = Vec::new();
+    chunk_envelopes(&long, &mut chunks);
+    chunks[1].max_x -= 0.5;
+    let _ = linestrings_intersect_hinted(&probe, &probe.mbr(), &long, &chunks);
 }
 
 /// Seed datasets build, index and query without tripping a single
