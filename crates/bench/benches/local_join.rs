@@ -60,6 +60,29 @@ fn bench_tiny_cells(b: &mut Bench) {
     tiny("plane_sweep/8x8", plane_sweep);
     tiny("sync_rtree/8x8", sync_rtree);
     tiny("stripe_sweep/8x8", stripe_sweep);
+
+    // A SpatialHadoop-sized cell pair (≈ 300 pickups against 16 census
+    // blocks), fed in generation order and as the partition job now writes
+    // its blocks: already in the sweep's (min_x, id) order, so the kernel's
+    // sort finds one run and stops.
+    let points = entries(300, 43, 10.0, 0.0);
+    let blocks = entries(16, 44, 10.0, 3.0);
+    let sorted = |v: &[IndexEntry]| {
+        let mut v = v.to_vec();
+        v.sort_by(|a, b| a.mbr.min_x.total_cmp(&b.mbr.min_x).then(a.id.cmp(&b.id)));
+        v
+    };
+    let (sorted_points, sorted_blocks) = (sorted(&points), sorted(&blocks));
+    for (name, left, right) in [
+        ("stripe_sweep/300x16", &points, &blocks),
+        ("stripe_sweep/300x16_presorted", &sorted_points, &sorted_blocks),
+    ] {
+        b.bench_in("local_join_tiny_cell_x1000", name, || {
+            (0..1000)
+                .map(|_| stripe_sweep(black_box(left), black_box(right)).pairs.len())
+                .sum::<usize>()
+        });
+    }
 }
 
 fn bench_old_vs_new_kernel(b: &mut Bench) {

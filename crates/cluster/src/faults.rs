@@ -63,8 +63,8 @@ pub const DEFAULT_PROVISION_DELAY_NS: SimNs = 30_000_000_000;
 /// its predecessor's crash.
 pub const MAX_PROVISION_DELAY_NS: SimNs = 180_000_000_000;
 
-/// Default HDFS replication factor for checkpoint files (matches
-/// [`crate::hdfs::DEFAULT_REPLICATION`]).
+/// Default HDFS replication factor for checkpoint files (matches the cost
+/// model's [`crate::CostModel::hdfs_replication`]).
 pub const DEFAULT_CHECKPOINT_REPLICATION: u32 = 3;
 
 /// One scheduled node crash.

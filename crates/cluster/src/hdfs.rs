@@ -16,9 +16,6 @@ use crate::error::SimError;
 /// paper's clusters used).
 pub const DEFAULT_BLOCK_SIZE: u64 = 64 << 20;
 
-/// Default HDFS replication factor (`dfs.replication`).
-pub const DEFAULT_REPLICATION: u32 = 3;
-
 /// Metadata of one block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockMeta {

@@ -144,22 +144,28 @@ impl SpatialHadoop {
         let jts = GeometryEngine::new(self.engine());
         let cfg2 =
             JobConfig::new(format!("{}: partition+index", input.name), phase, input.multiplier);
+        let filter_mbr = |rec: &GeoRecord| widen.map_or(rec.mbr, |p| p.filter_mbr(&rec.mbr));
         let (job, output) = JobWork::map_reduce(
             &cfg2,
             block_splits(&records, bpr, block),
             |rec, em| {
-                let mbr = widen.map_or(rec.mbr, |p| p.filter_mbr(&rec.mbr));
                 let mut hits = Vec::new();
-                em.charge(index.tag(&mbr, &mut hits) as u64 * jts.filter_cost_ns());
+                em.charge(index.tag(&filter_mbr(rec), &mut hits) as u64 * jts.filter_cost_ns());
                 for cell in hits {
                     em.emit(cell, rec.id, bpr as u64);
                 }
             },
             |cell, ids, em| {
-                // Build the intra-block index (an STR sort) and write the
-                // block: the write dominates, as the paper notes.
+                // Build the intra-block index — sort the block by filter-MBR
+                // `min_x`, ties by id, the order every local join's sweep
+                // reads it in, so no partner cell sorts it again — and
+                // write the block: the write dominates, as the paper notes.
                 em.charge(cost.sort_ns(ids.len() as u64));
-                em.emit((*cell, ids.to_vec()), (ids.len() as f64 * bpr) as u64);
+                let mut keyed: Vec<(f64, u64)> =
+                    input.pick(ids.iter().copied()).map(|r| (filter_mbr(r).min_x, r.id)).collect();
+                keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                let sorted: Vec<u64> = keyed.iter().map(|&(_, id)| id).collect();
+                em.emit((*cell, sorted), (ids.len() as f64 * bpr) as u64);
             },
         );
         steps.push(Step::Job(job));
@@ -367,6 +373,48 @@ mod tests {
             reuse_run.trace.phase_ns(Phase::IndexB) < default_run.trace.phase_ns(Phase::IndexB),
             "IB gets cheaper"
         );
+    }
+
+    #[test]
+    fn blocks_are_sorted_by_filter_min_x_then_id() {
+        // The local join's sweep reads each block in this order; a block
+        // written in any other order is sorted again by every partner cell.
+        let (left, right) = tiny_inputs();
+        let cost = work_cost();
+        let cases = [
+            (JoinPredicate::Intersects, false),
+            (JoinPredicate::WithinDistance(0.002), false),
+            (JoinPredicate::Intersects, true),
+        ];
+        for (predicate, reuse_partitions) in cases {
+            let sys = SpatialHadoop { reuse_partitions, ..SpatialHadoop::default() };
+            let mut steps = Vec::new();
+            let ia =
+                sys.index_dataset(&cost, &mut steps, &left, Phase::IndexA, Some(predicate), None);
+            let shared = reuse_partitions.then(|| ia.index.partitioner().cells().to_vec());
+            let ib = sys.index_dataset(&cost, &mut steps, &right, Phase::IndexB, None, shared);
+            for (side, indexed, input, widen) in
+                [("left", &ia, &left, Some(predicate)), ("right", &ib, &right, None)]
+            {
+                let mut ids = 0;
+                for (cell, block) in indexed.cells.iter().enumerate() {
+                    let keys: Vec<(f64, u64)> = input
+                        .pick(block.iter().copied())
+                        .map(|r| (widen.map_or(r.mbr, |p| p.filter_mbr(&r.mbr)).min_x, r.id))
+                        .collect();
+                    for w in keys.windows(2) {
+                        let order = w[0].0.total_cmp(&w[1].0).then(w[0].1.cmp(&w[1].1));
+                        assert!(
+                            order.is_lt(),
+                            "{predicate:?}, reuse {reuse_partitions}: {side} cell {cell} \
+                             out of order at {w:?}"
+                        );
+                    }
+                    ids += block.len();
+                }
+                assert!(ids >= input.records.len(), "{side}: every record is in a block");
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,16 @@ enum RingSide {
 fn point_in_ring(ring: &[Point], p: &Point) -> RingSide {
     let mut inside = false;
     for (a, b) in crate::polygon::ring_edges(ring) {
-        // Boundary check first: collinear with and within the edge's extent.
-        if orientation(a, b, p) == Orientation::Collinear && on_segment(a, b, p) {
+        // Only an edge whose y-extent reaches `p` can hold it or cross its
+        // ray. The gate is `on_segment`'s y-part verbatim, which a boundary
+        // hit needs and a crossing (`min <= p.y < max`) implies, so the
+        // verdict is the ungated walk's; most edges stop here, before the
+        // epsilon-guarded orientation.
+        if !(p.y >= a.y.min(b.y) - f64::EPSILON && p.y <= a.y.max(b.y) + f64::EPSILON) {
+            continue;
+        }
+        // Boundary check first: within the edge's extent and collinear.
+        if on_segment(a, b, p) && orientation(a, b, p) == Orientation::Collinear {
             return RingSide::OnBoundary;
         }
         // Standard ray-casting parity rule: count edges crossing the
@@ -128,6 +136,21 @@ mod tests {
         assert!(point_in_polygon(&u, &Point::new(0.5, 3.0)), "left arm");
         assert!(point_in_polygon(&u, &Point::new(4.5, 3.0)), "right arm");
         assert!(point_in_polygon(&u, &Point::new(2.5, 0.5)), "base");
+    }
+
+    #[test]
+    fn rings_of_fewer_than_three_vertices_hold_only_their_own_points() {
+        // Polygons cannot be built on such rings; the walk still handles
+        // them: no edges, one degenerate edge, and a segment walked both
+        // ways (two crossings, even parity).
+        let p = Point::new(0.5, 0.5);
+        assert_eq!(point_in_ring(&[], &p), RingSide::Outside);
+        assert_eq!(point_in_ring(&[p], &p), RingSide::OnBoundary);
+        assert_eq!(point_in_ring(&pts(&[(0.0, 0.0)]), &p), RingSide::Outside);
+        let seg = pts(&[(0.0, 0.0), (1.0, 1.0)]);
+        assert_eq!(point_in_ring(&seg, &p), RingSide::OnBoundary);
+        assert_eq!(point_in_ring(&seg, &Point::new(0.5, 0.25)), RingSide::Outside);
+        assert_eq!(point_in_ring(&seg, &Point::new(-1.0, 0.5)), RingSide::Outside);
     }
 
     #[test]

@@ -95,13 +95,15 @@ impl Polygon {
     }
 }
 
-/// Iterator over a ring's closed edges. This is the one audited place that
-/// walks ring vertices by position; every ring-edge loop in the crate goes
-/// through it.
+/// Iterator over a ring's closed edges: each vertex paired with its
+/// successor, the last with the first (a one-vertex ring yields the one
+/// degenerate edge). Every ring-edge loop in the crate goes through it.
 pub(crate) fn ring_edges(ring: &[Point]) -> impl Iterator<Item = (&Point, &Point)> {
-    let n = ring.len();
-    // sjc-lint: allow(no-panic-in-lib) — i < n and (i + 1) % n < n by construction
-    (0..n).map(move |i| (&ring[i], &ring[(i + 1) % n]))
+    let pairs = ring.windows(2).filter_map(|w| match w {
+        [a, b] => Some((a, b)),
+        _ => None,
+    });
+    pairs.chain(ring.last().zip(ring.first()))
 }
 
 /// Shoelace signed area of an unclosed ring.

@@ -36,6 +36,14 @@ pub struct SoaBatch {
 impl SoaBatch {
     /// Transposes `entries` into x-sorted columns.
     pub fn from_entries(entries: &[IndexEntry]) -> SoaBatch {
+        let mut batch = SoaBatch::with_capacity(entries.len());
+        // Entries already in `min_x` order (SpatialHadoop's blocks are
+        // written that way) are the sort's identity permutation: one
+        // comparison pass, then they are transposed as they stand.
+        if entries.is_sorted_by(|a, b| a.mbr.min_x.total_cmp(&b.mbr.min_x).is_le()) {
+            entries.iter().for_each(|e| batch.push(e));
+            return batch;
+        }
         // Sort a (key, position) permutation instead of the 40-byte records:
         // the comparator breaks key ties by original position, which is a
         // total order, so the unique sorted sequence equals what a stable
@@ -45,18 +53,18 @@ impl SoaBatch {
         let mut order: Vec<(f64, usize)> = sjc_par::scratch::take_vec();
         order.extend(entries.iter().enumerate().map(|(i, e)| (e.mbr.min_x, i)));
         sjc_par::par_sort_by(&mut order, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut batch = SoaBatch::with_capacity(entries.len());
-        for &(_, i) in &order {
-            if let Some(e) = entries.get(i) {
-                batch.xlo.push(e.mbr.min_x);
-                batch.xhi.push(e.mbr.max_x);
-                batch.ylo.push(e.mbr.min_y);
-                batch.yhi.push(e.mbr.max_y);
-                batch.id.push(e.id);
-            }
-        }
+        order.iter().filter_map(|&(_, i)| entries.get(i)).for_each(|e| batch.push(e));
         sjc_par::scratch::put_vec(order);
         batch
+    }
+
+    /// Appends one entry's row.
+    fn push(&mut self, e: &IndexEntry) {
+        self.xlo.push(e.mbr.min_x);
+        self.xhi.push(e.mbr.max_x);
+        self.ylo.push(e.mbr.min_y);
+        self.yhi.push(e.mbr.max_y);
+        self.id.push(e.id);
     }
 
     /// An empty batch with `n` rows of capacity in every column.
@@ -110,6 +118,23 @@ mod tests {
             (0..10).map(|i| IndexEntry::new(i, Mbr::new(1.0, i as f64, 2.0, i as f64))).collect();
         let b = SoaBatch::from_entries(&entries);
         assert_eq!(b.id, (0..10).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn presorted_input_transposes_as_the_sort_would_order_it() {
+        // Unsorted with ties takes the sorting path; the same rows already
+        // in `min_x` order take the pass-through. Both give one batch.
+        let entries: Vec<IndexEntry> = (0..40u64)
+            .map(|i| IndexEntry::new(i, Mbr::new(((i * 7) % 5) as f64, i as f64, 9.0, 50.0)))
+            .collect();
+        let mut presorted = entries.clone();
+        presorted.sort_by(|a, b| a.mbr.min_x.total_cmp(&b.mbr.min_x));
+        let (a, b) = (SoaBatch::from_entries(&entries), SoaBatch::from_entries(&presorted));
+        assert_eq!(
+            (&a.xlo, &a.xhi, &a.ylo, &a.yhi, &a.id),
+            (&b.xlo, &b.xhi, &b.ylo, &b.yhi, &b.id)
+        );
+        assert_eq!(a.id, presorted.iter().map(|e| e.id).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The window-clipped polyline kernel decides exactly what the double loop
 //! it replaced decided, and the join built on it returns exactly what it
-//! returned.
+//! returned; the y-gated point-in-ring walk decides exactly what the
+//! ungated walk decided.
 //!
 //! `reference_linestrings_intersect` is a verbatim copy of
 //! `sjc_geom::algorithms::linestrings_intersect` as it stood before the
@@ -8,15 +9,20 @@
 //! implementation and the old one survives only as the thing to compare
 //! against. The prepared entry — `b` handed over as its chunk envelopes —
 //! is held to it too, with a table of polylines cut at chunk seams.
+//! `reference_point_in_polygon` is likewise the point-in-polygon test as it
+//! stood before its ring walk skipped the edges away from the point's
+//! height.
 
 use sjc_core::common::{local_join, LocalJoinAlgo};
 use sjc_core::experiment::Workload;
 use sjc_core::framework::{GeoRecord, JoinPredicate};
 use sjc_geom::algorithms::{
-    chunk_envelopes, linestrings_intersect, linestrings_intersect_hinted, CHUNK,
+    chunk_envelopes, linestrings_intersect, linestrings_intersect_hinted, point_in_polygon, CHUNK,
 };
-use sjc_geom::predicates::segments_intersect;
-use sjc_geom::{Geometry, GeometryEngine, LineString, Mbr, Point};
+use sjc_geom::predicates::{on_segment, orientation, segments_intersect, Orientation};
+use sjc_geom::{Geometry, GeometryEngine, LineString, Mbr, Point, Polygon};
+use sjc_index::entry::IndexEntry;
+use sjc_index::join::stripe_sweep;
 use sjc_testkit::{cases, TestRng};
 
 fn reference_linestrings_intersect(a: &LineString, b: &LineString) -> bool {
@@ -453,4 +459,258 @@ fn local_join_on_a_polyline_slice_is_pinned() {
             assert_eq!((algo, kept.len(), suppressed), (algo, 0, ledger));
         }
     }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReferenceRingSide {
+    Inside,
+    Outside,
+    OnBoundary,
+}
+
+/// The ring's closed edges as the `%`-indexed walk produced them.
+fn reference_ring_edges(ring: &[Point]) -> impl Iterator<Item = (&Point, &Point)> {
+    let n = ring.len();
+    (0..n).map(move |i| (&ring[i], &ring[(i + 1) % n]))
+}
+
+fn reference_point_in_ring(ring: &[Point], p: &Point) -> ReferenceRingSide {
+    let mut inside = false;
+    for (a, b) in reference_ring_edges(ring) {
+        // Boundary check first: collinear with and within the edge's extent.
+        if orientation(a, b, p) == Orientation::Collinear && on_segment(a, b, p) {
+            return ReferenceRingSide::OnBoundary;
+        }
+        // Standard ray-casting parity rule: count edges crossing the
+        // horizontal ray to +infinity. The half-open test (one endpoint
+        // strictly above, the other not) handles vertices without double
+        // counting.
+        if (a.y > p.y) != (b.y > p.y) {
+            let x_cross = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);
+            if x_cross > p.x {
+                inside = !inside;
+            }
+        }
+    }
+    if inside {
+        ReferenceRingSide::Inside
+    } else {
+        ReferenceRingSide::Outside
+    }
+}
+
+fn reference_point_in_polygon(poly: &Polygon, p: &Point) -> bool {
+    match reference_point_in_ring(poly.shell(), p) {
+        ReferenceRingSide::Outside => false,
+        ReferenceRingSide::OnBoundary => true,
+        ReferenceRingSide::Inside => {
+            for hole in poly.holes() {
+                match reference_point_in_ring(hole, p) {
+                    ReferenceRingSide::Inside => return false,
+                    ReferenceRingSide::OnBoundary => return true,
+                    ReferenceRingSide::Outside => {}
+                }
+            }
+            true
+        }
+    }
+}
+
+fn ring(coords: &[(f64, f64)]) -> Vec<Point> {
+    coords.iter().map(|&(x, y)| Point::new(x, y)).collect()
+}
+
+/// `v` and its two neighbouring floats.
+fn ulps(v: f64) -> [f64; 3] {
+    [v.next_down(), v, v.next_up()]
+}
+
+/// The probes that sit on or next to `poly`'s edges: every vertex and edge
+/// midpoint with ±1 ulp in x and y around it (which covers the horizontal
+/// and vertical edges' lines), and each edge's gate bounds
+/// `min(a.y, b.y) - EPSILON` and `max(a.y, b.y) + EPSILON` (±1 ulp) at
+/// both endpoints' x and the midpoint's.
+fn boundary_probes(poly: &Polygon) -> Vec<Point> {
+    let mut probes = Vec::new();
+    for r in poly.all_rings() {
+        for (a, b) in reference_ring_edges(r) {
+            let mid = Point::new((a.x + b.x) / 2.0, (a.y + b.y) / 2.0);
+            for c in [a, &mid] {
+                for x in ulps(c.x) {
+                    for y in ulps(c.y) {
+                        probes.push(Point::new(x, y));
+                    }
+                }
+            }
+            let gate = [a.y.min(b.y) - f64::EPSILON, a.y.max(b.y) + f64::EPSILON];
+            for x in [a.x, b.x, mid.x] {
+                for y in gate.into_iter().flat_map(ulps) {
+                    probes.push(Point::new(x, y));
+                }
+            }
+        }
+    }
+    probes
+}
+
+/// Holds the kernel to the reference on `probes` against `poly`; returns
+/// how many probes are inside.
+fn assert_pip_agrees(what: &str, poly: &Polygon, probes: &[Point]) -> usize {
+    let mut inside = 0;
+    for p in probes {
+        let expected = reference_point_in_polygon(poly, p);
+        assert_eq!(point_in_polygon(poly, p), expected, "{what}: {p:?} in {poly:?}");
+        inside += usize::from(expected);
+    }
+    inside
+}
+
+#[test]
+fn ring_walk_matches_the_reference_on_and_near_every_edge() {
+    let square = ring(&[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]);
+    let table: Vec<(&str, Polygon)> = vec![
+        ("unit square", Polygon::new(square.clone())),
+        ("clockwise square", Polygon::new(square.iter().rev().copied().collect())),
+        ("triangle", Polygon::new(ring(&[(0.0, 0.0), (4.0, 0.0), (2.0, 2.0)]))),
+        (
+            "concave U",
+            Polygon::new(ring(&[
+                (0.0, 0.0),
+                (5.0, 0.0),
+                (5.0, 5.0),
+                (4.0, 5.0),
+                (4.0, 1.0),
+                (1.0, 1.0),
+                (1.0, 5.0),
+                (0.0, 5.0),
+            ])),
+        ),
+        (
+            "donut",
+            Polygon::with_holes(
+                ring(&[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]),
+                vec![ring(&[(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)])],
+            ),
+        ),
+        (
+            "census-sized block",
+            Polygon::new(ring(&[
+                (-73.99, 40.75),
+                (-73.988, 40.7502),
+                (-73.9875, 40.751),
+                (-73.9878, 40.7521),
+                (-73.989, 40.7525),
+                (-73.9902, 40.7519),
+                (-73.9906, 40.751),
+                (-73.9901, 40.7503),
+            ])),
+        ),
+        ("sub-epsilon sliver", Polygon::new(ring(&[(0.0, 0.0), (1.0, 1e-17), (0.5, 2e-17)]))),
+        ("repeated vertex", Polygon::new(ring(&[(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))),
+        ("one distinct vertex", Polygon::new(ring(&[(0.5, 0.5); 4]))),
+        ("two distinct vertices", Polygon::new(ring(&[(0.0, 0.0), (1.0, 1.0), (1.0, 1.0)]))),
+        ("zero area, collinear", Polygon::new(ring(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]))),
+        ("zero area, back and forth", Polygon::new(ring(&[(0.0, 0.0), (2.0, 2.0), (1.0, 1.0)]))),
+        ("infinite vertex", Polygon::new(ring(&[(0.0, 0.0), (f64::INFINITY, 0.5), (0.0, 1.0)]))),
+        ("NaN vertex", Polygon::new(ring(&[(0.0, 0.0), (1.0, f64::NAN), (0.0, 1.0)]))),
+    ];
+    let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5, 1.0, 0.0];
+    let mut odd_probes = Vec::new();
+    for x in odd {
+        for y in odd {
+            odd_probes.push(Point::new(x, y));
+        }
+    }
+    let (mut inside, mut total) = (0, 0);
+    for (what, poly) in &table {
+        let probes = boundary_probes(poly);
+        inside += assert_pip_agrees(what, poly, &probes);
+        inside += assert_pip_agrees(what, poly, &odd_probes);
+        total += probes.len() + odd_probes.len();
+    }
+    assert!(inside > total / 4 && inside < total - total / 4, "vacuous mix: {inside} of {total}");
+
+    // Named cases, so a reference that went wrong with the kernel would not
+    // pass unnoticed.
+    let donut = &table[4].1;
+    let eps = f64::EPSILON;
+    for (p, expected) in [
+        ((2.0, 2.0), false),                // inside the hole
+        ((1.0, 2.0), true),                 // on the hole's edge
+        ((2.0, 3.0), true),                 // on the hole's top edge
+        ((2.0, 3.0f64.next_down()), false), // one ulp inside the hole: EPSILON rounds away at 3
+        ((0.5, 0.5), true),                 // between shell and hole
+    ] {
+        let p = Point::new(p.0, p.1);
+        assert_eq!(point_in_polygon(donut, &p), expected, "donut at {p:?}");
+        assert_eq!(reference_point_in_polygon(donut, &p), expected, "reference at {p:?}");
+    }
+    let square = &table[0].1;
+    for (p, expected) in [
+        ((0.5, -eps), true), // the bottom edge's gate bound, collinear within tolerance
+        ((0.5, 1.0 + eps), true), // the top edge's gate bound
+        ((0.5, (-eps).next_down()), false),
+        ((0.5, (1.0 + eps).next_up()), false),
+    ] {
+        let p = Point::new(p.0, p.1);
+        assert_eq!(point_in_polygon(square, &p), expected, "square at {p:?}");
+    }
+}
+
+#[test]
+fn ring_walk_matches_the_reference_on_random_rings() {
+    cases(0x5EED_0039, 600, |rng| {
+        // A star-shaped ring around a random centre, so every ring is
+        // simple, with some vertices snapped to a coarse grid to make
+        // horizontal and vertical edges.
+        let n = rng.usize_in(3..24);
+        let (cx, cy) = (rng.f64_in(-2.0..2.0), rng.f64_in(-2.0..2.0));
+        let snap = rng.bool_with(0.5);
+        let pts: Vec<Point> = (0..n)
+            .map(|i| {
+                let theta = (i as f64 + rng.f64_in(0.0..0.9)) / n as f64 * std::f64::consts::TAU;
+                let r = rng.f64_in(0.2..1.5);
+                let (x, y) = (cx + r * theta.cos(), cy + r * theta.sin());
+                if snap {
+                    ((x * 4.0).round() / 4.0, (y * 4.0).round() / 4.0)
+                } else {
+                    (x, y)
+                }
+            })
+            .map(|(x, y)| Point::new(x, y))
+            .collect();
+        let Some(poly) = Polygon::try_with_holes(pts, Vec::new()) else {
+            return;
+        };
+        let mut probes = boundary_probes(&poly);
+        for _ in 0..32 {
+            probes.push(Point::new(rng.f64_in(cx - 2.0..cx + 2.0), rng.f64_in(cy - 2.0..cy + 2.0)));
+        }
+        assert_pip_agrees("random star", &poly, &probes);
+    });
+}
+
+/// Every candidate of the point-in-polygon benchmark workload (`taxi ×
+/// nycb` at 4e-4, the benchmark's default seed) gets the reference's
+/// verdict.
+#[test]
+fn ring_walk_matches_the_reference_on_the_taxi_nycb_candidates() {
+    let (l, r) = Workload::taxi_nycb().prepare(4e-4, 20150701);
+    let entries = |recs: &[GeoRecord]| -> Vec<IndexEntry> {
+        recs.iter().enumerate().map(|(i, r)| IndexEntry::new(i as u64, r.mbr)).collect()
+    };
+    let pairs = stripe_sweep(&entries(&l.records), &entries(&r.records)).pairs;
+    let mut inside = 0u64;
+    for &(li, ri) in &pairs {
+        let (Some(lr), Some(rr)) = (l.records.get(li as usize), r.records.get(ri as usize)) else {
+            panic!("the filter emits positions into its inputs");
+        };
+        let (Geometry::Point(p), Geometry::Polygon(poly)) = (&lr.geom, &rr.geom) else {
+            panic!("taxi × nycb pairs a point with a polygon");
+        };
+        let expected = reference_point_in_polygon(poly, p);
+        assert_eq!(point_in_polygon(poly, p), expected, "taxi {} in nycb {}", lr.id, rr.id);
+        inside += u64::from(expected);
+    }
+    assert_eq!((pairs.len() as u64, inside), (55_681, 48_986));
 }
