@@ -7,9 +7,7 @@ use sjc_core::framework::CellIndex;
 use sjc_data::rng::StdRng;
 use sjc_geom::{Mbr, Point};
 use sjc_index::entry::IndexEntry;
-use sjc_index::partition::{
-    BspPartitioner, FixedGridPartitioner, SpatialPartitioner, StrTilePartitioner,
-};
+use sjc_index::partition::{bsp_cells, grid_cells, str_tile_cells, CellLocator};
 use sjc_index::RTree;
 
 fn entries(n: usize, seed: u64) -> Vec<IndexEntry> {
@@ -59,8 +57,8 @@ fn bench_rtree_query(b: &mut Bench) {
 /// and the count read from the inner levels alone.
 fn bench_rtree_visits(b: &mut Bench) {
     let extent = Mbr::new(0.0, 0.0, 1000.0, 1000.0);
-    let tiles = StrTilePartitioner::from_sample(extent, points(10_000, 13), 512);
-    let cells = tiles.cells().iter().enumerate().map(|(i, c)| IndexEntry::new(i as u64, *c));
+    let tiles = str_tile_cells(extent, points(10_000, 13), 512);
+    let cells = tiles.iter().enumerate().map(|(i, c)| IndexEntry::new(i as u64, *c));
     let tree = RTree::bulk_load_str(cells.collect());
     let probes = entries(10_000, 17);
     let mut buf = Vec::new();
@@ -75,18 +73,19 @@ fn bench_rtree_visits(b: &mut Bench) {
 fn bench_partitioners(b: &mut Bench) {
     let extent = Mbr::new(0.0, 0.0, 1000.0, 1000.0);
     let sample = points(10_000, 13);
+    // Choosing the cells and locating them, as every system does.
     b.bench_in("partitioner_build_10k_sample", "fixed_grid", || {
-        FixedGridPartitioner::with_target_cells(extent, 128).cells().len()
+        CellLocator::new(grid_cells(extent, 128)).cells().len()
     });
     b.bench_in("partitioner_build_10k_sample", "str_tiles", || {
-        StrTilePartitioner::from_sample(extent, sample.clone(), 128).cells().len()
+        CellLocator::new(str_tile_cells(extent, sample.clone(), 128)).cells().len()
     });
     b.bench_in("partitioner_build_10k_sample", "bsp", || {
-        BspPartitioner::from_sample(extent, sample.clone(), 128).cells().len()
+        CellLocator::new(bsp_cells(extent, sample.clone(), 128)).cells().len()
     });
 
-    let partitioner = StrTilePartitioner::from_sample(extent, sample.clone(), 128);
-    let bsp = BspPartitioner::from_sample(extent, sample, 128);
+    let partitioner = CellLocator::new(str_tile_cells(extent, sample.clone(), 128));
+    let bsp = CellLocator::new(bsp_cells(extent, sample, 128));
     let probes = entries(10_000, 17);
     b.bench("partition_assign_10k", || {
         probes.iter().map(|e| partitioner.assign(black_box(&e.mbr)).len()).sum::<usize>()
@@ -102,11 +101,11 @@ fn bench_partitioners(b: &mut Bench) {
     });
     // What SpatialHadoop, SpatialSpark and LDE run per record: the cells
     // plus the R-tree nodes the probe is charged.
-    let grid = FixedGridPartitioner::with_target_cells(extent, 128);
+    let grid = CellLocator::new(grid_cells(extent, 128));
     for (name, index) in [
-        ("str_tiles", CellIndex::new(Box::new(partitioner.clone()))),
-        ("bsp", CellIndex::new(Box::new(bsp.clone()))),
-        ("fixed_grid", CellIndex::new(Box::new(grid))),
+        ("str_tiles", CellIndex::new(partitioner.clone())),
+        ("bsp", CellIndex::new(bsp.clone())),
+        ("fixed_grid", CellIndex::new(grid)),
     ] {
         b.bench_in("cell_index_tag_10k", name, || {
             let mut total = 0usize;
@@ -127,7 +126,7 @@ fn bench_partitioners(b: &mut Bench) {
     });
     // Each corner against its owner and against a neighbouring id, so both
     // verdicts are timed: 20 000 calls.
-    let bench_owns = |b: &mut Bench, name: &str, p: &dyn SpatialPartitioner| {
+    let bench_owns = |b: &mut Bench, name: &str, p: &CellLocator| {
         let n = p.cells().len() as u32;
         let probes: Vec<(Point, u32, u32)> = corners
             .iter()

@@ -1,9 +1,10 @@
 //! Machinery shared by the three system implementations.
 
 use sjc_geom::algorithms::ChunkEnvelopes;
-use sjc_geom::{Geometry, GeometryEngine, LineString, Mbr};
+use sjc_geom::{Geometry, GeometryEngine, LineString, Mbr, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::join::{indexed_nested_loop, stripe_sweep, sync_rtree, CandidatePairs};
+use sjc_index::partition::{bsp_cells, grid_cells, str_tile_cells, CellLocator};
 
 use crate::framework::{GeoRecord, JoinPredicate};
 
@@ -158,25 +159,13 @@ pub enum PartitionerKind {
 }
 
 impl PartitionerKind {
-    /// Builds the partitioner over `domain` from `sample` centers.
-    pub fn build(
-        &self,
-        domain: sjc_geom::Mbr,
-        sample: Vec<sjc_geom::Point>,
-        target_cells: usize,
-    ) -> Box<dyn sjc_index::partition::SpatialPartitioner + Send + Sync> {
-        use sjc_index::partition::{BspPartitioner, FixedGridPartitioner, StrTilePartitioner};
-        match self {
-            PartitionerKind::FixedGrid => {
-                Box::new(FixedGridPartitioner::with_target_cells(domain, target_cells))
-            }
-            PartitionerKind::StrTiles => {
-                Box::new(StrTilePartitioner::from_sample(domain, sample, target_cells))
-            }
-            PartitionerKind::Bsp => {
-                Box::new(BspPartitioner::from_sample(domain, sample, target_cells))
-            }
-        }
+    /// The family's cells over `domain` from `sample` centers, located.
+    pub fn build(&self, domain: Mbr, sample: Vec<Point>, target_cells: usize) -> CellLocator {
+        CellLocator::new(match self {
+            PartitionerKind::FixedGrid => grid_cells(domain, target_cells),
+            PartitionerKind::StrTiles => str_tile_cells(domain, sample, target_cells),
+            PartitionerKind::Bsp => bsp_cells(domain, sample, target_cells),
+        })
     }
 
     pub fn name(&self) -> &'static str {

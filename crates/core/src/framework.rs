@@ -11,7 +11,7 @@ use sjc_data::tsv::to_tsv_text;
 use sjc_data::ScaledDataset;
 use sjc_geom::{EngineKind, Geometry, GeometryEngine, Mbr};
 use sjc_index::entry::IndexEntry;
-use sjc_index::partition::{dedup_owner_cell, CellId, SpatialPartitioner};
+use sjc_index::partition::{dedup_owner_cell, CellId, CellLocator};
 use sjc_index::RTree;
 
 /// The spatial predicate refined in the local join stage.
@@ -202,30 +202,29 @@ impl fmt::Debug for JoinInput {
     }
 }
 
-/// A partitioner plus the STR R-tree over its cells: how SpatialHadoop,
-/// SpatialSpark and LDE tag a record with the cells it meets. Each charges
-/// the nodes a probe of the tree visits at its own rate; the cells
-/// themselves are the partitioner's `assign_into`, which every partitioner
-/// family answers from its [`CellLocator`](sjc_index::partition::CellLocator).
+/// A located cell list plus the STR R-tree over its cells: how
+/// SpatialHadoop, SpatialSpark and LDE tag a record with the cells it
+/// meets. Each charges the nodes a probe of the tree visits at its own
+/// rate; the cells themselves are the locator's `assign_into`.
 pub struct CellIndex {
-    partitioner: Box<dyn SpatialPartitioner + Send + Sync>,
+    locator: CellLocator,
     tree: RTree,
 }
 
 impl CellIndex {
-    pub fn new(partitioner: Box<dyn SpatialPartitioner + Send + Sync>) -> Self {
-        let tree = RTree::bulk_load_str(cell_entries(partitioner.cells()));
-        CellIndex { partitioner, tree }
+    pub fn new(locator: CellLocator) -> Self {
+        let tree = RTree::bulk_load_str(cell_entries(locator.cells()));
+        CellIndex { locator, tree }
     }
 
-    pub fn partitioner(&self) -> &(dyn SpatialPartitioner + Send + Sync) {
-        &*self.partitioner
+    pub fn locator(&self) -> &CellLocator {
+        &self.locator
     }
 
     /// The cells as index entries, id = cell id (the list SpatialHadoop's
     /// getSplits sweeps).
     pub(crate) fn entries(&self) -> Vec<IndexEntry> {
-        cell_entries(self.partitioner.cells())
+        cell_entries(self.locator.cells())
     }
 
     /// R-tree nodes (the broadcast size of the index).
@@ -238,14 +237,14 @@ impl CellIndex {
     /// R-tree nodes a probe for `mbr` visits: the set and the count the
     /// tree's walk produces, read from the locator and the inner levels.
     pub fn tag(&self, mbr: &Mbr, hits: &mut Vec<CellId>) -> usize {
-        self.partitioner.assign_into(mbr, hits);
+        self.locator.assign_into(mbr, hits);
         let visits = self.tree.visits(mbr);
         #[cfg(feature = "sanitize")]
         {
             let mut walked = Vec::new();
             let walk = self.tree.query_counting(mbr, &mut walked);
             if walked.is_empty() {
-                walked.push(u64::from(self.partitioner.nearest_cell(&mbr.center())));
+                walked.push(u64::from(self.locator.nearest_cell(&mbr.center())));
             }
             walked.sort_unstable();
             let tagged: Vec<u64> = hits.iter().map(|&c| u64::from(c)).collect();
@@ -262,12 +261,12 @@ fn cell_entries(cells: &[Mbr]) -> Vec<IndexEntry> {
 /// The reference-point rule as a [`local_join`](crate::common::local_join)
 /// `keep`: `cell` reports a candidate pair only if it owns the pair's
 /// reference point, taken on the left MBR as the filter saw it.
-pub(crate) fn reported_by<'a, P: SpatialPartitioner + Sync + ?Sized>(
-    partitioner: &'a P,
+pub(crate) fn reported_by(
+    cells: &CellLocator,
     cell: CellId,
     predicate: JoinPredicate,
-) -> impl Fn(&Mbr, &Mbr) -> bool + Sync + 'a {
-    move |am, bm| dedup_owner_cell(partitioner, cell, &predicate.filter_mbr(am), bm)
+) -> impl Fn(&Mbr, &Mbr) -> bool + Sync + '_ {
+    move |am, bm| dedup_owner_cell(cells, cell, &predicate.filter_mbr(am), bm)
 }
 
 /// The result of a distributed spatial join run.

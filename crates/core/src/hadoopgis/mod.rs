@@ -38,7 +38,7 @@ use sjc_cluster::hdfs::DEFAULT_BLOCK_SIZE;
 use sjc_cluster::metrics::Phase;
 use sjc_cluster::{Cluster, CostModel, SimError, StageKind, StageTrace};
 use sjc_geom::{EngineKind, GeometryEngine, Mbr, Point};
-use sjc_index::partition::{BspPartitioner, SpatialPartitioner};
+use sjc_index::partition::{bsp_cells, CellLocator};
 use sjc_mapreduce::job::ScaleMode;
 use sjc_mapreduce::{block_splits, JobConfig, JobWork, TextLen};
 
@@ -158,7 +158,7 @@ fn pipes_break(steps: &mut Vec<Step>, job: JobWork, stop: &[Cluster]) -> bool {
 /// The streaming mapper's output for one record: its `line` keyed by every
 /// partition `mbr` is assigned to.
 fn keyed_by_cell<L: Copy>(
-    partitioner: &BspPartitioner,
+    partitioner: &CellLocator,
     mbr: &Mbr,
     line: L,
     out: &mut dyn FnMut(CellKey, L),
@@ -262,7 +262,7 @@ impl HadoopGis {
             phase,
             PARTITIONS as u64 * 72,
         ));
-        let partitioner = BspPartitioner::from_sample(input.domain, centers.clone(), PARTITIONS);
+        let partitioner = CellLocator::new(bsp_cells(input.domain, centers.clone(), PARTITIONS));
 
         // Step 6: assign partition ids — the expensive step: every record is
         // parsed, probed against the sample partitions and rewritten, and
@@ -343,7 +343,7 @@ impl HadoopGis {
         ));
         steps.push(fs_copy(cost, "GJ: copy partitions to HDFS", dj, PARTITIONS as u64 * 72));
         let domain = left.domain.union(&right.domain);
-        let partitioner = BspPartitioner::from_sample(domain, combined, PARTITIONS);
+        let partitioner = CellLocator::new(bsp_cells(domain, combined, PARTITIONS));
 
         // The distributed join MR job: both datasets are re-read, re-parsed,
         // re-assigned and shuffled; reducers run the local join with GEOS.

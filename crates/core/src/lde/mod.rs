@@ -26,7 +26,7 @@ use sjc_cluster::metrics::Phase;
 use sjc_cluster::scheduler::lpt_makespan;
 use sjc_cluster::{Cluster, RunTrace, SimError, StageKind, StageTrace};
 use sjc_geom::{EngineKind, GeometryEngine, Point};
-use sjc_index::partition::StrTilePartitioner;
+use sjc_index::partition::{str_tile_cells, CellLocator};
 
 use crate::common::{local_join, LocalJoinAlgo};
 use crate::framework::{
@@ -82,12 +82,9 @@ impl DistributedSpatialJoin for LdeEngine {
         let stride = (right.records.len() / (10 * PARTITIONS)).max(1);
         let sample: Vec<Point> =
             right.records.iter().step_by(stride).map(|r| r.mbr.center()).collect();
-        let index = CellIndex::new(Box::new(StrTilePartitioner::from_sample(
-            right.domain,
-            sample,
-            PARTITIONS,
-        )));
-        let ncells = index.partitioner().cells().len();
+        let index =
+            CellIndex::new(CellLocator::new(str_tile_cells(right.domain, sample, PARTITIONS)));
+        let ncells = index.locator().cells().len();
 
         let mut read_stage = StageTrace::new(
             "scan inputs + derive partitions",
@@ -167,7 +164,7 @@ impl DistributedSpatialJoin for LdeEngine {
             if lrecs.is_empty() || rrecs.is_empty() {
                 continue;
             }
-            let keep = reported_by(index.partitioner(), cell as u32, predicate);
+            let keep = reported_by(index.locator(), cell as u32, predicate);
             let (cell_pairs, jc) =
                 local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, keep);
             pairs.extend(cell_pairs);

@@ -116,7 +116,7 @@ impl SpatialHadoop {
         let index = CellIndex::new(match shared_cells {
             // Compatible-grid mode: adopt the other dataset's cells and skip
             // the sample job entirely.
-            Some(cells) => Box::new(CellLocator::new(cells)),
+            Some(cells) => CellLocator::new(cells),
             None => {
                 // --- MR job 1: sample + derive partitions on the master ---
                 let cfg1 =
@@ -133,7 +133,7 @@ impl SpatialHadoop {
             }
         });
         // `_master` file: one MBR row per cell.
-        let ncells = index.partitioner().cells().len();
+        let ncells = index.locator().cells().len();
         steps.push(Step::HdfsWrite {
             name: format!("{}_master", input.name),
             bytes: ncells as u64 * 72,
@@ -196,11 +196,8 @@ impl SpatialHadoop {
 
         // Preprocessing: index both datasets (IA, IB).
         let ia = self.index_dataset(&cost, &mut steps, left, Phase::IndexA, Some(predicate), None);
-        let shared = if self.reuse_partitions {
-            Some(ia.index.partitioner().cells().to_vec())
-        } else {
-            None
-        };
+        let shared =
+            if self.reuse_partitions { Some(ia.index.locator().cells().to_vec()) } else { None };
         let ib = self.index_dataset(&cost, &mut steps, right, Phase::IndexB, None, shared);
 
         // Global join on the master: serial plane-sweep over the two
@@ -244,8 +241,8 @@ impl SpatialHadoop {
             let rrecs: Vec<&GeoRecord> = right.pick(ib.cell(cb).iter().copied()).collect();
             // A pair is reported once: by the cell pair owning its
             // reference point in both grids.
-            let in_a = reported_by(ia.index.partitioner(), ca as u32, predicate);
-            let in_b = reported_by(ib.index.partitioner(), cb as u32, predicate);
+            let in_a = reported_by(ia.index.locator(), ca as u32, predicate);
+            let in_b = reported_by(ib.index.locator(), cb as u32, predicate);
             let (pairs, join) =
                 local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, |am, bm| {
                     in_a(am, bm) && in_b(am, bm)
@@ -391,7 +388,7 @@ mod tests {
             let mut steps = Vec::new();
             let ia =
                 sys.index_dataset(&cost, &mut steps, &left, Phase::IndexA, Some(predicate), None);
-            let shared = reuse_partitions.then(|| ia.index.partitioner().cells().to_vec());
+            let shared = reuse_partitions.then(|| ia.index.locator().cells().to_vec());
             let ib = sys.index_dataset(&cost, &mut steps, &right, Phase::IndexB, None, shared);
             for (side, indexed, input, widen) in
                 [("left", &ia, &left, Some(predicate)), ("right", &ib, &right, None)]

@@ -32,7 +32,7 @@ use sjc_cluster::metrics::Phase;
 use sjc_cluster::{Cluster, CostModel, SimError};
 use sjc_geom::{EngineKind, GeometryEngine, Point};
 use sjc_index::entry::IndexEntry;
-use sjc_index::partition::StrTilePartitioner;
+use sjc_index::partition::{str_tile_cells, CellLocator};
 use sjc_index::RTree;
 use sjc_rdd::{Rdd, SparkContext, SparkRecord};
 
@@ -117,12 +117,9 @@ impl SpatialSpark {
         )?;
         let centers: Vec<Point> =
             right.pick(sample.iter().map(|r| u64::from(r.idx))).map(|r| r.mbr.center()).collect();
-        let index = CellIndex::new(Box::new(StrTilePartitioner::from_sample(
-            right.domain,
-            centers,
-            self.partitions,
-        )));
-        let ncells = index.partitioner().cells().len();
+        let tiles = str_tile_cells(right.domain, centers, self.partitions);
+        let index = CellIndex::new(CellLocator::new(tiles));
+        let ncells = index.locator().cells().len();
 
         // Broadcast the partition-MBR R-tree (index over cells, not data).
         let bcast_bytes = (index.nodes() as u64) * 56 + ncells as u64 * 72;
@@ -162,7 +159,7 @@ impl SpatialSpark {
                 left.pick(lrefs.iter().map(|r| u64::from(r.idx))).collect();
             let rrecs: Vec<&GeoRecord> =
                 right.pick(rrefs.iter().map(|r| u64::from(r.idx))).collect();
-            let keep = reported_by(index.partitioner(), *cell, predicate);
+            let keep = reported_by(index.locator(), *cell, predicate);
             let (pairs, cost) = local_join(&jts, predicate, local_algo, &lrecs, &rrecs, keep);
             *extra += cost.filter_ns + cost.refine_ns;
             pairs

@@ -5,11 +5,11 @@
 //! * [`rtree`] — an STR bulk-loaded packed R-tree (what SpatialHadoop embeds
 //!   in its HDFS block files and SpatialSpark broadcasts, and what every
 //!   indexed local join here builds), the only construction;
-//! * [`partition`] — spatial partitioners (fixed grid, STR tiles from a
-//!   sample, BSP/k-d splits from a sample — the SATO family), each located
-//!   by one [`partition::CellLocator`], with the multi-assignment +
-//!   reference-point de-duplication machinery that partitioned spatial
-//!   joins require;
+//! * [`partition`] — one [`partition::CellLocator`] over a cell list, and
+//!   three choosers of that list (fixed grid, STR tiles from a sample,
+//!   BSP/k-d splits from a sample — the SATO family), with the
+//!   multi-assignment + reference-point de-duplication machinery that
+//!   partitioned spatial joins require;
 //! * [`join`] — the three *local join* algorithms named in the paper:
 //!   indexed nested loop (SpatialSpark), plane sweep and synchronized R-tree
 //!   traversal (SpatialHadoop). All produce identical candidate pair sets,

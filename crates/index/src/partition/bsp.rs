@@ -1,4 +1,4 @@
-//! Binary-space-partitioning (k-d style) partitioner built from a sample.
+//! Binary-space-partitioning (k-d style) cells chosen from a sample.
 //!
 //! Recursive median splits along the wider axis until each region holds at
 //! most `capacity` sample points. This is the SATO-flavoured balanced
@@ -7,24 +7,14 @@
 
 use sjc_geom::{Mbr, Point};
 
-use super::{CellLocator, Located};
-
-/// Sample-driven recursive median splits.
-#[derive(Debug, Clone)]
-pub struct BspPartitioner {
-    cells: CellLocator,
-}
-
-impl BspPartitioner {
-    /// Splits `extent` recursively so each leaf holds at most
-    /// `sample.len() / target_cells` sample points (at least 1).
-    pub fn from_sample(extent: Mbr, mut sample: Vec<Point>, target_cells: usize) -> Self {
-        assert!(!extent.is_empty(), "extent must be non-empty");
-        let capacity = (sample.len() / target_cells.max(1)).max(1);
-        let mut cells = Vec::new();
-        split(extent, &mut sample, capacity, 32, &mut cells);
-        BspPartitioner { cells: CellLocator::new(cells) }
-    }
+/// Splits `extent` by recursive median splits so each leaf holds at most
+/// `sample.len() / target_cells` sample points (at least 1).
+pub fn bsp_cells(extent: Mbr, mut sample: Vec<Point>, target_cells: usize) -> Vec<Mbr> {
+    assert!(!extent.is_empty(), "extent must be non-empty");
+    let capacity = (sample.len() / target_cells.max(1)).max(1);
+    let mut cells = Vec::new();
+    split(extent, &mut sample, capacity, 32, &mut cells);
+    cells
 }
 
 fn split(
@@ -90,16 +80,14 @@ fn split(
     }
 }
 
-impl Located for BspPartitioner {
-    fn locator(&self) -> &CellLocator {
-        &self.cells
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::SpatialPartitioner;
+    use crate::partition::CellLocator;
+
+    fn bsp(extent: Mbr, sample: Vec<Point>, target_cells: usize) -> CellLocator {
+        CellLocator::new(bsp_cells(extent, sample, target_cells))
+    }
 
     fn uniform_sample(n: usize) -> Vec<Point> {
         (0..n)
@@ -112,7 +100,7 @@ mod tests {
     #[test]
     fn cells_tile_extent_exactly() {
         let extent = Mbr::new(0.0, 0.0, 10.0, 10.0);
-        let p = BspPartitioner::from_sample(extent, uniform_sample(512), 16);
+        let p = bsp(extent, uniform_sample(512), 16);
         let total: f64 = p.cells().iter().map(Mbr::area).sum();
         assert!((total - extent.area()).abs() < 1e-6);
         for (i, a) in p.cells().iter().enumerate() {
@@ -125,7 +113,7 @@ mod tests {
     #[test]
     fn balanced_occupancy() {
         let sample = uniform_sample(1024);
-        let p = BspPartitioner::from_sample(Mbr::new(0.0, 0.0, 10.0, 10.0), sample.clone(), 16);
+        let p = bsp(Mbr::new(0.0, 0.0, 10.0, 10.0), sample.clone(), 16);
         // Count sample points per cell by owner; the max/min ratio should be
         // modest for a median-split partitioner.
         let mut counts = vec![0usize; p.cells().len()];
@@ -142,8 +130,7 @@ mod tests {
 
     #[test]
     fn cell_count_close_to_target() {
-        let p =
-            BspPartitioner::from_sample(Mbr::new(0.0, 0.0, 10.0, 10.0), uniform_sample(1000), 16);
+        let p = bsp(Mbr::new(0.0, 0.0, 10.0, 10.0), uniform_sample(1000), 16);
         let n = p.cells().len();
         assert!((8..=32).contains(&n), "wanted ~16, got {n}");
     }
@@ -151,7 +138,7 @@ mod tests {
     #[test]
     fn duplicate_points_terminate() {
         let sample: Vec<Point> = (0..1000).map(|_| Point::new(3.0, 3.0)).collect();
-        let p = BspPartitioner::from_sample(Mbr::new(0.0, 0.0, 10.0, 10.0), sample, 64);
+        let p = bsp(Mbr::new(0.0, 0.0, 10.0, 10.0), sample, 64);
         assert!(!p.cells().is_empty());
         let total: f64 = p.cells().iter().map(Mbr::area).sum();
         assert!((total - 100.0).abs() < 1e-6, "degenerate splits still tile the extent");
@@ -160,7 +147,7 @@ mod tests {
     #[test]
     fn empty_sample_gives_single_cell() {
         let extent = Mbr::new(0.0, 0.0, 1.0, 1.0);
-        let p = BspPartitioner::from_sample(extent, Vec::new(), 10);
+        let p = bsp(extent, Vec::new(), 10);
         assert_eq!(p.cells(), &[extent]);
     }
 }

@@ -1,64 +1,45 @@
-//! Fixed uniform-grid partitioner.
+//! Fixed uniform-grid cells.
 
 use sjc_geom::Mbr;
 
-use super::{CellLocator, Located};
-
-/// Partitions a fixed extent into an `nx × ny` uniform grid.
+/// A square-ish uniform grid of roughly `target_cells` cells over `extent`,
+/// row by row from the lower left.
 ///
 /// This is SpatialHadoop's `GRID` partitioning: simple, sample-free, but
 /// skew-oblivious — dense areas (midtown Manhattan in the taxi data) land in
 /// a single overloaded cell, which the ablation bench `ablation_partitioner`
 /// quantifies. Cells are located by comparisons against their stored
-/// bounds, as for every partitioner: the arithmetic `floor((x - min) / w)`
+/// bounds, as for every cell list: the arithmetic `floor((x - min) / w)`
 /// does not always agree with the rounded edges `min + c * w`, and a point
 /// owned by a cell its record was never assigned to loses its pair.
-#[derive(Debug, Clone)]
-pub struct FixedGridPartitioner {
-    cells: CellLocator,
-}
-
-impl FixedGridPartitioner {
-    pub fn new(extent: Mbr, nx: usize, ny: usize) -> Self {
-        assert!(nx > 0 && ny > 0, "grid dimensions must be nonzero");
-        assert!(!extent.is_empty(), "grid extent must be non-empty");
-        let w = extent.width() / nx as f64;
-        let h = extent.height() / ny as f64;
-        let mut cells = Vec::with_capacity(nx * ny);
-        for r in 0..ny {
-            for c in 0..nx {
-                cells.push(Mbr::new(
-                    extent.min_x + c as f64 * w,
-                    extent.min_y + r as f64 * h,
-                    extent.min_x + (c + 1) as f64 * w,
-                    extent.min_y + (r + 1) as f64 * h,
-                ));
-            }
+pub fn grid_cells(extent: Mbr, target_cells: usize) -> Vec<Mbr> {
+    assert!(!extent.is_empty(), "grid extent must be non-empty");
+    let side = (target_cells.max(1) as f64).sqrt().round().max(1.0) as usize;
+    let w = extent.width() / side as f64;
+    let h = extent.height() / side as f64;
+    let mut cells = Vec::with_capacity(side * side);
+    for r in 0..side {
+        for c in 0..side {
+            cells.push(Mbr::new(
+                extent.min_x + c as f64 * w,
+                extent.min_y + r as f64 * h,
+                extent.min_x + (c + 1) as f64 * w,
+                extent.min_y + (r + 1) as f64 * h,
+            ));
         }
-        FixedGridPartitioner { cells: CellLocator::new(cells) }
     }
-
-    /// Chooses a square-ish grid with roughly `target_cells` cells.
-    pub fn with_target_cells(extent: Mbr, target_cells: usize) -> Self {
-        let side = (target_cells.max(1) as f64).sqrt().round().max(1.0) as usize;
-        FixedGridPartitioner::new(extent, side, side)
-    }
-}
-
-impl Located for FixedGridPartitioner {
-    fn locator(&self) -> &CellLocator {
-        &self.cells
-    }
+    cells
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{dedup_owner_cell, CellId, SpatialPartitioner};
+    use crate::partition::{dedup_owner_cell, CellId, CellLocator};
     use sjc_geom::Point;
 
-    fn grid() -> FixedGridPartitioner {
-        FixedGridPartitioner::new(Mbr::new(0.0, 0.0, 10.0, 10.0), 5, 5)
+    /// 5 × 5 cells over a 10 × 10 extent.
+    fn grid() -> CellLocator {
+        CellLocator::new(grid_cells(Mbr::new(0.0, 0.0, 10.0, 10.0), 25))
     }
 
     #[test]

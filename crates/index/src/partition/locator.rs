@@ -1,9 +1,8 @@
 //! Exact point/rectangle location over a fixed cell list.
 //!
-//! The trait defaults of [`SpatialPartitioner`] scan every cell per call —
-//! once or twice per *candidate pair* for `owns`, once per record for
-//! `assign`. [`CellLocator`] answers the same questions from a structure
-//! built once per partitioner.
+//! A linear scan over every cell would answer each question — once or
+//! twice per *candidate pair* for `owns`, once per record for `assign`.
+//! [`CellLocator`] answers them from a structure built once per cell list.
 //!
 //! The distinct x-edges of the cells cut the x-axis into *elementary
 //! regions*: each edge value itself, and each open interval between two
@@ -41,11 +40,10 @@ use std::ops::Range;
 
 use sjc_geom::{Mbr, Point};
 
-use super::{CellId, SpatialPartitioner};
+use super::CellId;
 
-/// A fixed cell list with O(log n) exact location. Itself a partitioner, so
-/// an adopted cell list needs no wrapper; the three partitioner families
-/// hold one and delegate.
+/// A fixed cell list with O(log n) exact location: the one partitioner
+/// value, whichever chooser (or adopted list) the cells came from.
 #[derive(Debug, Clone)]
 pub struct CellLocator {
     cells: Vec<Mbr>,
@@ -271,14 +269,25 @@ impl CellLocator {
     fn rows_under(&self, column: usize) -> Option<Axis<'_>> {
         self.axes.get(1 + column / 2).filter(|_| column % 2 == 1)
     }
-}
 
-impl SpatialPartitioner for CellLocator {
-    fn cells(&self) -> &[Mbr] {
+    /// The cell rectangles. Cell ids are indexes into this slice.
+    pub fn cells(&self) -> &[Mbr] {
         &self.cells
     }
 
-    fn assign_into(&self, mbr: &Mbr, out: &mut Vec<CellId>) {
+    /// All cells an MBR must be assigned to (every cell whose closed
+    /// rectangle it meets), ascending. Never empty: an MBR outside every
+    /// cell falls back to the cell nearest its center, so no record is
+    /// ever dropped in preprocessing.
+    pub fn assign(&self, mbr: &Mbr) -> Vec<CellId> {
+        let mut out = Vec::new();
+        self.assign_into(mbr, &mut out);
+        out
+    }
+
+    /// [`assign`](Self::assign) into a caller-owned buffer: `out` is
+    /// cleared, then holds the assigned cells in ascending id order.
+    pub fn assign_into(&self, mbr: &Mbr, out: &mut Vec<CellId>) {
         out.clear();
         let x = self.columns();
         // An inverted MBR is empty and meets nothing, whatever its bounds.
@@ -313,10 +322,13 @@ impl SpatialPartitioner for CellLocator {
             out.push(self.nearest_cell(&mbr.center()));
         }
         #[cfg(feature = "sanitize")]
-        debug_assert_eq!(*out, Linear(&self.cells).assign(mbr), "sanitize: assign({mbr:?})");
+        debug_assert_eq!(*out, linear::assign(self, mbr), "sanitize: assign({mbr:?})");
     }
 
-    fn owner(&self, p: &Point) -> CellId {
+    /// The canonical owner cell of a point: the lowest-id cell whose closed
+    /// rectangle contains it, else the nearest cell. The reference-point
+    /// rule needs exactly one owner for every point.
+    pub fn owner(&self, p: &Point) -> CellId {
         let x = self.columns();
         let located = x.region(p.x).and_then(|column| match self.rows_under(column) {
             Some(rows) => rows.list(rows.region(p.y)?).first().copied(),
@@ -327,11 +339,14 @@ impl SpatialPartitioner for CellLocator {
         });
         let owner = located.unwrap_or_else(|| self.nearest_cell(p));
         #[cfg(feature = "sanitize")]
-        debug_assert_eq!(owner, Linear(&self.cells).owner(p), "sanitize: owner({p:?})");
+        debug_assert_eq!(owner, linear::owner(self, p), "sanitize: owner({p:?})");
         owner
     }
 
-    fn owns(&self, cell: CellId, p: &Point) -> bool {
+    /// Whether `cell` owns `p`: exactly `owner(p) == cell`. The
+    /// reference-point rule asks it of every candidate pair, so most probes
+    /// are answered from the certificates without locating the owner.
+    pub fn owns(&self, cell: CellId, p: &Point) -> bool {
         let decided = self.cell(cell).and_then(|c| {
             let sole = self.sole.get(cell as usize).is_some_and(|&s| s);
             let inside = c.min_x < p.x && p.x < c.max_x && c.min_y < p.y && p.y < c.max_y;
@@ -348,7 +363,7 @@ impl SpatialPartitioner for CellLocator {
                 #[cfg(feature = "sanitize")]
                 debug_assert_eq!(
                     owns,
-                    Linear(&self.cells).owner(p) == cell,
+                    linear::owner(self, p) == cell,
                     "sanitize: owns({cell}, {p:?})"
                 );
                 owns
@@ -357,24 +372,52 @@ impl SpatialPartitioner for CellLocator {
             None => self.owner(p) == cell,
         }
     }
+
+    /// The cell nearest a point by MBR distance, lowest id on a tie: the
+    /// fallback of every question no cell answers by containment.
+    pub fn nearest_cell(&self, p: &Point) -> CellId {
+        let pm = p.mbr();
+        let mut best = (f64::INFINITY, 0u32);
+        for (i, c) in self.cells.iter().enumerate() {
+            let d = c.min_distance(&pm);
+            if d < best.0 {
+                best = (d, i as CellId);
+            }
+        }
+        best.1
+    }
 }
 
-/// Runtime invariant sanitizer (feature `sanitize`): the trait's linear
-/// scans over the same cells, which every located answer must equal.
+/// Runtime invariant sanitizer (feature `sanitize`): linear scans over the
+/// same cells, which every located answer must equal.
 #[cfg(feature = "sanitize")]
-struct Linear<'a>(&'a [Mbr]);
+mod linear {
+    use super::{CellId, CellLocator, Mbr, Point};
 
-#[cfg(feature = "sanitize")]
-impl SpatialPartitioner for Linear<'_> {
-    fn cells(&self) -> &[Mbr] {
-        self.0
+    pub(super) fn assign(located: &CellLocator, mbr: &Mbr) -> Vec<CellId> {
+        let mut out: Vec<CellId> = located
+            .cells
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.intersects(mbr))
+            .map(|(i, _)| i as CellId)
+            .collect();
+        if out.is_empty() {
+            out.push(located.nearest_cell(&mbr.center()));
+        }
+        out
+    }
+
+    pub(super) fn owner(located: &CellLocator, p: &Point) -> CellId {
+        let containing = located.cells.iter().position(|c| c.contains_point(p));
+        containing.map_or_else(|| located.nearest_cell(p), |i| i as CellId)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{BspPartitioner, StrTilePartitioner};
+    use crate::partition::{bsp_cells, str_tile_cells};
 
     const EXTENT: Mbr = Mbr { min_x: -20.0, min_y: 5.0, max_x: 80.0, max_y: 65.0 };
 
@@ -398,14 +441,14 @@ mod tests {
         let (mut subdivided, mut degenerate) = (0, 0);
         for sample in [spread(2000), spread(3), duplicates(400), Vec::new()] {
             for target in [1usize, 2, 64, 512] {
-                let str_tiles = StrTilePartitioner::from_sample(EXTENT, sample.clone(), target);
-                if str_tiles.cells().len() > sample.len().max(1) {
+                let str_tiles = str_tile_cells(EXTENT, sample.clone(), target);
+                if str_tiles.len() > sample.len().max(1) {
                     subdivided += 1;
                 }
-                let bsp = BspPartitioner::from_sample(EXTENT, sample.clone(), target);
-                for cells in [str_tiles.cells(), bsp.cells()] {
+                let bsp = bsp_cells(EXTENT, sample.clone(), target);
+                for cells in [str_tiles, bsp] {
                     degenerate += cells.iter().filter(|c| c.area() == 0.0).count();
-                    let located = CellLocator::new(cells.to_vec());
+                    let located = CellLocator::new(cells.clone());
                     assert_eq!(located.filled, EXTENT, "{} cells", cells.len());
                     for (id, (c, &sole)) in cells.iter().zip(&located.sole).enumerate() {
                         assert_eq!(sole, c.area() > 0.0, "cell {id} = {c:?}");

@@ -4,9 +4,7 @@
 use sjc_geom::{Mbr, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::join::{brute_force, indexed_nested_loop, plane_sweep, sync_rtree};
-use sjc_index::partition::{
-    dedup_owner_cell, BspPartitioner, FixedGridPartitioner, SpatialPartitioner, StrTilePartitioner,
-};
+use sjc_index::partition::{bsp_cells, dedup_owner_cell, grid_cells, str_tile_cells, CellLocator};
 use sjc_index::RTree;
 use sjc_testkit::{cases, TestRng};
 
@@ -92,11 +90,12 @@ fn partitioners_assign_every_mbr() {
         let sample = points(rng, 0..200);
         let m = mbr(rng, 100.0, 20.0);
         let extent = Mbr::new(0.0, 0.0, 100.0, 100.0);
-        let parts: Vec<Box<dyn SpatialPartitioner>> = vec![
-            Box::new(FixedGridPartitioner::new(extent, 4, 4)),
-            Box::new(StrTilePartitioner::from_sample(extent, sample.clone(), 9)),
-            Box::new(BspPartitioner::from_sample(extent, sample, 9)),
-        ];
+        let parts = [
+            grid_cells(extent, 16),
+            str_tile_cells(extent, sample.clone(), 9),
+            bsp_cells(extent, sample, 9),
+        ]
+        .map(CellLocator::new);
         for p in &parts {
             let cells = p.assign(&m);
             assert!(!cells.is_empty(), "assignment must be total");
@@ -112,7 +111,7 @@ fn owner_is_deterministic_and_contained() {
     // An 11 × 11 grid whose stored x-edges `min_x + c * w` are rounded away
     // from where `floor((x - min_x) / w)` cuts: probed at every edge and one
     // ulp below every edge but the first.
-    let grid = FixedGridPartitioner::new(Mbr::new(-27.173, 0.0, 55.685, 11.0), 11, 11);
+    let grid = CellLocator::new(grid_cells(Mbr::new(-27.173, 0.0, 55.685, 11.0), 121));
     let mut edges: Vec<f64> = grid.cells().iter().flat_map(|c| [c.min_x, c.max_x]).collect();
     edges.sort_by(f64::total_cmp);
     edges.dedup();
@@ -122,15 +121,16 @@ fn owner_is_deterministic_and_contained() {
         let sample = points(rng, 1..200);
         let p = Point::new(rng.f64_in(0.0..100.0), rng.f64_in(0.0..100.0));
         let extent = Mbr::new(0.0, 0.0, 100.0, 100.0);
-        let parts: Vec<Box<dyn SpatialPartitioner>> = vec![
-            Box::new(FixedGridPartitioner::new(extent, 5, 5)),
-            Box::new(StrTilePartitioner::from_sample(extent, sample.clone(), 8)),
-            Box::new(BspPartitioner::from_sample(extent, sample, 8)),
-        ];
+        let parts = [
+            grid_cells(extent, 25),
+            str_tile_cells(extent, sample.clone(), 8),
+            bsp_cells(extent, sample, 8),
+        ]
+        .map(CellLocator::new);
         let y = rng.f64_in(0.0..11.0);
         let on_edges: Vec<Point> = near_edges.iter().map(|&x| Point::new(x, y)).collect();
-        let inputs = parts.iter().map(|part| (part.as_ref(), vec![p]));
-        for (part, probes) in inputs.chain([(&grid as &dyn SpatialPartitioner, on_edges)]) {
+        let inputs = parts.iter().map(|part| (part, vec![p]));
+        for (part, probes) in inputs.chain([(&grid, on_edges)]) {
             for q in probes {
                 let o1 = part.owner(&q);
                 let o2 = part.owner(&q);
@@ -152,7 +152,7 @@ fn partitioned_join_with_dedup_equals_direct_join() {
         // cells, join within each cell with dedup, compare with the direct
         // join of the full inputs.
         let extent = Mbr::new(0.0, 0.0, 110.0, 110.0);
-        let partitioner = StrTilePartitioner::from_sample(extent, sample, 6);
+        let partitioner = CellLocator::new(str_tile_cells(extent, sample, 6));
 
         let mut by_cell_l: Vec<Vec<IndexEntry>> = vec![Vec::new(); partitioner.cells().len()];
         let mut by_cell_r: Vec<Vec<IndexEntry>> = vec![Vec::new(); partitioner.cells().len()];

@@ -24,11 +24,8 @@
 //!   ([`crate::Budget::explicit`]) is honored verbatim so tests can drive
 //!   the pool oversubscribed on any box.
 //!
-//! Everything here is a pure function of its arguments (the
-//! `SJC_PAR_GRANULARITY` override is read once per process and passed in),
-//! so the planner itself is deterministic and directly testable.
-
-use std::sync::OnceLock;
+//! Everything here is a pure function of its arguments, so the planner
+//! itself is deterministic and directly testable.
 
 use crate::Budget;
 
@@ -73,54 +70,22 @@ impl ChunkPlan {
     }
 }
 
-/// The `SJC_PAR_GRANULARITY` override: a floor on items per chunk (also
-/// raising the serial cutover to one chunk's worth of items). Read once —
-/// the environment is fixed for the process, and re-parsing it on every
-/// parallel call would put a syscall on the hot path.
-// sjc-lint: allow(cache-purity) — memoizes a process-constant env var; the value cannot change between a cold and a warm cache hit, and chunking never alters results anyway
-pub(crate) fn granularity_override() -> Option<usize> {
-    static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        std::env::var("SJC_PAR_GRANULARITY")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-    })
-}
-
 /// Plans a call over `n` items whose per-item cost weight is `cost`
 /// (relative to a trivial integer op = 1).
 pub fn plan_weighted(n: usize, budget: Budget, cost: u32) -> ChunkPlan {
-    plan_with(n, budget, cost, granularity_override())
-}
-
-/// The pure planner. `min_chunk_override` is the `SJC_PAR_GRANULARITY`
-/// value; tests pass it directly instead of mutating the environment.
-pub fn plan_with(
-    n: usize,
-    budget: Budget,
-    cost: u32,
-    min_chunk_override: Option<usize>,
-) -> ChunkPlan {
     let cost = u64::from(cost.max(1));
     let threads = budget.effective_threads();
     let work = (n as u64).saturating_mul(cost);
-    let serial_floor = min_chunk_override.unwrap_or(0);
-    if threads <= 1 || work < SERIAL_CUTOVER_WORK || n <= serial_floor {
+    if threads <= 1 || work < SERIAL_CUTOVER_WORK {
         return ChunkPlan { chunk: n.max(1), helpers: 0 };
     }
 
     // Floor: enough work per chunk to amortize the claim; cap: a bounded
     // multiple of that floor, so high item costs force finer dispatch.
     // Between the two, target ~CHUNKS_PER_WORKER chunks per participant.
-    // The override floor wins over everything.
     let amortize_floor = (CLAIM_AMORTIZE_WORK / cost).max(1) as usize;
     let balance_target = n.div_ceil(threads * CHUNKS_PER_WORKER).max(1);
-    let chunk = balance_target
-        .min(amortize_floor * CHUNK_SPREAD)
-        .max(amortize_floor)
-        .max(serial_floor)
-        .min(n);
+    let chunk = balance_target.min(amortize_floor * CHUNK_SPREAD).max(amortize_floor).min(n);
 
     let n_chunks = n.div_ceil(chunk);
     let helpers = threads.min(n_chunks).saturating_sub(1);
@@ -136,25 +101,25 @@ mod tests {
         // The data_gen regression: sub-threshold workloads must not wake a
         // single helper no matter the requested budget.
         for n in [0, 1, 16, 100, 1000] {
-            let p = plan_with(n, Budget::explicit(8), 1, None);
+            let p = plan_weighted(n, Budget::explicit(8), 1);
             assert!(p.is_serial(), "n={n} plan={p:?}");
         }
         // Just past the cutover the same budget engages helpers.
-        let p = plan_with(SERIAL_CUTOVER_WORK as usize, Budget::explicit(8), 1, None);
+        let p = plan_weighted(SERIAL_CUTOVER_WORK as usize, Budget::explicit(8), 1);
         assert!(!p.is_serial(), "{p:?}");
     }
 
     #[test]
     fn cost_weight_moves_the_serial_cutover() {
         // 100 coarse tasks are worth dispatching; 100 trivial items are not.
-        assert!(!plan_with(100, Budget::explicit(4), COARSE_ITEM_COST, None).is_serial());
-        assert!(plan_with(100, Budget::explicit(4), 1, None).is_serial());
+        assert!(!plan_weighted(100, Budget::explicit(4), COARSE_ITEM_COST).is_serial());
+        assert!(plan_weighted(100, Budget::explicit(4), 1).is_serial());
     }
 
     #[test]
     fn chunks_amortize_claims_for_cheap_items_and_shrink_for_expensive_ones() {
-        let cheap = plan_with(100_000, Budget::explicit(4), 1, None);
-        let dear = plan_with(100_000, Budget::explicit(4), COARSE_ITEM_COST, None);
+        let cheap = plan_weighted(100_000, Budget::explicit(4), 1);
+        let dear = plan_weighted(100_000, Budget::explicit(4), COARSE_ITEM_COST);
         assert!(cheap.chunk >= 256, "{cheap:?}");
         assert!(dear.chunk < cheap.chunk, "{dear:?} vs {cheap:?}");
         assert_eq!(dear.helpers, 3);
@@ -162,21 +127,8 @@ mod tests {
 
     #[test]
     fn helpers_never_exceed_the_chunk_count() {
-        let p = plan_with(5000, Budget::explicit(64), DEFAULT_ITEM_COST, None);
+        let p = plan_weighted(5000, Budget::explicit(64), DEFAULT_ITEM_COST);
         assert!(p.helpers < 5000usize.div_ceil(p.chunk), "{p:?}");
-        // One-chunk calls are serial: a lone helper would leave the caller
-        // idle-waiting on it.
-        let one = plan_with(4096, Budget::explicit(8), 1, Some(4096));
-        assert!(one.is_serial(), "{one:?}");
-    }
-
-    #[test]
-    fn granularity_override_floors_chunk_size_and_serial_threshold() {
-        // Below the override everything is serial…
-        assert!(plan_with(2000, Budget::explicit(8), COARSE_ITEM_COST, Some(2048)).is_serial());
-        // …above it, chunks never drop below the override.
-        let p = plan_with(100_000, Budget::explicit(8), COARSE_ITEM_COST, Some(2048));
-        assert!(!p.is_serial() && p.chunk >= 2048, "{p:?}");
     }
 
     #[test]

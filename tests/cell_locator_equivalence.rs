@@ -1,22 +1,25 @@
-//! `CellLocator` — the point/rectangle location structure behind
-//! `FixedGridPartitioner`, `StrTilePartitioner`, `BspPartitioner` and
-//! SpatialHadoop's adopted cell lists — must answer `owner`, `owns`, `assign` and `assign_into` exactly
-//! as the linear scans it replaced, ties and fallbacks included.
+//! `CellLocator` — the one point/rectangle location structure, over the
+//! cells of `grid_cells`, `str_tile_cells`, `bsp_cells` and SpatialHadoop's
+//! adopted cell lists — must answer `owner`, `owns`, `assign` and
+//! `assign_into` exactly as the linear scans it replaced, ties and
+//! fallbacks included.
 //!
-//! The linear scans are kept here verbatim (as they stood in
-//! `SpatialPartitioner`'s defaults before the locator existed), so this
-//! file stays a fixed reference even if the trait defaults change. The
-//! engines' tagging, `sjc_core::framework::CellIndex::tag`, is held to the
-//! same reference, and the R-tree nodes it charges to the count a walk of
-//! the STR R-tree over the cells visits (`RTree::query_counting`).
+//! The linear scans are kept here verbatim (the `ref_*` functions, as they
+//! stood before the locator existed), so this file stays a fixed reference
+//! whatever the library does. The engines' tagging,
+//! `sjc_core::framework::CellIndex::tag`, is held to the same reference,
+//! and the R-tree nodes it charges to the count a walk of the STR R-tree
+//! over the cells visits (`RTree::query_counting`). The partitioner names
+//! the `benchmark/` package calls are held to `CellLocator::new` over their
+//! choosers' cells, and `PartitionerKind::build` to its family's chooser.
 
 use sjc_core::common::PartitionerKind;
 use sjc_core::framework::{CellIndex, JoinPredicate};
 use sjc_geom::{Mbr, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::partition::{
-    BspPartitioner, CellId, CellLocator, FixedGridPartitioner, SpatialPartitioner,
-    StrTilePartitioner,
+    bsp_cells, grid_cells, str_tile_cells, BspPartitioner, CellId, CellLocator,
+    FixedGridPartitioner, SpatialPartitioner, StrTilePartitioner,
 };
 use sjc_index::rtree::MAX_ENTRIES;
 use sjc_index::RTree;
@@ -53,15 +56,6 @@ fn ref_nearest_cell(cells: &[Mbr], p: &Point) -> CellId {
         }
     }
     best.1
-}
-
-/// A partitioner that overrides nothing: the trait defaults themselves.
-struct Defaults(Vec<Mbr>);
-
-impl SpatialPartitioner for Defaults {
-    fn cells(&self) -> &[Mbr] {
-        &self.0
-    }
 }
 
 const EXTENT: Mbr = Mbr { min_x: -20.0, min_y: 5.0, max_x: 80.0, max_y: 65.0 };
@@ -125,7 +119,7 @@ struct Seen {
     subdivided: usize,
 }
 
-fn check_point(p: &dyn SpatialPartitioner, pt: Point, seen: &mut Seen) {
+fn check_point(p: &CellLocator, pt: Point, seen: &mut Seen) {
     let cells = p.cells();
     let owner = ref_owner(cells, &pt);
     assert_eq!(p.owner(&pt), owner, "owner of {pt:?} over {} cells", cells.len());
@@ -151,7 +145,7 @@ fn check_point(p: &dyn SpatialPartitioner, pt: Point, seen: &mut Seen) {
     check_rect(p, pt.mbr(), seen);
 }
 
-fn check_rect(p: &dyn SpatialPartitioner, m: Mbr, seen: &mut Seen) {
+fn check_rect(p: &CellLocator, m: Mbr, seen: &mut Seen) {
     let cells = p.cells();
     let expected = ref_assign(cells, &m);
     assert_eq!(p.assign(&m), expected, "assign of {m:?} over {} cells", cells.len());
@@ -166,7 +160,7 @@ fn check_rect(p: &dyn SpatialPartitioner, m: Mbr, seen: &mut Seen) {
     }
 }
 
-fn check_partitioner(p: &dyn SpatialPartitioner, rng: &mut TestRng, seen: &mut Seen) {
+fn check_partitioner(p: &CellLocator, rng: &mut TestRng, seen: &mut Seen) {
     let cells = p.cells().to_vec();
     seen.zero_extent_cells +=
         cells.iter().filter(|c| !c.is_empty() && (c.width() == 0.0 || c.height() == 0.0)).count();
@@ -213,25 +207,22 @@ fn located_partitioners_match_the_linear_scans() {
         for target in [1usize, 2, 64, 128, 512] {
             let pts = sample(rng);
             let resolvable = pts.len();
-            let str_tiles = StrTilePartitioner::from_sample(EXTENT, pts.clone(), target);
+            let str_tiles = CellLocator::new(str_tile_cells(EXTENT, pts.clone(), target));
             if str_tiles.cells().len() > resolvable.max(1) {
                 seen.subdivided += 1;
             }
             check_partitioner(&str_tiles, rng, &mut seen);
-            check_partitioner(&BspPartitioner::from_sample(EXTENT, pts, target), rng, &mut seen);
-            // Compatible-grid mode adopts another dataset's cells as they are.
-            let adopted = CellLocator::new(str_tiles.cells().to_vec());
-            check_partitioner(&adopted, rng, &mut seen);
+            check_partitioner(&CellLocator::new(bsp_cells(EXTENT, pts, target)), rng, &mut seen);
         }
+        // Compatible-grid mode adopts another dataset's cells as they are;
+        // an adopted list need not tile anything.
         check_partitioner(&CellLocator::new(arbitrary_cells(rng)), rng, &mut seen);
-        // The trait defaults are still the linear scans.
-        check_partitioner(&Defaults(arbitrary_cells(rng)), rng, &mut seen);
     });
     // The grid takes no sample: each shape once.
     let mut rng = TestRng::new(0x6121_D000);
     for extent in [EXTENT, ROUNDED] {
         for target in [1usize, 2, 64, 128, 512] {
-            let grid = FixedGridPartitioner::with_target_cells(extent, target);
+            let grid = CellLocator::new(grid_cells(extent, target));
             check_partitioner(&grid, &mut rng, &mut seen);
         }
     }
@@ -262,6 +253,67 @@ fn degenerate_cell_lists_are_total() {
     }
 }
 
+/// `named` holds `located`'s cells and answers `owner`, `nearest_cell` and
+/// `assign` as it does: on every corner and edge midpoint of every cell,
+/// and at random points around the extent, some outside it.
+fn assert_same_answers(named: &dyn SpatialPartitioner, located: &CellLocator, rng: &mut TestRng) {
+    let cells = located.cells();
+    assert_eq!(named.cells(), cells);
+    let mut probes = Vec::new();
+    for c in cells.iter().filter(|c| !c.is_empty()) {
+        let mid = c.center();
+        for x in [c.min_x, mid.x, c.max_x] {
+            probes.extend([c.min_y, mid.y, c.max_y].map(|y| Point::new(x, y)));
+        }
+    }
+    let around = EXTENT.buffered(15.0);
+    probes.extend((0..100).map(|_| point_in(rng, &around)));
+    for p in &probes {
+        assert_eq!(named.owner(p), located.owner(p), "owner of {p:?}");
+        assert_eq!(named.nearest_cell(p), located.nearest_cell(p), "nearest cell to {p:?}");
+        let m = Mbr::new(p.x, p.y, p.x + rng.f64_in(0.0..8.0), p.y + rng.f64_in(0.0..8.0));
+        assert_eq!(named.assign(&m), located.assign(&m), "assign of {m:?}");
+    }
+}
+
+/// The partitioner names the `benchmark/` package calls are
+/// `CellLocator::new` over their choosers' cells, cell for cell and answer
+/// for answer.
+#[test]
+fn named_partitioners_are_their_choosers_located() {
+    cases(0x5A1A_0C11, 6, |rng| {
+        for target in [1usize, 2, 64, 128] {
+            let pts = sample(rng);
+            let grid = FixedGridPartitioner::with_target_cells(EXTENT, target);
+            assert_same_answers(&grid, &CellLocator::new(grid_cells(EXTENT, target)), rng);
+            let tiles = StrTilePartitioner::from_sample(EXTENT, pts.clone(), target);
+            let chosen = str_tile_cells(EXTENT, pts.clone(), target);
+            assert_same_answers(&tiles, &CellLocator::new(chosen), rng);
+            let bsp = BspPartitioner::from_sample(EXTENT, pts.clone(), target);
+            assert_same_answers(&bsp, &CellLocator::new(bsp_cells(EXTENT, pts, target)), rng);
+        }
+    });
+}
+
+/// Each `PartitionerKind` builds exactly its family's cells, in order.
+#[test]
+fn partitioner_kinds_build_their_choosers_cells() {
+    cases(0xB01D_0C11, 8, |rng| {
+        for target in [1usize, 2, 16, 128, 512] {
+            let pts = sample(rng);
+            let chosen = [
+                (PartitionerKind::FixedGrid, grid_cells(EXTENT, target)),
+                (PartitionerKind::StrTiles, str_tile_cells(EXTENT, pts.clone(), target)),
+                (PartitionerKind::Bsp, bsp_cells(EXTENT, pts.clone(), target)),
+            ];
+            for (kind, cells) in chosen {
+                let built = kind.build(EXTENT, pts.clone(), target);
+                assert_eq!(built.cells(), cells, "{} at {target} cells", kind.name());
+            }
+        }
+    });
+}
+
 /// `CellIndex::tag` — how SpatialHadoop, SpatialSpark and LDE tag records
 /// with cells — answers `assign`, ascending: inside the extent, on shared
 /// cell edges and corners, wholly outside it (the nearest-cell fallback),
@@ -282,7 +334,7 @@ fn cell_index_tags_exactly_the_assigned_cells() {
                 [PartitionerKind::FixedGrid, PartitionerKind::StrTiles, PartitionerKind::Bsp]
             {
                 let index = CellIndex::new(kind.build(EXTENT, pts.clone(), target));
-                let p = index.partitioner();
+                let p = index.locator();
                 let entries =
                     p.cells().iter().enumerate().map(|(i, c)| IndexEntry::new(i as u64, *c));
                 let tree = RTree::bulk_load_str(entries.collect());

@@ -91,7 +91,7 @@ fn cell_tags_run_clean_under_sanitizer() {
         for kind in [PartitionerKind::FixedGrid, PartitionerKind::StrTiles, PartitionerKind::Bsp] {
             for target in [1usize, 16, 512] {
                 let index = CellIndex::new(kind.build(ds.domain, sample.clone(), target));
-                let cells = index.partitioner().cells().iter().enumerate();
+                let cells = index.locator().cells().iter().enumerate();
                 let tree = RTree::bulk_load_str(
                     cells.map(|(i, c)| IndexEntry::new(i as u64, *c)).collect(),
                 );
