@@ -147,19 +147,10 @@ fn bench_partitioners(b: &mut Bench) {
     bench_owns(b, "bsp", &bsp);
 }
 
-fn bench_knn(b: &mut Bench) {
-    let tree = RTree::bulk_load_str(entries(100_000, 23));
-    let probes = points(100, 29);
-    b.bench("rtree_knn10_100k_x100", || {
-        probes.iter().map(|p| tree.nearest_neighbors(black_box(p), 10).len()).sum::<usize>()
-    });
-}
-
 fn main() {
     let mut b = Bench::from_args();
     bench_rtree_build(&mut b);
     bench_rtree_query(&mut b);
     bench_rtree_visits(&mut b);
     bench_partitioners(&mut b);
-    bench_knn(&mut b);
 }

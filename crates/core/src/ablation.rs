@@ -5,7 +5,7 @@
 //! local join algorithm). Because our implementations run on shared
 //! substrates, we can flip one choice at a time — the experiments the paper
 //! could not run. Every study is a table of `(label, system config)` rows
-//! run on one workload and cluster by [`AblationRow::run`]; [`report`]
+//! run on one workload and cluster by `AblationRow::run`; [`report`]
 //! renders them all for `reproduce ablations` and the `design_ablation`
 //! example.
 
@@ -25,15 +25,15 @@ use crate::spatialspark::SpatialSpark;
 
 /// One ablation measurement.
 #[derive(Debug, Clone)]
-pub struct AblationRow {
-    pub label: String,
+struct AblationRow {
+    label: String,
     /// End-to-end simulated seconds, or the failure kind.
-    pub outcome: Result<f64, String>,
+    outcome: Result<f64, String>,
 }
 
 impl AblationRow {
     /// Runs one system configuration: the runner of every study.
-    pub fn run(
+    fn run(
         label: impl Into<String>,
         sys: &dyn DistributedSpatialJoin,
         cluster: &Cluster,
@@ -42,10 +42,6 @@ impl AblationRow {
     ) -> AblationRow {
         let outcome = run_seconds(sys, cluster, left, right).map_err(|e| e.kind().to_string());
         AblationRow { label: label.into(), outcome }
-    }
-
-    pub fn seconds(&self) -> Option<f64> {
-        self.outcome.as_ref().ok().copied()
     }
 }
 
@@ -217,6 +213,12 @@ pub fn report(scale: f64, seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AblationRow {
+        fn seconds(&self) -> Option<f64> {
+            self.outcome.as_ref().ok().copied()
+        }
+    }
 
     const SCALE: f64 = 1e-4;
     const SEED: u64 = 7;

@@ -56,13 +56,9 @@ pub fn local_join(
         return (Vec::new(), cost);
     }
 
-    // Filter: local ids are positions into the slices; within-distance
-    // joins widen the left MBRs so the filter stays conservative.
-    let l_entries: Vec<IndexEntry> = left
-        .iter()
-        .enumerate()
-        .map(|(i, r)| IndexEntry::new(i as u64, predicate.filter_mbr(&r.mbr)))
-        .collect();
+    // Filter: local ids are positions into the slices.
+    let l_entries: Vec<IndexEntry> =
+        left.iter().enumerate().map(|(i, r)| IndexEntry::new(i as u64, r.mbr)).collect();
     let r_entries: Vec<IndexEntry> =
         right.iter().enumerate().map(|(i, r)| IndexEntry::new(i as u64, r.mbr)).collect();
 
@@ -78,7 +74,7 @@ pub fn local_join(
     // Built once, before refinement, and read by both paths below.
     let chunks = match predicate {
         JoinPredicate::Intersects => right_chunks(right, &pairs),
-        _ => ChunkEnvelopes::default(),
+        JoinPredicate::Within => ChunkEnvelopes::default(),
     };
 
     // De-dup first: a candidate this partition does not report is still
@@ -243,33 +239,6 @@ mod tests {
         assert_eq!(cost.candidates, 1, "filter produces the false positive");
         assert!(pairs.is_empty(), "refinement removes it");
         assert!(cost.refine_ns > 0);
-    }
-
-    #[test]
-    fn within_distance_widens_filter() {
-        let engine = GeometryEngine::jts();
-        let left = [rec(0, 0.0, 0.0)];
-        let right = [rec(0, 3.0, 4.0)]; // distance 5
-        let l: Vec<&GeoRecord> = left.iter().collect();
-        let r: Vec<&GeoRecord> = right.iter().collect();
-        let (hits, _) = local_join(
-            &engine,
-            JoinPredicate::WithinDistance(5.0),
-            LocalJoinAlgo::IndexedNestedLoop,
-            &l,
-            &r,
-            |_, _| true,
-        );
-        assert_eq!(hits, vec![(0, 0)]);
-        let (misses, _) = local_join(
-            &engine,
-            JoinPredicate::WithinDistance(4.9),
-            LocalJoinAlgo::IndexedNestedLoop,
-            &l,
-            &r,
-            |_, _| true,
-        );
-        assert!(misses.is_empty());
     }
 
     #[test]

@@ -23,9 +23,6 @@ pub enum JoinPredicate {
     Intersects,
     /// Left geometry contained in right geometry.
     Within,
-    /// Geometries within distance `d` (the taxi-to-road-segment motivating
-    /// example of the paper's introduction).
-    WithinDistance(f64),
 }
 
 impl JoinPredicate {
@@ -40,7 +37,6 @@ impl JoinPredicate {
         match self {
             JoinPredicate::Intersects => engine.intersects(left, right),
             JoinPredicate::Within => engine.contains(right, left),
-            JoinPredicate::WithinDistance(d) => engine.within_distance(left, right, *d),
         }
     }
 
@@ -64,7 +60,7 @@ impl JoinPredicate {
                 };
                 engine.intersects_hinted(&left.geom, &left.mbr, &right.geom, chunks)
             }
-            _ => self.evaluate(engine, &left.geom, &right.geom),
+            JoinPredicate::Within => self.evaluate(engine, &left.geom, &right.geom),
         }
     }
 
@@ -77,15 +73,6 @@ impl JoinPredicate {
         right: &GeoRecord,
     ) -> u64 {
         engine.refine_cost_ns(left.geom.num_vertices() + right.geom.num_vertices())
-    }
-
-    /// Widens an MBR for the filter step (only within-distance joins need
-    /// a buffer).
-    pub fn filter_mbr(&self, mbr: &Mbr) -> Mbr {
-        match self {
-            JoinPredicate::WithinDistance(d) => mbr.buffered(*d),
-            _ => *mbr,
-        }
     }
 }
 
@@ -260,13 +247,12 @@ fn cell_entries(cells: &[Mbr]) -> Vec<IndexEntry> {
 
 /// The reference-point rule as a [`local_join`](crate::common::local_join)
 /// `keep`: `cell` reports a candidate pair only if it owns the pair's
-/// reference point, taken on the left MBR as the filter saw it.
+/// reference point.
 pub(crate) fn reported_by(
     cells: &CellLocator,
     cell: CellId,
-    predicate: JoinPredicate,
 ) -> impl Fn(&Mbr, &Mbr) -> bool + Sync + '_ {
-    move |am, bm| dedup_owner_cell(cells, cell, &predicate.filter_mbr(am), bm)
+    move |am, bm| dedup_owner_cell(cells, cell, am, bm)
 }
 
 /// The result of a distributed spatial join run.
@@ -351,12 +337,6 @@ mod tests {
         assert!(JoinPredicate::Intersects.evaluate(&jts, &p_in, &poly()).0);
         assert!(!JoinPredicate::Intersects.evaluate(&jts, &p_out, &poly()).0);
         assert!(JoinPredicate::Within.evaluate(&jts, &p_in, &poly()).0);
-        let road = Geometry::LineString(LineString::new(vec![
-            Point::new(0.0, 5.0),
-            Point::new(10.0, 5.0),
-        ]));
-        assert!(JoinPredicate::WithinDistance(3.1).evaluate(&jts, &p_out, &road).0);
-        assert!(!JoinPredicate::WithinDistance(0.5).evaluate(&jts, &p_in, &road).0);
     }
 
     /// Every predicate x engine x pair of these records.
@@ -374,11 +354,7 @@ mod tests {
             GeoRecord::new(4, poly()),
         ];
         for engine in [GeometryEngine::jts(), GeometryEngine::geos()] {
-            for p in [
-                JoinPredicate::Intersects,
-                JoinPredicate::Within,
-                JoinPredicate::WithinDistance(0.5),
-            ] {
+            for p in [JoinPredicate::Intersects, JoinPredicate::Within] {
                 for l in &recs {
                     for r in &recs {
                         check(p, &engine, l, r);
@@ -412,14 +388,6 @@ mod tests {
                 r.id
             );
         });
-    }
-
-    #[test]
-    fn within_distance_buffers_the_filter_mbr() {
-        let m = Mbr::new(0.0, 0.0, 1.0, 1.0);
-        assert_eq!(JoinPredicate::Intersects.filter_mbr(&m), m);
-        let buffered = JoinPredicate::WithinDistance(2.0).filter_mbr(&m);
-        assert_eq!(buffered, Mbr::new(-2.0, -2.0, 3.0, 3.0));
     }
 
     #[test]

@@ -372,8 +372,7 @@ impl HadoopGis {
             block_splits(&tagged, bpr, DEFAULT_BLOCK_SIZE),
             |&l, out| {
                 if let Some(rec) = l.record(left, right) {
-                    let mbr = if l.left { predicate.filter_mbr(&rec.mbr) } else { rec.mbr };
-                    keyed_by_cell(&partitioner, &mbr, l, out)
+                    keyed_by_cell(&partitioner, &rec.mbr, l, out)
                 }
             },
             |key, lines, out| {
@@ -386,7 +385,7 @@ impl HadoopGis {
                         None => {}
                     }
                 }
-                let keep = reported_by(&partitioner, key.cell, predicate);
+                let keep = reported_by(&partitioner, key.cell);
                 let (pairs, _cost) = local_join(&geos, predicate, local_algo, &lrecs, &rrecs, keep);
                 pairs.into_iter().for_each(|(a, b)| out(format!("{a}\t{b}")))
             },

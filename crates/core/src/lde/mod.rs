@@ -111,10 +111,9 @@ impl DistributedSpatialJoin for LdeEngine {
         let mut assign_r: Vec<Vec<u64>> = vec![Vec::new(); ncells];
         let mut probe_visits = 0u64;
         let mut hits = Vec::new();
-        for (assign, input, widen) in [(&mut assign_l, left, true), (&mut assign_r, right, false)] {
+        for (assign, input) in [(&mut assign_l, left), (&mut assign_r, right)] {
             for rec in &input.records {
-                let mbr = if widen { predicate.filter_mbr(&rec.mbr) } else { rec.mbr };
-                probe_visits += index.tag(&mbr, &mut hits) as u64;
+                probe_visits += index.tag(&rec.mbr, &mut hits) as u64;
                 for &c in &hits {
                     if let Some(cell) = assign.get_mut(c as usize) {
                         cell.push(rec.id);
@@ -164,7 +163,7 @@ impl DistributedSpatialJoin for LdeEngine {
             if lrecs.is_empty() || rrecs.is_empty() {
                 continue;
             }
-            let keep = reported_by(index.locator(), cell as u32, predicate);
+            let keep = reported_by(index.locator(), cell as u32);
             let (cell_pairs, jc) =
                 local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, keep);
             pairs.extend(cell_pairs);

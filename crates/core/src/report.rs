@@ -18,7 +18,7 @@ use crate::spatialspark::SpatialSpark;
 
 /// The paper's Table 2 (end-to-end seconds; `None` = failed cell), keyed by
 /// (workload, system, config) in the same order our grid produces.
-pub const PAPER_TABLE2: &[(&str, &str, &str, Option<f64>)] = &[
+const PAPER_TABLE2: &[(&str, &str, &str, Option<f64>)] = &[
     ("taxi-nycb", "HadoopGIS", "WS", None),
     ("taxi-nycb", "HadoopGIS", "EC2-10", None),
     ("taxi-nycb", "HadoopGIS", "EC2-8", None),
@@ -48,7 +48,7 @@ pub const PAPER_TABLE2: &[(&str, &str, &str, Option<f64>)] = &[
 /// The paper's Table 3 breakdown (IA, IB, DJ, TOT seconds; `None` cells
 /// failed; SpatialSpark reports TOT only).
 #[allow(clippy::type_complexity)]
-pub const PAPER_TABLE3: &[(&str, &str, &str, Option<(f64, f64, f64, f64)>)] = &[
+const PAPER_TABLE3: &[(&str, &str, &str, Option<(f64, f64, f64, f64)>)] = &[
     ("taxi1m-nycb", "HadoopGIS", "WS", Some((206.0, 54.0, 3273.0, 3533.0))),
     ("taxi1m-nycb", "HadoopGIS", "EC2-10", None),
     ("taxi1m-nycb", "SpatialHadoop", "WS", Some((227.0, 52.0, 230.0, 482.0))),

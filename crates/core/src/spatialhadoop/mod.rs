@@ -106,7 +106,6 @@ impl SpatialHadoop {
         steps: &mut Vec<Step>,
         input: &JoinInput,
         phase: Phase,
-        widen: Option<JoinPredicate>,
         shared_cells: Option<Vec<Mbr>>,
     ) -> Indexed {
         let bpr = input.bytes_per_record();
@@ -144,25 +143,24 @@ impl SpatialHadoop {
         let jts = GeometryEngine::new(self.engine());
         let cfg2 =
             JobConfig::new(format!("{}: partition+index", input.name), phase, input.multiplier);
-        let filter_mbr = |rec: &GeoRecord| widen.map_or(rec.mbr, |p| p.filter_mbr(&rec.mbr));
         let (job, output) = JobWork::map_reduce(
             &cfg2,
             block_splits(&records, bpr, block),
             |rec, em| {
                 let mut hits = Vec::new();
-                em.charge(index.tag(&filter_mbr(rec), &mut hits) as u64 * jts.filter_cost_ns());
+                em.charge(index.tag(&rec.mbr, &mut hits) as u64 * jts.filter_cost_ns());
                 for cell in hits {
                     em.emit(cell, rec.id, bpr as u64);
                 }
             },
             |cell, ids, em| {
-                // Build the intra-block index — sort the block by filter-MBR
+                // Build the intra-block index — sort the block by MBR
                 // `min_x`, ties by id, the order every local join's sweep
                 // reads it in, so no partner cell sorts it again — and
                 // write the block: the write dominates, as the paper notes.
                 em.charge(cost.sort_ns(ids.len() as u64));
                 let mut keyed: Vec<(f64, u64)> =
-                    input.pick(ids.iter().copied()).map(|r| (filter_mbr(r).min_x, r.id)).collect();
+                    input.pick(ids.iter().copied()).map(|r| (r.mbr.min_x, r.id)).collect();
                 keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 let sorted: Vec<u64> = keyed.iter().map(|&(_, id)| id).collect();
                 em.emit((*cell, sorted), (ids.len() as f64 * bpr) as u64);
@@ -195,10 +193,10 @@ impl SpatialHadoop {
         let jts = GeometryEngine::new(self.engine());
 
         // Preprocessing: index both datasets (IA, IB).
-        let ia = self.index_dataset(&cost, &mut steps, left, Phase::IndexA, Some(predicate), None);
+        let ia = self.index_dataset(&cost, &mut steps, left, Phase::IndexA, None);
         let shared =
             if self.reuse_partitions { Some(ia.index.locator().cells().to_vec()) } else { None };
-        let ib = self.index_dataset(&cost, &mut steps, right, Phase::IndexB, None, shared);
+        let ib = self.index_dataset(&cost, &mut steps, right, Phase::IndexB, shared);
 
         // Global join on the master: serial plane-sweep over the two
         // `_master` cell-MBR lists (the getSplits override).
@@ -241,8 +239,8 @@ impl SpatialHadoop {
             let rrecs: Vec<&GeoRecord> = right.pick(ib.cell(cb).iter().copied()).collect();
             // A pair is reported once: by the cell pair owning its
             // reference point in both grids.
-            let in_a = reported_by(ia.index.locator(), ca as u32, predicate);
-            let in_b = reported_by(ib.index.locator(), cb as u32, predicate);
+            let in_a = reported_by(ia.index.locator(), ca as u32);
+            let in_b = reported_by(ib.index.locator(), cb as u32);
             let (pairs, join) =
                 local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, |am, bm| {
                     in_a(am, bm) && in_b(am, bm)
@@ -378,33 +376,22 @@ mod tests {
         // written in any other order is sorted again by every partner cell.
         let (left, right) = tiny_inputs();
         let cost = work_cost();
-        let cases = [
-            (JoinPredicate::Intersects, false),
-            (JoinPredicate::WithinDistance(0.002), false),
-            (JoinPredicate::Intersects, true),
-        ];
-        for (predicate, reuse_partitions) in cases {
+        for reuse_partitions in [false, true] {
             let sys = SpatialHadoop { reuse_partitions, ..SpatialHadoop::default() };
             let mut steps = Vec::new();
-            let ia =
-                sys.index_dataset(&cost, &mut steps, &left, Phase::IndexA, Some(predicate), None);
+            let ia = sys.index_dataset(&cost, &mut steps, &left, Phase::IndexA, None);
             let shared = reuse_partitions.then(|| ia.index.locator().cells().to_vec());
-            let ib = sys.index_dataset(&cost, &mut steps, &right, Phase::IndexB, None, shared);
-            for (side, indexed, input, widen) in
-                [("left", &ia, &left, Some(predicate)), ("right", &ib, &right, None)]
-            {
+            let ib = sys.index_dataset(&cost, &mut steps, &right, Phase::IndexB, shared);
+            for (side, indexed, input) in [("left", &ia, &left), ("right", &ib, &right)] {
                 let mut ids = 0;
                 for (cell, block) in indexed.cells.iter().enumerate() {
-                    let keys: Vec<(f64, u64)> = input
-                        .pick(block.iter().copied())
-                        .map(|r| (widen.map_or(r.mbr, |p| p.filter_mbr(&r.mbr)).min_x, r.id))
-                        .collect();
+                    let keys: Vec<(f64, u64)> =
+                        input.pick(block.iter().copied()).map(|r| (r.mbr.min_x, r.id)).collect();
                     for w in keys.windows(2) {
                         let order = w[0].0.total_cmp(&w[1].0).then(w[0].1.cmp(&w[1].1));
                         assert!(
                             order.is_lt(),
-                            "{predicate:?}, reuse {reuse_partitions}: {side} cell {cell} \
-                             out of order at {w:?}"
+                            "reuse {reuse_partitions}: {side} cell {cell} out of order at {w:?}"
                         );
                     }
                     ids += block.len();

@@ -125,19 +125,17 @@ impl SpatialSpark {
         let bcast_bytes = (index.nodes() as u64) * 56 + ncells as u64 * 72;
         ctx.broadcast("broadcast partition index", Phase::IndexB, (), bcast_bytes);
 
-        // 3. Tag records with partition ids (both sides; the left side's
-        // MBRs widened as the filter sees them).
-        let tag = |rdd: Rdd<RecRef>, ctx: &SparkContext<'_>, input: &JoinInput, widen: bool| {
+        // 3. Tag records with partition ids (both sides).
+        let tag = |rdd: Rdd<RecRef>, ctx: &SparkContext<'_>, input: &JoinInput| {
             rdd.flat_map(ctx, |r: &RecRef, extra: &mut u64| {
                 let mut hits = Vec::new();
                 for rec in input.pick([u64::from(r.idx)]) {
-                    let mbr = if widen { predicate.filter_mbr(&rec.mbr) } else { rec.mbr };
-                    *extra += index.tag(&mbr, &mut hits) as u64 * jts.filter_cost_ns();
+                    *extra += index.tag(&rec.mbr, &mut hits) as u64 * jts.filter_cost_ns();
                 }
                 hits.into_iter().map(|c| (c, *r)).collect::<Vec<_>>()
             })
         };
-        let (tagged_l, tagged_r) = (tag(rdd_l, ctx, left, true), tag(rdd_r, ctx, right, false));
+        let (tagged_l, tagged_r) = (tag(rdd_l, ctx, left), tag(rdd_r, ctx, right));
 
         // 4. Group both sides by partition id, then join the grouped lists.
         let grouped_l =
@@ -159,7 +157,7 @@ impl SpatialSpark {
                 left.pick(lrefs.iter().map(|r| u64::from(r.idx))).collect();
             let rrecs: Vec<&GeoRecord> =
                 right.pick(rrefs.iter().map(|r| u64::from(r.idx))).collect();
-            let keep = reported_by(index.locator(), *cell, predicate);
+            let keep = reported_by(index.locator(), *cell);
             let (pairs, cost) = local_join(&jts, predicate, local_algo, &lrecs, &rrecs, keep);
             *extra += cost.filter_ns + cost.refine_ns;
             pairs
@@ -200,7 +198,7 @@ impl SpatialSpark {
             let mut out = Vec::new();
             for lrec in left.pick([u64::from(r.idx)]) {
                 let mut hits = Vec::new();
-                let visited = tree.query_counting(&predicate.filter_mbr(&lrec.mbr), &mut hits);
+                let visited = tree.query_counting(&lrec.mbr, &mut hits);
                 *extra += visited as u64 * jts.filter_cost_ns();
                 for rrec in right.pick(hits) {
                     let (hit, ns) = predicate.evaluate_records(&jts, lrec, rrec, &[]);

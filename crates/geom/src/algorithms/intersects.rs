@@ -34,7 +34,7 @@
 //! the join's filter has just compared them — instead of rescanning the
 //! vertices. `a`'s hint must *contain* `a`'s tight envelope, and each of
 //! `b`'s chunk envelopes must contain the boxes of its segments; either may
-//! be looser (a buffered filter MBR is fine), which only widens a window.
+//! be looser, which only widens a window.
 //! An envelope that cuts into its segments is a caller bug, checked by a
 //! `debug_assert!` under the `sanitize` feature.
 

@@ -110,12 +110,6 @@ impl GeometryEngine {
         let cost = self.refine_cost_ns(a.num_vertices() + b.num_vertices());
         (a.contains(b), cost)
     }
-
-    /// Exact within-distance refinement plus its simulated cost.
-    pub fn within_distance(&self, a: &Geometry, b: &Geometry, d: f64) -> (bool, u64) {
-        let cost = self.refine_cost_ns(a.num_vertices() + b.num_vertices());
-        (a.within_distance(b, d), cost)
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@
 //! uniform record type flowing through the distributed substrates.
 
 use crate::algorithms::{
-    distance::{point_to_linestring_distance, point_within_distance},
     intersects::{
         linestrings_intersect, linestrings_intersect_hinted, point_on_linestring,
         polygon_intersects_linestring, polygons_intersect,
@@ -22,8 +21,7 @@ use crate::polygon::Polygon;
 /// The three *simple* kinds cover the paper's experiments; the `Multi*`
 /// kinds exist because real TIGER/census data contains them — every
 /// operation decomposes a multi-geometry into its parts and combines the
-/// part results (any-part for `intersects`, min for distance, union for
-/// MBRs).
+/// part results (any-part for `intersects`, union for MBRs).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Geometry {
     Point(Point),
@@ -115,55 +113,6 @@ impl Geometry {
             (LineString(l), Point(p)) => point_on_linestring(l, p),
             (MultiPolygon(pgs), Point(p)) => pgs.iter().any(|pg| point_in_polygon(pg, p)),
             _ => false,
-        }
-    }
-
-    /// Whether the two geometries come within `d` of one another.
-    ///
-    /// Implemented for the point/polyline pairing used by the paper's
-    /// motivating taxi-to-road-segment example; other pairings approximate
-    /// via `intersects` of buffered MBRs plus exact distance on points.
-    pub fn within_distance(&self, other: &Geometry, d: f64) -> bool {
-        self.any_part(|a| other.any_part(|b| a.within_distance(b, d)))
-    }
-
-    /// Distance from a point geometry to this geometry (used for
-    /// nearest-neighbour style post-processing). `None` for unsupported
-    /// pairings.
-    pub fn distance_to_point(&self, p: &Point) -> Option<f64> {
-        match self {
-            Geometry::Point(q) => Some(p.distance(q)),
-            Geometry::LineString(l) => Some(point_to_linestring_distance(p, l)),
-            Geometry::Polygon(pg) => {
-                if point_in_polygon(pg, p) {
-                    Some(0.0)
-                } else {
-                    // Distance to the nearest shell/hole edge.
-                    let mut best = f64::INFINITY;
-                    for ring in pg.all_rings() {
-                        for (a, b) in crate::polygon::ring_edges(ring) {
-                            best = best
-                                .min(crate::algorithms::distance::point_segment_distance(p, a, b));
-                        }
-                    }
-                    Some(best)
-                }
-            }
-            Geometry::MultiPoint(ps) => ps
-                .iter()
-                .map(|q| p.distance(q))
-                .min_by(|a, b| a.total_cmp(b))
-                .or(Some(f64::INFINITY)),
-            Geometry::MultiLineString(ls) => ls
-                .iter()
-                .map(|l| point_to_linestring_distance(p, l))
-                .min_by(|a, b| a.total_cmp(b))
-                .or(Some(f64::INFINITY)),
-            Geometry::MultiPolygon(pgs) => pgs
-                .iter()
-                .filter_map(|pg| Geometry::Polygon(pg.clone()).distance_to_point(p))
-                .min_by(|a, b| a.total_cmp(b))
-                .or(Some(f64::INFINITY)),
         }
     }
 
@@ -279,14 +228,6 @@ enum Part<'a> {
 }
 
 impl Part<'_> {
-    fn mbr(self) -> Mbr {
-        match self {
-            Part::Point(p) => p.mbr(),
-            Part::LineString(l) => l.mbr(),
-            Part::Polygon(p) => p.mbr(),
-        }
-    }
-
     fn intersects(self, other: Part<'_>) -> bool {
         use Part::*;
         match (self, other) {
@@ -298,19 +239,6 @@ impl Part<'_> {
                 polygon_intersects_linestring(pg, l)
             }
             (Polygon(a), Polygon(b)) => polygons_intersect(a, b),
-        }
-    }
-
-    fn within_distance(self, other: Part<'_>, d: f64) -> bool {
-        use Part::*;
-        match (self, other) {
-            (Point(a), Point(b)) => a.distance(b) <= d,
-            (Point(p), LineString(l)) | (LineString(l), Point(p)) => point_within_distance(p, l, d),
-            _ => {
-                // Generic fallback: exact intersection, else conservative MBR
-                // distance (exact for points/rectangles, lower bound otherwise).
-                self.intersects(other) || self.mbr().min_distance(&other.mbr()) <= d
-            }
         }
     }
 }
@@ -364,26 +292,6 @@ mod tests {
             !Geometry::Point(Point::new(1.0, 1.0)).contains(&sq),
             "point cannot contain polygon"
         );
-    }
-
-    #[test]
-    fn within_distance_point_line() {
-        let road = Geometry::LineString(LineString::new(pts(&[(0.0, 0.0), (10.0, 0.0)])));
-        let p = Geometry::Point(Point::new(5.0, 2.0));
-        assert!(p.within_distance(&road, 2.0));
-        assert!(!p.within_distance(&road, 1.9));
-        assert_eq!(p.within_distance(&road, 2.0), road.within_distance(&p, 2.0));
-    }
-
-    #[test]
-    fn distance_to_point_variants() {
-        let p = Point::new(0.0, 0.0);
-        assert_eq!(Geometry::Point(Point::new(3.0, 4.0)).distance_to_point(&p), Some(5.0));
-        let line = Geometry::LineString(LineString::new(pts(&[(0.0, 2.0), (4.0, 2.0)])));
-        assert_eq!(line.distance_to_point(&p), Some(2.0));
-        let sq = square(1.0, 0.0, 2.0);
-        assert_eq!(sq.distance_to_point(&p), Some(1.0));
-        assert_eq!(sq.distance_to_point(&Point::new(2.0, 1.0)), Some(0.0), "inside");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * robust-enough planar predicates ([`predicates`]): orientation,
 //!   segment–segment intersection with collinear handling;
 //! * spatial relationship algorithms ([`algorithms`]): point-in-polygon,
-//!   intersection tests for every geometry pairing, and distance computation;
+//!   intersection tests for every geometry pairing;
 //! * a [WKT](wkt) reader/writer, because all three evaluated systems exchange
 //!   geometry as WKT text (HadoopGIS pipes it through Hadoop Streaming,
 //!   SpatialHadoop/SpatialSpark parse it from TSV);

@@ -194,8 +194,8 @@ impl Mbr {
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// Expands bounds outward by `d` on each side (a buffer), used by
-    /// within-distance joins to widen the filter box.
+    /// Expands bounds outward by `d` on each side (a buffer).
+    // sjc-lint: allow(dead-pub) — `cell_index_tags_exactly_the_assigned_cells` and `refine_equivalence` build buffered probes and hints with it
     pub fn buffered(&self, d: f64) -> Mbr {
         if self.is_empty() {
             return *self;

@@ -113,25 +113,6 @@ fn contains_point_in_any_polygon_part() {
 }
 
 #[test]
-fn distance_takes_the_minimum_over_parts() {
-    let ml = multi_line();
-    // (4,4) is 2*sqrt(2) from the first line's end (2,2); much farther from the second.
-    let d = ml.distance_to_point(&Point::new(4.0, 4.0)).unwrap();
-    assert!((d - 8.0f64.sqrt()).abs() < 1e-9);
-
-    let mp = Geometry::MultiPoint(pts(&[(0.0, 0.0), (10.0, 0.0)]));
-    assert_eq!(mp.distance_to_point(&Point::new(7.0, 0.0)).unwrap(), 3.0);
-}
-
-#[test]
-fn within_distance_over_parts() {
-    let ml = multi_line();
-    let p = Geometry::Point(Point::new(13.0, 3.0)); // sqrt(2) from (12,2)
-    assert!(p.within_distance(&ml, 1.5));
-    assert!(!p.within_distance(&ml, 1.0));
-}
-
-#[test]
 fn vertex_counts_sum_over_parts() {
     assert_eq!(multi_polygon().num_vertices(), 8);
     assert_eq!(multi_line().num_vertices(), 4);

@@ -22,14 +22,7 @@ pub enum Orientation {
 /// Relative tolerance scale used to absorb `f64` rounding in the cross
 /// product. The guard is scaled by the magnitude of the operands so the
 /// predicate behaves uniformly across coordinate ranges.
-pub const EPS: f64 = 1e-12;
-
-/// Whether `v` is zero within [`EPS`]. The `float-hygiene` lint forbids bare
-/// `== 0.0` in this crate; every degenerate-case guard goes through here so
-/// the tolerance is one definition, not many.
-pub fn approx_zero(v: f64) -> bool {
-    v.abs() < EPS
-}
+const EPS: f64 = 1e-12;
 
 /// Cross product `(b - a) × (c - a)`; positive for counter-clockwise turns.
 pub fn cross(a: &Point, b: &Point, c: &Point) -> f64 {

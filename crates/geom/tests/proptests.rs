@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry engine (seeded `sjc-testkit` cases).
 
-use sjc_geom::algorithms::{point_in_polygon, point_segment_distance};
+use sjc_geom::algorithms::point_in_polygon;
 use sjc_geom::predicates::segments_intersect;
 use sjc_geom::wkt::{parse_wkt, to_wkt, write_wkt};
 use sjc_geom::{Geometry, LineString, Mbr, Point, Polygon};
@@ -177,17 +177,6 @@ fn pip_consistent_with_mbr() {
         if point_in_polygon(&poly, &p) {
             assert!(poly.mbr().contains_point(&p));
         }
-    });
-}
-
-#[test]
-fn distance_is_nonnegative_and_zero_on_endpoint() {
-    cases(0x6E0D, N, |rng| {
-        let a = point(rng);
-        let b = point(rng);
-        assert!(point_segment_distance(&a, &a, &b) <= 1e-9);
-        let mid = Point::new((a.x + b.x) / 2.0, (a.y + b.y) / 2.0);
-        assert!(point_segment_distance(&mid, &a, &b) <= 1e-6);
     });
 }
 

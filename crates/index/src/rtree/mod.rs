@@ -8,7 +8,6 @@
 //! Nodes live in a flat arena (`Vec<Node>`), children referenced by index —
 //! cache-friendly and trivially serializable for the simulated block files.
 
-mod knn;
 mod node;
 mod query;
 mod str_bulk;

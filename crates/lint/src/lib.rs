@@ -37,7 +37,7 @@
 //! | `cache-purity` | fns reachable from memoized seams (`sjc-analyze`) | a function reachable from `generate_cached`/other memoized entry points whose body reads the clock/entropy or mutates a static — the cache key must fully determine the cached value; the seam's own bookkeeping file is exempt |
 //! | `scoped-spawn-in-hot-path` | non-test code everywhere except `crates/par` | direct `thread::scope(`/`thread::spawn(` calls — per-call thread spawning is exactly the negative-scaling overhead the persistent pool removed; dispatch through the `sjc_par` entry points instead |
 //! | `stale-suppression` | whole workspace (`sjc-analyze`) | an audited `allow(<rule>)` comment whose rule no longer fires on the covered span (audits consumed by the panic-path summaries stay live) — suppressions are part of the audit trail and must not rot |
-//! | `dead-pub` | non-test `pub fn`s of `geom`, `index`, `cluster`, `mapreduce`, `rdd`, `data`, `core`, `par` (`sjc-analyze`) | a public function whose name appears nowhere but its definition and test code — a reference counts from non-test code of a file that can see the crate (same crate or one naming `sjc_<crate>`), from `src/` or `examples/`, or from anything under `benchmark/src`; delete it, make it private, or keep it with an allow naming the test it serves |
+//! | `dead-pub` | non-test `pub fn`s, `struct`s, `enum`s, `trait`s, `const`s, `static`s and `type`s of `geom`, `index`, `cluster`, `mapreduce`, `rdd`, `data`, `core`, `par` (`sjc-analyze`) | a public item whose name appears nowhere but its definition and test code — a reference counts from non-test code of a file that can see the crate (same crate or one naming `sjc_<crate>`), from `src/` or `examples/`, or from anything under `benchmark/src`; delete it, make it private, or keep it with an allow naming the test it serves |
 //!
 //! ## Suppression
 //!

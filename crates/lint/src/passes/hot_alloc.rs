@@ -3,7 +3,7 @@
 //! Tsitsigkos et al. and LocationSpark both measure that allocation and
 //! per-tuple overhead inside partition-join inner loops dominate in-memory
 //! spatial join cost. This pass makes that a checked invariant: inside any
-//! **loop** of a hot function (see [`super::hot`] for how the hot set is
+//! **loop** of a hot function (see `super::hot` for how the hot set is
 //! seeded and closed), the allocating calls below are findings.
 //!
 //! What fires: `.clone()`, `.to_string()`, `.to_owned()`, `.to_vec()`,

@@ -1,6 +1,6 @@
 //! Loop-invariant-call pass.
 //!
-//! Inside a hot loop (the loops [`super::hot::hot_loops`] collects: loops of
+//! Inside a hot loop (the loops `super::hot::hot_loops` collects: loops of
 //! hot functions and of inline `sjc_par` closures, in simulation crates), a
 //! call whose arguments are all loop-invariant recomputes the same value on
 //! every iteration — `stage_tag(stage)` inside a per-task wave loop costs a

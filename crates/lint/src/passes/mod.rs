@@ -15,7 +15,7 @@
 //!   `Result`;
 //! * [`hot_alloc`] — no per-iteration allocation inside a hot loop: a loop
 //!   of any function reachable from an `sjc_par` entry-point closure or a
-//!   `crates/bench` kernel, or a loop inside such a closure ([`hot`]
+//!   `crates/bench` kernel, or a loop inside such a closure (`hot`
 //!   collects them once for this pass and the next);
 //! * [`loop_invariant`] — no call with all-loop-invariant arguments inside
 //!   a hot loop (hoist it out);
@@ -29,7 +29,7 @@
 //!   (`generate_cached` and friends) must be a pure function of its inputs;
 //! * [`stale_suppression`] — audited allow comments must still cover a
 //!   finding (delete or re-justify dead waivers);
-//! * [`dead_pub`] — every non-test `pub fn` of a library crate is named
+//! * [`dead_pub`] — every non-test public item of a library crate is named
 //!   somewhere outside test code (the only pass that also reads the
 //!   reference-only `examples/` and `benchmark/src`).
 //!

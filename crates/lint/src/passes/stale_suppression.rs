@@ -7,7 +7,7 @@
 //! `check_file_raw` plus every `sjc-analyze` pass) and reports each allow
 //! that covers none of them.
 //!
-//! Coverage mirrors [`crate::is_suppressed`] exactly: an inline allow covers
+//! Coverage mirrors `crate::is_suppressed` exactly: an inline allow covers
 //! its own line; a comment-only allow also covers every line whose statement
 //! starts directly below it. Two deliberate carve-outs keep the rule honest:
 //!

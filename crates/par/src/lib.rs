@@ -33,7 +33,7 @@
 //!   argument order.
 //!
 //! Execution happens on a **lazily-initialized persistent worker pool**
-//! ([`pool`]): workers are spawned once and parked between calls, so a
+//! (`pool`): workers are spawned once and parked between calls, so a
 //! parallel call costs a condvar wake instead of a thread spawn/join. How a
 //! call is split — or whether it runs serially — is decided by the pure
 //! chunk planner in [`plan`] (cost-aware chunk sizing, a serial fast path

@@ -8,14 +8,14 @@
 //! planner instead:
 //!
 //! * **serial fast path** — when the *estimated total work* (items × a
-//!   static per-item cost weight) is below [`SERIAL_CUTOVER_WORK`], every
+//!   static per-item cost weight) is below `SERIAL_CUTOVER_WORK`, every
 //!   helper woken would cost more than it contributes; the call runs on the
 //!   caller. This is what keeps `data_gen`-sized workloads from paying any
 //!   coordination tax at 8 threads.
 //! * **cost-aware chunk sizing** — cheap items get big chunks (amortizing
 //!   the atomic claim), expensive items get small ones (load balance). The
 //!   floor is `CLAIM_AMORTIZE_WORK / cost` items per chunk, the target is
-//!   ~[`CHUNKS_PER_WORKER`] chunks per participant.
+//!   ~`CHUNKS_PER_WORKER` chunks per participant.
 //! * **oversubscription guard** — an *ambient* budget (resolved from
 //!   `SJC_PAR_THREADS` or the global override) is capped at
 //!   [`crate::hardware_threads`]: more CPU-bound threads than cores only
@@ -32,7 +32,7 @@ use crate::Budget;
 /// Minimum estimated work (items × cost weight) before any helper is woken.
 /// A pool hand-off costs a few microseconds end to end; at the default item
 /// cost this engages helpers from ~1k items upward.
-pub const SERIAL_CUTOVER_WORK: u64 = 4096;
+pub(crate) const SERIAL_CUTOVER_WORK: u64 = 4096;
 
 /// Target work units per chunk so the atomic range-claim stays negligible.
 const CLAIM_AMORTIZE_WORK: u64 = 256;
@@ -59,7 +59,7 @@ pub const COARSE_ITEM_COST: u32 = 256;
 /// otherwise the caller plus up to `helpers` pool workers claim ranges of
 /// `chunk` items each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkPlan {
+pub(crate) struct ChunkPlan {
     pub chunk: usize,
     pub helpers: usize,
 }
@@ -72,7 +72,7 @@ impl ChunkPlan {
 
 /// Plans a call over `n` items whose per-item cost weight is `cost`
 /// (relative to a trivial integer op = 1).
-pub fn plan_weighted(n: usize, budget: Budget, cost: u32) -> ChunkPlan {
+pub(crate) fn plan_weighted(n: usize, budget: Budget, cost: u32) -> ChunkPlan {
     let cost = u64::from(cost.max(1));
     let threads = budget.effective_threads();
     let work = (n as u64).saturating_mul(cost);

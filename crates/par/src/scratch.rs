@@ -13,9 +13,9 @@
 //!    on `take`); only its capacity is recycled. Never rely on contents.
 //! 2. `put` only what you own — never a buffer something else still
 //!    borrows. The type system enforces this (`put_vec` takes by value).
-//! 3. Capacity is advisory: the arena holds at most [`MAX_PER_TYPE`]
+//! 3. Capacity is advisory: the arena holds at most `MAX_PER_TYPE`
 //!    buffers per element type and drops oversized ones
-//!    ([`MAX_KEEP_BYTES`]), so a one-off giant query cannot pin its peak
+//!    (`MAX_KEEP_BYTES`), so a one-off giant query cannot pin its peak
 //!    footprint forever.
 //! 4. The arena is **per thread** (pool workers each have their own), so
 //!    take/put never synchronize and buffers stay cache-warm on the thread
@@ -85,7 +85,7 @@ pub fn take_vec<T: 'static>() -> Vec<T> {
 
 /// Returns a buffer to this thread's arena for later reuse. The contents
 /// are dropped immediately; only the capacity is retained (bounded by
-/// [`MAX_PER_TYPE`] and [`MAX_KEEP_BYTES`]).
+/// `MAX_PER_TYPE` and `MAX_KEEP_BYTES`).
 pub fn put_vec<T: 'static>(mut v: Vec<T>) {
     // Clear before entering the arena borrow: element drops can run
     // arbitrary user code, which must not observe a held RefCell.

@@ -14,7 +14,7 @@
 //! choosers' cells, and `PartitionerKind::build` to its family's chooser.
 
 use sjc_core::common::PartitionerKind;
-use sjc_core::framework::{CellIndex, JoinPredicate};
+use sjc_core::framework::CellIndex;
 use sjc_geom::{Mbr, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::partition::{
@@ -317,7 +317,7 @@ fn partitioner_kinds_build_their_choosers_cells() {
 /// `CellIndex::tag` — how SpatialHadoop, SpatialSpark and LDE tag records
 /// with cells — answers `assign`, ascending: inside the extent, on shared
 /// cell edges and corners, wholly outside it (the nearest-cell fallback),
-/// and on the MBRs a within-distance join widens.
+/// and on every probe again buffered by a random margin.
 ///
 /// The count `tag` returns — what each engine charges a probe — is the
 /// nodes a walk of the STR R-tree over the cells visits, for every probe:
@@ -369,9 +369,9 @@ fn cell_index_tags_exactly_the_assigned_cells() {
                     let far = Point::new(30.0 + dx * 500.0, 35.0 + dy * 500.0);
                     probes.push(Mbr::new(far.x, far.y, far.x + 3.0, far.y + 3.0));
                 }
-                let within = JoinPredicate::WithinDistance([0.1, 2.5, 25.0][rng.usize_in(0..3)]);
-                let widened: Vec<Mbr> = probes.iter().map(|m| within.filter_mbr(m)).collect();
-                probes.extend(widened);
+                let r = [0.1, 2.5, 25.0][rng.usize_in(0..3)];
+                let buffered: Vec<Mbr> = probes.iter().map(|m| m.buffered(r)).collect();
+                probes.extend(buffered);
                 // Inverted bounds: an empty window, which visits no node.
                 probes.push(Mbr { min_x: 40.0, min_y: 20.0, max_x: 10.0, max_y: 30.0 });
                 probes.push(Mbr { min_x: 10.0, min_y: 50.0, max_x: 40.0, max_y: 30.0 });

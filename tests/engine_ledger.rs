@@ -6,8 +6,7 @@
 //! `StageTrace` (name, kind, phase, `sim_ns`, bytes, tasks, recovery
 //! accounting), the sorted result pairs' FNV-1a hash, every error payload
 //! and every recovery event are re-derived at 1 and 4 host threads and
-//! compared byte for byte with `tests/fixtures/engine_ledger.txt`. A
-//! `WithinDistance` run per system covers the widened left-side probes.
+//! compared byte for byte with `tests/fixtures/engine_ledger.txt`.
 //!
 //! A deliberate cost-model change regenerates the fixture with
 //! `cargo test --test engine_ledger -- --ignored`.
@@ -18,7 +17,6 @@ use sjc_cluster::{Cluster, ClusterConfig, FaultPlan};
 use sjc_core::common::{LocalJoinAlgo, PartitionerKind};
 use sjc_core::experiment::Workload;
 use sjc_core::framework::{DistributedSpatialJoin, JoinInput, JoinPredicate};
-use sjc_core::hadoopgis::HadoopGis;
 use sjc_core::lde::LdeEngine;
 use sjc_core::spatialhadoop::SpatialHadoop;
 use sjc_core::spatialspark::SpatialSpark;
@@ -131,28 +129,7 @@ fn configurations(out: &mut String) {
     }
 }
 
-/// (b) A within-distance join per system: the left side's MBRs are widened
-/// before they are tagged with cells.
-fn within_distance(out: &mut String) {
-    let (mut l, mut r) = Workload::taxi1m_nycb().prepare(1e-3, SEED);
-    l.multiplier = 1.0;
-    r.multiplier = 1.0;
-    let d = r.domain.width() / 200.0;
-    writeln!(out, "## taxi1m-nycb @ 1e-3 x1 on WS, WithinDistance(width / 200)").unwrap();
-    let cluster = Cluster::new(ClusterConfig::workstation());
-    let mut all: Vec<System> = vec![("HadoopGIS", Box::new(HadoopGis::default()))];
-    all.extend(only(&[
-        "SpatialHadoop",
-        "SpatialHadoop reuse_partitions",
-        "SpatialSpark",
-        "LDE-MC+",
-    ]));
-    for sys in &all {
-        run_ledger(out, sys, &cluster, (&l, &r), JoinPredicate::WithinDistance(d));
-    }
-}
-
-/// (c) Full-dataset runs where SpatialSpark runs out of memory: the exact
+/// (b) Full-dataset runs where SpatialSpark runs out of memory: the exact
 /// error payload.
 fn failures(out: &mut String) {
     let (l, r) = Workload::taxi_nycb().prepare(4e-4, SEED);
@@ -165,7 +142,7 @@ fn failures(out: &mut String) {
     }
 }
 
-/// (d) Heavy-fault runs: recovery accounting per stage and the ledger.
+/// (c) Heavy-fault runs: recovery accounting per stage and the ledger.
 fn faulted_runs(out: &mut String) {
     let (mut l, mut r) = Workload::taxi1m_nycb().prepare(1e-4, SEED);
     l.multiplier = 1.0;
@@ -182,7 +159,6 @@ fn faulted_runs(out: &mut String) {
 fn ledger() -> String {
     let mut out = String::new();
     configurations(&mut out);
-    within_distance(&mut out);
     failures(&mut out);
     faulted_runs(&mut out);
     out

@@ -78,7 +78,7 @@ fn seed_datasets_run_clean_under_sanitizer() {
 /// Every `CellIndex::tag` checks its cells and its visit count against a
 /// walk of the R-tree over the cells. Seed records tagged against grid,
 /// STR and BSP cells — a leaf root at 1 and 16 cells, three levels at 512
-/// — run clean, and so do their widened and inverted MBRs; a `visits` off
+/// — run clean, and so do their buffered and inverted MBRs; a `visits` off
 /// by one trips the check, and the summed count is held to the walk too.
 #[test]
 fn cell_tags_run_clean_under_sanitizer() {

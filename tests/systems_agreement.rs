@@ -126,46 +126,6 @@ fn within_predicate() {
 }
 
 #[test]
-fn within_distance_predicate() {
-    // Points within 150 m of a road edge — the paper's motivating
-    // taxi-to-road matching example.
-    let (mut l, _) = Workload::taxi1m_nycb().prepare(2e-4, 17);
-    // Swap the polygon side for TIGER edges to make a point-to-polyline join.
-    let edges = sjc_data::ScaledDataset::generate(sjc_data::DatasetId::Edges01, 2e-4, 17);
-    let mut r = JoinInput::from_dataset(&edges);
-    // The NYC and TIGER domains differ; translate the points into the TIGER
-    // domain's lower corner so the join has hits.
-    for rec in &mut l.records {
-        let scale_x = r.domain.width() / l.domain.width();
-        let g = rec.geom.translate(0.0, 0.0);
-        // Re-scale point coordinates into the right domain.
-        if let sjc_geom::Geometry::Point(p) = g {
-            let np = sjc_geom::Point::new(
-                r.domain.min_x + (p.x - l.domain.min_x) * scale_x,
-                r.domain.min_y + (p.y - l.domain.min_y) * scale_x,
-            );
-            *rec = sjc_core::framework::GeoRecord::new(rec.id, sjc_geom::Geometry::Point(np));
-        }
-    }
-    l.domain = r.domain;
-    l.multiplier = 1.0;
-    r.multiplier = 1.0;
-
-    let d = r.domain.width() / 500.0;
-    let predicate = JoinPredicate::WithinDistance(d);
-    let cluster = Cluster::new(ClusterConfig::workstation());
-    let mut expected = direct_join(&GeometryEngine::jts(), predicate, &l.records, &r.records);
-    expected.sort_unstable();
-    assert!(!expected.is_empty(), "distance join must have hits");
-    for sys in systems() {
-        let out = sys
-            .run(&cluster, &l, &r, predicate)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", sys.name()));
-        assert_eq!(out.sorted_pairs(), expected, "{} disagrees", sys.name());
-    }
-}
-
-#[test]
 fn agreement_across_seeds() {
     for seed in [1, 99, 12345] {
         assert_all_agree(Workload::taxi1m_nycb(), JoinPredicate::Intersects, 1e-4, seed);
