@@ -46,6 +46,8 @@ pub use faults::{
 pub use hdfs::SimHdfs;
 pub use metrics::{RecoveryEvent, RecoveryKind, RunTrace, StageKind, StageTrace};
 
+use scheduler::TaskSchedule;
+
 /// Simulated time in nanoseconds.
 pub type SimNs = u64;
 
@@ -61,8 +63,9 @@ pub struct Cluster {
     pub config: ClusterConfig,
     pub cost: CostModel,
     /// The fault schedule for runs on this cluster. Defaults to
-    /// [`FaultPlan::none()`], under which every engine bypasses its fault
-    /// machinery entirely (bit-identical to the pre-fault behaviour).
+    /// [`FaultPlan::none()`], under which [`Cluster::wave`] is the plain LPT
+    /// makespan and no replica failover fires, so a run meters no attempt
+    /// and logs no recovery event.
     pub faults: FaultPlan,
 }
 
@@ -84,6 +87,34 @@ impl Cluster {
     /// Makespan of running `task_ns` durations on this cluster's slots.
     pub fn makespan(&self, task_ns: &[SimNs]) -> SimNs {
         scheduler::lpt_makespan(task_ns, self.total_slots())
+    }
+
+    /// Schedules one wave of `tasks` (full-scale durations) on this
+    /// cluster's slots, starting at `start` on the run's global clock. With
+    /// no fault planned it is the LPT makespan alone: no attempts, no
+    /// events. Otherwise the event scheduler
+    /// [`faulty_makespan`](scheduler::faulty_makespan) runs it under
+    /// [`Self::faults`], `stage` naming its recovery events and seeding its
+    /// fault draws.
+    pub fn wave(
+        &self,
+        tasks: &[SimNs],
+        stage: &str,
+        start: SimNs,
+        rerun_on_crash: bool,
+    ) -> Result<TaskSchedule, SimError> {
+        if self.faults.is_none() {
+            return Ok(TaskSchedule { makespan: self.makespan(tasks), ..TaskSchedule::default() });
+        }
+        scheduler::faulty_makespan(
+            tasks,
+            self.config.node.cores,
+            self.config.nodes,
+            &self.faults,
+            stage,
+            start,
+            rerun_on_crash,
+        )
     }
 
     /// Effective per-slot HDFS write bandwidth: on a multi-node cluster the
@@ -155,6 +186,27 @@ mod tests {
         assert_eq!(ws.makespan(&tasks), 1_000_000_000);
         let tasks17 = vec![1_000_000_000u64; 17];
         assert_eq!(ws.makespan(&tasks17), 2_000_000_000);
+    }
+
+    #[test]
+    fn wave_is_lpt_without_faults_and_the_event_scheduler_with_them() {
+        let tasks = [400u64, 900, 300, 300, 700, 100, 800, 200, 600, 500];
+        let config = ClusterConfig::ec2(2);
+        let clean = Cluster::new(config.clone());
+        let s = clean.wave(&tasks, "w", 1_000, true).unwrap();
+        assert_eq!(s.makespan, scheduler::lpt_makespan(&tasks, clean.total_slots()));
+        assert_eq!((s.attempts, s.speculative, s.wasted_ns), (0, 0, 0));
+        assert!(s.events.is_empty() && s.task_nodes.is_empty());
+
+        let plan = FaultPlan::seeded(3, &config).crash_at(1, 1_200);
+        let crashed = Cluster::with_faults(config, plan.clone());
+        for rerun in [false, true] {
+            let s = crashed.wave(&tasks, "w", 1_000, rerun).unwrap();
+            let direct =
+                scheduler::faulty_makespan(&tasks, 8, 2, &plan, "w", 1_000, rerun).unwrap();
+            assert_eq!(s, direct);
+            assert!(s.attempts > 0);
+        }
     }
 
     #[test]

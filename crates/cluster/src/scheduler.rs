@@ -176,9 +176,11 @@ fn pop_live(
 ///   running tasks complete, no output is lost, and the drained node emits
 ///   [`RecoveryKind::Decommission`].
 ///
-/// With `FaultPlan::none()` this degenerates to exactly `lpt_makespan`
-/// (asserted by tests); callers still branch on `is_none()` so the
-/// zero-fault arithmetic is shared with the closed-form path.
+/// With `FaultPlan::none()` its makespan is exactly `lpt_makespan`'s
+/// (asserted by tests), though it still meters one attempt per task. The
+/// engines schedule through [`Cluster::wave`](crate::Cluster::wave), which
+/// makes that choice once: `lpt_makespan` alone when no fault is planned,
+/// this scheduler otherwise.
 pub fn faulty_makespan(
     tasks: &[SimNs],
     slots_per_node: u32,

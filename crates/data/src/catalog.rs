@@ -56,42 +56,33 @@ impl DatasetId {
             DatasetId::Taxi => DatasetSpec {
                 id: self,
                 name: "taxi",
-                kind: GeometryKind::Point,
                 full_records: 169_720_892,
                 full_bytes: (6.9 * GIB as f64) as u64,
             },
-            DatasetId::Nycb => DatasetSpec {
-                id: self,
-                name: "nycb",
-                kind: GeometryKind::Polygon,
-                full_records: 38_839,
-                full_bytes: 19 * MIB,
-            },
+            DatasetId::Nycb => {
+                DatasetSpec { id: self, name: "nycb", full_records: 38_839, full_bytes: 19 * MIB }
+            }
             DatasetId::Linearwater => DatasetSpec {
                 id: self,
                 name: "linearwater",
-                kind: GeometryKind::Polyline,
                 full_records: 5_857_442,
                 full_bytes: (8.4 * GIB as f64) as u64,
             },
             DatasetId::Edges => DatasetSpec {
                 id: self,
                 name: "edges",
-                kind: GeometryKind::Polyline,
                 full_records: 72_729_686,
                 full_bytes: (23.8 * GIB as f64) as u64,
             },
             DatasetId::Linearwater01 => DatasetSpec {
                 id: self,
                 name: "linearwater0.1",
-                kind: GeometryKind::Polyline,
                 full_records: 585_809,
                 full_bytes: 852 * MIB,
             },
             DatasetId::Edges01 => DatasetSpec {
                 id: self,
                 name: "edges0.1",
-                kind: GeometryKind::Polyline,
                 full_records: 7_271_983,
                 full_bytes: (2.3 * GIB as f64) as u64,
             },
@@ -99,7 +90,6 @@ impl DatasetId {
                 id: self,
                 name: "taxi1m",
                 // One month of 2013: full counts divided by 12.
-                kind: GeometryKind::Point,
                 full_records: 169_720_892 / 12,
                 full_bytes: (6.9 * GIB as f64 / 12.0) as u64,
             },
@@ -107,20 +97,11 @@ impl DatasetId {
     }
 }
 
-/// Geometry family of a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GeometryKind {
-    Point,
-    Polyline,
-    Polygon,
-}
-
 /// Full-scale metadata of one dataset (Table 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetSpec {
     pub id: DatasetId,
     pub name: &'static str,
-    pub kind: GeometryKind,
     pub full_records: u64,
     pub full_bytes: u64,
 }

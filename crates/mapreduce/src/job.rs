@@ -1,7 +1,7 @@
 //! The native (typed) MapReduce engine.
 
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::scheduler::{faulty_makespan, lpt_makespan, replicated_makespan, TaskSchedule};
+use sjc_cluster::scheduler::{replicated_makespan, TaskSchedule};
 use sjc_cluster::{
     Cluster, RecoveryEvent, RecoveryKind, SimError, SimHdfs, SimNs, StageKind, StageTrace,
 };
@@ -31,7 +31,9 @@ pub struct JobConfig {
     pub parse_input_text: bool,
     /// Charge an HDFS write (with replication) for the job output.
     pub write_output_to_hdfs: bool,
-    /// How map-task work extrapolates (reduce is always [`ScaleMode::BiggerTasks`]).
+    /// How map-task work extrapolates, the same on a map-only and a
+    /// map-reduce job; a [`ScaleMode::BiggerTasks`] task pays its fixed
+    /// overhead once. Reduce groups always grow like `BiggerTasks`.
     pub map_scale: ScaleMode,
     /// Charge the interpreted-script per-record cost in streaming reducers
     /// (see `CostModel::streaming_script_record_ns`).
@@ -437,155 +439,14 @@ impl<'a> MapReduceJob<'a> {
 
     /// Prices a job's work on this cluster, the job starting at `start_ns`
     /// on the run's global clock: per-task durations from the cluster's
-    /// bandwidths and per-core speed, the wave makespan on its slots (the
-    /// event scheduler under a fault plan), checkpoint writes, replica
-    /// failover, and for a streaming job its pipe bytes and pipe check.
-    /// Pure arithmetic over `work`; the byte totals land in `self.hdfs`.
+    /// bandwidths and per-core speed, the map and reduce waves on its slots
+    /// ([`Cluster::wave`]), checkpoint writes, replica failover, and for a
+    /// streaming job its pipe bytes and pipe check. A map-only job is the
+    /// same job with an empty reduce wave and no shuffle. Pure arithmetic
+    /// over `work`; the byte totals land in `self.hdfs`.
     pub fn price(
         &mut self,
         work: &JobWork,
-        start_ns: SimNs,
-    ) -> Result<(StageTrace, Vec<RecoveryEvent>), SimError> {
-        let (mut trace, recovery) = match &work.groups {
-            None => self.price_map_only(work, start_ns)?,
-            Some(groups) => self.price_map_reduce(work, groups, start_ns)?,
-        };
-        if work.streaming {
-            if let Some(err) = work.pipe_error(self.cluster) {
-                return Err(err);
-            }
-            trace.pipe_bytes = work.pipe_bytes();
-        }
-        Ok((trace, recovery))
-    }
-
-    /// A map task's duration: I/O at the slot's share of the node disk, CPU
-    /// scaled by the node's per-core speed, and the spill of its output to
-    /// local disk (Hadoop always materializes).
-    fn map_task_duration(&self, cfg: &JobConfig, task: &TaskWork) -> SimNs {
-        let c = &self.cluster.cost;
-        let node = &self.cluster.config.node;
-        let mut io = c.io_ns(task.input_bytes, node.slot_disk_read_bw());
-        let mut cpu = 0u64;
-        if cfg.parse_input_text {
-            cpu += c.parse_ns(task.input_bytes);
-        }
-        cpu += c.hadoop_records_ns(task.records);
-        cpu += task.extra_cpu_ns;
-        cpu += c.serialize_ns(task.out_bytes);
-        io += c.io_ns(task.out_bytes, node.slot_disk_write_bw());
-        io + (cpu as f64 * node.cpu_scale) as SimNs
-    }
-
-    fn price_map_only(
-        &mut self,
-        work: &JobWork,
-        start_ns: SimNs,
-    ) -> Result<(StageTrace, Vec<RecoveryEvent>), SimError> {
-        let cfg = &work.cfg;
-        let c = &self.cluster.cost;
-        let node = self.cluster.config.node;
-        let slots = self.cluster.total_slots();
-        let write_bw = self.cluster.hdfs_write_bw();
-        let durations: Vec<SimNs> = work
-            .maps
-            .iter()
-            .map(|task| {
-                let io = c.io_ns(task.input_bytes, node.slot_disk_read_bw());
-                let mut cpu = 0u64;
-                if cfg.parse_input_text {
-                    cpu += c.parse_ns(task.input_bytes);
-                }
-                cpu += c.hadoop_records_ns(task.records);
-                cpu += task.extra_cpu_ns;
-                let mut ns = io + (cpu as f64 * node.cpu_scale) as SimNs;
-                if cfg.write_output_to_hdfs {
-                    ns += (c.serialize_ns(task.out_bytes) as f64 * node.cpu_scale) as SimNs
-                        + c.hdfs_write_ns(task.out_bytes, write_bw);
-                }
-                ns
-            })
-            .collect();
-
-        let plan = &self.cluster.faults;
-        let start = start_ns + c.hadoop_job_startup_ns;
-        let full_tasks: Vec<SimNs> = match cfg.map_scale {
-            ScaleMode::MoreTasks => {
-                let with_overhead: Vec<SimNs> =
-                    durations.iter().map(|d| d + c.hadoop_task_overhead_ns).collect();
-                if plan.is_none() {
-                    let makespan = replicated_makespan(&with_overhead, slots, cfg.multiplier);
-                    return Ok(self.finish_map_only(work, start, makespan, None));
-                }
-                replicate_tasks(&with_overhead, cfg.multiplier.round().max(1.0) as u64)
-            }
-            ScaleMode::BiggerTasks => {
-                let scaled: Vec<SimNs> = durations
-                    .iter()
-                    .map(|d| c.hadoop_task_overhead_ns + (*d as f64 * cfg.multiplier) as SimNs)
-                    .collect();
-                if plan.is_none() {
-                    let makespan = lpt_makespan(&scaled, slots);
-                    return Ok(self.finish_map_only(work, start, makespan, None));
-                }
-                scaled
-            }
-        };
-        let sched = faulty_makespan(
-            &full_tasks,
-            node.cores,
-            self.cluster.config.nodes,
-            plan,
-            &cfg.name,
-            start,
-            false,
-        )?;
-        Ok(self.finish_map_only(work, start, sched.makespan, Some(sched)))
-    }
-
-    /// Shared tail of [`Self::price_map_only`]: trace assembly and byte
-    /// ledger. `start` is the instant the job's tasks start.
-    fn finish_map_only(
-        &mut self,
-        work: &JobWork,
-        start: SimNs,
-        makespan: SimNs,
-        sched: Option<TaskSchedule>,
-    ) -> (StageTrace, Vec<RecoveryEvent>) {
-        let (cfg, stats) = (&work.cfg, &work.stats);
-        let mut trace = StageTrace::new(cfg.name.clone(), StageKind::MapOnlyJob, cfg.phase);
-        trace.sim_ns = self.cluster.cost.hadoop_job_startup_ns + makespan;
-        trace.hdfs_bytes_read = (stats.input_bytes as f64 * cfg.multiplier) as u64;
-        if cfg.write_output_to_hdfs {
-            trace.hdfs_bytes_written = (stats.output_bytes as f64 * cfg.multiplier) as u64;
-            self.hdfs.total_bytes_written += trace.hdfs_bytes_written;
-        }
-        self.hdfs.total_bytes_read += trace.hdfs_bytes_read;
-        trace.tasks = (stats.map_tasks as f64 * cfg.multiplier) as u64;
-
-        let mut recovery = Vec::new();
-        if let Some(s) = sched {
-            trace.attempts = s.attempts;
-            trace.speculative = s.speculative;
-            trace.wasted_ns = s.wasted_ns;
-            recovery = s.events;
-            // Input blocks whose primary died before the job started come
-            // from remote replicas.
-            if let Some((reread, ev)) =
-                self.cluster.replica_failover(&cfg.name, start, trace.hdfs_bytes_read)
-            {
-                trace.sim_ns += ev.wasted_ns;
-                trace.bytes_reread = reread;
-                recovery.push(ev);
-            }
-        }
-        (trace, recovery)
-    }
-
-    fn price_map_reduce(
-        &mut self,
-        work: &JobWork,
-        groups: &[GroupWork],
         start_ns: SimNs,
     ) -> Result<(StageTrace, Vec<RecoveryEvent>), SimError> {
         let (cfg, stats) = (&work.cfg, &work.stats);
@@ -593,102 +454,82 @@ impl<'a> MapReduceJob<'a> {
         let node = self.cluster.config.node;
         let nodes = self.cluster.config.nodes;
         let slots = self.cluster.total_slots();
-        let map_durations: Vec<SimNs> = work
-            .maps
-            .iter()
-            .map(|task| self.map_task_duration(cfg, task) + c.hadoop_task_overhead_ns)
-            .collect();
         let plan = &self.cluster.faults;
         let start = start_ns + c.hadoop_job_startup_ns;
-        // Map wave. Under faults the full-scale task list runs through the
-        // event scheduler with `rerun_on_crash`: a completed map task whose
-        // host dies before the shuffle re-executes (its output is gone).
-        // With an enabled checkpoint policy the spilled map output is
-        // persisted to HDFS instead, so those re-runs are unnecessary —
-        // `rerun_on_crash` turns off and the loss becomes a remote re-read.
-        let rerun_lost_maps = !plan.checkpoint.enabled();
-        let mut map_sched: Option<TaskSchedule> = None;
-        let mut map_makespan = match cfg.map_scale {
+        let reduces = work.groups.is_some();
+        let (kind, map_stage) = if reduces {
+            (StageKind::MapReduceJob, format!("{}/map", cfg.name))
+        } else {
+            (StageKind::MapOnlyJob, cfg.name.clone())
+        };
+        let durations: Vec<SimNs> =
+            work.maps.iter().map(|task| self.map_task_duration(cfg, task, reduces)).collect();
+        // Map wave. Under faults a map-reduce job runs with `rerun_on_crash`:
+        // a completed map task whose host dies before the shuffle
+        // re-executes (its output is gone). With an enabled checkpoint
+        // policy the spilled map output is persisted to HDFS instead, so
+        // those re-runs are unnecessary — the loss becomes a remote re-read.
+        let rerun = reduces && !plan.checkpoint.enabled();
+        let overhead = c.hadoop_task_overhead_ns;
+        let map = match cfg.map_scale {
             ScaleMode::MoreTasks => {
+                let with_overhead: Vec<SimNs> = durations.iter().map(|d| d + overhead).collect();
                 if plan.is_none() {
-                    replicated_makespan(&map_durations, slots, cfg.multiplier)
+                    let makespan = replicated_makespan(&with_overhead, slots, cfg.multiplier);
+                    TaskSchedule { makespan, ..TaskSchedule::default() }
                 } else {
                     let full =
-                        replicate_tasks(&map_durations, cfg.multiplier.round().max(1.0) as u64);
-                    let s = faulty_makespan(
-                        &full,
-                        node.cores,
-                        nodes,
-                        plan,
-                        &format!("{}/map", cfg.name),
-                        start,
-                        rerun_lost_maps,
-                    )?;
-                    let m = s.makespan;
-                    map_sched = Some(s);
-                    m
+                        replicate_tasks(&with_overhead, cfg.multiplier.round().max(1.0) as u64);
+                    self.cluster.wave(&full, &map_stage, start, rerun)?
                 }
             }
             ScaleMode::BiggerTasks => {
-                let scaled: Vec<SimNs> =
-                    map_durations.iter().map(|d| (*d as f64 * cfg.multiplier) as SimNs).collect();
-                if plan.is_none() {
-                    lpt_makespan(&scaled, slots)
-                } else {
-                    let s = faulty_makespan(
-                        &scaled,
-                        node.cores,
-                        nodes,
-                        plan,
-                        &format!("{}/map", cfg.name),
-                        start,
-                        rerun_lost_maps,
-                    )?;
-                    let m = s.makespan;
-                    map_sched = Some(s);
-                    m
-                }
+                let scaled: Vec<SimNs> = durations
+                    .iter()
+                    .map(|d| overhead + (*d as f64 * cfg.multiplier) as SimNs)
+                    .collect();
+                self.cluster.wave(&scaled, &map_stage, start, rerun)?
             }
         };
+        let mut map_makespan = map.makespan;
 
         // Checkpointed map output: the write streams the full-scale spill
         // through the HDFS replication pipeline on the critical path, and
         // nodes that died within the map window cost a remote re-read of
         // their share of the checkpoint instead of re-executing their maps.
+        // A map-only job shuffles nothing, so it checkpoints nothing.
         let mut ckpt_events: Vec<RecoveryEvent> = Vec::new();
         let mut ckpt_written: u64 = 0;
         let mut ckpt_reread: u64 = 0;
-        if !plan.is_none() && plan.checkpoint.enabled() {
-            let full_shuffle = (stats.shuffle_bytes as f64 * cfg.multiplier) as u64;
-            if full_shuffle > 0 {
-                let repl = plan.checkpoint.replication.max(1) as u64;
-                let write_ns = c.io_ns(
-                    full_shuffle.saturating_mul(repl) / (slots as u64).max(1),
-                    self.cluster.hdfs_write_bw(),
-                );
-                map_makespan += write_ns;
-                ckpt_written = full_shuffle;
+        let full_shuffle = (stats.shuffle_bytes as f64 * cfg.multiplier) as u64;
+        if plan.checkpoint.enabled() && full_shuffle > 0 {
+            let repl = plan.checkpoint.replication.max(1) as u64;
+            let write_ns = c.io_ns(
+                full_shuffle.saturating_mul(repl) / (slots as u64).max(1),
+                self.cluster.hdfs_write_bw(),
+            );
+            map_makespan += write_ns;
+            ckpt_written = full_shuffle;
+            ckpt_events.push(RecoveryEvent {
+                stage: cfg.name.clone(),
+                kind: RecoveryKind::CheckpointWrite { bytes: full_shuffle },
+                wasted_ns: write_ns,
+            });
+            let dead_before = plan.dead_nodes_at(start);
+            let dead_after = plan.dead_nodes_at(start + map_makespan);
+            let newly = dead_after.iter().filter(|n| !dead_before.contains(n)).count();
+            if newly > 0 {
+                let live = nodes.saturating_sub(dead_after.len() as u32).max(1);
+                let reread = (full_shuffle as f64 * newly as f64 / nodes as f64) as u64;
+                let live_slots = (live as u64 * node.cores as u64).max(1);
+                let extra = c.io_ns(reread / live_slots, node.slot_net_bw());
+                map_makespan += extra;
+                ckpt_reread = reread;
                 ckpt_events.push(RecoveryEvent {
                     stage: cfg.name.clone(),
-                    kind: RecoveryKind::CheckpointWrite { bytes: full_shuffle },
-                    wasted_ns: write_ns,
+                    kind: RecoveryKind::CheckpointRestore { bytes: reread },
+                    wasted_ns: extra,
                 });
-                let dead_before = plan.dead_nodes_at(start);
-                let dead_after = plan.dead_nodes_at(start + map_makespan);
-                let newly = dead_after.iter().filter(|n| !dead_before.contains(n)).count();
-                if newly > 0 {
-                    let live = nodes.saturating_sub(dead_after.len() as u32).max(1);
-                    let reread = (full_shuffle as f64 * newly as f64 / nodes as f64) as u64;
-                    let live_slots = (live as u64 * node.cores as u64).max(1);
-                    let extra = c.io_ns(reread / live_slots, node.slot_net_bw());
-                    map_makespan += extra;
-                    ckpt_reread = reread;
-                    ckpt_events.push(RecoveryEvent {
-                        stage: cfg.name.clone(),
-                        kind: RecoveryKind::CheckpointRestore { bytes: reread },
-                        wasted_ns: extra,
-                    });
-                }
             }
         }
 
@@ -697,8 +538,10 @@ impl<'a> MapReduceJob<'a> {
         // the multiplier.
         let remote_fraction = if nodes > 1 { (nodes - 1) as f64 / nodes as f64 } else { 0.0 };
         let write_bw = self.cluster.hdfs_write_bw();
-        let reduce_durations: Vec<SimNs> = groups
+        let reduce_durations: Vec<SimNs> = work
+            .groups
             .iter()
+            .flatten()
             .map(|g| {
                 let full_bytes = (g.in_bytes as f64 * cfg.multiplier) as u64;
                 let full_records = (g.values as f64 * cfg.multiplier) as u64;
@@ -715,64 +558,82 @@ impl<'a> MapReduceJob<'a> {
                     cpu += c.serialize_ns(out_full);
                     io += c.hdfs_write_ns(out_full, write_bw);
                 }
-                c.hadoop_task_overhead_ns + io + (cpu as f64 * node.cpu_scale) as SimNs
+                overhead + io + (cpu as f64 * node.cpu_scale) as SimNs
             })
             .collect();
-        // Reduce wave: group durations are already full-scale; under faults
-        // it starts on the global clock where the map wave ended.
-        let mut reduce_sched: Option<TaskSchedule> = None;
-        let reduce_makespan = if plan.is_none() {
-            lpt_makespan(&reduce_durations, slots)
-        } else {
-            let s = faulty_makespan(
-                &reduce_durations,
-                node.cores,
-                nodes,
-                plan,
-                &format!("{}/reduce", cfg.name),
-                start + map_makespan,
-                false,
-            )?;
-            let m = s.makespan;
-            reduce_sched = Some(s);
-            m
-        };
+        // Reduce wave: group durations are already full-scale; it starts on
+        // the global clock where the map wave ended.
+        let reduce = self.cluster.wave(
+            &reduce_durations,
+            &format!("{}/reduce", cfg.name),
+            start + map_makespan,
+            false,
+        )?;
 
-        let mut trace = StageTrace::new(cfg.name.clone(), StageKind::MapReduceJob, cfg.phase);
-        trace.sim_ns = c.hadoop_job_startup_ns + map_makespan + reduce_makespan;
+        let mut trace = StageTrace::new(cfg.name.clone(), kind, cfg.phase);
+        trace.sim_ns = c.hadoop_job_startup_ns + map_makespan + reduce.makespan;
         trace.hdfs_bytes_read = (stats.input_bytes as f64 * cfg.multiplier) as u64;
-        trace.shuffle_bytes = (stats.shuffle_bytes as f64 * cfg.multiplier) as u64;
+        trace.shuffle_bytes = full_shuffle;
         if cfg.write_output_to_hdfs {
             trace.hdfs_bytes_written = (stats.output_bytes as f64 * cfg.multiplier) as u64;
             self.hdfs.total_bytes_written += trace.hdfs_bytes_written;
         }
         self.hdfs.total_bytes_read += trace.hdfs_bytes_read;
         trace.tasks = ((stats.map_tasks as f64) * cfg.multiplier) as u64 + stats.reduce_tasks;
-
-        if ckpt_written > 0 {
-            trace.hdfs_bytes_written += ckpt_written;
-            self.hdfs.total_bytes_written += ckpt_written;
-        }
+        trace.hdfs_bytes_written += ckpt_written;
+        self.hdfs.total_bytes_written += ckpt_written;
 
         let mut recovery = Vec::new();
-        for s in [map_sched, reduce_sched].into_iter().flatten() {
+        for s in [map, reduce] {
             trace.attempts += s.attempts;
             trace.speculative += s.speculative;
             trace.wasted_ns += s.wasted_ns;
             recovery.extend(s.events);
         }
         recovery.extend(ckpt_events);
-        if !plan.is_none() {
-            trace.bytes_reread = ckpt_reread;
-            if let Some((reread, ev)) =
-                self.cluster.replica_failover(&cfg.name, start, trace.hdfs_bytes_read)
-            {
-                trace.sim_ns += ev.wasted_ns;
-                trace.bytes_reread += reread;
-                recovery.push(ev);
+        trace.bytes_reread = ckpt_reread;
+        // Input blocks whose primary died before the job started come from
+        // remote replicas.
+        if let Some((reread, ev)) =
+            self.cluster.replica_failover(&cfg.name, start, trace.hdfs_bytes_read)
+        {
+            trace.sim_ns += ev.wasted_ns;
+            trace.bytes_reread += reread;
+            recovery.push(ev);
+        }
+        if work.streaming {
+            if let Some(err) = work.pipe_error(self.cluster) {
+                return Err(err);
             }
+            trace.pipe_bytes = work.pipe_bytes();
         }
         Ok((trace, recovery))
+    }
+
+    /// A map task's duration: I/O at the slot's share of the node disk and
+    /// CPU scaled by the node's per-core speed. A map-reduce task (`spill`)
+    /// serializes its output to local disk (Hadoop always materializes); a
+    /// map-only task writes it to HDFS if the job is configured to.
+    fn map_task_duration(&self, cfg: &JobConfig, task: &TaskWork, spill: bool) -> SimNs {
+        let c = &self.cluster.cost;
+        let node = &self.cluster.config.node;
+        let mut io = c.io_ns(task.input_bytes, node.slot_disk_read_bw());
+        let mut cpu = 0u64;
+        if cfg.parse_input_text {
+            cpu += c.parse_ns(task.input_bytes);
+        }
+        cpu += c.hadoop_records_ns(task.records);
+        cpu += task.extra_cpu_ns;
+        if spill {
+            cpu += c.serialize_ns(task.out_bytes);
+            io += c.io_ns(task.out_bytes, node.slot_disk_write_bw());
+        }
+        let mut ns = io + (cpu as f64 * node.cpu_scale) as SimNs;
+        if !spill && cfg.write_output_to_hdfs {
+            ns += (c.serialize_ns(task.out_bytes) as f64 * node.cpu_scale) as SimNs
+                + c.hdfs_write_ns(task.out_bytes, self.cluster.hdfs_write_bw());
+        }
+        ns
     }
 }
 
@@ -871,21 +732,36 @@ mod tests {
     #[test]
     fn bigger_tasks_scale_linearly_more_tasks_amortize() {
         let cluster = cluster();
-        let records: Vec<u32> = (0..1600).collect();
-        let run = |mode: ScaleMode| {
+        let overhead = cluster.cost.hadoop_task_overhead_ns;
+        // 16 equal tasks of 100 records each.
+        let tasks = || -> Vec<MapTask<u32>> {
+            (0..16).map(|t| MapTask::new((t * 100..(t + 1) * 100).collect(), 100_000)).collect()
+        };
+        let run = |mode: ScaleMode, reduce: bool| {
             let mut hdfs = SimHdfs::new(1);
             let mut engine = MapReduceJob::new(&cluster, &mut hdfs);
             let cfg = JobConfig::new("m", Phase::IndexA, 50.0).map_scale(mode).write_output(false);
-            let tasks = block_splits(&records, 1000.0, 100 << 10); // 16 tasks
-            engine.map_only(&cfg, tasks, |r, em| em.emit(*r, 0)).unwrap().trace.sim_ns
+            let trace = if reduce {
+                let map = |r: &u32, em: &mut MapEmitter<u32, u32>| em.emit(r % 16, *r, 8);
+                engine
+                    .map_reduce(&cfg, tasks(), map, |_, vs, em| em.emit(vs.len(), 8))
+                    .map(|o| o.trace)
+            } else {
+                engine.map_only(&cfg, tasks(), |r, em| em.emit(*r, 0)).map(|o| o.trace)
+            };
+            trace.unwrap().sim_ns
         };
         // BiggerTasks: 16 tasks × 50x data on 16 slots — one huge wave.
         // MoreTasks: 800 unit tasks on 16 slots — perfectly amortized; both
         // end up near total_work/slots, BiggerTasks only pays overhead once.
-        let more = run(ScaleMode::MoreTasks);
-        let bigger = run(ScaleMode::BiggerTasks);
-        let ratio = more as f64 / bigger as f64;
-        assert!((0.5..2.0).contains(&ratio), "same area bound, got ratio {ratio}");
+        // That holds on either job shape: the reduce wave is the same.
+        for reduce in [false, true] {
+            let more = run(ScaleMode::MoreTasks, reduce);
+            let bigger = run(ScaleMode::BiggerTasks, reduce);
+            let ratio = more as f64 / bigger as f64;
+            assert!((0.5..2.0).contains(&ratio), "same area bound, got ratio {ratio}");
+            assert_eq!(more - bigger, 49 * overhead, "map-reduce: {reduce}");
+        }
     }
 
     #[test]

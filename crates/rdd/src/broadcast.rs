@@ -27,10 +27,7 @@ impl<'a> SparkContext<'a> {
     /// Broadcasts `value` of serialized size `bytes` to all nodes; charges
     /// a network-bound stage (the driver streams to each executor).
     pub fn broadcast<B>(&mut self, name: &str, phase: Phase, value: B, bytes: u64) -> Broadcast<B> {
-        match &mut self.pricer {
-            Some(pricer) => pricer.broadcast(name, phase, bytes),
-            None => self.steps.push(SparkStep::Broadcast { name: name.to_string(), phase, bytes }),
-        }
+        self.steps.push(SparkStep::Broadcast { name: name.to_string(), phase, bytes });
         Broadcast { value, bytes }
     }
 }

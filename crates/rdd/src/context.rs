@@ -1,37 +1,28 @@
-//! The Spark driver context: where an application's stages are recorded,
-//! and on a one-cluster context, priced as they close.
+//! The Spark driver context: where an application's stages are recorded.
 
-use sjc_cluster::{Cluster, CostModel, RunTrace, SimError};
+use sjc_cluster::{Cluster, CostModel, SimError};
 
-use crate::ledger::{Column, Layout, Pending, Pricer, Source, SparkLedger, SparkStep};
+use crate::ledger::{Column, Layout, Pending, Source, SparkLedger, SparkStep};
 use crate::rdd::{Rdd, LOAD_BLOCK};
 use crate::record::SparkRecord;
 
-/// Driver-side context for building and executing RDDs.
-///
-/// [`new`](SparkContext::new) prices every stage on one cluster as it
-/// closes. [`for_work`](SparkContext::for_work) prices nothing: it records
-/// the stages into a [`SparkLedger`] that prices on any cluster afterwards.
+/// Driver-side context for building and executing RDDs. It prices
+/// nothing: it records the stages into a [`SparkLedger`] that prices on any
+/// cluster afterwards.
 pub struct SparkContext<'a> {
     /// The cost model the records' resident bytes are charged with.
     pub(crate) cost: CostModel,
-    /// The one cluster priced stage by stage, if any.
-    pub(crate) pricer: Option<Pricer<'a>>,
-    /// The recorded stages (`for_work` only).
+    /// The recorded stages.
     pub(crate) steps: Vec<SparkStep>,
-    /// The clusters the recorded stages will be priced on (`for_work`).
+    /// The clusters the recorded stages will be priced on.
     stop: &'a [Cluster],
 }
 
 impl<'a> SparkContext<'a> {
-    /// A context that prices every stage on `cluster` as it closes.
+    /// A context for one cluster: [`for_work`](Self::for_work) on `cluster`
+    /// alone, so a stage fails where that cluster runs out of memory.
     pub fn new(cluster: &'a Cluster) -> Self {
-        SparkContext {
-            cost: cluster.cost.clone(),
-            pricer: Some(Pricer::new(cluster, RunTrace::new("spark"))),
-            steps: Vec::new(),
-            stop: &[],
-        }
+        SparkContext::for_work(cluster.cost.clone(), std::slice::from_ref(cluster))
     }
 
     /// A context that records its stages for pricing later, on the clusters
@@ -39,7 +30,7 @@ impl<'a> SparkContext<'a> {
     /// memory check fails on every one of them ends the application there,
     /// with the first one's error.
     pub fn for_work(cost: CostModel, stop: &'a [Cluster]) -> Self {
-        SparkContext { cost, pricer: None, steps: Vec::new(), stop }
+        SparkContext { cost, steps: Vec::new(), stop }
     }
 
     /// The recorded stages.
@@ -84,11 +75,8 @@ impl<'a> SparkContext<'a> {
         Rdd { blocks, pending }
     }
 
-    /// Closes a stage: prices it on the context's cluster, or records it.
+    /// Closes a stage: records it.
     pub(crate) fn close(&mut self, step: SparkStep) -> Result<(), SimError> {
-        if let Some(pricer) = &mut self.pricer {
-            return pricer.price(&step);
-        }
         let failed = (!self.stop.is_empty())
             .then(|| self.stop.iter().map(|c| step.out_of_memory(c)).collect::<Option<Vec<_>>>())
             .flatten();
@@ -105,10 +93,11 @@ impl<'a> SparkContext<'a> {
         self.close(SparkStep::FitsEveryNode { name: name.to_string(), bytes })
     }
 
-    /// The run's trace so far, on a one-cluster context.
+    /// The recorded stages priced on the first `stop` cluster.
     #[cfg(test)]
-    pub(crate) fn trace(&self) -> Option<&RunTrace> {
-        self.pricer.as_ref().map(|p| &p.trace)
+    pub(crate) fn trace(&self) -> Option<sjc_cluster::RunTrace> {
+        let ledger = SparkLedger { steps: self.steps.clone() };
+        ledger.price(self.stop.first()?, sjc_cluster::RunTrace::new("spark")).ok()
     }
 }
 

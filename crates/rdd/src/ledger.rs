@@ -14,7 +14,6 @@
 use std::ops::Range;
 
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::scheduler::{faulty_makespan, lpt_makespan};
 use sjc_cluster::{
     Cluster, RecoveryEvent, RecoveryKind, RunTrace, SimError, SimNs, StageKind, StageTrace,
     MAX_STAGE_RESUBMITS,
@@ -403,9 +402,9 @@ impl SparkLedger {
 
 /// Prices Spark steps on one cluster, carrying the run's trace and its
 /// checkpoint cadence from stage to stage.
-pub(crate) struct Pricer<'a> {
+struct Pricer<'a> {
     cluster: &'a Cluster,
-    pub(crate) trace: RunTrace,
+    trace: RunTrace,
     /// Completed stages since the last durable checkpoint — drives the
     /// plan's checkpoint cadence and bounds lineage replay depth.
     stages_since_checkpoint: u32,
@@ -416,7 +415,7 @@ pub(crate) struct Pricer<'a> {
 }
 
 impl<'a> Pricer<'a> {
-    pub(crate) fn new(cluster: &'a Cluster, trace: RunTrace) -> Self {
+    fn new(cluster: &'a Cluster, trace: RunTrace) -> Self {
         Pricer {
             cluster,
             trace,
@@ -426,7 +425,7 @@ impl<'a> Pricer<'a> {
         }
     }
 
-    pub(crate) fn price(&mut self, step: &SparkStep) -> Result<(), SimError> {
+    fn price(&mut self, step: &SparkStep) -> Result<(), SimError> {
         let cluster = self.cluster;
         match step {
             SparkStep::Sample { name, phase, rdd } => {
@@ -492,7 +491,7 @@ impl<'a> Pricer<'a> {
 
     /// A broadcast: the driver streams `bytes` to each executor in parallel
     /// (torrent-style), so the wall time is one transfer.
-    pub(crate) fn broadcast(&mut self, name: &str, phase: Phase, bytes: u64) {
+    fn broadcast(&mut self, name: &str, phase: Phase, bytes: u64) {
         let nodes = self.cluster.config.nodes as u64;
         let cost = &self.cluster.cost;
         let node = &self.cluster.config.node;
@@ -506,11 +505,11 @@ impl<'a> Pricer<'a> {
     /// Closes a stage: schedules the per-partition pending durations onto
     /// the cluster, emits a [`StageTrace`], and returns its simulated time.
     ///
-    /// Under a fault plan the stage runs through the event scheduler on the
-    /// run's global clock. A node crash inside the stage window destroys the
-    /// cached parent partitions that lived on it; unlike Hadoop (which
-    /// re-runs one task), Spark recomputes those partitions through their
-    /// **lineage** — the resubmitted wave costs `lineage_depth ×` the lost
+    /// The stage runs as waves through [`Cluster::wave`] on the run's global
+    /// clock; with no fault planned that is one LPT wave. A node crash inside
+    /// the stage window destroys the cached parent partitions that lived on
+    /// it; unlike Hadoop (which re-runs one task), Spark recomputes those
+    /// partitions through their **lineage** — the resubmitted wave costs `lineage_depth ×` the lost
     /// partitions' work, bounded by [`MAX_STAGE_RESUBMITS`]. When the plan's
     /// [`sjc_cluster::CheckpointPolicy`] is enabled, lineage replay
     /// truncates at the last durable checkpoint (at most
@@ -519,7 +518,7 @@ impl<'a> Pricer<'a> {
     /// — the stage's materialized output footprint — is what a checkpoint
     /// write at this stage persists.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn close_stage(
+    fn close_stage(
         &mut self,
         name: &str,
         phase: Phase,
@@ -534,17 +533,6 @@ impl<'a> Pricer<'a> {
         let with_overhead: Vec<SimNs> =
             pending_ns.iter().map(|&p| p + cost.spark_task_overhead_ns).collect();
         let plan = &cluster.faults;
-        if plan.is_none() {
-            let makespan = lpt_makespan(&with_overhead, cluster.total_slots());
-            let mut st = StageTrace::new(name, StageKind::SparkStage, phase);
-            st.sim_ns = cost.spark_job_startup_ns + makespan;
-            st.hdfs_bytes_read = hdfs_read;
-            st.shuffle_bytes = shuffle_bytes;
-            st.tasks = pending_ns.len() as u64;
-            self.trace.push(st);
-            return Ok(st_total(&self.trace));
-        }
-
         let cores = cluster.config.node.cores;
         let nodes = cluster.config.nodes;
         let start = self.trace.total_ns() + cost.spark_job_startup_ns;
@@ -555,7 +543,7 @@ impl<'a> Pricer<'a> {
         let mut resubmit: u32 = 0;
         loop {
             let dead_before = plan.dead_nodes_at(start + makespan);
-            let sched = faulty_makespan(&work, cores, nodes, plan, name, start + makespan, false)?;
+            let sched = cluster.wave(&work, name, start + makespan, false)?;
             st.attempts += sched.attempts;
             st.speculative += sched.speculative;
             st.wasted_ns += sched.wasted_ns;

@@ -12,8 +12,11 @@ use sjc_cluster::SimHdfs;
 use sjc_core::common::PartitionerKind;
 use sjc_core::framework::CellIndex;
 use sjc_data::{DatasetId, ScaledDataset};
+#[cfg(debug_assertions)]
 use sjc_geom::algorithms::{chunk_envelopes, linestrings_intersect_hinted};
-use sjc_geom::{LineString, Mbr, Point};
+#[cfg(debug_assertions)]
+use sjc_geom::LineString;
+use sjc_geom::{Mbr, Point};
 use sjc_index::{IndexEntry, RTree};
 
 /// An inverted MBR built by bypassing the normalizing constructor — the
