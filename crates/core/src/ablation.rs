@@ -16,10 +16,9 @@ use sjc_geom::EngineKind;
 
 use crate::common::{LocalJoinAlgo, PartitionerKind};
 use crate::experiment::Workload;
-use crate::framework::{DistributedSpatialJoin, JoinInput};
+use crate::framework::{DistributedSpatialJoin, JoinInput, JoinPredicate};
 use crate::hadoopgis::HadoopGis;
 use crate::lde::LdeEngine;
-use crate::report::run_seconds;
 use crate::spatialhadoop::SpatialHadoop;
 use crate::spatialspark::SpatialSpark;
 
@@ -40,7 +39,10 @@ impl AblationRow {
         left: &JoinInput,
         right: &JoinInput,
     ) -> AblationRow {
-        let outcome = run_seconds(sys, cluster, left, right).map_err(|e| e.kind().to_string());
+        let outcome = sys
+            .run(cluster, left, right, JoinPredicate::Intersects)
+            .map(|o| o.trace.total_seconds())
+            .map_err(|e| e.kind().to_string());
         AblationRow { label: label.into(), outcome }
     }
 }

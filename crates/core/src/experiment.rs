@@ -6,7 +6,6 @@ use sjc_data::DatasetId;
 
 use crate::framework::{DistributedSpatialJoin, JoinInput, JoinPredicate};
 use crate::hadoopgis::HadoopGis;
-use crate::ledger::WorkLedger;
 use crate::spatialhadoop::SpatialHadoop;
 use crate::spatialspark::SpatialSpark;
 
@@ -32,31 +31,9 @@ impl SystemKind {
         }
     }
 
-    /// Runs the system's real work once on `left ⋈ right` (its paper
-    /// configuration), stopping early only where every cluster of `stop`
-    /// fails; [`WorkLedger::price`] prices it on any of them.
-    pub fn work(
-        &self,
-        left: &JoinInput,
-        right: &JoinInput,
-        predicate: JoinPredicate,
-        stop: &[Cluster],
-    ) -> WorkLedger {
-        match self {
-            SystemKind::HadoopGis => HadoopGis::default().work(left, right, predicate, stop),
-            SystemKind::SpatialHadoop => {
-                SpatialHadoop::default().work(left, right, predicate, stop)
-            }
-            SystemKind::SpatialSpark => SpatialSpark::default().work(left, right, predicate, stop),
-        }
-    }
-
+    /// The system's name in the paper's tables.
     pub fn paper_name(&self) -> &'static str {
-        match self {
-            SystemKind::HadoopGis => "HadoopGIS",
-            SystemKind::SpatialHadoop => "SpatialHadoop",
-            SystemKind::SpatialSpark => "SpatialSpark",
-        }
+        self.instance().name()
     }
 }
 
@@ -226,7 +203,7 @@ impl ExperimentGrid {
             // Works are pure functions of (system, workload): run them in
             // parallel, collect in deterministic grid order.
             let ledgers = sjc_par::par_map(&SystemKind::all(), |sys| {
-                (*sys, sys.work(&left, &right, JoinPredicate::Intersects, &clusters))
+                (*sys, sys.instance().work(&left, &right, JoinPredicate::Intersects, &clusters))
             });
             for (sys, ledger) in &ledgers {
                 let pairs = ledger.pairs.as_ref().map_or(0, Vec::len);

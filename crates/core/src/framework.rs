@@ -9,10 +9,12 @@ use std::sync::{Arc, OnceLock};
 use sjc_cluster::{Cluster, RunTrace, SimError};
 use sjc_data::tsv::to_tsv_text;
 use sjc_data::ScaledDataset;
-use sjc_geom::{EngineKind, Geometry, GeometryEngine, Mbr};
+use sjc_geom::{Geometry, GeometryEngine, Mbr};
 use sjc_index::entry::IndexEntry;
 use sjc_index::partition::{dedup_owner_cell, CellId, CellLocator};
 use sjc_index::RTree;
+
+use crate::ledger::WorkLedger;
 
 /// The spatial predicate refined in the local join stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -272,8 +274,10 @@ impl JoinOutput {
     }
 }
 
-/// A complete distributed spatial join system (the trait the three
-/// reproduced systems implement).
+/// A complete distributed spatial join system, the trait every system
+/// implements (the three reproduced ones and LDE-MC+): its real
+/// [`work`](DistributedSpatialJoin::work), which
+/// [`run`](DistributedSpatialJoin::run) prices on one cluster.
 ///
 /// ```
 /// use sjc_cluster::{Cluster, ClusterConfig};
@@ -301,8 +305,16 @@ pub trait DistributedSpatialJoin {
     /// System name as used in the paper's tables.
     fn name(&self) -> &'static str;
 
-    /// The geometry library the system links against.
-    fn engine(&self) -> EngineKind;
+    /// Runs the join's real work once on `left ⋈ right` under `predicate`,
+    /// stopping early only where every cluster of `stop` fails;
+    /// [`WorkLedger::price`] prices it on any of them.
+    fn work(
+        &self,
+        left: &JoinInput,
+        right: &JoinInput,
+        predicate: JoinPredicate,
+        stop: &[Cluster],
+    ) -> WorkLedger;
 
     /// Runs the end-to-end join (preprocessing + global join + local join)
     /// of `left ⋈ right` under `predicate` on `cluster`.
@@ -312,7 +324,9 @@ pub trait DistributedSpatialJoin {
         left: &JoinInput,
         right: &JoinInput,
         predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError>;
+    ) -> Result<JoinOutput, SimError> {
+        self.work(left, right, predicate, std::slice::from_ref(cluster)).into_output(cluster)
+    }
 }
 
 #[cfg(test)]

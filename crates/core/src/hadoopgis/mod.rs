@@ -36,16 +36,14 @@
 
 use sjc_cluster::hdfs::DEFAULT_BLOCK_SIZE;
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::{Cluster, CostModel, SimError, StageKind, StageTrace};
+use sjc_cluster::{Cluster, CostModel, StageKind, StageTrace};
 use sjc_geom::{EngineKind, GeometryEngine, Mbr, Point};
 use sjc_index::partition::{bsp_cells, CellLocator};
 use sjc_mapreduce::job::ScaleMode;
 use sjc_mapreduce::{block_splits, JobConfig, JobWork, TextLen};
 
 use crate::common::{local_join, LocalJoinAlgo};
-use crate::framework::{
-    reported_by, DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate,
-};
+use crate::framework::{reported_by, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate};
 use crate::ledger::{work_cost, Step, WorkLedger};
 
 /// Target partition count of the sample-derived partitionings.
@@ -296,23 +294,6 @@ impl HadoopGis {
         Some((centers, tsv))
     }
 
-    /// Runs the join's real work once — the six preprocessing steps per
-    /// dataset, the global re-partitioning and the streaming join job — and
-    /// records it for pricing. It stops after the first streaming job whose
-    /// reducer pipes break on every cluster of `stop`.
-    pub fn work(
-        &self,
-        left: &JoinInput,
-        right: &JoinInput,
-        predicate: JoinPredicate,
-        stop: &[Cluster],
-    ) -> WorkLedger {
-        let cost = work_cost();
-        let mut steps = Vec::new();
-        let pairs = self.work_steps(&cost, &mut steps, left, right, predicate, stop);
-        WorkLedger { system: self.name(), steps, pairs }
-    }
-
     fn work_steps(
         &self,
         cost: &CostModel,
@@ -322,7 +303,7 @@ impl HadoopGis {
         predicate: JoinPredicate,
         stop: &[Cluster],
     ) -> Option<Vec<(u64, u64)>> {
-        let geos = GeometryEngine::new(self.engine());
+        let geos = GeometryEngine::new(self.engine);
 
         // Preprocessing: the six steps, per dataset.
         let (centers_a, tsv_a) = self.preprocess(cost, steps, left, Phase::IndexA, stop)?;
@@ -411,18 +392,21 @@ impl DistributedSpatialJoin for HadoopGis {
         "HadoopGIS"
     }
 
-    fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
-    fn run(
+    /// Runs the join's real work once — the six preprocessing steps per
+    /// dataset, the global re-partitioning and the streaming join job — and
+    /// records it for pricing. It stops after the first streaming job whose
+    /// reducer pipes break on every cluster of `stop`.
+    fn work(
         &self,
-        cluster: &Cluster,
         left: &JoinInput,
         right: &JoinInput,
         predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError> {
-        self.work(left, right, predicate, std::slice::from_ref(cluster)).into_output(cluster)
+        stop: &[Cluster],
+    ) -> WorkLedger {
+        let cost = work_cost();
+        let mut steps = Vec::new();
+        let pairs = self.work_steps(&cost, &mut steps, left, right, predicate, stop);
+        WorkLedger { system: self.name(), steps, pairs }
     }
 }
 
@@ -431,6 +415,7 @@ mod tests {
     use super::*;
     use crate::common::direct_join;
     use sjc_cluster::ClusterConfig;
+    use sjc_cluster::SimError;
     use sjc_data::{DatasetId, ScaledDataset};
 
     fn tiny_inputs() -> (JoinInput, JoinInput) {

@@ -24,7 +24,7 @@
 
 use sjc_cluster::hdfs::DEFAULT_BLOCK_SIZE;
 use sjc_cluster::metrics::Phase;
-use sjc_cluster::{Cluster, CostModel, SimError, StageKind, StageTrace};
+use sjc_cluster::{Cluster, CostModel, StageKind, StageTrace};
 use sjc_geom::{EngineKind, GeometryEngine, Mbr};
 use sjc_index::join::plane_sweep;
 use sjc_index::partition::CellLocator;
@@ -33,7 +33,7 @@ use sjc_mapreduce::{block_splits, JobConfig, JobWork, MapTask};
 
 use crate::common::{local_join, LocalJoinAlgo, PartitionerKind};
 use crate::framework::{
-    reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate,
+    reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate,
 };
 use crate::ledger::{work_cost, Step, WorkLedger};
 
@@ -140,7 +140,7 @@ impl SpatialHadoop {
         });
 
         // --- MR job 2: assign partitions, shuffle, write indexed blocks ---
-        let jts = GeometryEngine::new(self.engine());
+        let jts = GeometryEngine::new(self.engine);
         let cfg2 =
             JobConfig::new(format!("{}: partition+index", input.name), phase, input.multiplier);
         let (job, output) = JobWork::map_reduce(
@@ -176,12 +176,18 @@ impl SpatialHadoop {
         }
         Indexed { index, cells, bpr }
     }
+}
+
+impl DistributedSpatialJoin for SpatialHadoop {
+    fn name(&self) -> &'static str {
+        "SpatialHadoop"
+    }
 
     /// Runs the join's real work once — both datasets' sample and
     /// partition jobs, `getSplits`, and the map-only local join — and
     /// records it for pricing. SpatialHadoop has no capacity check, so
     /// `stop` never ends it early.
-    pub fn work(
+    fn work(
         &self,
         left: &JoinInput,
         right: &JoinInput,
@@ -190,7 +196,7 @@ impl SpatialHadoop {
     ) -> WorkLedger {
         let cost = work_cost();
         let mut steps = Vec::new();
-        let jts = GeometryEngine::new(self.engine());
+        let jts = GeometryEngine::new(self.engine);
 
         // Preprocessing: index both datasets (IA, IB).
         let ia = self.index_dataset(&cost, &mut steps, left, Phase::IndexA, None);
@@ -255,26 +261,6 @@ impl SpatialHadoop {
         });
         steps.push(Step::Job(job));
         WorkLedger { system: self.name(), steps, pairs: Some(pairs) }
-    }
-}
-
-impl DistributedSpatialJoin for SpatialHadoop {
-    fn name(&self) -> &'static str {
-        "SpatialHadoop"
-    }
-
-    fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
-    fn run(
-        &self,
-        cluster: &Cluster,
-        left: &JoinInput,
-        right: &JoinInput,
-        predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError> {
-        self.work(left, right, predicate, std::slice::from_ref(cluster)).into_output(cluster)
     }
 }
 

@@ -30,7 +30,7 @@
 
 use sjc_cluster::metrics::Phase;
 use sjc_cluster::{Cluster, CostModel, SimError};
-use sjc_geom::{EngineKind, GeometryEngine, Point};
+use sjc_geom::{GeometryEngine, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::partition::{str_tile_cells, CellLocator};
 use sjc_index::RTree;
@@ -38,7 +38,7 @@ use sjc_rdd::{Rdd, SparkContext, SparkRecord};
 
 use crate::common::{local_join, LocalJoinAlgo};
 use crate::framework::{
-    reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinOutput, JoinPredicate,
+    reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate,
 };
 use crate::ledger::{work_cost, Step, WorkLedger};
 
@@ -98,7 +98,7 @@ impl SpatialSpark {
         right: &JoinInput,
         predicate: JoinPredicate,
     ) -> Result<Vec<(u64, u64)>, SimError> {
-        let jts = GeometryEngine::new(self.engine());
+        let jts = GeometryEngine::jts();
 
         // 1. Load both datasets (lazy read, charged at first materialization).
         let rdd_l = ctx.read_text(rec_refs(left), left.sim_bytes, left.multiplier);
@@ -174,7 +174,7 @@ impl SpatialSpark {
         right: &JoinInput,
         predicate: JoinPredicate,
     ) -> Result<Vec<(u64, u64)>, SimError> {
-        let jts = GeometryEngine::new(self.engine());
+        let jts = GeometryEngine::jts();
 
         let rdd_l = ctx.read_text(rec_refs(left), left.sim_bytes, left.multiplier);
 
@@ -212,12 +212,18 @@ impl SpatialSpark {
         });
         result.collect(ctx, "collect results", Phase::DistributedJoin)
     }
+}
+
+impl DistributedSpatialJoin for SpatialSpark {
+    fn name(&self) -> &'static str {
+        "SpatialSpark"
+    }
 
     /// Runs the join's real work once — load, sample, tag, shuffle, local
     /// join, collect — and records its Spark stages for pricing. It stops
     /// at the first shuffle whose executor memory check fails on every
     /// cluster of `stop`.
-    pub fn work(
+    fn work(
         &self,
         left: &JoinInput,
         right: &JoinInput,
@@ -231,26 +237,6 @@ impl SpatialSpark {
             (self.partition_based(&mut ctx, left, right, predicate), self.name())
         };
         WorkLedger { system, steps: vec![Step::Spark(ctx.into_ledger())], pairs: pairs.ok() }
-    }
-}
-
-impl DistributedSpatialJoin for SpatialSpark {
-    fn name(&self) -> &'static str {
-        "SpatialSpark"
-    }
-
-    fn engine(&self) -> EngineKind {
-        EngineKind::Jts
-    }
-
-    fn run(
-        &self,
-        cluster: &Cluster,
-        left: &JoinInput,
-        right: &JoinInput,
-        predicate: JoinPredicate,
-    ) -> Result<JoinOutput, SimError> {
-        self.work(left, right, predicate, std::slice::from_ref(cluster)).into_output(cluster)
     }
 }
 

@@ -18,6 +18,8 @@ use sjc_core::spatialspark::SpatialSpark;
 
 fn main() {
     let scale = 1e-3;
+    let sizes = [4u32, 6, 8, 9, 10, 12, 16];
+    let clusters = sizes.map(|n| Cluster::new(ClusterConfig::ec2(n)));
     for w in [Workload::taxi_nycb(), Workload::edge_linearwater()] {
         let (l, r) = w.prepare(scale, 20150701);
         println!("\n=== {} (full-scale equivalent) ===", w.name);
@@ -25,16 +27,15 @@ fn main() {
             "{:>6} {:>12} {:>22} {:>22}",
             "nodes", "agg. memory", "SpatialSpark", "SpatialHadoop"
         );
-        for n in [4u32, 6, 8, 9, 10, 12, 16] {
-            let cfg = ClusterConfig::ec2(n);
+        // Each system's join runs once; every cluster size prices it.
+        let spark = SpatialSpark::default().work(&l, &r, JoinPredicate::Intersects, &clusters);
+        let hadoop = SpatialHadoop::default().work(&l, &r, JoinPredicate::Intersects, &clusters);
+        for (n, cluster) in sizes.into_iter().zip(&clusters) {
+            let cfg = &cluster.config;
             let agg_gb = (cfg.nodes as u64 * cfg.node.memory_bytes) >> 30;
-            let cluster = Cluster::new(cfg);
-            let spark = SpatialSpark::default().run(&cluster, &l, &r, JoinPredicate::Intersects);
-            let hadoop = SpatialHadoop::default()
-                .run(&cluster, &l, &r, JoinPredicate::Intersects)
-                .expect("SpatialHadoop always completes");
-            let spark_cell = match spark {
-                Ok(out) => format!("{:.0} s", out.trace.total_seconds()),
+            let hadoop = hadoop.price(cluster).expect("SpatialHadoop always completes");
+            let spark_cell = match spark.price(cluster) {
+                Ok(trace) => format!("{:.0} s", trace.total_seconds()),
                 Err(e) => format!("({})", e.kind()),
             };
             println!(
@@ -42,7 +43,7 @@ fn main() {
                 n,
                 agg_gb,
                 spark_cell,
-                hadoop.trace.total_seconds()
+                hadoop.total_seconds()
             );
         }
     }

@@ -69,7 +69,8 @@ fn shared_work_prices_as_each_configurations_own_run() {
         for w in workloads {
             let (left, right) = w.prepare(GRID.scale, GRID.seed);
             for sys in SystemKind::all() {
-                let shared = sys.work(&left, &right, JoinPredicate::Intersects, &clusters);
+                let shared =
+                    sys.instance().work(&left, &right, JoinPredicate::Intersects, &clusters);
                 for cluster in &clusters {
                     let own = sys.instance().run(cluster, &left, &right, JoinPredicate::Intersects);
                     let priced = shared.price(cluster);

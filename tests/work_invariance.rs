@@ -22,7 +22,8 @@
 
 use sjc_cluster::{Cluster, ClusterConfig, FaultPlan, RunTrace, StageKind};
 use sjc_core::experiment::{SystemKind, Workload};
-use sjc_core::framework::{JoinInput, JoinPredicate};
+use sjc_core::framework::{DistributedSpatialJoin, JoinInput, JoinPredicate};
+use sjc_core::lde::LdeEngine;
 use sjc_core::ledger::Step;
 
 const SCALE: f64 = 4e-5;
@@ -179,6 +180,14 @@ fn agree((a, b): (&Step, &Step)) -> bool {
     }
 }
 
+/// Every system as the trait the grid and the reports drive: the three
+/// reproduced ones and LDE-MC+.
+fn every_system() -> Vec<Box<dyn DistributedSpatialJoin>> {
+    let mut systems: Vec<_> = SystemKind::all().iter().map(SystemKind::instance).collect();
+    systems.push(Box::new(LdeEngine::default()));
+    systems
+}
+
 /// The same, read off the ledgers: on every paper configuration a system's
 /// work records the same steps, as far as each one runs. A ledger ends early
 /// only where its one cluster fails (HadoopGIS's pipes, SpatialSpark's
@@ -191,13 +200,13 @@ fn every_system_records_the_same_ledger_on_every_paper_configuration() {
         for variant in [Variant::FullScale, Variant::Unit, Variant::UnitHeavyFaults] {
             let (left, right) = inputs(&w, variant);
             let clusters: Vec<Cluster> = configs.iter().map(|c| cluster(c, variant)).collect();
-            for sys in SystemKind::all() {
+            for sys in every_system() {
                 let work =
                     |stop: &[Cluster]| sys.work(&left, &right, JoinPredicate::Intersects, stop);
                 let everywhere = work(&clusters);
                 for (i, c) in clusters.iter().enumerate() {
                     let own = work(std::slice::from_ref(c));
-                    let what = format!("{} on {} ({variant:?}), {}", sys.paper_name(), w.name, i);
+                    let what = format!("{} on {} ({variant:?}), {}", sys.name(), w.name, i);
                     let n = own.steps.len().min(everywhere.steps.len());
                     let agree = own.steps[..n].iter().zip(&everywhere.steps[..n]).all(agree);
                     assert!(agree, "{what}: steps differ");
