@@ -18,7 +18,8 @@ use sjc_cluster::{
     Cluster, ClusterConfig, FaultPlan, RecoveryKind, RunTrace, SimNs, DEFAULT_PROVISION_DELAY_NS,
 };
 use sjc_core::experiment::{SystemKind, Workload};
-use sjc_core::framework::{JoinInput, JoinPredicate};
+use sjc_core::framework::{DistributedSpatialJoin, JoinInput, JoinPredicate};
+use sjc_core::lde::LdeEngine;
 use sjc_testkit::cases;
 
 /// Every simulated number a stage reports, as a comparable row.
@@ -490,4 +491,26 @@ fn systems_survive_a_mid_run_crash_with_identical_results() {
             "{name}: fault recovery must not change the join result"
         );
     }
+}
+
+/// LDE-MC+'s partition-pair wave runs under the cluster's fault plan: a
+/// node crashing halfway through the wave kills tasks that re-run
+/// elsewhere, visible as attempts and recovery events, and the pairs are
+/// the fault-free run's.
+#[test]
+fn lde_join_wave_recovers_from_a_crash() {
+    let (l, r) = Workload::taxi1m_nycb().prepare(1e-4, 42);
+    let config = ClusterConfig::ec2(10);
+    let lde = LdeEngine::default();
+    let clean = lde
+        .run(&Cluster::new(config.clone()), &l, &r, JoinPredicate::Intersects)
+        .expect("LDE-MC+ has no capacity limit");
+    let join = clean.trace.stages.last().expect("LDE-MC+ runs three stages");
+    let plan = FaultPlan::seeded(7, &config).crash_at(2, clean.trace.total_ns() - join.sim_ns / 2);
+    let faulted = lde
+        .run(&Cluster::with_faults(config, plan), &l, &r, JoinPredicate::Intersects)
+        .expect("LDE-MC+ survives one crash on 10 nodes");
+    assert!(faulted.trace.total_attempts() > 0, "the faulted wave meters its attempts");
+    assert!(!faulted.trace.recovery.is_empty(), "the crash shows in the recovery ledger");
+    assert_eq!(clean.sorted_pairs(), faulted.sorted_pairs());
 }
