@@ -193,19 +193,27 @@ impl ExperimentGrid {
     }
 
     /// Every (system, workload) does its real work once — a workload's
-    /// three works run as one parallel map — and each configuration prices
-    /// it. A workload's inputs and ledgers live until its cells are priced.
+    /// three works run concurrently, one weighted-map item each — and each
+    /// configuration prices it, in grid order. One workload's inputs and
+    /// ledgers live at a time, until its cells are priced.
     fn run_grid(&self, workloads: &[Workload], configs: &[ClusterConfig]) -> Vec<CellResult> {
         let clusters: Vec<Cluster> = configs.iter().cloned().map(Cluster::new).collect();
         let mut out = Vec::with_capacity(workloads.len() * 3 * configs.len());
         for w in workloads {
             let (left, right) = w.prepare(self.scale, self.seed);
             // Works are pure functions of (system, workload): run them in
-            // parallel, collect in deterministic grid order.
-            let ledgers = sjc_par::par_map(&SystemKind::all(), |sys| {
-                (*sys, sys.instance().work(&left, &right, JoinPredicate::Intersects, &clusters))
-            });
-            for (sys, ledger) in &ledgers {
+            // parallel, collect in deterministic grid order. Equal weights
+            // keep grid order, so the caller always works HadoopGIS: its TSV
+            // text and streaming lines, the grid's largest allocations, stay
+            // in the caller's allocator arena beside the inputs, instead of
+            // growing a pool worker's arena as well.
+            let systems = SystemKind::all();
+            let ledgers = sjc_par::par_map_weighted(
+                &systems,
+                |_| 1,
+                |sys| sys.instance().work(&left, &right, JoinPredicate::Intersects, &clusters),
+            );
+            for (sys, ledger) in systems.iter().zip(&ledgers) {
                 let pairs = ledger.pairs.as_ref().map_or(0, Vec::len);
                 for (config, cluster) in configs.iter().zip(&clusters) {
                     let outcome = ledger.price(cluster).map(|trace| RunSummary::new(trace, pairs));

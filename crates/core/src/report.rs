@@ -441,11 +441,11 @@ pub fn scalability_string(scale: f64, seed: u64) -> String {
     let _ = writeln!(out, "Scalability: end-to-end simulated seconds vs EC2 node count");
     let sizes = [4u32, 6, 8, 10, 12, 16];
     let clusters = sizes.map(|n| Cluster::new(ClusterConfig::ec2(n)));
+    let systems = compared_systems();
     for w in [Workload::taxi1m_nycb(), Workload::edge_linearwater()] {
         let (l, r) = w.prepare(scale, seed);
         let _ = writeln!(out, "\n[{}]", w.name);
-        for sys in compared_systems() {
-            let series = seconds_on(&*sys, &clusters, &l, &r);
+        for (sys, series) in systems.iter().zip(seconds_each(&systems, &clusters, &l, &r)) {
             let max = series.iter().flatten().copied().fold(1.0f64, f64::max);
             let _ = writeln!(out, "  {}", sys.name());
             for (n, v) in sizes.into_iter().zip(series) {
@@ -481,11 +481,12 @@ pub fn extension_string(scale: f64, seed: u64) -> String {
     }
     let _ = writeln!(out);
     let clusters: Vec<Cluster> = configs.into_iter().map(Cluster::new).collect();
+    let systems = compared_systems();
     for w in [Workload::taxi_nycb(), Workload::edge_linearwater()] {
         let (l, r) = w.prepare(scale, seed);
-        for sys in compared_systems() {
+        for (sys, series) in systems.iter().zip(seconds_each(&systems, &clusters, &l, &r)) {
             let _ = write!(out, "{:<22} {:<14}", w.name, sys.name());
-            for secs in seconds_on(&*sys, &clusters, &l, &r) {
+            for secs in series {
                 let cell = secs.map_or("-".to_string(), |s| format!("{s:.0}"));
                 let _ = write!(out, " {cell:>9}");
             }
@@ -496,12 +497,23 @@ pub fn extension_string(scale: f64, seed: u64) -> String {
 }
 
 /// The systems the scalability and extension tables set side by side.
-fn compared_systems() -> [Box<dyn DistributedSpatialJoin>; 3] {
+fn compared_systems() -> [Box<dyn DistributedSpatialJoin + Sync>; 3] {
     [
         Box::new(SpatialHadoop::default()),
         Box::new(SpatialSpark::default()),
         Box::new(LdeEngine::default()),
     ]
+}
+
+/// [`seconds_on`] for each of `systems`, their works run concurrently, one
+/// weighted-map item each.
+fn seconds_each(
+    systems: &[Box<dyn DistributedSpatialJoin + Sync>],
+    clusters: &[Cluster],
+    left: &JoinInput,
+    right: &JoinInput,
+) -> Vec<Vec<Option<f64>>> {
+    sjc_par::par_map_weighted(systems, |_| 1, |sys| seconds_on(&**sys, clusters, left, right))
 }
 
 /// End-to-end simulated seconds of `sys` joining `left ⋈ right` by

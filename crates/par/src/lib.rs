@@ -11,11 +11,11 @@
 //!   Workers claim *chunks* of indices from a single cache-line-padded atomic
 //!   cursor (range claiming, not per-item `fetch_add`), so contention and
 //!   false sharing stay negligible while the slot-indexed writes keep order.
-//! * [`par_map_weighted`] is the same map with **skew-aware (LPT)
-//!   dispatch**: items are *processed* in descending estimated-cost order so
-//!   one fat cell cannot serialize the tail, but results are still
-//!   *written* to their input-order slots — the output is bit-identical to
-//!   [`par_map`]'s.
+//! * [`par_map_weighted`] is the same map over **coarse items with
+//!   skew-aware (LPT) dispatch**: every item is claimed on its own, items
+//!   are *processed* in descending estimated-cost order so one fat cell
+//!   cannot serialize the tail, but results are still *written* to their
+//!   input-order slots — the output is bit-identical to [`par_map`]'s.
 //! * [`par_map_flat_weighted`] is the order-preserving flat-map with the
 //!   same dispatch: each item appends into its own buffer, and the buffers
 //!   are concatenated in input order, so the output equals the serial
@@ -35,11 +35,12 @@
 //! Execution happens on a **lazily-initialized persistent worker pool**
 //! (`pool`): workers are spawned once and parked between calls, so a
 //! parallel call costs a condvar wake instead of a thread spawn/join. How a
-//! call is split — or whether it runs serially — is decided by the pure
-//! chunk planner in [`plan`] (cost-aware chunk sizing, a serial fast path
-//! below a work threshold, and an oversubscription guard that caps *ambient*
-//! budgets at the hardware parallelism). Hot paths reuse buffers through the
-//! thread-local [`scratch`] arena instead of reallocating per call.
+//! [`par_map`] call is split — or whether it runs serially — is decided by
+//! the pure chunk planner in [`plan`] (chunk sizing and a serial fast path
+//! below a work threshold); a weighted map engages one helper per item
+//! beyond the caller's. Both cap *ambient* budgets at the hardware
+//! parallelism. Hot paths reuse buffers through the thread-local
+//! [`scratch`] arena instead of reallocating per call.
 //!
 //! Thread budget resolution (first match wins): explicit
 //! [`set_global_threads`] override → `SJC_PAR_THREADS` env var →
@@ -197,7 +198,7 @@ pub fn par_map_budget<T: Sync, U: Send>(
     f: impl Fn(&T) -> U + Sync,
 ) -> Vec<U> {
     let n = items.len();
-    let p = plan::plan_weighted(n, budget, plan::DEFAULT_ITEM_COST);
+    let p = plan::plan_chunks(n, budget);
     if p.is_serial() || pool::on_worker() {
         return items.iter().map(f).collect();
     }
@@ -258,11 +259,44 @@ fn lpt_sort(weights: &[u64], order: &mut Vec<u32>) {
     order.sort_by(|&a, &b| weights[b as usize].cmp(&weights[a as usize]).then(a.cmp(&b)));
 }
 
-/// [`par_map`] with skew-aware dispatch: `weight` estimates each item's
-/// relative cost, and items are processed heaviest-first (greedy LPT — with
-/// dynamic claiming, descending-cost processing order *is* the
-/// longest-processing-time-first assignment). The output is bit-identical
-/// to [`par_map`]: only the processing order changes.
+/// Runs `task(i, &items[i])` once for every index `i`, heaviest `weight`
+/// first, on the caller and up to `helpers` pool workers. The caller takes
+/// the heaviest item itself: it starts before any helper wakes, and it
+/// never moves to a worker on wake-up timing. Helpers claim the rest one by
+/// one.
+fn run_lpt<T: Sync>(
+    helpers: usize,
+    items: &[T],
+    weight: impl Fn(&T) -> u64,
+    task: impl Fn(usize, &T) + Sync,
+) {
+    let mut weights: Vec<u64> = scratch::take_vec();
+    weights.extend(items.iter().map(weight));
+    let mut order: Vec<u32> = scratch::take_vec();
+    lpt_sort(&weights, &mut order);
+    scratch::put_vec(weights);
+    let order_ref: &[u32] = &order;
+    let cursor = PaddedCursor(AtomicUsize::new(1));
+    let work = || {
+        let claim = || cursor.0.fetch_add(1, Ordering::Relaxed);
+        let mut k = if pool::on_worker() { claim() } else { 0 };
+        while let Some(&i) = order_ref.get(k) {
+            if let Some(item) = items.get(i as usize) {
+                task(i as usize, item);
+            }
+            k = claim();
+        }
+    };
+    pool::run(helpers, &work);
+    scratch::put_vec(order);
+}
+
+/// [`par_map`] over coarse items with skew-aware dispatch: one helper per
+/// item beyond the caller's, up to the budget, however few items there are.
+/// `weight` estimates each item's relative cost, and items are processed
+/// heaviest-first (greedy LPT — with dynamic claiming, descending-cost
+/// processing order *is* the longest-processing-time-first assignment).
+/// The output is bit-identical to [`par_map`]: only the order changes.
 pub fn par_map_weighted<T: Sync, U: Send>(
     items: &[T],
     weight: impl Fn(&T) -> u64,
@@ -279,45 +313,29 @@ pub fn par_map_weighted_budget<T: Sync, U: Send>(
     f: impl Fn(&T) -> U + Sync,
 ) -> Vec<U> {
     let n = items.len();
-    let p = plan::plan_weighted(n, budget, plan::COARSE_ITEM_COST);
-    if p.is_serial() || pool::on_worker() || n > u32::MAX as usize {
+    let helpers = budget.effective_threads().min(n).saturating_sub(1);
+    if helpers == 0 || pool::on_worker() || n > u32::MAX as usize {
         return items.iter().map(f).collect();
     }
-    let mut weights: Vec<u64> = scratch::take_vec();
-    weights.extend(items.iter().map(&weight));
-    let mut order: Vec<u32> = scratch::take_vec();
-    lpt_sort(&weights, &mut order);
-
     let mut slots: Vec<Option<U>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    let cursor = PaddedCursor(AtomicUsize::new(0));
     let out = SendSlots(slots.as_mut_ptr());
-    let order_ref: &[u32] = &order;
-    let work = || {
+    run_lpt(helpers, items, weight, |i, item| {
         let out = &out; // capture the wrapper, not its raw-pointer field
-        loop {
-            let k = cursor.0.fetch_add(1, Ordering::Relaxed);
-            let Some(&slot) = order_ref.get(k) else { break };
-            let i = slot as usize;
-            let Some(item) = items.get(i) else { break };
-            // SAFETY: `order` is a permutation, so slot `i` is claimed by
-            // exactly one participant.
-            unsafe {
-                *out.0.add(i) = Some(f(item));
-            }
+                        // SAFETY: `run_lpt` runs each index once, so slot `i` is written by
+                        // exactly one participant.
+        unsafe {
+            *out.0.add(i) = Some(f(item));
         }
-    };
-    pool::run(p.helpers, &work);
-    scratch::put_vec(weights);
-    scratch::put_vec(order);
+    });
     // sjc-lint: allow(panic-path) — the LPT order is a permutation, so every slot is filled exactly once
     slots.into_iter().map(|s| s.expect("LPT claiming covers every index exactly once")).collect()
 }
 
-/// Order-preserving parallel flat-map with skew-aware (LPT) dispatch: `f`
-/// appends any number of outputs per item into its own buffer; buffers are
-/// filled heaviest-first and concatenated in input order, so the output is
-/// bit-identical to the serial flat-map.
+/// Order-preserving parallel flat-map with [`par_map_weighted`]'s dispatch:
+/// `f` appends any number of outputs per item into its own buffer; buffers
+/// are filled heaviest-first and concatenated in input order, so the output
+/// is bit-identical to the serial flat-map.
 pub fn par_map_flat_weighted<T: Sync, U: Send + 'static>(
     items: &[T],
     weight: impl Fn(&T) -> u64,
@@ -334,43 +352,27 @@ fn par_map_flat_weighted_budget<T: Sync, U: Send + 'static>(
     f: impl Fn(&T, &mut Vec<U>) + Sync,
 ) -> Vec<U> {
     let n = items.len();
-    let p = plan::plan_weighted(n, budget, plan::COARSE_ITEM_COST);
-    if p.is_serial() || pool::on_worker() || n > u32::MAX as usize {
+    let helpers = budget.effective_threads().min(n).saturating_sub(1);
+    if helpers == 0 || pool::on_worker() || n > u32::MAX as usize {
         let mut out = Vec::new();
         for item in items {
             f(item, &mut out);
         }
         return out;
     }
-    let mut weights: Vec<u64> = scratch::take_vec();
-    weights.extend(items.iter().map(&weight));
-    let mut order: Vec<u32> = scratch::take_vec();
-    lpt_sort(&weights, &mut order);
-
     let mut bufs: Vec<Option<Vec<U>>> = Vec::with_capacity(n);
     bufs.resize_with(n, || None);
-    let cursor = PaddedCursor(AtomicUsize::new(0));
     let out = SendSlots(bufs.as_mut_ptr());
-    let order_ref: &[u32] = &order;
-    let work = || {
+    run_lpt(helpers, items, weight, |i, item| {
         let out = &out; // capture the wrapper, not its raw-pointer field
-        loop {
-            let k = cursor.0.fetch_add(1, Ordering::Relaxed);
-            let Some(&slot) = order_ref.get(k) else { break };
-            let i = slot as usize;
-            let Some(item) = items.get(i) else { break };
-            let mut buf = scratch::take_vec();
-            f(item, &mut buf);
-            // SAFETY: `order` is a permutation, so buffer slot `i` is claimed
-            // by exactly one participant.
-            unsafe {
-                *out.0.add(i) = Some(buf);
-            }
+        let mut buf = scratch::take_vec();
+        f(item, &mut buf);
+        // SAFETY: `run_lpt` runs each index once, so buffer slot `i` is
+        // written by exactly one participant.
+        unsafe {
+            *out.0.add(i) = Some(buf);
         }
-    };
-    pool::run(p.helpers, &work);
-    scratch::put_vec(weights);
-    scratch::put_vec(order);
+    });
     concat_buffers(bufs)
 }
 
@@ -689,6 +691,7 @@ fn join_budget<A: Send, B: Send>(
 mod tests {
     use super::*;
     use sjc_testkit::cases;
+    use std::sync::atomic::AtomicBool;
 
     fn budgets() -> Vec<Budget> {
         vec![
@@ -742,6 +745,53 @@ mod tests {
                 assert_eq!(flat, serial_flat, "budget {b:?}");
             }
         });
+    }
+
+    /// Item `i` of two marks itself started, then waits for the other in
+    /// millisecond naps, giving up after about ten seconds: both see each
+    /// other only when two threads run them at once.
+    fn meet(started: &[AtomicBool; 2], i: usize) -> bool {
+        started[i].store(true, Ordering::SeqCst);
+        (0..10_000).any(|_| {
+            let seen = started[1 - i].load(Ordering::SeqCst);
+            if !seen {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            seen
+        })
+    }
+
+    #[test]
+    fn weighted_map_runs_two_items_at_once() {
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let met =
+            par_map_weighted_budget(Budget::explicit(2), &[0, 1], |_| 1, |&i| meet(&started, i));
+        assert_eq!(met, [true, true]);
+    }
+
+    #[test]
+    fn flat_weighted_map_runs_two_items_at_once() {
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let met = par_map_flat_weighted_budget(
+            Budget::explicit(2),
+            &[0, 1],
+            |_| 1,
+            |&i, out| out.push(meet(&started, i)),
+        );
+        assert_eq!(met, [true, true]);
+    }
+
+    #[test]
+    fn the_caller_works_the_heaviest_item() {
+        for _ in 0..20 {
+            let on_worker = par_map_weighted_budget(
+                Budget::explicit(2),
+                &[1u64, 9, 4],
+                |&w| w,
+                |_| pool::on_worker(),
+            );
+            assert!(!on_worker[1], "{on_worker:?}");
+        }
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //! still runs my join in memory".
 
 use sjc_cluster::{Cluster, ClusterConfig};
-use sjc_core::experiment::Workload;
-use sjc_core::framework::{DistributedSpatialJoin, JoinPredicate};
-use sjc_core::spatialhadoop::SpatialHadoop;
-use sjc_core::spatialspark::SpatialSpark;
+use sjc_core::experiment::{SystemKind, Workload};
+use sjc_core::framework::JoinPredicate;
 
 fn main() {
     let scale = 1e-3;
@@ -27,9 +25,15 @@ fn main() {
             "{:>6} {:>12} {:>22} {:>22}",
             "nodes", "agg. memory", "SpatialSpark", "SpatialHadoop"
         );
-        // Each system's join runs once; every cluster size prices it.
-        let spark = SpatialSpark::default().work(&l, &r, JoinPredicate::Intersects, &clusters);
-        let hadoop = SpatialHadoop::default().work(&l, &r, JoinPredicate::Intersects, &clusters);
+        // Each system's join runs once, the two concurrently; every cluster
+        // size prices it.
+        let systems = [SystemKind::SpatialSpark, SystemKind::SpatialHadoop];
+        let works = sjc_par::par_map_weighted(
+            &systems,
+            |_| 1,
+            |sys| sys.instance().work(&l, &r, JoinPredicate::Intersects, &clusters),
+        );
+        let (spark, hadoop) = (&works[0], &works[1]);
         for (n, cluster) in sizes.into_iter().zip(&clusters) {
             let cfg = &cluster.config;
             let agg_gb = (cfg.nodes as u64 * cfg.node.memory_bytes) >> 30;
