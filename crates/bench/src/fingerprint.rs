@@ -59,21 +59,23 @@ pub type SweepRuns = (&'static str, Vec<(&'static str, Result<RunTrace, SimError
 /// that system's own fault-free runtime (mirroring
 /// `examples/fault_tolerance.rs`), then the heavy plan again with durable
 /// checkpoints every 2 waves / every wave plus elastic replacement
-/// provisioning. Inputs stay at multiplier 1 so HadoopGIS survives — its
-/// full-scale pipe break is Table 2's story, not a fault outcome.
+/// provisioning. Each system works once; its ledger is priced under every
+/// plan (a fault plan moves no capacity check, so the fault-free cluster is
+/// the whole `stop`). Inputs stay at multiplier 1 so HadoopGIS survives —
+/// its full-scale pipe break is Table 2's story, not a fault outcome.
 pub fn fault_sweep_runs() -> Vec<SweepRuns> {
     let (mut left, mut right) = Workload::taxi1m_nycb().prepare(SCALE, SEED);
     left.multiplier = 1.0;
     right.multiplier = 1.0;
     let config = ClusterConfig::ec2(8);
-    let run = |sys: SystemKind, plan: FaultPlan| {
-        let cluster = Cluster::with_faults(config.clone(), plan);
-        sys.instance().run(&cluster, &left, &right, JoinPredicate::Intersects).map(|o| o.trace)
-    };
+    let on = |plan: FaultPlan| Cluster::with_faults(config.clone(), plan);
+    let fault_free = [on(FaultPlan::none())];
     SystemKind::all()
         .into_iter()
         .map(|sys| {
-            let base = run(sys, FaultPlan::none()).map(|t| t.total_ns()).unwrap_or(0);
+            let ledger = sys.instance().work(&left, &right, JoinPredicate::Intersects, &fault_free);
+            let run = |plan: FaultPlan| ledger.price(&on(plan));
+            let base = run(FaultPlan::none()).map(|t| t.total_ns()).unwrap_or(0);
             let heavy = || FaultPlan::heavy(7, &config).crash_at(2, base * 2 / 5);
             let ckpt = |interval| {
                 heavy().with_checkpoints(interval, 3).with_elastic_provisioning(SWEEP_PROVISION_NS)
@@ -85,7 +87,7 @@ pub fn fault_sweep_runs() -> Vec<SweepRuns> {
                 ("heavy_ckpt2", ckpt(2)),
                 ("heavy_ckpt1", ckpt(1)),
             ];
-            (sys.paper_name(), plans.map(|(label, plan)| (label, run(sys, plan))).into())
+            (sys.paper_name(), plans.map(|(label, plan)| (label, run(plan))).into())
         })
         .collect()
 }

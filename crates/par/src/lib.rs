@@ -9,8 +9,8 @@
 //! * [`par_map`] is **order-preserving**: output slot `i` holds `f(&items[i])`,
 //!   exactly as the serial `items.iter().map(f).collect()` would produce.
 //!   Workers claim *chunks* of indices from a single cache-line-padded atomic
-//!   cursor (range claiming, not per-item `fetch_add`), so contention and
-//!   false sharing stay negligible while the slot-indexed writes keep order.
+//!   cursor (one claim a chunk, not per-item), so contention and false
+//!   sharing stay negligible, while the claimed pieces keep order.
 //! * [`par_map_weighted`] is the same map over **coarse items with
 //!   skew-aware (LPT) dispatch**: every item is claimed on its own, items
 //!   are *processed* in descending estimated-cost order so one fat cell
@@ -24,13 +24,19 @@
 //!   original relative order, merges prefer the left run). A stable sort has a
 //!   unique answer, so the result is identical to `slice::sort_by` for every
 //!   thread count.
-//! * [`par_group`] is the shuffle: a stable [`par_sort_by`] on the key, cut
-//!   into runs — keys ascending, each key's values in input order.
+//! * [`par_group`] is the shuffle: the same stable sort on the key, cut into
+//!   runs — keys ascending, each key's values in input order.
 //! * [`par_chunks_mut`] is the in-place sibling of [`par_map`]: workers claim
 //!   chunk indices and receive disjoint `&mut` sub-slices, so each chunk sees
 //!   exactly the transformation the serial `chunks_mut` pass would apply.
 //! * [`join`] runs two closures concurrently and returns both results in
 //!   argument order.
+//!
+//! Every parallel write lands in a **claimed piece**: the destination is split
+//! up front (`chunks_mut`, `iter_mut`) into pieces, each behind its own lock,
+//! and only the participant that claimed index `i` from the cursor takes
+//! piece `i`, once — so no lock is ever contended, and no code outside the
+//! pool needs `unsafe` (the crate root denies it).
 //!
 //! Execution happens on a **lazily-initialized persistent worker pool**
 //! (`pool`): workers are spawned once and parked between calls, so a
@@ -53,10 +59,13 @@
 //! ([`Budget::effective_threads`]); [`Budget::explicit`] is honored verbatim
 //! so tests can drive the pool oversubscribed.
 
+#![deny(unsafe_code)]
+
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
+#[allow(unsafe_code)] // the pool erases its job's lifetime; see its module docs
 mod pool;
 
 pub mod plan;
@@ -156,33 +165,43 @@ pub fn hardware_threads() -> usize {
 #[repr(align(64))]
 struct PaddedCursor(AtomicUsize);
 
-/// Raw pointer wrapper so worker threads can write disjoint output slots.
-/// Safety rests on the chunk claiming below: `fetch_add` hands each worker a
-/// half-open range no other worker ever sees, so every slot is written at
-/// most once and without overlap.
-struct SendSlots<U>(*mut U);
-unsafe impl<U: Send> Sync for SendSlots<U> {}
-
-/// Claims task indices `0..n_tasks` from a shared cursor across the caller
-/// and up to `helpers` pool workers. `task` must be safe to run for
-/// distinct indices concurrently; every index runs exactly once.
-fn run_indexed(helpers: usize, n_tasks: usize, task: impl Fn(usize) + Sync) {
-    let helpers = helpers.min(n_tasks.saturating_sub(1));
-    if helpers == 0 {
-        for i in 0..n_tasks {
-            task(i);
-        }
-        return;
+/// Runs `task(i, piece)` once for every piece `i` of a destination split up
+/// front (`chunks_mut`, `iter_mut`, zipped with its inputs), on the caller
+/// and up to `helpers` pool workers. Each piece sits behind its own lock;
+/// only the participant that claimed index `i` takes piece `i`, and only
+/// once, so no lock is ever contended. Participants claim positions of
+/// `order` (every index in turn when `None`) from one cursor; the caller
+/// takes position 0 itself, so it starts before any helper wakes and never
+/// loses that piece to a worker on wake-up timing. `task` is a trait
+/// object: one copy of this loop per piece type, not per closure.
+fn run_pieces<P: Send>(
+    helpers: usize,
+    pieces: impl IntoIterator<Item = P>,
+    order: Option<&[u32]>,
+    task: &(dyn Fn(usize, P) + Sync),
+) {
+    let pieces = pieces.into_iter();
+    let mut locks: Vec<Mutex<Option<P>>> = Vec::with_capacity(pieces.size_hint().0);
+    for piece in pieces {
+        locks.push(Mutex::new(Some(piece)));
     }
-    let cursor = PaddedCursor(AtomicUsize::new(0));
-    let work = || loop {
-        let i = cursor.0.fetch_add(1, Ordering::Relaxed);
-        if i >= n_tasks {
-            break;
-        }
-        task(i);
+    let at = |k: usize| match order {
+        Some(order) => order.get(k).map(|&i| i as usize),
+        None => Some(k),
     };
-    pool::run(helpers, &work);
+    let take =
+        |i: usize| Some((i, locks.get(i)?.lock().unwrap_or_else(|e| e.into_inner()).take()?));
+    let nested = pool::on_worker();
+    let cursor = PaddedCursor(AtomicUsize::new(1));
+    let work = || {
+        let claim = || cursor.0.fetch_add(1, Ordering::Relaxed);
+        let mut k = if pool::on_worker() && !nested { claim() } else { 0 };
+        while let Some((i, piece)) = at(k).and_then(take) {
+            task(i, piece);
+            k = claim();
+        }
+    };
+    pool::run(helpers.min(locks.len().saturating_sub(1)), &work);
 }
 
 /// Order-preserving parallel map: returns `f` applied to every item, in input
@@ -202,34 +221,16 @@ pub fn par_map_budget<T: Sync, U: Send>(
     if p.is_serial() || pool::on_worker() {
         return items.iter().map(f).collect();
     }
-    let chunk = p.chunk;
     let mut slots: Vec<Option<U>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    let cursor = PaddedCursor(AtomicUsize::new(0));
-    let out = SendSlots(slots.as_mut_ptr());
-    let work = || {
-        // Capture the whole wrapper, not its raw-pointer field (edition-2021
-        // closures capture disjoint fields by default, which would sidestep
-        // the `Sync` impl on `SendSlots`).
-        let out = &out;
-        loop {
-            let start = cursor.0.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + chunk).min(n);
-            for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                // SAFETY: `i` lies inside this participant's exclusively
-                // claimed range; no other thread writes slot `i`.
-                unsafe {
-                    *out.0.add(i) = Some(f(item));
-                }
-            }
+    let pieces = slots.chunks_mut(p.chunk).zip(items.chunks(p.chunk));
+    run_pieces(p.helpers, pieces, None, &|_, (out, items)| {
+        for (slot, item) in out.iter_mut().zip(items) {
+            *slot = Some(f(item));
         }
-    };
-    pool::run(p.helpers, &work);
-    // sjc-lint: allow(panic-path) — chunk claiming fills every slot; an empty one is a runtime bug this expect should surface loudly
-    slots.into_iter().map(|s| s.expect("chunk claiming covers every index exactly once")).collect()
+    });
+    // sjc-lint: allow(panic-path) — the pieces cover every slot and each is claimed once; an empty one is a runtime bug this expect should surface loudly
+    slots.into_iter().map(|s| s.expect("every piece is claimed exactly once")).collect()
 }
 
 /// Concatenates per-chunk buffers in slot order, recycling the emptied
@@ -259,35 +260,23 @@ fn lpt_sort(weights: &[u64], order: &mut Vec<u32>) {
     order.sort_by(|&a, &b| weights[b as usize].cmp(&weights[a as usize]).then(a.cmp(&b)));
 }
 
-/// Runs `task(i, &items[i])` once for every index `i`, heaviest `weight`
-/// first, on the caller and up to `helpers` pool workers. The caller takes
-/// the heaviest item itself: it starts before any helper wakes, and it
-/// never moves to a worker on wake-up timing. Helpers claim the rest one by
-/// one.
-fn run_lpt<T: Sync>(
+/// Runs `task` once on every piece, heaviest item first, on the caller and
+/// up to `helpers` pool workers: piece `i` belongs to `items[i]`, and
+/// [`run_pieces`] claims the pieces in [`lpt_sort`] order, so the caller
+/// takes the heaviest item itself and helpers claim the rest one by one.
+fn run_lpt<T, P: Send>(
     helpers: usize,
     items: &[T],
     weight: impl Fn(&T) -> u64,
-    task: impl Fn(usize, &T) + Sync,
+    pieces: impl IntoIterator<Item = P>,
+    task: &(dyn Fn(usize, P) + Sync),
 ) {
     let mut weights: Vec<u64> = scratch::take_vec();
     weights.extend(items.iter().map(weight));
     let mut order: Vec<u32> = scratch::take_vec();
     lpt_sort(&weights, &mut order);
     scratch::put_vec(weights);
-    let order_ref: &[u32] = &order;
-    let cursor = PaddedCursor(AtomicUsize::new(1));
-    let work = || {
-        let claim = || cursor.0.fetch_add(1, Ordering::Relaxed);
-        let mut k = if pool::on_worker() { claim() } else { 0 };
-        while let Some(&i) = order_ref.get(k) {
-            if let Some(item) = items.get(i as usize) {
-                task(i as usize, item);
-            }
-            k = claim();
-        }
-    };
-    pool::run(helpers, &work);
+    run_pieces(helpers, pieces, Some(&order), task);
     scratch::put_vec(order);
 }
 
@@ -319,14 +308,8 @@ pub fn par_map_weighted_budget<T: Sync, U: Send>(
     }
     let mut slots: Vec<Option<U>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    let out = SendSlots(slots.as_mut_ptr());
-    run_lpt(helpers, items, weight, |i, item| {
-        let out = &out; // capture the wrapper, not its raw-pointer field
-                        // SAFETY: `run_lpt` runs each index once, so slot `i` is written by
-                        // exactly one participant.
-        unsafe {
-            *out.0.add(i) = Some(f(item));
-        }
+    run_lpt(helpers, items, weight, slots.iter_mut().zip(items), &|_, (slot, item)| {
+        *slot = Some(f(item));
     });
     // sjc-lint: allow(panic-path) — the LPT order is a permutation, so every slot is filled exactly once
     slots.into_iter().map(|s| s.expect("LPT claiming covers every index exactly once")).collect()
@@ -362,16 +345,10 @@ fn par_map_flat_weighted_budget<T: Sync, U: Send + 'static>(
     }
     let mut bufs: Vec<Option<Vec<U>>> = Vec::with_capacity(n);
     bufs.resize_with(n, || None);
-    let out = SendSlots(bufs.as_mut_ptr());
-    run_lpt(helpers, items, weight, |i, item| {
-        let out = &out; // capture the wrapper, not its raw-pointer field
+    run_lpt(helpers, items, weight, bufs.iter_mut().zip(items), &|_, (slot, item)| {
         let mut buf = scratch::take_vec();
         f(item, &mut buf);
-        // SAFETY: `run_lpt` runs each index once, so buffer slot `i` is
-        // written by exactly one participant.
-        unsafe {
-            *out.0.add(i) = Some(buf);
-        }
+        *slot = Some(buf);
     });
     concat_buffers(bufs)
 }
@@ -389,65 +366,69 @@ fn par_sort_by_budget<T: Sync>(
     cmp: impl Fn(&T, &T) -> CmpOrdering + Sync,
 ) {
     let n = v.len();
-    let threads = budget.effective_threads();
-    if threads == 1 || n < SORT_MIN || n > u32::MAX as usize || pool::on_worker() {
+    if budget.effective_threads() == 1 || n < SORT_MIN || n > u32::MAX as usize || pool::on_worker()
+    {
         v.sort_by(cmp);
         return;
     }
     // Sort a permutation (u32 indices are cheap to merge), then apply it.
-    // Stability: chunk sorts use std's stable sort, and merges prefer the
-    // left (earlier-index) run on ties, so the permutation equals the one a
-    // serial stable sort would produce. The index and merge buffers come
-    // from the scratch arena — repeated sorts reuse their capacity.
-    let mut idx: Vec<u32> = scratch::take_vec();
-    idx.extend(0..n as u32);
+    // Its buffer comes from the scratch arena: repeated sorts reuse it.
+    let mut order: Vec<u32> = scratch::take_vec();
+    sorted_order(budget, v, cmp, &mut order);
+    permute(v, &mut order);
+    scratch::put_vec(order);
+}
+
+/// Fills `order` with the permutation that stably sorts `v` by `cmp`:
+/// `order[j]` is the index of the element a stable sort puts at `j`. Chunk
+/// sorts use std's stable sort and merges prefer the left (earlier-index)
+/// run on ties, so every thread count gives the permutation a serial stable
+/// sort would. `v.len()` must fit in a `u32`.
+fn sorted_order<T: Sync>(
+    budget: Budget,
+    v: &[T],
+    cmp: impl Fn(&T, &T) -> CmpOrdering + Sync,
+    order: &mut Vec<u32>,
+) {
+    let n = v.len();
+    order.clear();
+    order.extend(0..n as u32);
+    // sjc-lint: allow(panic-path) — `order` holds the indices 0..n of `v`
+    let by = |a: &u32, b: &u32| cmp(&v[*a as usize], &v[*b as usize]);
+    let threads = budget.effective_threads();
+    if threads == 1 || n < SORT_MIN || pool::on_worker() {
+        order.sort_by(by);
+        return;
+    }
+    let chunk = n.div_ceil(threads).max(MIN_SORT_CHUNK);
+    run_pieces(threads - 1, order.chunks_mut(chunk), None, &|_, piece| piece.sort_by(by));
     let mut buf: Vec<u32> = scratch::take_vec();
     buf.resize(n, 0);
-    let chunk = n.div_ceil(threads).max(MIN_SORT_CHUNK);
-
-    {
-        let n_chunks = n.div_ceil(chunk);
-        let base = SendSlots(idx.as_mut_ptr());
-        let vr: &[T] = v;
-        run_indexed(threads - 1, n_chunks, |ci| {
-            let base = &base; // capture the wrapper, not its raw-pointer field
-            let start = ci * chunk;
-            let len = chunk.min(n - start);
-            // SAFETY: chunk `ci` is claimed exactly once and the chunks are
-            // disjoint sub-ranges of `idx`.
-            let piece = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), len) };
-            // sjc-lint: allow(panic-path) — `idx` holds the permutation 0..n, always in bounds for `v`
-            piece.sort_by(|&a, &b| cmp(&vr[a as usize], &vr[b as usize]));
-        });
+    let mut width = chunk;
+    while width < n {
+        merge_round(order, &mut buf, width, &by, threads - 1);
+        std::mem::swap(order, &mut buf);
+        width *= 2;
     }
-
-    {
-        let mut width = chunk;
-        let mut src = &mut idx;
-        let mut dst = &mut buf;
-        while width < n {
-            merge_round(v, src, dst, width, &cmp, threads - 1);
-            std::mem::swap(&mut src, &mut dst);
-            width *= 2;
-        }
-        let perm: &[u32] = src;
-
-        // Apply the permutation by moving every element exactly once.
-        let mut moved: Vec<T> = Vec::with_capacity(n);
-        // SAFETY: `perm` is a permutation of 0..n (built from
-        // `(0..n).collect()` and only reordered), so each element is read
-        // exactly once, then the whole block is moved back and `moved` is
-        // emptied without dropping.
-        unsafe {
-            for &i in perm {
-                moved.push(std::ptr::read(v.as_ptr().add(i as usize)));
-            }
-            std::ptr::copy_nonoverlapping(moved.as_ptr(), v.as_mut_ptr(), n);
-            moved.set_len(0);
-        }
-    }
-    scratch::put_vec(idx);
     scratch::put_vec(buf);
+}
+
+/// Moves `v[order[j]]` to slot `j` for every `j` by following the
+/// permutation's cycles: each swap puts one element in its final slot, and
+/// `order[j] = j` marks slot `j` placed. `order` must be a permutation of
+/// `0..v.len()`; it is left as the identity.
+fn permute<T>(v: &mut [T], order: &mut [u32]) {
+    for i in 0..order.len() {
+        let mut j = i;
+        while let Some(slot) = order.get_mut(j) {
+            let k = std::mem::replace(slot, j as u32) as usize;
+            if k == i {
+                break;
+            }
+            v.swap(j, k);
+            j = k;
+        }
+    }
 }
 
 /// Pairs grouped by key, as [`par_group`] returns them: keys ascending, each
@@ -481,9 +462,10 @@ impl<K, V> Groups<K, V> {
 }
 
 /// Groups owned `(key, value)` pairs by key, the shuffle of both substrates
-/// (Hadoop's sort, Spark's `groupByKey`/`join`): a stable [`par_sort_by`] on
-/// the key alone, cut into runs. Keys come out ascending, each key's values
-/// in input order; that answer is unique, so every thread count gives it.
+/// (Hadoop's sort, Spark's `groupByKey`/`join`): [`par_sort_by`]'s stable
+/// sort on the key alone, cut into runs. Keys come out ascending, each
+/// key's values in input order; that answer is unique, so every thread
+/// count gives it.
 pub fn par_group<K: Ord + Sync, V: Sync>(pairs: Vec<(K, V)>) -> Groups<K, V> {
     par_group_budget(Budget::resolve(), pairs)
 }
@@ -494,29 +476,14 @@ fn par_group_budget<K: Ord + Sync, V: Sync>(
     mut pairs: Vec<(K, V)>,
 ) -> Groups<K, V> {
     let by_key = |a: &(K, V), b: &(K, V)| a.0.cmp(&b.0);
-    match u32::try_from(pairs.len()) {
+    if pairs.len() > u32::MAX as usize {
+        pairs.sort_by(by_key);
+    } else {
         // Sort a permutation, not the pairs: its scratch is 4 bytes a pair,
-        // not a copy of every pair. Then follow the permutation's cycles to
-        // move each pair to its slot; `order[j] = j` marks slot `j` placed.
-        Ok(n) => {
-            let mut order: Vec<u32> = (0..n).collect();
-            par_sort_by_budget(budget, &mut order, |&a, &b| {
-                // sjc-lint: allow(panic-path) — `order` holds the indices 0..n of `pairs`
-                by_key(&pairs[a as usize], &pairs[b as usize])
-            });
-            for i in 0..order.len() {
-                let mut j = i;
-                while let Some(slot) = order.get_mut(j) {
-                    let k = std::mem::replace(slot, j as u32) as usize;
-                    if k == i {
-                        break;
-                    }
-                    pairs.swap(j, k);
-                    j = k;
-                }
-            }
-        }
-        Err(_) => par_sort_by_budget(budget, &mut pairs, by_key), // past `u32` indices
+        // not a copy of every pair. Then move each pair into its slot.
+        let mut order = Vec::new();
+        sorted_order(budget, &pairs, by_key, &mut order);
+        permute(&mut pairs, &mut order);
     }
     // Cut into runs; std's in-place `collect` keeps the pairs' buffer.
     let mut keys: Vec<(K, usize)> = Vec::new();
@@ -533,46 +500,29 @@ fn par_group_budget<K: Ord + Sync, V: Sync>(
     Groups { keys, values }
 }
 
-/// One parallel round of pairwise run merges from `src` into `dst`.
-fn merge_round<T: Sync>(
-    v: &[T],
+/// One parallel round of pairwise run merges from `src` into `dst`: each
+/// `2 * width` piece of `dst` takes the merge of the two `width` runs of the
+/// same range of `src`.
+fn merge_round(
     src: &[u32],
     dst: &mut [u32],
     width: usize,
-    cmp: &(impl Fn(&T, &T) -> CmpOrdering + Sync),
+    cmp: &(impl Fn(&u32, &u32) -> CmpOrdering + Sync),
     helpers: usize,
 ) {
-    let n = src.len();
-    let n_merges = n.div_ceil(2 * width);
-    let base = SendSlots(dst.as_mut_ptr());
-    run_indexed(helpers, n_merges, |mi| {
-        let base = &base; // capture the wrapper, not its raw-pointer field
-        let start = mi * 2 * width;
-        let end = (start + 2 * width).min(n);
-        let mid = (start + width).min(n);
-        // SAFETY: merge `mi` is claimed exactly once and `start..end` ranges
-        // are disjoint sub-ranges of `dst`.
-        let out = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), end - start) };
-        // sjc-lint: allow(panic-path) — start ≤ mid ≤ end ≤ n = src.len() by the min() clamps above
-        let a = &src[start..mid];
-        // sjc-lint: allow(panic-path) — start ≤ mid ≤ end ≤ n = src.len() by the min() clamps above
-        let b = &src[mid..end];
-        merge_runs(v, a, b, out, cmp);
+    let pieces = dst.chunks_mut(2 * width).zip(src.chunks(2 * width));
+    run_pieces(helpers, pieces, None, &|_, (out, runs)| {
+        let (a, b) = runs.split_at(width.min(runs.len()));
+        merge_runs(a, b, out, cmp);
     });
 }
 
 /// Stable two-run merge: on ties the left run (earlier original index) wins.
-fn merge_runs<T>(
-    v: &[T],
-    a: &[u32],
-    b: &[u32],
-    out: &mut [u32],
-    cmp: &impl Fn(&T, &T) -> CmpOrdering,
-) {
+fn merge_runs(a: &[u32], b: &[u32], out: &mut [u32], cmp: &impl Fn(&u32, &u32) -> CmpOrdering) {
     let (mut i, mut j, mut k) = (0, 0, 0);
     while i < a.len() && j < b.len() {
-        // sjc-lint: allow(panic-path) — i/j are loop-bounded and a/b hold indices of the permutation 0..v.len()
-        if cmp(&v[a[i] as usize], &v[b[j] as usize]) != CmpOrdering::Greater {
+        // sjc-lint: allow(panic-path) — i/j are loop-bounded
+        if cmp(&a[i], &b[j]) != CmpOrdering::Greater {
             // sjc-lint: allow(panic-path) — k = i + j < a.len() + b.len() = out.len()
             out[k] = a[i];
             i += 1;
@@ -607,27 +557,15 @@ fn par_chunks_mut_budget<T: Send>(
     chunk: usize,
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
-    let n = v.len();
     let chunk = chunk.max(1);
-    let num_chunks = n.div_ceil(chunk);
     let threads = budget.effective_threads();
-    if threads == 1 || num_chunks <= 1 || pool::on_worker() {
+    if threads == 1 || v.len() <= chunk || pool::on_worker() {
         for (i, c) in v.chunks_mut(chunk).enumerate() {
             f(i, c);
         }
         return;
     }
-    let base = SendSlots(v.as_mut_ptr());
-    run_indexed(threads - 1, num_chunks, |i| {
-        let base = &base; // capture the wrapper, not its raw-pointer field
-        let start = i * chunk;
-        let len = chunk.min(n - start);
-        // SAFETY: chunk index `i` is claimed by exactly one participant
-        // and chunks are disjoint sub-ranges of `v`, so this &mut slice
-        // never aliases another's.
-        let piece = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), len) };
-        f(i, piece);
-    });
+    run_pieces(threads - 1, v.chunks_mut(chunk), None, &f);
 }
 
 /// Runs two closures concurrently (when the budget allows) and returns both
@@ -652,7 +590,6 @@ fn join_budget<A: Send, B: Send>(
     // most one pool helper split them; with no free helper the caller just
     // runs both. The result slots are written by whichever participant
     // claimed each half — argument order is restored on return.
-    use std::sync::Mutex;
     let fa_slot = Mutex::new(Some(fa));
     let fb_slot = Mutex::new(Some(fb));
     let ra: Mutex<Option<A>> = Mutex::new(None);
@@ -791,6 +728,35 @@ mod tests {
                 |_| pool::on_worker(),
             );
             assert!(!on_worker[1], "{on_worker:?}");
+        }
+    }
+
+    /// A panicking item re-raises on the caller through every map's pieces,
+    /// and the very next call at the same budget returns the serial answer:
+    /// no piece or lock of the failed call outlives it.
+    #[test]
+    fn a_panicking_item_re_raises_and_the_next_call_is_whole() {
+        let b = Budget::explicit(2);
+        let raises = |call: &mut dyn FnMut()| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).is_err()
+        };
+        let boom = |x: u64| if x == 4321 { panic!("item {x}") } else { x.wrapping_mul(3) };
+        let items: Vec<u64> = (0..5000).collect();
+        let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(3)).collect();
+        for _ in 0..3 {
+            assert!(raises(&mut || drop(par_map_budget(b, &items, |&x| boom(x)))));
+            assert_eq!(par_map_budget(b, &items, |&x| x.wrapping_mul(3)), serial);
+            assert!(raises(&mut || drop(par_map_weighted_budget(b, &items, |&x| x, |&x| boom(x)))));
+            assert_eq!(par_map_weighted_budget(b, &items, |&x| x, |&x| x.wrapping_mul(3)), serial);
+            let mut v = items.clone();
+            assert!(raises(&mut || {
+                par_chunks_mut_budget(b, &mut v, 64, |_, c| {
+                    c.iter_mut().for_each(|x| *x = boom(*x))
+                })
+            }));
+            let mut v = items.clone();
+            par_chunks_mut_budget(b, &mut v, 64, |_, c| c.iter_mut().for_each(|x| *x *= 3));
+            assert_eq!(v, serial);
         }
     }
 

@@ -13,9 +13,9 @@
 //! The pool never decides *what* a result is — only *who* computes it.
 //! A job is one lifetime-erased claim-loop closure; every participant
 //! (helpers and the submitting caller alike) runs the same loop, which
-//! claims chunk ranges from an atomic cursor and writes results into
-//! caller-owned, index-addressed slots. Which thread claims which chunk
-//! varies run to run; the slot a result lands in never does. All
+//! claims piece indices from an atomic cursor and writes results into the
+//! caller-owned piece it claimed. Which thread claims which piece varies
+//! run to run; the slot a result lands in never does. All
 //! 1-vs-8-thread bit-identity guarantees therefore hold exactly as they did
 //! under scoped spawning.
 //!
