@@ -156,11 +156,44 @@ fn faulted_runs(out: &mut String) {
     }
 }
 
+/// (d) Crash-only runs on EC2-8: node 2 crashes at `k/40` of the system's
+/// fault-free `total_ns`, with and without checkpoints. These reach the
+/// crash-recovery paths the heavy plan never fires: a Hadoop job's
+/// `CheckpointRestore`, Spark's `StageResubmit` and a lineage recompute
+/// truncated at a checkpoint.
+fn crash_runs(out: &mut String) {
+    let (mut l, mut r) = Workload::taxi1m_nycb().prepare(1e-4, SEED);
+    l.multiplier = 1.0;
+    r.multiplier = 1.0;
+    let cfg = ClusterConfig::ec2(8);
+    for (label, k, checkpoints) in [
+        ("SpatialHadoop", 39, false),
+        ("SpatialHadoop", 31, true),
+        ("SpatialSpark", 22, true),
+        ("SpatialSpark", 30, false),
+    ] {
+        for sys in &only(&[label]) {
+            let base = sys.1.run(&Cluster::new(cfg.clone()), &l, &r, JoinPredicate::Intersects);
+            let base = base.expect("fault-free EC2-8 run completes").trace.total_ns();
+            let mut plan = FaultPlan::seeded(7, &cfg).crash_at(2, base * k / 40);
+            let mut name = format!("crash_at(2, {k}/40)");
+            if checkpoints {
+                plan = plan.with_checkpoints(2, 3);
+                name.push_str(" + checkpoints(2, 3)");
+            }
+            writeln!(out, "## taxi1m-nycb @ 1e-4 x1 on EC2-8, seeded(7) {name}").unwrap();
+            let cluster = Cluster::with_faults(cfg.clone(), plan);
+            run_ledger(out, sys, &cluster, (&l, &r), JoinPredicate::Intersects);
+        }
+    }
+}
+
 fn ledger() -> String {
     let mut out = String::new();
     configurations(&mut out);
     failures(&mut out);
     faulted_runs(&mut out);
+    crash_runs(&mut out);
     out
 }
 

@@ -131,11 +131,52 @@ fn faulted_run(inputs: &Inputs, out: &mut String) {
     }
 }
 
+/// (d) A crash-only, checkpointed run on the same inputs: node 2 crashes at
+/// 18/40 of the fault-free `total_ns`, inside a MapReduce job whose
+/// recovery restores from a checkpoint. Every stage and every event.
+fn crash_run(inputs: &Inputs, out: &mut String) {
+    let (mut l, mut r) = inputs.faulted.clone();
+    l.multiplier = 1.0;
+    r.multiplier = 1.0;
+    let cfg = ClusterConfig::ec2(8);
+    let base = HadoopGis::default()
+        .run(&Cluster::new(cfg.clone()), &l, &r, JoinPredicate::Intersects)
+        .expect("HadoopGIS completes fault-free at multiplier 1")
+        .trace
+        .total_ns();
+    let plan = FaultPlan::seeded(7, &cfg).crash_at(2, base * 18 / 40).with_checkpoints(2, 3);
+    writeln!(
+        out,
+        "## taxi1m-nycb @ 1e-4 x1 on EC2-8, seeded(7) crash_at(2, 18/40) + checkpoints(2, 3)"
+    )
+    .unwrap();
+    match HadoopGis::default().run(
+        &Cluster::with_faults(cfg, plan),
+        &l,
+        &r,
+        JoinPredicate::Intersects,
+    ) {
+        Ok(run) => {
+            writeln!(out, "total_sim_ns {}", run.trace.total_ns()).unwrap();
+            for s in &run.trace.stages {
+                writeln!(out, "{s:?}").unwrap();
+            }
+            for e in &run.trace.recovery {
+                writeln!(out, "{e:?}").unwrap();
+            }
+            let pairs = run.sorted_pairs();
+            writeln!(out, "pairs {} fnv1a {:016x}", pairs.len(), pair_hash(&pairs)).unwrap();
+        }
+        Err(e) => writeln!(out, "{e:?}").unwrap(),
+    }
+}
+
 fn ledger(inputs: &Inputs) -> String {
     let mut out = String::new();
     stage_ledgers(inputs, &mut out);
     broken_pipes(inputs, &mut out);
     faulted_run(inputs, &mut out);
+    crash_run(inputs, &mut out);
     out
 }
 
