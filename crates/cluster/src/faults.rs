@@ -76,17 +76,6 @@ pub struct NodeCrash {
     pub at_ns: SimNs,
 }
 
-/// One scheduled graceful decommission: the node stops accepting task
-/// launches at `at_ns`, already-running tasks drain to completion, and no
-/// data is lost (the operator re-balanced replicas before pulling the
-/// node). The controlled counterpart of a [`NodeCrash`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeDecommission {
-    pub node: u32,
-    /// Absolute simulated time after which the node launches nothing new.
-    pub at_ns: SimNs,
-}
-
 /// Checkpointing policy: how often completed stage/wave output is persisted
 /// to HDFS, and at what replication. Checkpoints bound recovery work —
 /// Spark's lineage recompute truncates at the last durable checkpoint, and
@@ -142,8 +131,6 @@ pub struct FaultPlan {
     pub retry_backoff_base_ns: SimNs,
     /// Scheduled crashes, in schedule order.
     pub crashes: Vec<NodeCrash>,
-    /// Scheduled graceful decommissions, in schedule order.
-    pub decommissions: Vec<NodeDecommission>,
     /// Checkpointing policy (disabled by default).
     pub checkpoint: CheckpointPolicy,
     /// Base of the jittered replacement-node provisioning delay. `0`
@@ -198,7 +185,6 @@ impl FaultPlan {
             straggler_slowdown: 1.0,
             retry_backoff_base_ns: RETRY_BACKOFF_BASE_NS,
             crashes: Vec::new(),
-            decommissions: Vec::new(),
             checkpoint: CheckpointPolicy::disabled(),
             provision_delay_base_ns: 0,
         }
@@ -207,7 +193,7 @@ impl FaultPlan {
     /// An empty plan bound to a cluster; compose faults with the builder
     /// methods ([`Self::crash_at`], [`Self::with_disk_errors`], [`Self::with_stragglers`],
     /// [`Self::with_retry_backoff`], [`Self::with_checkpoints`],
-    /// [`Self::with_elastic_provisioning`], [`Self::decommission_at`]).
+    /// [`Self::with_elastic_provisioning`]).
     pub fn seeded(seed: u64, config: &ClusterConfig) -> Self {
         FaultPlan {
             seed,
@@ -217,7 +203,6 @@ impl FaultPlan {
             straggler_slowdown: 1.0,
             retry_backoff_base_ns: RETRY_BACKOFF_BASE_NS,
             crashes: Vec::new(),
-            decommissions: Vec::new(),
             checkpoint: CheckpointPolicy::disabled(),
             provision_delay_base_ns: 0,
         }
@@ -278,25 +263,14 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a graceful decommission of `node` at absolute simulated
-    /// `at_ns`: from then on the node launches no new tasks, but running
-    /// tasks drain and no replicas or map output are lost.
-    // sjc-lint: allow(dead-pub) — `decommission_drains_gracefully_at_system_level` in tests/fault_recovery.rs drives the decommission path with it
-    pub fn decommission_at(mut self, node: u32, at_ns: SimNs) -> Self {
-        let node = if self.nodes > 0 { node % self.nodes } else { node };
-        self.decommissions.push(NodeDecommission { node, at_ns });
-        self
-    }
-
     /// True iff this plan can never inject a fault *and* never charges any
     /// fault-subsystem cost. The fast path every engine takes before
     /// touching fault machinery. An enabled checkpoint policy costs time
-    /// even in a fault-free run (the writes themselves), and a scheduled
-    /// decommission reshapes capacity, so both force the event path; a bare
-    /// provisioning delay does not (no crashes → no replacements).
+    /// even in a fault-free run (the writes themselves), so it forces the
+    /// event path; a bare provisioning delay does not (no crashes → no
+    /// replacements).
     pub fn is_none(&self) -> bool {
         self.crashes.is_empty()
-            && self.decommissions.is_empty()
             && self.disk_error_rate <= 0.0
             && self.straggler_rate <= 0.0
             && !self.checkpoint.enabled()
@@ -395,11 +369,6 @@ impl FaultPlan {
             return None;
         }
         self.crash_ns(node).map(|c| c.saturating_add(self.provision_delay_ns(node)))
-    }
-
-    /// Earliest decommission time of `node`, if any is scheduled.
-    pub fn decommission_ns(&self, node: u32) -> Option<SimNs> {
-        self.decommissions.iter().filter(|d| d.node == node).map(|d| d.at_ns).min()
     }
 }
 
@@ -539,17 +508,6 @@ mod tests {
         let idle = FaultPlan::seeded(23, &ec2()).with_elastic_provisioning(1_000);
         assert!(idle.is_none());
         assert_eq!(idle.replacement_ready_ns(3), None);
-    }
-
-    #[test]
-    fn decommission_schedule_queries() {
-        let p = FaultPlan::seeded(9, &ec2()).decommission_at(2, 500).decommission_at(2, 300);
-        assert_eq!(p.decommission_ns(2), Some(300));
-        assert_eq!(p.decommission_ns(3), None);
-        // Decommissions reshape capacity, so they leave the fast path…
-        assert!(!p.is_none());
-        // …but never count as *dead*: no replicas or map output are lost.
-        assert!(p.dead_nodes_at(u64::MAX).is_empty());
     }
 
     #[test]

@@ -84,9 +84,6 @@ pub enum RecoveryKind {
     /// A replacement node came online `delay_ns` after `node` crashed and
     /// actually ran work (elastic re-scheduling regained the capacity).
     NodeReplaced { node: u32, delay_ns: SimNs },
-    /// `node` was gracefully decommissioned: it launched nothing new after
-    /// its drain point, running tasks completed, and no data was lost.
-    Decommission { node: u32 },
 }
 
 /// A recovery event: what happened, in which stage, and what it cost.

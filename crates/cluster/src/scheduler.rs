@@ -105,16 +105,12 @@ fn scaled(base: SimNs, factor: f64) -> SimNs {
 /// lazily discarded for good; slots alive at `free` but dead by `ready`
 /// (a retry of a task the crash itself killed) are kept for tasks with
 /// earlier ready times. `last_dead` remembers the most recent casualty for
-/// error reporting. A gracefully decommissioned node launches nothing at or
-/// after its drain point: such slots are likewise discarded for good (the
-/// drained node is recorded in `drained`), or kept for earlier-ready tasks
-/// when only this attempt's `ready` pushes the launch past the drain.
+/// error reporting.
 fn pop_live(
     heap: &mut BinaryHeap<Reverse<(SimNs, u32)>>,
     slots_per_node: u32,
     plan: &FaultPlan,
     last_dead: &mut u32,
-    drained: &mut Vec<u32>,
     ready: SimNs,
 ) -> Option<(SimNs, u32)> {
     // Called once per attempt (the wave loop's hottest edge): the stash
@@ -129,17 +125,10 @@ fn pop_live(
                 *last_dead = node;
                 stash.push((free, sid));
             }
-            _ => match plan.decommission_ns(node) {
-                Some(d) if d <= free => {
-                    *last_dead = node;
-                    drained.push(node);
-                }
-                Some(d) if d <= free.max(ready) => stash.push((free, sid)),
-                _ => {
-                    found = Some((free, sid));
-                    break;
-                }
-            },
+            _ => {
+                found = Some((free, sid));
+                break;
+            }
         }
     }
     heap.extend(stash.drain(..).map(Reverse));
@@ -170,11 +159,7 @@ fn pop_live(
 ///   replacement whose slots come online a jittered
 ///   [`FaultPlan::provision_delay_ns`] after the crash; replacements never
 ///   crash themselves, and each one that actually runs work emits
-///   [`RecoveryKind::NodeReplaced`];
-/// * **graceful decommission** — a node past its
-///   [`FaultPlan::decommission_ns`] drain point launches nothing new;
-///   running tasks complete, no output is lost, and the drained node emits
-///   [`RecoveryKind::Decommission`].
+///   [`RecoveryKind::NodeReplaced`].
 ///
 /// With `FaultPlan::none()` its makespan is exactly `lpt_makespan`'s
 /// (asserted by tests), though it still meters one attempt per task. The
@@ -209,8 +194,8 @@ pub fn faulty_makespan(
         (0..nodes * slots_per_node).map(|sid| Reverse((start_ns, sid))).collect();
 
     // Elastic re-scheduling: the k-th distinct crashed node's replacement
-    // gets node id `nodes + k` (so `crash_ns`/`decommission_ns` — which only
-    // ever name original nodes — answer None: replacements never die), with
+    // gets node id `nodes + k` (so `crash_ns` — which only ever names
+    // original nodes — answers None: replacements never die), with
     // slots coming online after the jittered provisioning delay.
     let mut crashed_nodes: Vec<u32> = Vec::new();
     if plan.provision_delay_base_ns > 0 {
@@ -231,14 +216,12 @@ pub fn faulty_makespan(
     let mut replacement_used: Vec<bool> = vec![false; crashed_nodes.len()];
 
     let mut last_dead: u32 = 0;
-    // Per-wave vectors are scratch-recycled: the fault-sweep experiments run
-    // thousands of waves, each of which used to allocate these afresh. An
-    // early error return skips the `put` — the buffer then just drops.
-    let mut drained: Vec<u32> = sjc_par::scratch::take_vec();
     let mut end = start_ns;
     // Events are recorded stage-less inside the wave loop (hot path: one
     // entry per retry/speculation) and materialized with the stage name
     // once, after the loop — the wave loop itself never allocates strings.
+    // The buffer is scratch-recycled, as a fault sweep runs thousands of
+    // waves; an early error return skips the `put` and the buffer just drops.
     let mut wave_events: Vec<(RecoveryKind, SimNs)> = sjc_par::scratch::take_vec();
 
     for &(base, idx) in &order {
@@ -251,14 +234,8 @@ pub fn faulty_makespan(
         // Kills still terminate: each one permanently removes a slot, so
         // the pool drains to NodeLost.
         loop {
-            let (free, sid) = match pop_live(
-                &mut heap,
-                slots_per_node,
-                plan,
-                &mut last_dead,
-                &mut drained,
-                ready,
-            ) {
+            let (free, sid) = match pop_live(&mut heap, slots_per_node, plan, &mut last_dead, ready)
+            {
                 Some(s) => s,
                 None => {
                     // sjc-lint: allow(hot-alloc) — cold error return: allocates once, then the run is over
@@ -321,7 +298,7 @@ pub fn faulty_makespan(
             let mut primary_free = fin;
             if factor >= SPECULATION_THRESHOLD {
                 if let Some((b_free, b_sid)) =
-                    pop_live(&mut heap, slots_per_node, plan, &mut last_dead, &mut drained, ready)
+                    pop_live(&mut heap, slots_per_node, plan, &mut last_dead, ready)
                 {
                     let b_node = b_sid / slots_per_node;
                     if let Some(used) =
@@ -370,18 +347,13 @@ pub fn faulty_makespan(
         }
     }
 
-    // Elasticity and drain bookkeeping, appended in node order after the
+    // Elasticity bookkeeping, appended in node order after the
     // per-task events so the ledger stays a pure function of the inputs.
     for (k, &orig) in crashed_nodes.iter().enumerate() {
         if replacement_used.get(k).copied().unwrap_or(false) {
             let delay_ns = plan.provision_delay_ns(orig);
             wave_events.push((RecoveryKind::NodeReplaced { node: orig, delay_ns }, 0));
         }
-    }
-    drained.sort_unstable();
-    drained.dedup();
-    for &node in &drained {
-        wave_events.push((RecoveryKind::Decommission { node }, 0));
     }
 
     // Materialize the wave's events: the stage name is attached here, once
@@ -391,7 +363,6 @@ pub fn faulty_makespan(
         .map(|(kind, wasted_ns)| RecoveryEvent { stage: stage.to_string(), kind, wasted_ns })
         .collect();
     sjc_par::scratch::put_vec(wave_events);
-    sjc_par::scratch::put_vec(drained);
     sjc_par::scratch::put_vec(order);
 
     // Map-output loss: a node that died within this wave takes the outputs
@@ -677,25 +648,5 @@ mod tests {
         let s_late = faulty_makespan(&tasks, 2, 4, &late, "map", 0, false).unwrap();
         assert_eq!(s_late.makespan, s_dead.makespan);
         assert!(!s_late.events.iter().any(|e| matches!(e.kind, RecoveryKind::NodeReplaced { .. })));
-    }
-
-    #[test]
-    fn decommission_drains_without_killing_or_losing_data() {
-        // Node 3 drains at t=1500: tasks already running complete (no
-        // NodeCrash, no waste), but nothing new launches there afterwards.
-        let tasks = vec![1_000u64; 24];
-        let p = plan().decommission_at(3, 1_500);
-        let s = faulty_makespan(&tasks, 2, 4, &p, "map", 0, true).unwrap();
-        let baseline = faulty_makespan(&tasks, 2, 4, &FaultPlan::none(), "map", 0, true).unwrap();
-        assert!(s.makespan > baseline.makespan, "lost capacity costs wall time");
-        assert_eq!(s.wasted_ns, 0, "a drain wastes no work");
-        assert_eq!(s.attempts, tasks.len() as u64, "no retries, no re-runs");
-        assert!(s.events.iter().any(|e| matches!(e.kind, RecoveryKind::Decommission { node: 3 })));
-        assert!(
-            !s.events.iter().any(|e| matches!(e.kind, RecoveryKind::MapRerun { .. })),
-            "drained output is not lost"
-        );
-        // Work that completed on node 3 before the drain keeps its output.
-        assert!(s.task_nodes.contains(&3), "the node worked before draining");
     }
 }

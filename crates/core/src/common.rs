@@ -72,10 +72,7 @@ pub fn local_join(
         + stats.index_nodes_visited * engine.filter_cost_ns();
 
     // Built once, before refinement, and read by both paths below.
-    let chunks = match predicate {
-        JoinPredicate::Intersects => right_chunks(right, &pairs),
-        JoinPredicate::Within => ChunkEnvelopes::default(),
-    };
+    let chunks = right_chunks(right, &pairs);
 
     // De-dup first: a candidate this partition does not report is still
     // charged its refinement — the modelled systems refine, then

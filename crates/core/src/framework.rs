@@ -23,8 +23,6 @@ pub enum JoinPredicate {
     /// experiments (point-in-polygon is point∩polygon; polyline-with-
     /// polyline is polyline∩polyline).
     Intersects,
-    /// Left geometry contained in right geometry.
-    Within,
 }
 
 impl JoinPredicate {
@@ -36,10 +34,7 @@ impl JoinPredicate {
         left: &Geometry,
         right: &Geometry,
     ) -> (bool, u64) {
-        match self {
-            JoinPredicate::Intersects => engine.intersects(left, right),
-            JoinPredicate::Within => engine.contains(right, left),
-        }
+        engine.intersects(left, right)
     }
 
     /// [`evaluate`](JoinPredicate::evaluate) on two join records, handing the
@@ -54,16 +49,11 @@ impl JoinPredicate {
         right: &GeoRecord,
         right_chunks: &[Mbr],
     ) -> (bool, u64) {
-        match self {
-            JoinPredicate::Intersects => {
-                let chunks = match right_chunks {
-                    [] => std::slice::from_ref(&right.mbr),
-                    chunks => chunks,
-                };
-                engine.intersects_hinted(&left.geom, &left.mbr, &right.geom, chunks)
-            }
-            JoinPredicate::Within => self.evaluate(engine, &left.geom, &right.geom),
-        }
+        let chunks = match right_chunks {
+            [] => std::slice::from_ref(&right.mbr),
+            chunks => chunks,
+        };
+        engine.intersects_hinted(&left.geom, &left.mbr, &right.geom, chunks)
     }
 
     /// The simulated cost [`evaluate_records`](JoinPredicate::evaluate_records)
@@ -268,6 +258,7 @@ pub struct JoinOutput {
 
 impl JoinOutput {
     /// Pairs sorted for set comparison.
+    // sjc-lint: allow(dead-pub) — the result-set comparisons of tests/systems_agreement.rs, tests/fault_recovery.rs and both ledger tests
     pub fn sorted_pairs(mut self) -> Vec<(u64, u64)> {
         self.pairs.sort_unstable();
         self.pairs
@@ -350,10 +341,9 @@ mod tests {
         let p_out = Geometry::Point(Point::new(5.0, 5.0));
         assert!(JoinPredicate::Intersects.evaluate(&jts, &p_in, &poly()).0);
         assert!(!JoinPredicate::Intersects.evaluate(&jts, &p_out, &poly()).0);
-        assert!(JoinPredicate::Within.evaluate(&jts, &p_in, &poly()).0);
     }
 
-    /// Every predicate x engine x pair of these records.
+    /// Every engine x pair of these records.
     fn each_case(mut check: impl FnMut(JoinPredicate, &GeometryEngine, &GeoRecord, &GeoRecord)) {
         let line = |pts: &[(f64, f64)]| {
             Geometry::LineString(LineString::new(
@@ -368,11 +358,9 @@ mod tests {
             GeoRecord::new(4, poly()),
         ];
         for engine in [GeometryEngine::jts(), GeometryEngine::geos()] {
-            for p in [JoinPredicate::Intersects, JoinPredicate::Within] {
-                for l in &recs {
-                    for r in &recs {
-                        check(p, &engine, l, r);
-                    }
+            for l in &recs {
+                for r in &recs {
+                    check(JoinPredicate::Intersects, &engine, l, r);
                 }
             }
         }

@@ -39,7 +39,6 @@ use sjc_cluster::metrics::Phase;
 use sjc_cluster::{Cluster, CostModel, StageKind, StageTrace};
 use sjc_geom::{EngineKind, GeometryEngine, Mbr, Point};
 use sjc_index::partition::{bsp_cells, CellLocator};
-use sjc_mapreduce::job::ScaleMode;
 use sjc_mapreduce::{block_splits, JobConfig, JobWork, TextLen};
 
 use crate::common::{local_join, LocalJoinAlgo};
@@ -343,9 +342,7 @@ impl HadoopGis {
         // refinement factor (GEOS = 4x is the calibrated baseline).
         let script_factor = 0.4 + 0.6 * (geos.kind().refinement_factor() / 4.0);
         let cfg = JobConfig::new("distributed join (streaming MR)", Phase::DistributedJoin, mult)
-            .map_scale(ScaleMode::MoreTasks)
-            .script_reducer(true)
-            .script_cost_factor(script_factor);
+            .script_reducer(script_factor);
         let local_algo = self.local_algo;
         let (job, lines) = JobWork::map_reduce_lines(
             cost,

@@ -280,7 +280,6 @@ pub fn recovery_string(traces: &[RunTrace]) -> String {
         let mut ckpt_restored = 0u64;
         let mut replaced = 0u64;
         let mut replace_ns = 0u64;
-        let mut drained = 0u64;
         for e in &trace.recovery {
             match e.kind {
                 RecoveryKind::TaskRetry { .. } => {
@@ -312,7 +311,6 @@ pub fn recovery_string(traces: &[RunTrace]) -> String {
                     replaced += 1;
                     replace_ns += delay_ns;
                 }
-                RecoveryKind::Decommission { .. } => drained += 1,
             }
         }
         let _ = writeln!(
@@ -343,12 +341,11 @@ pub fn recovery_string(traces: &[RunTrace]) -> String {
                 human_bytes(ckpt_restored)
             );
         }
-        if replaced > 0 || drained > 0 {
+        if replaced > 0 {
             let _ = writeln!(
                 out,
-                "  elastic reschedules   {:>6}   ({replaced} nodes replaced after {:.1}s avg provision, {drained} drained)",
-                replaced + drained,
-                if replaced > 0 { replace_ns as f64 / 1e9 / replaced as f64 } else { 0.0 }
+                "  elastic reschedules   {replaced:>6}   ({replaced} nodes replaced after {:.1}s avg provision)",
+                replace_ns as f64 / 1e9 / replaced as f64
             );
         }
         let event_waste: u64 = trace.recovery.iter().map(|e| e.wasted_ns).sum();

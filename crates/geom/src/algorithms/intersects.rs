@@ -42,7 +42,7 @@ use crate::algorithms::point_in_polygon::point_in_polygon;
 use crate::linestring::LineString;
 use crate::mbr::Mbr;
 use crate::point::Point;
-use crate::polygon::Polygon;
+use crate::polygon::{ring_edges, Polygon};
 use crate::predicates::segments_intersect;
 
 /// Segments per chunk envelope. On `polyline_1t`, 4 was slower and 16 no
@@ -217,12 +217,10 @@ pub fn polygon_intersects_linestring(poly: &Polygon, line: &LineString) -> bool 
     if !poly.mbr().intersects(&line.mbr()) {
         return false;
     }
-    for ring in poly.all_rings() {
-        for (a, b) in crate::polygon::ring_edges(ring) {
-            for (q1, q2) in line.segments() {
-                if segments_intersect(a, b, q1, q2) {
-                    return true;
-                }
+    for (a, b) in ring_edges(poly.shell()) {
+        for (q1, q2) in line.segments() {
+            if segments_intersect(a, b, q1, q2) {
+                return true;
             }
         }
     }
@@ -237,14 +235,10 @@ pub fn polygons_intersect(a: &Polygon, b: &Polygon) -> bool {
     if !a.mbr().intersects(&b.mbr()) {
         return false;
     }
-    for ring_a in a.all_rings() {
-        for (p1, p2) in crate::polygon::ring_edges(ring_a) {
-            for ring_b in b.all_rings() {
-                for (q1, q2) in crate::polygon::ring_edges(ring_b) {
-                    if segments_intersect(p1, p2, q1, q2) {
-                        return true;
-                    }
-                }
+    for (p1, p2) in ring_edges(a.shell()) {
+        for (q1, q2) in ring_edges(b.shell()) {
+            if segments_intersect(p1, p2, q1, q2) {
+                return true;
             }
         }
     }

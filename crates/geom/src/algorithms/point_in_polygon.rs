@@ -4,16 +4,9 @@ use crate::point::Point;
 use crate::polygon::Polygon;
 use crate::predicates::{on_segment, orientation, Orientation};
 
-/// Where a point lies relative to a ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RingSide {
-    Inside,
-    Outside,
-    OnBoundary,
-}
-
-/// Crossing-number test of `p` against an unclosed ring.
-fn point_in_ring(ring: &[Point], p: &Point) -> RingSide {
+/// Crossing-number test of `p` against an unclosed ring: inside or on the
+/// boundary.
+fn point_in_ring(ring: &[Point], p: &Point) -> bool {
     let mut inside = false;
     for (a, b) in crate::polygon::ring_edges(ring) {
         // Only an edge whose y-extent reaches `p` can hold it or cross its
@@ -26,7 +19,7 @@ fn point_in_ring(ring: &[Point], p: &Point) -> RingSide {
         }
         // Boundary check first: within the edge's extent and collinear.
         if on_segment(a, b, p) && orientation(a, b, p) == Orientation::Collinear {
-            return RingSide::OnBoundary;
+            return true;
         }
         // Standard ray-casting parity rule: count edges crossing the
         // horizontal ray to +infinity. The half-open test (one endpoint
@@ -39,33 +32,15 @@ fn point_in_ring(ring: &[Point], p: &Point) -> RingSide {
             }
         }
     }
-    if inside {
-        RingSide::Inside
-    } else {
-        RingSide::Outside
-    }
+    inside
 }
 
-/// Whether `p` lies inside `poly` (boundary counts as inside, holes count
-/// as outside, hole boundaries count as inside).
+/// Whether `p` lies inside `poly` (boundary counts as inside).
 ///
 /// This is the refinement predicate of the paper's first experiment:
 /// assigning each taxi pickup to the census block containing it.
 pub fn point_in_polygon(poly: &Polygon, p: &Point) -> bool {
-    match point_in_ring(poly.shell(), p) {
-        RingSide::Outside => false,
-        RingSide::OnBoundary => true,
-        RingSide::Inside => {
-            for hole in poly.holes() {
-                match point_in_ring(hole, p) {
-                    RingSide::Inside => return false,
-                    RingSide::OnBoundary => return true,
-                    RingSide::Outside => {}
-                }
-            }
-            true
-        }
-    }
+    point_in_ring(poly.shell(), p)
 }
 
 #[cfg(test)]
@@ -109,17 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn hole_excludes_interior() {
-        let donut = Polygon::with_holes(
-            pts(&[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]),
-            vec![pts(&[(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)])],
-        );
-        assert!(!point_in_polygon(&donut, &Point::new(2.0, 2.0)), "inside hole");
-        assert!(point_in_polygon(&donut, &Point::new(0.5, 0.5)), "between shell and hole");
-        assert!(point_in_polygon(&donut, &Point::new(1.0, 2.0)), "on hole boundary");
-    }
-
-    #[test]
     fn concave_polygon() {
         // A "U" shape: the notch is outside.
         let u = Polygon::new(pts(&[
@@ -144,13 +108,13 @@ mod tests {
         // them: no edges, one degenerate edge, and a segment walked both
         // ways (two crossings, even parity).
         let p = Point::new(0.5, 0.5);
-        assert_eq!(point_in_ring(&[], &p), RingSide::Outside);
-        assert_eq!(point_in_ring(&[p], &p), RingSide::OnBoundary);
-        assert_eq!(point_in_ring(&pts(&[(0.0, 0.0)]), &p), RingSide::Outside);
+        assert!(!point_in_ring(&[], &p));
+        assert!(point_in_ring(&[p], &p), "on its one vertex");
+        assert!(!point_in_ring(&pts(&[(0.0, 0.0)]), &p));
         let seg = pts(&[(0.0, 0.0), (1.0, 1.0)]);
-        assert_eq!(point_in_ring(&seg, &p), RingSide::OnBoundary);
-        assert_eq!(point_in_ring(&seg, &Point::new(0.5, 0.25)), RingSide::Outside);
-        assert_eq!(point_in_ring(&seg, &Point::new(-1.0, 0.5)), RingSide::Outside);
+        assert!(point_in_ring(&seg, &p), "on the segment");
+        assert!(!point_in_ring(&seg, &Point::new(0.5, 0.25)));
+        assert!(!point_in_ring(&seg, &Point::new(-1.0, 0.5)));
     }
 
     #[test]

@@ -104,12 +104,6 @@ impl GeometryEngine {
         let cost = self.refine_cost_ns(a.num_vertices() + b.num_vertices());
         (a.intersects_hinted(a_mbr, b, b_chunks), cost)
     }
-
-    /// Exact `contains` refinement plus its simulated cost.
-    pub fn contains(&self, a: &Geometry, b: &Geometry) -> (bool, u64) {
-        let cost = self.refine_cost_ns(a.num_vertices() + b.num_vertices());
-        (a.contains(b), cost)
-    }
 }
 
 #[cfg(test)]

@@ -16,66 +16,40 @@ use crate::mbr::Mbr;
 use crate::point::Point;
 use crate::polygon::Polygon;
 
-/// A geometry value of any supported kind.
-///
-/// The three *simple* kinds cover the paper's experiments; the `Multi*`
-/// kinds exist because real TIGER/census data contains them — every
-/// operation decomposes a multi-geometry into its parts and combines the
-/// part results (any-part for `intersects`, union for MBRs).
+/// A geometry value of any supported kind: the three simple kinds the
+/// paper's two joins read (taxi points, census-block polygons, TIGER
+/// polylines).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Geometry {
     Point(Point),
     LineString(LineString),
     Polygon(Polygon),
-    MultiPoint(Vec<Point>),
-    MultiLineString(Vec<LineString>),
-    MultiPolygon(Vec<Polygon>),
 }
 
 impl Geometry {
-    /// Visits each simple part of a multi-geometry (or the geometry itself
-    /// when simple) by reference, stopping early when the visitor returns
-    /// `true`.
-    fn any_part<'a>(&'a self, mut f: impl FnMut(Part<'a>) -> bool) -> bool {
-        match self {
-            Geometry::Point(p) => f(Part::Point(p)),
-            Geometry::LineString(l) => f(Part::LineString(l)),
-            Geometry::Polygon(p) => f(Part::Polygon(p)),
-            Geometry::MultiPoint(ps) => ps.iter().any(|p| f(Part::Point(p))),
-            Geometry::MultiLineString(ls) => ls.iter().any(|l| f(Part::LineString(l))),
-            Geometry::MultiPolygon(ps) => ps.iter().any(|p| f(Part::Polygon(p))),
-        }
-    }
-
     /// Tight MBR of the geometry.
     pub fn mbr(&self) -> Mbr {
         match self {
             Geometry::Point(p) => p.mbr(),
             Geometry::LineString(l) => l.mbr(),
             Geometry::Polygon(p) => p.mbr(),
-            Geometry::MultiPoint(ps) => Mbr::from_points(ps.iter()),
-            Geometry::MultiLineString(ls) => {
-                let mut m = Mbr::empty();
-                for l in ls {
-                    m.expand(&l.mbr());
-                }
-                m
-            }
-            Geometry::MultiPolygon(ps) => {
-                let mut m = Mbr::empty();
-                for p in ps {
-                    m.expand(&p.mbr());
-                }
-                m
-            }
         }
     }
 
     /// Exact `intersects` test — the standard refinement predicate. Covers
-    /// every kind pairing and is symmetric by construction; multi-geometries
-    /// intersect when any part does.
+    /// every kind pairing and is symmetric by construction.
     pub fn intersects(&self, other: &Geometry) -> bool {
-        self.any_part(|a| other.any_part(|b| a.intersects(b)))
+        use Geometry::*;
+        match (self, other) {
+            (Point(a), Point(b)) => a == b,
+            (Point(p), LineString(l)) | (LineString(l), Point(p)) => point_on_linestring(l, p),
+            (Point(p), Polygon(pg)) | (Polygon(pg), Point(p)) => point_in_polygon(pg, p),
+            (LineString(a), LineString(b)) => linestrings_intersect(a, b),
+            (LineString(l), Polygon(pg)) | (Polygon(pg), LineString(l)) => {
+                polygon_intersects_linestring(pg, l)
+            }
+            (Polygon(a), Polygon(b)) => polygons_intersect(a, b),
+        }
     }
 
     /// [`intersects`](Geometry::intersects) for a caller that already holds
@@ -99,54 +73,12 @@ impl Geometry {
         }
     }
 
-    /// `contains` test for the pairings that occur in practice.
-    ///
-    /// Only polygon-contains-point is required by the paper's experiments;
-    /// other combinations fall back to `intersects` semantics where
-    /// containment is equivalent (point/point) or return `false` where a
-    /// lower-dimensional geometry cannot contain a higher-dimensional one.
-    pub fn contains(&self, other: &Geometry) -> bool {
-        use Geometry::*;
-        match (self, other) {
-            (Polygon(pg), Point(p)) => point_in_polygon(pg, p),
-            (Point(a), Point(b)) => a == b,
-            (LineString(l), Point(p)) => point_on_linestring(l, p),
-            (MultiPolygon(pgs), Point(p)) => pgs.iter().any(|pg| point_in_polygon(pg, p)),
-            _ => false,
-        }
-    }
-
-    /// Total arc length: polyline lengths and polygon perimeters summed
-    /// over parts; 0 for points.
-    pub fn length(&self) -> f64 {
-        match self {
-            Geometry::Point(_) | Geometry::MultiPoint(_) => 0.0,
-            Geometry::LineString(l) => l.length(),
-            Geometry::Polygon(p) => p.perimeter(),
-            Geometry::MultiLineString(ls) => ls.iter().map(LineString::length).sum(),
-            Geometry::MultiPolygon(ps) => ps.iter().map(Polygon::perimeter).sum(),
-        }
-    }
-
-    /// Enclosed area: polygon areas summed over parts; 0 for points and
-    /// polylines.
-    pub fn area(&self) -> f64 {
-        match self {
-            Geometry::Polygon(p) => p.area(),
-            Geometry::MultiPolygon(ps) => ps.iter().map(Polygon::area).sum(),
-            _ => 0.0,
-        }
-    }
-
     /// Number of vertices — the size proxy for refinement cost.
     pub fn num_vertices(&self) -> usize {
         match self {
             Geometry::Point(_) => 1,
             Geometry::LineString(l) => l.num_points(),
             Geometry::Polygon(p) => p.num_vertices(),
-            Geometry::MultiPoint(ps) => ps.len(),
-            Geometry::MultiLineString(ls) => ls.iter().map(LineString::num_points).sum(),
-            Geometry::MultiPolygon(ps) => ps.iter().map(Polygon::num_vertices).sum(),
         }
     }
 
@@ -159,12 +91,7 @@ impl Geometry {
         let overhead = match self {
             Geometry::Point(_) => 8,       // "POINT ()"
             Geometry::LineString(_) => 13, // "LINESTRING ()"
-            Geometry::Polygon(p) => 12 + 2 * (1 + p.holes().len()) as u64,
-            Geometry::MultiPoint(ps) => 12 + 2 * ps.len() as u64,
-            Geometry::MultiLineString(ls) => 17 + 2 * ls.len() as u64,
-            Geometry::MultiPolygon(ps) => {
-                14 + ps.iter().map(|p| 4 + 2 * p.holes().len() as u64).sum::<u64>()
-            }
+            Geometry::Polygon(_) => 14,    // "POLYGON (())"
         };
         overhead + per_vertex * self.num_vertices() as u64
     }
@@ -175,9 +102,6 @@ impl Geometry {
             Geometry::Point(_) => "Point",
             Geometry::LineString(_) => "LineString",
             Geometry::Polygon(_) => "Polygon",
-            Geometry::MultiPoint(_) => "MultiPoint",
-            Geometry::MultiLineString(_) => "MultiLineString",
-            Geometry::MultiPolygon(_) => "MultiPolygon",
         }
     }
 
@@ -187,15 +111,6 @@ impl Geometry {
             Geometry::Point(p) => Geometry::Point(p.translate(dx, dy)),
             Geometry::LineString(l) => Geometry::LineString(l.translate(dx, dy)),
             Geometry::Polygon(p) => Geometry::Polygon(p.translate(dx, dy)),
-            Geometry::MultiPoint(ps) => {
-                Geometry::MultiPoint(ps.iter().map(|p| p.translate(dx, dy)).collect())
-            }
-            Geometry::MultiLineString(ls) => {
-                Geometry::MultiLineString(ls.iter().map(|l| l.translate(dx, dy)).collect())
-            }
-            Geometry::MultiPolygon(ps) => {
-                Geometry::MultiPolygon(ps.iter().map(|p| p.translate(dx, dy)).collect())
-            }
         }
     }
 }
@@ -215,31 +130,6 @@ impl From<LineString> for Geometry {
 impl From<Polygon> for Geometry {
     fn from(p: Polygon) -> Self {
         Geometry::Polygon(p)
-    }
-}
-
-/// One simple part of a geometry, borrowed: what the pairwise predicates
-/// dispatch on, so multi-geometries decompose without copying vertices.
-#[derive(Clone, Copy)]
-enum Part<'a> {
-    Point(&'a Point),
-    LineString(&'a LineString),
-    Polygon(&'a Polygon),
-}
-
-impl Part<'_> {
-    fn intersects(self, other: Part<'_>) -> bool {
-        use Part::*;
-        match (self, other) {
-            (Point(a), Point(b)) => a == b,
-            (Point(p), LineString(l)) | (LineString(l), Point(p)) => point_on_linestring(l, p),
-            (Point(p), Polygon(pg)) | (Polygon(pg), Point(p)) => point_in_polygon(pg, p),
-            (LineString(a), LineString(b)) => linestrings_intersect(a, b),
-            (LineString(l), Polygon(pg)) | (Polygon(pg), LineString(l)) => {
-                polygon_intersects_linestring(pg, l)
-            }
-            (Polygon(a), Polygon(b)) => polygons_intersect(a, b),
-        }
     }
 }
 
@@ -284,40 +174,12 @@ mod tests {
     }
 
     #[test]
-    fn polygon_contains_point() {
-        let sq = square(0.0, 0.0, 2.0);
-        assert!(sq.contains(&Geometry::Point(Point::new(1.0, 1.0))));
-        assert!(!sq.contains(&Geometry::Point(Point::new(3.0, 3.0))));
-        assert!(
-            !Geometry::Point(Point::new(1.0, 1.0)).contains(&sq),
-            "point cannot contain polygon"
-        );
-    }
-
-    #[test]
     fn translation_invariance_of_intersects() {
         let a = Geometry::LineString(LineString::new(pts(&[(0.0, 0.0), (2.0, 2.0)])));
         let b = square(1.0, 1.0, 3.0);
         let hit = a.intersects(&b);
         let (dx, dy) = (123.0, -45.0);
         assert_eq!(a.translate(dx, dy).intersects(&b.translate(dx, dy)), hit);
-    }
-
-    #[test]
-    fn length_and_area_dispatch() {
-        assert_eq!(Geometry::Point(Point::new(1.0, 1.0)).length(), 0.0);
-        assert_eq!(Geometry::Point(Point::new(1.0, 1.0)).area(), 0.0);
-        let line = Geometry::LineString(LineString::new(pts(&[(0.0, 0.0), (3.0, 4.0)])));
-        assert_eq!(line.length(), 5.0);
-        assert_eq!(line.area(), 0.0);
-        let sq = square(0.0, 0.0, 2.0);
-        assert_eq!(sq.area(), 4.0);
-        assert_eq!(sq.length(), 8.0);
-        let multi = Geometry::MultiPolygon(vec![
-            Polygon::new(pts(&[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])),
-            Polygon::new(pts(&[(5.0, 5.0), (7.0, 5.0), (7.0, 7.0), (5.0, 7.0)])),
-        ]);
-        assert_eq!(multi.area(), 1.0 + 4.0);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! let block = parse_wkt("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))").unwrap();
 //! let pickup = parse_wkt("POINT (1 2)").unwrap();
 //! assert!(block.intersects(&pickup));
-//! assert_eq!(block.area(), 16.0);
+//! assert!(!block.intersects(&parse_wkt("POINT (5 2)").unwrap()));
 //! ```
 
 pub mod algorithms;
@@ -38,7 +38,6 @@ pub mod engine;
 pub mod geometry;
 pub mod linestring;
 pub mod mbr;
-mod multi_tests;
 pub mod point;
 pub mod polygon;
 pub mod predicates;

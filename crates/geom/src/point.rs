@@ -23,18 +23,6 @@ impl Point {
         Mbr::new(self.x, self.y, self.x, self.y)
     }
 
-    /// Euclidean distance to another point.
-    pub fn distance(&self, other: &Point) -> f64 {
-        self.distance_sq(other).sqrt()
-    }
-
-    /// Squared Euclidean distance (avoids the `sqrt` when only comparing).
-    pub fn distance_sq(&self, other: &Point) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
-
     /// Component-wise translation.
     pub fn translate(&self, dx: f64, dy: f64) -> Point {
         Point::new(self.x + dx, self.y + dy)
@@ -55,21 +43,6 @@ impl From<(f64, f64)> for Point {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn distance_is_euclidean() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(3.0, 4.0);
-        assert_eq!(a.distance(&b), 5.0);
-        assert_eq!(a.distance_sq(&b), 25.0);
-    }
-
-    #[test]
-    fn distance_is_symmetric() {
-        let a = Point::new(-1.5, 2.0);
-        let b = Point::new(7.25, -3.0);
-        assert_eq!(a.distance(&b), b.distance(&a));
-    }
 
     #[test]
     fn point_mbr_is_degenerate() {

@@ -5,7 +5,9 @@
 //! (the paper identifies this repeated parsing as a major overhead), while
 //! SpatialHadoop/SpatialSpark parse WKT once at load time. The parser here is
 //! a hand-rolled recursive-descent tokenizer — no dependencies — supporting
-//! `POINT`, `LINESTRING` and `POLYGON` (with holes), plus `EMPTY` detection.
+//! the three kinds the evaluated datasets hold: `POINT`, `LINESTRING` and
+//! `POLYGON` with one ring. Any other tag (`MULTI*` included), a polygon
+//! with an inner ring and `EMPTY` are errors.
 
 mod parser;
 mod writer;
@@ -39,14 +41,30 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_polygon_with_hole() {
-        let g = Geometry::Polygon(Polygon::with_holes(
-            pts(&[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]),
-            vec![pts(&[(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)])],
-        ));
+    fn round_trip_polygon() {
+        let g = Geometry::Polygon(Polygon::new(pts(&[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0)])));
         let text = to_wkt(&g);
-        assert!(text.starts_with("POLYGON (("));
+        assert_eq!(text, "POLYGON ((0 0, 4 0, 4 4, 0 0))");
         assert_eq!(parse_wkt(&text).unwrap(), g);
+    }
+
+    #[test]
+    fn multi_kinds_are_rejected() {
+        for text in [
+            "MULTIPOINT ((1 2), (3 4))",
+            "MULTIPOINT (1 2, 3 4)",
+            "MULTILINESTRING ((0 0, 1 1), (2 2, 3 3))",
+            "MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)))",
+        ] {
+            assert!(matches!(parse_wkt(text), Err(WktError::UnknownTag(_))), "{text}");
+        }
+    }
+
+    #[test]
+    fn polygon_with_an_inner_ring_is_rejected() {
+        let donut = "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 1))";
+        assert!(matches!(parse_wkt(donut), Err(WktError::Malformed(_))));
+        assert!(parse_wkt("POLYGON ((0 0, 4 0, 4 4, 0 0),)").is_err());
     }
 
     #[test]

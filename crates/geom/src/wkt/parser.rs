@@ -123,31 +123,10 @@ impl<'a> Cursor<'a> {
         self.expect_char(')')?;
         Ok(out)
     }
-
-    /// `( (ring), (ring), ... )`
-    fn ring_list(&mut self) -> Result<Vec<Vec<Point>>, WktError> {
-        self.expect_char('(')?;
-        let mut out = vec![self.coord_list()?];
-        while self.peek() == Some(',') {
-            self.expect_char(',')?;
-            out.push(self.coord_list()?);
-        }
-        self.expect_char(')')?;
-        Ok(out)
-    }
 }
 
 fn head(s: &str) -> &str {
     s.get(..s.len().min(16)).unwrap_or(s)
-}
-
-fn polygon_from_rings(mut rings: Vec<Vec<Point>>) -> Result<Polygon, WktError> {
-    if rings.is_empty() {
-        return Err(WktError::Malformed("POLYGON needs >= 1 ring".into()));
-    }
-    let shell = rings.remove(0);
-    Polygon::try_with_holes(shell, rings)
-        .ok_or_else(|| WktError::Malformed("POLYGON ring needs >= 3 vertices".into()))
 }
 
 /// Parses one WKT geometry from `input`. Trailing non-whitespace is an error.
@@ -172,54 +151,15 @@ pub fn parse_wkt(input: &str) -> Result<Geometry, WktError> {
             Geometry::LineString(ls)
         }
         "POLYGON" => {
-            let rings = cur.ring_list()?;
-            Geometry::Polygon(polygon_from_rings(rings)?)
-        }
-        "MULTIPOINT" => {
             cur.expect_char('(')?;
-            let mut pts = Vec::new();
-            loop {
-                // Both `(1 2)` and legacy bare `1 2` member syntax.
-                if cur.peek() == Some('(') {
-                    cur.expect_char('(')?;
-                    pts.push(cur.coord()?);
-                    cur.expect_char(')')?;
-                } else {
-                    pts.push(cur.coord()?);
-                }
-                if cur.peek() == Some(',') {
-                    cur.expect_char(',')?;
-                } else {
-                    break;
-                }
+            let shell = cur.coord_list()?;
+            if cur.peek() == Some(',') {
+                return Err(WktError::Malformed("POLYGON holes are not supported".into()));
             }
             cur.expect_char(')')?;
-            Geometry::MultiPoint(pts)
-        }
-        "MULTILINESTRING" => {
-            let lists = cur.ring_list()?;
-            let mut lines = Vec::with_capacity(lists.len());
-            for pts in lists {
-                lines.push(LineString::try_new(pts).ok_or_else(|| {
-                    WktError::Malformed("MULTILINESTRING member needs >= 2 vertices".into())
-                })?);
-            }
-            Geometry::MultiLineString(lines)
-        }
-        "MULTIPOLYGON" => {
-            cur.expect_char('(')?;
-            let mut polys = Vec::new();
-            loop {
-                let rings = cur.ring_list()?;
-                polys.push(polygon_from_rings(rings)?);
-                if cur.peek() == Some(',') {
-                    cur.expect_char(',')?;
-                } else {
-                    break;
-                }
-            }
-            cur.expect_char(')')?;
-            Geometry::MultiPolygon(polys)
+            let poly = Polygon::try_new(shell)
+                .ok_or_else(|| WktError::Malformed("POLYGON ring needs >= 3 vertices".into()))?;
+            Geometry::Polygon(poly)
         }
         other => return Err(WktError::UnknownTag(other.to_string())),
     };

@@ -28,54 +28,11 @@ pub fn write_wkt(out: &mut String, g: &Geometry) {
             write_coord_list(out, l.points(), false);
         }
         Geometry::Polygon(poly) => {
-            out.push_str("POLYGON ");
-            write_polygon_body(out, poly);
-        }
-        Geometry::MultiPoint(ps) => {
-            out.push_str("MULTIPOINT (");
-            for (i, p) in ps.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push('(');
-                write_coord(out, p);
-                out.push(')');
-            }
-            out.push(')');
-        }
-        Geometry::MultiLineString(ls) => {
-            out.push_str("MULTILINESTRING (");
-            for (i, l) in ls.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_coord_list(out, l.points(), false);
-            }
-            out.push(')');
-        }
-        Geometry::MultiPolygon(ps) => {
-            out.push_str("MULTIPOLYGON (");
-            for (i, poly) in ps.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_polygon_body(out, poly);
-            }
+            out.push_str("POLYGON (");
+            write_coord_list(out, poly.shell(), true);
             out.push(')');
         }
     }
-}
-
-/// Writes `((shell), (hole), ...)` — the parenthesized ring list shared by
-/// POLYGON and each member of MULTIPOLYGON.
-fn write_polygon_body(out: &mut String, poly: &crate::Polygon) {
-    out.push('(');
-    write_coord_list(out, poly.shell(), true);
-    for hole in poly.holes() {
-        out.push_str(", ");
-        write_coord_list(out, hole, true);
-    }
-    out.push(')');
 }
 
 fn write_coord(out: &mut String, p: &Point) {

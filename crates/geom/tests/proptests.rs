@@ -41,22 +41,10 @@ fn polygon(rng: &mut TestRng) -> Polygon {
 }
 
 fn geometry(rng: &mut TestRng) -> Geometry {
-    match rng.usize_in(0..12) {
-        0..=2 => Geometry::Point(point(rng)),
-        3..=5 => Geometry::LineString(linestring(rng)),
-        6..=8 => Geometry::Polygon(polygon(rng)),
-        9 => {
-            let n = rng.usize_in(1..6);
-            Geometry::MultiPoint((0..n).map(|_| point(rng)).collect())
-        }
-        10 => {
-            let n = rng.usize_in(1..4);
-            Geometry::MultiLineString((0..n).map(|_| linestring(rng)).collect())
-        }
-        _ => {
-            let n = rng.usize_in(1..3);
-            Geometry::MultiPolygon((0..n).map(|_| polygon(rng)).collect())
-        }
+    match rng.usize_in(0..3) {
+        0 => Geometry::Point(point(rng)),
+        1 => Geometry::LineString(linestring(rng)),
+        _ => Geometry::Polygon(polygon(rng)),
     }
 }
 
@@ -72,7 +60,7 @@ fn wkt_round_trip() {
 
 #[test]
 fn write_wkt_appends_exactly_to_wkt_and_never_a_line_break() {
-    // `geometry` draws all six kinds; a `\n`-terminated buffer of records is
+    // `geometry` draws all three kinds; a `\n`-terminated buffer of records is
     // split back with `split_terminator('\n')`, so no record may hold one.
     let mut kinds = std::collections::BTreeSet::new();
     cases(0x6E11, N, |rng| {
@@ -84,7 +72,7 @@ fn write_wkt_appends_exactly_to_wkt_and_never_a_line_break() {
         assert!(!text.contains(['\n', '\r']), "line break in {text:?}");
         kinds.insert(g.kind());
     });
-    assert_eq!(kinds.len(), 6, "drew {kinds:?}");
+    assert_eq!(kinds.len(), 3, "drew {kinds:?}");
 }
 
 #[test]

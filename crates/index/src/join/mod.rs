@@ -55,6 +55,7 @@ pub struct CandidatePairs {
 
 impl CandidatePairs {
     /// Pairs sorted for set comparison in tests.
+    // sjc-lint: allow(dead-pub) — the kernel-against-brute-force comparisons of crates/index/tests/proptests.rs
     pub fn sorted_pairs(mut self) -> Vec<(u64, u64)> {
         self.pairs.sort_unstable();
         self.pairs

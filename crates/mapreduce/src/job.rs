@@ -35,12 +35,11 @@ pub struct JobConfig {
     /// map-reduce job; a [`ScaleMode::BiggerTasks`] task pays its fixed
     /// overhead once. Reduce groups always grow like `BiggerTasks`.
     pub map_scale: ScaleMode,
-    /// Charge the interpreted-script per-record cost in streaming reducers
-    /// (see `CostModel::streaming_script_record_ns`).
-    pub script_reducer: bool,
-    /// Multiplier on the script per-record cost (the geometry-library share
-    /// of the script's work scales with the engine's refinement factor).
-    pub script_cost_factor: f64,
+    /// When set, streaming reducers charge the interpreted-script
+    /// per-record cost (see `CostModel::streaming_script_record_ns`) times
+    /// this factor (the geometry-library share of the script's work scales
+    /// with the engine's refinement factor).
+    pub script_reducer: Option<f64>,
 }
 
 impl JobConfig {
@@ -52,18 +51,13 @@ impl JobConfig {
             parse_input_text: true,
             write_output_to_hdfs: true,
             map_scale: ScaleMode::MoreTasks,
-            script_reducer: false,
-            script_cost_factor: 1.0,
+            script_reducer: None,
         }
     }
 
-    pub fn script_reducer(mut self, yes: bool) -> Self {
-        self.script_reducer = yes;
-        self
-    }
-
-    pub fn script_cost_factor(mut self, factor: f64) -> Self {
-        self.script_cost_factor = factor;
+    /// Streaming reducers charge the script per-record cost times `factor`.
+    pub fn script_reducer(mut self, factor: f64) -> Self {
+        self.script_reducer = Some(factor);
         self
     }
 

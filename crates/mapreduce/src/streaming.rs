@@ -132,11 +132,9 @@ impl JobWork {
                     em.emit(out, b);
                 });
                 em.charge(process_ns(cost, in_bytes, out_bytes));
-                if cfg.script_reducer {
+                if let Some(factor) = cfg.script_reducer {
                     em.charge(
-                        (values.len() as f64
-                            * cost.streaming_script_record_ns
-                            * cfg.script_cost_factor) as u64,
+                        (values.len() as f64 * cost.streaming_script_record_ns * factor) as u64,
                     );
                 }
             },

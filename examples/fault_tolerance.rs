@@ -11,10 +11,15 @@
 //! ledger. The paper's robustness story becomes quantitative: Hadoop
 //! re-executes single tasks, Spark recomputes lineage, and the join results
 //! stay identical whenever a run survives.
+//!
+//! Each system does its real join work once (`work`, with the fault-free
+//! cluster as its stop), and every fault plan prices that one ledger: a
+//! surviving run's pairs are the ledger's, whatever the plan.
 
 use sjc_cluster::{Cluster, ClusterConfig, FaultPlan, RecoveryKind, DEFAULT_PROVISION_DELAY_NS};
 use sjc_core::experiment::{SystemKind, Workload};
 use sjc_core::framework::{JoinInput, JoinPredicate};
+use sjc_core::ledger::WorkLedger;
 use sjc_core::report::recovery_string;
 
 fn main() {
@@ -36,45 +41,38 @@ fn main() {
         "{:<16} {:>10} {:>10} {:>10}   (end-to-end simulated seconds; '-' = failed)",
         "system", "none", "light", "heavy"
     );
+    let on = |plan: FaultPlan| Cluster::with_faults(config.clone(), plan);
+    let fault_free = [on(FaultPlan::none())];
+    // One work per system; `base` is its fault-free runtime.
+    let works: Vec<(SystemKind, WorkLedger, u64)> = SystemKind::all()
+        .into_iter()
+        .map(|sys| {
+            let ledger = sys.instance().work(&left, &right, JoinPredicate::Intersects, &fault_free);
+            let base =
+                ledger.price(&fault_free[0]).expect("fault-free baseline must succeed").total_ns();
+            (sys, ledger, base)
+        })
+        .collect();
+
     let mut ledger_traces = Vec::new();
-    for sys in SystemKind::all() {
+    for (sys, ledger, base) in &works {
         print!("{:<16}", sys.paper_name());
         // Each system's heavy plan crashes node 2 at 40% of that system's
         // own fault-free runtime, so the crash lands mid-wave for everyone
         // (a fixed instant would fall inside one system's 15 s job startup
         // and after another system already finished).
-        let clean = Cluster::new(config.clone());
-        let base = sys
-            .instance()
-            .run(&clean, &left, &right, JoinPredicate::Intersects)
-            .expect("fault-free baseline must succeed")
-            .trace
-            .total_ns();
         let plans: [(&str, FaultPlan); 3] = [
             ("none", FaultPlan::none()),
             ("light", FaultPlan::light(7, &config)),
             ("heavy", FaultPlan::heavy(7, &config).crash_at(2, base * 2 / 5)),
         ];
-        let mut baseline_pairs: Option<Vec<(u64, u64)>> = None;
-        for (label, plan) in &plans {
-            let cluster = Cluster::with_faults(config.clone(), plan.clone());
-            match sys.instance().run(&cluster, &left, &right, JoinPredicate::Intersects) {
-                Ok(out) => {
-                    print!(" {:>10.1}", out.trace.total_seconds());
-                    let pairs = out.clone().sorted_pairs();
-                    match &baseline_pairs {
-                        None => baseline_pairs = Some(pairs),
-                        Some(base) => assert_eq!(
-                            base,
-                            &pairs,
-                            "{} results changed under the {label} plan",
-                            sys.paper_name()
-                        ),
-                    }
-                    if *label == "heavy" {
-                        let mut t = out.trace;
-                        t.system = format!("{} (heavy faults)", sys.paper_name());
-                        ledger_traces.push(t);
+        for (label, plan) in plans {
+            match ledger.price(&on(plan)) {
+                Ok(mut trace) => {
+                    print!(" {:>10.1}", trace.total_seconds());
+                    if label == "heavy" {
+                        trace.system = format!("{} (heavy faults)", sys.paper_name());
+                        ledger_traces.push(trace);
                     }
                 }
                 Err(e) => print!(" {:>10}", format!("- ({})", e.kind())),
@@ -100,14 +98,7 @@ fn main() {
          {:<16} {:>10} {:>10} {:>10} {:>13} {:>11}",
         "system", "no-ckpt", "every-2", "every-1", "ckpt-write ms", "reread KB"
     );
-    for sys in SystemKind::all() {
-        let clean = Cluster::new(config.clone());
-        let base = sys
-            .instance()
-            .run(&clean, &left, &right, JoinPredicate::Intersects)
-            .expect("fault-free baseline must succeed")
-            .trace
-            .total_ns();
+    for (sys, ledger, base) in &works {
         let heavy = || FaultPlan::heavy(7, &config).crash_at(2, base * 7 / 10);
         let provision = DEFAULT_PROVISION_DELAY_NS / 7; // ~4.3 s container respawn
         let plans: [FaultPlan; 3] = [
@@ -118,11 +109,10 @@ fn main() {
         print!("{:<16}", sys.paper_name());
         let mut last_trace = None;
         for plan in plans {
-            let cluster = Cluster::with_faults(config.clone(), plan);
-            match sys.instance().run(&cluster, &left, &right, JoinPredicate::Intersects) {
-                Ok(out) => {
-                    print!(" {:>10.2}", out.trace.total_seconds());
-                    last_trace = Some(out.trace);
+            match ledger.price(&on(plan)) {
+                Ok(trace) => {
+                    print!(" {:>10.2}", trace.total_seconds());
+                    last_trace = Some(trace);
                 }
                 Err(e) => print!(" {:>10}", format!("- ({})", e.kind())),
             }

@@ -406,51 +406,6 @@ fn heavy_checkpointed_spark_strictly_improves_and_replacements_regain_capacity()
 }
 
 #[test]
-fn decommission_drains_gracefully_at_system_level() {
-    // A graceful decommission re-balances work off the node without killing
-    // attempts or losing data: no wasted work, identical results, and the
-    // drain is visible in the ledger.
-    let (l, r) = workload();
-    let config = ClusterConfig::ec2(8);
-    for sys in SystemKind::all() {
-        let clean = sys
-            .instance()
-            .run(&Cluster::new(config.clone()), &l, &r, JoinPredicate::Intersects)
-            .expect("fault-free baseline succeeds");
-        let plan = FaultPlan::seeded(7, &config).decommission_at(3, clean.trace.total_ns() * 2 / 5);
-        let drained = sys
-            .instance()
-            .run(&Cluster::with_faults(config.clone(), plan), &l, &r, JoinPredicate::Intersects)
-            .expect("a decommission is never fatal");
-        let name = sys.paper_name();
-        assert!(
-            drained
-                .trace
-                .recovery
-                .iter()
-                .any(|e| matches!(e.kind, RecoveryKind::Decommission { node: 3 })),
-            "{name}: the drain must be visible in the ledger"
-        );
-        assert!(
-            !drained.trace.recovery.iter().any(|e| matches!(
-                e.kind,
-                RecoveryKind::MapRerun { .. } | RecoveryKind::StageResubmit { .. }
-            )),
-            "{name}: a graceful drain loses no data and re-runs nothing"
-        );
-        assert!(
-            drained.trace.total_ns() >= clean.trace.total_ns(),
-            "{name}: losing capacity never speeds a run up"
-        );
-        assert_eq!(
-            clean.sorted_pairs(),
-            drained.sorted_pairs(),
-            "{name}: a drain must not change the join result"
-        );
-    }
-}
-
-#[test]
 fn systems_survive_a_mid_run_crash_with_identical_results() {
     let (l, r) = workload();
     let config = ClusterConfig::ec2(8);

@@ -121,11 +121,6 @@ fn polyline_intersection_workload() {
 }
 
 #[test]
-fn within_predicate() {
-    assert_all_agree(Workload::taxi1m_nycb(), JoinPredicate::Within, 2e-4, 13);
-}
-
-#[test]
 fn agreement_across_seeds() {
     for seed in [1, 99, 12345] {
         assert_all_agree(Workload::taxi1m_nycb(), JoinPredicate::Intersects, 1e-4, seed);
