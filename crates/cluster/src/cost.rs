@@ -29,8 +29,6 @@ pub struct CostModel {
     /// Bandwidth of HDFS-to-local-filesystem copies (HadoopGIS's serial
     /// partition step copies sample files back and forth), bytes/s.
     pub local_copy_bw: f64,
-    /// Per-node in-memory shuffle bandwidth (Spark), bytes/s.
-    pub mem_bw: f64,
 
     // ---- per-record / per-byte CPU ----
     /// Parsing text (TSV+WKT) into geometry objects, ns per byte.
@@ -100,7 +98,6 @@ impl Default for CostModel {
         CostModel {
             hdfs_replication: 3,
             local_copy_bw: 150.0 * (1 << 20) as f64,
-            mem_bw: 2.0 * (1 << 30) as f64,
 
             text_parse_ns_per_byte: 200.0,
             serialize_ns_per_byte: 15.0,

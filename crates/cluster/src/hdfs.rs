@@ -1,12 +1,16 @@
-//! Simulated HDFS: named files made of blocks placed on nodes.
+//! Simulated HDFS: the block size, and a namenode of files made of blocks.
 //!
-//! The block layer matters to the reproduction because the three systems
-//! differ precisely in *how often* and *how* they touch HDFS (Fig. 1 of the
-//! paper): HadoopGIS writes intermediates between its six preprocessing
-//! steps, SpatialHadoop writes indexed block files plus `_master` metadata,
-//! SpatialSpark reads input once. The simulated file system tracks file
-//! sizes, record counts and block placement so engines can charge accurate
-//! I/O and locality costs.
+//! The three systems differ precisely in *how often* and *how* they touch
+//! HDFS (Fig. 1 of the paper): HadoopGIS writes intermediates between its
+//! six preprocessing steps, SpatialHadoop writes indexed block files,
+//! SpatialSpark reads input once. The simulation charges that as bytes per
+//! stage: each [`StageTrace`](crate::StageTrace) carries the HDFS bytes its
+//! stage reads and writes, and `CostModel::{io_ns, hdfs_write_ns}` price
+//! them. [`DEFAULT_BLOCK_SIZE`] sizes the map tasks of a scan.
+//!
+//! [`SimHdfs`] tracks file sizes, record counts and round-robin block
+//! placement, but no engine and no pricing reads it: it stays for
+//! `benchmark/src/layers.rs`, which times its writes and reads.
 
 use std::collections::BTreeMap;
 

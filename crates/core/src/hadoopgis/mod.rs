@@ -43,7 +43,7 @@ use sjc_mapreduce::{block_splits, JobConfig, JobWork, TextLen};
 
 use crate::common::{local_join, LocalJoinAlgo};
 use crate::framework::{reported_by, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate};
-use crate::ledger::{work_cost, Step, WorkLedger};
+use crate::ledger::{run_cost, Step, WorkLedger};
 
 /// Target partition count of the sample-derived partitionings.
 ///
@@ -147,7 +147,7 @@ fn serial_partitioning(name: impl Into<String>, phase: Phase, samples: usize) ->
 /// Records a streaming map-reduce job's work; `true` when its reducers'
 /// pipes break on every cluster of `stop`, which ends the run's work.
 fn pipes_break(steps: &mut Vec<Step>, job: JobWork, stop: &[Cluster]) -> bool {
-    let broken = !stop.is_empty() && stop.iter().all(|c| job.pipe_error(c).is_some());
+    let broken = stop.iter().all(|c| job.pipe_error(c).is_some());
     steps.push(Step::Job(job));
     broken
 }
@@ -400,9 +400,8 @@ impl DistributedSpatialJoin for HadoopGis {
         predicate: JoinPredicate,
         stop: &[Cluster],
     ) -> WorkLedger {
-        let cost = work_cost();
         let mut steps = Vec::new();
-        let pairs = self.work_steps(&cost, &mut steps, left, right, predicate, stop);
+        let pairs = self.work_steps(run_cost(stop), &mut steps, left, right, predicate, stop);
         WorkLedger { system: self.name(), steps, pairs }
     }
 }

@@ -11,24 +11,37 @@
 //! tables work each (system, workload) once and price it on every
 //! configuration.
 //!
-//! `work` never reads a cluster, with one exception: `stop`, the clusters
-//! the ledger will be priced on. A stage whose capacity check (HadoopGIS's
-//! streaming pipes, SpatialSpark's executor memory) fails on every one of
-//! them ends the work there, since no cluster that will price it gets past
-//! it. Pricing re-derives each cluster's own failure point and payload.
+//! `work` reads the clusters it is given, `stop` (the clusters the ledger
+//! will be priced on), for two things only. Their one shared cost model
+//! (`run_cost`) charges what `work` measures inside a job's closures
+//! (streaming pipes and scripts, record overheads, JVM footprints), so a
+//! changed `Cluster.cost` moves those charges as it moves the ones `price`
+//! makes. And a stage whose capacity check (HadoopGIS's streaming pipes,
+//! SpatialSpark's executor memory) fails on every one of them ends the work
+//! there, since no cluster that will price it gets past it. Pricing
+//! re-derives each cluster's own failure point and payload.
+//!
+//! HDFS is priced as bytes: a stage's HDFS reads and writes are fields of
+//! its [`StageTrace`], charged through `CostModel::{io_ns, hdfs_write_ns}`
+//! at the cluster's bandwidths.
 
-use sjc_cluster::{Cluster, CostModel, RunTrace, SimError, SimHdfs, SimNs, StageTrace};
-use sjc_mapreduce::{JobWork, MapReduceJob};
+use sjc_cluster::{Cluster, CostModel, RunTrace, SimError, SimNs, StageTrace};
+use sjc_mapreduce::JobWork;
 use sjc_rdd::SparkLedger;
 
 use crate::framework::JoinOutput;
 use crate::lde::LdeWork;
 
-/// The cost model a system's work charges its closures with: the
-/// simulator's calibration, the same on every cluster (`Cluster::new` and
-/// `Cluster::with_faults` install it).
-pub(crate) fn work_cost() -> CostModel {
-    CostModel::default()
+/// The cost model a system's work charges with: the one the clusters of
+/// `stop` share.
+pub(crate) fn run_cost(stop: &[Cluster]) -> &CostModel {
+    // sjc-lint: allow(no-panic-in-lib) — `stop` is never empty: every caller passes the clusters it prices on
+    let cost = &stop[0].cost;
+    debug_assert!(
+        stop.iter().all(|c| c.cost == *cost),
+        "the clusters of one run share a cost model"
+    );
+    cost
 }
 
 /// One recorded step of a run.
@@ -43,8 +56,6 @@ pub enum Step {
     /// metadata off its disk (SpatialHadoop's `getSplits`). `stage` holds
     /// everything but the time.
     MasterRead { stage: StageTrace, cpu_ns: SimNs, bytes: u64 },
-    /// A file written to HDFS outside any job (SpatialHadoop's `_master`).
-    HdfsWrite { name: String, bytes: u64, records: u64 },
     /// A whole Spark application.
     Spark(SparkLedger),
     /// A whole LDE-MC+ run: its scan, tagging and partition-pair join.
@@ -72,14 +83,12 @@ impl WorkLedger {
     /// `stop`; on another cluster that gets past the last step it fails
     /// with [`SimError::FileNotFound`] for the output that step never wrote.
     pub fn price(&self, cluster: &Cluster) -> Result<RunTrace, SimError> {
-        let mut hdfs = SimHdfs::new(cluster.config.nodes);
         let mut trace = RunTrace::new(self.system);
         for step in &self.steps {
             match step {
                 Step::Job(job) => {
                     let start = trace.total_ns();
-                    let (stage, recovery) =
-                        MapReduceJob::new(cluster, &mut hdfs).price(job, start)?;
+                    let (stage, recovery) = job.price(cluster, start)?;
                     trace.push_recovery(recovery);
                     trace.push(stage);
                 }
@@ -91,9 +100,6 @@ impl WorkLedger {
                     stage.sim_ns =
                         cpu_ns + cluster.cost.io_ns(*bytes, cluster.config.node.disk_read_bw);
                     trace.push(stage);
-                }
-                Step::HdfsWrite { name, bytes, records } => {
-                    hdfs.write_file(name, *bytes, *records);
                 }
                 Step::Spark(spark) => trace = spark.price(cluster, trace)?,
                 Step::Lde(lde) => {

@@ -5,7 +5,7 @@
 //! 1. **Preprocessing, per dataset** — two MR jobs:
 //!    * *sample job*: scan the input, draw a systematic sample, derive
 //!      partition MBRs from it on the master, store them as a `_master`
-//!      HDFS file;
+//!      HDFS file (a few KB; the simulation does not charge that write);
 //!    * *partition job*: map assigns every record the cell(s) it
 //!      intersects; the shuffle groups records by cell id; reducers write
 //!      one indexed block file per cell (the intra-block R-tree is "built
@@ -35,7 +35,7 @@ use crate::common::{local_join, LocalJoinAlgo, PartitionerKind};
 use crate::framework::{
     reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate,
 };
-use crate::ledger::{work_cost, Step, WorkLedger};
+use crate::ledger::{run_cost, Step, WorkLedger};
 
 /// Systematic sample stride for partition derivation: a 1 % sample.
 const SAMPLE_STRIDE: u64 = 100;
@@ -131,13 +131,7 @@ impl SpatialHadoop {
                 self.partitioner.build(input.domain, sample, PARTITIONS)
             }
         });
-        // `_master` file: one MBR row per cell.
         let ncells = index.locator().cells().len();
-        steps.push(Step::HdfsWrite {
-            name: format!("{}_master", input.name),
-            bytes: ncells as u64 * 72,
-            records: ncells as u64,
-        });
 
         // --- MR job 2: assign partitions, shuffle, write indexed blocks ---
         let jts = GeometryEngine::new(self.engine);
@@ -192,17 +186,17 @@ impl DistributedSpatialJoin for SpatialHadoop {
         left: &JoinInput,
         right: &JoinInput,
         predicate: JoinPredicate,
-        _stop: &[Cluster],
+        stop: &[Cluster],
     ) -> WorkLedger {
-        let cost = work_cost();
+        let cost = run_cost(stop);
         let mut steps = Vec::new();
         let jts = GeometryEngine::new(self.engine);
 
         // Preprocessing: index both datasets (IA, IB).
-        let ia = self.index_dataset(&cost, &mut steps, left, Phase::IndexA, None);
+        let ia = self.index_dataset(cost, &mut steps, left, Phase::IndexA, None);
         let shared =
             if self.reuse_partitions { Some(ia.index.locator().cells().to_vec()) } else { None };
-        let ib = self.index_dataset(&cost, &mut steps, right, Phase::IndexB, shared);
+        let ib = self.index_dataset(cost, &mut steps, right, Phase::IndexB, shared);
 
         // Global join on the master: serial plane-sweep over the two
         // `_master` cell-MBR lists (the getSplits override).
@@ -361,7 +355,7 @@ mod tests {
         // The local join's sweep reads each block in this order; a block
         // written in any other order is sorted again by every partner cell.
         let (left, right) = tiny_inputs();
-        let cost = work_cost();
+        let cost = CostModel::default();
         for reuse_partitions in [false, true] {
             let sys = SpatialHadoop { reuse_partitions, ..SpatialHadoop::default() };
             let mut steps = Vec::new();

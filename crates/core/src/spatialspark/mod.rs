@@ -40,7 +40,7 @@ use crate::common::{local_join, LocalJoinAlgo};
 use crate::framework::{
     reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate,
 };
-use crate::ledger::{work_cost, Step, WorkLedger};
+use crate::ledger::{run_cost, Step, WorkLedger};
 
 /// The SpatialSpark system.
 #[derive(Debug, Clone)]
@@ -169,6 +169,7 @@ impl SpatialSpark {
 
     fn broadcast_based(
         &self,
+        cost: &CostModel,
         ctx: &mut SparkContext<'_>,
         left: &JoinInput,
         right: &JoinInput,
@@ -183,7 +184,6 @@ impl SpatialSpark {
         let tree = RTree::bulk_load_str(
             right.records.iter().map(|r| IndexEntry::new(r.id, r.mbr)).collect(),
         );
-        let cost = work_cost();
         let right_mem: u64 = (right
             .records
             .iter()
@@ -230,9 +230,11 @@ impl DistributedSpatialJoin for SpatialSpark {
         predicate: JoinPredicate,
         stop: &[Cluster],
     ) -> WorkLedger {
-        let mut ctx = SparkContext::for_work(work_cost(), stop);
+        let cost = run_cost(stop);
+        let mut ctx = SparkContext::for_work(stop);
         let (pairs, system) = if self.broadcast_join {
-            (self.broadcast_based(&mut ctx, left, right, predicate), "SpatialSpark (broadcast)")
+            let pairs = self.broadcast_based(cost, &mut ctx, left, right, predicate);
+            (pairs, "SpatialSpark (broadcast)")
         } else {
             (self.partition_based(&mut ctx, left, right, predicate), self.name())
         };

@@ -138,8 +138,6 @@ pub struct JobStats {
     pub input_bytes: u64,
     pub shuffle_bytes: u64,
     pub output_bytes: u64,
-    pub records_in: u64,
-    pub records_out: u64,
 }
 
 /// What one map task did, at generation scale. No cluster field moves it.
@@ -166,7 +164,7 @@ pub struct GroupWork {
 }
 
 /// The work of one job, run once: everything pricing reads, nothing it
-/// needs a cluster for. [`MapReduceJob::price`] turns it into a stage on a
+/// needs a cluster for. [`JobWork::price`] turns it into a stage on a
 /// cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobWork {
@@ -250,8 +248,6 @@ impl JobWork {
         let mut maps = Vec::with_capacity(tasks.len());
         // sjc-lint: allow(serial-hot-loop) — output merge in task order; the map closures already ran in parallel above
         for (task, em) in tasks.iter().zip(ems) {
-            stats.records_in += task.records.len() as u64;
-            stats.records_out += em.out.len() as u64;
             stats.input_bytes += task.input_bytes;
             stats.output_bytes += em.bytes;
             maps.push(TaskWork {
@@ -301,7 +297,6 @@ impl JobWork {
     {
         // ---- map phase ----
         let mut stats = JobStats { map_tasks: tasks.len() as u64, ..JobStats::default() };
-        stats.records_in = tasks.iter().map(|t| t.records.len() as u64).sum();
         stats.input_bytes = tasks.iter().map(|t| t.input_bytes).sum();
         // LPT dispatch by record count: see `map_only` — processing order
         // changes, the task-order results do not.
@@ -364,7 +359,6 @@ impl JobWork {
         let mut reduces = Vec::with_capacity(group_list.len());
         // sjc-lint: allow(serial-hot-loop) — output merges in sorted key order; reduce closures already ran in parallel above
         for (((_, vs), &in_bytes), em) in group_list.iter().zip(&group_bytes).zip(reduce_ems) {
-            stats.records_out += em.out.len() as u64;
             stats.output_bytes += em.bytes;
             reduces.push(GroupWork {
                 values: vs.len() as u64,
@@ -379,85 +373,34 @@ impl JobWork {
             JobWork { cfg: cfg.clone(), maps, groups: Some(reduces), stats, streaming: false };
         (work, output)
     }
-}
 
-/// The engine: borrows the cluster (cost context) and HDFS (byte ledger).
-pub struct MapReduceJob<'a> {
-    pub cluster: &'a Cluster,
-    pub hdfs: &'a mut SimHdfs,
-}
-
-impl<'a> MapReduceJob<'a> {
-    pub fn new(cluster: &'a Cluster, hdfs: &'a mut SimHdfs) -> Self {
-        MapReduceJob { cluster, hdfs }
-    }
-
-    /// Runs a map-only job (no shuffle; output written to HDFS if
-    /// configured) on this cluster: [`JobWork::map_only`], then
-    /// [`price`](Self::price).
-    pub fn map_only<T: Sync, O: Send>(
-        &mut self,
-        cfg: &JobConfig,
-        tasks: Vec<MapTask<T>>,
-        map: impl Fn(&T, &mut ReduceEmitter<O>) + Sync,
-    ) -> Result<JobOutcome<O>, SimError> {
-        let (work, output) = JobWork::map_only(cfg, tasks, map);
-        self.outcome(work, output)
-    }
-
-    /// Runs a full map → shuffle → reduce job on this cluster:
-    /// [`JobWork::map_reduce`], then [`price`](Self::price).
-    pub fn map_reduce<T: Sync, K, V, O>(
-        &mut self,
-        cfg: &JobConfig,
-        tasks: Vec<MapTask<T>>,
-        map: impl Fn(&T, &mut MapEmitter<K, V>) + Sync,
-        reduce: impl Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync,
-    ) -> Result<JobOutcome<O>, SimError>
-    where
-        K: Ord + Clone + Send + Sync,
-        V: Send + Sync,
-        O: Send,
-    {
-        let (work, output) = JobWork::map_reduce(cfg, tasks, map, reduce);
-        self.outcome(work, output)
-    }
-
-    /// Prices `work` as a job starting at time zero and packs it with
-    /// `output`.
-    fn outcome<O>(&mut self, work: JobWork, output: Vec<O>) -> Result<JobOutcome<O>, SimError> {
-        let (trace, recovery) = self.price(&work, 0)?;
-        let group_bytes = work.groups.iter().flatten().map(|g| g.in_bytes).collect();
-        Ok(JobOutcome { output, group_bytes, stats: work.stats, trace, recovery })
-    }
-
-    /// Prices a job's work on this cluster, the job starting at `start_ns`
-    /// on the run's global clock: per-task durations from the cluster's
-    /// bandwidths and per-core speed, the map and reduce waves on its slots
-    /// ([`Cluster::wave`]), checkpoint writes, replica failover, and for a
-    /// streaming job its pipe bytes and pipe check. A map-only job is the
-    /// same job with an empty reduce wave and no shuffle. Pure arithmetic
-    /// over `work`; the byte totals land in `self.hdfs`.
+    /// Prices the job on `cluster`, the job starting at `start_ns` on the
+    /// run's global clock: per-task durations from the cluster's cost
+    /// model, bandwidths and per-core speed, the map and reduce waves on its
+    /// slots ([`Cluster::wave`]), checkpoint writes, replica failover, and
+    /// for a streaming job its pipe bytes and pipe check. A map-only job is
+    /// the same job with an empty reduce wave and no shuffle. Pure
+    /// arithmetic over the work and the cluster.
     pub fn price(
-        &mut self,
-        work: &JobWork,
+        &self,
+        cluster: &Cluster,
         start_ns: SimNs,
     ) -> Result<(StageTrace, Vec<RecoveryEvent>), SimError> {
-        let (cfg, stats) = (&work.cfg, &work.stats);
-        let c = &self.cluster.cost;
-        let node = self.cluster.config.node;
-        let nodes = self.cluster.config.nodes;
-        let slots = self.cluster.total_slots();
-        let plan = &self.cluster.faults;
+        let (cfg, stats) = (&self.cfg, &self.stats);
+        let c = &cluster.cost;
+        let node = cluster.config.node;
+        let nodes = cluster.config.nodes;
+        let slots = cluster.total_slots();
+        let plan = &cluster.faults;
         let start = start_ns + c.hadoop_job_startup_ns;
-        let reduces = work.groups.is_some();
+        let reduces = self.groups.is_some();
         let (kind, map_stage) = if reduces {
             (StageKind::MapReduceJob, format!("{}/map", cfg.name))
         } else {
             (StageKind::MapOnlyJob, cfg.name.clone())
         };
         let durations: Vec<SimNs> =
-            work.maps.iter().map(|task| self.map_task_duration(cfg, task, reduces)).collect();
+            self.maps.iter().map(|task| map_task_duration(cluster, cfg, task, reduces)).collect();
         // Map wave. Under faults a map-reduce job runs with `rerun_on_crash`:
         // a completed map task whose host dies before the shuffle
         // re-executes (its output is gone). With an enabled checkpoint
@@ -474,7 +417,7 @@ impl<'a> MapReduceJob<'a> {
                 } else {
                     let full =
                         replicate_tasks(&with_overhead, cfg.multiplier.round().max(1.0) as u64);
-                    self.cluster.wave(&full, &map_stage, start, rerun)?
+                    cluster.wave(&full, &map_stage, start, rerun)?
                 }
             }
             ScaleMode::BiggerTasks => {
@@ -482,7 +425,7 @@ impl<'a> MapReduceJob<'a> {
                     .iter()
                     .map(|d| overhead + (*d as f64 * cfg.multiplier) as SimNs)
                     .collect();
-                self.cluster.wave(&scaled, &map_stage, start, rerun)?
+                cluster.wave(&scaled, &map_stage, start, rerun)?
             }
         };
         let mut map_makespan = map.makespan;
@@ -500,7 +443,7 @@ impl<'a> MapReduceJob<'a> {
             let repl = plan.checkpoint.replication.max(1) as u64;
             let write_ns = c.io_ns(
                 full_shuffle.saturating_mul(repl) / (slots as u64).max(1),
-                self.cluster.hdfs_write_bw(),
+                cluster.hdfs_write_bw(),
             );
             map_makespan += write_ns;
             ckpt_written = full_shuffle;
@@ -531,8 +474,8 @@ impl<'a> MapReduceJob<'a> {
         // Each group is one spatial partition: fixed count, data grows with
         // the multiplier.
         let remote_fraction = if nodes > 1 { (nodes - 1) as f64 / nodes as f64 } else { 0.0 };
-        let write_bw = self.cluster.hdfs_write_bw();
-        let reduce_durations: Vec<SimNs> = work
+        let write_bw = cluster.hdfs_write_bw();
+        let reduce_durations: Vec<SimNs> = self
             .groups
             .iter()
             .flatten()
@@ -557,7 +500,7 @@ impl<'a> MapReduceJob<'a> {
             .collect();
         // Reduce wave: group durations are already full-scale; it starts on
         // the global clock where the map wave ended.
-        let reduce = self.cluster.wave(
+        let reduce = cluster.wave(
             &reduce_durations,
             &format!("{}/reduce", cfg.name),
             start + map_makespan,
@@ -570,12 +513,9 @@ impl<'a> MapReduceJob<'a> {
         trace.shuffle_bytes = full_shuffle;
         if cfg.write_output_to_hdfs {
             trace.hdfs_bytes_written = (stats.output_bytes as f64 * cfg.multiplier) as u64;
-            self.hdfs.total_bytes_written += trace.hdfs_bytes_written;
         }
-        self.hdfs.total_bytes_read += trace.hdfs_bytes_read;
         trace.tasks = ((stats.map_tasks as f64) * cfg.multiplier) as u64 + stats.reduce_tasks;
         trace.hdfs_bytes_written += ckpt_written;
-        self.hdfs.total_bytes_written += ckpt_written;
 
         let mut recovery = Vec::new();
         for s in [map, reduce] {
@@ -589,45 +529,98 @@ impl<'a> MapReduceJob<'a> {
         // Input blocks whose primary died before the job started come from
         // remote replicas.
         if let Some((reread, ev)) =
-            self.cluster.replica_failover(&cfg.name, start, trace.hdfs_bytes_read)
+            cluster.replica_failover(&cfg.name, start, trace.hdfs_bytes_read)
         {
             trace.sim_ns += ev.wasted_ns;
             trace.bytes_reread += reread;
             recovery.push(ev);
         }
-        if work.streaming {
-            if let Some(err) = work.pipe_error(self.cluster) {
+        if self.streaming {
+            if let Some(err) = self.pipe_error(cluster) {
                 return Err(err);
             }
-            trace.pipe_bytes = work.pipe_bytes();
+            trace.pipe_bytes = self.pipe_bytes();
         }
         Ok((trace, recovery))
     }
+}
 
-    /// A map task's duration: I/O at the slot's share of the node disk and
-    /// CPU scaled by the node's per-core speed. A map-reduce task (`spill`)
-    /// serializes its output to local disk (Hadoop always materializes); a
-    /// map-only task writes it to HDFS if the job is configured to.
-    fn map_task_duration(&self, cfg: &JobConfig, task: &TaskWork, spill: bool) -> SimNs {
-        let c = &self.cluster.cost;
-        let node = &self.cluster.config.node;
-        let mut io = c.io_ns(task.input_bytes, node.slot_disk_read_bw());
-        let mut cpu = 0u64;
-        if cfg.parse_input_text {
-            cpu += c.parse_ns(task.input_bytes);
-        }
-        cpu += c.hadoop_records_ns(task.records);
-        cpu += task.extra_cpu_ns;
-        if spill {
-            cpu += c.serialize_ns(task.out_bytes);
-            io += c.io_ns(task.out_bytes, node.slot_disk_write_bw());
-        }
-        let mut ns = io + (cpu as f64 * node.cpu_scale) as SimNs;
-        if !spill && cfg.write_output_to_hdfs {
-            ns += (c.serialize_ns(task.out_bytes) as f64 * node.cpu_scale) as SimNs
-                + c.hdfs_write_ns(task.out_bytes, self.cluster.hdfs_write_bw());
-        }
-        ns
+/// A map task's duration: I/O at the slot's share of the node disk and
+/// CPU scaled by the node's per-core speed. A map-reduce task (`spill`)
+/// serializes its output to local disk (Hadoop always materializes); a
+/// map-only task writes it to HDFS if the job is configured to.
+fn map_task_duration(cluster: &Cluster, cfg: &JobConfig, task: &TaskWork, spill: bool) -> SimNs {
+    let c = &cluster.cost;
+    let node = &cluster.config.node;
+    let mut io = c.io_ns(task.input_bytes, node.slot_disk_read_bw());
+    let mut cpu = 0u64;
+    if cfg.parse_input_text {
+        cpu += c.parse_ns(task.input_bytes);
+    }
+    cpu += c.hadoop_records_ns(task.records);
+    cpu += task.extra_cpu_ns;
+    if spill {
+        cpu += c.serialize_ns(task.out_bytes);
+        io += c.io_ns(task.out_bytes, node.slot_disk_write_bw());
+    }
+    let mut ns = io + (cpu as f64 * node.cpu_scale) as SimNs;
+    if !spill && cfg.write_output_to_hdfs {
+        ns += (c.serialize_ns(task.out_bytes) as f64 * node.cpu_scale) as SimNs
+            + c.hdfs_write_ns(task.out_bytes, cluster.hdfs_write_bw());
+    }
+    ns
+}
+
+/// Runs a job's work and prices it on one cluster, the job starting at time
+/// zero. The engines record [`JobWork`] and price it later; this wrapper
+/// serves the crate's tests and `benchmark/src/layers.rs`, whose calls
+/// still hand it a [`SimHdfs`] that nothing reads.
+pub struct MapReduceJob<'a> {
+    pub(crate) cluster: &'a Cluster,
+}
+
+impl<'a> MapReduceJob<'a> {
+    pub fn new(cluster: &'a Cluster, _hdfs: &mut SimHdfs) -> Self {
+        MapReduceJob { cluster }
+    }
+
+    /// Runs a map-only job (no shuffle; output written to HDFS if
+    /// configured) on this cluster: [`JobWork::map_only`], then
+    /// [`JobWork::price`].
+    pub fn map_only<T: Sync, O: Send>(
+        &mut self,
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<T>>,
+        map: impl Fn(&T, &mut ReduceEmitter<O>) + Sync,
+    ) -> Result<JobOutcome<O>, SimError> {
+        let (work, output) = JobWork::map_only(cfg, tasks, map);
+        self.outcome(work, output)
+    }
+
+    /// Runs a full map → shuffle → reduce job on this cluster:
+    /// [`JobWork::map_reduce`], then [`JobWork::price`].
+    pub fn map_reduce<T: Sync, K, V, O>(
+        &mut self,
+        cfg: &JobConfig,
+        tasks: Vec<MapTask<T>>,
+        map: impl Fn(&T, &mut MapEmitter<K, V>) + Sync,
+        reduce: impl Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync,
+    ) -> Result<JobOutcome<O>, SimError>
+    where
+        K: Ord + Clone + Send + Sync,
+        V: Send + Sync,
+        O: Send,
+    {
+        let (work, output) = JobWork::map_reduce(cfg, tasks, map, reduce);
+        self.outcome(work, output)
+    }
+
+    /// Prices `work` as a job starting at time zero and packs it with
+    /// `output`.
+    fn outcome<O>(&self, work: JobWork, output: Vec<O>) -> Result<JobOutcome<O>, SimError> {
+        let (trace, recovery) = work.price(self.cluster, 0)?;
+        let group_bytes = work.groups.iter().flatten().map(|g| g.in_bytes).collect();
+        Ok(JobOutcome { output, group_bytes, stats: work.stats, trace, recovery })
     }
 }
 
@@ -674,7 +667,6 @@ mod tests {
         let tasks = vec![MapTask::new(vec![1u32, 2, 3], 30)];
         let outcome = engine.map_only(&cfg, tasks, |r, em| em.emit(r * 10, 4)).unwrap();
         assert_eq!(outcome.output, vec![10, 20, 30]);
-        assert_eq!(outcome.stats.records_in, 3);
         assert_eq!(outcome.trace.hdfs_bytes_read, 30);
     }
 

@@ -179,7 +179,7 @@ impl<'a, 'b> StreamingJob<'a, 'b> {
     }
 
     /// Runs a streaming map-only job on the engine's cluster:
-    /// [`JobWork::map_only_lines`], then [`MapReduceJob::price`].
+    /// [`JobWork::map_only_lines`], then [`JobWork::price`].
     pub fn map_only_lines<L, O>(
         &mut self,
         cfg: &JobConfig,
@@ -195,7 +195,7 @@ impl<'a, 'b> StreamingJob<'a, 'b> {
     }
 
     /// Runs a streaming map-reduce job on the engine's cluster:
-    /// [`JobWork::map_reduce_lines`], then [`MapReduceJob::price`].
+    /// [`JobWork::map_reduce_lines`], then [`JobWork::price`].
     ///
     /// Fails with [`SimError::BrokenPipe`] when any single reduce task's
     /// full-scale pipe payload exceeds the node's streaming limit.
@@ -222,7 +222,7 @@ impl<'a, 'b> StreamingJob<'a, 'b> {
         work: JobWork,
         lines: Vec<O>,
     ) -> Result<StreamingOutcome<O>, SimError> {
-        let (trace, recovery) = self.engine.price(&work, 0)?;
+        let (trace, recovery) = work.price(self.engine.cluster, 0)?;
         Ok(StreamingOutcome { lines, stats: work.stats, trace, recovery })
     }
 

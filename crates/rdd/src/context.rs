@@ -10,8 +10,9 @@ use crate::record::SparkRecord;
 /// nothing: it records the stages into a [`SparkLedger`] that prices on any
 /// cluster afterwards.
 pub struct SparkContext<'a> {
-    /// The cost model the records' resident bytes are charged with.
-    pub(crate) cost: CostModel,
+    /// The cost model the records' resident bytes are charged with: the
+    /// one the clusters of `stop` share.
+    pub(crate) cost: &'a CostModel,
     /// The recorded stages.
     pub(crate) steps: Vec<SparkStep>,
     /// The clusters the recorded stages will be priced on.
@@ -22,15 +23,17 @@ impl<'a> SparkContext<'a> {
     /// A context for one cluster: [`for_work`](Self::for_work) on `cluster`
     /// alone, so a stage fails where that cluster runs out of memory.
     pub fn new(cluster: &'a Cluster) -> Self {
-        SparkContext::for_work(cluster.cost.clone(), std::slice::from_ref(cluster))
+        SparkContext::for_work(std::slice::from_ref(cluster))
     }
 
     /// A context that records its stages for pricing later, on the clusters
-    /// of `stop`. Reads no field of them but their memory: a stage whose
-    /// memory check fails on every one of them ends the application there,
-    /// with the first one's error.
-    pub fn for_work(cost: CostModel, stop: &'a [Cluster]) -> Self {
-        SparkContext { cost, steps: Vec::new(), stop }
+    /// of `stop`, which share one cost model. Reads no field of them but
+    /// that cost model and their memory: a stage whose memory check fails
+    /// on every one of them ends the application there, with the first
+    /// one's error.
+    pub fn for_work(stop: &'a [Cluster]) -> Self {
+        // sjc-lint: allow(no-panic-in-lib) — `stop` is never empty: every caller passes the clusters it prices on
+        SparkContext { cost: &stop[0].cost, steps: Vec::new(), stop }
     }
 
     /// The recorded stages.
@@ -49,7 +52,7 @@ impl<'a> SparkContext<'a> {
         multiplier: f64,
     ) -> Rdd<T> {
         let n = records.len();
-        let cost = &self.cost;
+        let cost = self.cost;
         let mut blocks = Vec::with_capacity(n.div_ceil(LOAD_BLOCK));
         let mut mem = Column::default();
         let mut block_mem = Vec::with_capacity(LOAD_BLOCK.min(n));
@@ -77,9 +80,7 @@ impl<'a> SparkContext<'a> {
 
     /// Closes a stage: records it.
     pub(crate) fn close(&mut self, step: SparkStep) -> Result<(), SimError> {
-        let failed = (!self.stop.is_empty())
-            .then(|| self.stop.iter().map(|c| step.out_of_memory(c)).collect::<Option<Vec<_>>>())
-            .flatten();
+        let failed = self.stop.iter().map(|c| step.out_of_memory(c)).collect::<Option<Vec<_>>>();
         self.steps.push(step);
         match failed.and_then(|errs| errs.into_iter().next()) {
             Some(err) => Err(err),

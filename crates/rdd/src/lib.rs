@@ -9,8 +9,9 @@
 //!   at the next shuffle or action (`collect`, or the cache-warming
 //!   `sample_collect`);
 //! * a [`SparkLedger`] of those stages: a context made with
-//!   `SparkContext::for_work` records them without a cluster, and the
-//!   ledger prices on any cluster afterwards ([`ledger`]);
+//!   `SparkContext::for_work` records them with the cost model of the
+//!   clusters it is given and reads nothing else of them but their memory,
+//!   and the ledger prices on any of them afterwards ([`ledger`]);
 //! * wide operations (`group_by_key`, `join`) that shuffle **in memory**
 //!   ([`shuffle`]) — no HDFS writes between stages, the paper's core
 //!   explanation for SpatialSpark's efficiency;

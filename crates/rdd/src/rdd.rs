@@ -74,7 +74,7 @@ impl<T: SparkRecord + Clone> Rdd<T> {
         ctx: &SparkContext<'_>,
         f: impl Fn(&T, &mut SimNs) -> Vec<U> + Sync,
     ) -> Rdd<U> {
-        let cost = &ctx.cost;
+        let cost = ctx.cost;
         let units = self.block_units();
         let blocks: Vec<(&Vec<T>, &Range<usize>)> = self.blocks.iter().zip(&units).collect();
         // LPT dispatch: fat blocks first, so skewed spatial partitioning

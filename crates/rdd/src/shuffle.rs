@@ -30,7 +30,7 @@ fn shuffled<R: SparkRecord>(
     multiplier: f64,
     records: impl Fn(&[R]) -> u64 + Sync,
 ) -> (Rdd<R>, Column) {
-    let cost = &ctx.cost;
+    let cost = ctx.cost;
     let (mem, counts): (Vec<u64>, Vec<u64>) = sjc_par::par_map(&parts, |part| {
         (part.iter().map(|r| r.mem_bytes(cost)).sum::<u64>(), records(part))
     })

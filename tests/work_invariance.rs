@@ -220,3 +220,57 @@ fn every_system_records_the_same_ledger_on_every_paper_configuration() {
         }
     }
 }
+
+/// Table 3's `taxi1m-nycb` at the test scale, run on `cluster`.
+fn priced_on(sys: SystemKind, cluster: &Cluster) -> RunTrace {
+    let (left, right) = Workload::taxi1m_nycb().prepare(SCALE, SEED);
+    let out = sys.instance().run(cluster, &left, &right, JoinPredicate::Intersects);
+    out.unwrap_or_else(|e| panic!("{} on {}: {e}", sys.paper_name(), cluster.config.name)).trace
+}
+
+/// The cluster's cost model reaches every charge, those `work` makes inside
+/// a job's closures included: a constant that only the work reads (the
+/// streaming script's per-record cost, a geometry vertex's JVM bytes) moves
+/// the priced run when the cluster's value moves.
+#[test]
+fn the_clusters_cost_model_reaches_every_charge() {
+    let base = Cluster::new(ClusterConfig::workstation());
+
+    let mut slow_script = base.clone();
+    slow_script.cost.streaming_script_record_ns *= 2.0;
+    let join_ns = |trace: &RunTrace| {
+        let join = trace.stages.iter().find(|s| s.name == "distributed join (streaming MR)");
+        join.expect("HadoopGIS completes its join job on WS").sim_ns
+    };
+    let (before, after) = (
+        join_ns(&priced_on(SystemKind::HadoopGis, &base)),
+        join_ns(&priced_on(SystemKind::HadoopGis, &slow_script)),
+    );
+    assert!(after > before, "HadoopGIS join job: {before} ns, {after} ns with a 2x script cost");
+
+    let mut fat_vertices = base.clone();
+    fat_vertices.cost.spark_vertex_bytes *= 2.0;
+    let (before, after) = (
+        priced_on(SystemKind::SpatialSpark, &base).total_ns(),
+        priced_on(SystemKind::SpatialSpark, &fat_vertices).total_ns(),
+    );
+    assert_ne!(before, after, "SpatialSpark total with 2x vertex bytes");
+}
+
+/// `work` charges with one cost model, so the clusters it is given must
+/// share one.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "share a cost model")]
+fn clusters_with_two_cost_models_are_refused() {
+    let base = Cluster::new(ClusterConfig::workstation());
+    let mut other = base.clone();
+    other.cost.streaming_script_record_ns *= 2.0;
+    let (left, right) = Workload::taxi1m_nycb().prepare(SCALE, SEED);
+    SystemKind::SpatialHadoop.instance().work(
+        &left,
+        &right,
+        JoinPredicate::Intersects,
+        &[base, other],
+    );
+}
