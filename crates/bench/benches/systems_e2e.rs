@@ -11,7 +11,7 @@ use sjc_core::framework::{DistributedSpatialJoin, JoinInput, JoinPredicate};
 use sjc_core::hadoopgis::HadoopGis;
 use sjc_core::spatialhadoop::SpatialHadoop;
 use sjc_core::spatialspark::SpatialSpark;
-use sjc_data::tsv::to_tsv_text;
+use sjc_data::tsv::tsv_line_lens;
 
 const SCALE: f64 = 1e-4;
 const SEED: u64 = 20150701;
@@ -71,10 +71,11 @@ fn bench_text_path(b: &mut Bench) {
     // `sampled_ws_1t`): the five-second check for an edit of `tsv`, `wkt`,
     // `streaming` or `hadoopgis`. Single-threaded like those workloads.
     // `hadoopgis_cell` reuses one prepared input pair, so from the second
-    // iteration on its TSV text is built (warm, as in the benchmark's later
-    // passes); `hadoopgis_cell_cold` prepares the pair inside the timed
-    // closure (a dataset-cache hit plus `JoinInput::from_dataset`), so every
-    // iteration also formats the text, as a fresh process does.
+    // iteration on its TSV line lengths are built (warm, as in the
+    // benchmark's later passes); `hadoopgis_cell_cold` prepares the pair
+    // inside the timed closure (a dataset-cache hit plus
+    // `JoinInput::from_dataset`), so every iteration also formats the lines
+    // to measure them, as a fresh process does.
     sjc_par::set_global_threads(1);
     let cluster = Cluster::new(ClusterConfig::workstation());
     let sys = HadoopGis::default();
@@ -97,8 +98,8 @@ fn bench_text_path(b: &mut Bench) {
         });
     }
     let (taxi, _) = Workload::taxi_nycb().prepare(4e-4, SEED);
-    b.bench("tsv_text_68k_points", || {
-        to_tsv_text(taxi.records.iter().map(|rec| (rec.id, &rec.geom))).len()
+    b.bench("tsv_line_lens_68k_points", || {
+        tsv_line_lens(taxi.records.iter().map(|rec| (rec.id, &rec.geom))).len()
     });
     sjc_par::set_global_threads(0);
 }

@@ -7,7 +7,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use sjc_cluster::{Cluster, RunTrace, SimError};
-use sjc_data::tsv::to_tsv_text;
+use sjc_data::tsv::tsv_line_lens;
 use sjc_data::ScaledDataset;
 use sjc_geom::{Geometry, GeometryEngine, Mbr};
 use sjc_index::entry::IndexEntry;
@@ -87,10 +87,11 @@ impl GeoRecord {
 
 /// One side of a distributed spatial join.
 ///
-/// Record `i` has id `i` (`new` checks it in debug builds): `pick` and
-/// HadoopGIS's line parser index `records` by id. The records' TSV text
-/// ([`tsv_text`](JoinInput::tsv_text)) is built on first use and shared by
-/// every clone, so `records` must not change once a run has read it.
+/// Record `i` has id `i` (`new` checks it in debug builds): `pick` indexes
+/// `records` by id, and HadoopGIS's streaming lines name their record by
+/// that index. The lengths of the records' TSV lines (`tsv_line_lens`) are
+/// built on first use and shared by every clone, so `records` must not
+/// change once a run has read them.
 #[derive(Clone)]
 pub struct JoinInput {
     pub name: String,
@@ -101,7 +102,7 @@ pub struct JoinInput {
     pub multiplier: f64,
     /// The spatial domain both join sides share.
     pub domain: Mbr,
-    tsv: Arc<OnceLock<String>>,
+    tsv_lens: Arc<OnceLock<Vec<u32>>>,
 }
 
 impl JoinInput {
@@ -119,7 +120,7 @@ impl JoinInput {
             "JoinInput: record ids must be dense, record i with id i"
         );
         let name = name.into();
-        JoinInput { name, records, sim_bytes, multiplier, domain, tsv: Arc::default() }
+        JoinInput { name, records, sim_bytes, multiplier, domain, tsv_lens: Arc::default() }
     }
 
     /// Wraps a generated dataset as a join input.
@@ -129,13 +130,16 @@ impl JoinInput {
         JoinInput::new(ds.spec.name, records, ds.sim_bytes(), ds.multiplier(), ds.domain)
     }
 
-    /// The records as TSV text, one `id \t WKT \n` line each: the input file
-    /// HadoopGIS reads off HDFS. The WKT sizes of the synthetic geometry
-    /// track the paper's Table-1 bytes/record closely, so pipe and parse
-    /// charges computed from these real line lengths are faithful. Built on
-    /// the first call, then shared by every later call and every clone.
-    pub fn tsv_text(&self) -> &str {
-        self.tsv.get_or_init(|| memo_tsv_text(&self.records))
+    /// The byte length of record `i`'s `id \t WKT` line, without its
+    /// newline, at index `i`: the lines of the input file HadoopGIS reads
+    /// off HDFS ([`to_tsv_text`](sjc_data::tsv::to_tsv_text)), of which its
+    /// streaming jobs charge only the lengths. The WKT sizes of the
+    /// synthetic geometry track the paper's Table-1 bytes/record closely,
+    /// so pipe and parse charges computed from these real line lengths are
+    /// faithful. Built on the first call, then shared by every later call
+    /// and every clone.
+    pub(crate) fn tsv_line_lens(&self) -> &[u32] {
+        self.tsv_lens.get_or_init(|| memo_tsv_line_lens(&self.records))
     }
 
     /// Average serialized bytes per record.
@@ -147,27 +151,30 @@ impl JoinInput {
         }
     }
 
-    /// The records with dataset ids `ids`, in that order: the one place a
-    /// dataset id indexes `records`.
+    /// The record with dataset id `id`: the one place a dataset id indexes
+    /// `records`.
+    pub(crate) fn record(&self, id: u64) -> &GeoRecord {
+        // sjc-lint: allow(no-panic-in-lib) — dataset ids are the enumerate indices minted by from_dataset
+        &self.records[id as usize]
+    }
+
+    /// The records with dataset ids `ids`, in that order.
     pub(crate) fn pick<'a>(
         &'a self,
         ids: impl IntoIterator<Item = u64> + 'a,
     ) -> impl Iterator<Item = &'a GeoRecord> + 'a {
-        // sjc-lint: allow(no-panic-in-lib) — dataset ids are the enumerate indices minted by from_dataset
-        ids.into_iter().map(|i| &self.records[i as usize])
+        ids.into_iter().map(|i| self.record(i))
     }
 }
 
-/// The value behind [`JoinInput::tsv_text`]'s memo: a pure function of the
-/// records (its name puts it under the `cache-purity` pass). The text lives
-/// as long as the input, so the growth slack goes back to the allocator.
-fn memo_tsv_text(records: &[GeoRecord]) -> String {
-    let mut text = to_tsv_text(records.iter().map(|r| (r.id, &r.geom)));
-    text.shrink_to_fit();
-    text
+/// The value behind [`JoinInput::tsv_line_lens`]'s memo: a pure function of
+/// the records (its name puts it under the `cache-purity` pass).
+fn memo_tsv_line_lens(records: &[GeoRecord]) -> Vec<u32> {
+    tsv_line_lens(records.iter().map(|r| (r.id, &r.geom)))
 }
 
-/// Prints the text's length, not the text or the records.
+/// Prints how many line lengths the memo holds, not the lengths or the
+/// records.
 impl fmt::Debug for JoinInput {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JoinInput")
@@ -176,7 +183,7 @@ impl fmt::Debug for JoinInput {
             .field("sim_bytes", &self.sim_bytes)
             .field("multiplier", &self.multiplier)
             .field("domain", &self.domain)
-            .field("tsv_text_len", &self.tsv.get().map(String::len))
+            .field("tsv_lines", &self.tsv_lens.get().map(Vec::len))
             .finish()
     }
 }
@@ -410,28 +417,29 @@ mod tests {
     }
 
     #[test]
-    fn tsv_text_is_the_records_text() {
+    fn tsv_line_lens_are_the_records_text_line_lengths() {
         let (input, _) = tiny_inputs();
-        let want = to_tsv_text(input.records.iter().map(|r| (r.id, &r.geom)));
-        assert_eq!(input.tsv_text(), want);
-        assert_eq!(input.tsv_text().lines().count(), input.records.len());
+        let text = sjc_data::tsv::to_tsv_text(input.records.iter().map(|r| (r.id, &r.geom)));
+        let want: Vec<u32> = text.split_terminator('\n').map(|l| l.len() as u32).collect();
+        assert_eq!(want.len(), input.records.len());
+        assert_eq!(input.tsv_line_lens(), want);
     }
 
     #[test]
-    fn tsv_text_is_built_once_and_shared_by_clones() {
+    fn tsv_line_lens_are_built_once_and_shared_by_clones() {
         let (input, _) = tiny_inputs();
-        let first = input.tsv_text().as_ptr();
-        assert_eq!(input.tsv_text().as_ptr(), first);
+        let first = input.tsv_line_lens().as_ptr();
+        assert_eq!(input.tsv_line_lens().as_ptr(), first);
         let clone = input.clone();
-        assert_eq!(clone.tsv_text().as_ptr(), first);
-        // A clone taken before the first call shares the text too.
+        assert_eq!(clone.tsv_line_lens().as_ptr(), first);
+        // A clone taken before the first call shares the lengths too.
         let (cold, _) = tiny_inputs();
         let early = cold.clone();
-        assert_eq!(early.tsv_text().as_ptr(), cold.tsv_text().as_ptr());
+        assert_eq!(early.tsv_line_lens().as_ptr(), cold.tsv_line_lens().as_ptr());
     }
 
     #[test]
-    fn concurrent_first_callers_share_one_text() {
+    fn concurrent_first_callers_share_one_tsv_line_lens() {
         let (input, _) = tiny_inputs();
         let callers: Vec<JoinInput> = (0..64).map(|_| input.clone()).collect();
         // Weighted dispatch: 64 plain `par_map` items fall under the serial
@@ -440,14 +448,14 @@ mod tests {
             sjc_par::Budget::explicit(4),
             &callers,
             |_| 1,
-            |c| c.tsv_text().as_ptr() as usize,
+            |c| c.tsv_line_lens().as_ptr() as usize,
         );
-        let first = input.tsv_text().as_ptr() as usize;
+        let first = input.tsv_line_lens().as_ptr() as usize;
         assert!(ptrs.iter().all(|&p| p == first), "{ptrs:?}");
     }
 
     #[test]
-    fn only_hadoopgis_builds_the_text() {
+    fn only_hadoopgis_builds_the_tsv_line_lens() {
         use crate::hadoopgis::HadoopGis;
         use crate::spatialhadoop::SpatialHadoop;
         use crate::spatialspark::SpatialSpark;
@@ -460,13 +468,14 @@ mod tests {
         let p = JoinPredicate::Intersects;
         SpatialSpark::default().run(&cluster, &left, &right, p).unwrap();
         SpatialHadoop::default().run(&cluster, &left, &right, p).unwrap();
-        assert!(left.tsv.get().is_none() && right.tsv.get().is_none());
-        assert!(format!("{left:?}").contains("tsv_text_len: None"), "{left:?}");
+        assert!(left.tsv_lens.get().is_none() && right.tsv_lens.get().is_none());
+        assert!(format!("{left:?}").contains("tsv_lines: None"), "{left:?}");
 
         HadoopGis::default().run(&cluster, &left, &right, p).unwrap();
-        let len = left.tsv.get().map(String::len);
-        assert!(len.is_some() && right.tsv.get().is_some());
-        assert!(format!("{left:?}").contains(&format!("tsv_text_len: {len:?}")), "{left:?}");
+        let lines = left.tsv_lens.get().map(Vec::len);
+        assert_eq!(lines, Some(left.records.len()));
+        assert!(right.tsv_lens.get().is_some());
+        assert!(format!("{left:?}").contains(&format!("tsv_lines: {lines:?}")), "{left:?}");
     }
 
     #[test]

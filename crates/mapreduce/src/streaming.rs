@@ -8,13 +8,14 @@
 //! payload exceeds what the node can buffer — the paper's "broken pipeline
 //! ... when the data that pipes through multiple processors is too big".
 //!
-//! **Lines are borrowed, lengths are real.** Every charge above is a
+//! **Lines are handles, lengths are real.** Every charge above is a
 //! function of byte lengths only, so the job is generic over what carries
-//! the text: anything with a [`TextLen`]. HadoopGIS writes each dataset's
-//! TSV once into one buffer and passes `&str` slices of it from mapper to
-//! shuffle to reducer; each charged length is still the `len()` of bytes
-//! that exist. Mappers and reducers write into an `out(..)` sink instead of
-//! returning a `Vec` per line. [`StreamingJob::map_only`] and
+//! the text: anything with a [`TextLen`]. HadoopGIS formats each dataset's
+//! TSV once, keeps each line's length, and passes `Copy` handles (a
+//! record's index and its line's length) from mapper to shuffle to reducer;
+//! each charged length is still the `len()` of a line the writer formats.
+//! Mappers and reducers write into an `out(..)` sink instead of returning a
+//! `Vec` per line. [`StreamingJob::map_only`] and
 //! [`StreamingJob::map_reduce`] are `String`-and-`Vec` adapters over the
 //! same core, kept for `benchmark/` only.
 
