@@ -1,9 +1,10 @@
 //! Index and partitioner micro-benchmarks: STR bulk loading, window
-//! queries, partitioner builds, and the engines' cell tagging
-//! (`CellIndex::tag`).
+//! queries, partitioner builds, the engines' cell tagging
+//! (`CellIndex::tag`), and `pip_1t`'s point assignment.
 
 use sjc_bench::microbench::{black_box, Bench};
-use sjc_core::framework::CellIndex;
+use sjc_core::experiment::Workload;
+use sjc_core::framework::{CellIndex, JoinInput};
 use sjc_data::rng::StdRng;
 use sjc_geom::{Mbr, Point};
 use sjc_index::entry::IndexEntry;
@@ -108,11 +109,11 @@ fn bench_partitioners(b: &mut Bench) {
         ("fixed_grid", CellIndex::new(grid)),
     ] {
         b.bench_in("cell_index_tag_10k", name, || {
-            let mut total = 0usize;
+            let (mut visits, mut tagged) = (0usize, 0usize);
             for e in &probes {
-                total += index.tag(black_box(&e.mbr), &mut cells) + cells.len();
+                visits += index.tag(black_box(&e.mbr), |_| tagged += 1);
             }
-            total
+            visits + tagged
         });
     }
     // `owner` locates a reference point; `owns` decides whether one cell
@@ -147,10 +148,39 @@ fn bench_partitioners(b: &mut Bench) {
     bench_owns(b, "bsp", &bsp);
 }
 
+/// The centers of every `stride`-th record for `cells` cells at about ten
+/// samples a cell, as the systems sample before choosing their cells.
+fn sample_centers(input: &JoinInput, cells: usize) -> Vec<Point> {
+    let stride = (input.records.len() / (10 * cells)).max(1);
+    input.records.iter().step_by(stride).map(|r| r.mbr.center()).collect()
+}
+
+/// Point assignment as `pip_1t` runs it: each taxi point at 4e-4 (67 888
+/// records) assigned against SpatialSpark's 512 STR tiles over the nycb
+/// domain and against HadoopGIS's BSP cells (partition target 64) over
+/// the taxi domain, reported per record; the cells are handed to a
+/// counting callback.
+fn bench_point_assignment(b: &mut Bench) {
+    let (taxi, nycb) = Workload::taxi_nycb().prepare(4e-4, 20150701);
+    let points: Vec<Mbr> = taxi.records.iter().map(|r| r.mbr).collect();
+    let str_tiles = CellLocator::new(str_tile_cells(nycb.domain, sample_centers(&nycb, 512), 512));
+    let bsp = CellLocator::new(bsp_cells(taxi.domain, sample_centers(&taxi, 64), 64));
+    for (name, located) in [("str_512", &str_tiles), ("bsp_hadoopgis", &bsp)] {
+        b.bench_records_in("partition_assign_points_taxi", name, points.len(), || {
+            let mut cells = 0usize;
+            for p in &points {
+                located.assign_each(black_box(p), |_| cells += 1);
+            }
+            cells
+        });
+    }
+}
+
 fn main() {
     let mut b = Bench::from_args();
     bench_rtree_build(&mut b);
     bench_rtree_query(&mut b);
     bench_rtree_visits(&mut b);
     bench_partitioners(&mut b);
+    bench_point_assignment(&mut b);
 }

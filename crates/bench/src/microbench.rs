@@ -45,7 +45,24 @@ impl Bench {
 
     /// Runs `f` repeatedly and reports per-iteration timing. The closure's
     /// result is black-boxed so the computation cannot be optimized away.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
+    pub fn bench<R>(&mut self, name: &str, f: impl FnMut() -> R) {
+        self.run(name, 1, "iter", f)
+    }
+
+    /// [`bench_in`](Self::bench_in) for an `f` that handles `records`
+    /// records a call: reports the time per record.
+    pub fn bench_records_in<R>(
+        &mut self,
+        group: &str,
+        name: &str,
+        records: usize,
+        f: impl FnMut() -> R,
+    ) {
+        self.run(&format!("{group}/{name}"), records.max(1) as u64, "record", f)
+    }
+
+    /// Times `f`, reporting the time per call divided by `per`, per `unit`.
+    fn run<R>(&mut self, name: &str, per: u64, unit: &str, mut f: impl FnMut() -> R) {
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
                 return;
@@ -69,14 +86,14 @@ impl Bench {
             for _ in 0..iters_per_batch {
                 black_box(f());
             }
-            batch_per_iter_ns.push(start.elapsed().as_nanos() as u64 / iters_per_batch);
+            batch_per_iter_ns.push(start.elapsed().as_nanos() as u64 / (iters_per_batch * per));
         }
         batch_per_iter_ns.sort_unstable();
         let median = batch_per_iter_ns[batch_per_iter_ns.len() / 2];
         let min = batch_per_iter_ns.first().copied().unwrap_or(0);
         let max = batch_per_iter_ns.last().copied().unwrap_or(0);
         println!(
-            "{name:<44} {:>12}/iter  (min {}, max {}, {} iters × {} batches)",
+            "{name:<44} {:>12}/{unit}  (min {}, max {}, {} iters × {} batches)",
             fmt_ns(median),
             fmt_ns(min),
             fmt_ns(max),

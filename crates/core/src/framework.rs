@@ -191,7 +191,7 @@ impl fmt::Debug for JoinInput {
 /// A located cell list plus the STR R-tree over its cells: how
 /// SpatialHadoop, SpatialSpark and LDE tag a record with the cells it
 /// meets. Each charges the nodes a probe of the tree visits at its own
-/// rate; the cells themselves are the locator's `assign_into`.
+/// rate; the cells themselves are the locator's `assign_each`.
 pub struct CellIndex {
     locator: CellLocator,
     tree: RTree,
@@ -218,12 +218,18 @@ impl CellIndex {
         self.tree.num_nodes()
     }
 
-    /// Fills `hits` with the cells `mbr` meets, in ascending id order, or
-    /// with the cell nearest its center when it meets none. Returns the
-    /// R-tree nodes a probe for `mbr` visits: the set and the count the
-    /// tree's walk produces, read from the locator and the inner levels.
-    pub fn tag(&self, mbr: &Mbr, hits: &mut Vec<CellId>) -> usize {
-        self.locator.assign_into(mbr, hits);
+    /// Hands `each` the cells `mbr` meets, in ascending id order, or the
+    /// cell nearest its center when it meets none. Returns the R-tree nodes
+    /// a probe for `mbr` visits: the set and the count the tree's walk
+    /// produces, read from the locator and the inner levels.
+    pub fn tag(&self, mbr: &Mbr, mut each: impl FnMut(CellId)) -> usize {
+        #[cfg(feature = "sanitize")]
+        let mut tagged = Vec::new();
+        self.locator.assign_each(mbr, |id| {
+            #[cfg(feature = "sanitize")]
+            tagged.push(u64::from(id));
+            each(id)
+        });
         let visits = self.tree.visits(mbr);
         #[cfg(feature = "sanitize")]
         {
@@ -233,7 +239,6 @@ impl CellIndex {
                 walked.push(u64::from(self.locator.nearest_cell(&mbr.center())));
             }
             walked.sort_unstable();
-            let tagged: Vec<u64> = hits.iter().map(|&c| u64::from(c)).collect();
             debug_assert_eq!((visits, tagged), (walk, walked), "sanitize: tag({mbr:?})");
         }
         visits

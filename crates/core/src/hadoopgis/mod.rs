@@ -44,6 +44,7 @@ use sjc_cluster::{Cluster, CostModel, StageKind, StageTrace};
 use sjc_geom::{EngineKind, GeometryEngine, Mbr, Point};
 use sjc_index::partition::{bsp_cells, CellLocator};
 use sjc_mapreduce::{block_splits, JobConfig, JobWork, TextLen};
+use sjc_par::GroupKey;
 
 use crate::common::{local_join, LocalJoinAlgo};
 use crate::framework::{reported_by, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate};
@@ -94,6 +95,15 @@ impl CellKey {
     fn new(cell: u32) -> Self {
         let digits = decimal_digits(cell.into()).max(6);
         CellKey { aligned: u64::from(cell) * 10u64.pow(10 - digits), digits, cell }
+    }
+}
+
+/// While its text is six digits (every cell below a million), a key's text
+/// order is its cell's numeric order, so the cell is its rank; a longer
+/// text has none, and a shuffle holding one sorts its keys instead.
+impl GroupKey for CellKey {
+    fn rank(&self) -> Option<u32> {
+        (self.digits == 6).then_some(self.cell)
     }
 }
 
@@ -215,12 +225,7 @@ fn keyed_by_cell<L: Copy>(
     line: L,
     out: &mut dyn FnMut(CellKey, L),
 ) {
-    sjc_par::scratch::with_vec(|cells| {
-        partitioner.assign_into(mbr, cells);
-        for &c in cells.iter() {
-            out(CellKey::new(c), line);
-        }
-    })
+    partitioner.assign_each(mbr, |c| out(CellKey::new(c), line))
 }
 
 impl HadoopGis {
@@ -483,6 +488,17 @@ mod tests {
                 let text_b = format!("{b:06}");
                 assert_eq!(CellKey::new(a).cmp(&CellKey::new(b)), text_a.cmp(&text_b), "{a} {b}");
             }
+        }
+        // A six-digit text ranks as its cell, which keeps the text's order:
+        // ranks strictly increase over the sorted distinct keys. A longer
+        // text has no rank.
+        let mut keys: Vec<CellKey> = cells.iter().map(|&c| CellKey::new(c)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let ranked: Vec<u32> = keys.iter().filter_map(|k| k.rank()).collect();
+        assert!(ranked.windows(2).all(|w| w[0] < w[1]), "ranks out of key order");
+        for k in &keys {
+            assert_eq!(k.rank().is_some(), format!("{:06}", k.cell).len() == 6, "{}", k.cell);
         }
     }
 

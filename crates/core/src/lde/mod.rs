@@ -90,15 +90,13 @@ impl DistributedSpatialJoin for LdeEngine {
         let mut assign_l: Vec<Vec<u64>> = vec![Vec::new(); ncells];
         let mut assign_r: Vec<Vec<u64>> = vec![Vec::new(); ncells];
         let mut probe_visits = 0u64;
-        let mut hits = Vec::new();
         for (assign, input) in [(&mut assign_l, left), (&mut assign_r, right)] {
             for rec in &input.records {
-                probe_visits += index.tag(&rec.mbr, &mut hits) as u64;
-                for &c in &hits {
+                probe_visits += index.tag(&rec.mbr, |c| {
                     if let Some(cell) = assign.get_mut(c as usize) {
                         cell.push(rec.id);
                     }
-                }
+                }) as u64;
             }
         }
         let probe_ns = probe_visits as f64 * mult * jts.filter_cost_ns() as f64;

@@ -141,11 +141,8 @@ impl SpatialHadoop {
             &cfg2,
             block_splits(&records, bpr, block),
             |rec, em| {
-                let mut hits = Vec::new();
-                em.charge(index.tag(&rec.mbr, &mut hits) as u64 * jts.filter_cost_ns());
-                for cell in hits {
-                    em.emit(cell, rec.id, bpr as u64);
-                }
+                let visits = index.tag(&rec.mbr, |cell| em.emit(cell, rec.id, bpr as u64));
+                em.charge(visits as u64 * jts.filter_cost_ns());
             },
             |cell, ids, em| {
                 // Build the intra-block index — sort the block by MBR

@@ -127,12 +127,11 @@ impl SpatialSpark {
 
         // 3. Tag records with partition ids (both sides).
         let tag = |rdd: Rdd<RecRef>, ctx: &SparkContext<'_>, input: &JoinInput| {
-            rdd.flat_map(ctx, |r: &RecRef, extra: &mut u64| {
-                let mut hits = Vec::new();
+            rdd.flat_map_into(ctx, |r: &RecRef, extra: &mut u64, out| {
                 for rec in input.pick([u64::from(r.idx)]) {
-                    *extra += index.tag(&rec.mbr, &mut hits) as u64 * jts.filter_cost_ns();
+                    let visits = index.tag(&rec.mbr, |c| out.push((c, *r)));
+                    *extra += visits as u64 * jts.filter_cost_ns();
                 }
-                hits.into_iter().map(|c| (c, *r)).collect::<Vec<_>>()
             })
         };
         let (tagged_l, tagged_r) = (tag(rdd_l, ctx, left), tag(rdd_r, ctx, right));
@@ -194,21 +193,20 @@ impl SpatialSpark {
         ctx.broadcast("broadcast full right index", Phase::IndexB, (), right_mem);
 
         // Probe directly: no partitioning, no shuffle, no duplicates.
-        let result = rdd_l.flat_map(ctx, |r: &RecRef, extra: &mut u64| {
-            let mut out = Vec::new();
+        let result = rdd_l.flat_map_into(ctx, |r: &RecRef, extra: &mut u64, out| {
             for lrec in left.pick([u64::from(r.idx)]) {
-                let mut hits = Vec::new();
-                let visited = tree.query_counting(&lrec.mbr, &mut hits);
-                *extra += visited as u64 * jts.filter_cost_ns();
-                for rrec in right.pick(hits) {
-                    let (hit, ns) = predicate.evaluate_records(&jts, lrec, rrec, &[]);
-                    *extra += ns;
-                    if hit {
-                        out.push((lrec.id, rrec.id));
+                sjc_par::scratch::with_vec(|hits| {
+                    let visited = tree.query_counting(&lrec.mbr, hits);
+                    *extra += visited as u64 * jts.filter_cost_ns();
+                    for rrec in right.pick(hits.iter().copied()) {
+                        let (hit, ns) = predicate.evaluate_records(&jts, lrec, rrec, &[]);
+                        *extra += ns;
+                        if hit {
+                            out.push((lrec.id, rrec.id));
+                        }
                     }
-                }
+                })
             }
-            out
         });
         result.collect(ctx, "collect results", Phase::DistributedJoin)
     }

@@ -16,12 +16,29 @@
 //! directly.
 //!
 //! Location uses **comparisons only**: a binary search over the edge
-//! values themselves, never arithmetic to pick a bucket. A probe on a
+//! values themselves, never arithmetic to pick the answer. A probe on a
 //! shared boundary lands in the edge's own region, whose list names every
 //! cell touching it, so boundary ties, zero-width cells and probes outside
 //! every cell resolve exactly as the linear scans resolve them (lowest id
 //! wins; nearest cell otherwise). `tests/cell_locator_equivalence.rs`
 //! holds the two to each other.
+//!
+//! A point probe (an MBR with `min == max`, most records of a point
+//! dataset) searches each axis once: its x-region, then, in an open
+//! x-interval, its y-region, whose list is the answer; a rectangle finds
+//! both ends of its range on each axis. Each search is guided: per axis, a
+//! table over equal-width buckets of the edges' span gives, for the
+//! bucket a value falls in, the edges that can hold the answer (those in
+//! the same bucket), and the binary search runs over those alone. The
+//! table only picks where a search starts; the comparisons with the edge
+//! values decide, so a guided answer equals the unguided binary search's
+//! for every value, NaN and ±inf included (the bucket arithmetic only has
+//! to keep order, which subtraction, scaling and truncation do).
+//!
+//! Assignment hands its cells to a callback, ascending
+//! ([`CellLocator::assign_each`]): inside one x-region the cells come
+//! straight from a region's list, and only an MBR crossing x-regions
+//! collects, sorts and deduplicates them in a scratch buffer.
 //!
 //! `owns(cell, p)` — the reference-point test, asked of every candidate
 //! pair — is mostly answered without a search, from two certificates read
@@ -57,15 +74,16 @@ pub struct CellLocator {
     filled: Mbr,
 }
 
-/// A sequence of axes stored back to back in four vectors, however many
+/// A sequence of axes stored back to back in a few vectors, however many
 /// axes there are: a partitioner lives as long as a system run, and dozens
 /// of small long-lived allocations scattered through the heap cost more
 /// resident memory (in what they keep the allocator from reusing) than
 /// they hold.
 #[derive(Debug, Clone, Default)]
 struct Axes {
-    /// Axis `k` owns `edges[first_edge[k]..first_edge[k + 1]]`.
-    first_edge: Vec<u32>,
+    /// Per axis, where its edges and its guide table start: axis `k` owns
+    /// `edges[at[k].edge..at[k + 1].edge]` and `buckets[at[k].bucket..at[k + 1].bucket]`.
+    at: Vec<AxisAt>,
     /// Per axis, the sorted distinct range bounds of its cells.
     edges: Vec<f64>,
     /// An axis of `n` edges has `2n - 1` regions and owns `2n` entries
@@ -73,40 +91,98 @@ struct Axes {
     /// `members[starts[r]..starts[r + 1]]`, ascending.
     starts: Vec<u32>,
     members: Vec<CellId>,
+    /// Per axis, its guide table over `nb` equal-width buckets
+    /// ([`bucket`]): `nb + 1` entries, entry `b` counting the edges whose
+    /// bucket is below `b`. An axis without a guide (fewer than two or more
+    /// than `u16::MAX` edges, or an edge that is not finite) has an empty
+    /// table.
+    buckets: Vec<u16>,
 }
+
+/// Where an axis starts in [`Axes`], and its guide's bucket arithmetic.
+#[derive(Debug, Clone, Copy)]
+struct AxisAt {
+    edge: u32,
+    bucket: u32,
+    origin: f64,
+    scale: f64,
+}
+
+/// The bucket of `v` among `last + 1`: `(v - origin) * scale`, truncated
+/// and clamped. Subtraction, multiplication by a positive `scale` and
+/// truncation each keep order, so `v <= w` gives `bucket(v) <= bucket(w)`
+/// for every `v` and `w`; NaN and -inf fall in bucket 0, +inf in the last.
+fn bucket(v: f64, origin: f64, scale: f64, last: usize) -> usize {
+    (((v - origin) * scale) as usize).min(last)
+}
+
+/// Buckets per edge in a guide table. Partitions follow the data, so the
+/// edges crowd where it is dense (a city centre); at this many buckets
+/// per edge the buckets there still hold an edge or two, and the search a
+/// bucket leaves is a step or none.
+const BUCKETS_PER_EDGE: usize = 16;
 
 /// One axis cut into elementary regions — region `2i` is the edge
 /// `edges[i]`, region `2i + 1` the open interval up to `edges[i + 1]` —
-/// with, per region, the cells whose closed range on this axis holds it.
+/// with, per region, the cells whose closed range on this axis holds it,
+/// and the axis's guide table with its bucket arithmetic ([`AxisAt`]).
 #[derive(Debug, Clone, Copy)]
 struct Axis<'a> {
     edges: &'a [f64],
     starts: &'a [u32],
     members: &'a [CellId],
-}
-
-/// One past the region of `edges` holding `v`, counting "below every edge"
-/// as 0 — so that region is `raw - 1`, and a `v` above every edge yields
-/// one past the last region. NaN counts as below every edge.
-fn raw_region(edges: &[f64], v: f64) -> usize {
-    let below = edges.partition_point(|&e| e < v);
-    // `edges[below]` is the first edge not below `v`: it equals `v` exactly
-    // when it is not above it either.
-    let on_edge = edges.get(below).is_some_and(|&e| e <= v);
-    2 * below + usize::from(on_edge)
-}
-
-/// The regions of `edges` meeting the closed interval `[lo, hi]`
-/// (`lo <= hi`).
-fn regions(edges: &[f64], lo: f64, hi: f64) -> Range<usize> {
-    let count = (2 * edges.len()).saturating_sub(1);
-    raw_region(edges, lo).saturating_sub(1)..raw_region(edges, hi).min(count)
+    origin: f64,
+    scale: f64,
+    table: &'a [u16],
 }
 
 impl<'a> Axis<'a> {
+    /// An axis without regions' lists or a guide: what `Axes::push` cuts.
+    fn bare(edges: &'a [f64]) -> Self {
+        Axis { edges, starts: &[], members: &[], origin: 0.0, scale: 0.0, table: &[] }
+    }
+
+    /// How many edges lie below `v` (none, for NaN): a binary search by
+    /// comparisons over the edges in `v`'s guide bucket. Every edge before
+    /// them lies in a lower bucket, so below `v`; every edge after them in
+    /// a higher one, so above `v`. Without a guide, over the whole axis.
+    fn below(&self, v: f64) -> usize {
+        let b = bucket(v, self.origin, self.scale, self.table.len().saturating_sub(2));
+        let span = match (self.table.get(b), self.table.get(b + 1)) {
+            (Some(&lo), Some(&hi)) => usize::from(lo)..usize::from(hi),
+            _ => 0..self.edges.len(),
+        };
+        let within = self.edges.get(span.clone()).unwrap_or(self.edges);
+        let found = within.partition_point(|&e| e < v);
+        #[cfg(feature = "sanitize")]
+        debug_assert_eq!(
+            span.start + found,
+            self.edges.partition_point(|&e| e < v),
+            "sanitize: guided search for {v}"
+        );
+        span.start + found
+    }
+
+    /// One past the region holding `v`, counting "below every edge" as 0 —
+    /// so that region is `raw - 1`, and a `v` above every edge yields one
+    /// past the last region. NaN counts as below every edge.
+    fn raw_region(&self, v: f64) -> usize {
+        let below = self.below(v);
+        // `edges[below]` is the first edge not below `v`: it equals `v`
+        // exactly when it is not above it either.
+        let on_edge = self.edges.get(below).is_some_and(|&e| e <= v);
+        2 * below + usize::from(on_edge)
+    }
+
+    /// The regions meeting the closed interval `[lo, hi]` (`lo <= hi`).
+    fn regions(&self, lo: f64, hi: f64) -> Range<usize> {
+        let count = (2 * self.edges.len()).saturating_sub(1);
+        self.raw_region(lo).saturating_sub(1)..self.raw_region(hi).min(count)
+    }
+
     /// The region holding `v`; none for a `v` outside every edge.
     fn region(&self, v: f64) -> Option<usize> {
-        raw_region(self.edges, v).checked_sub(1).filter(|&r| r + 1 < self.starts.len())
+        self.raw_region(v).checked_sub(1).filter(|&r| r + 1 < self.starts.len())
     }
 
     /// The cells holding region `r`.
@@ -127,13 +203,14 @@ impl Axes {
         edges.extend(spans.iter().flat_map(|&(_, lo, hi)| [lo, hi]));
         edges.sort_by(f64::total_cmp);
         edges.dedup();
+        let axis = Axis::bare(edges);
         // A range bounded by edges holds exactly the regions it meets.
         // Count per region, prefix-sum, fill: ids arrive ascending, so
         // every list comes out ascending.
         cursors.clear();
         cursors.resize(2 * edges.len(), 0);
         for &(_, lo, hi) in spans {
-            let held = regions(edges, lo, hi);
+            let held = axis.regions(lo, hi);
             for count in cursors.get_mut(held.start + 1..held.end + 1).into_iter().flatten() {
                 *count += 1;
             }
@@ -143,12 +220,12 @@ impl Axes {
             end += *cursor;
             *cursor = end;
         }
-        self.first_edge.push(self.edges.len() as u32);
+        self.push_at(edges);
         self.edges.extend_from_slice(edges);
         self.starts.extend_from_slice(cursors);
         self.members.resize(end as usize, 0);
         for &(id, lo, hi) in spans {
-            for cursor in cursors.get_mut(regions(edges, lo, hi)).into_iter().flatten() {
+            for cursor in cursors.get_mut(axis.regions(lo, hi)).into_iter().flatten() {
                 if let Some(slot) = self.members.get_mut(*cursor as usize) {
                     *slot = id;
                 }
@@ -157,14 +234,49 @@ impl Axes {
         }
     }
 
+    /// Appends the [`AxisAt`] of the axis over `edges` (sorted, distinct)
+    /// and its guide table: [`BUCKETS_PER_EDGE`] buckets per edge over the
+    /// edges' span from the first edge. No guide unless the edges are
+    /// finite, at least two, at most `u16::MAX` of them, and span a width
+    /// whose scale is finite.
+    fn push_at(&mut self, edges: &[f64]) {
+        let (lo, hi) =
+            (edges.first().copied().unwrap_or(0.0), edges.last().copied().unwrap_or(0.0));
+        let last = (BUCKETS_PER_EDGE * edges.len()).saturating_sub(1);
+        let scale = (last + 1) as f64 / (hi - lo);
+        let counted = edges.len() <= usize::from(u16::MAX);
+        let guided =
+            counted && lo.is_finite() && hi.is_finite() && scale.is_finite() && scale > 0.0;
+        let (origin, scale) = if guided { (lo, scale) } else { (0.0, 0.0) };
+        let (edge, bucket_at) = (self.edges.len() as u32, self.buckets.len() as u32);
+        self.at.push(AxisAt { edge, bucket: bucket_at, origin, scale });
+        if !guided {
+            return;
+        }
+        let mut below = 0;
+        for b in 0..=last + 1 {
+            while edges.get(below).is_some_and(|&e| bucket(e, origin, scale, last) < b) {
+                below += 1;
+            }
+            self.buckets.push(below as u16);
+        }
+    }
+
     /// Axis `k`, if that many were pushed.
     fn get(&self, k: usize) -> Option<Axis<'_>> {
-        let from = *self.first_edge.get(k)? as usize;
-        let to = self.first_edge.get(k + 1).map_or(self.edges.len(), |&e| e as usize);
+        let at = self.at.get(k)?;
+        let (to, table_end) = match self.at.get(k + 1) {
+            Some(next) => (next.edge as usize, next.bucket as usize),
+            None => (self.edges.len(), self.buckets.len()),
+        };
+        let from = at.edge as usize;
         Some(Axis {
             edges: self.edges.get(from..to)?,
             starts: self.starts.get(2 * from..2 * to)?,
             members: &self.members,
+            origin: at.origin,
+            scale: at.scale,
+            table: self.buckets.get(at.bucket as usize..table_end)?,
         })
     }
 }
@@ -253,7 +365,7 @@ impl CellLocator {
 
     /// The x-axis (always pushed first; without edges when no cell is live).
     fn columns(&self) -> Axis<'_> {
-        self.axes.get(0).unwrap_or(Axis { edges: &[], starts: &[], members: &[] })
+        self.axes.get(0).unwrap_or(Axis::bare(&[]))
     }
 
     fn cell(&self, id: CellId) -> Option<&Mbr> {
@@ -289,40 +401,66 @@ impl CellLocator {
     /// cleared, then holds the assigned cells in ascending id order.
     pub fn assign_into(&self, mbr: &Mbr, out: &mut Vec<CellId>) {
         out.clear();
-        let x = self.columns();
-        // An inverted MBR is empty and meets nothing, whatever its bounds.
-        let columns = if mbr.is_empty() { 0..0 } else { regions(x.edges, mbr.min_x, mbr.max_x) };
-        let one_region = match (columns.len(), self.rows_under(columns.start)) {
-            (1, Some(rows)) => {
-                let within = regions(rows.edges, mbr.min_y, mbr.max_y);
-                (within.len() == 1).then(|| rows.list(within.start))
-            }
-            _ => None,
+        self.assign_each(mbr, |id| out.push(id));
+    }
+
+    /// Hands each cell [`assign`](Self::assign) returns to `each`, in
+    /// ascending id order, without a buffer unless the MBR crosses more
+    /// than one x-region.
+    pub fn assign_each(&self, mbr: &Mbr, mut each: impl FnMut(CellId)) {
+        #[cfg(feature = "sanitize")]
+        let mut handed = Vec::new();
+        let mut each = |id| {
+            #[cfg(feature = "sanitize")]
+            handed.push(id);
+            each(id)
         };
-        match one_region {
-            // Inside one region on both axes (most records): its list is
-            // the answer.
-            Some(cells) => out.extend_from_slice(cells),
-            // Otherwise test the cells of every x-region crossed; an edge
-            // region repeats cells of the intervals beside it.
-            None => {
-                for column in columns.clone() {
-                    let cells = x.list(column).iter();
-                    out.extend(
-                        cells.filter(|&&id| self.cell(id).is_some_and(|c| c.intersects(mbr))),
-                    );
-                }
-                if columns.len() > 1 {
-                    out.sort_unstable();
-                    out.dedup();
-                }
-            }
-        }
-        if out.is_empty() {
-            out.push(self.nearest_cell(&mbr.center()));
+        if !self.meets(mbr, &mut each) {
+            each(self.nearest_cell(&mbr.center()));
         }
         #[cfg(feature = "sanitize")]
-        debug_assert_eq!(*out, linear::assign(self, mbr), "sanitize: assign({mbr:?})");
+        debug_assert_eq!(handed, linear::assign(self, mbr), "sanitize: assign({mbr:?})");
+    }
+
+    /// Hands each cell whose closed rectangle `mbr` meets to `each`,
+    /// ascending; whether there was one.
+    fn meets(&self, mbr: &Mbr, each: &mut impl FnMut(CellId)) -> bool {
+        let x = self.columns();
+        let meeting = |&id: &CellId| self.cell(id).is_some_and(|c| c.intersects(mbr));
+        // A point (most records of a point dataset) searches each axis once.
+        if mbr.min_x == mbr.max_x && mbr.min_y == mbr.max_y {
+            let Some(column) = x.region(mbr.min_x) else { return false };
+            return match self.rows_under(column) {
+                Some(rows) => {
+                    let cells = rows.region(mbr.min_y).map(|r| rows.list(r)).unwrap_or_default();
+                    hand(cells.iter().copied(), each)
+                }
+                None => hand(x.list(column).iter().copied().filter(meeting), each),
+            };
+        }
+        // An inverted MBR is empty and meets nothing, whatever its bounds.
+        let columns = if mbr.is_empty() { 0..0 } else { x.regions(mbr.min_x, mbr.max_x) };
+        match (columns.len(), self.rows_under(columns.start)) {
+            (0, _) => false,
+            // Inside one x-region: its cells, ascending. Inside one region
+            // on both axes (most records), that region's list is the answer.
+            (1, Some(rows)) => match rows.regions(mbr.min_y, mbr.max_y) {
+                within if within.len() == 1 => hand(rows.list(within.start).iter().copied(), each),
+                _ => hand(x.list(columns.start).iter().copied().filter(meeting), each),
+            },
+            (1, None) => hand(x.list(columns.start).iter().copied().filter(meeting), each),
+            // Otherwise test the cells of every x-region crossed; an edge
+            // region repeats cells of the intervals beside it, so sort and
+            // deduplicate them first.
+            _ => sjc_par::scratch::with_vec(|cells: &mut Vec<CellId>| {
+                for column in columns {
+                    cells.extend(x.list(column).iter().copied().filter(meeting));
+                }
+                cells.sort_unstable();
+                cells.dedup();
+                hand(cells.iter().copied(), each)
+            }),
+        }
     }
 
     /// The canonical owner cell of a point: the lowest-id cell whose closed
@@ -386,6 +524,14 @@ impl CellLocator {
         }
         best.1
     }
+}
+
+/// Hands `cells` to `each`; whether there was one.
+fn hand(cells: impl Iterator<Item = CellId>, each: &mut impl FnMut(CellId)) -> bool {
+    cells.fold(false, |_, id| {
+        each(id);
+        true
+    })
 }
 
 /// Runtime invariant sanitizer (feature `sanitize`): linear scans over the
@@ -458,6 +604,54 @@ mod tests {
         }
         assert!(subdivided > 0, "STR never had to subdivide");
         assert!(degenerate > 0, "no zero-width or zero-height tile was generated");
+    }
+
+    /// The guide only picks where a search starts: on every axis of STR,
+    /// BSP, grid, overlapping and extreme lists, at every edge and one ulp
+    /// either side, between edges, at NaN, ±0 and ±inf, the guided search
+    /// answers the binary search over the whole axis. Every axis of two or
+    /// more finite edges over a finite span has a guide.
+    #[test]
+    fn guided_search_is_the_binary_search() {
+        let (mut guided, mut probes) = (0, 0);
+        let lists = [
+            str_tile_cells(EXTENT, spread(2000), 512),
+            bsp_cells(EXTENT, spread(2000), 128),
+            str_tile_cells(EXTENT, duplicates(400), 64),
+            crate::partition::grid_cells(EXTENT, 512),
+            vec![Mbr::new(0.0, 0.0, 2.0, 2.0), Mbr::new(1.0, 1.0, 3.0, 3.0)],
+            // A span too small for a finite scale, and one too wide.
+            vec![Mbr::new(0.0, 0.0, 5e-324, 1.0)],
+            vec![Mbr::new(-1e308, 0.0, 1e308, 1.0)],
+            vec![Mbr::new(f64::NEG_INFINITY, 0.0, 1.0, f64::INFINITY)],
+        ];
+        for cells in lists {
+            let located = CellLocator::new(cells);
+            for k in 0..located.axes.at.len() {
+                let axis = located.axes.get(k).expect("every pushed axis");
+                let edges = axis.edges;
+                let mut at = vec![f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+                for (i, &e) in edges.iter().enumerate() {
+                    at.extend([e.next_down(), e, e.next_up()]);
+                    at.extend(edges.get(i + 1).map(|&f| e / 2.0 + f / 2.0));
+                }
+                for v in at {
+                    assert_eq!(
+                        axis.below(v),
+                        edges.partition_point(|&e| e < v),
+                        "{v} in {edges:?}"
+                    );
+                    probes += 1;
+                }
+                let finite = edges.first().zip(edges.last()).is_some_and(|(lo, hi)| {
+                    lo.is_finite() && hi.is_finite() && (hi - lo).is_finite() && hi - lo > 1e-300
+                });
+                assert_eq!(!axis.table.is_empty(), finite, "guide over {edges:?}");
+                guided += usize::from(finite);
+            }
+        }
+        assert!(guided > 100, "guided axes: {guided}");
+        assert!(probes > 5000, "probes: {probes}");
     }
 
     #[test]

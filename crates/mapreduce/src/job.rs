@@ -5,6 +5,7 @@ use sjc_cluster::scheduler::{replicated_makespan, TaskSchedule};
 use sjc_cluster::{
     Cluster, RecoveryEvent, RecoveryKind, SimError, SimHdfs, SimNs, StageKind, StageTrace,
 };
+use sjc_par::GroupKey;
 
 use crate::input_format::MapTask;
 
@@ -272,7 +273,7 @@ impl JobWork {
         reduce: impl Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync,
     ) -> (JobWork, Vec<O>)
     where
-        K: Ord + Clone + Send + Sync,
+        K: GroupKey + Clone + Send + Sync,
         V: Send + Sync,
         O: Send,
     {
@@ -291,7 +292,7 @@ impl JobWork {
         reduce: &(dyn Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync),
     ) -> (JobWork, Vec<O>)
     where
-        K: Ord + Clone + Send + Sync,
+        K: GroupKey + Clone + Send + Sync,
         V: Send + Sync,
         O: Send,
     {
@@ -607,7 +608,7 @@ impl<'a> MapReduceJob<'a> {
         reduce: impl Fn(&K, &[V], &mut ReduceEmitter<O>) + Sync,
     ) -> Result<JobOutcome<O>, SimError>
     where
-        K: Ord + Clone + Send + Sync,
+        K: GroupKey + Clone + Send + Sync,
         V: Send + Sync,
         O: Send,
     {

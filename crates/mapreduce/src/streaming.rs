@@ -20,6 +20,7 @@
 //! same core, kept for `benchmark/` only.
 
 use sjc_cluster::{Cluster, CostModel, RecoveryEvent, SimError, SimNs, StageTrace};
+use sjc_par::GroupKey;
 
 use crate::input_format::MapTask;
 use crate::job::{JobConfig, JobStats, JobWork, MapReduceJob};
@@ -106,7 +107,7 @@ impl JobWork {
     ) -> (JobWork, Vec<O>)
     where
         L: TextLen + Sync,
-        K: TextLen + Ord + Clone + Send + Sync,
+        K: TextLen + GroupKey + Clone + Send + Sync,
         V: TextLen + Send + Sync,
         O: TextLen + Send,
     {
@@ -209,7 +210,7 @@ impl<'a, 'b> StreamingJob<'a, 'b> {
     ) -> Result<StreamingOutcome<O>, SimError>
     where
         L: TextLen + Sync,
-        K: TextLen + Ord + Clone + Send + Sync,
+        K: TextLen + GroupKey + Clone + Send + Sync,
         V: TextLen + Send + Sync,
         O: TextLen + Send,
     {

@@ -24,8 +24,9 @@
 //!   original relative order, merges prefer the left run). A stable sort has a
 //!   unique answer, so the result is identical to `slice::sort_by` for every
 //!   thread count.
-//! * [`par_group`] is the shuffle: the same stable sort on the key, cut into
-//!   runs — keys ascending, each key's values in input order.
+//! * [`par_group`] is the shuffle: keys ascending, each key's values in
+//!   input order — a stable counting pass when every key has a dense rank
+//!   ([`GroupKey`]), else the same stable sort on the key — cut into runs.
 //! * [`par_chunks_mut`] is the in-place sibling of [`par_map`]: workers claim
 //!   chunk indices and receive disjoint `&mut` sub-slices, so each chunk sees
 //!   exactly the transformation the serial `chunks_mut` pass would apply.
@@ -461,31 +462,127 @@ impl<K, V> Groups<K, V> {
     }
 }
 
+/// A key [`par_group`] can group: ordered, and optionally ranked.
+///
+/// A *rank* is an order-preserving dense number: for two keys that both
+/// have one, `a < b` exactly when `a.rank() < b.rank()` (so equal keys
+/// rank equal and unequal keys apart). When every key of a grouping has a
+/// rank, and the ranks span at most a small multiple of the pair count,
+/// the grouping counts instead of comparing. A key without a rank
+/// (`None`, the default) is grouped by comparison.
+pub trait GroupKey: Ord {
+    /// This key's rank, if it has one.
+    fn rank(&self) -> Option<u32> {
+        None
+    }
+}
+
+/// Cell ids rank as themselves.
+impl GroupKey for u32 {
+    fn rank(&self) -> Option<u32> {
+        Some(*self)
+    }
+}
+
+/// A `u64` ranks as itself while it fits a `u32`.
+impl GroupKey for u64 {
+    fn rank(&self) -> Option<u32> {
+        u32::try_from(*self).ok()
+    }
+}
+
+impl GroupKey for String {}
+
+impl GroupKey for &str {}
+
+/// Counted ranks may span this many per pair, plus [`RANK_SLACK`]: a count
+/// table past that costs more to clear and scan than the pairs' sort.
+const RANKS_PER_PAIR: usize = 4;
+
+/// The rank span any grouping may count over, however few its pairs.
+const RANK_SLACK: usize = 1024;
+
 /// Groups owned `(key, value)` pairs by key, the shuffle of both substrates
-/// (Hadoop's sort, Spark's `groupByKey`/`join`): [`par_sort_by`]'s stable
-/// sort on the key alone, cut into runs. Keys come out ascending, each
-/// key's values in input order; that answer is unique, so every thread
-/// count gives it.
-pub fn par_group<K: Ord + Sync, V: Sync>(pairs: Vec<(K, V)>) -> Groups<K, V> {
+/// (Hadoop's sort, Spark's `groupByKey`/`join`): keys ascending, each
+/// key's values in input order. That answer is unique, so every thread
+/// count gives it. The pairs are put in order by a stable counting pass
+/// over the keys' ranks when every key has one and they are dense
+/// ([`GroupKey`]), else by [`par_sort_by`]'s stable sort on the key; then
+/// cut into runs.
+pub fn par_group<K: GroupKey + Sync, V: Sync>(pairs: Vec<(K, V)>) -> Groups<K, V> {
     par_group_budget(Budget::resolve(), pairs)
 }
 
 /// [`par_group`] with an explicit thread budget.
-fn par_group_budget<K: Ord + Sync, V: Sync>(
+fn par_group_budget<K: GroupKey + Sync, V: Sync>(
     budget: Budget,
     mut pairs: Vec<(K, V)>,
 ) -> Groups<K, V> {
     let by_key = |a: &(K, V), b: &(K, V)| a.0.cmp(&b.0);
     if pairs.len() > u32::MAX as usize {
         pairs.sort_by(by_key);
-    } else {
-        // Sort a permutation, not the pairs: its scratch is 4 bytes a pair,
-        // not a copy of every pair. Then move each pair into its slot.
-        let mut order = Vec::new();
-        sorted_order(budget, &pairs, by_key, &mut order);
-        permute(&mut pairs, &mut order);
+        return runs(pairs);
     }
-    // Cut into runs; std's in-place `collect` keeps the pairs' buffer.
+    // Order a permutation, not the pairs: its scratch is 4 bytes a pair,
+    // not a copy of every pair. Then move each pair into its slot.
+    let mut order = Vec::new();
+    if !counted_order(&pairs, &mut order) {
+        sorted_order(budget, &pairs, by_key, &mut order);
+    }
+    permute(&mut pairs, &mut order);
+    let groups = runs(pairs);
+    debug_assert!(
+        groups.keys.windows(2).all(|w| matches!(w, [(a, _), (b, _)] if a < b)),
+        "par_group: keys out of order; a rank does not keep key order"
+    );
+    groups
+}
+
+/// Fills `order` with the permutation that stably sorts `pairs` by key, by
+/// counting ranks: count the pairs per rank, prefix-sum the counts into
+/// each rank's first slot, then place every pair in input order. Returns
+/// `false`, leaving `order` for a sort, when a key has no rank or the ranks
+/// span more than [`RANKS_PER_PAIR`] per pair plus [`RANK_SLACK`].
+fn counted_order<K: GroupKey, V>(pairs: &[(K, V)], order: &mut Vec<u32>) -> bool {
+    let (mut lo, mut hi) = (u32::MAX, 0);
+    for (k, _) in pairs {
+        let Some(r) = k.rank() else { return false };
+        (lo, hi) = (lo.min(r), hi.max(r));
+    }
+    let span = (hi as usize + 1).saturating_sub(lo as usize);
+    if span > RANKS_PER_PAIR * pairs.len() + RANK_SLACK {
+        return false;
+    }
+    let slot = |k: &K| k.rank().map_or(0, |r| (r - lo) as usize);
+    let mut first: Vec<u32> = scratch::take_vec();
+    first.resize(span + 1, 0);
+    for (k, _) in pairs {
+        if let Some(count) = first.get_mut(slot(k) + 1) {
+            *count += 1;
+        }
+    }
+    let mut at = 0;
+    for start in first.iter_mut() {
+        at += *start;
+        *start = at;
+    }
+    order.clear();
+    order.resize(pairs.len(), 0);
+    for (i, (k, _)) in pairs.iter().enumerate() {
+        if let Some(next) = first.get_mut(slot(k)) {
+            if let Some(place) = order.get_mut(*next as usize) {
+                *place = i as u32;
+            }
+            *next += 1;
+        }
+    }
+    scratch::put_vec(first);
+    true
+}
+
+/// Cuts key-ordered pairs into runs; std's in-place `collect` keeps the
+/// pairs' buffer.
+fn runs<K: PartialEq, V>(pairs: Vec<(K, V)>) -> Groups<K, V> {
     let mut keys: Vec<(K, usize)> = Vec::new();
     let values = pairs
         .into_iter()
@@ -836,6 +933,85 @@ mod tests {
                 assert_eq!(owned, expected, "threads {threads}, shape {shape}, n {n}");
             }
         });
+    }
+
+    /// The comparison grouping: `par_group` without its counting pass.
+    fn grouped_by_comparison<K: Ord + Sync, V: Sync>(
+        budget: Budget,
+        mut pairs: Vec<(K, V)>,
+    ) -> Groups<K, V> {
+        let mut order = Vec::new();
+        sorted_order(budget, &pairs, |a, b| a.0.cmp(&b.0), &mut order);
+        permute(&mut pairs, &mut order);
+        runs(pairs)
+    }
+
+    /// Each key with its run, owned, for comparing two groupings.
+    fn listed<K: Clone, V: Clone>(groups: &Groups<K, V>) -> Vec<(K, Vec<V>)> {
+        groups.iter().map(|(k, run)| (k.clone(), run.to_vec())).collect()
+    }
+
+    /// Whether `par_group` would count `pairs`, and the grouping it returns
+    /// against the comparison grouping at thread budgets 1, 2 and 4.
+    fn counts_as_compared<K: GroupKey + Clone + Sync + std::fmt::Debug>(
+        pairs: Vec<(K, u64)>,
+    ) -> bool {
+        let counted = counted_order(&pairs, &mut Vec::new());
+        for threads in [1, 2, 4] {
+            let budget = Budget::explicit(threads);
+            let grouped = par_group_budget(budget, pairs.clone());
+            let compared = grouped_by_comparison(budget, pairs.clone());
+            assert_eq!(listed(&grouped), listed(&compared), "threads {threads}, counted {counted}");
+        }
+        counted
+    }
+
+    /// The counting grouping is the comparison grouping, over dense `u32`
+    /// ranks at any offset (up to `u32::MAX`), sparse ranks (which must
+    /// fall back), `u64` keys of which some have no rank, and `String`
+    /// keys, which have none. The value is the input position plus noise,
+    /// so an unstable placement shows as a reordered run.
+    #[test]
+    fn counted_grouping_matches_the_comparison_grouping() {
+        let (mut counted, mut fell_back) = (0, 0);
+        cases(0x5eedc, 48, |rng| {
+            let n = match rng.usize_in(0..3) {
+                0 => rng.usize_in(0..64),
+                1 => rng.usize_in(64..SORT_MIN),
+                _ => rng.usize_in(SORT_MIN..3 * SORT_MIN),
+            };
+            let noise = rng.u64_in(0..1 << 40);
+            let value = |i: usize| ((i as u64) << 20) ^ noise;
+            let keys = rng.u32_in(1..3000);
+            let lo = if rng.bool_with(0.5) { u32::MAX - keys } else { rng.u32_in(0..1 << 20) };
+            let dense: Vec<(u32, u64)> =
+                (0..n).map(|i| (lo + rng.u32_in(0..keys), value(i))).collect();
+            let fits = n * RANKS_PER_PAIR + RANK_SLACK >= keys as usize;
+            let expect_count =
+                fits || dense.iter().map(|p| p.0).max() == dense.iter().map(|p| p.0).min();
+            if counts_as_compared(dense) {
+                counted += 1;
+            } else {
+                assert!(!expect_count || n == 0, "{n} pairs over {keys} ranks fell back");
+                fell_back += 1;
+            }
+            // Sparse: ranks spread over all of `u32`.
+            let sparse: Vec<(u32, u64)> = (0..n.max(2))
+                .map(|i| (if i % 2 == 0 { 0 } else { u32::MAX - rng.u32_in(0..9) }, value(i)))
+                .collect();
+            assert!(!counts_as_compared(sparse), "sparse ranks were counted");
+            // `u64` keys above `u32::MAX` have no rank.
+            let wide_at = rng.usize_in(0..n.max(1));
+            let wide: Vec<(u64, u64)> = (0..n.max(1))
+                .map(|i| (rng.u64_in(0..40) + if i == wide_at { 1 << 32 } else { 0 }, value(i)))
+                .collect();
+            assert!(!counts_as_compared(wide), "a key without a rank was counted");
+            let texts: Vec<(String, u64)> = (0..n.clamp(1, 500))
+                .map(|i| (format!("k{}", rng.u64_in(0..30)), value(i)))
+                .collect();
+            assert!(!counts_as_compared(texts), "a `String` key was counted");
+        });
+        assert!(counted > 20 && fell_back > 0, "counted {counted}, fell back {fell_back}");
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! Spark 1.x execution model the paper evaluated:
 //!
 //! * typed, partitioned datasets ([`Rdd`]) whose narrow transformation
-//!   (`flat_map`) *pipelines* — its CPU cost is recorded per unit (loaded
-//!   record or shuffle partition) and is only turned into a stage makespan
-//!   at the next shuffle or action (`collect`, or the cache-warming
-//!   `sample_collect`);
+//!   (`flat_map_into`, and `flat_map` over it) *pipelines* — its CPU cost
+//!   is recorded per unit (loaded record or shuffle partition) and is only
+//!   turned into a stage makespan at the next shuffle or action (`collect`,
+//!   or the cache-warming `sample_collect`);
 //! * a [`SparkLedger`] of those stages: a context made with
 //!   `SparkContext::for_work` records them with the cost model of the
 //!   clusters it is given and reads nothing else of them but their memory,

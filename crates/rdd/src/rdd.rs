@@ -14,9 +14,9 @@ use crate::record::SparkRecord;
 ///
 /// The records sit in *units* (see [`crate::ledger`]): each loaded record,
 /// or each partition of a shuffle's output. The narrow transformation
-/// (`flat_map`) runs eagerly on the host but *pipelines* in the simulation:
-/// its cost is recorded per unit in the RDD's pending work and only
-/// becomes a stage when a wide operation or action closes the stage —
+/// (`flat_map_into`) runs eagerly on the host but *pipelines* in the
+/// simulation: its cost is recorded per unit in the RDD's pending work and
+/// only becomes a stage when a wide operation or action closes the stage —
 /// exactly how Spark fuses narrow ops into one stage.
 pub struct Rdd<T> {
     /// The records in blocks of whole units: [`LOAD_BLOCK`] loaded records,
@@ -62,17 +62,30 @@ impl<T: SparkRecord + Clone> Rdd<T> {
 
     /// Narrow flat-map. `f` receives each record and a per-record extra-cost
     /// accumulator (generation-scale ns) for spatial work such as index
-    /// probes; each unit records its input records, its accumulated extra
-    /// cost and its output's resident bytes, which a stage prices per
-    /// partition as the Spark per-record overhead plus the extra cost.
-    ///
-    /// Runs of units are independent, so `f` runs on them concurrently
-    /// (`sjc-par`, order-preserving) and the output and columns are
-    /// reassembled in unit order, identical at every thread count.
+    /// probes; its records join the output in order. The adapter over
+    /// [`flat_map_into`](Self::flat_map_into).
     pub fn flat_map<U: SparkRecord>(
         self,
         ctx: &SparkContext<'_>,
         f: impl Fn(&T, &mut SimNs) -> Vec<U> + Sync,
+    ) -> Rdd<U> {
+        self.flat_map_into(ctx, |rec, extra, out| out.extend(f(rec, extra)))
+    }
+
+    /// Narrow flat-map whose `f` pushes each record's output onto the
+    /// unit's output buffer (it must only append), so no record allocates
+    /// a buffer of its own. Each unit records its input records, its
+    /// accumulated extra cost and its output's resident bytes, which a
+    /// stage prices per partition as the Spark per-record overhead plus
+    /// the extra cost.
+    ///
+    /// Runs of units are independent, so `f` runs on them concurrently
+    /// (`sjc-par`, order-preserving) and the output and columns are
+    /// reassembled in unit order, identical at every thread count.
+    pub fn flat_map_into<U: SparkRecord>(
+        self,
+        ctx: &SparkContext<'_>,
+        f: impl Fn(&T, &mut SimNs, &mut Vec<U>) + Sync,
     ) -> Rdd<U> {
         let cost = ctx.cost;
         let units = self.block_units();
@@ -92,7 +105,7 @@ impl<T: SparkRecord + Clone> Rdd<T> {
                     let (start, mut extra) = (out.len(), 0);
                     let end = at + len as usize;
                     for rec in src.get(at..end).unwrap_or(&[]) {
-                        out.extend(f(rec, &mut extra));
+                        f(rec, &mut extra, &mut out);
                     }
                     at = end;
                     let made = out.get(start..).unwrap_or(&[]);

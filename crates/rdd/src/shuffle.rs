@@ -14,6 +14,7 @@ use std::hash::Hash;
 
 use sjc_cluster::metrics::Phase;
 use sjc_cluster::SimError;
+use sjc_par::GroupKey;
 
 use crate::context::SparkContext;
 use crate::ledger::{Column, Layout, Pending, Source, SparkStep};
@@ -57,7 +58,7 @@ pub type JoinResult<K, A, B> = Result<Rdd<(K, (A, B))>, SimError>;
 
 impl<K, V> Rdd<(K, V)>
 where
-    K: SparkRecord + SparkKey + Ord + Hash + Clone,
+    K: SparkRecord + SparkKey + GroupKey + Hash + Clone,
     V: SparkRecord + Clone,
 {
     /// Groups values by key into `num_partitions` hash partitions, closing
@@ -94,7 +95,7 @@ where
 
 impl<K, A> Rdd<(K, A)>
 where
-    K: SparkRecord + SparkKey + Ord + Hash + Clone,
+    K: SparkRecord + SparkKey + GroupKey + Hash + Clone,
     A: SparkRecord + Clone,
 {
     /// Inner hash join on the key, closing both sides' stages. Matches

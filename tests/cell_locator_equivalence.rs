@@ -1,8 +1,8 @@
 //! `CellLocator` — the one point/rectangle location structure, over the
 //! cells of `grid_cells`, `str_tile_cells`, `bsp_cells` and SpatialHadoop's
-//! adopted cell lists — must answer `owner`, `owns`, `assign` and
-//! `assign_into` exactly as the linear scans it replaced, ties and
-//! fallbacks included.
+//! adopted cell lists — must answer `owner`, `owns`, `assign`,
+//! `assign_into` and `assign_each` exactly as the linear scans it
+//! replaced, ties and fallbacks included.
 //!
 //! The linear scans are kept here verbatim (the `ref_*` functions, as they
 //! stood before the locator existed), so this file stays a fixed reference
@@ -153,6 +153,9 @@ fn check_rect(p: &CellLocator, m: Mbr, seen: &mut Seen) {
     let mut buf = vec![CellId::MAX; 3];
     p.assign_into(&m, &mut buf);
     assert_eq!(buf, expected, "assign_into of {m:?} over {} cells", cells.len());
+    buf.clear();
+    p.assign_each(&m, |c| buf.push(c));
+    assert_eq!(buf, expected, "assign_each of {m:?} over {} cells", cells.len());
     if !cells.iter().any(|c| c.intersects(&m)) {
         seen.assign_fallbacks += 1;
     } else if expected.len() > 1 {
@@ -237,20 +240,111 @@ fn located_partitioners_match_the_linear_scans() {
 }
 
 /// Degenerate lists the constructors cannot produce but an adopted list may.
-#[test]
-fn degenerate_cell_lists_are_total() {
-    let mut seen = Seen::default();
-    let mut rng = TestRng::new(7);
+fn degenerate_lists() -> [Vec<Mbr>; 5] {
     let dot = Mbr::new(3.0, 4.0, 3.0, 4.0);
-    for cells in [
+    [
         vec![dot],
         vec![dot, dot],
         vec![Mbr::empty()],
         vec![Mbr::empty(), dot, Mbr::new(3.0, 0.0, 3.0, 9.0)],
         vec![Mbr::new(0.0, 4.0, 9.0, 4.0), Mbr::new(3.0, 0.0, 3.0, 9.0)],
-    ] {
+    ]
+}
+
+#[test]
+fn degenerate_cell_lists_are_total() {
+    let mut seen = Seen::default();
+    let mut rng = TestRng::new(7);
+    for cells in degenerate_lists() {
         check_partitioner(&CellLocator::new(cells), &mut rng, &mut seen);
     }
+}
+
+/// `v` and the floats one ulp either side of it.
+fn ulps(v: f64) -> [f64; 3] {
+    [v.next_down(), v, v.next_up()]
+}
+
+/// Point probes, the records of a point dataset, which the locator
+/// answers with one search per axis: on every x- and y-edge of every cell
+/// and one ulp either side of it, at cell midpoints, outside the extent,
+/// and with infinite coordinates, over STR, BSP and grid cells, the
+/// degenerate lists and adopted lists. `assign_into`, `assign_each` and
+/// `CellIndex::tag` each hand out exactly `ref_assign`'s cells. (A NaN
+/// point has no MBR the sanitizer accepts; the locator's unit tests hold
+/// its guided search to the binary search at NaN.)
+#[test]
+fn point_probes_match_the_linear_scan() {
+    let mut rng = TestRng::new(0x9017_0C11);
+    let mut lists: Vec<Vec<Mbr>> = degenerate_lists().into();
+    for target in [1usize, 2, 64, 128, 512] {
+        let pts = sample(&mut rng);
+        lists.push(str_tile_cells(EXTENT, pts.clone(), target));
+        lists.push(bsp_cells(EXTENT, pts, target));
+        lists.push(grid_cells(EXTENT, target));
+        lists.push(grid_cells(ROUNDED, target));
+    }
+    lists.extend((0..8).map(|_| arbitrary_cells(&mut rng)));
+    let specials = [f64::INFINITY, f64::NEG_INFINITY, -1e9, 1e9];
+    let (mut points, mut on_edges, mut nonfinite, mut fallbacks, mut tagged) = (0, 0, 0, 0, 0);
+    for cells in lists {
+        let located = CellLocator::new(cells.clone());
+        // The R-tree over the cells takes no empty member.
+        let index = cells.iter().all(|c| !c.is_empty()).then(|| CellIndex::new(located.clone()));
+        let mut probe = |x: f64, y: f64| {
+            let m = Point::new(x, y).mbr();
+            let expected = ref_assign(&cells, &m);
+            let mut got = vec![CellId::MAX; 2];
+            located.assign_into(&m, &mut got);
+            assert_eq!(got, expected, "assign_into of ({x}, {y}) over {} cells", cells.len());
+            got.clear();
+            located.assign_each(&m, |c| got.push(c));
+            assert_eq!(got, expected, "assign_each of ({x}, {y}) over {} cells", cells.len());
+            if let Some(index) = &index {
+                got.clear();
+                index.tag(&m, |c| got.push(c));
+                assert_eq!(got, expected, "tag of ({x}, {y}) over {} cells", cells.len());
+                tagged += 1;
+            }
+            // The point path serves exactly the probes whose MBR is one point.
+            if m.min_x == m.max_x && m.min_y == m.max_y {
+                points += 1;
+            }
+            if !x.is_finite() || !y.is_finite() {
+                nonfinite += 1;
+            }
+            if !cells.iter().any(|c| c.intersects(&m)) {
+                fallbacks += 1;
+            }
+        };
+        for c in cells.iter().filter(|c| !c.is_empty()) {
+            let mid = c.center();
+            for x in [c.min_x, c.max_x].into_iter().flat_map(ulps) {
+                for y in [c.min_y, mid.y, c.max_y].into_iter().flat_map(ulps) {
+                    probe(x, y);
+                    on_edges += 1;
+                }
+            }
+            for y in [c.min_y, c.max_y].into_iter().flat_map(ulps) {
+                probe(mid.x, y);
+                on_edges += 1;
+            }
+            for v in specials {
+                probe(v, mid.y);
+                probe(mid.x, v);
+                probe(v, v);
+            }
+        }
+        for v in specials {
+            probe(f64::INFINITY, v);
+            probe(v, f64::NEG_INFINITY);
+        }
+    }
+    assert!(points > 100_000, "point probes: {points}");
+    assert!(tagged > 100_000, "tagged point probes: {tagged}");
+    assert!(on_edges > 100_000, "probes on and beside edges: {on_edges}");
+    assert!(nonfinite > 1000, "infinite probes: {nonfinite}");
+    assert!(fallbacks > 1000, "nearest-cell fallbacks: {fallbacks}");
 }
 
 /// `named` holds `located`'s cells and answers `owner`, `nearest_cell` and
@@ -376,10 +470,11 @@ fn cell_index_tags_exactly_the_assigned_cells() {
                 probes.push(Mbr { min_x: 40.0, min_y: 20.0, max_x: 10.0, max_y: 30.0 });
                 probes.push(Mbr { min_x: 10.0, min_y: 50.0, max_x: 40.0, max_y: 30.0 });
 
-                let (mut hits, mut walked) = (vec![CellId::MAX; 2], Vec::new());
+                let (mut hits, mut walked) = (Vec::new(), Vec::new());
                 for m in &probes {
                     let visits = tree.query_counting(m, &mut walked);
-                    let tagged = index.tag(m, &mut hits);
+                    hits.clear();
+                    let tagged = index.tag(m, |c| hits.push(c));
                     assert_eq!(tagged, visits, "{} visits for {m:?}", kind.name());
                     if m.is_empty() {
                         assert_eq!(tagged, 0, "{} visits for inverted {m:?}", kind.name());
