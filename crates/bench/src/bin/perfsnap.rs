@@ -1,11 +1,12 @@
-//! `perfsnap` — regenerates the two simulated-time pins at the repo root.
+//! `perfsnap` — the one bless command: rewrites every file of
+//! [`sjc_bench::snapshots::SNAPSHOTS`], run from the repo root.
 //!
-//! Writes [`sjc_bench::fingerprint::systems_e2e`] to `BENCH_baseline.json`
-//! and [`sjc_bench::fingerprint::fault_sweep`] to `BENCH_faults.json`.
-//! Everything in them is simulated time, so on any host and thread budget a
-//! rerun is a no-op diff unless the cost model changed; tier-1
-//! (`tests/perf_baseline.rs`) re-derives both and compares. Host time is
-//! not measured here — that is `benchmark/`'s job.
+//! Every file holds simulated output only, so on any host and thread budget
+//! a rerun is a no-op diff unless the cost model or a report changed; then
+//! `git diff` shows exactly what moved. Tier-1 (`tests/snapshots.rs`)
+//! re-derives the in-process members; the examples and the benchmark run
+//! here as CI runs them (`cargo run --release`). Host time is not measured
+//! here — that is `benchmark/`'s job.
 //!
 //! ```text
 //! cargo run --release -p sjc-bench --bin perfsnap
@@ -13,23 +14,32 @@
 
 use std::process::ExitCode;
 
-use sjc_bench::fingerprint;
+use sjc_bench::snapshots::SNAPSHOTS;
 
 fn main() -> ExitCode {
     if std::env::args().len() > 1 {
-        eprintln!("perfsnap: takes no arguments; writes BENCH_baseline.json and BENCH_faults.json");
+        eprintln!("perfsnap: takes no arguments; rewrites every snapshot from the repo root");
         return ExitCode::from(2);
     }
-    let files = [
-        ("BENCH_baseline.json", fingerprint::systems_e2e()),
-        ("BENCH_faults.json", fingerprint::fault_sweep()),
-    ];
-    for (path, json) in files {
-        if let Err(e) = std::fs::write(path, fingerprint::file_text(&json)) {
-            eprintln!("perfsnap: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+    let mut status = ExitCode::SUCCESS;
+    for snapshot in SNAPSHOTS {
+        let files = match snapshot.render() {
+            Ok(files) => files,
+            Err(e) => {
+                eprintln!("perfsnap: cannot render {}: {e}", snapshot.paths.join(", "));
+                status = ExitCode::FAILURE;
+                continue;
+            }
+        };
+        for (path, text) in snapshot.paths.iter().zip(files) {
+            match std::fs::write(path, text) {
+                Ok(()) => println!("perfsnap: wrote {path}"),
+                Err(e) => {
+                    eprintln!("perfsnap: cannot write {path}: {e}");
+                    status = ExitCode::FAILURE;
+                }
+            }
         }
-        println!("perfsnap: wrote {path}");
     }
-    ExitCode::SUCCESS
+    status
 }

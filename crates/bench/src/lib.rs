@@ -1,19 +1,24 @@
 //! # sjc-bench — the reproduction harness
 //!
-//! * `bin/reproduce` regenerates every table and figure of the paper:
-//!   `reproduce [table1|table2|table3|fig1|speedups|all] [--scale S] [--seed N] [--json PATH]`;
+//! * [`reproduce`] renders every table and figure of the paper; the
+//!   `reproduce` binary prints it:
+//!   `reproduce [all|table1|table2|table3|fig1|speedups|scalability|extension|ablations] [--scale S] [--seed N] [--json PATH]`;
 //! * the [`microbench`]-based benches under `benches/` cover the same
 //!   experiments plus the ablations DESIGN.md lists (access model, geometry
 //!   engine, local join algorithm, broadcast vs partition join, sample
 //!   rate, partitioner);
-//! * [`fingerprint`] derives the two simulated-time pins (`perfsnap` writes
-//!   them to `BENCH_*.json`; `tests/perf_baseline.rs` re-derives and
-//!   compares), and [`baseline`] parses those files back (duplicate-key
-//!   rejecting). Host time is measured by `benchmark/`, not here.
+//! * [`snapshots`] lists every checked-in simulated output with its
+//!   renderer: `tests/snapshots.rs` re-derives and compares them, the
+//!   `perfsnap` binary rewrites them all. [`baseline`] parses the
+//!   `BENCH_*.json` files back (duplicate-key rejecting). Host time is
+//!   measured by `benchmark/`, not here.
 
 pub mod baseline;
-pub mod fingerprint;
 pub mod microbench;
+mod reproduce;
+pub mod snapshots;
+
+pub use reproduce::{report_works, reproduce, ReportWork, REPORTS};
 
 use sjc_cluster::ClusterConfig;
 use sjc_cluster::{Cluster, RunTrace};

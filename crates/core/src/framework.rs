@@ -270,7 +270,6 @@ pub struct JoinOutput {
 
 impl JoinOutput {
     /// Pairs sorted for set comparison.
-    // sjc-lint: allow(dead-pub) — the result-set comparisons of tests/systems_agreement.rs, tests/fault_recovery.rs and both ledger tests
     pub fn sorted_pairs(mut self) -> Vec<(u64, u64)> {
         self.pairs.sort_unstable();
         self.pairs

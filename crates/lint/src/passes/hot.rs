@@ -12,9 +12,10 @@
 //! 2. **`crates/bench` functions** — everything the bench harness calls is
 //!    by definition inside a measured region (bench bodies themselves are
 //!    never *flagged*; they only seed traversal into the library crates).
-//!    The crate's `src/bin/` CLI drivers are excluded: `reproduce` prints
-//!    tables and `perfsnap` writes JSON *after* the simulated runs —
-//!    nothing they call sits inside a timed region.
+//!    The crate's CLI drivers are excluded ([`is_cli_driver`]): `src/bin/`
+//!    and the library modules that are their bodies (`src/reproduce.rs`,
+//!    `src/snapshots*`). `reproduce` prints tables and `perfsnap` writes
+//!    the snapshot set — nothing they call sits inside a timed region.
 //! 3. **Scratch-arena callers** — a function that checks buffers out of
 //!    `sjc_par::scratch` (`take_vec`/`put_vec`/`with_vec`) is reusing
 //!    allocations precisely because it sits on a hot path, so it seeds the
@@ -63,6 +64,14 @@ pub(crate) fn hot_loops(models: &[FileModel], graph: &CallGraph) -> Vec<Vec<Loop
     out
 }
 
+/// The bench crate's CLI drivers: `src/bin/` and the library modules that
+/// are their bodies.
+fn is_cli_driver(rel_path: &str) -> bool {
+    rel_path.contains("/src/bin/")
+        || rel_path.ends_with("crates/bench/src/reproduce.rs")
+        || rel_path.contains("crates/bench/src/snapshots")
+}
+
 /// True when token `i` heads a call to a `sjc_par` entry point: a `par_*`
 /// function, or `join` qualified by `sjc_par::` or imported from it, so
 /// `path.join(…)` and the spatial-join functions never match.
@@ -94,13 +103,13 @@ fn reachable(models: &[FileModel], graph: &CallGraph) -> (Vec<bool>, Vec<Vec<(us
     let mut closure_ranges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); models.len()];
 
     // Root 2: bench functions (including bench harness files — the bench
-    // crate *is* the measured-region driver), except the `src/bin/` CLI
-    // drivers, which only format and print already-computed results.
+    // crate *is* the measured-region driver), except the CLI drivers, which
+    // are timed by nothing.
     let mut id_of: BTreeMap<(usize, usize), FnId> = BTreeMap::new();
     for (id, &(fi, gi)) in graph.fns.iter().enumerate() {
         id_of.insert((fi, gi), id);
         let m = &models[fi];
-        if m.krate == "bench" && !m.rel_path.contains("/src/bin/") && !hot[id] {
+        if m.krate == "bench" && !is_cli_driver(&m.rel_path) && !hot[id] {
             hot[id] = true;
             work.push(id);
         }
@@ -158,7 +167,7 @@ fn reachable(models: &[FileModel], graph: &CallGraph) -> (Vec<bool>, Vec<Vec<(us
         let m = &models[fi];
         if hot[id]
             || m.krate == "par"
-            || m.rel_path.contains("/src/bin/")
+            || is_cli_driver(&m.rel_path)
             || m.rel_path.contains("target/")
         {
             continue;
@@ -243,6 +252,8 @@ mod tests {
         // seeds nothing, and the arena's own crate is exempt.
         for excluded in [
             "crates/bench/src/bin/perfsnap.rs",
+            "crates/bench/src/reproduce.rs",
+            "crates/bench/src/snapshots/ledgers.rs",
             "target/debug/build/x.rs",
             "crates/par/src/scratch.rs",
         ] {
