@@ -3,8 +3,8 @@
 //!
 //! Every file holds simulated output only, so on any host and thread budget
 //! a rerun is a no-op diff unless the cost model or a report changed; then
-//! `git diff` shows exactly what moved. Tier-1 (`tests/snapshots.rs`)
-//! re-derives the in-process members; the examples and the benchmark run
+//! `git diff` shows exactly what moved. Tier-1 (`tests/snapshots.rs` and
+//! the files it names) re-derives the in-process members; the examples and the benchmark run
 //! here as CI runs them (`cargo run --release`). Host time is not measured
 //! here — that is `benchmark/`'s job.
 //!

@@ -8,7 +8,8 @@
 //!   engine, local join algorithm, broadcast vs partition join, sample
 //!   rate, partitioner);
 //! * [`snapshots`] lists every checked-in simulated output with its
-//!   renderer: `tests/snapshots.rs` re-derives and compares them, the
+//!   renderer: tier-1 (`tests/snapshots.rs` and the files it names) re-derives
+//!   and compares them, the
 //!   `perfsnap` binary rewrites them all. [`baseline`] parses the
 //!   `BENCH_*.json` files back (duplicate-key rejecting). Host time is
 //!   measured by `benchmark/`, not here.

@@ -8,9 +8,12 @@
 //! so a render is byte-identical on any machine unless the cost model or
 //! what a report prints changed.
 //!
-//! * **Check.** `tests/snapshots.rs` re-derives every member that has
+//! * **Check.** Tier-1 re-derives every member that has
 //!   [`Snapshot::budgets`] in its own process, at each of them, and names
-//!   every file that moved with its first differing line. CI diffs the
+//!   every file that moved with its first differing line: the engine
+//!   ledgers in `tests/engine_ledger.rs` and `tests/hadoopgis_ledger.rs`,
+//!   the `BENCH_*.json` in `tests/perf_baseline.rs`, the rest in
+//!   `tests/snapshots.rs`. CI diffs the
 //!   others, the outputs of separate binaries, at one and two threads.
 //! * **Bless.** `perfsnap` renders every member and writes it. A non-empty
 //!   `git diff` afterwards is exactly the simulated output that moved.

@@ -1,42 +1,41 @@
 //! Tier-1 pin of simulated time against the two checked-in fingerprints.
 //!
 //! `BENCH_baseline.json` (the Table-2 grid's summed `sim_ns`) and
-//! `BENCH_faults.json` (the per-system fault sweep) hold only simulated
-//! numbers, so they must not vary by host, thread budget or commit. Every
-//! test here re-derives them through `sjc_bench::fingerprint` — the same
-//! functions `perfsnap` writes the files from — and compares with the
-//! checked-in text, which pins the cost model's output and the zero-fault
-//! path being the identity (the grid runs under `FaultPlan::none()`). If a
-//! PR moves a number on purpose, regenerate both files:
+//! `BENCH_faults.json` (the per-system fault sweep) are members of the
+//! snapshot set and hold only simulated numbers, so they must not vary by
+//! host, thread budget or commit. The grid runs under `FaultPlan::none()`,
+//! so the baseline also pins the zero-fault path as the identity. If a
+//! change moves a number on purpose, rewrite the whole set with
 //! `cargo run --release -p sjc-bench --bin perfsnap`. Host time is not
 //! asserted anywhere in tier-1; `benchmark/` measures it.
 
-use std::path::Path;
+mod common;
 
+use common::checked_in;
 use sjc_bench::baseline::{self, Value};
-use sjc_bench::fingerprint::{self, file_text};
+use sjc_bench::snapshots::{self, first_difference, SNAPSHOTS};
 use sjc_cluster::{RecoveryKind, RunTrace};
-use sjc_core::json::Json;
 
 const BASELINE: &str = "BENCH_baseline.json";
 const FAULTS: &str = "BENCH_faults.json";
 
-fn checked_in(name: &str) -> String {
-    std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(name))
-        .unwrap_or_else(|e| panic!("{name} is checked in at the repo root: {e}"))
+/// The file `name` as rendered at the current thread budget.
+fn derived(name: &str) -> String {
+    let snapshot = SNAPSHOTS.iter().find(|s| s.paths == [name]).expect("a member of the set");
+    let mut files = snapshot.render().unwrap_or_else(|e| panic!("{name} renders: {e}"));
+    files.remove(0)
 }
 
 #[test]
 fn zero_fault_systems_e2e_matches_checked_in_baseline() {
-    let doc = baseline::parse(&checked_in(BASELINE)).expect("parses (no duplicate keys)");
-    let expected = doc
-        .get("systems_e2e")
-        .and_then(|row| row.get("sim_ns"))
-        .and_then(Value::as_u64)
-        .expect("snapshot has an integer systems_e2e.sim_ns");
+    let sim_ns = |file: &str, text: &str| {
+        let doc = baseline::parse(text).expect("parses (no duplicate keys)");
+        let row = doc.get("systems_e2e").and_then(|row| row.get("sim_ns"));
+        row.and_then(Value::as_u64).unwrap_or_else(|| panic!("{file} has systems_e2e.sim_ns"))
+    };
     assert_eq!(
-        *fingerprint::systems_e2e().get("systems_e2e").get("sim_ns"),
-        Json::Int(expected),
+        sim_ns("the derivation", &derived(BASELINE)),
+        sim_ns(BASELINE, &checked_in(BASELINE)),
         "simulated systems_e2e time drifted from {BASELINE} — either the zero-fault path is \
          no longer the identity, or a deliberate cost-model change needs a regeneration \
          (cargo run --release -p sjc-bench --bin perfsnap)"
@@ -45,7 +44,14 @@ fn zero_fault_systems_e2e_matches_checked_in_baseline() {
 
 #[test]
 fn fault_sweep_matches_checked_in_snapshot() {
-    assert_eq!(file_text(&fingerprint::fault_sweep()), checked_in(FAULTS));
+    let diff = first_difference(&derived(FAULTS), &checked_in(FAULTS));
+    assert!(diff.is_none(), "{FAULTS}: {}", diff.unwrap_or_default());
+}
+
+/// Both files at each of their snapshot budgets (1, 4 and 8 threads).
+#[test]
+fn regenerated_snapshots_are_byte_identical_across_thread_budgets() {
+    common::assert_rederived(|s| s.paths == [BASELINE] || s.paths == [FAULTS]);
 }
 
 #[test]
@@ -66,16 +72,6 @@ fn snapshots_hold_only_host_independent_numbers() {
     }
 }
 
-#[test]
-fn regenerated_snapshots_are_byte_identical_across_thread_budgets() {
-    for threads in [1, 8] {
-        sjc_par::set_global_threads(threads);
-        assert_eq!(file_text(&fingerprint::systems_e2e()), checked_in(BASELINE), "@{threads}");
-        assert_eq!(file_text(&fingerprint::fault_sweep()), checked_in(FAULTS), "@{threads}");
-    }
-    sjc_par::set_global_threads(0);
-}
-
 /// ROADMAP 5(b): why `heavy_ckpt1_sim_ns == heavy_ckpt2_sim_ns` for both
 /// Hadoop systems. The checkpoint *interval* is live only where stages
 /// accumulate between checkpoints — the RDD context counts completed stages
@@ -91,7 +87,7 @@ fn checkpoint_interval_is_a_live_knob() {
         let premiums = t.recovery.iter().filter(|e| is_write(&e.kind)).map(|e| e.wasted_ns);
         (premiums.clone().count(), premiums.sum::<u64>())
     };
-    for (system, runs) in fingerprint::fault_sweep_runs() {
+    for (system, runs) in snapshots::fault_sweep_runs() {
         let trace = |axis: &str| {
             let run = runs.iter().find(|(label, _)| *label == axis).map(|(_, run)| run.as_ref());
             run.and_then(Result::ok).unwrap_or_else(|| panic!("{system} survives {axis}"))

@@ -3,72 +3,33 @@
 //! `sjc_bench::snapshots::SNAPSHOTS` lists each checked-in file with its
 //! renderer. Simulated output never depends on the host or its thread
 //! budget, so every member rendered in this process is re-derived at each
-//! of its budgets and must match its file byte for byte; one failure names
-//! every file that moved. If a change moves simulated output on purpose,
-//! rewrite the whole set with
+//! of its budgets and must match its file byte for byte. The two engine
+//! ledgers and the two `BENCH_*.json` fingerprints are checked by their own
+//! files (`CHECKED_ELSEWHERE`); this one checks every other member, and a
+//! failure names every file that moved. If a change moves simulated output
+//! on purpose, rewrite the whole set with
 //! `cargo run --release -p sjc-bench --bin perfsnap` and commit the diff.
 //! Host time is not asserted anywhere in tier-1; `benchmark/` measures it.
 
+mod common;
+
 use std::path::Path;
-use std::sync::Mutex;
 
-use sjc_bench::baseline::{self, Value};
-use sjc_bench::snapshots::{self, first_difference, SNAPSHOTS};
-use sjc_cluster::{RecoveryKind, RunTrace};
+use sjc_bench::snapshots::{self, SNAPSHOTS};
 
-const BASELINE: &str = "BENCH_baseline.json";
-const FAULTS: &str = "BENCH_faults.json";
+/// Members another test file re-derives at their budgets:
+/// `tests/engine_ledger.rs`, `tests/hadoopgis_ledger.rs` and
+/// `tests/perf_baseline.rs`.
+const CHECKED_ELSEWHERE: [&str; 4] = [
+    "tests/fixtures/engine_ledger.txt",
+    "tests/fixtures/hadoopgis_ledger.txt",
+    "BENCH_baseline.json",
+    "BENCH_faults.json",
+];
 
-fn checked_in(name: &str) -> String {
-    std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(name))
-        .unwrap_or_else(|e| panic!("{name} is checked in: {e}"))
-}
-
-/// Two workers render the due snapshots piece by piece: at one thread a
-/// piece uses one core, and the slowest snapshot alone outlasts the rest.
 #[test]
-fn every_snapshot_matches_its_derivation_at_every_budget() {
-    let mut moved = Vec::new();
-    for threads in [1, 4, 8] {
-        sjc_par::set_global_threads(threads);
-        let due: Vec<_> = SNAPSHOTS.iter().filter(|s| s.budgets.contains(&threads)).collect();
-        let pieces = due.iter().enumerate();
-        let pieces = pieces.flat_map(|(i, s)| s.pieces().into_iter().map(move |p| (i, p)));
-        let queue = Mutex::new(pieces.enumerate());
-        let work = || {
-            let mut done = Vec::new();
-            loop {
-                let next = queue.lock().expect("no worker panicked").next();
-                let Some((order, (snapshot, piece))) = next else { return done };
-                done.push((order, snapshot, piece()));
-            }
-        };
-        let mut done = std::thread::scope(|s| {
-            let other = s.spawn(work);
-            let mut done = work();
-            done.extend(other.join().expect("a derivation panicked"));
-            done
-        });
-        done.sort_by_key(|(order, ..)| *order);
-        for (i, snapshot) in due.iter().enumerate() {
-            let fragments = done.iter().filter(|(_, s, _)| *s == i).map(|(.., f)| f.clone());
-            let files = snapshot.assemble(fragments);
-            for (k, path) in snapshot.paths.iter().enumerate() {
-                let diff = match &files {
-                    Ok(files) => first_difference(&files[k], &checked_in(path)),
-                    Err(e) => Some(e.clone()),
-                };
-                moved.extend(diff.map(|d| format!("  {path} at {threads} threads: {d}")));
-            }
-        }
-    }
-    sjc_par::set_global_threads(0);
-    assert!(
-        moved.is_empty(),
-        "simulated output moved; if on purpose, rewrite the set with \
-         `cargo run --release -p sjc-bench --bin perfsnap`:\n{}",
-        moved.join("\n")
-    );
+fn every_other_snapshot_matches_its_derivation_at_every_budget() {
+    common::assert_rederived(|s| !s.paths.iter().any(|p| CHECKED_ELSEWHERE.contains(p)));
 }
 
 #[test]
@@ -78,61 +39,13 @@ fn every_snapshot_is_listed() {
     for path in &listed {
         assert!(root.join(path).is_file(), "{path} is listed but not checked in");
     }
+    for path in CHECKED_ELSEWHERE {
+        assert!(listed.contains(&path), "{path} is checked elsewhere but in no SNAPSHOTS entry");
+    }
     let dir = std::fs::read_dir(root.join(snapshots::DIR)).expect("the snapshot directory exists");
     for entry in dir {
         let name = entry.expect("readable").file_name();
         let path = format!("{}/{}", snapshots::DIR, name.to_string_lossy());
         assert!(listed.contains(&path.as_str()), "{path} is in no SNAPSHOTS entry");
-    }
-}
-
-#[test]
-fn snapshots_hold_only_host_independent_numbers() {
-    fn assert_no_host_keys(file: &str, value: &Value) {
-        let Value::Obj(fields) = value else { return };
-        for (key, child) in fields {
-            for retired in ["wall_ms", "phase_ms", "_ms", "threads"] {
-                assert!(!key.ends_with(retired), "{file}: key `{key}` is a host measurement");
-            }
-            assert_no_host_keys(file, child);
-        }
-    }
-    for file in [BASELINE, FAULTS] {
-        let doc = baseline::parse(&checked_in(file)).expect("parses (no duplicate keys)");
-        assert!(matches!(&doc, Value::Obj(rows) if !rows.is_empty()), "{file} holds no rows");
-        assert_no_host_keys(file, &doc);
-    }
-}
-
-/// ROADMAP 5(b): why `heavy_ckpt1_sim_ns == heavy_ckpt2_sim_ns` for both
-/// Hadoop systems. The checkpoint *interval* is live only where stages
-/// accumulate between checkpoints — the RDD context counts completed stages
-/// against it, so every-wave checkpointing writes more often and pays
-/// exactly that premium. A MapReduce job has one map wave, whose spill is
-/// persisted whenever checkpointing is on at all (`job.rs` reads only
-/// `checkpoint.enabled()`), so intervals 1 and 2 are the same plan there.
-#[test]
-fn checkpoint_interval_is_a_live_knob() {
-    // (checkpoint writes, their summed critical-path cost)
-    let writes = |t: &RunTrace| {
-        let is_write = |k: &RecoveryKind| matches!(k, RecoveryKind::CheckpointWrite { .. });
-        let premiums = t.recovery.iter().filter(|e| is_write(&e.kind)).map(|e| e.wasted_ns);
-        (premiums.clone().count(), premiums.sum::<u64>())
-    };
-    for (system, runs) in snapshots::fault_sweep_runs() {
-        let trace = |axis: &str| {
-            let run = runs.iter().find(|(label, _)| *label == axis).map(|(_, run)| run.as_ref());
-            run.and_then(Result::ok).unwrap_or_else(|| panic!("{system} survives {axis}"))
-        };
-        let (every2, every1) = (trace("heavy_ckpt2"), trace("heavy_ckpt1"));
-        let ((n2, premium2), (n1, premium1)) = (writes(every2), writes(every1));
-        assert!(n2 > 0, "{system}: checkpointing is on");
-        if system == "SpatialSpark" {
-            assert!(n1 > n2, "{system}: every wave writes more often ({n1} vs {n2})");
-            assert_eq!(every1.total_ns() - every2.total_ns(), premium1 - premium2, "{system}");
-        } else {
-            assert_eq!(every1.recovery, every2.recovery, "{system}: one ledger at 1 and 2");
-            assert_eq!(every1.total_ns(), every2.total_ns(), "{system}");
-        }
     }
 }
