@@ -54,21 +54,25 @@ fn bench_rtree_query(b: &mut Bench) {
     });
 }
 
-/// The probe charge over a 512-cell STR tiling's R-tree: the full walk,
-/// and the count read from the inner levels alone.
+/// The probe charge over the R-tree of a 512-cell and of a 10 000-cell STR
+/// tiling: the full walk, and the count summed over the flat inner nodes
+/// (the cost grows with them: one inner node per 16 leaves).
 fn bench_rtree_visits(b: &mut Bench) {
     let extent = Mbr::new(0.0, 0.0, 1000.0, 1000.0);
-    let tiles = str_tile_cells(extent, points(10_000, 13), 512);
-    let cells = tiles.iter().enumerate().map(|(i, c)| IndexEntry::new(i as u64, *c));
-    let tree = RTree::bulk_load_str(cells.collect());
     let probes = entries(10_000, 17);
     let mut buf = Vec::new();
-    b.bench("rtree_query_counting_10k", || {
-        probes.iter().map(|e| tree.query_counting(black_box(&e.mbr), &mut buf)).sum::<usize>()
-    });
-    b.bench("rtree_visits_10k", || {
-        probes.iter().map(|e| tree.visits(black_box(&e.mbr))).sum::<usize>()
-    });
+    for (cells, suffix) in [(512, ""), (10_000, "_10k_cells")] {
+        let tiles = str_tile_cells(extent, points(10_000, 13), cells);
+        let tiles = tiles.iter().enumerate().map(|(i, c)| IndexEntry::new(i as u64, *c));
+        let tree = RTree::bulk_load_str(tiles.collect());
+        let inner = tree.inner_nodes();
+        b.bench(&format!("rtree_query_counting_10k{suffix}"), || {
+            probes.iter().map(|e| tree.query_counting(black_box(&e.mbr), &mut buf)).sum::<usize>()
+        });
+        b.bench(&format!("rtree_visits_10k{suffix}"), || {
+            probes.iter().map(|e| inner.visits(black_box(&e.mbr))).sum::<usize>()
+        });
+    }
 }
 
 fn bench_partitioners(b: &mut Bench) {

@@ -4,7 +4,9 @@ use sjc_geom::algorithms::ChunkEnvelopes;
 use sjc_geom::{Geometry, GeometryEngine, LineString, Mbr, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::join::{indexed_nested_loop, stripe_sweep, sync_rtree, CandidatePairs};
-use sjc_index::partition::{bsp_cells, grid_cells, str_tile_cells, CellLocator};
+#[cfg(feature = "sanitize")]
+use sjc_index::partition::dedup_owner_cell;
+use sjc_index::partition::{bsp_cells, grid_cells, str_tile_cells, CellLocator, OwnerTest};
 
 use crate::framework::{GeoRecord, JoinPredicate};
 
@@ -39,9 +41,9 @@ pub struct LocalJoinCost {
 ///
 /// `left`/`right` are the partition's records; `keep` is the
 /// de-duplication predicate deciding whether *this* partition reports a
-/// given MBR pair (reference-point rule — pass `|_, _| true` when the
-/// caller guarantees no duplication), asked of every candidate before its
-/// exact test. Returns `(left_id, right_id)` pairs using the records'
+/// given MBR pair (the reference-point rule is [`local_join_reported`];
+/// pass `|_, _| true` when the caller guarantees no duplication), asked of
+/// every candidate before its exact test. Returns `(left_id, right_id)` pairs using the records'
 /// dataset-global ids.
 pub fn local_join(
     engine: &GeometryEngine,
@@ -104,6 +106,38 @@ pub fn local_join(
         pairs.iter().map(refine_one).for_each(tally);
     }
     (out, cost)
+}
+
+/// [`local_join`] under the reference-point rule: a candidate is reported
+/// only if every cell of `owners` (one per grid the task's records were
+/// partitioned by) owns the pair's reference point, the lower-left corner
+/// of the two MBRs' intersection. The filter emits only pairs whose MBRs
+/// intersect, so that corner is `(max min_x, max min_y)`, computed once
+/// per candidate.
+pub fn local_join_reported(
+    engine: &GeometryEngine,
+    predicate: JoinPredicate,
+    algo: LocalJoinAlgo,
+    left: &[&GeoRecord],
+    right: &[&GeoRecord],
+    owners: &[OwnerTest<'_>],
+) -> (Vec<(u64, u64)>, LocalJoinCost) {
+    local_join(engine, predicate, algo, left, right, |a, b| {
+        #[cfg(feature = "sanitize")]
+        debug_assert!(a.intersects(b), "sanitize: candidate MBRs {a:?} and {b:?} are disjoint");
+        let rp = Point::new(a.min_x.max(b.min_x), a.min_y.max(b.min_y));
+        owners.iter().all(|t| {
+            let owns = t.owns(&rp);
+            #[cfg(feature = "sanitize")]
+            debug_assert_eq!(
+                owns,
+                dedup_owner_cell(t.locator(), t.cell(), a, b),
+                "sanitize: cell {} reporting {a:?} x {b:?}",
+                t.cell()
+            );
+            owns
+        })
+    })
 }
 
 /// Chunk envelopes of the right side's polylines that appear in a candidate

@@ -1,7 +1,8 @@
 //! The generalized framework: the vocabulary of every system, and the steps
 //! their pipelines share, each written once — gathering records by id
-//! (`JoinInput::pick`), tagging records with partition cells ([`CellIndex`])
-//! and the reference-point rule (`reported_by`).
+//! (`JoinInput::pick`) and tagging records with partition cells
+//! ([`CellIndex`]). The reference-point rule is
+//! [`local_join_reported`](crate::common::local_join_reported).
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -11,7 +12,8 @@ use sjc_data::tsv::tsv_line_lens;
 use sjc_data::ScaledDataset;
 use sjc_geom::{Geometry, GeometryEngine, Mbr};
 use sjc_index::entry::IndexEntry;
-use sjc_index::partition::{dedup_owner_cell, CellId, CellLocator};
+use sjc_index::partition::{CellId, CellLocator};
+use sjc_index::rtree::InnerNodes;
 use sjc_index::RTree;
 
 use crate::ledger::WorkLedger;
@@ -191,16 +193,19 @@ impl fmt::Debug for JoinInput {
 /// A located cell list plus the STR R-tree over its cells: how
 /// SpatialHadoop, SpatialSpark and LDE tag a record with the cells it
 /// meets. Each charges the nodes a probe of the tree visits at its own
-/// rate; the cells themselves are the locator's `assign_each`.
+/// rate, counted from the tree's inner nodes; the cells themselves are the
+/// locator's `assign_each`.
 pub struct CellIndex {
     locator: CellLocator,
     tree: RTree,
+    inner: InnerNodes,
 }
 
 impl CellIndex {
     pub fn new(locator: CellLocator) -> Self {
         let tree = RTree::bulk_load_str(cell_entries(locator.cells()));
-        CellIndex { locator, tree }
+        let inner = tree.inner_nodes();
+        CellIndex { locator, tree, inner }
     }
 
     pub fn locator(&self) -> &CellLocator {
@@ -221,7 +226,7 @@ impl CellIndex {
     /// Hands `each` the cells `mbr` meets, in ascending id order, or the
     /// cell nearest its center when it meets none. Returns the R-tree nodes
     /// a probe for `mbr` visits: the set and the count the tree's walk
-    /// produces, read from the locator and the inner levels.
+    /// produces, read from the locator and the flat inner nodes.
     pub fn tag(&self, mbr: &Mbr, mut each: impl FnMut(CellId)) -> usize {
         #[cfg(feature = "sanitize")]
         let mut tagged = Vec::new();
@@ -230,7 +235,7 @@ impl CellIndex {
             tagged.push(u64::from(id));
             each(id)
         });
-        let visits = self.tree.visits(mbr);
+        let visits = self.inner.visits(mbr);
         #[cfg(feature = "sanitize")]
         {
             let mut walked = Vec::new();
@@ -247,16 +252,6 @@ impl CellIndex {
 
 fn cell_entries(cells: &[Mbr]) -> Vec<IndexEntry> {
     cells.iter().enumerate().map(|(i, c)| IndexEntry::new(i as u64, *c)).collect()
-}
-
-/// The reference-point rule as a [`local_join`](crate::common::local_join)
-/// `keep`: `cell` reports a candidate pair only if it owns the pair's
-/// reference point.
-pub(crate) fn reported_by(
-    cells: &CellLocator,
-    cell: CellId,
-) -> impl Fn(&Mbr, &Mbr) -> bool + Sync + '_ {
-    move |am, bm| dedup_owner_cell(cells, cell, am, bm)
 }
 
 /// The result of a distributed spatial join run.

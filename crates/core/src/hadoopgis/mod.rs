@@ -46,8 +46,8 @@ use sjc_index::partition::{bsp_cells, CellLocator};
 use sjc_mapreduce::{block_splits, JobConfig, JobWork, TextLen};
 use sjc_par::GroupKey;
 
-use crate::common::{local_join, LocalJoinAlgo};
-use crate::framework::{reported_by, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate};
+use crate::common::{local_join_reported, LocalJoinAlgo};
+use crate::framework::{DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate};
 use crate::ledger::{run_cost, Step, WorkLedger};
 
 /// Target partition count of the sample-derived partitionings.
@@ -418,8 +418,9 @@ impl HadoopGis {
                     let side = if l.left { &mut lrecs } else { &mut rrecs };
                     side.push(l.record(left, right));
                 }
-                let keep = reported_by(&partitioner, key.cell);
-                let (pairs, _cost) = local_join(&geos, predicate, local_algo, &lrecs, &rrecs, keep);
+                let owner = [partitioner.owner_test(key.cell)];
+                let (pairs, _cost) =
+                    local_join_reported(&geos, predicate, local_algo, &lrecs, &rrecs, &owner);
                 pairs.into_iter().for_each(|(a, b)| out(PairLine(a, b)))
             },
         );

@@ -27,10 +27,8 @@ use sjc_cluster::{Cluster, RecoveryEvent, SimError, SimNs, StageKind, StageTrace
 use sjc_geom::{GeometryEngine, Point};
 use sjc_index::partition::{str_tile_cells, CellLocator};
 
-use crate::common::{local_join, LocalJoinAlgo};
-use crate::framework::{
-    reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate,
-};
+use crate::common::{local_join_reported, LocalJoinAlgo};
+use crate::framework::{CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate};
 use crate::ledger::{Step, WorkLedger};
 
 /// Target spatial partition count.
@@ -121,9 +119,9 @@ impl DistributedSpatialJoin for LdeEngine {
             if lrecs.is_empty() || rrecs.is_empty() {
                 continue;
             }
-            let keep = reported_by(index.locator(), cell as u32);
+            let owner = [index.locator().owner_test(cell as u32)];
             let (cell_pairs, jc) =
-                local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, keep);
+                local_join_reported(&jts, predicate, self.local_algo, &lrecs, &rrecs, &owner);
             pairs.extend(cell_pairs);
             tasks.push(LdeTask {
                 bytes: ((lrecs.len() as f64 * bpr_l + rrecs.len() as f64 * bpr_r) * mult) as u64,

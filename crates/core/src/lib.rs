@@ -9,12 +9,13 @@
 //!   [`framework::JoinPredicate`], [`framework::JoinInput`], the
 //!   [`framework::DistributedSpatialJoin`] trait and [`framework::JoinOutput`];
 //!   and the steps every engine repeats, each written once: gathering
-//!   records by id (`JoinInput::pick`), tagging records with partition cells
-//!   ([`framework::CellIndex`]) and the reference-point de-duplication rule
-//!   (`reported_by`);
+//!   records by id (`JoinInput::pick`) and tagging records with partition
+//!   cells ([`framework::CellIndex`]);
 //! * [`common`] — the per-partition [`common::local_join`] (MBR filter by
-//!   one of the paper's three algorithms, the reference-point test, then
-//!   exact refinement of the candidates the partition reports), the
+//!   one of the paper's three algorithms, a de-duplication test, then exact
+//!   refinement of the candidates the partition reports) and
+//!   [`common::local_join_reported`], every engine's reference-point
+//!   de-duplication rule on top of it; the
 //!   quadratic [`common::direct_join`] reference, and the partitioner
 //!   families;
 //! * [`hadoopgis`] — Hadoop Streaming + GEOS + 6-step preprocessing +

@@ -31,10 +31,8 @@ use sjc_index::partition::CellLocator;
 use sjc_mapreduce::job::ScaleMode;
 use sjc_mapreduce::{block_splits, JobConfig, JobWork, MapTask};
 
-use crate::common::{local_join, LocalJoinAlgo, PartitionerKind};
-use crate::framework::{
-    reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate,
-};
+use crate::common::{local_join_reported, LocalJoinAlgo, PartitionerKind};
+use crate::framework::{CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate};
 use crate::ledger::{run_cost, Step, WorkLedger};
 
 /// Systematic sample stride for partition derivation: a 1 % sample.
@@ -236,12 +234,12 @@ impl DistributedSpatialJoin for SpatialHadoop {
             let rrecs: Vec<&GeoRecord> = right.pick(ib.cell(cb).iter().copied()).collect();
             // A pair is reported once: by the cell pair owning its
             // reference point in both grids.
-            let in_a = reported_by(ia.index.locator(), ca as u32);
-            let in_b = reported_by(ib.index.locator(), cb as u32);
+            let owners = [
+                ia.index.locator().owner_test(ca as u32),
+                ib.index.locator().owner_test(cb as u32),
+            ];
             let (pairs, join) =
-                local_join(&jts, predicate, self.local_algo, &lrecs, &rrecs, |am, bm| {
-                    in_a(am, bm) && in_b(am, bm)
-                });
+                local_join_reported(&jts, predicate, self.local_algo, &lrecs, &rrecs, &owners);
             // Deserializing the two block files' records into JVM objects is
             // the task's real per-record cost; the geometry work rides on top.
             em.charge(cost.hadoop_records_ns((lrecs.len() + rrecs.len()) as u64));

@@ -36,10 +36,8 @@ use sjc_index::partition::{str_tile_cells, CellLocator};
 use sjc_index::RTree;
 use sjc_rdd::{Rdd, SparkContext, SparkRecord};
 
-use crate::common::{local_join, LocalJoinAlgo};
-use crate::framework::{
-    reported_by, CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate,
-};
+use crate::common::{local_join_reported, LocalJoinAlgo};
+use crate::framework::{CellIndex, DistributedSpatialJoin, GeoRecord, JoinInput, JoinPredicate};
 use crate::ledger::{run_cost, Step, WorkLedger};
 
 /// The SpatialSpark system.
@@ -156,8 +154,9 @@ impl SpatialSpark {
                 left.pick(lrefs.iter().map(|r| u64::from(r.idx))).collect();
             let rrecs: Vec<&GeoRecord> =
                 right.pick(rrefs.iter().map(|r| u64::from(r.idx))).collect();
-            let keep = reported_by(index.locator(), *cell);
-            let (pairs, cost) = local_join(&jts, predicate, local_algo, &lrecs, &rrecs, keep);
+            let owner = [index.locator().owner_test(*cell)];
+            let (pairs, cost) =
+                local_join_reported(&jts, predicate, local_algo, &lrecs, &rrecs, &owner);
             *extra += cost.filter_ns + cost.refine_ns;
             pairs
         });

@@ -41,8 +41,8 @@
 //! collects, sorts and deduplicates them in a scratch buffer.
 //!
 //! `owns(cell, p)` — the reference-point test, asked of every candidate
-//! pair — is mostly answered without a search, from two certificates read
-//! off the axes once:
+//! pair through an [`OwnerTest`] built once per task — is mostly answered
+//! without a search, from two certificates read off the axes once:
 //!
 //! * `sole[c]`: no other cell's closed rectangle meets `c`'s open interior,
 //!   so a point strictly inside `c` has `c` as its only containing cell,
@@ -481,33 +481,26 @@ impl CellLocator {
         owner
     }
 
-    /// Whether `cell` owns `p`: exactly `owner(p) == cell`. The
-    /// reference-point rule asks it of every candidate pair, so most probes
-    /// are answered from the certificates without locating the owner.
+    /// Whether `cell` owns `p`: exactly `owner(p) == cell`, answered by
+    /// [`owner_test`](Self::owner_test).
     pub fn owns(&self, cell: CellId, p: &Point) -> bool {
-        let decided = self.cell(cell).and_then(|c| {
-            let sole = self.sole.get(cell as usize).is_some_and(|&s| s);
-            let inside = c.min_x < p.x && p.x < c.max_x && c.min_y < p.y && p.y < c.max_y;
-            if sole && inside {
-                Some(true)
-            } else if self.filled.contains_point(p) && !c.contains_point(p) {
-                Some(false)
-            } else {
-                None
-            }
-        });
-        match decided {
-            Some(owns) => {
-                #[cfg(feature = "sanitize")]
-                debug_assert_eq!(
-                    owns,
-                    linear::owner(self, p) == cell,
-                    "sanitize: owns({cell}, {p:?})"
-                );
-                owns
-            }
-            // `owner` runs its own sanitizer check.
-            None => self.owner(p) == cell,
+        let owns = self.owner_test(cell).owns(p);
+        #[cfg(feature = "sanitize")]
+        debug_assert_eq!(owns, linear::owner(self, p) == cell, "sanitize: owns({cell}, {p:?})");
+        owns
+    }
+
+    /// The reference-point test of one cell, with the cell's rectangle and
+    /// both certificates read once: the reference-point rule asks it of
+    /// every candidate pair of the cell's task, so it is built once per
+    /// task, not once per pair.
+    pub fn owner_test(&self, cell: CellId) -> OwnerTest<'_> {
+        OwnerTest {
+            locator: self,
+            cell,
+            rect: self.cell(cell).copied().unwrap_or_else(Mbr::empty),
+            sole: self.sole.get(cell as usize).is_some_and(|&s| s),
+            filled: self.filled,
         }
     }
 
@@ -523,6 +516,46 @@ impl CellLocator {
             }
         }
         best.1
+    }
+}
+
+/// Whether one cell owns a point ([`CellLocator::owner_test`]): exactly
+/// [`CellLocator::owns`] for that cell. Most probes are answered from the
+/// certificates without locating the owner.
+#[derive(Debug, Clone, Copy)]
+pub struct OwnerTest<'a> {
+    locator: &'a CellLocator,
+    cell: CellId,
+    /// The cell's rectangle ([`Mbr::empty`] for an id past the list).
+    rect: Mbr,
+    sole: bool,
+    filled: Mbr,
+}
+
+impl OwnerTest<'_> {
+    /// Whether the cell owns `p`: a point strictly inside a `sole` cell is
+    /// its own; a point in `filled` outside the cell has a containing owner
+    /// that is not this cell; any other point asks `owner`.
+    pub fn owns(&self, p: &Point) -> bool {
+        let c = &self.rect;
+        if self.sole && c.min_x < p.x && p.x < c.max_x && c.min_y < p.y && p.y < c.max_y {
+            true
+        } else if self.filled.contains_point(p) && !c.contains_point(p) {
+            false
+        } else {
+            // `owner` runs its own sanitizer check.
+            self.locator.owner(p) == self.cell
+        }
+    }
+
+    /// The located cell list this test reads.
+    pub fn locator(&self) -> &CellLocator {
+        self.locator
+    }
+
+    /// The cell this test answers for.
+    pub fn cell(&self) -> CellId {
+        self.cell
     }
 }
 

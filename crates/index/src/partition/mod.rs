@@ -27,7 +27,7 @@ mod str_tiles;
 
 pub use bsp::bsp_cells;
 pub use fixed_grid::grid_cells;
-pub use locator::CellLocator;
+pub use locator::{CellLocator, OwnerTest};
 pub use shim::{BspPartitioner, FixedGridPartitioner, SpatialPartitioner, StrTilePartitioner};
 pub use str_tiles::str_tile_cells;
 

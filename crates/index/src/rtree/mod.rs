@@ -13,6 +13,7 @@ mod query;
 mod str_bulk;
 
 pub use node::{Node, NodeId};
+pub use query::InnerNodes;
 
 use sjc_geom::Mbr;
 

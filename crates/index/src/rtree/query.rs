@@ -43,41 +43,44 @@ impl RTree {
         }
     }
 
-    /// The nodes [`query_counting`](Self::query_counting) visits for
-    /// `window`, without reading a leaf entry. The walk pops the root, then
-    /// every child of an inner node whose MBR meets the window: the count
-    /// is one plus the fan-out of those inner nodes (0 for an empty
-    /// window). Every leaf sits at one depth (see
-    /// [`check_invariants`](Self::check_invariants)), so the leaves are
-    /// counted from their parents and never read.
+    /// The inner nodes as one flat array, for [`InnerNodes::visits`].
+    pub fn inner_nodes(&self) -> InnerNodes {
+        let inner = self.nodes.iter().filter_map(|n| match n {
+            // A node with an empty MBR meets no window.
+            Node::Inner { mbr, children } if !mbr.is_empty() => Some((*mbr, children.len())),
+            _ => None,
+        });
+        InnerNodes(inner.collect())
+    }
+}
+
+/// A tree's inner nodes, each with its MBR and fan-out, in one flat array
+/// ([`RTree::inner_nodes`]): the count [`RTree::query_counting`] returns,
+/// without the walk.
+#[derive(Debug, Clone)]
+pub struct InnerNodes(Vec<(Mbr, usize)>);
+
+impl InnerNodes {
+    /// The nodes [`RTree::query_counting`] visits for `window`. The walk
+    /// pops the root, then every child of an inner node whose MBR meets the
+    /// window. Every inner node's MBR is the union of its children's (see
+    /// [`RTree::check_invariants`]), so an inner node meets the window only
+    /// if its parent does, and the walk reaches every inner node that
+    /// meets it: the count is one plus the summed fan-out of those nodes
+    /// (0 for an empty window), a branch-free pass over the array.
     pub fn visits(&self, window: &Mbr) -> usize {
         if window.is_empty() {
             return 0;
         }
-        let (mut height, mut id) = (0, self.root);
-        while let Node::Inner { children, .. } = self.node(id) {
-            height += 1;
-            match children.first() {
-                Some(&first) => id = first,
-                None => break,
-            }
-        }
-        1 + self.visits_below(self.root, height, window)
-    }
-
-    /// The nodes the walk pops below `id`, `height` levels above the
-    /// leaves: recursion as deep as the tree, so no stack is allocated.
-    fn visits_below(&self, id: NodeId, height: usize, window: &Mbr) -> usize {
-        match self.node(id) {
-            Node::Inner { mbr, children } if mbr.intersects(window) => {
-                let below = match height {
-                    0 | 1 => 0,
-                    _ => children.iter().map(|&c| self.visits_below(c, height - 1, window)).sum(),
-                };
-                children.len() + below
-            }
-            _ => 0,
-        }
+        let w = window;
+        let fanouts = self.0.iter().map(|(m, fanout)| {
+            let apart = (m.min_x > w.max_x)
+                | (w.min_x > m.max_x)
+                | (m.min_y > w.max_y)
+                | (w.min_y > m.max_y);
+            usize::from(!apart) * fanout
+        });
+        1 + fanouts.sum::<usize>()
     }
 }
 
@@ -174,7 +177,7 @@ mod tests {
     }
 
     /// The recursive walk finds what the stack walk found, in its order,
-    /// and `visits` counts what both visit.
+    /// and the inner nodes' sum counts what both visit.
     #[test]
     fn recursion_keeps_the_stack_walks_order_and_count() {
         let t = tree();
@@ -188,7 +191,7 @@ mod tests {
         ] {
             let visited = t.query_counting(&window, &mut buf);
             assert_eq!((buf.clone(), visited), stack_walk(&t, &window), "{window:?}");
-            assert_eq!(t.visits(&window), visited, "visits for {window:?}");
+            assert_eq!(t.inner_nodes().visits(&window), visited, "visits for {window:?}");
         }
     }
 

@@ -5,6 +5,7 @@ use sjc_geom::{Mbr, Point};
 use sjc_index::entry::IndexEntry;
 use sjc_index::join::{brute_force, indexed_nested_loop, plane_sweep, sync_rtree};
 use sjc_index::partition::{bsp_cells, dedup_owner_cell, grid_cells, str_tile_cells, CellLocator};
+use sjc_index::rtree::Node;
 use sjc_index::RTree;
 use sjc_testkit::{cases, TestRng};
 
@@ -45,31 +46,79 @@ fn rtree_query_equals_linear_scan() {
     });
 }
 
-/// `visits` is the count of `query_counting`'s walk, for random, point,
-/// inverted and extent-covering windows over STR trees of up to 2 000
-/// entries (a leaf root, and three levels and more).
+/// The MBRs of `tree`'s inner nodes, read by walking it.
+fn inner_mbrs(tree: &RTree) -> Vec<Mbr> {
+    let (mut out, mut stack) = (Vec::new(), vec![tree.root_id()]);
+    while let Some(id) = stack.pop() {
+        if let Node::Inner { mbr, children } = tree.node_ref(id) {
+            out.push(*mbr);
+            stack.extend(children.iter().copied());
+        }
+    }
+    out
+}
+
+/// `v` and the floats one ulp either side of it.
+fn ulps(v: f64) -> [f64; 3] {
+    [v.next_down(), v, v.next_up()]
+}
+
+/// The inner nodes' flat sum (`InnerNodes::visits`) is the count of
+/// `query_counting`'s walk, over STR trees whose root is a leaf, one inner
+/// node, or three levels and more (500 to 2 000 entries), for random,
+/// empty, inverted and domain-covering windows, and for points on every
+/// inner node's edges and one ulp either side of them.
 #[test]
-fn rtree_visits_equal_query_counting() {
+fn inner_node_sum_equals_query_counting() {
+    let (mut leaf_roots, mut one_inner, mut deep, mut on_edges) = (0, 0, 0, 0);
     cases(0x1D07, N, |rng| {
-        let es = entries(rng, 0..2001);
+        let sizes = [1..17, 17..200, 500..2001];
+        let size = sizes[rng.usize_in(0..3)].clone();
+        let es = entries(rng, size);
         let tree = RTree::bulk_load_str(es);
-        let p = Point::new(rng.f64_in(-10.0..120.0), rng.f64_in(-10.0..120.0));
+        let inner = tree.inner_nodes();
+        let mbrs = inner_mbrs(&tree);
+        match mbrs.len() {
+            0 => leaf_roots += 1,
+            1 => one_inner += 1,
+            _ if tree.len() >= 500 => deep += 1,
+            _ => {}
+        }
         let (x, y) = (rng.f64_in(0.0..100.0), rng.f64_in(0.0..100.0));
-        let windows = [
+        let mut windows = vec![
             mbr(rng, 120.0, 30.0),
-            p.mbr(),
+            Point::new(rng.f64_in(-10.0..120.0), rng.f64_in(-10.0..120.0)).mbr(),
+            Mbr::empty(),
             Mbr { min_x: x + rng.f64_in(0.1..20.0), min_y: y, max_x: x, max_y: y + 5.0 },
             Mbr { min_x: x, min_y: y + rng.f64_in(0.1..20.0), max_x: x + 5.0, max_y: y },
             Mbr::new(-1.0, -1.0, 200.0, 200.0),
         ];
+        for m in &mbrs {
+            let mid = m.center();
+            for px in [m.min_x, m.max_x].into_iter().flat_map(ulps) {
+                windows.extend(
+                    [m.min_y, mid.y, m.max_y]
+                        .into_iter()
+                        .flat_map(ulps)
+                        .map(|py| Point::new(px, py).mbr()),
+                );
+            }
+            for py in [m.min_y, m.max_y].into_iter().flat_map(ulps) {
+                windows.push(Point::new(mid.x, py).mbr());
+            }
+        }
+        on_edges += windows.len() - 6;
         let mut hits = Vec::new();
         for w in &windows {
             let walked = tree.query_counting(w, &mut hits);
-            assert_eq!(tree.visits(w), walked, "{w:?} over {} entries", tree.len());
+            assert_eq!(inner.visits(w), walked, "{w:?} over {} entries", tree.len());
         }
         let all = Mbr::new(-1.0, -1.0, 200.0, 200.0);
-        assert_eq!(tree.visits(&all), tree.num_nodes());
+        assert_eq!(inner.visits(&all), tree.num_nodes());
+        assert_eq!(inner.visits(&Mbr::empty()), 0);
     });
+    assert!(leaf_roots > 0 && one_inner > 0 && deep > 0, "{leaf_roots} / {one_inner} / {deep}");
+    assert!(on_edges > 10_000, "edge probes: {on_edges}");
 }
 
 #[test]

@@ -14,6 +14,8 @@
 //!   is almost always the loop variable) with at least one identifier
 //!   argument;
 //! * no nested calls, `&mut`, or other effects inside the argument list;
+//! * the called name is not itself bound by the loop (a loop over function
+//!   values calls a different function each iteration);
 //! * every identifier in the arguments is invariant w.r.t. the innermost
 //!   enclosing loop: not bound by its header, not `let`-bound, assigned,
 //!   mutated, or pattern-bound anywhere in its body (`self` is always
@@ -79,7 +81,13 @@ fn check_loop(m: &FileModel, loops: &[Loop], lp: &Loop, out: &mut Vec<Violation>
             k += 1;
             continue;
         };
-        if args_close >= lp.close || !args_are_invariant(toks, args_open, args_close, &variant) {
+        // An unqualified head the loop binds is a different function each
+        // iteration (`for (title, rows) in STUDIES { rows(scale, seed) }`).
+        let head_varies = !(k > 0 && toks[k - 1].is_op("::")) && variant.contains(&toks[k].text);
+        if head_varies
+            || args_close >= lp.close
+            || !args_are_invariant(toks, args_open, args_close, &variant)
+        {
             k += 1;
             continue;
         }
@@ -284,6 +292,23 @@ mod tests {
             vs.iter().any(|v| v.rule == Rule::LoopInvariantCall && v.message.contains("weight")),
             "{vs:?}"
         );
+    }
+
+    #[test]
+    fn loop_bound_function_values_are_clean() {
+        // The pattern binds `rows`: each iteration calls another function.
+        let src = format!(
+            "{DRIVER}fn kernel(p: &[u64], k: u64) -> u64 {{\n    let mut acc = 0u64;\n    for (title, rows) in STUDIES.iter() {{\n        for row in rows(k, 3) {{\n            acc += row + title;\n        }}\n    }}\n    acc\n}}\n"
+        );
+        let vs = analyze(&[("crates/index/src/x.rs", &src)]);
+        assert!(!vs.iter().any(|v| v.message.contains("`rows(")), "{vs:?}");
+        // A qualified path whose last segment shares the binder's name is
+        // still the same function every iteration.
+        let src = format!(
+            "{DRIVER}fn kernel(p: &[u64], k: u64) -> u64 {{\n    let mut acc = 0u64;\n    for weight in p.iter() {{\n        acc += table::weight(k) + weight;\n    }}\n    acc\n}}\n"
+        );
+        let vs = analyze(&[("crates/index/src/x.rs", &src)]);
+        assert!(vs.iter().any(|v| v.message.contains("`table::weight(")), "{vs:?}");
     }
 
     #[test]
