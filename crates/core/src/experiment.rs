@@ -203,10 +203,13 @@ impl ExperimentGrid {
             let (left, right) = w.prepare(self.scale, self.seed);
             // Works are pure functions of (system, workload): run them in
             // parallel, collect in deterministic grid order. Equal weights
-            // keep grid order, so the caller always works HadoopGIS: its TSV
-            // text and streaming lines, the grid's largest allocations, stay
-            // in the caller's allocator arena beside the inputs, instead of
-            // growing a pool worker's arena as well.
+            // keep grid order, so the caller always works HadoopGIS. What
+            // that work allocates stays in the caller's allocator arena
+            // beside the inputs, instead of growing a pool worker's arena as
+            // well: its streaming lines (an 8-byte handle per record and
+            // stage), their cell keys and shuffle groups, and, on a
+            // dataset's first HadoopGIS run in the process, the dataset's TSV
+            // line lengths, which stay with the cached dataset.
             let systems = SystemKind::all();
             let ledgers = sjc_par::par_map_weighted(
                 &systems,

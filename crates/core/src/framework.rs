@@ -5,11 +5,9 @@
 //! [`local_join_reported`](crate::common::local_join_reported).
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 use sjc_cluster::{Cluster, RunTrace, SimError};
-use sjc_data::tsv::tsv_line_lens;
-use sjc_data::ScaledDataset;
+use sjc_data::{Records, ScaledDataset};
 use sjc_geom::{Geometry, GeometryEngine, Mbr};
 use sjc_index::entry::IndexEntry;
 use sjc_index::partition::{CellId, CellLocator};
@@ -70,46 +68,32 @@ impl JoinPredicate {
     }
 }
 
-/// One spatial record flowing through a system: a dataset-local id, the
-/// geometry, and its precomputed MBR. `mbr` must contain the geometry's tight
-/// envelope — the filter and the hinted exact test both rely on it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GeoRecord {
-    pub id: u64,
-    pub geom: Geometry,
-    pub mbr: Mbr,
-}
-
-impl GeoRecord {
-    pub fn new(id: u64, geom: Geometry) -> Self {
-        let mbr = geom.mbr();
-        GeoRecord { id, geom, mbr }
-    }
-}
+/// One spatial record flowing through a system. It is defined in
+/// `sjc_data`, because a record's id is its position in its dataset.
+pub use sjc_data::GeoRecord;
 
 /// One side of a distributed spatial join.
 ///
 /// Record `i` has id `i` (`new` checks it in debug builds): `pick` indexes
 /// `records` by id, and HadoopGIS's streaming lines name their record by
-/// that index. The lengths of the records' TSV lines (`tsv_line_lens`) are
-/// built on first use and shared by every clone, so `records` must not
-/// change once a run has read them.
+/// that index. An input made from a dataset shares its records, and their
+/// TSV line lengths ([`tsv_line_lens`](sjc_data::tsv::tsv_line_lens)), with
+/// the dataset and every other input made from it.
 #[derive(Clone)]
 pub struct JoinInput {
     pub name: String,
-    pub records: Vec<GeoRecord>,
+    pub records: Records,
     /// Serialized size of the generated slice (Table-1 bytes/record).
     pub sim_bytes: u64,
     /// Full-scale records ÷ generated records.
     pub multiplier: f64,
     /// The spatial domain both join sides share.
     pub domain: Mbr,
-    tsv_lens: Arc<OnceLock<Vec<u32>>>,
 }
 
 impl JoinInput {
     /// A join input over `records`, whose ids must be `0..records.len()` in
-    /// order.
+    /// order. The records form a fresh set, with line lengths of its own.
     pub fn new(
         name: impl Into<String>,
         records: Vec<GeoRecord>,
@@ -122,26 +106,19 @@ impl JoinInput {
             "JoinInput: record ids must be dense, record i with id i"
         );
         let name = name.into();
-        JoinInput { name, records, sim_bytes, multiplier, domain, tsv_lens: Arc::default() }
+        JoinInput { name, records: Records::from(records), sim_bytes, multiplier, domain }
     }
 
-    /// Wraps a generated dataset as a join input.
+    /// Wraps a generated dataset as a join input: a handle to its records,
+    /// not a copy.
     pub fn from_dataset(ds: &ScaledDataset) -> JoinInput {
-        let records =
-            ds.geoms.iter().enumerate().map(|(i, g)| GeoRecord::new(i as u64, g.clone())).collect();
-        JoinInput::new(ds.spec.name, records, ds.sim_bytes(), ds.multiplier(), ds.domain)
-    }
-
-    /// The byte length of record `i`'s `id \t WKT` line, without its
-    /// newline, at index `i`: the lines of the input file HadoopGIS reads
-    /// off HDFS ([`to_tsv_text`](sjc_data::tsv::to_tsv_text)), of which its
-    /// streaming jobs charge only the lengths. The WKT sizes of the
-    /// synthetic geometry track the paper's Table-1 bytes/record closely,
-    /// so pipe and parse charges computed from these real line lengths are
-    /// faithful. Built on the first call, then shared by every later call
-    /// and every clone.
-    pub(crate) fn tsv_line_lens(&self) -> &[u32] {
-        self.tsv_lens.get_or_init(|| memo_tsv_line_lens(&self.records))
+        JoinInput {
+            name: ds.spec.name.to_string(),
+            records: ds.records.clone(),
+            sim_bytes: ds.sim_bytes(),
+            multiplier: ds.multiplier(),
+            domain: ds.domain,
+        }
     }
 
     /// Average serialized bytes per record.
@@ -156,7 +133,7 @@ impl JoinInput {
     /// The record with dataset id `id`: the one place a dataset id indexes
     /// `records`.
     pub(crate) fn record(&self, id: u64) -> &GeoRecord {
-        // sjc-lint: allow(no-panic-in-lib) — dataset ids are the enumerate indices minted by from_dataset
+        // sjc-lint: allow(no-panic-in-lib) — dataset ids are the record indices ScaledDataset::generate mints and new checks
         &self.records[id as usize]
     }
 
@@ -169,14 +146,8 @@ impl JoinInput {
     }
 }
 
-/// The value behind [`JoinInput::tsv_line_lens`]'s memo: a pure function of
-/// the records (its name puts it under the `cache-purity` pass).
-fn memo_tsv_line_lens(records: &[GeoRecord]) -> Vec<u32> {
-    tsv_line_lens(records.iter().map(|r| (r.id, &r.geom)))
-}
-
-/// Prints how many line lengths the memo holds, not the lengths or the
-/// records.
+/// Prints how many records and line lengths the input holds, not the
+/// lengths or the records.
 impl fmt::Debug for JoinInput {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JoinInput")
@@ -185,7 +156,7 @@ impl fmt::Debug for JoinInput {
             .field("sim_bytes", &self.sim_bytes)
             .field("multiplier", &self.multiplier)
             .field("domain", &self.domain)
-            .field("tsv_lines", &self.tsv_lens.get().map(Vec::len))
+            .field("tsv_lines", &self.records.tsv_lines())
             .finish()
     }
 }
@@ -415,26 +386,35 @@ mod tests {
         (JoinInput::from_dataset(&taxi), JoinInput::from_dataset(&nycb))
     }
 
+    /// The input's TSV line lengths, as HadoopGIS reads them.
+    fn lens(input: &JoinInput) -> &[u32] {
+        sjc_data::tsv::tsv_line_lens(&input.records)
+    }
+
     #[test]
     fn tsv_line_lens_are_the_records_text_line_lengths() {
         let (input, _) = tiny_inputs();
         let text = sjc_data::tsv::to_tsv_text(input.records.iter().map(|r| (r.id, &r.geom)));
         let want: Vec<u32> = text.split_terminator('\n').map(|l| l.len() as u32).collect();
         assert_eq!(want.len(), input.records.len());
-        assert_eq!(input.tsv_line_lens(), want);
+        assert_eq!(lens(&input), want);
     }
 
     #[test]
     fn tsv_line_lens_are_built_once_and_shared_by_clones() {
         let (input, _) = tiny_inputs();
-        let first = input.tsv_line_lens().as_ptr();
-        assert_eq!(input.tsv_line_lens().as_ptr(), first);
+        let first = lens(&input).as_ptr();
+        assert_eq!(lens(&input).as_ptr(), first);
         let clone = input.clone();
-        assert_eq!(clone.tsv_line_lens().as_ptr(), first);
+        assert_eq!(lens(&clone).as_ptr(), first);
         // A clone taken before the first call shares the lengths too.
         let (cold, _) = tiny_inputs();
         let early = cold.clone();
-        assert_eq!(early.tsv_line_lens().as_ptr(), cold.tsv_line_lens().as_ptr());
+        assert_eq!(lens(&early).as_ptr(), lens(&cold).as_ptr());
+        // So do two inputs made from one dataset.
+        let ds = sjc_data::ScaledDataset::generate(sjc_data::DatasetId::Nycb, 2e-5, 8);
+        let (a, b) = (JoinInput::from_dataset(&ds), JoinInput::from_dataset(&ds));
+        assert_eq!(lens(&a).as_ptr(), lens(&b).as_ptr());
     }
 
     #[test]
@@ -447,9 +427,9 @@ mod tests {
             sjc_par::Budget::explicit(4),
             &callers,
             |_| 1,
-            |c| c.tsv_line_lens().as_ptr() as usize,
+            |c| lens(c).as_ptr() as usize,
         );
-        let first = input.tsv_line_lens().as_ptr() as usize;
+        let first = lens(&input).as_ptr() as usize;
         assert!(ptrs.iter().all(|&p| p == first), "{ptrs:?}");
     }
 
@@ -467,13 +447,13 @@ mod tests {
         let p = JoinPredicate::Intersects;
         SpatialSpark::default().run(&cluster, &left, &right, p).unwrap();
         SpatialHadoop::default().run(&cluster, &left, &right, p).unwrap();
-        assert!(left.tsv_lens.get().is_none() && right.tsv_lens.get().is_none());
+        assert!(left.records.tsv_lines().is_none() && right.records.tsv_lines().is_none());
         assert!(format!("{left:?}").contains("tsv_lines: None"), "{left:?}");
 
         HadoopGis::default().run(&cluster, &left, &right, p).unwrap();
-        let lines = left.tsv_lens.get().map(Vec::len);
+        let lines = left.records.tsv_lines();
         assert_eq!(lines, Some(left.records.len()));
-        assert!(right.tsv_lens.get().is_some());
+        assert!(right.records.tsv_lines().is_some());
         assert!(format!("{left:?}").contains(&format!("tsv_lines: {lines:?}")), "{left:?}");
     }
 
@@ -482,7 +462,7 @@ mod tests {
     #[should_panic(expected = "record ids must be dense")]
     fn new_rejects_sparse_ids() {
         let (input, _) = tiny_inputs();
-        let mut records = input.records;
+        let mut records = input.records.to_vec();
         records.swap(0, 1);
         JoinInput::new("swapped", records, 0, 1.0, input.domain);
     }

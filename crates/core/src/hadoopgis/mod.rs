@@ -28,8 +28,9 @@
 //!
 //! The text is real, and `run` keeps none of it. Each dataset's TSV is its
 //! input file; what the jobs charge of it is each line's byte length
-//! (`JoinInput::tsv_line_lens`, formatted by the one TSV writer once per
-//! input and shared by every run and clone, as the file would sit on HDFS).
+//! (`sjc_data::tsv::tsv_line_lens`, formatted by the one TSV writer once
+//! per generated dataset and shared by every input, run and clone made from
+//! it, as the file would sit on HDFS).
 //! Every streaming line is a `Line` handle, its record's index and its
 //! text's length in 8 bytes, passed from mapper to shuffle to reducer; the
 //! join job's `A\t…`/`B\t…` lines are `Tagged` handles, two bytes longer.
@@ -41,6 +42,7 @@
 use sjc_cluster::hdfs::DEFAULT_BLOCK_SIZE;
 use sjc_cluster::metrics::Phase;
 use sjc_cluster::{Cluster, CostModel, StageKind, StageTrace};
+use sjc_data::tsv::tsv_line_lens;
 use sjc_geom::{EngineKind, GeometryEngine, Mbr, Point};
 use sjc_index::partition::{bsp_cells, CellLocator};
 use sjc_mapreduce::{block_splits, JobConfig, JobWork, TextLen};
@@ -136,7 +138,7 @@ impl TextLen for Line {
 impl Line {
     /// `input`'s lines, in file order: line `i` holds record `i`.
     fn all(input: &JoinInput) -> Vec<Line> {
-        (0u32..).zip(input.tsv_line_lens()).map(|(rec, &len)| Line { rec, len }).collect()
+        (0u32..).zip(tsv_line_lens(&input.records)).map(|(rec, &len)| Line { rec, len }).collect()
     }
 
     /// The record the line holds, in its dataset `input`.
@@ -230,7 +232,7 @@ fn keyed_by_cell<L: Copy>(
 
 impl HadoopGis {
     /// Steps 1–6 for one dataset, reading its TSV file
-    /// (`JoinInput::tsv_line_lens`), appended to `steps`. Returns the sample
+    /// (`sjc_data::tsv::tsv_line_lens`), appended to `steps`. Returns the sample
     /// MBR centers (reused by the global join) and the converted TSV lines,
     /// or `None` when a step's pipes break on every cluster of `stop`.
     fn preprocess(

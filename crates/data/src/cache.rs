@@ -111,7 +111,7 @@ mod tests {
     fn cached_equals_uncached() {
         let cached = generate_cached(DatasetId::Nycb, 0.015_625, 0xFACADE);
         let fresh = ScaledDataset::generate(DatasetId::Nycb, 0.015_625, 0xFACADE);
-        assert_eq!(cached.geoms, fresh.geoms);
+        assert_eq!(cached.records, fresh.records);
         assert_eq!(cached.domain, fresh.domain);
     }
 
@@ -120,6 +120,6 @@ mod tests {
         let a = generate_cached(DatasetId::Nycb, 0.007_812_5, 1);
         let b = generate_cached(DatasetId::Nycb, 0.007_812_5, 2);
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_ne!(a.geoms, b.geoms);
+        assert_ne!(a.records, b.records);
     }
 }

@@ -1,7 +1,8 @@
 //! Dataset catalog: the paper's Table 1, plus the scaling machinery.
 
+use crate::records::{GeoRecord, Records};
 use crate::rng::StdRng;
-use sjc_geom::{Geometry, Mbr};
+use sjc_geom::Mbr;
 
 const MIB: u64 = 1 << 20;
 const GIB: u64 = 1 << 30;
@@ -132,8 +133,8 @@ fn full_domain(id: DatasetId) -> Mbr {
     }
 }
 
-/// A generated dataset: geometry at generation scale plus the extrapolation
-/// factor to full scale.
+/// A generated dataset: its records at generation scale plus the
+/// extrapolation factor to full scale.
 #[derive(Debug, Clone)]
 pub struct ScaledDataset {
     pub spec: DatasetSpec,
@@ -141,7 +142,8 @@ pub struct ScaledDataset {
     pub scale: f64,
     /// The (shrunken) domain the geometry lives in.
     pub domain: Mbr,
-    pub geoms: Vec<Geometry>,
+    /// Record `i` has id `i`. Every input made from the dataset shares them.
+    pub records: Records,
 }
 
 impl ScaledDataset {
@@ -174,16 +176,19 @@ impl ScaledDataset {
                 crate::tiger::generate_linearwater(&mut rng, domain, records)
             }
         };
-        ScaledDataset { spec, scale, domain, geoms }
+        // The geometry moves into its record; only the MBR is computed.
+        let records: Vec<GeoRecord> =
+            (0u64..).zip(geoms).map(|(i, g)| GeoRecord::new(i, g)).collect();
+        ScaledDataset { spec, scale, domain, records: Records::from(records) }
     }
 
     /// Number of generated records.
     pub fn len(&self) -> usize {
-        self.geoms.len()
+        self.records.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.geoms.is_empty()
+        self.records.is_empty()
     }
 
     /// Extrapolation multiplier from generated to full scale.
@@ -218,9 +223,9 @@ mod tests {
     fn generation_is_deterministic() {
         let a = ScaledDataset::generate(DatasetId::Nycb, 0.02, 42);
         let b = ScaledDataset::generate(DatasetId::Nycb, 0.02, 42);
-        assert_eq!(a.geoms, b.geoms);
+        assert_eq!(a.records, b.records);
         let c = ScaledDataset::generate(DatasetId::Nycb, 0.02, 43);
-        assert_ne!(a.geoms, c.geoms, "different seed, different data");
+        assert_ne!(a.records, c.records, "different seed, different data");
     }
 
     #[test]
@@ -238,8 +243,8 @@ mod tests {
         for id in [DatasetId::Taxi, DatasetId::Nycb, DatasetId::Edges, DatasetId::Linearwater] {
             let ds = ScaledDataset::generate(id, 1e-4, 7);
             let padded = ds.domain.buffered(ds.domain.width() * 0.05);
-            for g in &ds.geoms {
-                assert!(padded.contains(&g.mbr()), "{id:?} geometry escapes domain");
+            for r in &ds.records {
+                assert!(padded.contains(&r.geom.mbr()), "{id:?} geometry escapes domain");
             }
         }
     }
@@ -274,9 +279,13 @@ mod tests {
             (DatasetId::Linearwater, 0.25),
         ] {
             let ds = ScaledDataset::generate(id, 1e-3, 1);
-            let wkt_bytes: u64 =
-                ds.geoms.iter().take(500).map(|g| sjc_geom::wkt::to_wkt(g).len() as u64 + 8).sum();
-            let measured = wkt_bytes as f64 / ds.geoms.len().min(500) as f64;
+            let wkt_bytes: u64 = ds
+                .records
+                .iter()
+                .take(500)
+                .map(|r| sjc_geom::wkt::to_wkt(&r.geom).len() as u64 + 8)
+                .sum();
+            let measured = wkt_bytes as f64 / ds.len().min(500) as f64;
             let table1 = ds.spec.bytes_per_record();
             let err = (measured - table1).abs() / table1;
             assert!(

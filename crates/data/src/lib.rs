@@ -18,11 +18,13 @@
 //! distribution — matches the full dataset, and all volumes extrapolate
 //! linearly by `1/s`. The [`catalog`] carries the paper's Table-1 full-scale
 //! record counts and byte sizes; [`catalog::ScaledDataset`] pairs generated
-//! geometry with its extrapolation multiplier for the cost model.
+//! records ([`Records`], shared by every input made from them) with their
+//! extrapolation multiplier for the cost model.
 
 pub mod cache;
 pub mod catalog;
 pub mod census;
+pub mod records;
 pub mod rng;
 pub mod taxi;
 pub mod tiger;
@@ -30,3 +32,4 @@ pub mod tsv;
 
 pub use cache::generate_cached;
 pub use catalog::{DatasetId, DatasetSpec, ScaledDataset};
+pub use records::{GeoRecord, Records};

@@ -12,12 +12,16 @@
 //! One writer, `write_tsv_line`, formats every line. [`to_tsv_text`]
 //! joins its lines into the file HDFS would hold; [`tsv_line_lens`] keeps
 //! only each line's length, which is all HadoopGIS's jobs charge, so the
-//! lengths are those of the file's lines by construction.
+//! lengths are those of the file's lines by construction. The lengths
+//! belong to the stored dataset, not to one query: they are built once per
+//! record set and shared by every holder of it.
 
 use std::fmt::Write as _;
 
 use sjc_geom::wkt::{parse_wkt, write_wkt, WktError};
 use sjc_geom::Geometry;
+
+use crate::records::{GeoRecord, Records};
 
 /// Appends one record's `id \t WKT` line, without its newline, to `text`.
 fn write_tsv_line(text: &mut String, id: u64, g: &Geometry) {
@@ -28,7 +32,7 @@ fn write_tsv_line(text: &mut String, id: u64, g: &Geometry) {
 
 /// Serializes `(id, geometry)` records into one buffer of `id \t WKT \n`
 /// lines.
-// sjc-lint: allow(dead-pub) — the file `tsv_line_lens` is held to in `round_trip`, `lens_are_the_texts_line_lengths` and `sjc_core`'s memo tests
+// sjc-lint: allow(dead-pub) — the file `tsv_line_lens` is held to in `round_trip`, `lens_are_the_texts_line_lengths` and `sjc_core`'s line-length tests
 pub fn to_tsv_text<'a, I>(records: I) -> String
 where
     I: IntoIterator<Item = (u64, &'a Geometry)>,
@@ -41,20 +45,31 @@ where
     text
 }
 
-/// The byte length of each line [`to_tsv_text`] writes for `records`,
-/// without its newline. Each line is formatted into one reused buffer and
-/// only its length is kept. A line needs fewer than 4 GiB of WKT for its
-/// length to fit a `u32`; a debug build asserts it.
-pub fn tsv_line_lens<'a, I>(records: I) -> Vec<u32>
-where
-    I: IntoIterator<Item = (u64, &'a Geometry)>,
-{
+/// The byte length of each record's `id \t WKT` line in the file
+/// [`to_tsv_text`] writes for `records`, without its newline, at the
+/// record's index: the lines of the input file HadoopGIS reads off HDFS, of
+/// which its streaming jobs charge only the lengths. The WKT sizes of the
+/// synthetic geometry track the paper's Table-1 bytes/record closely, so
+/// pipe and parse charges computed from these real line lengths are
+/// faithful. Built on the first call for a record set, then shared by every
+/// later call on any clone of it, so `records` are formatted once per set
+/// however many inputs and runs read them.
+pub fn tsv_line_lens(records: &Records) -> &[u32] {
+    records.tsv_lens().get_or_init(|| memo_line_lens(records))
+}
+
+/// The value behind [`tsv_line_lens`]'s memo: a pure function of the
+/// records (its name puts it under the `cache-purity` pass). Each line is
+/// formatted into one reused buffer and only its length is kept. A line
+/// needs fewer than 4 GiB of WKT for its length to fit a `u32`; a debug
+/// build asserts it.
+fn memo_line_lens(records: &[GeoRecord]) -> Vec<u32> {
     let mut line = String::new();
     records
-        .into_iter()
-        .map(|(id, g)| {
+        .iter()
+        .map(|r| {
             line.clear();
-            write_tsv_line(&mut line, id, g);
+            write_tsv_line(&mut line, r.id, &r.geom);
             let len = u32::try_from(line.len());
             debug_assert!(
                 len.is_ok(),
@@ -138,14 +153,30 @@ mod tests {
     fn lens_are_the_texts_line_lengths() {
         for id in [crate::DatasetId::Taxi, crate::DatasetId::Edges01, crate::DatasetId::Nycb] {
             let ds = crate::ScaledDataset::generate(id, 1e-4, 3);
-            let records = || ds.geoms.iter().enumerate().map(|(i, g)| (i as u64, g));
-            let text = to_tsv_text(records());
+            let text = to_tsv_text(ds.records.iter().map(|r| (r.id, &r.geom)));
             let want: Vec<u32> = text.split_terminator('\n').map(|l| l.len() as u32).collect();
-            assert_eq!(tsv_line_lens(records()), want, "{id:?}");
+            assert_eq!(tsv_line_lens(&ds.records), want, "{id:?}");
         }
-        let geoms = [Geometry::Point(Point::new(1.0, 2.0)), Geometry::Point(Point::new(3.5, 4.0))];
-        let lens = tsv_line_lens([(0, &geoms[0]), (10, &geoms[1])]);
+        let records = Records::from(vec![
+            GeoRecord::new(0, Geometry::Point(Point::new(1.0, 2.0))),
+            GeoRecord::new(10, Geometry::Point(Point::new(3.5, 4.0))),
+        ]);
+        let lens = tsv_line_lens(&records);
         assert_eq!(lens, ["0\tPOINT (1 2)".len() as u32, "10\tPOINT (3.5 4)".len() as u32]);
+    }
+
+    #[test]
+    fn lens_are_built_once_per_record_set() {
+        let ds = crate::ScaledDataset::generate(crate::DatasetId::Taxi, 2e-5, 3);
+        let holder = ds.records.clone();
+        assert_eq!(holder.tsv_lines(), None, "nothing is formatted before the first call");
+        let first = tsv_line_lens(&holder).as_ptr();
+        assert_eq!(ds.records.tsv_lines(), Some(ds.len()), "the dataset's own handle sees it");
+        assert_eq!(tsv_line_lens(&ds.records).as_ptr(), first);
+        let copy = Records::from(ds.records.to_vec());
+        assert_eq!(copy.tsv_lines(), None, "a fresh set over copied records starts empty");
+        assert_ne!(tsv_line_lens(&copy).as_ptr(), first);
+        assert_eq!(tsv_line_lens(&copy), tsv_line_lens(&holder));
     }
 
     /// `parse_tsv_line` either errors or returns a record whose own line
@@ -171,7 +202,7 @@ mod tests {
         // dataset's first few records.
         for id in [crate::DatasetId::Taxi, crate::DatasetId::Edges01, crate::DatasetId::Nycb] {
             let ds = crate::ScaledDataset::generate(id, 1e-4, 3);
-            let text = to_tsv_text(ds.geoms.iter().take(4).enumerate().map(|(i, g)| (i as u64, g)));
+            let text = to_tsv_text(ds.records.iter().take(4).map(|r| (r.id, &r.geom)));
             for line in text.split_terminator('\n') {
                 assert!(parse_tsv_line(line).is_ok(), "{line:?}");
                 (0..=line.len()).for_each(|k| parses_or_errors_cleanly(&line[..k]));

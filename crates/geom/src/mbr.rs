@@ -60,6 +60,7 @@ impl Mbr {
     }
 
     /// Whether this is the empty MBR.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.min_x > self.max_x || self.min_y > self.max_y
     }
@@ -107,6 +108,7 @@ impl Mbr {
     }
 
     /// Closed-boundary intersection test (touching rectangles intersect).
+    #[inline]
     pub fn intersects(&self, other: &Mbr) -> bool {
         !(self.is_empty()
             || other.is_empty()
@@ -117,6 +119,7 @@ impl Mbr {
     }
 
     /// Whether `other` lies entirely inside (or on the boundary of) `self`.
+    #[inline]
     pub fn contains(&self, other: &Mbr) -> bool {
         !self.is_empty()
             && !other.is_empty()
@@ -127,6 +130,7 @@ impl Mbr {
     }
 
     /// Whether point `p` lies inside or on the boundary.
+    #[inline]
     pub fn contains_point(&self, p: &Point) -> bool {
         !self.is_empty()
             && p.x >= self.min_x

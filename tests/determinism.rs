@@ -12,7 +12,7 @@ fn dataset_generation_is_bit_stable() {
     for id in sjc_data::DatasetId::all() {
         let a = sjc_data::ScaledDataset::generate(id, 2e-4, 99);
         let b = sjc_data::ScaledDataset::generate(id, 2e-4, 99);
-        assert_eq!(a.geoms, b.geoms, "{id:?}");
+        assert_eq!(a.records, b.records, "{id:?}");
     }
 }
 
@@ -185,7 +185,7 @@ fn faulted_e2e_is_identical_at_1_and_8_threads() {
 fn different_seeds_give_different_data_same_shape() {
     let a = sjc_data::ScaledDataset::generate(sjc_data::DatasetId::Taxi, 2e-4, 1);
     let b = sjc_data::ScaledDataset::generate(sjc_data::DatasetId::Taxi, 2e-4, 2);
-    assert_ne!(a.geoms, b.geoms, "seeds vary the draw");
+    assert_ne!(a.records, b.records, "seeds vary the draw");
     assert_eq!(a.len(), b.len(), "but not the scale");
     assert_eq!(a.domain, b.domain, "nor the domain");
 }

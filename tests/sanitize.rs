@@ -65,16 +65,20 @@ fn shrunken_chunk_envelope_trips_polyline_sanitizer() {
 fn seed_datasets_run_clean_under_sanitizer() {
     for id in [DatasetId::Taxi, DatasetId::Nycb, DatasetId::Edges] {
         let ds = ScaledDataset::generate(id, 2e-5, 42);
-        assert!(!ds.geoms.is_empty(), "{id:?} generated no geometry");
+        assert!(!ds.records.is_empty(), "{id:?} generated no geometry");
 
-        let entries: Vec<IndexEntry> =
-            ds.geoms.iter().enumerate().map(|(i, g)| IndexEntry::new(i as u64, g.mbr())).collect();
+        let entries: Vec<IndexEntry> = ds
+            .records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| IndexEntry::new(i as u64, r.geom.mbr()))
+            .collect();
 
         let tree = RTree::bulk_load_str(entries);
-        assert_eq!(tree.len(), ds.geoms.len());
+        assert_eq!(tree.len(), ds.records.len());
         let mut hits = Vec::new();
         tree.query_into(&ds.domain, &mut hits);
-        assert_eq!(hits.len(), ds.geoms.len());
+        assert_eq!(hits.len(), ds.records.len());
     }
 }
 
@@ -87,7 +91,7 @@ fn seed_datasets_run_clean_under_sanitizer() {
 fn cell_tags_run_clean_under_sanitizer() {
     for id in [DatasetId::Taxi, DatasetId::Nycb] {
         let ds = ScaledDataset::generate(id, 2e-5, 42);
-        let mut probes: Vec<Mbr> = ds.geoms.iter().map(|g| g.mbr()).collect();
+        let mut probes: Vec<Mbr> = ds.records.iter().map(|r| r.geom.mbr()).collect();
         let sample: Vec<Point> = probes.iter().map(Mbr::center).collect();
         probes.extend(sample.iter().map(|p| p.mbr().buffered(0.01)));
         probes.push(inverted_mbr());
