@@ -4,6 +4,7 @@
 //! the regeneration cheap and guard against performance regressions in the
 //! substrates.
 
+use sjc_bench::cold_copy;
 use sjc_bench::microbench::{black_box, Bench};
 use sjc_cluster::{Cluster, ClusterConfig};
 use sjc_core::experiment::Workload;
@@ -67,13 +68,6 @@ fn bench_fig1_dataflow(b: &mut Bench) {
     });
 }
 
-/// A copy of `input` over a fresh record set, whose TSV line lengths are
-/// not built yet.
-fn cold_copy(input: &JoinInput) -> JoinInput {
-    let records = input.records.to_vec();
-    JoinInput::new(input.name.clone(), records, input.sim_bytes, input.multiplier, input.domain)
-}
-
 fn bench_text_path(b: &mut Bench) {
     // HadoopGIS's text path at the benchmark's own sizes (`pip_1t`,
     // `sampled_ws_1t`): the five-second check for an edit of `tsv`, `wkt`,
@@ -105,11 +99,14 @@ fn bench_text_path(b: &mut Bench) {
         b.bench_in("hadoopgis_cell", &cell, || run(&l, &r));
         b.bench_in("hadoopgis_cell_cold", &cell, || run(&cold_copy(&l), &cold_copy(&r)));
     }
-    // The lengths of a fresh copy of the records (the copy is timed too).
+    // The lengths of 68k points' lines, formatted from scratch: each call
+    // reads a fresh copy of the records, made and dropped outside the timer.
     let (taxi, _) = Workload::taxi_nycb().prepare(4e-4, SEED);
-    b.bench("tsv_line_lens_68k_points", || {
-        tsv_line_lens(&Records::from(taxi.records.to_vec())).len()
-    });
+    b.bench_with_setup(
+        "tsv_line_lens_68k_points",
+        || Records::from(taxi.records.to_vec()),
+        |fresh| tsv_line_lens(fresh).len(),
+    );
     sjc_par::set_global_threads(0);
 }
 

@@ -24,7 +24,7 @@ pub use reproduce::{report_works, reproduce, ReportWork, REPORTS};
 use sjc_cluster::ClusterConfig;
 use sjc_cluster::{Cluster, RunTrace};
 use sjc_core::experiment::{CellResult, ExperimentGrid, SystemKind, Workload};
-use sjc_core::framework::JoinPredicate;
+use sjc_core::framework::{JoinInput, JoinPredicate};
 
 /// Runs all three systems on a small workload and returns their traces —
 /// the input of the Fig.-1 reproduction. Uses the workstation configuration
@@ -44,6 +44,15 @@ pub fn fig1_traces(scale: f64, seed: u64) -> Vec<RunTrace> {
             }
         })
         .collect()
+}
+
+/// `input` over a fresh copy of its records, whose TSV line lengths no run
+/// has built yet. A prepared input shares the cached dataset's records and
+/// line lengths, which any earlier HadoopGIS run in the process may have
+/// built; whatever must read a cold HadoopGIS input copies it this way.
+pub fn cold_copy(input: &JoinInput) -> JoinInput {
+    let records = input.records.to_vec();
+    JoinInput::new(input.name.clone(), records, input.sim_bytes, input.multiplier, input.domain)
 }
 
 /// Convenience: the full grid at a given scale.

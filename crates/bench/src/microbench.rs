@@ -61,12 +61,52 @@ impl Bench {
         self.run(&format!("{group}/{name}"), records.max(1) as u64, "record", f)
     }
 
+    /// [`bench`](Self::bench) for an `f` that needs a fresh input on every
+    /// call: `setup` builds it, and drops it after, outside the timer. Each
+    /// call is timed on its own, so `f` should take microseconds or more.
+    pub fn bench_with_setup<S, R>(
+        &mut self,
+        name: &str,
+        mut setup: impl FnMut() -> S,
+        mut f: impl FnMut(&S) -> R,
+    ) {
+        if self.skips(name) {
+            return;
+        }
+        let mut timed = || {
+            let input = setup();
+            let start = Instant::now();
+            black_box(f(&input));
+            let spent = start.elapsed();
+            drop(input);
+            spent
+        };
+        let mut warm_spent = Duration::ZERO;
+        let mut warm_iters: u64 = 0;
+        while warm_spent < WARMUP_BUDGET || warm_iters == 0 {
+            warm_spent += timed();
+            warm_iters += 1;
+        }
+        let per_iter = warm_spent.as_nanos() as u64 / warm_iters;
+        let iters_per_batch = batch_iters(per_iter);
+        let batch_per_iter_ns: Vec<u64> = (0..BATCHES)
+            .map(|_| {
+                let spent: Duration = (0..iters_per_batch).map(|_| timed()).sum();
+                spent.as_nanos() as u64 / iters_per_batch
+            })
+            .collect();
+        report(name, "iter", iters_per_batch, batch_per_iter_ns);
+    }
+
+    /// Whether the command-line filter leaves `name` out.
+    fn skips(&self, name: &str) -> bool {
+        self.filter.as_deref().is_some_and(|filter| !name.contains(filter))
+    }
+
     /// Times `f`, reporting the time per call divided by `per`, per `unit`.
     fn run<R>(&mut self, name: &str, per: u64, unit: &str, mut f: impl FnMut() -> R) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
+        if self.skips(name) {
+            return;
         }
 
         // Warm-up: also discovers how many iterations fit a batch.
@@ -77,8 +117,7 @@ impl Bench {
             warm_iters += 1;
         }
         let per_iter = WARMUP_BUDGET.as_nanos() as u64 / warm_iters.max(1);
-        let batch_ns = (MEASURE_BUDGET.as_nanos() as u64 / BATCHES as u64).max(1);
-        let iters_per_batch = (batch_ns / per_iter.max(1)).clamp(1, 1_000_000);
+        let iters_per_batch = batch_iters(per_iter);
 
         let mut batch_per_iter_ns: Vec<u64> = Vec::with_capacity(BATCHES);
         for _ in 0..BATCHES {
@@ -88,24 +127,36 @@ impl Bench {
             }
             batch_per_iter_ns.push(start.elapsed().as_nanos() as u64 / (iters_per_batch * per));
         }
-        batch_per_iter_ns.sort_unstable();
-        let median = batch_per_iter_ns[batch_per_iter_ns.len() / 2];
-        let min = batch_per_iter_ns.first().copied().unwrap_or(0);
-        let max = batch_per_iter_ns.last().copied().unwrap_or(0);
-        println!(
-            "{name:<44} {:>12}/{unit}  (min {}, max {}, {} iters × {} batches)",
-            fmt_ns(median),
-            fmt_ns(min),
-            fmt_ns(max),
-            iters_per_batch,
-            BATCHES
-        );
+        report(name, unit, iters_per_batch, batch_per_iter_ns);
     }
 
     /// Namespaced variant: `group/name` labels, criterion-style.
     pub fn bench_in<R>(&mut self, group: &str, name: &str, f: impl FnMut() -> R) {
         self.bench(&format!("{group}/{name}"), f);
     }
+}
+
+/// How many calls of `per_iter_ns` each fill one batch of the budget.
+fn batch_iters(per_iter_ns: u64) -> u64 {
+    let batch_ns = (MEASURE_BUDGET.as_nanos() as u64 / BATCHES as u64).max(1);
+    (batch_ns / per_iter_ns.max(1)).clamp(1, 1_000_000)
+}
+
+/// Prints one benchmark's line: the median, min and max of the batches'
+/// per-call times.
+fn report(name: &str, unit: &str, iters_per_batch: u64, mut batch_per_iter_ns: Vec<u64>) {
+    batch_per_iter_ns.sort_unstable();
+    let median = batch_per_iter_ns[batch_per_iter_ns.len() / 2];
+    let min = batch_per_iter_ns.first().copied().unwrap_or(0);
+    let max = batch_per_iter_ns.last().copied().unwrap_or(0);
+    println!(
+        "{name:<44} {:>12}/{unit}  (min {}, max {}, {} iters × {} batches)",
+        fmt_ns(median),
+        fmt_ns(min),
+        fmt_ns(max),
+        iters_per_batch,
+        BATCHES
+    );
 }
 
 /// Runs `f` once and returns its result with the wall time it took. The
@@ -143,6 +194,26 @@ mod tests {
         b.bench("other", || skipped += 1);
         assert!(matched > 0, "filtered-in bench must run");
         assert_eq!(skipped, 0, "filtered-out bench must not run");
+    }
+
+    #[test]
+    fn setup_runs_once_per_timed_call_and_respects_filter() {
+        let mut b = Bench { filter: Some("match".to_string()) };
+        let (mut setups, mut calls) = (0u64, 0u64);
+        b.bench_with_setup(
+            "matching_setup",
+            || {
+                setups += 1;
+                setups
+            },
+            |&fresh| {
+                calls += 1;
+                assert_eq!(fresh, calls, "each call gets its own fresh input");
+            },
+        );
+        assert!(calls > 0 && setups == calls, "{setups} setups for {calls} calls");
+        b.bench_with_setup("other", || setups += 1, |_| calls += 1);
+        assert_eq!(setups, calls, "filtered-out bench must not set up or run");
     }
 
     #[test]

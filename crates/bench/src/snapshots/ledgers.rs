@@ -11,10 +11,12 @@
 //!   `parse_ns`, `streaming_pipe_limit`), so this is what holds an edit of
 //!   the text path to its parent. The inputs are the benchmark's HadoopGIS
 //!   cells (`pip_1t`: taxi × nycb at 4e-4; `sampled_ws_1t`: the two sampled
-//!   pairs) at its default seed. Each dataset's TSV text is built on a
-//!   `JoinInput`'s first HadoopGIS run and reused by every later run and
-//!   clone, so the ledger is derived twice on the same inputs, cold then
-//!   warm, and both must agree.
+//!   pairs) at its default seed. A record set's TSV line lengths are built
+//!   on the first HadoopGIS run that reads them and reused by every later
+//!   run on any holder of the set, a prepared input and the cached dataset
+//!   included. So each derivation builds its inputs over fresh record sets
+//!   and derives the ledger twice on them, cold then warm, and both must
+//!   agree, whatever ran on the cached datasets before.
 //! * [`engines`] (`tests/fixtures/engine_ledger.txt`): SpatialHadoop,
 //!   SpatialSpark and LDE-MC+ for every configuration the ablations flip,
 //!   each stage's full `StageTrace` (name, kind, phase, `sim_ns`, bytes,
@@ -36,6 +38,7 @@ use sjc_core::spatialspark::SpatialSpark;
 use sjc_geom::EngineKind;
 
 use super::{first_difference, SEED};
+use crate::cold_copy;
 
 /// FNV-1a over the sorted pairs' little-endian bytes.
 fn pair_hash(pairs: &[(u64, u64)]) -> u64 {
@@ -49,9 +52,13 @@ fn pair_hash(pairs: &[(u64, u64)]) -> u64 {
 }
 
 /// HadoopGIS's ledger, derived cold and then warm on the same inputs; an
-/// `Err` names the first line where the two disagree.
+/// `Err` names the first line where the two disagree, or an input whose
+/// line lengths were built before the cold derivation.
 pub fn hadoopgis() -> Result<String, String> {
     let inputs = Inputs::prepare();
+    if let Some(warm) = inputs.all().find(|i| i.records.tsv_lines().is_some()) {
+        return Err(format!("{}'s line lengths are built before the cold derivation", warm.name));
+    }
     let cold = hadoopgis_ledger(&inputs);
     let warm = hadoopgis_ledger(&inputs);
     match first_difference(&warm, &cold) {
@@ -60,8 +67,9 @@ pub fn hadoopgis() -> Result<String, String> {
     }
 }
 
-/// The prepared input pairs of HadoopGIS's sections, kept across ledger
-/// derivations so the second one reads warm text.
+/// The input pairs of HadoopGIS's sections, over record sets of their own
+/// whose line lengths no run has built yet, kept across the two ledger
+/// derivations so the second one reads warm lengths.
 struct Inputs {
     stage: Vec<(&'static str, f64, JoinInput, JoinInput)>,
     full: (JoinInput, JoinInput),
@@ -70,18 +78,29 @@ struct Inputs {
 
 impl Inputs {
     fn prepare() -> Inputs {
+        let cold = |w: Workload, scale: f64| {
+            let (l, r) = w.prepare(scale, SEED);
+            (cold_copy(&l), cold_copy(&r))
+        };
         let stage = [(Workload::taxi1m_nycb(), 2e-3), (Workload::edge01_linearwater01(), 6e-4)]
             .into_iter()
             .map(|(w, scale)| {
-                let (l, r) = w.prepare(scale, SEED);
-                (w.name, scale, l, r)
+                let name = w.name;
+                let (l, r) = cold(w, scale);
+                (name, scale, l, r)
             })
             .collect();
         Inputs {
             stage,
-            full: Workload::taxi_nycb().prepare(4e-4, SEED),
-            faulted: Workload::taxi1m_nycb().prepare(1e-4, SEED),
+            full: cold(Workload::taxi_nycb(), 4e-4),
+            faulted: cold(Workload::taxi1m_nycb(), 1e-4),
         }
+    }
+
+    fn all(&self) -> impl Iterator<Item = &JoinInput> {
+        let pairs = self.stage.iter().map(|(_, _, l, r)| (l, r));
+        let pairs = pairs.chain([(&self.full.0, &self.full.1), (&self.faulted.0, &self.faulted.1)]);
+        pairs.flat_map(|(l, r)| [l, r])
     }
 }
 

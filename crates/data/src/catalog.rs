@@ -177,9 +177,8 @@ impl ScaledDataset {
             }
         };
         // The geometry moves into its record; only the MBR is computed.
-        let records: Vec<GeoRecord> =
-            (0u64..).zip(geoms).map(|(i, g)| GeoRecord::new(i, g)).collect();
-        ScaledDataset { spec, scale, domain, records: Records::from(records) }
+        let records: Records = (0u64..).zip(geoms).map(|(i, g)| GeoRecord::new(i, g)).collect();
+        ScaledDataset { spec, scale, domain, records }
     }
 
     /// Number of generated records.

@@ -2,7 +2,7 @@
 //!
 //! A generated dataset is immutable, so every join input made from it can
 //! read the same records: [`Records`] is a reference-counted handle whose
-//! clones share one allocation. It also owns what is derived from the
+//! clones share one copy of them. It also owns what is derived from the
 //! records alone and read by more than one run, the byte length of each
 //! record's TSV line ([`tsv_line_lens`](crate::tsv::tsv_line_lens)), so that
 //! is computed once per record set, not once per input.
@@ -30,42 +30,50 @@ impl GeoRecord {
     }
 }
 
-/// An immutable record set behind one shared allocation. It derefs to
-/// `[GeoRecord]` and iterates by reference; a clone is a handle to the same
-/// records and the same line-length memo.
+/// An immutable, shared record set. It derefs to `[GeoRecord]` and iterates
+/// by reference; a clone is a handle to the same records and the same
+/// line-length memo. The records are a shared slice, so a record is one
+/// pointer hop from the handle, as from a `Vec`.
 #[derive(Clone)]
-pub struct Records(Arc<Shared>);
-
-struct Shared {
-    records: Vec<GeoRecord>,
-    tsv_lens: OnceLock<Vec<u32>>,
+pub struct Records {
+    recs: Arc<[GeoRecord]>,
+    tsv_lens: Arc<OnceLock<Vec<u32>>>,
 }
 
 impl Records {
     /// The memo behind [`tsv_line_lens`](crate::tsv::tsv_line_lens).
     pub(crate) fn tsv_lens(&self) -> &OnceLock<Vec<u32>> {
-        &self.0.tsv_lens
+        &self.tsv_lens
     }
 
     /// How many TSV line lengths the memo holds: `None` until the first
     /// [`tsv_line_lens`](crate::tsv::tsv_line_lens) call on any holder.
     pub fn tsv_lines(&self) -> Option<usize> {
-        self.0.tsv_lens.get().map(Vec::len)
+        self.tsv_lens.get().map(Vec::len)
     }
 }
 
 /// A fresh set over `records`, with its own, empty memo.
 impl From<Vec<GeoRecord>> for Records {
     fn from(records: Vec<GeoRecord>) -> Self {
-        Records(Arc::new(Shared { records, tsv_lens: OnceLock::new() }))
+        Records { recs: records.into(), tsv_lens: Arc::default() }
+    }
+}
+
+/// A fresh set, with its own, empty memo, allocated once when the iterator
+/// knows its length exactly (as `generate`'s does).
+impl FromIterator<GeoRecord> for Records {
+    fn from_iter<I: IntoIterator<Item = GeoRecord>>(records: I) -> Self {
+        Records { recs: records.into_iter().collect(), tsv_lens: Arc::default() }
     }
 }
 
 impl Deref for Records {
     type Target = [GeoRecord];
 
+    #[inline]
     fn deref(&self) -> &[GeoRecord] {
-        &self.0.records
+        &self.recs
     }
 }
 

@@ -5,7 +5,8 @@
 //! HadoopGIS stages. `tests/fixtures/hadoopgis_ledger.txt`, a member of the
 //! snapshot set (`sjc_bench::snapshots::ledgers::hadoopgis` renders it),
 //! holds the text path to its parent: it is re-derived at 1 and 4 host
-//! threads, cold then warm on the same inputs, and compared byte for byte.
+//! threads, each time over fresh record sets, cold then warm on the same
+//! inputs, and compared byte for byte.
 //! A deliberate cost-model change rewrites the whole set with
 //! `cargo run --release -p sjc-bench --bin perfsnap`.
 
