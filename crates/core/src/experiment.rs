@@ -202,20 +202,27 @@ impl ExperimentGrid {
         for w in workloads {
             let (left, right) = w.prepare(self.scale, self.seed);
             // Works are pure functions of (system, workload): run them in
-            // parallel, collect in deterministic grid order. Equal weights
-            // keep grid order, so the caller always works HadoopGIS. What
-            // that work allocates stays in the caller's allocator arena
-            // beside the inputs, instead of growing a pool worker's arena as
-            // well: its streaming lines (an 8-byte handle per record and
-            // stage), their cell keys and shuffle groups, and, on a
-            // dataset's first HadoopGIS run in the process, the dataset's TSV
-            // line lengths, which stay with the cached dataset.
+            // parallel, collect in deterministic grid order. The weights
+            // rank the works by their host time at the tables' scales, so
+            // the caller takes SpatialHadoop's, the longest, and a worker
+            // the other two; SpatialHadoop's own parallel calls get that
+            // worker's help once it is done (on a worker they would run
+            // serially). HadoopGIS's is the shortest: it reads its line
+            // lengths from the cached dataset, and on table 2's edges it
+            // stops at the broken pipe within 0.1 ms. Had the caller
+            // taken it first, it would sometimes finish before the worker
+            // woke and take SpatialHadoop's as well, so which thread worked
+            // which system, and the time of the pass, would hang on
+            // wake-up timing.
             let systems = SystemKind::all();
-            let ledgers = sjc_par::par_map_weighted(
-                &systems,
-                |_| 1,
-                |sys| sys.instance().work(&left, &right, JoinPredicate::Intersects, &clusters),
-            );
+            let weight = |sys: &SystemKind| match sys {
+                SystemKind::SpatialHadoop => 3,
+                SystemKind::SpatialSpark => 2,
+                SystemKind::HadoopGis => 1,
+            };
+            let ledgers = sjc_par::par_map_weighted(&systems, weight, |sys| {
+                sys.instance().work(&left, &right, JoinPredicate::Intersects, &clusters)
+            });
             for (sys, ledger) in systems.iter().zip(&ledgers) {
                 let pairs = ledger.pairs.as_ref().map_or(0, Vec::len);
                 for (config, cluster) in configs.iter().zip(&clusters) {
