@@ -95,12 +95,10 @@ fn bench_partitioners(b: &mut Bench) {
     b.bench("partition_assign_10k", || {
         probes.iter().map(|e| partitioner.assign(black_box(&e.mbr)).len()).sum::<usize>()
     });
-    let mut cells = Vec::new();
-    b.bench("partition_assign_into_10k", || {
+    b.bench("partition_assign_each_10k", || {
         let mut total = 0usize;
         for e in &probes {
-            partitioner.assign_into(black_box(&e.mbr), &mut cells);
-            total += cells.len();
+            partitioner.assign_each(black_box(&e.mbr), |_| total += 1);
         }
         total
     });

@@ -1,13 +1,12 @@
-//! Local-join algorithm benchmarks: the three §II.C filter algorithms plus
-//! the cache-conscious striped sweep at realistic partition sizes
-//! (wall-clock of the real computation — the simulated-cost comparison is
+//! Local-join algorithm benchmarks: the three §II.C filter algorithms at
+//! realistic partition sizes (wall-clock of the real computation — the simulated-cost comparison is
 //! in `reproduce ablations`).
 
 use sjc_bench::microbench::{black_box, Bench};
 use sjc_data::rng::StdRng;
 use sjc_geom::Mbr;
 use sjc_index::entry::IndexEntry;
-use sjc_index::join::{indexed_nested_loop, plane_sweep, stripe_sweep, sync_rtree, CandidatePairs};
+use sjc_index::join::{indexed_nested_loop, plane_sweep, sync_rtree, CandidatePairs};
 
 fn entries(n: usize, seed: u64, extent: f64, side: f64) -> Vec<IndexEntry> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -37,9 +36,6 @@ fn bench_algorithms(b: &mut Bench) {
         b.bench_in("local_join", &format!("sync_rtree/{n}"), || {
             sync_rtree(black_box(&left), black_box(&right)).pairs.len()
         });
-        b.bench_in("local_join", &format!("stripe_sweep/{n}"), || {
-            stripe_sweep(black_box(&left), black_box(&right)).pairs.len()
-        });
     }
 }
 
@@ -59,7 +55,6 @@ fn bench_tiny_cells(b: &mut Bench) {
     tiny("indexed_nested_loop/8x8", indexed_nested_loop);
     tiny("plane_sweep/8x8", plane_sweep);
     tiny("sync_rtree/8x8", sync_rtree);
-    tiny("stripe_sweep/8x8", stripe_sweep);
 
     // A SpatialHadoop-sized cell pair (≈ 300 pickups against 16 census
     // blocks), fed in generation order and as the partition job now writes
@@ -74,27 +69,25 @@ fn bench_tiny_cells(b: &mut Bench) {
     };
     let (sorted_points, sorted_blocks) = (sorted(&points), sorted(&blocks));
     for (name, left, right) in [
-        ("stripe_sweep/300x16", &points, &blocks),
-        ("stripe_sweep/300x16_presorted", &sorted_points, &sorted_blocks),
+        ("plane_sweep/300x16", &points, &blocks),
+        ("plane_sweep/300x16_presorted", &sorted_points, &sorted_blocks),
     ] {
         b.bench_in("local_join_tiny_cell_x1000", name, || {
             (0..1000)
-                .map(|_| stripe_sweep(black_box(left), black_box(right)).pairs.len())
+                .map(|_| plane_sweep(black_box(left), black_box(right)).pairs.len())
                 .sum::<usize>()
         });
     }
 }
 
-fn bench_old_vs_new_kernel(b: &mut Bench) {
-    // The EXPERIMENTS.md §local-join-kernel table: classic AoS plane sweep
-    // vs the striped SoA kernel at partition scale (60k × 30k rectangles).
+fn bench_large_input(b: &mut Bench) {
+    // One sweep far larger than any local join of the benchmark workloads
+    // (60k × 30k rectangles): the case a y-striped kernel would win, kept
+    // as the record of what the one plane sweep costs there.
     let left = entries(60_000, 21, 1000.0, 3.0);
     let right = entries(30_000, 22, 1000.0, 3.0);
     b.bench_in("local_join_kernel", "plane_sweep/60k_x_30k", || {
         plane_sweep(black_box(&left), black_box(&right)).pairs.len()
-    });
-    b.bench_in("local_join_kernel", "stripe_sweep/60k_x_30k", || {
-        stripe_sweep(black_box(&left), black_box(&right)).pairs.len()
     });
 }
 
@@ -117,6 +110,6 @@ fn main() {
     let mut b = Bench::from_args();
     bench_algorithms(&mut b);
     bench_tiny_cells(&mut b);
-    bench_old_vs_new_kernel(&mut b);
+    bench_large_input(&mut b);
     bench_selectivity_extremes(&mut b);
 }

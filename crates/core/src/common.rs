@@ -3,7 +3,7 @@
 use sjc_geom::algorithms::ChunkEnvelopes;
 use sjc_geom::{Geometry, GeometryEngine, LineString, Mbr, Point};
 use sjc_index::entry::IndexEntry;
-use sjc_index::join::{indexed_nested_loop, stripe_sweep, sync_rtree, CandidatePairs};
+use sjc_index::join::{indexed_nested_loop, plane_sweep, sync_rtree, CandidatePairs};
 #[cfg(feature = "sanitize")]
 use sjc_index::partition::dedup_owner_cell;
 use sjc_index::partition::{bsp_cells, grid_cells, str_tile_cells, CellLocator, OwnerTest};
@@ -18,10 +18,8 @@ pub enum LocalJoinAlgo {
     IndexedNestedLoop,
     /// Synchronized traversal of two R-trees (SpatialHadoop's alternative).
     SyncRTree,
-    /// The plane sweep (SpatialHadoop's default in the paper), run as the
-    /// striped SoA forward sweep `sjc_index::join::stripe_sweep`: the
-    /// classic sweep's exact pair set and exact `JoinStats`
-    /// (canonical-cost accounting), faster on the host.
+    /// The forward plane sweep `sjc_index::join::plane_sweep`
+    /// (SpatialHadoop's default in the paper).
     #[default]
     StripeSweep,
 }
@@ -67,7 +65,7 @@ pub fn local_join(
     let CandidatePairs { pairs, stats } = match algo {
         LocalJoinAlgo::IndexedNestedLoop => indexed_nested_loop(&l_entries, &r_entries),
         LocalJoinAlgo::SyncRTree => sync_rtree(&l_entries, &r_entries),
-        LocalJoinAlgo::StripeSweep => stripe_sweep(&l_entries, &r_entries),
+        LocalJoinAlgo::StripeSweep => plane_sweep(&l_entries, &r_entries),
     };
     cost.candidates = pairs.len() as u64;
     cost.filter_ns = stats.filter_tests * engine.filter_cost_ns()

@@ -64,8 +64,8 @@ const PARTITIONS: usize = 64;
 pub struct HadoopGis {
     /// Local join algorithm inside the reducers. Stays on the paper's
     /// indexed nested loop (§II.C): its charged cost depends on real
-    /// R-tree traversal counts, which the analytic stripe-sweep accounting
-    /// cannot reproduce. `StripeSweep` is selectable via the ablation grid.
+    /// R-tree traversal counts, which a sweep does not make. `StripeSweep`
+    /// is selectable via the ablation grid.
     pub local_algo: LocalJoinAlgo,
     /// Geometry library cost profile (GEOS for the real system; the
     /// `ablation_geometry_engine` bench swaps in JTS).

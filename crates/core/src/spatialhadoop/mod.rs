@@ -46,9 +46,8 @@ const PARTITIONS: usize = 128;
 #[derive(Debug, Clone)]
 pub struct SpatialHadoop {
     /// Local join algorithm (§II.C offers plane sweep and synchronized
-    /// R-tree traversal). Defaults to the striped SoA sweep kernel, which
-    /// computes the plane sweep's exact pair set and `JoinStats` faster on
-    /// the host; the paper's algorithms stay selectable for the ablation.
+    /// R-tree traversal). Defaults to the plane sweep; the paper's other
+    /// algorithms stay selectable for the ablation.
     pub local_algo: LocalJoinAlgo,
     /// Spatial partitioner family (SpatialHadoop supports GRID and
     /// STR-style indexes; the ablation benches sweep this).
@@ -203,10 +202,10 @@ impl DistributedSpatialJoin for SpatialHadoop {
                 stats: Default::default(),
             }
         } else {
-            // Deliberately the classic sweep, not `stripe_sweep`: the pair
-            // *order* here becomes the task order fed to the wave
-            // scheduler, so switching kernels would reorder tasks and move
-            // the simulated clock. The lists are tiny (one entry per cell).
+            // The sweep's pair *order* becomes the task order fed to the
+            // wave scheduler, so a kernel that emits in another order would
+            // move the simulated clock. The lists are tiny (one entry per
+            // cell).
             plane_sweep(&a_entries, &b_entries)
         };
         let master_bytes = (a_entries.len() + b_entries.len()) as u64 * 72;

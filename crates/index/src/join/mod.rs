@@ -11,27 +11,20 @@
 //! * [`sync_rtree`] — synchronized traversal of two R-trees
 //!   (SpatialHadoop's alternative) .
 //!
-//! On top of the paper's algorithms, [`stripe_sweep`] is the repo's own
-//! cache-conscious kernel: a struct-of-arrays ([`SoaBatch`]) forward sweep
-//! over skew-aware y-stripes with reference-point de-duplication. It
-//! returns the sweep's exact pair set *and* the sweep's exact [`JoinStats`]
-//! (canonical-cost accounting), so it serves as the default host kernel
-//! without moving simulated time.
-//!
 //! All kernels return identical pair sets; tests cross-validate them
 //! against [`brute_force`]. Each also reports [`JoinStats`] so the cluster
 //! simulator can charge index traversal and comparison costs.
 
 mod indexed_nested_loop;
 mod plane_sweep;
-mod soa;
-mod stripe_sweep;
 mod sync_rtree;
 
 pub use indexed_nested_loop::indexed_nested_loop;
 pub use plane_sweep::plane_sweep;
-pub use soa::SoaBatch;
-pub use stripe_sweep::stripe_sweep;
+/// The sweep's former name, kept only because the `benchmark/` package
+/// still imports it; it goes with the partitioner names of
+/// `partition::shim`. The library calls [`plane_sweep`].
+pub use plane_sweep::plane_sweep as stripe_sweep;
 pub use sync_rtree::sync_rtree;
 
 use crate::entry::IndexEntry;
@@ -64,7 +57,7 @@ impl CandidatePairs {
 
 /// Quadratic reference implementation: the oracle the kernel tests compare
 /// against.
-// sjc-lint: allow(dead-pub) — the oracle of `all_algorithms_agree_with_brute_force`, the stripe-sweep tests and the index proptests
+// sjc-lint: allow(dead-pub) — the oracle of `all_algorithms_agree_with_brute_force`, the plane-sweep input-class tests and the index proptests
 pub fn brute_force(left: &[IndexEntry], right: &[IndexEntry]) -> CandidatePairs {
     let mut pairs = Vec::new();
     for a in left {
@@ -112,6 +105,8 @@ pub(crate) mod testgen {
 mod tests {
     use super::testgen::random_entries;
     use super::*;
+    use sjc_geom::Mbr;
+    use sjc_testkit::{cases, TestRng};
 
     #[test]
     fn all_algorithms_agree_with_brute_force() {
@@ -126,7 +121,6 @@ mod tests {
             );
             assert_eq!(plane_sweep(&left, &right).sorted_pairs(), expected, "sweep seed {seed}");
             assert_eq!(sync_rtree(&left, &right).sorted_pairs(), expected, "sync seed {seed}");
-            assert_eq!(stripe_sweep(&left, &right).sorted_pairs(), expected, "stripe seed {seed}");
         }
     }
 
@@ -137,7 +131,7 @@ mod tests {
             assert!(indexed_nested_loop(l, r).pairs.is_empty());
             assert!(plane_sweep(l, r).pairs.is_empty());
             assert!(sync_rtree(l, r).pairs.is_empty());
-            assert!(stripe_sweep(l, r).pairs.is_empty());
+            assert_eq!(plane_sweep(l, r).stats, JoinStats::default());
         }
     }
 
@@ -166,5 +160,83 @@ mod tests {
             sweep.stats.filter_tests,
             bf.stats.filter_tests
         );
+    }
+
+    /// Mixed shapes: mostly small rectangles, some zero-width or
+    /// zero-height, some as wide or as tall as the whole extent.
+    fn mixed_entries(rng: &mut TestRng, n: usize, extent: f64) -> Vec<IndexEntry> {
+        (0..n)
+            .map(|id| {
+                let x = rng.f64_in(0.0..extent);
+                let y = rng.f64_in(0.0..extent);
+                let w = match rng.u64_in(0..10) {
+                    0 | 1 => 0.0,
+                    2 => rng.f64_in(0.0..extent),
+                    _ => rng.f64_in(0.0..extent / 20.0),
+                };
+                let h = match rng.u64_in(0..10) {
+                    0 | 1 => 0.0,
+                    2 | 3 => rng.f64_in(0.0..extent),
+                    _ => rng.f64_in(0.0..extent / 20.0),
+                };
+                IndexEntry::new(id as u64, Mbr::new(x, y, x + w, y + h))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn plane_sweep_agrees_with_brute_force_on_degenerate_and_tall_rectangles() {
+        // Zero-width and zero-height rectangles touch only at their edges;
+        // tall and wide ones overlap most of the other side. Snapping some
+        // `min_x` to integers makes ties across the two lists, and an
+        // occasional empty MBR (inverted bounds) must join nothing.
+        cases(0x57122, 40, |rng| {
+            let nl = rng.usize_in(0..400);
+            let nr = rng.usize_in(0..400);
+            let mut left = mixed_entries(rng, nl, 100.0);
+            let mut right = mixed_entries(rng, nr, 100.0);
+            for e in left.iter_mut().chain(right.iter_mut()) {
+                if rng.bool_with(0.3) {
+                    let snapped = e.mbr.min_x.round();
+                    e.mbr = Mbr::new(snapped, e.mbr.min_y, snapped + 1.0, e.mbr.max_y);
+                }
+            }
+            if rng.bool_with(0.2) {
+                left.push(IndexEntry::new(9999, Mbr::empty()));
+            }
+            if rng.bool_with(0.2) {
+                right.push(IndexEntry::new(9998, Mbr::empty()));
+            }
+            let expected = brute_force(&left, &right).sorted_pairs();
+            let got = plane_sweep(&left, &right);
+            assert!(got.stats.filter_tests >= got.pairs.len() as u64);
+            assert_eq!(got.sorted_pairs(), expected);
+        });
+    }
+
+    #[test]
+    fn plane_sweep_reports_each_pair_of_an_identical_rectangle_tie_storm_once() {
+        // Every rectangle identical: every `min_x` ties, every pair overlaps.
+        // Left anchors win the ties, so each left entry scans the whole
+        // right list and no right entry anchors.
+        let rect = Mbr::new(2.0, 1.0, 3.0, 9.0);
+        let left: Vec<IndexEntry> = (0..20).map(|i| IndexEntry::new(i, rect)).collect();
+        let right: Vec<IndexEntry> = (100..115).map(|i| IndexEntry::new(i, rect)).collect();
+        let got = plane_sweep(&left, &right);
+        assert_eq!(got.stats.filter_tests, 20 * 15);
+        let pairs = got.sorted_pairs();
+        assert_eq!(pairs, brute_force(&left, &right).sorted_pairs());
+        assert_eq!(pairs.len(), 20 * 15);
+    }
+
+    #[test]
+    fn plane_sweep_joins_nothing_with_empty_mbrs() {
+        let some = random_entries(3, 40, 10.0, 2.0);
+        let empties: Vec<IndexEntry> = (0..5).map(|i| IndexEntry::new(i, Mbr::empty())).collect();
+        for (l, r) in [(&empties[..], &some[..]), (&some[..], &empties[..])] {
+            let got = plane_sweep(l, r);
+            assert!(got.pairs.is_empty());
+            assert!(brute_force(l, r).pairs.is_empty());
+        }
     }
 }

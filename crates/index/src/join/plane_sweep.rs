@@ -3,23 +3,18 @@
 use super::{CandidatePairs, JoinStats};
 use crate::entry::IndexEntry;
 
-/// Anchors per parallel strip: small enough to load-balance skewed scans,
-/// large enough to amortize claim overhead.
-const STRIP_ANCHORS: usize = 1024;
-
 /// Sorts both inputs by `min_x` and sweeps a vertical line left to right.
 /// When the sweep reaches an entry, it scans forward in the *other* list
 /// over every entry whose x-interval overlaps, testing y-intervals.
 ///
 /// This is SpatialHadoop's default local join (§II.C): no index structure,
-/// `O(n log n + k)`-ish behaviour on realistic data.
+/// `O(n log n + k)`-ish behaviour on realistic data. It is the one sweep
+/// kernel: `common::local_join` filters with it and SpatialHadoop's
+/// getSplits takes its task order from it.
 ///
-/// Host-parallel, output-identical: the anchor sequence (the serial sweep's
-/// interleaving of both lists, left winning `min_x` ties) is replayed by a
-/// cheap O(n) merge, recording each anchor's forward-scan start; the scans —
-/// where the real work is — then run concurrently in fixed-size anchor
-/// strips whose results concatenate in anchor order. Pair order and
-/// `filter_tests` match the single-threaded sweep exactly.
+/// The sorts are stable, so equal `min_x` keep their input order, and the
+/// left entry anchors first on a tie. The sweep ends when either list is
+/// exhausted. `filter_tests` counts every scanned candidate.
 pub fn plane_sweep(left: &[IndexEntry], right: &[IndexEntry]) -> CandidatePairs {
     if left.is_empty() || right.is_empty() {
         return CandidatePairs::default();
@@ -29,48 +24,26 @@ pub fn plane_sweep(left: &[IndexEntry], right: &[IndexEntry]) -> CandidatePairs 
     sjc_par::par_sort_by(&mut l, |a, b| a.mbr.min_x.total_cmp(&b.mbr.min_x));
     sjc_par::par_sort_by(&mut r, |a, b| a.mbr.min_x.total_cmp(&b.mbr.min_x));
 
-    // (anchor is from left list, anchor index, scan start in other list).
-    // The sweep ends when either list is exhausted, exactly like the old
-    // `while let (Some, Some)` loop.
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut anchors: Vec<(bool, usize, usize)> = Vec::with_capacity(l.len() + r.len());
-    while let (Some(li), Some(rj)) = (l.get(i), r.get(j)) {
-        if li.mbr.min_x <= rj.mbr.min_x {
-            anchors.push((true, i, j));
-            i += 1;
-        } else {
-            anchors.push((false, j, i));
-            j += 1;
-        }
-    }
-
-    let strips: Vec<&[(bool, usize, usize)]> = anchors.chunks(STRIP_ANCHORS).collect();
-    let per_strip: Vec<(Vec<(u64, u64)>, u64)> = sjc_par::par_map(&strips, |strip| {
-        let mut pairs = Vec::new();
-        let mut tests = 0u64;
-        for &(is_left, idx, start) in strip.iter() {
-            let (this, other) = if is_left { (&l, &r) } else { (&r, &l) };
-            let Some(anchor) = this.get(idx) else { continue };
-            let mut k = start;
-            while let Some(cand) = other.get(k) {
-                if cand.mbr.min_x > anchor.mbr.max_x {
-                    break;
-                }
-                tests += 1;
-                if anchor.mbr.min_y <= cand.mbr.max_y && cand.mbr.min_y <= anchor.mbr.max_y {
-                    pairs.push(if is_left { (anchor.id, cand.id) } else { (cand.id, anchor.id) });
-                }
-                k += 1;
-            }
-        }
-        (pairs, tests)
-    });
-
     let mut pairs = Vec::new();
     let mut stats = JoinStats::default();
-    for (p, t) in per_strip {
-        pairs.extend(p);
-        stats.filter_tests += t;
+    let (mut i, mut j) = (0usize, 0usize);
+    while let (Some(li), Some(rj)) = (l.get(i), r.get(j)) {
+        let left_anchors = li.mbr.min_x <= rj.mbr.min_x;
+        let (anchor, other, start) = if left_anchors { (li, &r, j) } else { (rj, &l, i) };
+        for cand in other.get(start..).unwrap_or_default() {
+            if cand.mbr.min_x > anchor.mbr.max_x {
+                break;
+            }
+            stats.filter_tests += 1;
+            if anchor.mbr.min_y <= cand.mbr.max_y && cand.mbr.min_y <= anchor.mbr.max_y {
+                pairs.push(if left_anchors { (anchor.id, cand.id) } else { (cand.id, anchor.id) });
+            }
+        }
+        if left_anchors {
+            i += 1;
+        } else {
+            j += 1;
+        }
     }
     CandidatePairs { pairs, stats }
 }
@@ -92,67 +65,10 @@ mod tests {
             IndexEntry::new(11, Mbr::new(6.0, 1.0, 8.0, 3.0)),
             IndexEntry::new(12, Mbr::new(100.0, 100.0, 101.0, 101.0)),
         ];
-        let mut got = plane_sweep(&left, &right).pairs;
-        got.sort_unstable();
-        assert_eq!(got, vec![(0, 10), (1, 11)]);
-    }
-
-    /// The pre-parallel single-threaded sweep, kept as the ground truth for
-    /// pair *order* (not just the pair set).
-    fn serial_sweep(left: &[IndexEntry], right: &[IndexEntry]) -> CandidatePairs {
-        let mut l: Vec<IndexEntry> = left.to_vec();
-        let mut r: Vec<IndexEntry> = right.to_vec();
-        l.sort_by(|a, b| a.mbr.min_x.total_cmp(&b.mbr.min_x));
-        r.sort_by(|a, b| a.mbr.min_x.total_cmp(&b.mbr.min_x));
-        let mut pairs = Vec::new();
-        let mut stats = JoinStats::default();
-        let (mut i, mut j) = (0usize, 0usize);
-        while let (Some(li), Some(rj)) = (l.get(i), r.get(j)) {
-            let (anchor, list, start, flip) =
-                if li.mbr.min_x <= rj.mbr.min_x { (li, &r, j, false) } else { (rj, &l, i, true) };
-            let mut k = start;
-            while let Some(cand) = list.get(k) {
-                if cand.mbr.min_x > anchor.mbr.max_x {
-                    break;
-                }
-                stats.filter_tests += 1;
-                if anchor.mbr.min_y <= cand.mbr.max_y && cand.mbr.min_y <= anchor.mbr.max_y {
-                    pairs.push(if flip { (cand.id, anchor.id) } else { (anchor.id, cand.id) });
-                }
-                k += 1;
-            }
-            if li.mbr.min_x <= rj.mbr.min_x {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        CandidatePairs { pairs, stats }
-    }
-
-    #[test]
-    fn strip_parallel_sweep_replays_serial_pair_order() {
-        sjc_testkit::cases(0x9a7c, 25, |rng| {
-            let mk = |rng: &mut sjc_testkit::TestRng, n: usize| -> Vec<IndexEntry> {
-                (0..n)
-                    .map(|id| {
-                        let x = rng.f64_in(0.0..100.0);
-                        let y = rng.f64_in(0.0..100.0);
-                        let w = rng.f64_in(0.0..5.0);
-                        let h = rng.f64_in(0.0..5.0);
-                        IndexEntry::new(id as u64, Mbr::new(x, y, x + w, y + h))
-                    })
-                    .collect()
-            };
-            let nl = rng.usize_in(0..400);
-            let nr = rng.usize_in(0..400);
-            let left = mk(rng, nl);
-            let right = mk(rng, nr);
-            let par = plane_sweep(&left, &right);
-            let ser = serial_sweep(&left, &right);
-            assert_eq!(par.pairs, ser.pairs, "pair order must match the serial sweep");
-            assert_eq!(par.stats.filter_tests, ser.stats.filter_tests);
-        });
+        // Emission order: each pair when its anchor is swept; one test each.
+        let got = plane_sweep(&left, &right);
+        assert_eq!(got.pairs, vec![(0, 10), (1, 11)]);
+        assert_eq!(got.stats.filter_tests, 2);
     }
 
     #[test]

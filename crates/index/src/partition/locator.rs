@@ -393,15 +393,8 @@ impl CellLocator {
     /// ever dropped in preprocessing.
     pub fn assign(&self, mbr: &Mbr) -> Vec<CellId> {
         let mut out = Vec::new();
-        self.assign_into(mbr, &mut out);
-        out
-    }
-
-    /// [`assign`](Self::assign) into a caller-owned buffer: `out` is
-    /// cleared, then holds the assigned cells in ascending id order.
-    pub fn assign_into(&self, mbr: &Mbr, out: &mut Vec<CellId>) {
-        out.clear();
         self.assign_each(mbr, |id| out.push(id));
+        out
     }
 
     /// Hands each cell [`assign`](Self::assign) returns to `each`, in

@@ -16,10 +16,6 @@
 //!   are *processed* in descending estimated-cost order so one fat cell
 //!   cannot serialize the tail, but results are still *written* to their
 //!   input-order slots — the output is bit-identical to [`par_map`]'s.
-//! * [`par_map_flat_weighted`] is the order-preserving flat-map with the
-//!   same dispatch: each item appends into its own buffer, and the buffers
-//!   are concatenated in input order, so the output equals the serial
-//!   flat-map byte for byte.
 //! * [`par_sort_by`] is a **stable** parallel merge sort (ties keep their
 //!   original relative order, merges prefer the left run). A stable sort has a
 //!   unique answer, so the result is identical to `slice::sort_by` for every
@@ -234,24 +230,10 @@ pub fn par_map_budget<T: Sync, U: Send>(
     slots.into_iter().map(|s| s.expect("every piece is claimed exactly once")).collect()
 }
 
-/// Concatenates per-chunk buffers in slot order, recycling the emptied
-/// buffers through the scratch arena.
-fn concat_buffers<U: 'static>(bufs: Vec<Option<Vec<U>>>) -> Vec<U> {
-    let total: usize = bufs.iter().map(|b| b.as_ref().map_or(0, Vec::len)).sum();
-    let mut flat = Vec::with_capacity(total);
-    for buf in bufs {
-        // sjc-lint: allow(panic-path) — chunk claiming fills every buffer; an empty one is a runtime bug this expect should surface loudly
-        let mut buf = buf.expect("chunk claiming covers every chunk exactly once");
-        flat.append(&mut buf);
-        scratch::put_vec(buf);
-    }
-    flat
-}
-
 /// Stable longest-processing-time-first schedule, into a caller-provided
 /// (scratch) buffer: the indices of `weights` sorted by descending weight,
 /// ties broken by ascending index. The result is always a permutation of
-/// `0..weights.len()`; the weighted primitives *process* items in this order
+/// `0..weights.len()`; the weighted map *processes* items in this order
 /// while *writing* results to input-order slots, so skew-aware scheduling
 /// never changes an output.
 fn lpt_sort(weights: &[u64], order: &mut Vec<u32>) {
@@ -314,44 +296,6 @@ pub fn par_map_weighted_budget<T: Sync, U: Send>(
     });
     // sjc-lint: allow(panic-path) — the LPT order is a permutation, so every slot is filled exactly once
     slots.into_iter().map(|s| s.expect("LPT claiming covers every index exactly once")).collect()
-}
-
-/// Order-preserving parallel flat-map with [`par_map_weighted`]'s dispatch:
-/// `f` appends any number of outputs per item into its own buffer; buffers
-/// are filled heaviest-first and concatenated in input order, so the output
-/// is bit-identical to the serial flat-map.
-pub fn par_map_flat_weighted<T: Sync, U: Send + 'static>(
-    items: &[T],
-    weight: impl Fn(&T) -> u64,
-    f: impl Fn(&T, &mut Vec<U>) + Sync,
-) -> Vec<U> {
-    par_map_flat_weighted_budget(Budget::resolve(), items, weight, f)
-}
-
-/// [`par_map_flat_weighted`] with an explicit thread budget.
-fn par_map_flat_weighted_budget<T: Sync, U: Send + 'static>(
-    budget: Budget,
-    items: &[T],
-    weight: impl Fn(&T) -> u64,
-    f: impl Fn(&T, &mut Vec<U>) + Sync,
-) -> Vec<U> {
-    let n = items.len();
-    let helpers = budget.effective_threads().min(n).saturating_sub(1);
-    if helpers == 0 || pool::on_worker() || n > u32::MAX as usize {
-        let mut out = Vec::new();
-        for item in items {
-            f(item, &mut out);
-        }
-        return out;
-    }
-    let mut bufs: Vec<Option<Vec<U>>> = Vec::with_capacity(n);
-    bufs.resize_with(n, || None);
-    run_lpt(helpers, items, weight, bufs.iter_mut().zip(items), &|_, (slot, item)| {
-        let mut buf = scratch::take_vec();
-        f(item, &mut buf);
-        *slot = Some(buf);
-    });
-    concat_buffers(bufs)
 }
 
 /// Stable parallel merge sort: identical output to `slice::sort_by` (which is
@@ -750,33 +694,16 @@ mod tests {
     }
 
     #[test]
-    fn weighted_maps_match_their_unweighted_siblings_bit_for_bit() {
+    fn weighted_map_matches_its_unweighted_sibling_bit_for_bit() {
         cases(0x5eed7, 30, |rng| {
             let items = rng.vec_u64(0..u64::MAX, 0..3000);
             let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(17)).collect();
-            let mut serial_flat = Vec::new();
-            for &x in &items {
-                for k in 0..(x % 3) {
-                    serial_flat.push(x ^ k);
-                }
-            }
             for b in budgets() {
                 // Skewed weights: the item value itself, so heavy and light
                 // items interleave arbitrarily.
                 let par =
                     par_map_weighted_budget(b, &items, |&x| x % 1000, |&x| x.wrapping_mul(17));
                 assert_eq!(par, serial, "budget {b:?}");
-                let flat = par_map_flat_weighted_budget(
-                    b,
-                    &items,
-                    |&x| x % 1000,
-                    |&x, out| {
-                        for k in 0..(x % 3) {
-                            out.push(x ^ k);
-                        }
-                    },
-                );
-                assert_eq!(flat, serial_flat, "budget {b:?}");
             }
         });
     }
@@ -800,18 +727,6 @@ mod tests {
         let started = [AtomicBool::new(false), AtomicBool::new(false)];
         let met =
             par_map_weighted_budget(Budget::explicit(2), &[0, 1], |_| 1, |&i| meet(&started, i));
-        assert_eq!(met, [true, true]);
-    }
-
-    #[test]
-    fn flat_weighted_map_runs_two_items_at_once() {
-        let started = [AtomicBool::new(false), AtomicBool::new(false)];
-        let met = par_map_flat_weighted_budget(
-            Budget::explicit(2),
-            &[0, 1],
-            |_| 1,
-            |&i, out| out.push(meet(&started, i)),
-        );
         assert_eq!(met, [true, true]);
     }
 
@@ -1071,13 +986,6 @@ mod tests {
     fn empty_and_tiny_inputs() {
         let empty: Vec<u64> = Vec::new();
         assert!(par_map_budget(Budget::explicit(8), &empty, |&x| x).is_empty());
-        assert!(par_map_flat_weighted_budget(
-            Budget::explicit(8),
-            &empty,
-            |_| 1,
-            |&x, o| o.push(x)
-        )
-        .is_empty());
         assert!(par_map_weighted_budget(Budget::explicit(8), &empty, |_| 1, |&x| x).is_empty());
         let mut one = vec![42u64];
         par_sort_by_budget(Budget::explicit(8), &mut one, |a, b| a.cmp(b));

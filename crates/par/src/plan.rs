@@ -23,10 +23,10 @@
 //!   ([`crate::Budget::explicit`]) is honored verbatim so tests can drive
 //!   the pool oversubscribed on any box.
 //!
-//! The weighted maps ([`crate::par_map_weighted`],
-//! [`crate::par_map_flat_weighted`]) do not plan: their items are coarse
-//! (a work, a cell, a reduce group), claimed one at a time, so they engage
-//! one helper per item beyond the caller's, up to the budget.
+//! The weighted map ([`crate::par_map_weighted`]) does not plan: its
+//! items are coarse (a work, a cell, a reduce group), claimed one at a
+//! time, so it engages one helper per item beyond the caller's, up to the
+//! budget.
 //!
 //! Everything here is a pure function of its arguments, so the planner
 //! itself is deterministic and directly testable.

@@ -1,8 +1,7 @@
 //! `CellLocator` — the one point/rectangle location structure, over the
 //! cells of `grid_cells`, `str_tile_cells`, `bsp_cells` and SpatialHadoop's
-//! adopted cell lists — must answer `owner`, `owns`, `assign`,
-//! `assign_into` and `assign_each` exactly as the linear scans it
-//! replaced, ties and fallbacks included. The reference-point rule every
+//! adopted cell lists — must answer `owner`, `owns`, `assign` and
+//! `assign_each` exactly as the linear scans it replaced, ties and fallbacks included. The reference-point rule every
 //! engine runs, `local_join_reported` over one `OwnerTest` per grid, is
 //! held to the linear owner on pairs whose reference point lies on and
 //! beside every cell edge.
@@ -152,11 +151,7 @@ fn check_rect(p: &CellLocator, m: Mbr, seen: &mut Seen) {
     let cells = p.cells();
     let expected = ref_assign(cells, &m);
     assert_eq!(p.assign(&m), expected, "assign of {m:?} over {} cells", cells.len());
-    // The buffer arrives dirty and must leave holding only the answer.
-    let mut buf = vec![CellId::MAX; 3];
-    p.assign_into(&m, &mut buf);
-    assert_eq!(buf, expected, "assign_into of {m:?} over {} cells", cells.len());
-    buf.clear();
+    let mut buf = Vec::new();
     p.assign_each(&m, |c| buf.push(c));
     assert_eq!(buf, expected, "assign_each of {m:?} over {} cells", cells.len());
     if !cells.iter().any(|c| c.intersects(&m)) {
@@ -272,7 +267,7 @@ fn ulps(v: f64) -> [f64; 3] {
 /// answers with one search per axis: on every x- and y-edge of every cell
 /// and one ulp either side of it, at cell midpoints, outside the extent,
 /// and with infinite coordinates, over STR, BSP and grid cells, the
-/// degenerate lists and adopted lists. `assign_into`, `assign_each` and
+/// degenerate lists and adopted lists. `assign`, `assign_each` and
 /// `CellIndex::tag` each hand out exactly `ref_assign`'s cells. (A NaN
 /// point has no MBR the sanitizer accepts; the locator's unit tests hold
 /// its guided search to the binary search at NaN.)
@@ -297,9 +292,8 @@ fn point_probes_match_the_linear_scan() {
         let mut probe = |x: f64, y: f64| {
             let m = Point::new(x, y).mbr();
             let expected = ref_assign(&cells, &m);
-            let mut got = vec![CellId::MAX; 2];
-            located.assign_into(&m, &mut got);
-            assert_eq!(got, expected, "assign_into of ({x}, {y}) over {} cells", cells.len());
+            let mut got = located.assign(&m);
+            assert_eq!(got, expected, "assign of ({x}, {y}) over {} cells", cells.len());
             got.clear();
             located.assign_each(&m, |c| got.push(c));
             assert_eq!(got, expected, "assign_each of ({x}, {y}) over {} cells", cells.len());

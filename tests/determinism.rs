@@ -81,11 +81,11 @@ fn results_are_identical_across_thread_budgets() {
 }
 
 #[test]
-fn stripe_sweep_kernel_is_identical_at_1_and_8_threads() {
-    // The default local-join kernel fans its stripes out through
-    // `sjc_par::par_map_flat_weighted`; the order-preserving merge must make the
-    // emitted pair sequence — not just the set — and the reported JoinStats
-    // bit-identical at any thread budget.
+fn plane_sweep_kernel_is_identical_at_1_and_8_threads() {
+    // Both inputs hold more than 4 096 entries, so the sweep's `min_x` sorts
+    // run `sjc_par::par_sort_by`'s parallel merge; its stable order must
+    // make the emitted pair sequence — not just the set — and the reported
+    // JoinStats bit-identical at any thread budget.
     let mut rng = sjc_data::rng::StdRng::seed_from_u64(0xD17E);
     let mut entries = |n: usize| -> Vec<sjc_index::entry::IndexEntry> {
         (0..n)
@@ -108,7 +108,7 @@ fn stripe_sweep_kernel_is_identical_at_1_and_8_threads() {
     let right = entries(4_500);
     let run = |threads: usize| {
         sjc_par::set_global_threads(threads);
-        let out = sjc_index::join::stripe_sweep(&left, &right);
+        let out = sjc_index::join::plane_sweep(&left, &right);
         sjc_par::set_global_threads(0);
         out
     };

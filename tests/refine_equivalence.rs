@@ -22,7 +22,7 @@ use sjc_geom::algorithms::{
 use sjc_geom::predicates::{on_segment, orientation, segments_intersect, Orientation};
 use sjc_geom::{Geometry, GeometryEngine, LineString, Mbr, Point, Polygon};
 use sjc_index::entry::IndexEntry;
-use sjc_index::join::stripe_sweep;
+use sjc_index::join::plane_sweep;
 use sjc_testkit::{cases, TestRng};
 
 fn reference_linestrings_intersect(a: &LineString, b: &LineString) -> bool {
@@ -426,7 +426,7 @@ fn local_join_on_a_polyline_slice_is_pinned() {
             [
                 (LocalJoinAlgo::IndexedNestedLoop, 0x08d8_61d7_e25c_a336u64, 6_148_928u64),
                 (LocalJoinAlgo::SyncRTree, 0x2e74_d2ea_b70e_0512, 6_609_632),
-                (LocalJoinAlgo::StripeSweep, 0x4f77_c61e_ab0d_dc12, 10_379_536),
+                (LocalJoinAlgo::StripeSweep, 0x95cc_400f_e1dc_bc96, 10_379_536),
             ],
         ),
         (
@@ -438,7 +438,7 @@ fn local_join_on_a_polyline_slice_is_pinned() {
             [
                 (LocalJoinAlgo::IndexedNestedLoop, 0x5ed6_53bf_10fd_03df, 616_384),
                 (LocalJoinAlgo::SyncRTree, 0xa6b8_b28e_cc9b_087b, 661_408),
-                (LocalJoinAlgo::StripeSweep, 0xbf31_a7c2_3c6d_e72b, 421_536),
+                (LocalJoinAlgo::StripeSweep, 0x8cee_0e37_1a77_cfa3, 421_536),
             ],
         ),
     ];
@@ -677,7 +677,7 @@ fn ring_walk_matches_the_reference_on_the_taxi_nycb_candidates() {
     let entries = |recs: &[GeoRecord]| -> Vec<IndexEntry> {
         recs.iter().enumerate().map(|(i, r)| IndexEntry::new(i as u64, r.mbr)).collect()
     };
-    let pairs = stripe_sweep(&entries(&l.records), &entries(&r.records)).pairs;
+    let pairs = plane_sweep(&entries(&l.records), &entries(&r.records)).pairs;
     let mut inside = 0u64;
     for &(li, ri) in &pairs {
         let (Some(lr), Some(rr)) = (l.records.get(li as usize), r.records.get(ri as usize)) else {
