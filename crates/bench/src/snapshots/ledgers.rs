@@ -248,7 +248,7 @@ fn systems() -> Vec<System> {
         ("SpatialSpark 32 partitions", Box::new(SpatialSpark { partitions: 32, ..ss() })),
         ("SpatialSpark 2048 partitions", Box::new(SpatialSpark { partitions: 2048, ..ss() })),
         ("LDE-MC+", Box::new(LdeEngine::default())),
-        ("LDE-MC+ StripeSweep", Box::new(lde(LdeEngine::default(), LocalJoinAlgo::StripeSweep))),
+        ("LDE-MC+ PlaneSweep", Box::new(lde(LdeEngine::default(), LocalJoinAlgo::PlaneSweep))),
     ]
 }
 

@@ -69,7 +69,7 @@ fn study(
 
 /// The paper's three local-join algorithms (§II.C).
 const KERNELS: [LocalJoinAlgo; 3] =
-    [LocalJoinAlgo::StripeSweep, LocalJoinAlgo::SyncRTree, LocalJoinAlgo::IndexedNestedLoop];
+    [LocalJoinAlgo::PlaneSweep, LocalJoinAlgo::SyncRTree, LocalJoinAlgo::IndexedNestedLoop];
 
 /// GEOS vs JTS on the *same* system: the geometry-library factor of §II.C
 /// in isolation. On HadoopGIS (whose join reducer is dominated by
@@ -274,7 +274,7 @@ mod tests {
         for r in &rows {
             assert!(r.seconds().is_some(), "{} failed", r.label);
         }
-        assert_eq!(rows[6].label, "SpatialSpark / StripeSweep");
+        assert_eq!(rows[6].label, "SpatialSpark / PlaneSweep");
         assert!(rows.iter().any(|r| r.label == "LDE-MC+ / SyncRTree"));
     }
 

@@ -21,7 +21,7 @@ pub enum LocalJoinAlgo {
     /// The forward plane sweep `sjc_index::join::plane_sweep`
     /// (SpatialHadoop's default in the paper).
     #[default]
-    StripeSweep,
+    PlaneSweep,
 }
 
 /// Cost ledger of one local join execution.
@@ -65,7 +65,7 @@ pub fn local_join(
     let CandidatePairs { pairs, stats } = match algo {
         LocalJoinAlgo::IndexedNestedLoop => indexed_nested_loop(&l_entries, &r_entries),
         LocalJoinAlgo::SyncRTree => sync_rtree(&l_entries, &r_entries),
-        LocalJoinAlgo::StripeSweep => plane_sweep(&l_entries, &r_entries),
+        LocalJoinAlgo::PlaneSweep => plane_sweep(&l_entries, &r_entries),
     };
     cost.candidates = pairs.len() as u64;
     cost.filter_ns = stats.filter_tests * engine.filter_cost_ns()
@@ -229,19 +229,16 @@ mod tests {
             (0..30).map(|i| line(i, &[(i as f64 + 5.0, 0.0), (i as f64, 5.0)])).collect();
         let l: Vec<&GeoRecord> = left.iter().collect();
         let r: Vec<&GeoRecord> = right.iter().collect();
-        let mut results: Vec<Vec<(u64, u64)>> = [
-            LocalJoinAlgo::IndexedNestedLoop,
-            LocalJoinAlgo::SyncRTree,
-            LocalJoinAlgo::StripeSweep,
-        ]
-        .iter()
-        .map(|&algo| {
-            let (mut pairs, _) =
-                local_join(&engine, JoinPredicate::Intersects, algo, &l, &r, |_, _| true);
-            pairs.sort_unstable();
-            pairs
-        })
-        .collect();
+        let mut results: Vec<Vec<(u64, u64)>> =
+            [LocalJoinAlgo::IndexedNestedLoop, LocalJoinAlgo::SyncRTree, LocalJoinAlgo::PlaneSweep]
+                .iter()
+                .map(|&algo| {
+                    let (mut pairs, _) =
+                        local_join(&engine, JoinPredicate::Intersects, algo, &l, &r, |_, _| true);
+                    pairs.sort_unstable();
+                    pairs
+                })
+                .collect();
         let first = results.remove(0);
         assert!(!first.is_empty());
         for other in results {
@@ -260,7 +257,7 @@ mod tests {
         let (pairs, cost) = local_join(
             &engine,
             JoinPredicate::Intersects,
-            LocalJoinAlgo::StripeSweep,
+            LocalJoinAlgo::PlaneSweep,
             &l,
             &r,
             |_, _| true,
@@ -301,7 +298,7 @@ mod tests {
         let (kept, cost) = local_join(
             &engine,
             JoinPredicate::Intersects,
-            LocalJoinAlgo::StripeSweep,
+            LocalJoinAlgo::PlaneSweep,
             &l,
             &r,
             |_, _| false,
@@ -310,7 +307,7 @@ mod tests {
         let (all, reported) = local_join(
             &engine,
             JoinPredicate::Intersects,
-            LocalJoinAlgo::StripeSweep,
+            LocalJoinAlgo::PlaneSweep,
             &l,
             &r,
             |_, _| true,

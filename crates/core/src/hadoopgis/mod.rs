@@ -64,7 +64,7 @@ const PARTITIONS: usize = 64;
 pub struct HadoopGis {
     /// Local join algorithm inside the reducers. Stays on the paper's
     /// indexed nested loop (§II.C): its charged cost depends on real
-    /// R-tree traversal counts, which a sweep does not make. `StripeSweep`
+    /// R-tree traversal counts, which a sweep does not make. `PlaneSweep`
     /// is selectable via the ablation grid.
     pub local_algo: LocalJoinAlgo,
     /// Geometry library cost profile (GEOS for the real system; the

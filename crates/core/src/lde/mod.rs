@@ -41,7 +41,7 @@ const RPC_ROUND_NS: u64 = 100_000_000;
 pub struct LdeEngine {
     /// Local join algorithm for the filter step (the modeled system probes
     /// per-partition R-trees, so the default stays `IndexedNestedLoop`;
-    /// `StripeSweep` is selectable for ablations).
+    /// `PlaneSweep` is selectable for ablations).
     pub local_algo: LocalJoinAlgo,
 }
 

@@ -49,7 +49,7 @@ pub struct SpatialSpark {
     pub broadcast_join: bool,
     /// Local join algorithm (indexed nested loop is the paper's choice;
     /// kept as the default so the simulated R-tree traversal costs match
-    /// the modeled system — `StripeSweep` is selectable for ablations).
+    /// the modeled system — `PlaneSweep` is selectable for ablations).
     pub local_algo: LocalJoinAlgo,
 }
 

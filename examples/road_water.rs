@@ -30,7 +30,7 @@ fn main() {
     println!("local join funnel ({} x {} records):", l.len(), r.len());
     println!("{:<20} {:>12} {:>12} {:>14}", "algorithm", "candidates", "crossings", "false pos.");
     for algo in
-        [LocalJoinAlgo::StripeSweep, LocalJoinAlgo::SyncRTree, LocalJoinAlgo::IndexedNestedLoop]
+        [LocalJoinAlgo::PlaneSweep, LocalJoinAlgo::SyncRTree, LocalJoinAlgo::IndexedNestedLoop]
     {
         let (pairs, cost) = local_join(&jts, JoinPredicate::Intersects, algo, &l, &r, |_, _| true);
         println!(

@@ -361,7 +361,7 @@ fn reported(
     b: &GeoRecord,
     owners: &[OwnerTest<'_>],
 ) -> bool {
-    let algo = LocalJoinAlgo::StripeSweep;
+    let algo = LocalJoinAlgo::PlaneSweep;
     let (pairs, cost) =
         local_join_reported(engine, JoinPredicate::Intersects, algo, &[a], &[b], owners);
     assert_eq!(cost.candidates, 1, "{:?} x {:?}", a.mbr, b.mbr);
