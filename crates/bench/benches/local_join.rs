@@ -1,6 +1,6 @@
 //! Local-join algorithm benchmarks: the three §II.C filter algorithms at
-//! realistic partition sizes (wall-clock of the real computation — the simulated-cost comparison is
-//! in `reproduce ablations`).
+//! realistic partition sizes (wall-clock of the real computation — the
+//! simulated-cost comparison is in `reproduce ablations`).
 
 use sjc_bench::microbench::{black_box, Bench};
 use sjc_data::rng::StdRng;

@@ -1,10 +1,11 @@
 //! `CellLocator` — the one point/rectangle location structure, over the
 //! cells of `grid_cells`, `str_tile_cells`, `bsp_cells` and SpatialHadoop's
 //! adopted cell lists — must answer `owner`, `owns`, `assign` and
-//! `assign_each` exactly as the linear scans it replaced, ties and fallbacks included. The reference-point rule every
-//! engine runs, `local_join_reported` over one `OwnerTest` per grid, is
-//! held to the linear owner on pairs whose reference point lies on and
-//! beside every cell edge.
+//! `assign_each` exactly as the linear scans it replaced, ties and
+//! fallbacks included. The reference-point rule every engine runs,
+//! `local_join_reported` over one `OwnerTest` per grid, is held to the
+//! linear owner on pairs whose reference point lies on and beside every
+//! cell edge.
 //!
 //! The linear scans are kept here verbatim (the `ref_*` functions, as they
 //! stood before the locator existed), so this file stays a fixed reference
