@@ -187,7 +187,8 @@ mod tests {
     fn plane_sweep_agrees_with_brute_force_on_degenerate_and_tall_rectangles() {
         // Zero-width and zero-height rectangles touch only at their edges;
         // tall and wide ones overlap most of the other side. Snapping some
-        // `min_x` to integers makes ties across the two lists, and an
+        // rectangles to integer bounds makes `min_x` ties across the two
+        // lists and edges that touch exactly, in x and in y, and an
         // occasional empty MBR (inverted bounds) must join nothing.
         cases(0x57122, 40, |rng| {
             let nl = rng.usize_in(0..400);
@@ -196,8 +197,13 @@ mod tests {
             let mut right = mixed_entries(rng, nr, 100.0);
             for e in left.iter_mut().chain(right.iter_mut()) {
                 if rng.bool_with(0.3) {
-                    let snapped = e.mbr.min_x.round();
-                    e.mbr = Mbr::new(snapped, e.mbr.min_y, snapped + 1.0, e.mbr.max_y);
+                    let m = e.mbr;
+                    e.mbr = Mbr::new(
+                        m.min_x.round(),
+                        m.min_y.round(),
+                        m.max_x.round(),
+                        m.max_y.round(),
+                    );
                 }
             }
             if rng.bool_with(0.2) {

@@ -72,6 +72,19 @@ mod tests {
     }
 
     #[test]
+    fn left_wins_a_min_x_tie_in_the_emission_order() {
+        // L0 and R0 tie at x = 0. L0 anchors first and emits both of its
+        // pairs before L1 is reached; were R0 to anchor first, it would
+        // emit (1, 10) before (0, 11).
+        let band = |x0: f64, x1: f64| Mbr::new(x0, 0.0, x1, 1.0);
+        let left = vec![IndexEntry::new(0, band(0.0, 10.0)), IndexEntry::new(1, band(1.5, 2.0))];
+        let right = vec![IndexEntry::new(10, band(0.0, 10.0)), IndexEntry::new(11, band(1.0, 2.0))];
+        let got = plane_sweep(&left, &right);
+        assert_eq!(got.pairs, vec![(0, 10), (0, 11), (1, 10), (1, 11)]);
+        assert_eq!(got.stats.filter_tests, 4);
+    }
+
+    #[test]
     fn identical_min_x_values() {
         let left = vec![
             IndexEntry::new(0, Mbr::new(1.0, 0.0, 2.0, 1.0)),
